@@ -18,7 +18,6 @@ from .geometry import (
 )
 from .mapper import (
     BoundaryValue,
-    DensityTable,
     SlitMap,
     g0,
     n1_circular_profile,
@@ -67,7 +66,6 @@ __all__ = [
     "ChebyshevSeries",
     "ConfigurationError",
     "ContourProfile",
-    "DensityTable",
     "DegenerateEllipseError",
     "DerivedConstants",
     "Diagnostics",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EvaluationError, SlitConfiguration
+from .quadrature import like_input
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ def eval_q(branch: BranchData, zeta):
     values there, use :func:`bank_value` instead.
     """
     z = np.asarray(zeta, dtype=complex)
-    k = np.asarray(branch.endpoints)
     on_cut = z.imag == 0.0
     if np.any(on_cut):
         x = np.where(on_cut, z.real, np.inf)
@@ -73,10 +73,10 @@ def eval_q(branch: BranchData, zeta):
                 raise EvaluationError(
                     "q is two-valued on the slits; use bank_value there"
                 )
-    vals = np.prod(np.sqrt(z[..., None] - k), axis=-1)
-    if np.isscalar(zeta) or np.ndim(zeta) == 0:
-        return complex(vals)
-    return vals
+    vals = np.ones(z.shape, dtype=complex)
+    for k_i in branch.endpoints:  # one factor at a time: no targets x 2n temporary
+        vals *= np.sqrt(z - k_i)
+    return like_input(vals, zeta)
 
 
 def abs_q(branch: BranchData, xi):
@@ -85,9 +85,7 @@ def abs_q(branch: BranchData, xi):
     k = np.asarray(branch.endpoints)
     p = np.prod(x[..., None] - k, axis=-1)
     out = np.sqrt(np.abs(p))
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return like_input(out, xi)
 
 
 def bank_value(branch: BranchData, xi, m: int, bank: int):
@@ -105,9 +103,7 @@ def bank_value(branch: BranchData, xi, m: int, bank: int):
     sign = bank * top_bank_sign(branch.n, m)
     vals = 1j * sign * abs_q(branch, x)
     vals = np.where((x == a) | (x == b), 0.0 + 0.0j, vals)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return complex(vals)
-    return vals
+    return like_input(vals, xi)
 
 
 def weight_factor(branch: BranchData, xi, j: int):
@@ -125,6 +121,4 @@ def weight_factor(branch: BranchData, xi, j: int):
     others = np.delete(k, [2 * j, 2 * j + 1])
     prod = np.prod(np.abs(x[..., None] - others), axis=-1)
     out = np.sqrt(prod)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return like_input(out, xi)

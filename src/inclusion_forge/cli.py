@@ -90,7 +90,6 @@ CONFIG_SCHEMA = {
                 "N": {"type": "integer"},
                 "M": {"type": "integer"},
                 "P": {"type": "integer"},
-                "eps_near": {"type": "number"},
                 "tol_solve": {"type": "number"},
             },
             "additionalProperties": False,
@@ -144,12 +143,15 @@ def parse_config(doc: dict):
             antisymmetric=fr.get("antisymmetric", False),
         )
         nu = doc.get("numerics", {})
-        tol = float(os.environ.get("INCLUSION_FORGE_TOL", nu.get("tol_solve", 1e-8)))
+        try:
+            tol = float(os.environ.get("INCLUSION_FORGE_TOL", nu.get("tol_solve", 1e-8)))
+        except ValueError as exc:
+            raise CliError(f"INCLUSION_FORGE_TOL is not a number: {exc}") from exc
+        # the schema's "integer" also admits integer-valued floats like 200.0
         numerics = NumericsConfig(
-            N=nu.get("N", 64),
-            M=nu.get("M", 64),
-            P=nu.get("P", 200),
-            eps_near=nu.get("eps_near", 1e-3),
+            N=int(nu.get("N", 64)),
+            M=int(nu.get("M", 64)),
+            P=int(nu.get("P", 200)),
             tol_solve=tol,
         )
     except ConfigurationError as exc:
@@ -291,7 +293,6 @@ def _apply_flag_overrides(args, numerics: NumericsConfig) -> NumericsConfig:
         N=N,
         M=M,
         P=args.points if args.points is not None else numerics.P,
-        eps_near=numerics.eps_near,
         tol_solve=numerics.tol_solve,
     )
 

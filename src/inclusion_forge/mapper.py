@@ -40,33 +40,26 @@ from .model import (
     singular_part_omega,
 )
 from .quadrature import (
-    ChebyshevSeries,
-    cauchy_off,
+    cauchy_off_stack,
     cheb_nodes,
-    series_from_samples,
-    singular_on,
+    coef_from_samples,
+    like_input,
+    singular_on_stack,
+    truncation_indicator,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solvability import SolvabilityConstants
 
+# rows of the density table, in order
+FAMILIES = ("phi", "g0_rho", "g1_weighted")
+_PHI, _MAP = slice(0, 1), slice(1, 3)
+_BLOCK_VALUES = 2**16
 
-@dataclass(frozen=True)
-class DensityTable:
-    """Per-slit Chebyshev tables driving every evaluation.
 
-    ``phi[j]`` expands the first-problem density over the smooth weight
-    factor, ``g0_rho[j]`` the second-problem constant part, and
-    ``g1_weighted[j]`` expands g_1 times the endpoint weight (so the |q|
-    factor it carries, which vanishes at every slit endpoint, is handled
-    in closed form).  ``a`` and ``rho_prime`` echo the constants baked in.
-    """
-
-    phi: tuple[ChebyshevSeries, ...]
-    g0_rho: tuple[ChebyshevSeries, ...]
-    g1_weighted: tuple[ChebyshevSeries, ...]
-    a: tuple[float, ...]
-    rho_prime: tuple[float, ...]
+def _row_sum(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per-family sums over slit rows: vals (F, R, ...) weighted by (F, R)."""
+    return np.einsum("fj,fj...->f...", weights, vals)
 
 
 @dataclass(frozen=True)
@@ -91,16 +84,21 @@ def g0(xi, j: int, derived: DerivedConstants):
         out = derived.c_star[j] * x
     else:
         out = (derived.e[j] / (x - derived.zeta_inf)).real
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return like_input(out, xi)
 
 
 class SlitMap:
     """Evaluator for one solved configuration (n >= 2 slits).
 
-    Builds the per-slit Chebyshev density tables once; all evaluation
-    methods are pure and accept scalars or arrays of targets.
+    Builds the Chebyshev density table once: ``_coef[f, j]`` holds the
+    coefficients of family ``FAMILIES[f]`` on slit j, over the interval
+    ``_centre[j] +- _half[j]``.  ``phi`` expands the first-problem density
+    over the smooth weight factor, ``g0_rho`` the second-problem constant
+    part, and ``g1_weighted`` g_1 times the endpoint weight (so the |q|
+    factor it carries, which vanishes at every slit endpoint, is handled in
+    closed form).  Every Cauchy sum over the slits weights row j of a family
+    by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
+    All evaluation methods are pure and accept scalars or arrays of targets.
     """
 
     def __init__(
@@ -114,37 +112,53 @@ class SlitMap:
         self.derived = derived
         self.constants = constants
         self.numerics = numerics
-        n = branch.n
-        N, M = numerics.N, numerics.M
+        n, N, M = branch.n, numerics.N, numerics.M
+        ends = np.reshape(branch.endpoints, (n, 2))
+        a, b = ends[:, :1], ends[:, 1:]
+        self._centre = 0.5 * (b + a)[:, 0]
+        self._half = 0.5 * (b - a)[:, 0]
+        alt = (-1.0) ** np.arange(n)
+        lam_alt = alt * np.asarray(derived.lam)
+        self._weights = np.stack([alt, lam_alt, lam_alt])
 
-        phi_series: list[ChebyshevSeries] = []
-        g0rho_series: list[ChebyshevSeries] = []
-        nodes_per_slit: list[np.ndarray] = []
-        for j in range(n):
-            a, b = branch.slit(j)
-            nodes = cheb_nodes(a, b, N)
-            nodes_per_slit.append(nodes)
-            r = weight_factor(branch, nodes, j)
-            phi = constants.a[j] - pole_density(nodes, derived)
-            phi_series.append(series_from_samples(phi / r, a, b, M))
-            dens = g0(nodes, j, derived) + constants.rho_prime[j]
-            g0rho_series.append(series_from_samples(dens / r, a, b, M))
-        self._phi = tuple(phi_series)
-        self._g0rho = tuple(g0rho_series)
+        nodes = cheb_nodes(a, b, N)
+        r = np.array([weight_factor(branch, nodes[j], j) for j in range(n)])
+        g0_nodes = np.array([g0(nodes[j], j, derived) for j in range(n)])
+        phi = np.reshape(constants.a, (n, 1)) - pole_density(nodes, derived)
+        g0_rho = g0_nodes + np.reshape(constants.rho_prime, (n, 1))
+        # degree M, but at most the N coefficients N samples determine
+        self._coef = np.zeros((len(FAMILIES), n, min(M + 1, N)))
+        self._coef[0] = coef_from_samples(phi / r, M)
+        self._coef[1] = coef_from_samples(g0_rho / r, M)
+        # g_1 needs the phi rows of every slit, so it is sampled second.
+        g1 = np.array([self._g1_values(nodes[j], j) for j in range(n)])
+        self._coef[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
 
-        # g_1 needs the phi tables of every slit, so it is sampled second.
-        g1w_series: list[ChebyshevSeries] = []
-        for j in range(n):
-            a, b = branch.slit(j)
-            nodes = nodes_per_slit[j]
-            vals = self._g1_values(nodes, j)
-            w = np.sqrt((nodes - a) * (b - nodes))
-            g1w_series.append(series_from_samples(vals * w, a, b, M))
-        self._g1w = tuple(g1w_series)
-        self.densities = DensityTable(
-            self._phi, self._g0rho, self._g1w,
-            tuple(constants.a), tuple(constants.rho_prime),
-        )
+    # -- Cauchy sums over the slits ---------------------------------------------
+
+    def _off_sums(self, fams: slice, z: np.ndarray) -> np.ndarray:
+        """Weighted sums over all slits of the off-slit Cauchy integrals.
+
+        Targets pass through the kernel in blocks of at most _BLOCK_VALUES
+        (family, slit, target) values, so large batches need no temporaries
+        of batch x slits size.
+        """
+        coef, weights = self._coef[fams], self._weights[fams]
+        flat = z.reshape(-1)
+        out = np.empty((len(coef), flat.size), dtype=complex)
+        step = max(1, _BLOCK_VALUES // weights.size)
+        for s in range(0, flat.size, step):
+            vals = cauchy_off_stack(coef, self._centre, self._half, flat[s : s + step])
+            out[:, s : s + step] = _row_sum(weights, vals)
+        return out.reshape((len(coef),) + z.shape)
+
+    def _slit_sums(self, fams: slice, x: np.ndarray, m: int) -> np.ndarray:
+        """Weighted sums at real x on slit m: principal value on row m."""
+        off = np.arange(self.branch.n) != m
+        coef, weights = self._coef[fams], self._weights[fams]
+        vals = cauchy_off_stack(coef[:, off], self._centre[off], self._half[off], x)
+        pv = singular_on_stack(coef[:, [m]], self._centre[[m]], self._half[[m]], x)
+        return _row_sum(weights[:, off], vals) + _row_sum(weights[:, [m]], pv)
 
     # -- densities ---------------------------------------------------------
 
@@ -152,18 +166,8 @@ class SlitMap:
         """First-problem boundary density a_m - Im(singular term) on slit m."""
         return self.constants.a[m] - pole_density(xi, self.derived)
 
-    def _cauchy_all(self, table, xi, m: int):
-        """Alternating-sign Cauchy sum over slit tables at xi inside slit m."""
-        total = 0.0 + 0.0j
-        for j, series in enumerate(table):
-            term = singular_on(series, xi) if j == m else cauchy_off(series, xi)
-            total = total + (-1.0) ** j * term
-        return total
-
-    def _g1_values(self, xi, m: int):
-        return (abs_q(self.branch, xi) / np.pi) * np.real(
-            self._cauchy_all(self._phi, xi, m)
-        )
+    def _g1_values(self, x, m: int):
+        return (abs_q(self.branch, x) / np.pi) * np.real(self._slit_sums(_PHI, x, m)[0])
 
     def _check_on_slit(self, x: np.ndarray, m: int) -> None:
         a, b = self.branch.slit(m)
@@ -174,10 +178,7 @@ class SlitMap:
         """Odd companion density carrying the |q| factor; 0 at endpoints."""
         x = np.asarray(xi, dtype=float)
         self._check_on_slit(x, m)
-        out = self._g1_values(x, m)
-        if np.isscalar(xi) or np.ndim(xi) == 0:
-            return float(out)
-        return out
+        return like_input(self._g1_values(x, m), xi)
 
     # -- the map -----------------------------------------------------------
 
@@ -190,15 +191,8 @@ class SlitMap:
         self._check_on_slit(x, m)
         absq = abs_q(self.branch, x)
         sign_m = bank * (-1.0) ** m
-        total = 0.0 + 0.0j
-        for j in range(self.branch.n):
-            if j == m:
-                c_g1 = singular_on(self._g1w[m], x)
-                c_g0 = singular_on(self._g0rho[m], x)
-            else:
-                c_g1 = cauchy_off(self._g1w[j], x)
-                c_g0 = cauchy_off(self._g0rho[j], x)
-            total = total + (-1.0) ** j * d.lam[j] * (c_g1 + sign_m * absq * c_g0)
+        g0_sum, g1_sum = self._slit_sums(_MAP, x, m)
+        total = g1_sum + sign_m * absq * g0_sum
         g0_loc = g0(x, m, d) + self.constants.rho_prime[m]
         g1_loc = self._g1_values(x, m)
         local = np.pi * 1j * d.lam[m] * (g0_loc + sign_m * g1_loc)
@@ -208,9 +202,7 @@ class SlitMap:
             - 1j / (np.pi * d.tau_bar) * (total + local)
             + d.gamma
         )
-        if np.isscalar(xi) or np.ndim(xi) == 0:
-            return complex(out)
-        return out
+        return like_input(out, xi)
 
     def boundary_value(self, xi: float, bank: int, m: int) -> BoundaryValue:
         """One boundary sample as a record with its parameter bookkeeping."""
@@ -218,33 +210,19 @@ class SlitMap:
 
     def omega_interior(self, zeta):
         """Map value off the slits (and away from the pole preimage)."""
-        d = self.derived
         z = np.asarray(zeta, dtype=complex)
-        out = singular_part_omega(z, d) + self._omega_regular(z)
-        if np.isscalar(zeta) or np.ndim(zeta) == 0:
-            return complex(out)
-        return out
+        out = singular_part_omega(z, self.derived) + self._omega_regular(z)
+        return like_input(out, zeta)
 
     def omega_regular(self, zeta):
         """Bounded remainder of the map after removing the singular term."""
-        z = np.asarray(zeta, dtype=complex)
-        out = self._omega_regular(z)
-        if np.isscalar(zeta) or np.ndim(zeta) == 0:
-            return complex(out)
-        return out
+        return like_input(self._omega_regular(np.asarray(zeta, dtype=complex)), zeta)
 
     def _omega_regular(self, z: np.ndarray):
         d = self.derived
-        n = self.branch.n
         q = eval_q(self.branch, z)
-        pole_sign = (-1.0) ** n
-        total = 0.0 + 0.0j
-        for j in range(n):
-            c_g1 = cauchy_off(self._g1w[j], z)
-            c_g0 = cauchy_off(self._g0rho[j], z)
-            total = total + (-1.0) ** j * d.lam[j] * (
-                c_g1 + pole_sign * 1j * q * c_g0
-            )
+        g0_sum, g1_sum = self._off_sums(_MAP, z)
+        total = g1_sum + (-1.0) ** self.branch.n * 1j * q * g0_sum
         return -1j / (np.pi * d.tau_bar) * total + d.gamma
 
     # -- the companion function F -------------------------------------------
@@ -262,37 +240,24 @@ class SlitMap:
             + bank * (-1.0) ** m * self._g1_values(x, m)
             + 1j * self.phi(x, m)
         )
-        if np.isscalar(xi) or np.ndim(xi) == 0:
-            return complex(out)
-        return out
+        return like_input(out, xi)
 
     def F_interior(self, zeta):
         """F off the slits; bounded at infinity once the a_j are solved."""
         d = self.derived
         z = np.asarray(zeta, dtype=complex)
         q = eval_q(self.branch, z)
-        total = self._cauchy_all_off(self._phi, z)
+        (total,) = self._off_sums(_PHI, z)
         sign = (-1.0) ** (self.branch.n - 1)
         out = d.beta0 + singular_part_F(z, d) - 1j * sign * q / np.pi * total
-        if np.isscalar(zeta) or np.ndim(zeta) == 0:
-            return complex(out)
-        return out
-
-    def _cauchy_all_off(self, table, z):
-        total = 0.0 + 0.0j
-        for j, series in enumerate(table):
-            total = total + (-1.0) ** j * cauchy_off(series, z)
-        return total
+        return like_input(out, zeta)
 
     # -- diagnostics ---------------------------------------------------------
 
     def truncation_indicators(self) -> dict[str, float]:
         """Worst tail-coefficient ratio of each density family."""
-        return {
-            "phi": max(s.truncation_indicator for s in self._phi),
-            "g0_rho": max(s.truncation_indicator for s in self._g0rho),
-            "g1_weighted": max(s.truncation_indicator for s in self._g1w),
-        }
+        worst = truncation_indicator(self._coef).max(axis=1)
+        return dict(zip(FAMILIES, worst.tolist()))
 
 
 # -- single inclusion closed forms -------------------------------------------
@@ -331,9 +296,7 @@ def n1_slit_profile(xi, bank: int, loading: Loading, materials: MaterialSet,
     m1, m2 = _n1_axis_factors(loading, materials)
     x = np.asarray(xi, dtype=float)
     out = free.c_m1 * (m1 * x + 1j * bank * m2 * np.sqrt(1.0 - x * x)) + free.gamma
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return complex(out)
-    return out
+    return like_input(out, xi)
 
 
 def n1_circular_profile(phi, loading: Loading, materials: MaterialSet,
@@ -347,6 +310,4 @@ def n1_circular_profile(phi, loading: Loading, materials: MaterialSet,
     p = np.asarray(phi, dtype=float)
     unit = np.exp(1j * p)
     out = free.c_m1 * (unit + delta / unit) + free.gamma
-    if np.isscalar(phi) or np.ndim(phi) == 0:
-        return complex(out)
-    return out
+    return like_input(out, phi)

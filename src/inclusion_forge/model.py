@@ -198,18 +198,11 @@ class FreeParameters:
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Quadrature resolution and diagnostic thresholds.
-
-    ``eps_near`` (relative to slit length) marks the distance below which
-    interior accuracy is limited by the truncation order M rather than N;
-    evaluation itself always goes through the closed-form kernel
-    continuation, so no quadrature blows up near the slits.
-    """
+    """Quadrature resolution and diagnostic thresholds."""
 
     N: int = 64
     M: int = 64
     P: int = 200
-    eps_near: float = 1e-3
     tol_solve: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -221,8 +214,6 @@ class NumericsConfig:
             raise ConfigurationError("truncation order M must not exceed N")
         if self.P < 16:
             raise ConfigurationError("contour sample count P must be >= 16")
-        if not self.eps_near > 0:
-            raise ConfigurationError("eps_near must be positive")
         if not self.tol_solve > 0:
             raise ConfigurationError("tol_solve must be positive")
 

@@ -26,7 +26,10 @@ __all__ = [
     "cheb_nodes",
     "gauss_cheb",
     "cheb_coeffs",
+    "coef_from_samples",
     "series_from_samples",
+    "singular_on_stack",
+    "cauchy_off_stack",
     "singular_on",
     "cauchy_off",
 ]
@@ -81,34 +84,52 @@ class ChebyshevSeries:
     @property
     def truncation_indicator(self) -> float:
         """|alpha_M| relative to the largest coefficient; ~0 when resolved."""
-        mags = np.abs(self.coef)
-        top = mags.max()
-        if top == 0.0:
-            return 0.0
-        return float(mags[-1] / top)
-
-    def map_to_unit(self, t):
-        return (np.asarray(t) - self.delta_plus) / self.delta_minus
+        return float(truncation_indicator(self.coef))
 
 
-def series_from_samples(samples, a: float, b: float, M: int) -> ChebyshevSeries:
-    """Series through degree M from values at the N first-kind nodes of (a, b).
+def like_input(value, arg):
+    """``value`` as a Python scalar when ``arg`` is a scalar, else as an array.
 
-    ``samples`` must be ordered like :func:`cheb_nodes` output (right to
-    left); the coefficients are the N-point Gauss discretization of the
-    orthogonality integrals, computed as a type-II DCT.
+    Every public evaluator of the package returns through this helper, so a
+    scalar target gives a scalar result and an array of targets an array of
+    the same shape.
+    """
+    if np.ndim(arg) == 0:
+        return np.asarray(value).item()
+    return value
+
+
+def truncation_indicator(coef) -> np.ndarray:
+    """|alpha_M| relative to the largest coefficient of each row (0 if none)."""
+    mags = np.abs(coef)
+    top = mags.max(axis=-1)
+    return np.divide(mags[..., -1], top, out=np.zeros_like(top), where=top > 0.0)
+
+
+def coef_from_samples(samples, M: int) -> np.ndarray:
+    """Coefficients through degree M of rows sampled at first-kind nodes.
+
+    ``samples`` holds N values per row along its last axis, ordered like
+    :func:`cheb_nodes` output (right to left); the coefficients are the
+    N-point Gauss discretization of the orthogonality integrals, computed as
+    one type-II DCT over that axis.
     """
     samples = np.asarray(samples)
-    N = len(samples)
+    N = samples.shape[-1]
     if M > N:
         raise ValueError(f"M = {M} exceeds sample count N = {N}")
     if np.iscomplexobj(samples):
         raw = dct(samples.real, type=2) + 1j * dct(samples.imag, type=2)
     else:
         raw = dct(samples, type=2)
-    coef = raw[: M + 1] / N
-    coef[0] *= 0.5
-    return ChebyshevSeries(a, b, coef)
+    coef = raw[..., : M + 1] / N
+    coef[..., 0] *= 0.5
+    return coef
+
+
+def series_from_samples(samples, a: float, b: float, M: int) -> ChebyshevSeries:
+    """Series through degree M from values at the N first-kind nodes of (a, b)."""
+    return ChebyshevSeries(a, b, coef_from_samples(samples, M))
 
 
 def cheb_coeffs(h, a: float, b: float, N: int, M: int) -> ChebyshevSeries:
@@ -116,52 +137,74 @@ def cheb_coeffs(h, a: float, b: float, N: int, M: int) -> ChebyshevSeries:
     return series_from_samples(h(cheb_nodes(a, b, N)), a, b, M)
 
 
-def _second_kind_sum(coef: np.ndarray, x):
-    """sum_{m>=1} coef[m] U_{m-1}(x) by the ascending recurrence."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros(x.shape, dtype=coef.dtype)
+def _unit_targets(centre, half, t, dtype):
+    """Flattened targets mapped onto [-1, 1] of every row: shape (R, T)."""
+    t = np.asarray(t, dtype=dtype).reshape(-1)
+    return (t - np.asarray(centre)[:, None]) / np.asarray(half)[:, None]
+
+
+def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
+    """Principal values of stacked series at real targets inside their intervals.
+
+    ``coef`` holds R rows of first-kind coefficients in its last two axes,
+    shape (..., R, L), for the intervals ``centre +- half`` (each of shape
+    (R,)); the result has shape (..., R) + xi.shape.  T_0 contributes
+    nothing and T_m maps to pi U_{m-1}, so each value is
+    (pi / half) * sum_{m>=1} alpha_m U_{m-1}(x) at the mapped target, summed
+    by the ascending second-kind recurrence over all rows at once.  Endpoint
+    targets are admitted (U_{m-1}(+-1) is finite).
+    """
+    coef = np.asarray(coef)
+    x = _unit_targets(centre, half, xi, float)
+    total = np.zeros(coef.shape[:-1] + x.shape[-1:], dtype=np.result_type(coef, x))
     u_prev = np.zeros_like(x)
     u = np.ones_like(x)
-    for m in range(1, len(coef)):
-        total = total + coef[m] * u
+    for m in range(1, coef.shape[-1]):
+        total += coef[..., m, None] * u
         u_prev, u = u, 2.0 * x * u - u_prev
-    return total
+    total *= np.pi / np.asarray(half)[:, None]
+    return total.reshape(coef.shape[:-1] + np.shape(xi))
+
+
+def cauchy_off_stack(coef, centre, half, zeta) -> np.ndarray:
+    """Weighted Cauchy integrals of stacked series at targets off their intervals.
+
+    Shapes as in :func:`singular_on_stack`.  In the mapped variable x, T_m
+    integrates to -pi w^m / sqrt(x^2 - 1) where w is the root of
+    w^2 - 2xw + 1 = 0 with |w| < 1; the formula is the exact analytic
+    continuation of the principal-value expansion, so it stays accurate
+    arbitrarily close to the interval (only the truncation of the series
+    matters there).  The series in w is summed by Horner's rule in place
+    over all rows and targets, so the only temporaries are of the result's
+    size.
+    """
+    coef = np.asarray(coef)
+    x = _unit_targets(centre, half, zeta, complex)
+    # the branch of sqrt(x^2 - 1) cut along [-1, 1] with sqrt ~ x at infinity
+    root = np.sqrt(x - 1.0)
+    root *= np.sqrt(x + 1.0)
+    w = np.subtract(x, root, out=x)
+    total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
+    total[...] = coef[..., -1, None]
+    for m in range(coef.shape[-1] - 2, -1, -1):
+        total *= w
+        total += coef[..., m, None]
+    total *= -np.pi / np.asarray(half)[:, None]
+    total /= root
+    return total.reshape(coef.shape[:-1] + np.shape(zeta))
 
 
 def singular_on(series: ChebyshevSeries, xi):
-    """Principal value of the weighted Cauchy integral at xi in (a, b).
-
-    T_0 contributes nothing and T_m maps to pi U_{m-1}, so the value is
-    (pi / delta_minus) * sum_{m>=1} alpha_m U_{m-1}(x) at the mapped target.
-    Endpoint targets are admitted (U_{m-1}(+-1) is finite).
-    """
-    x = series.map_to_unit(xi)
-    out = (np.pi / series.delta_minus) * _second_kind_sum(series.coef, x)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return out.item()
-    return out
-
-
-def _sqrt_off_cut(x):
-    """Branch of sqrt(x^2 - 1) cut along [-1, 1] with sqrt ~ x at infinity."""
-    return np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+    """Principal value of the weighted Cauchy integral at xi in (a, b)."""
+    out = singular_on_stack(
+        series.coef[None], [series.delta_plus], [series.delta_minus], xi
+    )
+    return like_input(out[0], xi)
 
 
 def cauchy_off(series: ChebyshevSeries, zeta):
-    """Weighted Cauchy integral at a target zeta off the closed interval.
-
-    In the mapped variable x, T_m integrates to -pi w^m / sqrt(x^2 - 1)
-    where w is the root of w^2 - 2xw + 1 = 0 with |w| < 1; the formula is
-    the exact analytic continuation of the principal-value expansion, so it
-    stays accurate arbitrarily close to the interval (only the truncation
-    of the series matters there).
-    """
-    x = np.asarray(series.map_to_unit(np.asarray(zeta, dtype=complex)))
-    root = _sqrt_off_cut(x)
-    w = x - root
-    powers = w[..., None] ** np.arange(len(series.coef))
-    total = powers @ series.coef
-    out = -(np.pi / series.delta_minus) * total / root
-    if np.isscalar(zeta) or np.ndim(zeta) == 0:
-        return complex(out)
-    return out
+    """Weighted Cauchy integral at a target zeta off the closed interval."""
+    out = cauchy_off_stack(
+        series.coef[None], [series.delta_plus], [series.delta_minus], zeta
+    )
+    return like_input(out[0], zeta)

@@ -10,10 +10,7 @@ def load_figure_inputs(name: str, N: int | None = None):
     doc = figures.load_case(name)
     cfg, loading, materials, free, numerics, overrides = cli.parse_config(doc)
     if N is not None:
-        numerics = NumericsConfig(
-            N=N, M=N, P=numerics.P,
-            eps_near=numerics.eps_near, tol_solve=numerics.tol_solve,
-        )
+        numerics = NumericsConfig(N=N, M=N, P=numerics.P, tol_solve=numerics.tol_solve)
     return cfg, loading, materials, free, numerics, overrides
 
 

@@ -106,6 +106,23 @@ def test_tolerance_env_override(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", str(cfg_path)]) == 0
 
 
+def test_malformed_tolerance_env_exits_two(tmp_path, fig1b_path, monkeypatch, capsys):
+    monkeypatch.setenv("INCLUSION_FORGE_TOL", "abc")
+    assert cli.main(["solve", "--config", str(fig1b_path)]) == 2
+    assert "INCLUSION_FORGE_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("numerics", [{"N": 64.0}, {"M": 32.0}, {"P": 200.0}])
+def test_integer_valued_float_numerics_are_accepted(tmp_path, numerics):
+    doc = figures.load_case("fig1b")
+    doc["numerics"] = numerics
+    *_, parsed, _ = parse_config(doc)
+    assert all(type(v) is int for v in (parsed.N, parsed.M, parsed.P))
+    path = tmp_path / "float_numerics.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--config", str(path)]) == 0
+
+
 def test_nodes_and_points_flags(tmp_path, fig1b_path):
     out = tmp_path / "c.csv"
     code = cli.main([

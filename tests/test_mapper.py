@@ -3,7 +3,8 @@ import pytest
 from conftest import load_figure_inputs
 from oracles import cauchy_weighted, smooth_weight, weighted_pv
 
-from inclusion_forge.branch import BranchData, abs_q
+from inclusion_forge import mapper
+from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
     SlitMap,
     g0,
@@ -21,6 +22,7 @@ from inclusion_forge.model import (
     derive_constants,
     pole_density,
 )
+from inclusion_forge.quadrature import cauchy_off, cheb_coeffs, singular_on
 from inclusion_forge.solvability import (
     antisymmetric_free_values,
     build_constants,
@@ -338,11 +340,65 @@ def test_truncation_indicators_are_small_on_figures():
     assert max(indicators.values()) < 1e-10
 
 
-def test_density_table_and_boundary_records():
-    sm, _, constants = solved_map("fig1b")
-    table = sm.densities
-    assert len(table.phi) == len(table.g0_rho) == len(table.g1_weighted) == 2
-    assert table.a == tuple(constants.a)
+def test_interior_values_do_not_depend_on_the_target_blocking(monkeypatch):
+    sm, _, _ = solved_map("fig3a")
+    z = np.linspace(-1.5, 1.5, 7)[:, None] + 1j * np.linspace(0.05, 0.9, 5)
+    whole = sm.omega_interior(z), sm.F_interior(z)
+    monkeypatch.setattr(mapper, "_BLOCK_VALUES", 8)  # one or two targets a block
+    np.testing.assert_allclose(sm.omega_interior(z), whole[0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(sm.F_interior(z), whole[1], rtol=1e-14, atol=0)
+
+
+def test_boundary_value_records():
+    sm, _, _ = solved_map("fig1b")
     rec = sm.boundary_value(0.7, +1, 1)
     assert rec.slit_index == 1 and rec.bank == +1 and rec.xi == 0.7
     assert rec.z == sm.omega_boundary(0.7, +1, 1)
+
+
+# -- scalar / array contract ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def evaluators():
+    """name -> (evaluator, map from fractions in [0, 1] to admissible targets)."""
+    sm, derived, _ = solved_map("fig1b")
+    branch = sm.branch
+    a, b = branch.slit(1)
+    on = lambda s: a + (b - a) * s
+    off = lambda s: 1.5 + s + (0.5 - s) * 1j
+    series = cheb_coeffs(np.exp, a, b, 16, 12)
+    return {
+        "eval_q": (lambda t: eval_q(branch, t), off),
+        "abs_q": (lambda t: abs_q(branch, t), on),
+        "bank_value": (lambda t: bank_value(branch, t, 1, +1), on),
+        "weight_factor": (lambda t: weight_factor(branch, t, 1), on),
+        "singular_on": (lambda t: singular_on(series, t), on),
+        "cauchy_off": (lambda t: cauchy_off(series, t), off),
+        "g0": (lambda t: g0(t, 1, derived), on),
+        "g1": (lambda t: sm.g1(t, 1), on),
+        "omega_boundary": (lambda t: sm.omega_boundary(t, -1, 1), on),
+        "omega_interior": (sm.omega_interior, off),
+        "omega_regular": (sm.omega_regular, off),
+        "F_boundary": (lambda t: sm.F_boundary(t, +1, 1), on),
+        "F_interior": (sm.F_interior, off),
+    }
+
+
+EVALUATORS = (
+    "eval_q", "abs_q", "bank_value", "weight_factor", "singular_on", "cauchy_off",
+    "g0", "g1", "omega_boundary", "omega_interior", "omega_regular",
+    "F_boundary", "F_interior",
+)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_scalar_in_scalar_out_array_in_array_out(evaluators, name):
+    fn, target = evaluators[name]
+    scalar = fn(target(0.3))
+    assert type(scalar) in (float, complex)
+    for s in (np.array([0.2, 0.5, 0.7]), np.array([[0.1, 0.4, 0.6], [0.25, 0.5, 0.9]])):
+        out = fn(target(s))
+        assert isinstance(out, np.ndarray) and out.shape == s.shape
+        expected = [fn(target(v)) for v in s.ravel()]
+        np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=1e-15)

@@ -137,7 +137,7 @@ def test_free_parameters_reject_zero_scaling():
     "kwargs",
     [
         {"N": 4}, {"M": 2}, {"N": 16, "M": 32},
-        {"P": 4}, {"eps_near": 0.0}, {"tol_solve": 0.0},
+        {"P": 4}, {"tol_solve": 0.0},
     ],
 )
 def test_numerics_invariants(kwargs):

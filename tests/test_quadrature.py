@@ -4,10 +4,13 @@ from oracles import cauchy_weighted, sqrt_weight_moment, weighted_pv
 
 from inclusion_forge.quadrature import (
     cauchy_off,
+    cauchy_off_stack,
     cheb_coeffs,
     cheb_nodes,
     gauss_cheb,
+    like_input,
     singular_on,
+    singular_on_stack,
 )
 
 
@@ -137,3 +140,37 @@ def test_complex_densities_supported():
     val = cauchy_off(series, 2.0 + 1.0j)
     oracle = cauchy_weighted(h, -1.0, 1.0, 2.0 + 1.0j)
     assert val == pytest.approx(oracle, abs=1e-10)
+
+
+def test_like_input_returns_python_scalars_for_scalar_arguments():
+    for arg in (0.5, np.float64(0.5), np.array(0.5)):
+        out = like_input(np.array(2.0 + 1.0j), arg)
+        assert type(out) is complex and out == 2.0 + 1.0j
+        assert type(like_input(np.float64(3.0), arg)) is float
+    arr = np.array([1.0, 2.0])
+    assert like_input(arr, [0.1, 0.2]) is arr
+
+
+def test_stacked_kernels_match_one_series_per_row():
+    intervals = [(-1.0, -0.6), (-0.2, 0.3), (0.5, 1.2)]
+    densities = [np.exp, np.cos, lambda t: 1.0 / (2.0 - t)]
+    series = [cheb_coeffs(h, a, b, 32, 24) for (a, b), h in zip(intervals, densities)]
+    coef = np.stack([s.coef for s in series])
+    twice = np.stack([coef, 2.0 * coef])  # a leading family axis broadcasts
+    centre = np.array([s.delta_plus for s in series])
+    half = np.array([s.delta_minus for s in series])
+    zeta = np.array([
+        [0.1 + 0.4j, -2.0 + 0.0j, 1.5 - 2.2j],
+        [0.4 - 1e-6j, 3.0 + 1j, -0.8 + 1e-3j],
+    ])
+    off = cauchy_off_stack(twice, centre, half, zeta)
+    assert off.shape == (2, 3) + zeta.shape
+    for r, s in enumerate(series):
+        np.testing.assert_allclose(off[0, r], cauchy_off(s, zeta), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(off[1, r], 2.0 * off[0, r], rtol=1e-15, atol=0)
+    # principal values: each row at targets inside its own interval
+    frac = np.array([0.0, 0.3, 0.8, 1.0])
+    for r, s in enumerate(series):
+        xi = s.a + (s.b - s.a) * frac
+        on = singular_on_stack(coef, centre, half, xi)
+        np.testing.assert_allclose(on[r], singular_on(s, xi), rtol=1e-15, atol=0)
