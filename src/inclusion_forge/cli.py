@@ -108,6 +108,10 @@ CONFIG_SCHEMA = {
 }
 
 
+# compiled once: jsonschema.validate would check the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 class CliError(Exception):
     """Input-level failure mapped to exit code 2."""
 
@@ -118,10 +122,9 @@ def _as_complex(obj) -> complex:
 
 def parse_config(doc: dict):
     """Schema-check a config document and build the model objects."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CliError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise CliError(f"config schema violation: {error.message}")
     if doc["n"] != len(doc["slits"]):
         raise CliError(f"n = {doc['n']} but {len(doc['slits'])} slits given")
     zeta = doc["zeta_inf"]

@@ -123,10 +123,37 @@ def build_profiles(boundary_fn, slits, P: int) -> list[ContourProfile]:
 
 
 # -- segment predicates --------------------------------------------------------
+#
+# Only segment pairs whose bounding boxes overlap are tested.  One sort and
+# sweep over the segment extents finds them (the any-crossing filter of
+# Shamos & Hoey, FOCS 1976): O(K log K + candidates) for K segments, with no
+# K x K array.  The filter is exact: a proper crossing, a collinear overlap or
+# a distance below the touch pad each make the two closed boxes, grown by the
+# pad, overlap.
 
 
 def _segments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z[:-1], z[1:]
+
+
+def _candidate_pairs(s0, s1, pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of distinct segments whose boxes, grown by pad, overlap.
+
+    Segments sorted by their left edge pair with the run of later segments
+    whose left edge is at most their right edge; the y-extents prune those
+    pairs.  Each unordered pair appears once.  The runs stay short while
+    few segments share an x-range, as on the smooth traced contours.
+    """
+    x0, x1 = np.minimum(s0.real, s1.real) - pad, np.maximum(s0.real, s1.real) + pad
+    y0, y1 = np.minimum(s0.imag, s1.imag) - pad, np.maximum(s0.imag, s1.imag) + pad
+    order = np.argsort(x0, kind="stable")
+    stop = np.searchsorted(x0[order], x1[order], side="right")
+    run = stop - np.arange(1, len(order) + 1)
+    first = np.repeat(np.arange(len(order)), run)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(run) - run, run)
+    i, j = order[first], order[second]
+    keep = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+    return i[keep], j[keep]
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -134,11 +161,9 @@ def _orient(ax, ay, bx, by, cx, cy):
 
 
 def _segments_cross(p0, p1, q0, q1) -> np.ndarray:
-    """Proper-or-collinear-overlap intersection matrix of two segment sets."""
-    ax, ay = p0.real[:, None], p0.imag[:, None]
-    bx, by = p1.real[:, None], p1.imag[:, None]
-    cx, cy = q0.real[None, :], q0.imag[None, :]
-    dx, dy = q1.real[None, :], q1.imag[None, :]
+    """Elementwise proper-or-collinear-overlap test of segments p0p1 and q0q1."""
+    ax, ay, bx, by = p0.real, p0.imag, p1.real, p1.imag
+    cx, cy, dx, dy = q0.real, q0.imag, q1.real, q1.imag
     d1 = _orient(ax, ay, bx, by, cx, cy)
     d2 = _orient(ax, ay, bx, by, dx, dy)
     d3 = _orient(cx, cy, dx, dy, ax, ay)
@@ -161,41 +186,82 @@ def _segments_cross(p0, p1, q0, q1) -> np.ndarray:
     return proper | collinear
 
 
-def _segment_distance(p0, p1, q0, q1) -> float:
-    """Minimum distance between two segment sets (vectorized)."""
+def _point_segment_distance(pts, s0, s1) -> np.ndarray:
+    """Distance from pts to the segments s0s1 (elementwise, broadcasting)."""
+    d = s1 - s0
+    den = np.maximum(np.abs(d) ** 2, 1e-300)
+    t = np.clip(((pts - s0) * np.conj(d)).real / den, 0.0, 1.0)
+    return np.abs(pts - (s0 + t * d))
 
-    def point_seg(pts, s0, s1):
-        d = s1 - s0
-        den = np.maximum(np.abs(d) ** 2, 1e-300)
-        t = np.clip(((pts[:, None] - s0[None, :]) * np.conj(d[None, :])).real
-                    / den[None, :], 0.0, 1.0)
-        proj = s0[None, :] + t * d[None, :]
-        return np.abs(pts[:, None] - proj).min()
 
-    return min(
-        point_seg(p0, q0, q1), point_seg(p1, q0, q1),
-        point_seg(q0, p0, p1), point_seg(q1, p0, p1),
-    )
+def _first(i: np.ndarray, j: np.ndarray) -> tuple[int, int] | None:
+    """The lexicographically smallest pair (i[k], j[k]); None when empty."""
+    if i.size == 0:
+        return None
+    k = np.lexsort((j, i))[0]
+    return int(i[k]), int(j[k])
+
+
+def _self_crossing(profile: ContourProfile) -> tuple[int, int] | None:
+    """First segment pair (i < j) at which the closed polyline crosses itself.
+
+    Adjacent segments share a vertex and are not tested; the first and the
+    last segment are adjacent through the closing vertex.
+    """
+    s0, s1 = _segments(profile.points)
+    i, j = _candidate_pairs(s0, s1, 0.0)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    keep = (j - i > 1) & (j - i != len(s0) - 1)
+    i, j = i[keep], j[keep]
+    hit = _segments_cross(s0[i], s1[i], s0[j], s1[j])
+    return _first(i[hit], j[hit])
 
 
 def self_intersects(profile: ContourProfile) -> bool:
     """True when the closed polyline crosses itself (adjacent edges ignored)."""
-    z = profile.points
-    p0, p1 = _segments(z)
-    k = len(p0)
-    cross = _segments_cross(p0, p1, p0, p1)
-    idx = np.arange(k)
-    adjacent = (
-        (np.abs(idx[:, None] - idx[None, :]) <= 1)
-        | (np.abs(idx[:, None] - idx[None, :]) == k - 1)
-    )
-    return bool(np.any(cross & ~adjacent))
+    return _self_crossing(profile) is not None
 
 
 def _winding_contains(profile: ContourProfile, point: complex) -> bool:
     z = profile.points - point
     angles = np.angle(z[1:] / z[:-1])
     return abs(np.sum(angles)) > np.pi
+
+
+def _pair_contact(p1: ContourProfile, p2: ContourProfile):
+    """Why two closed contours fail ``disjoint``, or None when they pass.
+
+    Returns ``(reason, i, j)``: ``"cross"`` or ``"touch"`` with the first
+    offending segment i of p1 and j of p2, or ``"nested"`` with i = j = -1.
+    """
+    x0a, y0a, x1a, y1a = p1.bbox
+    x0b, y0b, x1b, y1b = p2.bbox
+    scale = max(p1.diameter, p2.diameter)
+    pad = _TOUCH_REL * scale
+    if x1a + pad < x0b or x1b + pad < x0a or y1a + pad < y0b or y1b + pad < y0a:
+        return None
+    a0, a1 = _segments(p1.points)
+    b0, b1 = _segments(p2.points)
+    s0, s1 = np.concatenate([a0, b0]), np.concatenate([a1, b1])
+    i, j = _candidate_pairs(s0, s1, pad)
+    mixed = (i < len(a0)) != (j < len(a0))
+    i, j = np.minimum(i, j)[mixed], np.maximum(i, j)[mixed]
+    hit = _segments_cross(s0[i], s1[i], s0[j], s1[j])
+    reason = "cross"
+    if not hit.any():
+        reason = "touch"
+        hit = np.minimum.reduce([
+            _point_segment_distance(s0[i], s0[j], s1[j]),
+            _point_segment_distance(s1[i], s0[j], s1[j]),
+            _point_segment_distance(s0[j], s0[i], s1[i]),
+            _point_segment_distance(s1[j], s0[i], s1[i]),
+        ]) < pad
+    first = _first(i[hit], j[hit])
+    if first is not None:
+        return reason, first[0], first[1] - len(a0)
+    if _winding_contains(p1, p2.points[0]) or _winding_contains(p2, p1.points[0]):
+        return "nested", -1, -1
+    return None
 
 
 def disjoint(p1: ContourProfile, p2: ContourProfile) -> bool:
@@ -205,21 +271,29 @@ def disjoint(p1: ContourProfile, p2: ContourProfile) -> bool:
     as intersecting, and either contour containing the other counts as
     embedded; both make the pair non-disjoint.
     """
-    x0a, y0a, x1a, y1a = p1.bbox
-    x0b, y0b, x1b, y1b = p2.bbox
-    scale = max(p1.diameter, p2.diameter)
-    pad = _TOUCH_REL * scale
-    if x1a + pad < x0b or x1b + pad < x0a or y1a + pad < y0b or y1b + pad < y0a:
-        return True
-    a0, a1 = _segments(p1.points)
-    b0, b1 = _segments(p2.points)
-    if np.any(_segments_cross(a0, a1, b0, b1)):
-        return False
-    if _segment_distance(a0, a1, b0, b1) < pad:
-        return False
-    if _winding_contains(p1, p2.points[0]) or _winding_contains(p2, p1.points[0]):
-        return False
-    return True
+    return _pair_contact(p1, p2) is None
+
+
+def contact(p1: ContourProfile, p2: ContourProfile | None = None) -> dict | None:
+    """Where ``self_intersects(p1)`` (p2 None) or ``disjoint(p1, p2)`` fails.
+
+    A JSON-ready record with the slit indices of the contours, the
+    ``reason`` (``"cross"``, ``"touch"`` or ``"nested"``) and, for cross
+    and touch, the ``[xi, bank]`` of the first offending segment on each
+    contour (its start vertex); None when the test passes.
+    """
+    if p2 is None:
+        p2, pair = p1, _self_crossing(p1)
+        found = None if pair is None else ("cross", *pair)
+    else:
+        found = _pair_contact(p1, p2)
+    if found is None:
+        return None
+    reason, i, j = found
+    at = None
+    if reason != "nested":
+        at = [[float(p.xi[k]), int(p.bank[k])] for p, k in ((p1, i), (p2, j))]
+    return {"contours": [p1.slit_index, p2.slit_index], "reason": reason, "at": at}
 
 
 # -- shape diagnostics ---------------------------------------------------------
@@ -323,12 +397,7 @@ def hausdorff_distance(z1, z2) -> float:
     z2 = np.asarray(z2, dtype=complex)
 
     def one_sided(a, b):
-        b0, b1 = b[:-1], b[1:]
-        d = b1 - b0
-        den = np.maximum(np.abs(d) ** 2, 1e-300)
-        t = np.clip(((a[:, None] - b0[None, :]) * np.conj(d[None, :])).real
-                    / den[None, :], 0.0, 1.0)
-        proj = b0[None, :] + t * d[None, :]
-        return np.abs(a[:, None] - proj).min(axis=1).max()
+        dist = _point_segment_distance(a[:, None], b[None, :-1], b[None, 1:])
+        return dist.min(axis=1).max()
 
     return float(max(one_sided(z1, z2), one_sided(z2, z1)))

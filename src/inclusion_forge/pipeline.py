@@ -23,6 +23,7 @@ aborts the run (it would mean the two formula paths diverged).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -100,19 +101,20 @@ class SolveResult:
 def _geometry_report(profiles: Sequence[ContourProfile]) -> tuple[dict, bool]:
     selfx = [geometry.self_intersects(p) for p in profiles]
     degen = [p.degenerate for p in profiles]
-    pairwise = True
-    for i in range(len(profiles)):
-        for j in range(i + 1, len(profiles)):
-            if not geometry.disjoint(profiles[i], profiles[j]):
-                pairwise = False
+    crossing = [(p,) for p, bad in zip(profiles, selfx) if bad]
+    overlapping = [
+        pair for pair in combinations(profiles, 2) if not geometry.disjoint(*pair)
+    ]
     report = {
         "self_intersections": selfx,
-        "pairwise_disjoint": pairwise,
+        "pairwise_disjoint": not overlapping,
         "degenerate": degen,
         "signed_areas": [p.signed_area for p in profiles],
         "diameters": [p.diameter for p in profiles],
+        # located only for the tests that failed; empty when all passed
+        "contacts": [geometry.contact(*c) for c in crossing + overlapping],
     }
-    ok = pairwise and not any(selfx) and not any(degen)
+    ok = not overlapping and not any(selfx) and not any(degen)
     return report, ok
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's Gauss-Chebyshev path:
 weighted integrals go through QUADPACK's algebraic-weight rule, principal
 values through singularity subtraction plus the analytic log term, and the
 square-root branch through a literal continuity walk along a path around
-the cuts.
+the cuts.  The contour predicates test every segment pair, where the
+package sweeps for candidate pairs first.
 """
 
 from __future__ import annotations
@@ -112,3 +113,112 @@ def branch_by_continuity(endpoints, target: complex, height: float = 2.0,
             cand = -cand
         val = cand
     return val
+
+
+# -- all-pairs contour predicates ----------------------------------------------
+#
+# The package's predicates test only the segment pairs a sort-and-sweep keeps.
+# These build the full segment x segment matrices instead, so every pair is
+# tested: O(K^2) time and memory for K segments, fine at test sizes.  Segment
+# k runs from vertex k to vertex k + 1; "first" means the lexicographically
+# smallest index pair, the row-major first entry of a matrix.
+
+
+def _orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def segments_cross_matrix(p0, p1, q0, q1) -> np.ndarray:
+    """Proper-or-collinear-overlap intersection matrix of two segment sets."""
+    ax, ay = p0.real[:, None], p0.imag[:, None]
+    bx, by = p1.real[:, None], p1.imag[:, None]
+    cx, cy = q0.real[None, :], q0.imag[None, :]
+    dx, dy = q1.real[None, :], q1.imag[None, :]
+    d1 = _orient(ax, ay, bx, by, cx, cy)
+    d2 = _orient(ax, ay, bx, by, dx, dy)
+    d3 = _orient(cx, cy, dx, dy, ax, ay)
+    d4 = _orient(cx, cy, dx, dy, bx, by)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) \
+        & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+
+    def on_segment(ox, oy, ex, ey, px, py):
+        return (
+            (np.minimum(ox, ex) <= px) & (px <= np.maximum(ox, ex))
+            & (np.minimum(oy, ey) <= py) & (py <= np.maximum(oy, ey))
+        )
+
+    collinear = (
+        ((d1 == 0) & on_segment(ax, ay, bx, by, cx, cy))
+        | ((d2 == 0) & on_segment(ax, ay, bx, by, dx, dy))
+        | ((d3 == 0) & on_segment(cx, cy, dx, dy, ax, ay))
+        | ((d4 == 0) & on_segment(cx, cy, dx, dy, bx, by))
+    )
+    return proper | collinear
+
+
+def _point_segment_matrix(pts, s0, s1) -> np.ndarray:
+    """Distance from every point to every segment, shape (points, segments)."""
+    d = s1 - s0
+    den = np.maximum(np.abs(d) ** 2, 1e-300)
+    t = np.clip(((pts[:, None] - s0[None, :]) * np.conj(d[None, :])).real
+                / den[None, :], 0.0, 1.0)
+    proj = s0[None, :] + t * d[None, :]
+    return np.abs(pts[:, None] - proj)
+
+
+def _first(mask: np.ndarray):
+    hits = np.argwhere(mask)
+    return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
+
+
+def self_crossing_all_pairs(points):
+    """First segment pair (i < j) where a closed polyline crosses itself, or None.
+
+    Adjacent segments, including the first and the last, are not tested.
+    """
+    z = np.asarray(points, dtype=complex)
+    p0, p1 = z[:-1], z[1:]
+    idx = np.arange(len(p0))
+    gap = np.abs(idx[:, None] - idx[None, :])
+    adjacent = (gap <= 1) | (gap == len(p0) - 1)
+    return _first(segments_cross_matrix(p0, p1, p0, p1) & ~adjacent)
+
+
+def _winding_contains(z, point) -> bool:
+    w = z - point
+    return abs(np.sum(np.angle(w[1:] / w[:-1]))) > np.pi
+
+
+def pair_contact_all_pairs(points1, points2, touch_rel: float = 1e-9):
+    """Why two closed polylines are not disjoint, or None when they are.
+
+    ``("cross", i, j)`` for the first crossing segment pair, else
+    ``("touch", i, j)`` for the first pair closer than the pad (touch_rel
+    times the larger bounding-box diagonal), else ``("nested", -1, -1)``
+    when either contains the other's first vertex.
+    """
+    za = np.asarray(points1, dtype=complex)
+    zb = np.asarray(points2, dtype=complex)
+
+    def diameter(z):
+        return np.hypot(np.ptp(z.real), np.ptp(z.imag))
+
+    pad = touch_rel * max(diameter(za), diameter(zb))
+    if (za.real.max() + pad < zb.real.min() or zb.real.max() + pad < za.real.min()
+            or za.imag.max() + pad < zb.imag.min()
+            or zb.imag.max() + pad < za.imag.min()):
+        return None
+    a0, a1, b0, b1 = za[:-1], za[1:], zb[:-1], zb[1:]
+    crossing = _first(segments_cross_matrix(a0, a1, b0, b1))
+    if crossing is not None:
+        return ("cross", *crossing)
+    dist = np.minimum.reduce([
+        _point_segment_matrix(a0, b0, b1), _point_segment_matrix(a1, b0, b1),
+        _point_segment_matrix(b0, a0, a1).T, _point_segment_matrix(b1, a0, a1).T,
+    ])
+    touching = _first(dist < pad)
+    if touching is not None:
+        return ("touch", *touching)
+    if _winding_contains(za, zb[0]) or _winding_contains(zb, za[0]):
+        return ("nested", -1, -1)
+    return None

@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from inclusion_forge import cli, figures
 from inclusion_forge.cli import (
+    CONFIG_SCHEMA,
     CliError,
     format_float,
     parse_config,
@@ -159,6 +161,39 @@ def test_parse_config_defaults():
     assert free.c_m1 == 1.0 + 0.0j
     assert numerics.N == 64 and numerics.M == 64 and numerics.P == 200
     assert overrides == {}
+
+
+def test_config_schema_is_a_valid_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def _unknown_numerics_key(doc):
+    doc["numerics"] = {"N": 64, "eps_near": 1e-6}
+
+
+def _zeta_inf_without_re(doc):
+    doc["zeta_inf"] = {"im": 0.5}
+
+
+def _three_element_slit(doc):
+    doc["slits"][0] = [-1.0, -0.5, 0.0]
+
+
+def _missing_tau1(doc):
+    del doc["loading"]["tau1"]
+
+
+@pytest.mark.parametrize("spoil", [
+    _unknown_numerics_key, _zeta_inf_without_re, _three_element_slit, _missing_tau1,
+])
+def test_schema_messages_match_jsonschema_validate(spoil):
+    doc = figures.load_case("fig1b")
+    spoil(doc)
+    with pytest.raises(jsonschema.ValidationError) as direct:
+        jsonschema.validate(doc, CONFIG_SCHEMA)
+    with pytest.raises(CliError) as parsed:
+        parse_config(doc)
+    assert str(parsed.value) == f"config schema violation: {direct.value.message}"
 
 
 def test_parse_config_rejects_slit_count_mismatch():

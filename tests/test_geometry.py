@@ -1,18 +1,26 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import load_figure_inputs
+from oracles import pair_contact_all_pairs, segments_cross_matrix, self_crossing_all_pairs
 
+from inclusion_forge import pipeline
 from inclusion_forge.geometry import (
     ContourProfile,
     bank_parameter_grid,
     build_profiles,
     central_symmetry_deviation,
     conjugation_symmetry_deviation,
+    contact,
     disjoint,
     fit_ellipse,
     hausdorff_distance,
     self_intersects,
     symmetry_checks,
 )
+from inclusion_forge.model import NumericsConfig
 
 
 def polyline_profile(points, slit_index=0):
@@ -20,7 +28,8 @@ def polyline_profile(points, slit_index=0):
     if z[0] != z[-1]:
         z = np.append(z, z[0])
     k = len(z)
-    return ContourProfile(slit_index, z, np.zeros(k), np.ones(k, dtype=int), 0.0)
+    # xi numbers the vertices, so a contact record names segment indices
+    return ContourProfile(slit_index, z, np.arange(k), np.ones(k, dtype=int), 0.0)
 
 
 def square(center=0.0 + 0.0j, side=1.0):
@@ -117,6 +126,105 @@ def test_figure_geometry_classifications(solve_figure):
     for i in range(3):
         for j in range(i + 1, 3):
             assert disjoint(good.profiles[i], good.profiles[j])
+
+
+def test_fig4d_contacts_name_the_crossing_segments(solve_figure):
+    res = solve_figure("fig4d")
+    contacts = res.diagnostics.geometry["contacts"]
+    assert [c["contours"] for c in contacts] == [[0, 1], [0, 2], [1, 2]]
+    for record in contacts:
+        assert record["reason"] == "cross"
+        segments = []
+        for m, (xi, bank) in zip(record["contours"], record["at"]):
+            p = res.profiles[m]
+            k = np.flatnonzero((p.xi[:-1] == xi) & (p.bank[:-1] == bank))[0]
+            segments.append(p.points[k:k + 2])
+        s, t = segments
+        assert segments_cross_matrix(s[:1], s[1:], t[:1], t[1:])[0, 0]
+    assert solve_figure("fig4a").diagnostics.geometry["contacts"] == []
+
+
+def random_closed_polyline(rng):
+    """3-15 vertices: star-shaped (simple) or scattered (often self-crossing).
+
+    30% of them are snapped to a 1/4 grid, so exact collinear overlaps
+    and shared vertices occur.
+    """
+    k = int(rng.integers(3, 16))
+    if rng.random() < 0.5:
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        z = rng.uniform(0.3, 1.0, k) * np.exp(1j * theta)
+    else:
+        z = rng.uniform(-1.0, 1.0, k) + 1j * rng.uniform(-1.0, 1.0, k)
+    if rng.random() < 0.3:
+        z = np.round(4.0 * z.real) / 4.0 + 1j * np.round(4.0 * z.imag) / 4.0
+    return np.append(z, z[0])
+
+
+def placed_copy(rng, z):
+    """A second polyline far from, overlapping, nested in or touching z."""
+    w = random_closed_polyline(rng)
+    mode = rng.integers(5)
+    if mode == 0:  # far apart
+        return w + 5.0 * np.exp(2j * np.pi * rng.random())
+    if mode == 1:  # overlapping
+        return w + rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6)
+    if mode == 2:  # nested, either way round
+        return 0.1 * w if rng.random() < 0.5 else 5.0 * w
+    # z mirrored about its rightmost vertex, which both then share exactly
+    mirrored = 2.0 * z.real.max() - z.real + 1j * z.imag
+    if mode == 3:
+        return mirrored
+    return mirrored + (1e-12 if rng.random() < 0.5 else 1e-12j)  # a 1e-12 gap
+
+
+def test_predicates_match_the_all_pairs_oracle():
+    rng = np.random.default_rng(4)
+    reasons = {"cross": 0, "touch": 0, "nested": 0, None: 0}
+    self_crossing = 0
+    for _ in range(2500):
+        z = random_closed_polyline(rng)
+        p = polyline_profile(z)
+        want = self_crossing_all_pairs(z)
+        assert self_intersects(p) == (want is not None)
+        if want is not None:
+            self_crossing += 1
+            assert contact(p) == {
+                "contours": [0, 0], "reason": "cross",
+                "at": [[float(want[0]), 1], [float(want[1]), 1]],
+            }
+        else:
+            assert contact(p) is None
+        w = placed_copy(rng, z)
+        q = polyline_profile(w, slit_index=1)
+        want = pair_contact_all_pairs(z, w)
+        assert disjoint(p, q) == (want is None)
+        got = contact(p, q)
+        if want is None:
+            assert got is None
+        else:
+            reason, i, j = want
+            at = None if reason == "nested" else [[float(i), 1], [float(j), 1]]
+            assert got == {"contours": [0, 1], "reason": reason, "at": at}
+        reasons[None if want is None else want[0]] += 1
+    assert self_crossing > 500
+    assert min(reasons.values()) > 100
+
+
+def test_fig3a_at_1600_points_is_valid_with_small_geometry_memory():
+    cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig3a")
+    numerics = NumericsConfig(N=numerics.N, M=numerics.M, P=1600,
+                              tol_solve=numerics.tol_solve)
+    res = pipeline.solve(cfg, loading, materials, free, numerics)
+    assert res.verdict == pipeline.VERDICT_VALID
+    tracemalloc.start()
+    try:
+        assert not any(self_intersects(p) for p in res.profiles)
+        assert all(disjoint(p, q) for p, q in itertools.combinations(res.profiles, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # the all-pairs matrices needed ~470 MB here
 
 
 def test_conic_fit_residuals():
