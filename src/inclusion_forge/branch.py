@@ -17,11 +17,12 @@ is +i on the rightmost slit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import EvaluationError, SlitConfiguration
-from .quadrature import like_input
+from .quadrature import cheb_nodes, like_input
 
 
 @dataclass(frozen=True)
@@ -122,3 +123,49 @@ def weight_factor(branch: BranchData, xi, j: int):
     prod = np.prod(np.abs(x[..., None] - others), axis=-1)
     out = np.sqrt(prod)
     return like_input(out, xi)
+
+
+@dataclass(frozen=True)
+class SlitTable:
+    """The N first-kind Chebyshev nodes of every slit and r_j at them.
+
+    ``nodes[j]`` are the nodes of slit j, ordered like :func:`cheb_nodes`,
+    and ``r[j]`` the smooth factor of :func:`weight_factor` there; both have
+    shape (n, N) and are read-only.  Every integral over the slits with the
+    1/|q| weight is one Gauss-Chebyshev sum per row (:meth:`integrate`).
+    """
+
+    nodes: np.ndarray
+    r: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.nodes.shape[-1]
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """xi^m at the nodes for m = 0..n-1: shape (n, n, N), read-only."""
+        out = np.stack([self.nodes**m for m in range(self.nodes.shape[0])])
+        out.setflags(write=False)
+        return out
+
+    def integrate(self, samples) -> np.ndarray:
+        """integral over slit j of f / |q| for f sampled at the nodes, per row.
+
+        ``samples`` has shape (..., n, N); the result has shape (..., n).
+        """
+        return (np.pi / self.N) * np.sum(samples / self.r, axis=-1)
+
+
+def slit_table(branch: BranchData, N: int) -> SlitTable:
+    """Nodes and smooth weight factors of every slit for the N-point rule."""
+    n = branch.n
+    ends = np.reshape(branch.endpoints, (n, 2))
+    nodes = cheb_nodes(ends[:, :1], ends[:, 1:], N)
+    # row j: the 2n - 2 endpoints of the other slits, in increasing order
+    others = np.broadcast_to(ends, (n, n, 2))[~np.eye(n, dtype=bool)]
+    others = others.reshape(n, 2 * n - 2)
+    r = np.sqrt(np.prod(np.abs(nodes[..., None] - others[:, None, :]), axis=-1))
+    nodes.setflags(write=False)
+    r.setflags(write=False)
+    return SlitTable(nodes, r)

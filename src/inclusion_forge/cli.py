@@ -187,7 +187,8 @@ def format_float(x: float) -> str:
 def write_contours_csv(result: pipeline.SolveResult, path: str | Path) -> None:
     lines = ["slit_index,bank,xi,re_z,im_z"]
     for p in result.profiles:
-        for z, xi, bank in zip(p.points, p.xi, p.bank):
+        # Python floats and ints: formatting numpy scalars costs more
+        for z, xi, bank in zip(p.points.tolist(), p.xi.tolist(), p.bank.tolist()):
             lines.append(
                 f"{p.slit_index},{bank:+d},{format_float(xi)},"
                 f"{format_float(z.real)},{format_float(z.imag)}"
@@ -259,7 +260,7 @@ def render_svg(
         )
     for i, z in enumerate(contours):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{fx(p.real)},{fy(p.imag)}" for p in z)
+        coords = " ".join(f"{fx(p.real)},{fy(p.imag)}" for p in np.asarray(z).tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
@@ -292,12 +293,15 @@ def _apply_flag_overrides(args, numerics: NumericsConfig) -> NumericsConfig:
     # --nodes moves the truncation order along with the node count
     N = args.nodes if args.nodes is not None else numerics.N
     M = N if args.nodes is not None else numerics.M
-    return NumericsConfig(
-        N=N,
-        M=M,
-        P=args.points if args.points is not None else numerics.P,
-        tol_solve=numerics.tol_solve,
-    )
+    try:
+        return NumericsConfig(
+            N=N,
+            M=M,
+            P=args.points if args.points is not None else numerics.P,
+            tol_solve=numerics.tol_solve,
+        )
+    except ConfigurationError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_vector(text: str | None):

@@ -95,16 +95,13 @@ def bank_parameter_grid(a: float, b: float, P: int) -> np.ndarray:
     return grid
 
 
-def build_profile(boundary_fn, m: int, a: float, b: float, P: int) -> ContourProfile:
-    """Trace contour m with P samples per bank.
+def _closed_profile(m: int, grid: np.ndarray, top: np.ndarray, bot: np.ndarray) -> ContourProfile:
+    """Contour m from its bank values: top left to right, bottom back.
 
-    ``boundary_fn(xi_array, bank, m)`` must return map values on the given
-    bank.  The closure error compares the two bank values at both slit
-    endpoints (their bank-dependent terms vanish there analytically).
+    The closure error compares the two bank values at both slit endpoints
+    (their bank-dependent terms vanish there analytically).
     """
-    grid = bank_parameter_grid(a, b, P)
-    top = np.asarray(boundary_fn(grid, +1, m))
-    bot = np.asarray(boundary_fn(grid, -1, m))
+    P = len(grid)
     closure = max(abs(top[0] - bot[0]), abs(top[-1] - bot[-1]))
     points = np.concatenate([top, bot[-2:0:-1], top[:1]])
     xi = np.concatenate([grid, grid[-2:0:-1], grid[:1]])
@@ -116,10 +113,15 @@ def build_profile(boundary_fn, m: int, a: float, b: float, P: int) -> ContourPro
 
 
 def build_profiles(boundary_fn, slits, P: int) -> list[ContourProfile]:
-    """One counterclockwise closed profile per slit."""
-    return [
-        build_profile(boundary_fn, m, a, b, P) for m, (a, b) in enumerate(slits)
-    ]
+    """One counterclockwise closed profile per slit, P samples per bank.
+
+    ``boundary_fn(grid)`` receives the (n, P) table of bank parameters, row
+    m on slit m, and must return the map values on both banks of every
+    slit, shape (2, n, P) with bank +1 first.
+    """
+    grid = np.array([bank_parameter_grid(a, b, P) for a, b in slits])
+    top, bot = np.asarray(boundary_fn(grid))
+    return [_closed_profile(m, grid[m], top[m], bot[m]) for m in range(len(slits))]
 
 
 # -- segment predicates --------------------------------------------------------
@@ -391,13 +393,24 @@ def symmetry_checks(profiles: list[ContourProfile]) -> SymmetryReport:
     return SymmetryReport(central, conj_dev)
 
 
+_HAUSDORFF_BLOCK = 2**16  # vertex x segment distances per block
+
+
 def hausdorff_distance(z1, z2) -> float:
-    """Symmetric vertex-to-polyline Hausdorff distance of two polylines."""
+    """Symmetric vertex-to-polyline Hausdorff distance of two polylines.
+
+    Vertices are taken in row blocks of at most _HAUSDORFF_BLOCK distances;
+    min and max are exact, so the blocking does not change the value.
+    """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
 
     def one_sided(a, b):
-        dist = _point_segment_distance(a[:, None], b[None, :-1], b[None, 1:])
-        return dist.min(axis=1).max()
+        s0, s1 = b[None, :-1], b[None, 1:]
+        step = max(1, _HAUSDORFF_BLOCK // max(len(b) - 1, 1))
+        return max(
+            _point_segment_distance(a[i : i + step, None], s0, s1).min(axis=1).max()
+            for i in range(0, len(a), step)
+        )
 
     return float(max(one_sided(z1, z2), one_sided(z2, z1)))

@@ -22,11 +22,11 @@ endpoints (the bank-dependent terms carry |q| or g_1 and vanish there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .branch import BranchData, abs_q, eval_q, weight_factor
+from .branch import BranchData, abs_q, eval_q, slit_table
 from .model import (
     DegenerateEllipseError,
     DerivedConstants,
@@ -41,7 +41,6 @@ from .model import (
 )
 from .quadrature import (
     cauchy_off_stack,
-    cheb_nodes,
     coef_from_samples,
     like_input,
     singular_on_stack,
@@ -53,8 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # rows of the density table, in order
 FAMILIES = ("phi", "g0_rho", "g1_weighted")
-_PHI, _MAP = slice(0, 1), slice(1, 3)
+_PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
 _BLOCK_VALUES = 2**16
+_BANK_ROW = {+1: 0, -1: 1}
+_BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 
 
 def _row_sum(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -72,19 +73,37 @@ class BoundaryValue:
     z: complex
 
 
-def g0(xi, j: int, derived: DerivedConstants):
+class BoundaryPass(NamedTuple):
+    """Boundary values at a table of slit parameters, both banks at once.
+
+    ``omega`` and ``F`` have shape (2, k, T), bank +1 first, for parameters
+    of shape (k, T); ``g1`` (bank independent) has shape (k, T).
+    """
+
+    omega: np.ndarray
+    F: np.ndarray
+    g1: np.ndarray
+
+
+def g0(xi, j, derived: DerivedConstants):
     """Density constant term of the second problem on slit j.
 
     Re(e_j / (xi - zeta_inf)) for a finite pole preimage, c_star_j * xi for
     the preimage at infinity; e_j carries the per-inclusion modulus, so
     configurations with unequal stiffness ratios get per-slit densities.
+    ``j`` is a slit index or an integer array broadcasting against xi.
     """
     x = np.asarray(xi, dtype=float)
     if derived.pole_at_infinity:
-        out = derived.c_star[j] * x
+        out = np.asarray(derived.c_star)[j] * x
     else:
-        out = (derived.e[j] / (x - derived.zeta_inf)).real
+        out = (np.asarray(derived.e)[j] / (x - derived.zeta_inf)).real
     return like_input(out, xi)
+
+
+def _check_bank(bank) -> None:
+    if bank not in (+1, -1):
+        raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
 
 
 class SlitMap:
@@ -98,7 +117,9 @@ class SlitMap:
     factor it carries, which vanishes at every slit endpoint, is handled in
     closed form).  Every Cauchy sum over the slits weights row j of a family
     by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
-    All evaluation methods are pure and accept scalars or arrays of targets.
+    Boundary values of every slit and both banks come from one stacked pass
+    (:meth:`banks`); the per-slit evaluators are its one-slit case.  All
+    evaluation methods are pure and accept scalars or arrays of targets.
     """
 
     def __init__(
@@ -112,26 +133,27 @@ class SlitMap:
         self.derived = derived
         self.constants = constants
         self.numerics = numerics
-        n, N, M = branch.n, numerics.N, numerics.M
+        n, M = branch.n, numerics.M
         ends = np.reshape(branch.endpoints, (n, 2))
         a, b = ends[:, :1], ends[:, 1:]
         self._centre = 0.5 * (b + a)[:, 0]
         self._half = 0.5 * (b - a)[:, 0]
-        alt = (-1.0) ** np.arange(n)
+        self._rows = np.arange(n)
+        alt = (-1.0) ** self._rows
         lam_alt = alt * np.asarray(derived.lam)
         self._weights = np.stack([alt, lam_alt, lam_alt])
 
-        nodes = cheb_nodes(a, b, N)
-        r = np.array([weight_factor(branch, nodes[j], j) for j in range(n)])
-        g0_nodes = np.array([g0(nodes[j], j, derived) for j in range(n)])
+        table = slit_table(branch, numerics.N)
+        nodes = table.nodes
         phi = np.reshape(constants.a, (n, 1)) - pole_density(nodes, derived)
-        g0_rho = g0_nodes + np.reshape(constants.rho_prime, (n, 1))
+        g0_rho = g0(nodes, self._rows[:, None], derived)
+        g0_rho += np.reshape(constants.rho_prime, (n, 1))
         # degree M, but at most the N coefficients N samples determine
-        self._coef = np.zeros((len(FAMILIES), n, min(M + 1, N)))
-        self._coef[0] = coef_from_samples(phi / r, M)
-        self._coef[1] = coef_from_samples(g0_rho / r, M)
+        self._coef = np.zeros((len(FAMILIES), n, min(M + 1, table.N)))
+        self._coef[0] = coef_from_samples(phi / table.r, M)
+        self._coef[1] = coef_from_samples(g0_rho / table.r, M)
         # g_1 needs the phi rows of every slit, so it is sampled second.
-        g1 = np.array([self._g1_values(nodes[j], j) for j in range(n)])
+        g1 = self._g1_values(nodes, self._rows)
         self._coef[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
 
     # -- Cauchy sums over the slits ---------------------------------------------
@@ -152,22 +174,80 @@ class SlitMap:
             out[:, s : s + step] = _row_sum(weights, vals)
         return out.reshape((len(coef),) + z.shape)
 
-    def _slit_sums(self, fams: slice, x: np.ndarray, m: int) -> np.ndarray:
-        """Weighted sums at real x on slit m: principal value on row m."""
-        off = np.arange(self.branch.n) != m
+    def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.
+
+        Every row but the target's own goes through the off-interval kernel,
+        in blocks as in :meth:`_off_sums`; the own-slit entries, where that
+        kernel does not apply, are masked out and replaced by the principal
+        value of the own row (per-row targets of ``singular_on_stack``).
+        """
         coef, weights = self._coef[fams], self._weights[fams]
-        vals = cauchy_off_stack(coef[:, off], self._centre[off], self._half[off], x)
-        pv = singular_on_stack(coef[:, [m]], self._centre[[m]], self._half[[m]], x)
-        return _row_sum(weights[:, off], vals) + _row_sum(weights[:, [m]], pv)
+        flat = x.reshape(-1)
+        own = np.repeat(rows, x.shape[-1])
+        out = np.empty((len(coef), flat.size))
+        step = max(1, _BLOCK_VALUES // weights.size)
+        for s in range(0, flat.size, step):
+            # the kernel divides by zero at the own slit's endpoints; masked below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = cauchy_off_stack(
+                    coef, self._centre, self._half, flat[s : s + step]
+                ).real
+            vals[:, own[s : s + step], np.arange(vals.shape[-1])] = 0.0
+            out[:, s : s + step] = _row_sum(weights, vals)
+        pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)
+        return out.reshape(pv.shape) + weights[:, rows, None] * pv
 
-    # -- densities ---------------------------------------------------------
+    # -- boundary values -----------------------------------------------------
 
-    def phi(self, xi, m: int):
-        """First-problem boundary density a_m - Im(singular term) on slit m."""
+    def phi(self, xi, m):
+        """First-problem boundary density a_m - Im(singular term) on slit m.
+
+        ``m`` is a slit index or an integer array broadcasting against xi.
+        """
         return self.constants.a[m] - pole_density(xi, self.derived)
 
-    def _g1_values(self, x, m: int):
-        return (abs_q(self.branch, x) / np.pi) * np.real(self._slit_sums(_PHI, x, m)[0])
+    def _g1_values(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (abs_q(self.branch, x) / np.pi) * self._slit_sums(_PHI, x, rows)[0]
+
+    def _banks(self, x: np.ndarray, rows: np.ndarray) -> BoundaryPass:
+        """Both banks at real x[i] on slit rows[i], x of shape (k, T)."""
+        d = self.derived
+        phi_sum, g0_sum, g1_sum = self._slit_sums(_ALL, x, rows)
+        absq = abs_q(self.branch, x)
+        g1 = (absq / np.pi) * phi_sum
+        sign = _BANK_SIGN * (-1.0) ** rows[:, None]
+        total = g1_sum + sign * absq * g0_sum
+        g0_loc = g0(x, rows[:, None], d) + self.constants.rho_prime[rows, None]
+        lam = np.asarray(d.lam)[rows, None]
+        local = np.pi * 1j * lam * (g0_loc + sign * g1)
+        # gamma is added last so a pure translation shifts points bit-exactly
+        omega = (
+            singular_part_omega(x, d)
+            - 1j / (np.pi * d.tau_bar) * (total + local)
+            + d.gamma
+        )
+        F = d.beta0 + singular_part_F(x, d) + sign * g1 + 1j * self.phi(x, rows[:, None])
+        return BoundaryPass(omega, F, g1)
+
+    def banks(self, xi) -> BoundaryPass:
+        """Map and F on both banks of every slit, and g_1, in one pass.
+
+        ``xi`` has shape (n, T): row m holds parameters on the closed slit m.
+        """
+        x = np.asarray(xi, dtype=float)
+        if x.ndim != 2 or x.shape[0] != self.branch.n:
+            raise EvaluationError(
+                f"expected one row of parameters per slit, got shape {x.shape}"
+            )
+        for m in self._rows:
+            self._check_on_slit(x[m], m)
+        return self._banks(x, self._rows)
+
+    def _one_slit(self, xi, m: int) -> tuple[np.ndarray, BoundaryPass]:
+        x = np.asarray(xi, dtype=float)
+        self._check_on_slit(x, m)
+        return x, self._banks(x.reshape(1, -1), self._rows[m : m + 1])
 
     def _check_on_slit(self, x: np.ndarray, m: int) -> None:
         a, b = self.branch.slit(m)
@@ -176,33 +256,16 @@ class SlitMap:
 
     def g1(self, xi, m: int):
         """Odd companion density carrying the |q| factor; 0 at endpoints."""
-        x = np.asarray(xi, dtype=float)
-        self._check_on_slit(x, m)
-        return like_input(self._g1_values(x, m), xi)
+        x, vals = self._one_slit(xi, m)
+        return like_input(vals.g1[0].reshape(x.shape), xi)
 
     # -- the map -----------------------------------------------------------
 
     def omega_boundary(self, xi, bank: int, m: int):
         """Map value on bank +-1 of slit m, i.e. a point of contour m."""
-        if bank not in (+1, -1):
-            raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
-        d = self.derived
-        x = np.asarray(xi, dtype=float)
-        self._check_on_slit(x, m)
-        absq = abs_q(self.branch, x)
-        sign_m = bank * (-1.0) ** m
-        g0_sum, g1_sum = self._slit_sums(_MAP, x, m)
-        total = g1_sum + sign_m * absq * g0_sum
-        g0_loc = g0(x, m, d) + self.constants.rho_prime[m]
-        g1_loc = self._g1_values(x, m)
-        local = np.pi * 1j * d.lam[m] * (g0_loc + sign_m * g1_loc)
-        # gamma is added last so a pure translation shifts points bit-exactly
-        out = (
-            singular_part_omega(x, d)
-            - 1j / (np.pi * d.tau_bar) * (total + local)
-            + d.gamma
-        )
-        return like_input(out, xi)
+        _check_bank(bank)
+        x, vals = self._one_slit(xi, m)
+        return like_input(vals.omega[_BANK_ROW[bank], 0].reshape(x.shape), xi)
 
     def boundary_value(self, xi: float, bank: int, m: int) -> BoundaryValue:
         """One boundary sample as a record with its parameter bookkeeping."""
@@ -229,18 +292,9 @@ class SlitMap:
 
     def F_boundary(self, xi, bank: int, m: int):
         """Boundary value of F; its imaginary part is exactly a_m."""
-        if bank not in (+1, -1):
-            raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
-        d = self.derived
-        x = np.asarray(xi, dtype=float)
-        self._check_on_slit(x, m)
-        out = (
-            d.beta0
-            + singular_part_F(x, d)
-            + bank * (-1.0) ** m * self._g1_values(x, m)
-            + 1j * self.phi(x, m)
-        )
-        return like_input(out, xi)
+        _check_bank(bank)
+        x, vals = self._one_slit(xi, m)
+        return like_input(vals.F[_BANK_ROW[bank], 0].reshape(x.shape), xi)
 
     def F_interior(self, zeta):
         """F off the slits; bounded at infinity once the a_j are solved."""

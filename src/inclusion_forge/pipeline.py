@@ -22,9 +22,11 @@ aborts the run (it would mean the two formula paths diverged).
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +53,21 @@ VERDICT_UNBOUNDED = "INVALID-UNBOUNDED"
 VERDICT_GEOMETRY = "INVALID-GEOMETRY"
 
 _CROSS_CHECK_TOL = 1e-8
+
+# keys of SolveResult.timings, in pipeline order
+STAGES = (
+    "moments", "constants", "residuals", "map_build", "tracing", "geometry", "schwarz",
+)
+
+
+@contextmanager
+def _stage(timings: dict[str, float], name: str) -> Iterator[None]:
+    """Add the wall time of the block to ``timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] += time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -83,11 +100,19 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The solved constants, the traced contours and what the verdict rests on.
+
+    ``timings`` holds the wall time in seconds of each stage in ``STAGES``
+    (0.0 for a stage the solve skipped); it is kept out of ``diagnostics``
+    so that those stay a deterministic function of the input.
+    """
+
     constants: SolvabilityConstants
     profiles: tuple[ContourProfile, ...]
     diagnostics: Diagnostics
     derived: DerivedConstants
     slit_map: mapper.SlitMap | None = field(repr=False, default=None)
+    timings: dict[str, float] = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -132,12 +157,18 @@ def _solve_n1(
     derived: DerivedConstants,
     free: FreeParameters,
     numerics: NumericsConfig,
+    timings: dict[str, float],
 ) -> SolveResult:
-    def boundary(xi, bank, m):
-        return mapper.n1_slit_profile(xi, bank, loading, materials, free)
+    def banks(grid):
+        return [
+            mapper.n1_slit_profile(grid, bank, loading, materials, free)
+            for bank in (+1, -1)
+        ]
 
-    profiles = geometry.build_profiles(boundary, [(-1.0, 1.0)], numerics.P)
-    geo_report, geo_ok = _geometry_report(profiles)
+    with _stage(timings, "tracing"):
+        profiles = geometry.build_profiles(banks, [(-1.0, 1.0)], numerics.P)
+    with _stage(timings, "geometry"):
+        geo_report, geo_ok = _geometry_report(profiles)
     geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
     constants = solvability.build_constants(
         [free.a0], [free.rho0], derived
@@ -156,7 +187,7 @@ def _solve_n1(
         cross_check={"applied": False, "max_mismatch": 0.0},
         tol_solve=numerics.tol_solve,
     )
-    return SolveResult(constants, tuple(profiles), diag, derived, None)
+    return SolveResult(constants, tuple(profiles), diag, derived, None, timings)
 
 
 def _closed_form_cross_check(
@@ -205,27 +236,20 @@ def _schwarz_boundary_report(
     samples: int = 12,
 ) -> dict:
     """Residuals of both boundary conditions assembled from the map values."""
-    dev_f = 0.0
-    dev_w = 0.0
-    for m in range(branch.n):
-        a, b = branch.slit(m)
-        pad = 0.02 * (b - a)
-        xs = np.linspace(a + pad, b - pad, samples)
-        for bank in (+1, -1):
-            F = sm.F_boundary(xs, bank, m)
-            dev_f = max(dev_f, float(np.abs(F.imag - constants.a[m]).max()))
-            om0 = (
-                sm.omega_boundary(xs, bank, m)
-                - singular_part_omega(xs, derived)
-                - derived.gamma
-            )
-            lhs = (1j * derived.tau_bar * om0).imag
-            rhs = (
-                derived.lam[m]
-                * (mapper.g0(xs, m, derived) + bank * (-1.0) ** m * sm.g1(xs, m))
-                + constants.rho[m]
-            )
-            dev_w = max(dev_w, float(np.abs(lhs - rhs).max()))
+    ends = np.reshape(branch.endpoints, (branch.n, 2))
+    pad = 0.02 * (ends[:, 1] - ends[:, 0])
+    xs = np.linspace(ends[:, 0] + pad, ends[:, 1] - pad, samples, axis=-1)
+    rows = np.arange(branch.n)[:, None]
+    sign = np.array([1.0, -1.0])[:, None, None] * (-1.0) ** rows
+    vals = sm.banks(xs)
+    dev_f = float(np.abs(vals.F.imag - constants.a[rows]).max())
+    om0 = vals.omega - singular_part_omega(xs, derived) - derived.gamma
+    lhs = (1j * derived.tau_bar * om0).imag
+    rhs = (
+        np.asarray(derived.lam)[rows] * (mapper.g0(xs, rows, derived) + sign * vals.g1)
+        + constants.rho[rows]
+    )
+    dev_w = float(np.abs(lhs - rhs).max())
     return {"imF_max_dev": dev_f, "omega_max_dev": dev_w}
 
 
@@ -249,21 +273,22 @@ def solve(
     if not report.ok:
         raise ConfigurationError("; ".join(report.violations))
     derived = derive_constants(loading, materials, cfg, free)
+    timings = dict.fromkeys(STAGES, 0.0)
     if cfg.n == 1:
-        return _solve_n1(loading, materials, derived, free, numerics)
+        return _solve_n1(loading, materials, derived, free, numerics, timings)
 
     branch = BranchData(cfg.endpoints)
-    period = solvability.period_matrix(branch, numerics)
-    det = float(np.linalg.det(solvability.system_matrix(period)))
+    with _stage(timings, "moments"):
+        period = solvability.period_matrix(branch, numerics)
+        det = float(np.linalg.det(solvability.system_matrix(period)))
 
-    a0, rho0 = free.a0, free.rho0
-    if free.antisymmetric:
-        a0, rho0 = solvability.antisymmetric_free_values(
-            period, branch, derived, numerics
-        )
-    a = solvability.solve_a(period, branch, derived, a0, numerics)
-    rho = solvability.solve_rho(period, branch, derived, rho0, numerics)
-    cross = _closed_form_cross_check(period, branch, derived, a, rho, numerics)
+    with _stage(timings, "constants"):
+        a0, rho0 = free.a0, free.rho0
+        if free.antisymmetric:
+            a0, rho0 = solvability.antisymmetric_free_values(period, branch, derived)
+        a = solvability.solve_a(period, branch, derived, a0)
+        rho = solvability.solve_rho(period, branch, derived, rho0)
+        cross = _closed_form_cross_check(period, branch, derived, a, rho, numerics)
 
     if override_a is not None:
         override_a = np.asarray(override_a, dtype=float)
@@ -277,17 +302,22 @@ def solve(
         rho = override_rho
 
     constants = solvability.build_constants(a, rho, derived)
-    bounded = solvability.boundedness_residuals(branch, derived, constants, numerics)
+    with _stage(timings, "residuals"):
+        bounded = solvability.boundedness_residuals(branch, derived, constants, numerics)
     bounded_ok = (
         max(bounded["a_relative"], bounded["rho_relative"]) <= numerics.tol_solve
     )
 
-    sm = mapper.SlitMap(branch, derived, constants, numerics)
-    profiles = geometry.build_profiles(
-        lambda xi, bank, m: sm.omega_boundary(xi, bank, m), branch.slits, numerics.P
-    )
-    geo_report, geo_ok = _geometry_report(profiles)
-    schwarz = _schwarz_boundary_report(sm, branch, derived, constants)
+    with _stage(timings, "map_build"):
+        sm = mapper.SlitMap(branch, derived, constants, numerics)
+    with _stage(timings, "tracing"):
+        profiles = geometry.build_profiles(
+            lambda grid: sm.banks(grid).omega, branch.slits, numerics.P
+        )
+    with _stage(timings, "geometry"):
+        geo_report, geo_ok = _geometry_report(profiles)
+    with _stage(timings, "schwarz"):
+        schwarz = _schwarz_boundary_report(sm, branch, derived, constants)
     # the boundary-route residuals are exact by construction; they still
     # gate the verdict so an implementation inconsistency cannot pass
     scale = max(max(p.diameter for p in profiles), 1e-300)
@@ -308,7 +338,7 @@ def solve(
         cross_check=cross,
         tol_solve=numerics.tol_solve,
     )
-    return SolveResult(constants, tuple(profiles), diag, derived, sm)
+    return SolveResult(constants, tuple(profiles), diag, derived, sm, timings)
 
 
 def override_constants(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 __all__ = [
     "ChebyshevSeries",
@@ -106,6 +105,19 @@ def truncation_indicator(coef) -> np.ndarray:
     return np.divide(mags[..., -1], top, out=np.zeros_like(top), where=top > 0.0)
 
 
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Type-II DCT over the last axis, 2 sum_n x_n cos(pi k (2n+1) / 2N).
+
+    One FFT of the even-indexed samples followed by the odd-indexed ones in
+    reverse, then a quarter-sample phase shift (Makhoul, IEEE Trans. ASSP
+    28, 1980).
+    """
+    N = x.shape[-1]
+    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
+    shift = np.exp(-0.5j * np.pi * np.arange(N) / N)
+    return 2.0 * (shift * np.fft.fft(v, axis=-1)).real
+
+
 def coef_from_samples(samples, M: int) -> np.ndarray:
     """Coefficients through degree M of rows sampled at first-kind nodes.
 
@@ -119,9 +131,9 @@ def coef_from_samples(samples, M: int) -> np.ndarray:
     if M > N:
         raise ValueError(f"M = {M} exceeds sample count N = {N}")
     if np.iscomplexobj(samples):
-        raw = dct(samples.real, type=2) + 1j * dct(samples.imag, type=2)
+        raw = _dct2(samples.real) + 1j * _dct2(samples.imag)
     else:
-        raw = dct(samples, type=2)
+        raw = _dct2(samples)
     coef = raw[..., : M + 1] / N
     coef[..., 0] *= 0.5
     return coef
@@ -138,8 +150,11 @@ def cheb_coeffs(h, a: float, b: float, N: int, M: int) -> ChebyshevSeries:
 
 
 def _unit_targets(centre, half, t, dtype):
-    """Flattened targets mapped onto [-1, 1] of every row: shape (R, T)."""
-    t = np.asarray(t, dtype=dtype).reshape(-1)
+    """Targets mapped onto [-1, 1] of every row: shape (R, T).
+
+    ``t`` is (T,), shared by every row, or (R, T), row r's own targets.
+    """
+    t = np.asarray(t, dtype=dtype)
     return (t - np.asarray(centre)[:, None]) / np.asarray(half)[:, None]
 
 
@@ -148,8 +163,9 @@ def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
 
     ``coef`` holds R rows of first-kind coefficients in its last two axes,
     shape (..., R, L), for the intervals ``centre +- half`` (each of shape
-    (R,)); the result has shape (..., R) + xi.shape.  T_0 contributes
-    nothing and T_m maps to pi U_{m-1}, so each value is
+    (R,)).  ``xi`` is (T,), targets shared by every row, or (R, T), row r's
+    own targets; the result has shape (..., R, T).  T_0 contributes nothing
+    and T_m maps to pi U_{m-1}, so each value is
     (pi / half) * sum_{m>=1} alpha_m U_{m-1}(x) at the mapped target, summed
     by the ascending second-kind recurrence over all rows at once.  Endpoint
     targets are admitted (U_{m-1}(+-1) is finite).
@@ -163,13 +179,15 @@ def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
         total += coef[..., m, None] * u
         u_prev, u = u, 2.0 * x * u - u_prev
     total *= np.pi / np.asarray(half)[:, None]
-    return total.reshape(coef.shape[:-1] + np.shape(xi))
+    return total
 
 
 def cauchy_off_stack(coef, centre, half, zeta) -> np.ndarray:
     """Weighted Cauchy integrals of stacked series at targets off their intervals.
 
-    Shapes as in :func:`singular_on_stack`.  In the mapped variable x, T_m
+    ``coef``, ``centre`` and ``half`` as in :func:`singular_on_stack`; every
+    row is evaluated at every target of ``zeta`` (any shape), so the result
+    has shape (..., R) + zeta.shape.  In the mapped variable x, T_m
     integrates to -pi w^m / sqrt(x^2 - 1) where w is the root of
     w^2 - 2xw + 1 = 0 with |w| < 1; the formula is the exact analytic
     continuation of the principal-value expansion, so it stays accurate
@@ -179,7 +197,7 @@ def cauchy_off_stack(coef, centre, half, zeta) -> np.ndarray:
     size.
     """
     coef = np.asarray(coef)
-    x = _unit_targets(centre, half, zeta, complex)
+    x = _unit_targets(centre, half, np.reshape(zeta, -1), complex)
     # the branch of sqrt(x^2 - 1) cut along [-1, 1] with sqrt ~ x at infinity
     root = np.sqrt(x - 1.0)
     root *= np.sqrt(x + 1.0)
@@ -197,9 +215,9 @@ def cauchy_off_stack(coef, centre, half, zeta) -> np.ndarray:
 def singular_on(series: ChebyshevSeries, xi):
     """Principal value of the weighted Cauchy integral at xi in (a, b)."""
     out = singular_on_stack(
-        series.coef[None], [series.delta_plus], [series.delta_minus], xi
+        series.coef[None], [series.delta_plus], [series.delta_minus], np.reshape(xi, -1)
     )
-    return like_input(out[0], xi)
+    return like_input(out[0].reshape(np.shape(xi)), xi)
 
 
 def cauchy_off(series: ChebyshevSeries, zeta):

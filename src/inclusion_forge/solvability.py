@@ -7,8 +7,11 @@ the period integrals
 
     I_mj = integral over slit j of  xi^(m-1) / |q(xi)| d xi  > 0.
 
-The general solver covers any n >= 2; the two- and three-slit closed forms
-are kept alongside as printed and cross-checked against it.
+Every moment is a Gauss-Chebyshev sum over one :class:`SlitTable` (the nodes
+and weight factors of all slits), so each set of moments is one array
+reduction.  The general solver covers any n >= 2; the two- and three-slit
+closed forms are kept alongside as printed and cross-checked against it,
+each with its own quadrature (:func:`weighted_moment`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import BranchData, weight_factor
+from .branch import BranchData, SlitTable, slit_table, weight_factor
 from .mapper import g0
 from .model import DerivedConstants, NumericsConfig, SolverError, pole_density
 from .quadrature import cheb_nodes
@@ -28,15 +31,19 @@ class PeriodMatrix:
     """Moments I_mj over the slit tops, rows m = 1..n, columns j = 0..n-1.
 
     Row n is one moment past the solvability range; it feeds the
-    right-hand sides of the pole-at-infinity case.
+    right-hand sides of the pole-at-infinity case.  ``table`` holds the
+    nodes the moments were summed over; the right-hand sides of
+    :func:`solve_a` and :func:`solve_rho` are summed over the same table.
     """
 
     I: np.ndarray
+    table: SlitTable
 
-    def __init__(self, I) -> None:
+    def __init__(self, I, table: SlitTable) -> None:
         arr = np.array(I, dtype=float)  # owned copy; frozen below
         arr.setflags(write=False)
         object.__setattr__(self, "I", arr)
+        object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
@@ -56,27 +63,31 @@ def weighted_moment(branch: BranchData, j: int, f, power: int, N: int) -> float:
     return (np.pi / N) * float(np.sum(vals * nodes**power / r))
 
 
+def _alternating(moments: np.ndarray, weights) -> np.ndarray:
+    """sum_j weights_j * moments[..., j], the sign-alternating slit sums.
+
+    Accumulated in slit order: the solvability systems amplify a change in
+    the last digit of these sums by their condition number.
+    """
+    return np.add.accumulate(np.asarray(weights) * moments, axis=-1)[..., -1]
+
+
+def _g0_table(table: SlitTable, derived: DerivedConstants) -> np.ndarray:
+    """g0 of every slit at its nodes: shape (n, N)."""
+    rows = np.arange(table.nodes.shape[0])[:, None]
+    return g0(table.nodes, rows, derived)
+
+
 def period_matrix(branch: BranchData, numerics: NumericsConfig = NumericsConfig()) -> PeriodMatrix:
     """All period moments up to row n; every entry is positive."""
-    n = branch.n
-    I = np.empty((n, n))
-    for j in range(n):
-        a, b = branch.slit(j)
-        nodes = cheb_nodes(a, b, numerics.N)
-        r = weight_factor(branch, nodes, j)
-        for m in range(1, n + 1):
-            I[m - 1, j] = (np.pi / numerics.N) * np.sum(nodes ** (m - 1) / r)
-    return PeriodMatrix(I)
+    table = slit_table(branch, numerics.N)
+    return PeriodMatrix(table.integrate(table.powers), table)
 
 
 def system_matrix(period: PeriodMatrix) -> np.ndarray:
     """The (n-1)x(n-1) sign-alternating block (-1)^j I_mj, j, m = 1..n-1."""
     n = period.n
-    A = np.empty((n - 1, n - 1))
-    for m in range(1, n):
-        for j in range(1, n):
-            A[m - 1, j - 1] = (-1.0) ** j * period.entry(m, j)
-    return A
+    return period.I[: n - 1, 1:] * (-1.0) ** np.arange(1, n)
 
 
 def _solve_alternating(period: PeriodMatrix, rhs: np.ndarray) -> np.ndarray:
@@ -92,27 +103,21 @@ def solve_a(
     branch: BranchData,
     derived: DerivedConstants,
     a0: float,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Constants a_j making the first solution bounded, given free a_0."""
     n = branch.n
     if n == 1:
         return np.array([a0])
-    rhs = np.empty(n - 1)
-    for m in range(1, n):
-        if derived.pole_at_infinity:
-            total = derived.c_double_prime * sum(
-                (-1.0) ** j * period.entry(m + 1, j) for j in range(n)
-            )
-        else:
-            total = sum(
-                (-1.0) ** j
-                * weighted_moment(
-                    branch, j, lambda x: pole_density(x, derived), m - 1, numerics.N
-                )
-                for j in range(n)
-            )
-        rhs[m - 1] = total - period.entry(m, 0) * a0
+    alt = (-1.0) ** np.arange(n)
+    if derived.pole_at_infinity:
+        total = derived.c_double_prime * _alternating(period.I[1:], alt)
+    else:
+        table = period.table
+        moments = table.integrate(
+            pole_density(table.nodes, derived) * table.powers[: n - 1]
+        )
+        total = _alternating(moments, alt)
+    rhs = total - period.I[: n - 1, 0] * a0
     return np.concatenate(([a0], _solve_alternating(period, rhs)))
 
 
@@ -121,21 +126,15 @@ def solve_rho(
     branch: BranchData,
     derived: DerivedConstants,
     rho0: float,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Constants rho_j making the second solution bounded, given free rho_0."""
     n = branch.n
     if n == 1:
         return np.array([rho0])
-    rhs = np.empty(n - 1)
-    for m in range(1, n):
-        km = sum(
-            (-1.0) ** j
-            * derived.lam[j]
-            * weighted_moment(branch, j, lambda x, j=j: g0(x, j, derived), m - 1, numerics.N)
-            for j in range(n)
-        )
-        rhs[m - 1] = -(km + period.entry(m, 0) * rho0)
+    table = period.table
+    moments = table.integrate(_g0_table(table, derived) * table.powers[: n - 1])
+    km = _alternating(moments, (-1.0) ** np.arange(n) * np.asarray(derived.lam))
+    rhs = -(km + period.I[: n - 1, 0] * rho0)
     return np.concatenate(([rho0], _solve_alternating(period, rhs)))
 
 
@@ -183,29 +182,16 @@ def boundedness_residuals(
     raw and relative to the absolute-integrand scale of each moment.
     """
     n = branch.n
-    N = 2 * numerics.N
-    res_a, res_r, scale_a, scale_r = [], [], [], []
-    for m in range(1, n):
-        ra = rr = sa = sr = 0.0
-        for j in range(n):
-            phi = lambda x, j=j: constants.a[j] - pole_density(x, derived)
-            dens = lambda x, j=j: g0(x, j, derived) + constants.rho_prime[j]
-            ra += (-1.0) ** j * weighted_moment(branch, j, phi, m - 1, N)
-            rr += (-1.0) ** j * derived.lam[j] * weighted_moment(
-                branch, j, dens, m - 1, N
-            )
-            sa += weighted_moment(
-                branch, j, lambda x, phi=phi: np.abs(phi(x) * x ** (m - 1)), 0, N
-            )
-            sr += abs(derived.lam[j]) * weighted_moment(
-                branch, j, lambda x, dens=dens: np.abs(dens(x) * x ** (m - 1)), 0, N
-            )
-        res_a.append(ra)
-        res_r.append(rr)
-        scale_a.append(sa)
-        scale_r.append(sr)
-    res_a, res_r = np.array(res_a), np.array(res_r)
-    scale_a, scale_r = np.array(scale_a), np.array(scale_r)
+    table = slit_table(branch, 2 * numerics.N)
+    lam = np.asarray(derived.lam)
+    alt = (-1.0) ** np.arange(n)
+    powers = table.powers[: n - 1]
+    phi = (constants.a[:, None] - pole_density(table.nodes, derived)) * powers
+    dens = (_g0_table(table, derived) + constants.rho_prime[:, None]) * powers
+    res_a = _alternating(table.integrate(phi), alt)
+    res_r = _alternating(table.integrate(dens), alt * lam)
+    scale_a = _alternating(table.integrate(np.abs(phi)), np.ones(n))
+    scale_r = _alternating(table.integrate(np.abs(dens)), np.abs(lam))
     floor = 1e-30
     rel_a = float(np.max(np.abs(res_a) / np.maximum(scale_a, floor), initial=0.0))
     rel_r = float(np.max(np.abs(res_r) / np.maximum(scale_r, floor), initial=0.0))
@@ -223,7 +209,6 @@ def antisymmetric_free_values(
     period: PeriodMatrix,
     branch: BranchData,
     derived: DerivedConstants,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> tuple[float, float]:
     """Free values (a_0, rho_0) giving a_{n-1} = -a_0 and rho_{n-1} = -rho_0.
 
@@ -243,8 +228,8 @@ def antisymmetric_free_values(
             raise SolverError("antisymmetric constants are not determined")
         return -v0 / denom
 
-    a0 = fixed_point(lambda t: solve_a(period, branch, derived, t, numerics))
-    rho0 = fixed_point(lambda t: solve_rho(period, branch, derived, t, numerics))
+    a0 = fixed_point(lambda t: solve_a(period, branch, derived, t))
+    rho0 = fixed_point(lambda t: solve_rho(period, branch, derived, t))
     return a0, rho0
 
 

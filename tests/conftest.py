@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from inclusion_forge import cli, figures, pipeline
-from inclusion_forge.model import NumericsConfig
+from inclusion_forge.model import (
+    FreeParameters,
+    Loading,
+    MaterialSet,
+    NumericsConfig,
+    SlitConfiguration,
+)
 
 
 def load_figure_inputs(name: str, N: int | None = None):
@@ -12,6 +18,18 @@ def load_figure_inputs(name: str, N: int | None = None):
     if N is not None:
         numerics = NumericsConfig(N=N, M=N, P=numerics.P, tol_solve=numerics.tol_solve)
     return cfg, loading, materials, free, numerics, overrides
+
+
+def sixteen_slit_inputs(seed: int = 16):
+    """A seeded layout of 16 slits on [-1, 1] with jittered slit and gap lengths."""
+    rng = np.random.default_rng(seed)
+    parts = rng.uniform(0.6, 1.4, 31)
+    ends = -1.0 + np.concatenate(([0.0], np.cumsum(parts * (2.0 / parts.sum()))))
+    ends[-1] = 1.0
+    cfg = SlitConfiguration(ends.reshape(16, 2).tolist(), 0.3 + 3.0j)
+    loading = Loading(1.0, 1.0, -1.0, 1.0)
+    materials = MaterialSet(rng.uniform(0.1, 0.5, 16).tolist())
+    return cfg, loading, materials, FreeParameters(), NumericsConfig()
 
 
 @pytest.fixture(scope="session")

@@ -222,3 +222,13 @@ def pair_contact_all_pairs(points1, points2, touch_rel: float = 1e-9):
     if _winding_contains(za, zb[0]) or _winding_contains(zb, za[0]):
         return ("nested", -1, -1)
     return None
+
+
+def hausdorff_all_pairs(points1, points2) -> float:
+    """Symmetric vertex-to-polyline Hausdorff distance from full distance matrices."""
+    za = np.asarray(points1, dtype=complex)
+    zb = np.asarray(points2, dtype=complex)
+    return float(max(
+        _point_segment_matrix(za, zb[:-1], zb[1:]).min(axis=1).max(),
+        _point_segment_matrix(zb, za[:-1], za[1:]).min(axis=1).max(),
+    ))

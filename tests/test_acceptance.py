@@ -148,11 +148,11 @@ def test_criterion_03_closed_forms_match_general_path():
         t0 = time.perf_counter()
         period = period_matrix(branch, numerics)
         if free.antisymmetric:
-            a0, rho0 = antisymmetric_free_values(period, branch, derived, numerics)
+            a0, rho0 = antisymmetric_free_values(period, branch, derived)
         else:
             a0, rho0 = free.a0, free.rho0
-        a = solve_a(period, branch, derived, a0, numerics)
-        rho = solve_rho(period, branch, derived, rho0, numerics)
+        a = solve_a(period, branch, derived, a0)
+        rho = solve_rho(period, branch, derived, rho0)
         if forms == "n2":
             ca = n2_closed_form_a(period, branch, derived, a0, numerics)
             cr = n2_closed_form_rho(period, branch, derived, rho0, numerics)

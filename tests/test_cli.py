@@ -137,6 +137,12 @@ def test_nodes_and_points_flags(tmp_path, fig1b_path):
     assert len(lines) == 1 + 2 * (2 * 40 - 1)
 
 
+@pytest.mark.parametrize("flag, value", [("--points", "5"), ("--nodes", "4")])
+def test_out_of_range_numerics_flags_exit_two(fig1b_path, capsys, flag, value):
+    assert cli.main(["solve", "--config", str(fig1b_path), flag, value]) == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
 def test_svg_is_a_pure_function_of_the_result(tmp_path, fig1b_path):
     svg1, svg2 = tmp_path / "a.svg", tmp_path / "b.svg"
     assert cli.main(["solve", "--config", str(fig1b_path), "--svg", str(svg1)]) == 0

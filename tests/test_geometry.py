@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import load_figure_inputs
-from oracles import pair_contact_all_pairs, segments_cross_matrix, self_crossing_all_pairs
+from oracles import (
+    hausdorff_all_pairs,
+    pair_contact_all_pairs,
+    segments_cross_matrix,
+    self_crossing_all_pairs,
+)
 
 from inclusion_forge import pipeline
 from inclusion_forge.geometry import (
@@ -62,12 +67,28 @@ def test_orientation_normalization_is_idempotent():
 def test_refinement_keeps_profiles_stable(solve_figure):
     res = solve_figure("fig1b")
     sm = res.slit_map
-    fn = lambda xi, bank, m: sm.omega_boundary(xi, bank, m)
+    fn = lambda grid: sm.banks(grid).omega
     coarse = build_profiles(fn, sm.branch.slits, 1600)
     fine = build_profiles(fn, sm.branch.slits, 3200)
     for pc, pf in zip(coarse, fine):
         hd = hausdorff_distance(pc.points, pf.points)
         assert hd < 1e-6 * pc.diameter
+
+
+def test_hausdorff_distance_is_exact_in_bounded_memory(solve_figure):
+    sm = solve_figure("fig1b").slit_map
+    fn = lambda grid: sm.banks(grid).omega
+    small, large = (build_profiles(fn, sm.branch.slits, P)[0].points for P in (300, 700))
+    # many row blocks; min and max are exact, so the value is the all-pairs one
+    assert hausdorff_distance(small, large) == hausdorff_all_pairs(small, large)
+    coarse, fine = (build_profiles(fn, sm.branch.slits, P)[0].points for P in (1600, 3200))
+    tracemalloc.start()
+    try:
+        hausdorff_distance(coarse, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_degenerate_contour_is_flagged():

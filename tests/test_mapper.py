@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import load_figure_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs
 from oracles import cauchy_weighted, smooth_weight, weighted_pv
 
-from inclusion_forge import mapper
+from inclusion_forge import mapper, pipeline
 from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
     SlitMap,
@@ -14,6 +14,7 @@ from inclusion_forge.mapper import (
 )
 from inclusion_forge.model import (
     DegenerateEllipseError,
+    EvaluationError,
     FreeParameters,
     Loading,
     MaterialSet,
@@ -22,7 +23,13 @@ from inclusion_forge.model import (
     derive_constants,
     pole_density,
 )
-from inclusion_forge.quadrature import cauchy_off, cheb_coeffs, singular_on
+from inclusion_forge.geometry import bank_parameter_grid
+from inclusion_forge.quadrature import (
+    ChebyshevSeries,
+    cauchy_off,
+    cheb_coeffs,
+    singular_on,
+)
 from inclusion_forge.solvability import (
     antisymmetric_free_values,
     build_constants,
@@ -41,9 +48,9 @@ def solved_map(name, free_override=None):
     period = period_matrix(branch, numerics)
     a0, rho0 = free.a0, free.rho0
     if free.antisymmetric:
-        a0, rho0 = antisymmetric_free_values(period, branch, derived, numerics)
-    a = solve_a(period, branch, derived, a0, numerics)
-    rho = solve_rho(period, branch, derived, rho0, numerics)
+        a0, rho0 = antisymmetric_free_values(period, branch, derived)
+    a = solve_a(period, branch, derived, a0)
+    rho = solve_rho(period, branch, derived, rho0)
     constants = build_constants(a, rho, derived)
     return SlitMap(branch, derived, constants, numerics), derived, constants
 
@@ -92,9 +99,9 @@ def _symmetric_complex_scaling_map():
     branch = BranchData(cfg.endpoints)
     numerics = NumericsConfig()
     period = period_matrix(branch, numerics)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived, numerics)
-    a = solve_a(period, branch, derived, a0, numerics)
-    rho = solve_rho(period, branch, derived, rho0, numerics)
+    a0, rho0 = antisymmetric_free_values(period, branch, derived)
+    a = solve_a(period, branch, derived, a0)
+    rho = solve_rho(period, branch, derived, rho0)
     return SlitMap(branch, derived, build_constants(a, rho, derived), numerics)
 
 
@@ -246,8 +253,8 @@ def test_equal_stresses_make_F_constant():
     derived = derive_constants(loading, materials, cfg, free)
     branch = BranchData(cfg.endpoints)
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0, numerics)
-    rho = solve_rho(period, branch, derived, 0.0, numerics)
+    a = solve_a(period, branch, derived, 0.0)
+    rho = solve_rho(period, branch, derived, 0.0)
     sm = SlitMap(branch, derived, build_constants(a, rho, derived), numerics)
     zs = np.array([0.2 + 0.5j, -2.0 + 0.1j, 3.0 - 1.0j])
     np.testing.assert_allclose(sm.F_interior(zs), 0.25, atol=1e-12)
@@ -402,3 +409,71 @@ def test_scalar_in_scalar_out_array_in_array_out(evaluators, name):
         assert isinstance(out, np.ndarray) and out.shape == s.shape
         expected = [fn(target(v)) for v in s.ravel()]
         np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=1e-15)
+
+
+# -- the stacked boundary pass --------------------------------------------------
+
+
+def _one_series_per_slit_pair(sm, x, m):
+    """Both banks of omega and F, and g_1, at x on slit m, one series at a time.
+
+    Every (family, slit) density is its own ChebyshevSeries: the other
+    slits go through the off-interval kernel, then the principal value on
+    slit m is added (the order of the per-slit sums).
+    """
+    d, c = sm.derived, sm.constants
+    sums = np.zeros((len(mapper.FAMILIES), len(x)))
+    for f in range(len(mapper.FAMILIES)):
+        series = [ChebyshevSeries(a, b, sm._coef[f, j]) for j, (a, b) in enumerate(sm.branch.slits)]
+        for j, s in enumerate(series):
+            if j != m:
+                sums[f] += sm._weights[f, j] * cauchy_off(s, x).real
+        sums[f] += sm._weights[f, m] * singular_on(series[m], x)
+    absq = abs_q(sm.branch, x)
+    g1 = absq / np.pi * sums[0]
+    omega, F = [], []
+    for bank in (+1, -1):
+        sign = bank * (-1.0) ** m
+        total = sums[2] + sign * absq * sums[1]
+        local = np.pi * 1j * d.lam[m] * (g0(x, m, d) + c.rho_prime[m] + sign * g1)
+        omega.append(
+            mapper.singular_part_omega(x, d)
+            - 1j / (np.pi * d.tau_bar) * (total + local) + d.gamma
+        )
+        F.append(
+            d.beta0 + mapper.singular_part_F(x, d) + sign * g1
+            + 1j * (c.a[m] - pole_density(x, d))
+        )
+    return np.array(omega), np.array(F), g1
+
+
+def _sixteen_slit_map():
+    return pipeline.solve(*sixteen_slit_inputs()).slit_map
+
+
+@pytest.mark.parametrize("case", ["fig1b", "fig3a", "sixteen"])
+def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case):
+    sm = _sixteen_slit_map() if case == "sixteen" else solved_map(case)[0]
+    grid = np.array([bank_parameter_grid(a, b, 41) for a, b in sm.branch.slits])
+    stacked = sm.banks(grid)  # endpoints included: grid[:, 0] and grid[:, -1]
+    for m in range(sm.branch.n):
+        expected = _one_series_per_slit_pair(sm, grid[m], m)
+        got = (stacked.omega[:, m], stacked.F[:, m], stacked.g1[m])
+        for value, oracle in zip(got, expected):
+            scale = np.abs(oracle).max()
+            np.testing.assert_allclose(value, oracle, rtol=1e-13, atol=1e-13 * scale)
+        for k, bank in enumerate((+1, -1)):
+            np.testing.assert_array_equal(
+                sm.omega_boundary(grid[m], bank, m), stacked.omega[k, m]
+            )
+            np.testing.assert_array_equal(sm.F_boundary(grid[m], bank, m), stacked.F[k, m])
+        np.testing.assert_array_equal(sm.g1(grid[m], m), stacked.g1[m])
+
+
+def test_stacked_boundary_pass_rejects_bad_tables():
+    sm, _, _ = solved_map("fig1b")
+    grid = np.array([bank_parameter_grid(a, b, 9) for a, b in sm.branch.slits])
+    with pytest.raises(EvaluationError):
+        sm.banks(grid[:1])
+    with pytest.raises(EvaluationError):
+        sm.banks(grid[::-1])  # rows on the wrong slits

@@ -181,3 +181,13 @@ def test_degenerate_configuration_is_flagged():
     )
     assert res.verdict == "INVALID-GEOMETRY"
     assert all(res.diagnostics.geometry["degenerate"])
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig3a"])
+def test_stage_timings_cover_every_stage(solve_figure, name):
+    result = solve_figure(name)
+    assert list(result.timings) == list(pipeline.STAGES)
+    assert all(isinstance(t, float) and t >= 0.0 for t in result.timings.values())
+    if result.slit_map is not None:
+        assert all(t > 0.0 for t in result.timings.values())
+    assert "timings" not in result.diagnostics.to_dict()

@@ -7,6 +7,7 @@ from inclusion_forge.quadrature import (
     cauchy_off_stack,
     cheb_coeffs,
     cheb_nodes,
+    coef_from_samples,
     gauss_cheb,
     like_input,
     singular_on,
@@ -56,6 +57,18 @@ def test_coefficients_recover_polynomials():
     cubic = cheb_coeffs(lambda y: y**3, -1.0, 1.0, 16, 8)
     assert cubic.coef[1] == pytest.approx(0.75, abs=1e-14)
     assert cubic.coef[3] == pytest.approx(0.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("N", [7, 8, 64, 65])
+def test_coefficients_are_the_gauss_cosine_sums(N):
+    x = cheb_nodes(-1.0, 1.0, N)
+    samples = np.stack([np.exp(x), 1.0 / (3.0 - x), np.exp(x) + 1j * np.cos(3.0 * x)])
+    # T_k at node n is cos(k (2n+1) pi / 2N); the angle index is reduced mod 4N
+    k = np.arange(N)[:, None]
+    T = np.cos(np.pi * ((k * (2 * np.arange(N) + 1)) % (4 * N)) / (2 * N))
+    expected = (2.0 / N) * samples @ T.T
+    expected[:, 0] *= 0.5
+    np.testing.assert_allclose(coef_from_samples(samples, N - 1), expected, rtol=0, atol=1e-14)
 
 
 def test_pv_of_first_kind_polynomials():

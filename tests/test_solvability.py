@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from conftest import load_figure_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs
 from oracles import smooth_weight, weighted_integral
 
-from inclusion_forge.branch import BranchData
+from inclusion_forge import pipeline, solvability
+from inclusion_forge.branch import BranchData, slit_table
+from inclusion_forge.mapper import g0
 from inclusion_forge.model import (
     AT_INFINITY,
     FreeParameters,
@@ -90,7 +92,7 @@ def test_symmetric_real_pole_strength_gives_zero_a():
     cfg, derived, branch, numerics = figure_problem("fig2b")
     assert derived.c_double_prime == 0.0
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0, numerics)
+    a = solve_a(period, branch, derived, 0.0)
     np.testing.assert_allclose(a, 0.0, atol=1e-15)
 
 
@@ -111,8 +113,8 @@ def test_imaginary_scaling_reproduces_published_antisymmetric_a():
     assert sym[1] == pytest.approx(expected_a1, rel=1e-13)
     assert sym[0] == pytest.approx(-expected_a1, rel=1e-13)
     # the general path with the antisymmetric free value agrees
-    a0, _ = antisymmetric_free_values(period, branch, derived, NUM)
-    a = solve_a(period, branch, derived, a0, NUM)
+    a0, _ = antisymmetric_free_values(period, branch, derived)
+    a = solve_a(period, branch, derived, a0)
     np.testing.assert_allclose(a, sym, atol=1e-12)
 
 
@@ -125,15 +127,15 @@ def test_zero_drive_gives_zero_rho():
     np.testing.assert_allclose(derived.c_star, 0.0, atol=1e-16)
     branch = BranchData(cfg.endpoints)
     period = period_matrix(branch, NUM)
-    rho = solve_rho(period, branch, derived, 0.0, NUM)
+    rho = solve_rho(period, branch, derived, 0.0)
     np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
 
 def test_fig2c_rho_matches_published_closed_form():
     cfg, derived, branch, numerics = figure_problem("fig2c")
     period = period_matrix(branch, numerics)
-    _, rho0 = antisymmetric_free_values(period, branch, derived, numerics)
-    rho = solve_rho(period, branch, derived, rho0, numerics)
+    _, rho0 = antisymmetric_free_values(period, branch, derived)
+    rho = solve_rho(period, branch, derived, rho0)
     sym = n2_symmetric_rho(period, branch, derived, numerics)
     np.testing.assert_allclose(rho, sym, atol=1e-12)
     # direct quadrature of the printed expression
@@ -154,7 +156,7 @@ def test_fig2c_rho_matches_published_closed_form():
 def test_fig3a_conditions_hold_under_independent_quadrature():
     cfg, derived, branch, numerics = figure_problem("fig3a")
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0, numerics)
+    a = solve_a(period, branch, derived, 0.0)
     for m in (1, 2):
         total = 0.0
         for j in range(3):
@@ -172,9 +174,9 @@ def test_fig3a_conditions_hold_under_independent_quadrature():
 def test_fig4a_antisymmetric_constants():
     cfg, derived, branch, numerics = figure_problem("fig4a")
     period = period_matrix(branch, numerics)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived, numerics)
-    a = solve_a(period, branch, derived, a0, numerics)
-    rho = solve_rho(period, branch, derived, rho0, numerics)
+    a0, rho0 = antisymmetric_free_values(period, branch, derived)
+    a = solve_a(period, branch, derived, a0)
+    rho = solve_rho(period, branch, derived, rho0)
     assert a[0] == pytest.approx(-a[2], abs=1e-12)
     assert rho[0] == pytest.approx(-rho[2], abs=1e-8)
     assert rho[1] == pytest.approx(0.0, abs=1e-12)
@@ -185,8 +187,8 @@ def test_two_slit_closed_forms_match_general_path(name):
     cfg, derived, branch, numerics = figure_problem(name)
     assert is_symmetric_pair(branch)
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0, numerics)
-    rho = solve_rho(period, branch, derived, 0.0, numerics)
+    a = solve_a(period, branch, derived, 0.0)
+    rho = solve_rho(period, branch, derived, 0.0)
     np.testing.assert_allclose(
         a, n2_closed_form_a(period, branch, derived, 0.0, numerics), atol=1e-10
     )
@@ -199,8 +201,8 @@ def test_two_slit_closed_forms_match_general_path(name):
 def test_three_slit_closed_forms_match_general_path(name):
     cfg, derived, branch, numerics = figure_problem(name)
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.2, numerics)
-    rho = solve_rho(period, branch, derived, -0.3, numerics)
+    a = solve_a(period, branch, derived, 0.2)
+    rho = solve_rho(period, branch, derived, -0.3)
     np.testing.assert_allclose(
         a, n3_closed_form_a(period, branch, derived, 0.2, numerics), atol=1e-10
     )
@@ -212,9 +214,9 @@ def test_three_slit_closed_forms_match_general_path(name):
 def test_boundedness_residuals_flag_overrides():
     cfg, derived, branch, numerics = figure_problem("fig2c")
     period = period_matrix(branch, numerics)
-    _, rho0 = antisymmetric_free_values(period, branch, derived, numerics)
-    a = solve_a(period, branch, derived, 0.0, numerics)
-    rho = solve_rho(period, branch, derived, rho0, numerics)
+    _, rho0 = antisymmetric_free_values(period, branch, derived)
+    a = solve_a(period, branch, derived, 0.0)
+    rho = solve_rho(period, branch, derived, rho0)
     good = boundedness_residuals(
         branch, derived, build_constants(a, rho, derived), numerics
     )
@@ -235,9 +237,9 @@ def test_mirrored_configuration_gives_antisymmetric_vectors():
     derived = derive_constants(loading, materials, cfg, FreeParameters(c_m1=0.7 + 0.2j))
     branch = BranchData(cfg.endpoints)
     period = period_matrix(branch, NUM)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived, NUM)
-    a = solve_a(period, branch, derived, a0, NUM)
-    rho = solve_rho(period, branch, derived, rho0, NUM)
+    a0, rho0 = antisymmetric_free_values(period, branch, derived)
+    a = solve_a(period, branch, derived, a0)
+    rho = solve_rho(period, branch, derived, rho0)
     np.testing.assert_allclose(a, -a[::-1], atol=1e-10)
     np.testing.assert_allclose(rho, -rho[::-1], atol=1e-10)
 
@@ -251,9 +253,45 @@ def test_general_path_handles_four_slits():
     derived = derive_constants(loading, materials, cfg, FreeParameters())
     branch = BranchData(cfg.endpoints)
     period = period_matrix(branch, NUM)
-    a = solve_a(period, branch, derived, 0.0, NUM)
-    rho = solve_rho(period, branch, derived, 0.0, NUM)
+    a = solve_a(period, branch, derived, 0.0)
+    rho = solve_rho(period, branch, derived, 0.0)
     res = boundedness_residuals(
         branch, derived, build_constants(a, rho, derived), NUM
     )
     assert max(res["a_relative"], res["rho_relative"]) < 1e-12
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_slit_table_moments_match_weighted_moment(N):
+    cfg, loading, materials, free, _ = sixteen_slit_inputs()
+    derived = derive_constants(loading, materials, cfg, free)
+    branch = BranchData(cfg.endpoints)
+    table = slit_table(branch, N)
+    rows = np.arange(branch.n)[:, None]
+    densities = [  # (f(x, j) for one slit, f at the nodes of every slit)
+        (lambda x, j: 1.0, 1.0),
+        (lambda x, j: pole_density(x, derived), pole_density(table.nodes, derived)),
+        (lambda x, j: g0(x, j, derived), g0(table.nodes, rows, derived)),
+    ]
+    for f, samples in densities:
+        moments = table.integrate(samples * table.powers)
+        for m in range(branch.n):
+            for j in range(branch.n):
+                expected = weighted_moment(branch, j, lambda x: f(x, j), m, N)
+                assert moments[m, j] == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
+def test_sixteen_slit_solve_makes_no_per_slit_moment_calls(monkeypatch):
+    calls = []
+    original = solvability.weighted_moment
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvability, "weighted_moment", counted)
+    result = pipeline.solve(*sixteen_slit_inputs())
+    assert result.slit_map.branch.n == 16
+    assert max(result.diagnostics.boundedness["a_relative"],
+               result.diagnostics.boundedness["rho_relative"]) < 1e-8
+    assert calls == []
