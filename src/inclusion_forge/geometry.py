@@ -12,6 +12,7 @@ closer than 1e-9 of the scale counts as intersecting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,9 @@ class ContourProfile:
         x, y = z.real, z.imag
         return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
-    @property
+    # Computed on first access and kept in the instance dict, outside the
+    # dataclass fields, so equality still compares the fields only.
+    @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
         z = self.points
         return (
@@ -58,7 +61,7 @@ class ContourProfile:
             float(z.real.max()), float(z.imag.max()),
         )
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         x0, y0, x1, y1 = self.bbox
         return float(np.hypot(x1 - x0, y1 - y0))

@@ -178,9 +178,10 @@ class SlitMap:
         """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.
 
         Every row but the target's own goes through the off-interval kernel,
-        in blocks as in :meth:`_off_sums`; the own-slit entries, where that
-        kernel does not apply, are masked out and replaced by the principal
-        value of the own row (per-row targets of ``singular_on_stack``).
+        in real arithmetic and in blocks as in :meth:`_off_sums`; the
+        own-slit entries, where that kernel does not apply, are masked out and
+        replaced by the principal value of the own row (per-row targets of
+        ``singular_on_stack``).
         """
         coef, weights = self._coef[fams], self._weights[fams]
         flat = x.reshape(-1)
@@ -190,9 +191,7 @@ class SlitMap:
         for s in range(0, flat.size, step):
             # the kernel divides by zero at the own slit's endpoints; masked below
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = cauchy_off_stack(
-                    coef, self._centre, self._half, flat[s : s + step]
-                ).real
+                vals = cauchy_off_stack(coef, self._centre, self._half, flat[s : s + step])
             vals[:, own[s : s + step], np.arange(vals.shape[-1])] = 0.0
             out[:, s : s + step] = _row_sum(weights, vals)
         pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)

@@ -12,6 +12,11 @@ polynomials of the first kind map to second-kind polynomials inside the
 interval and to a geometric kernel outside, so a single coefficient vector
 serves boundary and off-interval targets alike, arbitrarily close to the
 interval.
+
+The off-interval kernel computes in the arithmetic of its targets: real
+targets on the axis are summed in real arithmetic, so ``cauchy_off`` of a
+real series at a real target returns a ``float`` (a real array for real
+array targets), and complex targets return ``complex`` values.
 """
 
 from __future__ import annotations
@@ -195,12 +200,26 @@ def cauchy_off_stack(coef, centre, half, zeta) -> np.ndarray:
     matters there).  The series in w is summed by Horner's rule in place
     over all rows and targets, so the only temporaries are of the result's
     size.
+
+    The dtype of ``zeta`` picks the arithmetic.  Real targets (on the axis,
+    outside every interval) keep x, the root and w real, and the Horner loop
+    runs in real arithmetic; with real coefficients the result is then real
+    (float64).  Complex targets, even with a zero imaginary part, are summed
+    in complex arithmetic and give a complex result.
     """
     coef = np.asarray(coef)
-    x = _unit_targets(centre, half, np.reshape(zeta, -1), complex)
-    # the branch of sqrt(x^2 - 1) cut along [-1, 1] with sqrt ~ x at infinity
-    root = np.sqrt(x - 1.0)
-    root *= np.sqrt(x + 1.0)
+    flat = np.reshape(zeta, -1)
+    real = not np.iscomplexobj(flat)
+    x = _unit_targets(centre, half, flat, float if real else complex)
+    # the branch of sqrt(x^2 - 1) cut along [-1, 1] with sqrt ~ x at infinity;
+    # on the axis outside the cut it is sign(x) sqrt(|x - 1|) sqrt(|x + 1|)
+    if real:
+        root = np.sqrt(np.abs(x - 1.0))
+        root *= np.sqrt(np.abs(x + 1.0))
+        np.copysign(root, x, out=root)
+    else:
+        root = np.sqrt(x - 1.0)
+        root *= np.sqrt(x + 1.0)
     w = np.subtract(x, root, out=x)
     total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
     total[...] = coef[..., -1, None]
@@ -221,7 +240,12 @@ def singular_on(series: ChebyshevSeries, xi):
 
 
 def cauchy_off(series: ChebyshevSeries, zeta):
-    """Weighted Cauchy integral at a target zeta off the closed interval."""
+    """Weighted Cauchy integral at a target zeta off the closed interval.
+
+    A real target (a Python or numpy float, or a real array) with a real
+    series gives a real result: ``cauchy_off(series, 2.0)`` is a ``float``.
+    A complex target gives a ``complex`` (see :func:`cauchy_off_stack`).
+    """
     out = cauchy_off_stack(
         series.coef[None], [series.delta_plus], [series.delta_minus], zeta
     )

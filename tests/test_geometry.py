@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -54,6 +56,22 @@ def test_profiles_are_closed_and_counterclockwise(solve_figure):
         assert p.points[0] == p.points[-1]
         assert p.signed_area > 0
         assert p.closure_error <= 1e-8 * p.diameter
+
+
+def test_extents_are_computed_once_and_stay_out_of_equality(solve_figure):
+    for p in solve_figure("fig3a").profiles:
+        twin = copy.copy(p)  # shares the field arrays, nothing read yet
+        z = p.points
+        box = (z.real.min(), z.imag.min(), z.real.max(), z.imag.max())
+        assert p.bbox == box
+        assert p.diameter == np.hypot(box[2] - box[0], box[3] - box[1])
+        assert p.bbox is p.bbox and p.diameter is p.diameter
+        assert p == twin and twin == p
+        assert {f.name for f in dataclasses.fields(p)}.isdisjoint({"bbox", "diameter"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.bbox = (0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.points = z
 
 
 def test_orientation_normalization_is_idempotent():

@@ -110,6 +110,66 @@ def test_cauchy_off_against_quadrature_oracle():
         assert cauchy_off(series, zeta) == pytest.approx(oracle, abs=1e-10)
 
 
+def _real_series():
+    a, b = -0.4, 0.6
+    h = lambda t: np.exp(t) / (2.5 - t)
+    return h, cheb_coeffs(h, a, b, 48, 40)
+
+
+def _off_axis_targets(series, count, rng):
+    """Real targets 1e-2 to 1e2 half-lengths off the interval, on both sides."""
+    gap = series.delta_minus * 10.0 ** rng.uniform(-2.0, 2.0, count)
+    side = rng.choice([-1.0, 1.0], count)
+    return np.where(side > 0, series.b + gap, series.a - gap)
+
+
+def test_real_targets_with_real_coefficients_give_float64():
+    _, series = _real_series()
+    centre, half = [series.delta_plus], [series.delta_minus]
+    out = cauchy_off_stack(series.coef[None], centre, half, np.array([-2.0, 1.5]))
+    assert out.dtype == np.float64
+    both = np.stack([series.coef, 1j * series.coef])[:, None]
+    assert cauchy_off_stack(both, centre, half, np.array([2.0])).dtype == np.complex128
+
+
+def test_real_targets_agree_with_the_complex_path(rng):
+    _, series = _real_series()
+    x = _off_axis_targets(series, 4000, rng)
+    real = cauchy_off(series, x)
+    cplx = cauchy_off(series, x + 0j)
+    np.testing.assert_allclose(real, cplx.real, rtol=1e-12, atol=0)
+    assert np.all(cplx.imag == 0.0)
+
+
+def test_real_targets_against_quadrature_oracle():
+    h, series = _real_series()
+    a, b = series.a, series.b
+    for x in (a - 1e-3, b + 1e-3, a - 0.05, b + 0.3, -3.0, 7.5):
+        val = cauchy_off(series, x)
+        assert type(val) is float
+        assert val == pytest.approx(cauchy_weighted(h, a, b, x).real, abs=1e-10)
+
+
+def test_complex_targets_keep_the_complex_path():
+    _, series = _real_series()
+    for zeta in (2.0 + 0.0j, np.complex128(-1.5), np.array([2.0 + 0j, -1.0 + 0j])):
+        out = cauchy_off(series, zeta)
+        assert np.iscomplexobj(out)
+        np.testing.assert_array_equal(np.imag(out), 0.0)
+
+
+def test_cauchy_off_return_type_follows_the_target():
+    _, series = _real_series()
+    assert type(cauchy_off(series, 2.0)) is float
+    assert type(cauchy_off(series, np.float64(2.0))) is float
+    assert type(cauchy_off(series, 2)) is float
+    assert type(cauchy_off(series, 2.0 + 1.0j)) is complex
+    real = cauchy_off(series, np.array([2.0, -3.0]))
+    assert isinstance(real, np.ndarray) and real.dtype == np.float64 and real.shape == (2,)
+    cplx = cauchy_off(series, np.array([[2.0 + 1j], [-3.0 + 0j]]))
+    assert cplx.dtype == np.complex128 and cplx.shape == (2, 1)
+
+
 def test_plemelj_jump_average():
     a, b = -1.0, 1.0
     h = lambda t: np.exp(t)
