@@ -2,12 +2,11 @@
 
 With 2n real branch points k_0 < ... < k_{2n-1} and cuts along the slits
 l_j = [k_{2j}, k_{2j+1}], the branch is fixed by q(zeta) ~ zeta^n at
-infinity.  It is realized as the product of principal square roots
-prod sqrt(zeta - k_i): each factor jumps across the ray (-inf, k_i], and off
-the slits an even number of factors jump simultaneously, so the jumps cancel
-and the product is continuous exactly on the cut plane.  On the positive
-real axis beyond k_{2n-1} every factor is positive, which pins the
-normalization without any further sign correction.
+infinity.  It is realized as the product over the slits of
+rho_j = sqrt((zeta - k_{2j})(zeta - k_{2j+1})), each the branch cut along
+its own slit with rho_j ~ zeta at infinity, so the product is continuous
+exactly on the cut plane.  This is the product of the principal roots
+prod sqrt(zeta - k_i) with one square root per slit instead of two.
 
 On the banks q is pure imaginary: approaching slit m from above gives
 q = i * (-1)^(n-1-m) * |q|, so the top-bank sign alternates slit to slit and
@@ -22,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import EvaluationError, SlitConfiguration
-from .quadrature import cheb_nodes, like_input
+from .quadrature import cheb_nodes, like_input, slit_roots
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,8 @@ def top_bank_sign(n: int, m: int) -> int:
     return -1 if (n - 1 - m) % 2 else 1
 
 
-def eval_q(branch: BranchData, zeta):
-    """Evaluate the branch off the slits; scalars and arrays accepted.
-
-    Points on a closed slit are rejected: the two banks carry different
-    values there, use :func:`bank_value` instead.
-    """
-    z = np.asarray(zeta, dtype=complex)
+def reject_on_slits(branch: BranchData, z: np.ndarray) -> None:
+    """Raise :class:`EvaluationError` if any complex target lies on a closed slit."""
     on_cut = z.imag == 0.0
     if np.any(on_cut):
         x = np.where(on_cut, z.real, np.inf)
@@ -74,9 +68,21 @@ def eval_q(branch: BranchData, zeta):
                 raise EvaluationError(
                     "q is two-valued on the slits; use bank_value there"
                 )
+
+
+def eval_q(branch: BranchData, zeta):
+    """Evaluate the branch off the slits; scalars and arrays accepted.
+
+    q is the product over the slits of sqrt((zeta - a_j)(zeta - b_j)), one
+    root per slit (:func:`~inclusion_forge.quadrature.slit_roots`).  Points
+    on a closed slit are rejected: the two banks carry different values
+    there, use :func:`bank_value` instead.
+    """
+    z = np.asarray(zeta, dtype=complex)
+    reject_on_slits(branch, z)
     vals = np.ones(z.shape, dtype=complex)
-    for k_i in branch.endpoints:  # one factor at a time: no targets x 2n temporary
-        vals *= np.sqrt(z - k_i)
+    for a, b in branch.slits:  # one slit at a time: no targets x n temporary
+        vals *= slit_roots([a], [b], z).rho[0]
     return like_input(vals, zeta)
 
 

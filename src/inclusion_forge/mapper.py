@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .branch import BranchData, abs_q, eval_q, slit_table
+from .branch import BranchData, abs_q, reject_on_slits, slit_table
 from .model import (
     DegenerateEllipseError,
     DerivedConstants,
@@ -44,6 +44,7 @@ from .quadrature import (
     coef_from_samples,
     like_input,
     singular_on_stack,
+    slit_roots,
     truncation_indicator,
 )
 
@@ -136,6 +137,7 @@ class SlitMap:
         n, M = branch.n, numerics.M
         ends = np.reshape(branch.endpoints, (n, 2))
         a, b = ends[:, :1], ends[:, 1:]
+        self._lo, self._hi = ends[:, 0], ends[:, 1]
         self._centre = 0.5 * (b + a)[:, 0]
         self._half = 0.5 * (b - a)[:, 0]
         self._rows = np.arange(n)
@@ -158,21 +160,26 @@ class SlitMap:
 
     # -- Cauchy sums over the slits ---------------------------------------------
 
-    def _off_sums(self, fams: slice, z: np.ndarray) -> np.ndarray:
-        """Weighted sums over all slits of the off-slit Cauchy integrals.
+    def _off_sums(self, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted sums over all slits of the off-slit Cauchy integrals, and q.
 
-        Targets pass through the kernel in blocks of at most _BLOCK_VALUES
-        (family, slit, target) values, so large batches need no temporaries
-        of batch x slits size.
+        Both come from one :func:`slit_roots` pass: q is the product over the
+        slits of the roots rho_j the kernel divides by.  Targets on a closed
+        slit are rejected.  Targets pass through in blocks of at most
+        _BLOCK_VALUES (family, slit, target) values, so large batches need
+        no temporaries of batch x slits size.
         """
+        reject_on_slits(self.branch, z)
         coef, weights = self._coef[fams], self._weights[fams]
         flat = z.reshape(-1)
         out = np.empty((len(coef), flat.size), dtype=complex)
+        q = np.empty(flat.size, dtype=complex)
         step = max(1, _BLOCK_VALUES // weights.size)
         for s in range(0, flat.size, step):
-            vals = cauchy_off_stack(coef, self._centre, self._half, flat[s : s + step])
-            out[:, s : s + step] = _row_sum(weights, vals)
-        return out.reshape((len(coef),) + z.shape)
+            roots = slit_roots(self._lo, self._hi, flat[s : s + step])
+            np.prod(roots.rho, axis=0, out=q[s : s + step])
+            out[:, s : s + step] = _row_sum(weights, cauchy_off_stack(coef, roots))
+        return out.reshape((len(coef),) + z.shape), q.reshape(z.shape)
 
     def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.
@@ -191,7 +198,8 @@ class SlitMap:
         for s in range(0, flat.size, step):
             # the kernel divides by zero at the own slit's endpoints; masked below
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = cauchy_off_stack(coef, self._centre, self._half, flat[s : s + step])
+                roots = slit_roots(self._lo, self._hi, flat[s : s + step])
+                vals = cauchy_off_stack(coef, roots)
             vals[:, own[s : s + step], np.arange(vals.shape[-1])] = 0.0
             out[:, s : s + step] = _row_sum(weights, vals)
         pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)
@@ -282,8 +290,7 @@ class SlitMap:
 
     def _omega_regular(self, z: np.ndarray):
         d = self.derived
-        q = eval_q(self.branch, z)
-        g0_sum, g1_sum = self._off_sums(_MAP, z)
+        (g0_sum, g1_sum), q = self._off_sums(_MAP, z)
         total = g1_sum + (-1.0) ** self.branch.n * 1j * q * g0_sum
         return -1j / (np.pi * d.tau_bar) * total + d.gamma
 
@@ -299,8 +306,7 @@ class SlitMap:
         """F off the slits; bounded at infinity once the a_j are solved."""
         d = self.derived
         z = np.asarray(zeta, dtype=complex)
-        q = eval_q(self.branch, z)
-        (total,) = self._off_sums(_PHI, z)
+        (total,), q = self._off_sums(_PHI, z)
         sign = (-1.0) ** (self.branch.n - 1)
         out = d.beta0 + singular_part_F(z, d) - 1j * sign * q / np.pi * total
         return like_input(out, zeta)

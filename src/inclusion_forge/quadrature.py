@@ -13,15 +13,20 @@ interval and to a geometric kernel outside, so a single coefficient vector
 serves boundary and off-interval targets alike, arbitrarily close to the
 interval.
 
-The off-interval kernel computes in the arithmetic of its targets: real
-targets on the axis are summed in real arithmetic, so ``cauchy_off`` of a
-real series at a real target returns a ``float`` (a real array for real
-array targets), and complex targets return ``complex`` values.
+The geometric kernel needs one square root per (interval, target):
+:func:`slit_roots` returns it with the ratio w that the series is summed
+in, and the branch q of :mod:`inclusion_forge.branch` is the product of the
+same roots.  The off-interval kernel computes in the arithmetic of its
+targets: real targets on the axis are summed in real arithmetic, so
+``cauchy_off`` of a real series at a real target returns a ``float`` (a
+real array for real array targets), and complex targets return ``complex``
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,8 @@ __all__ = [
     "coef_from_samples",
     "series_from_samples",
     "singular_on_stack",
+    "SlitRoots",
+    "slit_roots",
     "cauchy_off_stack",
     "singular_on",
     "cauchy_off",
@@ -154,15 +161,6 @@ def cheb_coeffs(h, a: float, b: float, N: int, M: int) -> ChebyshevSeries:
     return series_from_samples(h(cheb_nodes(a, b, N)), a, b, M)
 
 
-def _unit_targets(centre, half, t, dtype):
-    """Targets mapped onto [-1, 1] of every row: shape (R, T).
-
-    ``t`` is (T,), shared by every row, or (R, T), row r's own targets.
-    """
-    t = np.asarray(t, dtype=dtype)
-    return (t - np.asarray(centre)[:, None]) / np.asarray(half)[:, None]
-
-
 def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
     """Principal values of stacked series at real targets inside their intervals.
 
@@ -176,59 +174,97 @@ def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
     targets are admitted (U_{m-1}(+-1) is finite).
     """
     coef = np.asarray(coef)
-    x = _unit_targets(centre, half, xi, float)
+    half = np.asarray(half)[:, None]
+    x = (np.asarray(xi, dtype=float) - np.asarray(centre)[:, None]) / half
     total = np.zeros(coef.shape[:-1] + x.shape[-1:], dtype=np.result_type(coef, x))
     u_prev = np.zeros_like(x)
     u = np.ones_like(x)
     for m in range(1, coef.shape[-1]):
         total += coef[..., m, None] * u
         u_prev, u = u, 2.0 * x * u - u_prev
-    total *= np.pi / np.asarray(half)[:, None]
+    total *= np.pi / half
     return total
 
 
-def cauchy_off_stack(coef, centre, half, zeta) -> np.ndarray:
+class SlitRoots(NamedTuple):
+    """Branch data of every (row, target) pair, each of shape (R,) + targets.
+
+    ``rho`` is sqrt((zeta - a)(zeta - b)) for the interval [a, b] of the row,
+    cut along the interval and ~ zeta at infinity; ``w`` is
+    h / ((zeta - c) + rho) for its centre c and half-length h, the root with
+    |w| < 1 of w^2 - 2xw + 1 = 0 at the mapped target x = (zeta - c) / h.
+    """
+
+    rho: np.ndarray
+    w: np.ndarray
+
+
+def slit_roots(lo, hi, zeta) -> SlitRoots:
+    """One square root per (row, target): ``rho`` and ``w`` of :class:`SlitRoots`.
+
+    ``lo`` and ``hi`` (each of shape (R,)) are the true endpoints of the
+    intervals, so rho vanishes exactly there; ``zeta`` (any shape) lies off
+    every interval.  The dtype of ``zeta`` picks the arithmetic.  Real
+    targets give sign(zeta - c) sqrt(|(zeta - a)(zeta - b)|).  Complex
+    targets take the principal root of the product and negate it where
+    Re(conj(zeta - c) rho) < 0: both terms of that real part are >= 0 on the
+    branch wanted, and it vanishes only on the interval, so the test needs
+    no tolerance.  w is a quotient whose denominator never cancels, so it
+    stays accurate far from the interval, where x - sqrt(x^2 - 1) would not.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    t = np.asarray(zeta, dtype=complex if np.iscomplexobj(zeta) else float)
+    shape = lo.shape + (1,) * t.ndim
+    lo, hi = lo.reshape(shape), hi.reshape(shape)
+    dz = t - 0.5 * (hi + lo)
+    rho = t - lo
+    rho *= t - hi
+    if np.iscomplexobj(rho):
+        np.sqrt(rho, out=rho)
+        sign = dz.real * rho.real
+        sign += dz.imag * rho.imag
+        rho *= np.copysign(1.0, sign, out=sign)
+    else:
+        np.abs(rho, out=rho)
+        np.sqrt(rho, out=rho)
+        np.copysign(rho, dz, out=rho)
+    dz += rho
+    w = np.divide(0.5 * (hi - lo), dz, out=dz)
+    return SlitRoots(rho, w)
+
+
+def cauchy_off_stack(coef, roots: SlitRoots) -> np.ndarray:
     """Weighted Cauchy integrals of stacked series at targets off their intervals.
 
-    ``coef``, ``centre`` and ``half`` as in :func:`singular_on_stack`; every
-    row is evaluated at every target of ``zeta`` (any shape), so the result
-    has shape (..., R) + zeta.shape.  In the mapped variable x, T_m
-    integrates to -pi w^m / sqrt(x^2 - 1) where w is the root of
-    w^2 - 2xw + 1 = 0 with |w| < 1; the formula is the exact analytic
-    continuation of the principal-value expansion, so it stays accurate
-    arbitrarily close to the interval (only the truncation of the series
-    matters there).  The series in w is summed by Horner's rule in place
-    over all rows and targets, so the only temporaries are of the result's
-    size.
+    ``coef`` holds R rows of first-kind coefficients in its last two axes,
+    shape (..., R, L); ``roots`` is :func:`slit_roots` of the R intervals at
+    the targets, with arrays of shape (R,) + targets.  Every row is
+    evaluated at every target, so the result has shape (..., R) + targets.
+    T_m integrates to -pi w^m / rho (rho = h sqrt(x^2 - 1) in the mapped
+    variable); the formula is the exact analytic continuation of the
+    principal-value expansion, so it stays accurate arbitrarily close to the
+    interval (only the truncation of the series matters there).  The series
+    in w is summed by Horner's rule in place over all rows and targets, and
+    multiplied by one reciprocal -pi/rho per (row, target).
 
-    The dtype of ``zeta`` picks the arithmetic.  Real targets (on the axis,
-    outside every interval) keep x, the root and w real, and the Horner loop
-    runs in real arithmetic; with real coefficients the result is then real
-    (float64).  Complex targets, even with a zero imaginary part, are summed
-    in complex arithmetic and give a complex result.
+    The dtype of the roots picks the arithmetic: for real targets (on the
+    axis, outside every interval) :func:`slit_roots` keeps rho and w real,
+    and the Horner loop runs in real arithmetic; with real coefficients the
+    result is then real (float64).  Complex targets, even with a zero
+    imaginary part, are summed in complex arithmetic and give a complex
+    result.
     """
     coef = np.asarray(coef)
-    flat = np.reshape(zeta, -1)
-    real = not np.iscomplexobj(flat)
-    x = _unit_targets(centre, half, flat, float if real else complex)
-    # the branch of sqrt(x^2 - 1) cut along [-1, 1] with sqrt ~ x at infinity;
-    # on the axis outside the cut it is sign(x) sqrt(|x - 1|) sqrt(|x + 1|)
-    if real:
-        root = np.sqrt(np.abs(x - 1.0))
-        root *= np.sqrt(np.abs(x + 1.0))
-        np.copysign(root, x, out=root)
-    else:
-        root = np.sqrt(x - 1.0)
-        root *= np.sqrt(x + 1.0)
-    w = np.subtract(x, root, out=x)
+    rho, w = roots
+    rows = len(rho)
+    w = w.reshape(rows, -1)
     total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
     total[...] = coef[..., -1, None]
     for m in range(coef.shape[-1] - 2, -1, -1):
         total *= w
         total += coef[..., m, None]
-    total *= -np.pi / np.asarray(half)[:, None]
-    total /= root
-    return total.reshape(coef.shape[:-1] + np.shape(zeta))
+    total *= np.divide(-np.pi, rho.reshape(rows, -1))
+    return total.reshape(coef.shape[:-1] + rho.shape[1:])
 
 
 def singular_on(series: ChebyshevSeries, xi):
@@ -246,7 +282,5 @@ def cauchy_off(series: ChebyshevSeries, zeta):
     series gives a real result: ``cauchy_off(series, 2.0)`` is a ``float``.
     A complex target gives a ``complex`` (see :func:`cauchy_off_stack`).
     """
-    out = cauchy_off_stack(
-        series.coef[None], [series.delta_plus], [series.delta_minus], zeta
-    )
+    out = cauchy_off_stack(series.coef[None], slit_roots([series.a], [series.b], zeta))
     return like_input(out[0], zeta)

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's Gauss-Chebyshev path:
 weighted integrals go through QUADPACK's algebraic-weight rule, principal
-values through singularity subtraction plus the analytic log term, and the
+values through singularity subtraction plus the analytic log term, the
 square-root branch through a literal continuity walk along a path around
-the cuts.  The contour predicates test every segment pair, where the
+the cuts or an 80-bit product of principal roots, and the off-interval
+Cauchy kernel through an 80-bit Horner sum.  The contour predicates test every segment pair, where the
 package sweeps for candidate pairs first.
 """
 
@@ -113,6 +114,39 @@ def branch_by_continuity(endpoints, target: complex, height: float = 2.0,
             cand = -cand
         val = cand
     return val
+
+
+def branch_principal_product(endpoints, zeta) -> np.ndarray:
+    """prod sqrt(zeta - k) of principal roots, in 80-bit (clongdouble) arithmetic.
+
+    The textbook form of the branch, one root per endpoint; signed zero
+    imaginary parts of ``zeta`` carry through to the roots.
+    """
+    z = np.asarray(zeta, dtype=np.clongdouble)
+    out = np.ones(z.shape, dtype=np.clongdouble)
+    for k in endpoints:
+        out *= np.sqrt(z - np.longdouble(k))
+    return out
+
+
+def cauchy_off_80bit(coef, a: float, b: float, zeta) -> np.ndarray:
+    """Weighted Cauchy integral of a first-kind series off [a, b], in 80 bits.
+
+    Horner's rule in w = 1/(x + root) at the mapped target x, with
+    root = sqrt(x - 1) sqrt(x + 1), and the result -pi/(h root) sum alpha_m w^m
+    for the half-length h.  Returned as ``clongdouble``.
+    """
+    a, b = np.longdouble(a), np.longdouble(b)
+    centre, half = (a + b) / 2, (b - a) / 2
+    x = (np.asarray(zeta, dtype=np.clongdouble) - centre) / half
+    root = np.sqrt(x - 1) * np.sqrt(x + 1)
+    w = 1 / (x + root)
+    coef = np.asarray(coef).astype(np.clongdouble)
+    total = np.full(x.shape, coef[-1], dtype=np.clongdouble)
+    for c in coef[-2::-1]:
+        total = total * w + c
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    return -pi / (half * root) * total
 
 
 # -- all-pairs contour predicates ----------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import branch_by_continuity
+from oracles import branch_by_continuity, branch_principal_product
 
 from inclusion_forge.branch import (
     BranchData,
@@ -146,3 +146,63 @@ def test_abs_q_is_sqrt_of_abs_p():
     xi = 0.66
     p = np.prod(xi - np.asarray(PAIR.endpoints))
     assert abs_q(PAIR, xi) == pytest.approx(np.sqrt(abs(p)), rel=1e-14)
+
+
+# -- one root per slit against the principal-root product ------------------------
+
+
+def _seeded_branch(rng, n):
+    """n slits with jittered slit and gap lengths, on a random span and offset."""
+    parts = rng.uniform(0.2, 1.8, 2 * n - 1)
+    span = 10.0 ** rng.uniform(-1.0, 1.0)
+    steps = np.concatenate(([0.0], np.cumsum(parts))) / parts.sum()
+    return BranchData(rng.uniform(-2.0, 2.0) + span * steps)
+
+
+def _branch_targets(branch, rng):
+    """Off-slit targets of every kind the branch has to get right.
+
+    Real targets (in every gap, outside the slits, just off every endpoint
+    outward) come with +0 and with -0 imaginary parts.
+    """
+    k = np.asarray(branch.endpoints)
+    lo, hi, span = k[0], k[-1], k[-1] - k[0]
+    free = rng.uniform(lo - span, hi + span, 40) + 1j * span * rng.uniform(-1.5, 1.5, 40)
+    heights = span * 10.0 ** np.arange(-12.0, 3.0)
+    centres = (k[::2] + k[1::2]) / 2
+    vertical = (centres[:, None] + 1j * np.concatenate([heights, -heights])).ravel()
+    gaps = k[1:-1].reshape(-1, 2)  # (k_{2j+1}, k_{2j+2}): the gaps between slits
+    in_gaps = gaps[:, :1] + (gaps[:, 1:] - gaps[:, :1]) * [1e-6, 0.3, 0.5, 1 - 1e-6]
+    outside = span * np.array([1e-6, 0.5, 30.0])
+    axis = [in_gaps.ravel(), lo - outside, hi + outside]
+    off_axis = [free, vertical]
+    outward = np.where(np.arange(len(k)) % 2 == 0, -1.0, 1.0)
+    angles = np.pi * np.array([0.25, 0.5, 0.75, -0.25, -0.5, -0.75])
+    for delta in (1e-9, 1e-12):
+        axis.append(k + delta * span * outward)
+        off_axis.append((k[:, None] + delta * span * np.exp(1j * angles)).ravel())
+    x = np.concatenate(axis) + 0j
+    return np.concatenate(off_axis + [x, np.conj(x)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_root_per_slit_matches_the_principal_root_product(n):
+    rng = np.random.default_rng([7, n])
+    for layout in range(6):
+        branch = _seeded_branch(rng, n)
+        z = _branch_targets(branch, rng)
+        got = eval_q(branch, z)
+        ref = branch_principal_product(branch.endpoints, z)
+        err = np.abs(got - ref) / np.abs(ref)
+        assert err.max() <= 1e-14
+        if layout == 0:
+            # the continuity walk descends from above at Re(target), so it
+            # applies to targets above the axis or over no closed slit
+            k = np.asarray(branch.endpoints)
+            on_slit = (np.searchsorted(k, z.real, "left") % 2 == 1) | (
+                np.searchsorted(k, z.real, "right") % 2 == 1
+            )
+            walkable = z[(z.imag > 0.0) | ~on_slit]
+            for target in rng.choice(walkable, 4, replace=False):
+                oracle = branch_by_continuity(branch.endpoints, target, steps=1000)
+                assert eval_q(branch, target) == pytest.approx(oracle, rel=1e-13)

@@ -3,6 +3,7 @@ import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs
 from oracles import cauchy_weighted, smooth_weight, weighted_pv
 
+from inclusion_forge import branch as branch_module
 from inclusion_forge import mapper, pipeline
 from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
@@ -354,6 +355,50 @@ def test_interior_values_do_not_depend_on_the_target_blocking(monkeypatch):
     monkeypatch.setattr(mapper, "_BLOCK_VALUES", 8)  # one or two targets a block
     np.testing.assert_allclose(sm.omega_interior(z), whole[0], rtol=1e-14, atol=0)
     np.testing.assert_allclose(sm.F_interior(z), whole[1], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", ["omega_interior", "omega_regular", "F_interior"])
+def test_interior_evaluators_reject_points_on_a_closed_slit(name):
+    sm, _, _ = solved_map("fig3a")
+    evaluate = getattr(sm, name)
+    for a, b in sm.branch.slits:
+        for x in (a, 0.3 * a + 0.7 * b, b):
+            for z in (complex(x, 0.0), complex(x, -0.0)):
+                with pytest.raises(EvaluationError):
+                    evaluate(z)
+                with pytest.raises(EvaluationError):
+                    evaluate(np.array([2.0 + 1.0j, z]))
+    # real targets in a gap and outside all slits are accepted
+    k = sm.branch.endpoints
+    x = np.array([0.5 * (k[1] + k[2]), 0.5 * (k[3] + k[4]), k[0] - 0.5, k[-1] + 0.5])
+    for z in (x + 0j, np.conj(x + 0j)):
+        assert np.all(np.isfinite(evaluate(z)))
+
+
+def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch):
+    sm, d, _ = solved_map("fig3a")
+    n = sm.branch.n
+    z = np.linspace(-1.8, 1.8, 9)[:, None] + 1j * np.array([-1.2, -0.03, 1e-6, 0.4, 2.0])
+    z = np.concatenate([z.ravel(), [0.3 + 0.0j, -2.5 - 0.0j, 40.0 + 30.0j]])
+    q = eval_q(sm.branch, z)
+    sums = np.zeros((len(mapper.FAMILIES), z.size), dtype=complex)
+    for f in range(len(mapper.FAMILIES)):
+        for j, (a, b) in enumerate(sm.branch.slits):
+            sums[f] += sm._weights[f, j] * cauchy_off(ChebyshevSeries(a, b, sm._coef[f, j]), z)
+    omega = (
+        mapper.singular_part_omega(z, d)
+        - 1j / (np.pi * d.tau_bar) * (sums[2] + (-1.0) ** n * 1j * q * sums[1])
+        + d.gamma
+    )
+    F = d.beta0 + mapper.singular_part_F(z, d) - 1j * (-1.0) ** (n - 1) * q / np.pi * sums[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interior path evaluates q on its own")
+
+    monkeypatch.setattr(mapper, "eval_q", refuse, raising=False)
+    monkeypatch.setattr(branch_module, "eval_q", refuse)
+    np.testing.assert_allclose(sm.omega_interior(z), omega, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(sm.F_interior(z), F, rtol=1e-14, atol=0)
 
 
 def test_boundary_value_records():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import cauchy_weighted, sqrt_weight_moment, weighted_pv
+from oracles import cauchy_off_80bit, cauchy_weighted, sqrt_weight_moment, weighted_pv
 
 from inclusion_forge.quadrature import (
     cauchy_off,
@@ -12,6 +12,7 @@ from inclusion_forge.quadrature import (
     like_input,
     singular_on,
     singular_on_stack,
+    slit_roots,
 )
 
 
@@ -125,11 +126,11 @@ def _off_axis_targets(series, count, rng):
 
 def test_real_targets_with_real_coefficients_give_float64():
     _, series = _real_series()
-    centre, half = [series.delta_plus], [series.delta_minus]
-    out = cauchy_off_stack(series.coef[None], centre, half, np.array([-2.0, 1.5]))
+    lo, hi = [series.a], [series.b]
+    out = cauchy_off_stack(series.coef[None], slit_roots(lo, hi, np.array([-2.0, 1.5])))
     assert out.dtype == np.float64
     both = np.stack([series.coef, 1j * series.coef])[:, None]
-    assert cauchy_off_stack(both, centre, half, np.array([2.0])).dtype == np.complex128
+    assert cauchy_off_stack(both, slit_roots(lo, hi, np.array([2.0]))).dtype == np.complex128
 
 
 def test_real_targets_agree_with_the_complex_path(rng):
@@ -148,6 +149,23 @@ def test_real_targets_against_quadrature_oracle():
         val = cauchy_off(series, x)
         assert type(val) is float
         assert val == pytest.approx(cauchy_weighted(h, a, b, x).real, abs=1e-10)
+
+
+def test_far_field_matches_an_80_bit_horner_sum():
+    # |x| = 4e2 ... 4e6 half-lengths from the centre: w = x - root would
+    # cancel to ~|x|^2 eps here, w = h / ((zeta - c) + rho) does not
+    _, series = _real_series()
+    c, h = series.delta_plus, series.delta_minus
+    r = 4.0 * 10.0 ** np.arange(2, 7)
+    angles = np.array([0.3, 1.2, 2.5, -0.7, -2.9])
+    zeta = c + h * (r[:, None] * np.exp(1j * angles)).ravel()
+    x = c + h * np.concatenate([r, -r])
+    for targets in (zeta, x):
+        ref = cauchy_off_80bit(series.coef, series.a, series.b, targets)
+        got = cauchy_off(series, targets)
+        assert got.dtype == targets.dtype
+        ref = ref if np.iscomplexobj(got) else ref.real
+        np.testing.assert_allclose(got, ref.astype(got.dtype), rtol=1e-14, atol=0)
 
 
 def test_complex_targets_keep_the_complex_path():
@@ -236,7 +254,8 @@ def test_stacked_kernels_match_one_series_per_row():
         [0.1 + 0.4j, -2.0 + 0.0j, 1.5 - 2.2j],
         [0.4 - 1e-6j, 3.0 + 1j, -0.8 + 1e-3j],
     ])
-    off = cauchy_off_stack(twice, centre, half, zeta)
+    lo, hi = np.array(intervals).T
+    off = cauchy_off_stack(twice, slit_roots(lo, hi, zeta))
     assert off.shape == (2, 3) + zeta.shape
     for r, s in enumerate(series):
         np.testing.assert_allclose(off[0, r], cauchy_off(s, zeta), rtol=1e-15, atol=0)
