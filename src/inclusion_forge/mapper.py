@@ -21,6 +21,7 @@ endpoints (the bank-dependent terms carry |q| or g_1 and vanish there).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -40,8 +41,10 @@ from .model import (
     singular_part_omega,
 )
 from .quadrature import (
+    DegreeTable,
     cauchy_off_stack,
     coef_from_samples,
+    degree_table,
     like_input,
     singular_on_stack,
     slit_roots,
@@ -50,6 +53,8 @@ from .quadrature import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solvability import SolvabilityConstants
+
+log = logging.getLogger(__name__)
 
 # rows of the density table, in order
 FAMILIES = ("phi", "g0_rho", "g1_weighted")
@@ -119,7 +124,10 @@ class SlitMap:
     closed form).  Every Cauchy sum over the slits weights row j of a family
     by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
     Boundary values of every slit and both banks come from one stacked pass
-    (:meth:`banks`); the per-slit evaluators are its one-slit case.  All
+    (:meth:`banks`); the per-slit evaluators are its one-slit case.  Off the
+    slits, each family set sums only to the degrees its
+    :class:`~inclusion_forge.quadrature.DegreeTable` asks for; a table is
+    built from the map alone on the first interior call that needs it.  All
     evaluation methods are pure and accept scalars or arrays of targets.
     """
 
@@ -157,20 +165,36 @@ class SlitMap:
         # g_1 needs the phi rows of every slit, so it is sampled second.
         g1 = self._g1_values(nodes, self._rows)
         self._coef[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
+        self._degree_tables: dict[tuple[str, ...], DegreeTable] = {}
 
     # -- Cauchy sums over the slits ---------------------------------------------
+
+    def _degree_table(self, fams: slice) -> DegreeTable:
+        """The degree table of a family set, built on first use."""
+        names = FAMILIES[fams]
+        table = self._degree_tables.get(names)
+        if table is None:
+            table = degree_table(self._coef[fams], self._lo, self._hi)
+            self._degree_tables[names] = table
+            log.debug(
+                "degree table for %s: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
+                "+".join(names), table.D, self._coef.shape[-1], 100.0 * table.beyond,
+            )
+        return table
 
     def _off_sums(self, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted sums over all slits of the off-slit Cauchy integrals, and q.
 
         Both come from one :func:`slit_roots` pass: q is the product over the
-        slits of the roots rho_j the kernel divides by.  Targets on a closed
-        slit are rejected.  Targets pass through in blocks of at most
-        _BLOCK_VALUES (family, slit, target) values, so large batches need
-        no temporaries of batch x slits size.
+        slits of the roots rho_j the kernel divides by.  Each (slit, target)
+        pair sums its series to the degree the family set's degree table
+        allows.  Targets on a closed slit are rejected.  Targets pass through
+        in blocks of at most _BLOCK_VALUES (family, slit, target) values, so
+        large batches need no temporaries of batch x slits size.
         """
         reject_on_slits(self.branch, z)
         coef, weights = self._coef[fams], self._weights[fams]
+        table = self._degree_table(fams)
         flat = z.reshape(-1)
         out = np.empty((len(coef), flat.size), dtype=complex)
         q = np.empty(flat.size, dtype=complex)
@@ -178,7 +202,7 @@ class SlitMap:
         for s in range(0, flat.size, step):
             roots = slit_roots(self._lo, self._hi, flat[s : s + step])
             np.prod(roots.rho, axis=0, out=q[s : s + step])
-            out[:, s : s + step] = _row_sum(weights, cauchy_off_stack(coef, roots))
+            out[:, s : s + step] = _row_sum(weights, cauchy_off_stack(coef, roots, table))
         return out.reshape((len(coef),) + z.shape), q.reshape(z.shape)
 
     def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:

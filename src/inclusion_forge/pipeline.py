@@ -53,6 +53,7 @@ VERDICT_UNBOUNDED = "INVALID-UNBOUNDED"
 VERDICT_GEOMETRY = "INVALID-GEOMETRY"
 
 _CROSS_CHECK_TOL = 1e-8
+_LOG_DET_RANGE = 700.0  # e^700 ~ 1e304: inside the normal float range
 
 # keys of SolveResult.timings, in pipeline order
 STAGES = (
@@ -121,6 +122,19 @@ class SolveResult:
     @property
     def valid(self) -> bool:
         return self.verdict == VERDICT_VALID
+
+
+def _determinant(matrix: np.ndarray) -> float | None:
+    """det(matrix) through its logarithm; None where a float cannot hold it.
+
+    ``np.linalg.det`` overflows to inf once the slit count reaches ~48.
+    """
+    sign, logdet = np.linalg.slogdet(matrix)
+    if sign == 0.0:
+        return 0.0
+    if abs(logdet) > _LOG_DET_RANGE:
+        return None
+    return float(sign * np.exp(logdet))
 
 
 def _geometry_report(profiles: Sequence[ContourProfile]) -> tuple[dict, bool]:
@@ -280,7 +294,7 @@ def solve(
     branch = BranchData(cfg.endpoints)
     with _stage(timings, "moments"):
         period = solvability.period_matrix(branch, numerics)
-        det = float(np.linalg.det(solvability.system_matrix(period)))
+        det = _determinant(solvability.system_matrix(period))
 
     with _stage(timings, "constants"):
         a0, rho0 = free.a0, free.rho0

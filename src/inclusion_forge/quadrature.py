@@ -21,6 +21,19 @@ targets: real targets on the axis are summed in real arithmetic, so
 ``cauchy_off`` of a real series at a real target returns a ``float`` (a
 real array for real array targets), and complex targets return ``complex``
 values.
+
+The off-interval series converges like |w|^k, and |w| falls like
+h / 2|zeta - c| away from the interval, so a far target needs few terms.
+A :class:`DegreeTable` bounds the tail of every row: with k' the first
+coefficient at least 2^-10 of the row's largest and d > k',
+
+    sum_{k >= d} |c_k| |w|^k  <=  max_{k >= d} |c_k| |w|^d / (1 - |w|)
+                              <=  2^-63 |c_k'| |w|^k'
+
+whenever |w| <= thr[j, d].  |c_k'| |w|^k' is one term of the full sum, so
+2^-63 of it lies below the sum's own rounding scale, also where c_0 = 0.
+Given a table, the kernel sums the terms k < D for every pair and the terms
+k >= D only for the pairs beyond thr[j, D].
 """
 
 from __future__ import annotations
@@ -40,6 +53,9 @@ __all__ = [
     "singular_on_stack",
     "SlitRoots",
     "slit_roots",
+    "DegreeTable",
+    "tail_thresholds",
+    "degree_table",
     "cauchy_off_stack",
     "singular_on",
     "cauchy_off",
@@ -233,7 +249,94 @@ def slit_roots(lo, hi, zeta) -> SlitRoots:
     return SlitRoots(rho, w)
 
 
-def cauchy_off_stack(coef, roots: SlitRoots) -> np.ndarray:
+_TAIL = 2.0**-63     # tail bound, relative to the lead term |c_k'| |w|^k'
+_LEAD = 2.0**-10     # the lead term is the first coefficient this share of the largest
+_BEYOND = 0.15       # largest share of slit-centre pairs left beyond the split degree
+
+
+class DegreeTable(NamedTuple):
+    """Where the off-interval series of R rows may stop.
+
+    ``thr[j, d]`` (shape (R, L + 1)) is the largest |w| at which the terms
+    k >= d of every family row of interval j stay within the tail bound of
+    the module docstring; it is rounded down and non-decreasing in d, 0
+    where no |w| > 0 qualifies and inf where the tail is zero.  The kernel
+    splits its Horner loop at degree ``D``; ``beyond`` is the share of
+    (interval, other interval's centre) pairs with |w| > thr[j, D].
+    """
+
+    thr: np.ndarray
+    D: int
+    beyond: float
+
+
+def tail_thresholds(coef) -> np.ndarray:
+    """``DegreeTable.thr`` of coefficient rows of shape (..., R, L).
+
+    Each threshold a solves e ln a - ln(1 - a) = ln r, with e = d - k' and
+    r = 2^-63 |c_k'| / max_{k>=d} |c_k|, the tail bound of the module
+    docstring at equality.  The left side increases in a, and its root
+    u = ln a lies in [min((ln r - ln 2) / e, -ln 2), min(ln r / e, 0)], a
+    bracket at most ln 2 wide; bisection keeps the lower end, so no
+    threshold lies above its root.  The target is lowered by 2^-30, which
+    covers the rounding of the logarithms.
+    """
+    mags = np.abs(np.asarray(coef))
+    mags = mags.reshape((-1,) + mags.shape[-2:])
+    top = mags.max(axis=-1, keepdims=True)
+    lead_k = np.argmax(mags >= _LEAD * top, axis=-1)[..., None]
+    lead = np.take_along_axis(mags, lead_k, axis=-1)
+    tail_max = np.maximum.accumulate(mags[..., ::-1], axis=-1)[..., ::-1]
+    e = np.arange(mags.shape[-1]) - lead_k
+    solve = (e > 0) & (tail_max > 0.0)
+    e = np.broadcast_to(e, solve.shape)[solve]
+    lead = np.broadcast_to(lead, solve.shape)[solve]
+    log_r = np.log(lead) - np.log(tail_max[solve]) + (np.log(_TAIL) - 2.0**-30)
+    lo = np.minimum((log_r - np.log(2.0)) / e, -np.log(2.0))
+    hi = np.minimum(log_r / e, 0.0)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        below = e * mid - np.log1p(-np.exp(mid)) <= log_r
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    thr = np.where(tail_max > 0.0, 0.0, np.inf)
+    thr[solve] = np.exp(lo)
+    thr = np.maximum.accumulate(thr, axis=-1).min(axis=0)
+    return np.concatenate([thr, np.full((len(thr), 1), np.inf)], axis=-1)
+
+
+def degree_table(coef, lo, hi) -> DegreeTable:
+    """The degree table of rows (..., R, L) on R >= 2 disjoint intervals [lo, hi].
+
+    D depends on the intervals and the coefficients only, never on the
+    targets: it is the smallest d >= 1 at which at most 15% of the pairs
+    (interval j, centre of another interval) have |w_j| > thr[j, d].
+    """
+    thr = tail_thresholds(coef)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    w = np.abs(slit_roots(lo, hi, 0.5 * (lo + hi)).w)
+    pairs = w[~np.eye(len(w), dtype=bool)].reshape(len(w), -1)
+    beyond = (pairs[:, :, None] > thr[:, None, 1:]).mean(axis=(0, 1))
+    D = 1 + int(np.argmax(beyond <= _BEYOND))
+    return DegreeTable(thr, D, float(beyond[D - 1]))
+
+
+def _high_terms(coef, w, row, rows: int, D: int, dtype) -> np.ndarray:
+    """sum_{k>=D} c_k w^(k-D+1) by Horner's rule at pairs (row[i], w[i]).
+
+    ``row`` is ascending, as :func:`numpy.nonzero` gives it, so repeating
+    each row's coefficient by its pair count lines it up with the pairs.
+    """
+    counts = np.bincount(row, minlength=rows)
+    high = np.repeat(coef[..., -1], counts, axis=-1).astype(dtype)
+    for k in range(coef.shape[-1] - 2, D - 1, -1):
+        high *= w
+        high += np.repeat(coef[..., k], counts, axis=-1)
+    high *= w
+    return high
+
+
+def cauchy_off_stack(coef, roots: SlitRoots, table: DegreeTable | None = None) -> np.ndarray:
     """Weighted Cauchy integrals of stacked series at targets off their intervals.
 
     ``coef`` holds R rows of first-kind coefficients in its last two axes,
@@ -247,6 +350,12 @@ def cauchy_off_stack(coef, roots: SlitRoots) -> np.ndarray:
     in w is summed by Horner's rule in place over all rows and targets, and
     multiplied by one reciprocal -pi/rho per (row, target).
 
+    With a :class:`DegreeTable` of the rows, every pair sums the terms
+    k < D, and only the pairs with |w| > thr[j, D] sum the terms k >= D:
+    one compact Horner pass over those pairs, grouped by row, seeds the
+    loop below D, so they go through the same operations as without a
+    table.  Without a table every pair sums all L terms.
+
     The dtype of the roots picks the arithmetic: for real targets (on the
     axis, outside every interval) :func:`slit_roots` keeps rho and w real,
     and the Horner loop runs in real arithmetic; with real coefficients the
@@ -256,11 +365,16 @@ def cauchy_off_stack(coef, roots: SlitRoots) -> np.ndarray:
     """
     coef = np.asarray(coef)
     rho, w = roots
-    rows = len(rho)
+    rows, L = len(rho), coef.shape[-1]
     w = w.reshape(rows, -1)
+    D = L if table is None else table.D
     total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
-    total[...] = coef[..., -1, None]
-    for m in range(coef.shape[-1] - 2, -1, -1):
+    total[...] = coef[..., D - 1, None]
+    if D < L:
+        row, col = np.nonzero(np.abs(w) > table.thr[:, D, None])
+        if len(row):
+            total[..., row, col] += _high_terms(coef, w[row, col], row, rows, D, total.dtype)
+    for m in range(D - 2, -1, -1):
         total *= w
         total += coef[..., m, None]
     total *= np.divide(-np.pi, rho.reshape(rows, -1))

@@ -20,16 +20,21 @@ def load_figure_inputs(name: str, N: int | None = None):
     return cfg, loading, materials, free, numerics, overrides
 
 
-def sixteen_slit_inputs(seed: int = 16):
-    """A seeded layout of 16 slits on [-1, 1] with jittered slit and gap lengths."""
+def slit_layout_inputs(n: int, seed: int = 16):
+    """A seeded layout of n slits on [-1, 1] with jittered slit and gap lengths."""
     rng = np.random.default_rng(seed)
-    parts = rng.uniform(0.6, 1.4, 31)
+    parts = rng.uniform(0.6, 1.4, 2 * n - 1)
     ends = -1.0 + np.concatenate(([0.0], np.cumsum(parts * (2.0 / parts.sum()))))
     ends[-1] = 1.0
-    cfg = SlitConfiguration(ends.reshape(16, 2).tolist(), 0.3 + 3.0j)
+    cfg = SlitConfiguration(ends.reshape(n, 2).tolist(), 0.3 + 3.0j)
     loading = Loading(1.0, 1.0, -1.0, 1.0)
-    materials = MaterialSet(rng.uniform(0.1, 0.5, 16).tolist())
+    materials = MaterialSet(rng.uniform(0.1, 0.5, n).tolist())
     return cfg, loading, materials, FreeParameters(), NumericsConfig()
+
+
+def sixteen_slit_inputs(seed: int = 16):
+    """The seeded layout of 16 slits of :func:`slit_layout_inputs`."""
+    return slit_layout_inputs(16, seed)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
-from conftest import load_figure_inputs, sixteen_slit_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 from oracles import cauchy_weighted, smooth_weight, weighted_pv
 
 from inclusion_forge import branch as branch_module
@@ -399,6 +401,105 @@ def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch)
     monkeypatch.setattr(branch_module, "eval_q", refuse)
     np.testing.assert_allclose(sm.omega_interior(z), omega, rtol=1e-14, atol=0)
     np.testing.assert_allclose(sm.F_interior(z), F, rtol=1e-14, atol=0)
+
+
+def _far_and_near_targets(branch, rng):
+    """3000 targets around the slits and 600 within 1e-6 to 1e-2 slit lengths of one."""
+    k = np.asarray(branch.endpoints)
+    span = k[-1] - k[0]
+    far = rng.uniform(k[0] - span, k[-1] + span, 3000) + 1j * rng.uniform(-span, span, 3000)
+    ends = np.reshape(k, (-1, 2))[rng.integers(branch.n, size=600)]
+    length = ends[:, 1] - ends[:, 0]
+    near = ends[:, 0] + length * rng.uniform(0.0, 1.0, 600) + 1j * (
+        rng.choice([-1.0, 1.0], 600) * length * 10.0 ** rng.uniform(-6.0, -2.0, 600)
+    )
+    return np.concatenate([far, near])
+
+
+def _sixteen_slit_solve_maps(count):
+    return [pipeline.solve(*sixteen_slit_inputs()).slit_map for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", ["fig3a", "sixteen"])
+def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
+    fresh = (
+        _sixteen_slit_solve_maps(2) if case == "sixteen"
+        else [solved_map(case)[0] for _ in range(2)]
+    )
+    sm = fresh[0]
+    z = _far_and_near_targets(sm.branch, np.random.default_rng(5))
+    for name in ("omega_interior", "F_interior"):
+        evaluate = getattr(sm, name)
+        whole = evaluate(z)
+        scale = np.abs(whole).max()
+        one_by_one = np.array([evaluate(t) for t in z])
+        np.testing.assert_allclose(one_by_one, whole, rtol=0, atol=1e-14 * scale)
+        with monkeypatch.context() as m:
+            m.setattr(mapper, "_BLOCK_VALUES", 8)
+            np.testing.assert_allclose(evaluate(z), whole, rtol=0, atol=1e-14 * scale)
+    # the degree tables come from the map alone, whatever batch comes first
+    other = fresh[1]
+    other.F_interior(z[::-1][:7])
+    other.omega_interior(z[-1])
+    assert sm._degree_tables.keys() == other._degree_tables.keys() == {
+        mapper.FAMILIES[mapper._PHI], mapper.FAMILIES[mapper._MAP]
+    }
+    for names, table in sm._degree_tables.items():
+        assert table.D == other._degree_tables[names].D
+        np.testing.assert_array_equal(table.thr, other._degree_tables[names].thr)
+
+
+def test_each_degree_table_build_is_logged_once(caplog, capsys):
+    sm, _, _ = solved_map("fig3a")
+    with caplog.at_level(logging.DEBUG, logger=mapper.__name__):
+        for _ in range(2):
+            sm.F_interior(0.3 + 0.5j)
+            sm.omega_interior(np.array([0.3 + 0.5j, 2.0 - 1e-3j]))
+    messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
+    assert len(messages) == 2
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert messages[0].startswith("degree table for phi: D = ")
+    assert messages[1].startswith("degree table for g0_rho+g1_weighted: D = ")
+    assert capsys.readouterr() == ("", "")
+
+
+def _edge_inputs(n):
+    """A seeded n-slit layout with the pole 1e-3 of the span off a slit, kappa -> 1.
+
+    The pole sits above the middle of a slit; for n = 2, which needs a real
+    pole in the gap, 1e-3 of the span right of the first slit.  kappa is the
+    largest float below 1 (kappa = 1 is refused).
+    """
+    cfg, loading, _, free, numerics = slit_layout_inputs(n, seed=n)
+    slits = np.asarray(cfg.endpoints).reshape(n, 2)
+    if n == 2:
+        pole = complex(slits[0, 1] + 2e-3, 0.0)
+    else:
+        pole = complex(slits[n // 2].mean(), 2e-3)
+    cfg = SlitConfiguration(slits.tolist(), pole)
+    return cfg, loading, MaterialSet([np.nextafter(1.0, 0.0)] * n), free, numerics
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 24])
+def test_edge_interior_values_are_q_times_the_full_length_sums(n):
+    sm = pipeline.solve(*_edge_inputs(n)).slit_map
+    d = sm.derived
+    z = _far_and_near_targets(sm.branch, np.random.default_rng(n))[::6]
+    q = eval_q(sm.branch, z)
+    sums = np.zeros((len(mapper.FAMILIES), z.size), dtype=complex)
+    for f in range(len(mapper.FAMILIES)):
+        for j, (a, b) in enumerate(sm.branch.slits):
+            sums[f] += sm._weights[f, j] * cauchy_off(ChebyshevSeries(a, b, sm._coef[f, j]), z)
+    omega = (
+        mapper.singular_part_omega(z, d)
+        - 1j / (np.pi * d.tau_bar) * (sums[2] + (-1.0) ** n * 1j * q * sums[1])
+        + d.gamma
+    )
+    F = d.beta0 + mapper.singular_part_F(z, d) - 1j * (-1.0) ** (n - 1) * q / np.pi * sums[0]
+    for got, expected in ((sm.omega_interior(z), omega), (sm.F_interior(z), F)):
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * scale)
+    assert all(1 <= t.D <= sm._coef.shape[-1] for t in sm._degree_tables.values())
 
 
 def test_boundary_value_records():

@@ -2,9 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from conftest import load_figure_inputs
+from conftest import load_figure_inputs, slit_layout_inputs
 
-from inclusion_forge import pipeline
+from inclusion_forge import cli, pipeline
 from inclusion_forge.model import ConfigurationError, FreeParameters
 
 
@@ -24,6 +24,21 @@ def test_fig1b_is_valid_with_two_disjoint_contours(solve_figure):
     assert len(res.profiles) == 2
     assert res.diagnostics.geometry["pairwise_disjoint"]
     assert res.diagnostics.solvability_determinant != 0.0
+
+
+def test_many_slit_diagnostics_are_valid_json(tmp_path):
+    # the n = 48 determinant is beyond the float range; it used to overflow
+    # to inf (with a RuntimeWarning) and be written as the token Infinity
+    res = pipeline.solve(*slit_layout_inputs(48))
+    assert res.diagnostics.solvability_determinant is None
+    path = tmp_path / "d.json"
+    cli.write_diagnostics_json(res, path)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc["diagnostics"]["solvability_determinant"] is None
 
 
 def test_fig2d_override_is_unbounded_but_still_traced(solve_figure):

@@ -3,16 +3,20 @@ import pytest
 from oracles import cauchy_off_80bit, cauchy_weighted, sqrt_weight_moment, weighted_pv
 
 from inclusion_forge.quadrature import (
+    DegreeTable,
+    SlitRoots,
     cauchy_off,
     cauchy_off_stack,
     cheb_coeffs,
     cheb_nodes,
     coef_from_samples,
+    degree_table,
     gauss_cheb,
     like_input,
     singular_on,
     singular_on_stack,
     slit_roots,
+    tail_thresholds,
 )
 
 
@@ -266,3 +270,121 @@ def test_stacked_kernels_match_one_series_per_row():
         xi = s.a + (s.b - s.a) * frac
         on = singular_on_stack(coef, centre, half, xi)
         np.testing.assert_allclose(on[r], singular_on(s, xi), rtol=1e-15, atol=0)
+
+
+# -- the degree table and the split Horner loop ----------------------------------
+
+# One long interval with three short ones close to its right end: the long
+# one's |w| at their centres is 0.5-0.8, so rows that do not decay need all
+# their terms there.
+_LO = np.array([-1.0, 0.52, 0.55, 0.6])
+_HI = np.array([0.5, 0.53, 0.56, 1.0])
+_L = 64
+TABLE_KINDS = ("decaying", "flat", "c0_zero", "all_zero")
+
+
+def _seeded_table(kind, rng):
+    """Two families of four rows of one kind, shape (2, 4, L)."""
+    k = np.arange(_L)
+    decaying = rng.normal(size=(2, 4, _L)) * np.exp(-rng.uniform(0.3, 1.5, (2, 4, 1)) * k)
+    if kind == "decaying":
+        return decaying
+    if kind == "flat":  # O(1) coefficients that do not decay
+        return rng.uniform(0.5, 1.5, (2, 4, _L)) * rng.choice([-1.0, 1.0], (2, 4, _L))
+    if kind == "c0_zero":  # as in symmetric layouts: the lead term is not c_0
+        decaying[..., 0] = 0.0
+        decaying[0, 2, 1] = 0.0
+        return decaying
+    return np.zeros((2, 4, _L))
+
+
+def _seeded_targets(rng, count):
+    """Complex targets 1e-12 to 1e6 half-lengths off a point of an interval."""
+    j = rng.integers(len(_LO), size=count)
+    at = _LO[j] + (_HI[j] - _LO[j]) * rng.uniform(0.0, 1.0, count)
+    dist = 0.5 * (_HI[j] - _LO[j]) * 10.0 ** rng.uniform(-12.0, 6.0, count)
+    return at + dist * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+
+def _abs_series(coef, w):
+    """sum_k |c_k| |w|^k of every row at every target, shape (F, R, T)."""
+    powers = np.abs(w)[:, None, :] ** np.arange(coef.shape[-1])[:, None]
+    return np.einsum("frk,rkt->frt", np.abs(coef), powers)
+
+
+def _full_horner(coef, roots):
+    """The off-interval kernel's loop over all L terms, as written before the split."""
+    rho, w = roots
+    total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
+    total[...] = coef[..., -1, None]
+    for m in range(coef.shape[-1] - 2, -1, -1):
+        total *= w
+        total += coef[..., m, None]
+    return total * np.divide(-np.pi, rho)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_tail_thresholds_are_conservative(kind, seed):
+    coef = _seeded_table(kind, np.random.default_rng([seed, 7]))
+    thr = tail_thresholds(coef)
+    assert thr.shape == (4, _L + 1)
+    assert np.all(thr[:, 1:] >= thr[:, :-1]) and np.all(thr[:, -1] == np.inf)
+    mags = np.abs(coef)
+    for f, j in np.ndindex(mags.shape[:2]):
+        row = mags[f, j]
+        if not row.any():
+            continue
+        lead = np.argmax(row >= 2.0**-10 * row.max())
+        for d in range(_L):
+            a = thr[j, d]
+            if a == np.inf:
+                assert not row[d:].any()
+            elif a > 0.0:  # the exact tail, relative to the lead term
+                tail = np.sum(row[d:] * a ** (np.arange(d, _L) - lead))
+                assert tail <= 2.0**-63 * row[lead], (f, j, d)
+    if kind == "all_zero":
+        assert np.all(thr == np.inf)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_split_kernel_matches_the_full_horner_loop(kind, seed):
+    rng = np.random.default_rng([seed, 11])
+    coef = _seeded_table(kind, rng)
+    table = degree_table(coef, _LO, _HI)
+    roots = slit_roots(_LO, _HI, _seeded_targets(rng, 2000))
+    # the kernel's own scale: pi sum_k |c_k| |w|^k / |rho| per (row, target)
+    scale = np.pi * _abs_series(coef, roots.w) / np.abs(roots.rho)
+    wide = SlitRoots(roots.rho.astype(np.clongdouble), roots.w.astype(np.clongdouble))
+    full = cauchy_off_stack(coef, roots)
+    full_80 = cauchy_off_stack(coef.astype(np.longdouble), wide)
+    for D in sorted({table.D, 1, _L // 2, _L}):
+        split = DegreeTable(table.thr, D, table.beyond)
+        # in 80-bit arithmetic what is left is the truncation: <= 2^-63 of the
+        # lead term, below 2^-60 of the scale with rounding to spare
+        got_80 = cauchy_off_stack(coef.astype(np.longdouble), wide, split)
+        assert np.all(np.abs(got_80 - full_80).astype(float) <= 2.0**-60 * scale), D
+        # in float64 the two loops also round differently after the split:
+        # each stays within (4D + 2) u of its exact value (complex Horner)
+        got = cauchy_off_stack(coef, roots, split)
+        bound = (2.0**-60 + 2 * (4 * D + 2) * 2.0**-53) * scale
+        assert np.all(np.abs(got - full) <= bound), D
+    if kind == "all_zero":
+        assert table.D == 1 and not cauchy_off_stack(coef, roots, table).any()
+
+
+def test_degree_table_follows_the_decay_of_the_rows(rng):
+    D = {kind: degree_table(_seeded_table(kind, rng), _LO, _HI).D for kind in TABLE_KINDS}
+    assert D["flat"] == _L and D["all_zero"] == 1
+    assert 1 < D["decaying"] < _L and 1 < D["c0_zero"] < _L
+
+
+def test_kernel_without_a_table_is_the_full_loop(rng):
+    coef = _seeded_table("decaying", rng) * (1.0 + 0.5j)
+    for targets in (_seeded_targets(rng, 500), np.array([-1.5, 0.54, 3.0, 2e5])):
+        roots = slit_roots(_LO, _HI, targets)
+        expected = _full_horner(coef, roots)
+        np.testing.assert_array_equal(cauchy_off_stack(coef, roots), expected)
+        every = DegreeTable(tail_thresholds(coef), _L, 0.0)
+        np.testing.assert_array_equal(cauchy_off_stack(coef, roots, every), expected)
