@@ -58,6 +58,19 @@ def top_bank_sign(n: int, m: int) -> int:
     return -1 if (n - 1 - m) % 2 else 1
 
 
+def check_bank(bank) -> None:
+    """Raise :class:`EvaluationError` unless bank is +1 (above) or -1 (below)."""
+    if bank not in (+1, -1):
+        raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
+
+
+def check_on_slit(branch: BranchData, x: np.ndarray, m: int) -> None:
+    """Raise :class:`EvaluationError` if any real parameter lies off closed slit m."""
+    a, b = branch.slit(m)
+    if np.any((x < a) | (x > b)):
+        raise EvaluationError(f"xi outside closed slit {m} = [{a}, {b}]")
+
+
 def reject_on_slits(branch: BranchData, z: np.ndarray) -> None:
     """Raise :class:`EvaluationError` if any complex target lies on a closed slit."""
     on_cut = z.imag == 0.0
@@ -101,12 +114,10 @@ def bank_value(branch: BranchData, xi, m: int, bank: int):
     Endpoints return exactly 0; strictly interior points return the pure
     imaginary value +-i (-1)^(n-1-m) |q(xi)|.
     """
-    if bank not in (+1, -1):
-        raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
-    a, b = branch.slit(m)
+    check_bank(bank)
     x = np.asarray(xi, dtype=float)
-    if np.any((x < a) | (x > b)):
-        raise EvaluationError(f"xi outside closed slit {m} = [{a}, {b}]")
+    check_on_slit(branch, x, m)
+    a, b = branch.slit(m)
     sign = bank * top_bank_sign(branch.n, m)
     vals = 1j * sign * abs_q(branch, x)
     vals = np.where((x == a) | (x == b), 0.0 + 0.0j, vals)
@@ -120,10 +131,8 @@ def weight_factor(branch: BranchData, xi, j: int):
     r_j stays finite and strictly positive on the closed slit and densities
     divided by it remain smooth.
     """
-    a, b = branch.slit(j)
     x = np.asarray(xi, dtype=float)
-    if np.any((x < a) | (x > b)):
-        raise EvaluationError(f"xi outside closed slit {j} = [{a}, {b}]")
+    check_on_slit(branch, x, j)
     k = np.asarray(branch.endpoints)
     others = np.delete(k, [2 * j, 2 * j + 1])
     prod = np.prod(np.abs(x[..., None] - others), axis=-1)

@@ -40,11 +40,6 @@ FIGURE_CASES: tuple[FigureCase, ...] = (
     FigureCase("fig4d", "INVALID-GEOMETRY", 3),
 )
 
-VALID_CASES: tuple[str, ...] = tuple(
-    c.name for c in FIGURE_CASES if c.expected == "VALID"
-)
-
-
 def load_case(name: str) -> dict:
     """Parsed JSON document of one bundled configuration."""
     path = resources.files(__package__) / "figures" / f"{name}.json"

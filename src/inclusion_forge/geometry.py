@@ -84,17 +84,18 @@ class ContourProfile:
         )
 
 
-def bank_parameter_grid(a: float, b: float, P: int) -> np.ndarray:
+def bank_parameter_grid(a, b, P: int) -> np.ndarray:
     """P second-kind Chebyshev points on [a, b] including both endpoints.
 
-    The endpoints are pinned to a and b exactly (the mapped cosine form
-    misses them by an ulp, which would leave a spurious residue of the
-    endpoint-vanishing factors).
+    ``a`` and ``b`` broadcast: columns of slit endpoints, shape (n, 1), give
+    the (n, P) table with row m on slit m.  The endpoints are pinned to a and
+    b exactly (the mapped cosine form misses them by an ulp, which would
+    leave a spurious residue of the endpoint-vanishing factors).
     """
     theta = np.pi * np.arange(P) / (P - 1)
     grid = 0.5 * (b + a) - 0.5 * (b - a) * np.cos(theta)
-    grid[0] = a
-    grid[-1] = b
+    grid[..., :1] = a
+    grid[..., -1:] = b
     return grid
 
 
@@ -115,16 +116,15 @@ def _closed_profile(m: int, grid: np.ndarray, top: np.ndarray, bot: np.ndarray) 
     return profile.oriented_ccw()
 
 
-def build_profiles(boundary_fn, slits, P: int) -> list[ContourProfile]:
-    """One counterclockwise closed profile per slit, P samples per bank.
+def build_profiles(grid: np.ndarray, omega: np.ndarray) -> list[ContourProfile]:
+    """One counterclockwise closed profile per slit from its bank values.
 
-    ``boundary_fn(grid)`` receives the (n, P) table of bank parameters, row
-    m on slit m, and must return the map values on both banks of every
-    slit, shape (2, n, P) with bank +1 first.
+    ``grid`` is the (n, P) table of bank parameters, row m on slit m, and
+    ``omega`` the map values on both banks of every slit there, shape
+    (2, n, P) with bank +1 first.
     """
-    grid = np.array([bank_parameter_grid(a, b, P) for a, b in slits])
-    top, bot = np.asarray(boundary_fn(grid))
-    return [_closed_profile(m, grid[m], top[m], bot[m]) for m in range(len(slits))]
+    top, bot = omega
+    return [_closed_profile(m, grid[m], top[m], bot[m]) for m in range(len(grid))]
 
 
 # -- segment predicates --------------------------------------------------------

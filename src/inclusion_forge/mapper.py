@@ -27,7 +27,14 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .branch import BranchData, abs_q, reject_on_slits, slit_table
+from .branch import (
+    BranchData,
+    abs_q,
+    check_bank,
+    check_on_slit,
+    reject_on_slits,
+    slit_table,
+)
 from .model import (
     DegenerateEllipseError,
     DerivedConstants,
@@ -105,11 +112,6 @@ def g0(xi, j, derived: DerivedConstants):
     else:
         out = (np.asarray(derived.e)[j] / (x - derived.zeta_inf)).real
     return like_input(out, xi)
-
-
-def _check_bank(bank) -> None:
-    if bank not in (+1, -1):
-        raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
 
 
 class SlitMap:
@@ -272,18 +274,13 @@ class SlitMap:
                 f"expected one row of parameters per slit, got shape {x.shape}"
             )
         for m in self._rows:
-            self._check_on_slit(x[m], m)
+            check_on_slit(self.branch, x[m], m)
         return self._banks(x, self._rows)
 
     def _one_slit(self, xi, m: int) -> tuple[np.ndarray, BoundaryPass]:
         x = np.asarray(xi, dtype=float)
-        self._check_on_slit(x, m)
+        check_on_slit(self.branch, x, m)
         return x, self._banks(x.reshape(1, -1), self._rows[m : m + 1])
-
-    def _check_on_slit(self, x: np.ndarray, m: int) -> None:
-        a, b = self.branch.slit(m)
-        if np.any((x < a) | (x > b)):
-            raise EvaluationError(f"xi outside closed slit {m} = [{a}, {b}]")
 
     def g1(self, xi, m: int):
         """Odd companion density carrying the |q| factor; 0 at endpoints."""
@@ -294,7 +291,7 @@ class SlitMap:
 
     def omega_boundary(self, xi, bank: int, m: int):
         """Map value on bank +-1 of slit m, i.e. a point of contour m."""
-        _check_bank(bank)
+        check_bank(bank)
         x, vals = self._one_slit(xi, m)
         return like_input(vals.omega[_BANK_ROW[bank], 0].reshape(x.shape), xi)
 
@@ -322,7 +319,7 @@ class SlitMap:
 
     def F_boundary(self, xi, bank: int, m: int):
         """Boundary value of F; its imaginary part is exactly a_m."""
-        _check_bank(bank)
+        check_bank(bank)
         x, vals = self._one_slit(xi, m)
         return like_input(vals.F[_BANK_ROW[bank], 0].reshape(x.shape), xi)
 
@@ -359,6 +356,16 @@ def n1_shape_ratio(loading: Loading, materials: MaterialSet) -> complex:
     return (2.0 * k0 * tau_inf - (k0 + 1.0) * tau) / ((1.0 - k0) * loading.tau_bar)
 
 
+def _n1_proper_shape_ratio(loading: Loading, materials: MaterialSet) -> complex:
+    """The shape ratio delta; raises where delta = +-1 collapses the profile."""
+    delta = n1_shape_ratio(loading, materials)
+    if abs(delta - 1.0) < 1e-12 or abs(delta + 1.0) < 1e-12:
+        raise DegenerateEllipseError(
+            f"shape ratio delta = {delta} collapses the profile to a segment"
+        )
+    return delta
+
+
 def _n1_axis_factors(loading: Loading, materials: MaterialSet) -> tuple[complex, complex]:
     lt = materials.lambda_tilde()[0]
     tau_bar = loading.tau_bar
@@ -371,11 +378,7 @@ def _n1_axis_factors(loading: Loading, materials: MaterialSet) -> tuple[complex,
 def n1_slit_profile(xi, bank: int, loading: Loading, materials: MaterialSet,
                     free: FreeParameters):
     """Boundary point of the single-inclusion slit map at xi in [-1, 1]."""
-    delta = n1_shape_ratio(loading, materials)
-    if abs(delta - 1.0) < 1e-12 or abs(delta + 1.0) < 1e-12:
-        raise DegenerateEllipseError(
-            f"shape ratio delta = {delta} collapses the profile to a segment"
-        )
+    _n1_proper_shape_ratio(loading, materials)
     m1, m2 = _n1_axis_factors(loading, materials)
     x = np.asarray(xi, dtype=float)
     out = free.c_m1 * (m1 * x + 1j * bank * m2 * np.sqrt(1.0 - x * x)) + free.gamma
@@ -385,11 +388,7 @@ def n1_slit_profile(xi, bank: int, loading: Loading, materials: MaterialSet,
 def n1_circular_profile(phi, loading: Loading, materials: MaterialSet,
                         free: FreeParameters):
     """Boundary point of the single-inclusion circular map at angle phi."""
-    delta = n1_shape_ratio(loading, materials)
-    if abs(delta - 1.0) < 1e-12 or abs(delta + 1.0) < 1e-12:
-        raise DegenerateEllipseError(
-            f"shape ratio delta = {delta} collapses the profile to a segment"
-        )
+    delta = _n1_proper_shape_ratio(loading, materials)
     p = np.asarray(phi, dtype=float)
     unit = np.exp(1j * p)
     out = free.c_m1 * (unit + delta / unit) + free.gamma

@@ -1,7 +1,8 @@
 """Full solve orchestration: constants, profiles, and validity diagnostics.
 
-``solve`` runs validation, derives the loading constants, fixes a_j and
-rho_j (or accepts overrides), traces every contour, and grades the result:
+``solve`` derives the loading constants (which validates the input), fixes
+a_j and rho_j (or accepts overrides), traces every contour, and grades the
+result:
 
 * ``VALID``             both boundedness conditions hold to tolerance and
                         the contours are simple, pairwise disjoint, and not
@@ -16,8 +17,13 @@ violated-condition configurations can be compared against solved ones.
 
 A single inclusion is routed to the exact elliptic closed forms.  For two
 and three inclusions the printed closed-form constants are evaluated next
-to the general solver and a disagreement beyond the cross-check tolerance
-aborts the run (it would mean the two formula paths diverged).
+to the general solver, from the same moments, and a disagreement beyond the
+cross-check tolerance aborts the run (it would mean the printed algebra and
+the general linear solve diverged).
+
+The slit boundary is evaluated once per solve: one ``SlitMap.banks`` pass at
+the (n, P) bank grid gives the contours, and the Schwarz report reads the
+same values at every traced vertex, slit endpoints included.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .model import (
     SolverError,
     derive_constants,
     singular_part_omega,
-    validate,
 )
 from .solvability import SolvabilityConstants
 
@@ -173,14 +178,13 @@ def _solve_n1(
     numerics: NumericsConfig,
     timings: dict[str, float],
 ) -> SolveResult:
-    def banks(grid):
-        return [
+    with _stage(timings, "tracing"):
+        grid = geometry.bank_parameter_grid(-1.0, 1.0, numerics.P)[None]
+        omega = np.array([
             mapper.n1_slit_profile(grid, bank, loading, materials, free)
             for bank in (+1, -1)
-        ]
-
-    with _stage(timings, "tracing"):
-        profiles = geometry.build_profiles(banks, [(-1.0, 1.0)], numerics.P)
+        ])
+        profiles = geometry.build_profiles(grid, omega)
     with _stage(timings, "geometry"):
         geo_report, geo_ok = _geometry_report(profiles)
     geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
@@ -210,26 +214,19 @@ def _closed_form_cross_check(
     derived: DerivedConstants,
     a: np.ndarray,
     rho: np.ndarray,
-    numerics: NumericsConfig,
 ) -> dict:
     """Compare the general-path constants with the printed closed forms."""
     n = branch.n
     candidates: list[np.ndarray] = []
     if n == 2 and solvability.is_symmetric_pair(branch):
+        candidates.append(solvability.n2_closed_form_a(period, branch, derived, a[0]) - a)
         candidates.append(
-            solvability.n2_closed_form_a(period, branch, derived, a[0], numerics) - a
-        )
-        candidates.append(
-            solvability.n2_closed_form_rho(period, branch, derived, rho[0], numerics)
-            - rho
+            solvability.n2_closed_form_rho(period, branch, derived, rho[0]) - rho
         )
     elif n == 3:
+        candidates.append(solvability.n3_closed_form_a(period, branch, derived, a[0]) - a)
         candidates.append(
-            solvability.n3_closed_form_a(period, branch, derived, a[0], numerics) - a
-        )
-        candidates.append(
-            solvability.n3_closed_form_rho(period, branch, derived, rho[0], numerics)
-            - rho
+            solvability.n3_closed_form_rho(period, branch, derived, rho[0]) - rho
         )
     if not candidates:
         return {"applied": False, "max_mismatch": 0.0}
@@ -243,24 +240,24 @@ def _closed_form_cross_check(
 
 
 def _schwarz_boundary_report(
-    sm: mapper.SlitMap,
-    branch: BranchData,
+    boundary: mapper.BoundaryPass,
+    grid: np.ndarray,
     derived: DerivedConstants,
     constants: SolvabilityConstants,
-    samples: int = 12,
 ) -> dict:
-    """Residuals of both boundary conditions assembled from the map values."""
-    ends = np.reshape(branch.endpoints, (branch.n, 2))
-    pad = 0.02 * (ends[:, 1] - ends[:, 0])
-    xs = np.linspace(ends[:, 0] + pad, ends[:, 1] - pad, samples, axis=-1)
-    rows = np.arange(branch.n)[:, None]
+    """Residuals of both boundary conditions at every traced vertex.
+
+    ``boundary`` is the pass the contours were traced from, at the (n, P)
+    bank parameters ``grid``, endpoints included.
+    """
+    rows = np.arange(len(grid))[:, None]
     sign = np.array([1.0, -1.0])[:, None, None] * (-1.0) ** rows
-    vals = sm.banks(xs)
-    dev_f = float(np.abs(vals.F.imag - constants.a[rows]).max())
-    om0 = vals.omega - singular_part_omega(xs, derived) - derived.gamma
+    dev_f = float(np.abs(boundary.F.imag - constants.a[rows]).max())
+    om0 = boundary.omega - singular_part_omega(grid, derived) - derived.gamma
     lhs = (1j * derived.tau_bar * om0).imag
     rhs = (
-        np.asarray(derived.lam)[rows] * (mapper.g0(xs, rows, derived) + sign * vals.g1)
+        np.asarray(derived.lam)[rows]
+        * (mapper.g0(grid, rows, derived) + sign * boundary.g1)
         + constants.rho[rows]
     )
     dev_w = float(np.abs(lhs - rhs).max())
@@ -283,9 +280,6 @@ def solve(
     boundedness residuals then report the violation and the verdict turns
     INVALID-UNBOUNDED.
     """
-    report = validate(cfg, loading, materials, free)
-    if not report.ok:
-        raise ConfigurationError("; ".join(report.violations))
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
     if cfg.n == 1:
@@ -302,7 +296,7 @@ def solve(
             a0, rho0 = solvability.antisymmetric_free_values(period, branch, derived)
         a = solvability.solve_a(period, branch, derived, a0)
         rho = solvability.solve_rho(period, branch, derived, rho0)
-        cross = _closed_form_cross_check(period, branch, derived, a, rho, numerics)
+        cross = _closed_form_cross_check(period, branch, derived, a, rho)
 
     if override_a is not None:
         override_a = np.asarray(override_a, dtype=float)
@@ -325,13 +319,14 @@ def solve(
     with _stage(timings, "map_build"):
         sm = mapper.SlitMap(branch, derived, constants, numerics)
     with _stage(timings, "tracing"):
-        profiles = geometry.build_profiles(
-            lambda grid: sm.banks(grid).omega, branch.slits, numerics.P
-        )
+        ends = np.reshape(branch.endpoints, (branch.n, 2))
+        grid = geometry.bank_parameter_grid(ends[:, :1], ends[:, 1:], numerics.P)
+        boundary = sm.banks(grid)
+        profiles = geometry.build_profiles(grid, boundary.omega)
     with _stage(timings, "geometry"):
         geo_report, geo_ok = _geometry_report(profiles)
     with _stage(timings, "schwarz"):
-        schwarz = _schwarz_boundary_report(sm, branch, derived, constants)
+        schwarz = _schwarz_boundary_report(boundary, grid, derived, constants)
     # the boundary-route residuals are exact by construction; they still
     # gate the verdict so an implementation inconsistency cannot pass
     scale = max(max(p.diameter for p in profiles), 1e-300)

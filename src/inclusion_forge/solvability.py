@@ -10,8 +10,10 @@ the period integrals
 Every moment is a Gauss-Chebyshev sum over one :class:`SlitTable` (the nodes
 and weight factors of all slits), so each set of moments is one array
 reduction.  The general solver covers any n >= 2; the two- and three-slit
-closed forms are kept alongside as printed and cross-checked against it,
-each with its own quadrature (:func:`weighted_moment`).
+closed forms are kept alongside as printed and cross-checked against it.
+They sum their moments over the period matrix's table too, so the
+cross-check tests the printed algebra against the general linear solve, not
+a second quadrature.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import BranchData, SlitTable, slit_table, weight_factor
+from .branch import BranchData, SlitTable, slit_table
 from .mapper import g0
 from .model import DerivedConstants, NumericsConfig, SolverError, pole_density
-from .quadrature import cheb_nodes
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ class PeriodMatrix:
     def entry(self, m: int, j: int) -> float:
         """I_mj with the 1-based moment index m used in the formulas."""
         return float(self.I[m - 1, j])
-
-
-def weighted_moment(branch: BranchData, j: int, f, power: int, N: int) -> float:
-    """integral over slit j of f(xi) xi^power / |q(xi)| d xi by Gauss nodes."""
-    a, b = branch.slit(j)
-    nodes = cheb_nodes(a, b, N)
-    r = weight_factor(branch, nodes, j)
-    vals = f(nodes) if callable(f) else np.asarray(f)
-    return (np.pi / N) * float(np.sum(vals * nodes**power / r))
 
 
 def _alternating(moments: np.ndarray, weights) -> np.ndarray:
@@ -250,13 +242,11 @@ def n2_closed_form_a(
     branch: BranchData,
     derived: DerivedConstants,
     a0: float,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Two slits: the scalar difference formula (mirror-symmetric pair)."""
-    I = period.entry(1, 1)
-    j0 = weighted_moment(branch, 0, lambda x: pole_density(x, derived), 0, numerics.N)
-    j1 = weighted_moment(branch, 1, lambda x: pole_density(x, derived), 0, numerics.N)
-    return np.array([a0, a0 - (j0 - j1) / I])
+    table = period.table
+    j0, j1 = table.integrate(pole_density(table.nodes, derived))
+    return np.array([a0, a0 - (j0 - j1) / period.entry(1, 1)])
 
 
 def n2_closed_form_rho(
@@ -264,36 +254,26 @@ def n2_closed_form_rho(
     branch: BranchData,
     derived: DerivedConstants,
     rho0: float,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Two slits: the scalar difference formula for rho."""
-    I = period.entry(1, 1)
-    k0 = derived.lam[0] * weighted_moment(
-        branch, 0, lambda x: g0(x, 0, derived), 0, numerics.N
-    )
-    k1 = derived.lam[1] * weighted_moment(
-        branch, 1, lambda x: g0(x, 1, derived), 0, numerics.N
-    )
-    return np.array([rho0, rho0 + (k0 - k1) / I])
-
-
-def _n2_odd_moment(branch: BranchData, N: int) -> float:
-    """integral over the right slit of d xi / (xi |q|)."""
-    return weighted_moment(branch, 1, lambda x: 1.0 / x, 0, N)
+    table = period.table
+    k0, k1 = np.asarray(derived.lam) * table.integrate(_g0_table(table, derived))
+    return np.array([rho0, rho0 + (k0 - k1) / period.entry(1, 1)])
 
 
 def n2_symmetric_a(
     period: PeriodMatrix,
     branch: BranchData,
     derived: DerivedConstants,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Antisymmetric pair for the origin-symmetric case (pole at 0).
 
     The driving constant is Im c; the printed form writes Im c_{-1}, which
-    agrees whenever (tau_inf_bar - tau_bar)/mu is real.
+    agrees whenever (tau_inf_bar - tau_bar)/mu is real.  The odd moment is
+    the integral over the right slit of d xi / (xi |q|).
     """
-    a1 = derived.c_double_prime * _n2_odd_moment(branch, numerics.N) / period.entry(1, 1)
+    odd = period.table.integrate(1.0 / period.table.nodes)[1]
+    a1 = derived.c_double_prime * odd / period.entry(1, 1)
     return np.array([-a1, a1])
 
 
@@ -301,15 +281,10 @@ def n2_symmetric_rho(
     period: PeriodMatrix,
     branch: BranchData,
     derived: DerivedConstants,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Antisymmetric rho pair for the origin-symmetric case (pole at 0)."""
-    rho1 = (
-        -derived.lam[0]
-        * derived.c_star[0]
-        * _n2_odd_moment(branch, numerics.N)
-        / period.entry(1, 1)
-    )
+    odd = period.table.integrate(1.0 / period.table.nodes)[1]
+    rho1 = -derived.lam[0] * derived.c_star[0] * odd / period.entry(1, 1)
     return np.array([-rho1, rho1])
 
 
@@ -318,10 +293,10 @@ def n3_closed_form_a(
     branch: BranchData,
     derived: DerivedConstants,
     a0: float,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Three slits: explicit 2x2 elimination as printed."""
     I = period.entry
+    table = period.table
     delta = I(1, 1) * I(2, 2) - I(1, 2) * I(2, 1)
     J = np.empty(3)
     for m in (1, 2):
@@ -330,12 +305,8 @@ def n3_closed_form_a(
                 I(m + 1, 0) - I(m + 1, 1) + I(m + 1, 2)
             ) - a0 * I(m, 0)
         else:
-            parts = [
-                weighted_moment(
-                    branch, j, lambda x: pole_density(x, derived), m - 1, numerics.N
-                )
-                for j in range(3)
-            ]
+            density = pole_density(table.nodes, derived)
+            parts = table.integrate(density * table.powers[m - 1])
             J[m] = parts[0] - parts[1] + parts[2] - a0 * I(m, 0)
     a1 = (J[2] * I(1, 2) - J[1] * I(2, 2)) / delta
     a2 = (J[2] * I(1, 1) - J[1] * I(2, 1)) / delta
@@ -347,10 +318,10 @@ def n3_closed_form_rho(
     branch: BranchData,
     derived: DerivedConstants,
     rho0: float,
-    numerics: NumericsConfig = NumericsConfig(),
 ) -> np.ndarray:
     """Three slits: explicit 2x2 elimination for rho as printed."""
     I = period.entry
+    table = period.table
     delta = I(1, 1) * I(2, 2) - I(1, 2) * I(2, 1)
     K = np.empty(3)
     for m in (1, 2):
@@ -363,13 +334,9 @@ def n3_closed_form_rho(
                 + rho0 * I(m, 0)
             )
         else:
-            parts = [
-                derived.lam[j]
-                * weighted_moment(
-                    branch, j, lambda x, j=j: g0(x, j, derived), m - 1, numerics.N
-                )
-                for j in range(3)
-            ]
+            parts = np.asarray(derived.lam) * table.integrate(
+                _g0_table(table, derived) * table.powers[m - 1]
+            )
             K[m] = parts[0] - parts[1] + parts[2] + rho0 * I(m, 0)
     rho1 = (K[1] * I(2, 2) - K[2] * I(1, 2)) / delta
     rho2 = (K[1] * I(2, 1) - K[2] * I(1, 1)) / delta

@@ -6,7 +6,9 @@ values through singularity subtraction plus the analytic log term, the
 square-root branch through a literal continuity walk along a path around
 the cuts or an 80-bit product of principal roots, and the off-interval
 Cauchy kernel through an 80-bit Horner sum.  The contour predicates test every segment pair, where the
-package sweeps for candidate pairs first.
+package sweeps for candidate pairs first.  The one Gauss-Chebyshev sum here,
+:func:`weighted_moment`, takes one slit at a time with the package's
+pointwise ``weight_factor``; the stacked slit table is checked against it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,23 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
+from inclusion_forge.branch import weight_factor
+from inclusion_forge.quadrature import cheb_nodes
+
 
 def weighted_integral(f, a: float, b: float) -> float:
     """integral of f(x) / sqrt((x - a)(b - x)) over (a, b), via QUADPACK."""
     val, _err = quad(f, a, b, weight="alg", wvar=(-0.5, -0.5), limit=400)
     return val
+
+
+def weighted_moment(branch, j: int, f, power: int, N: int) -> float:
+    """integral over slit j of f(xi) xi^power / |q(xi)| d xi by N Gauss nodes."""
+    a, b = branch.slit(j)
+    nodes = cheb_nodes(a, b, N)
+    r = weight_factor(branch, nodes, j)
+    vals = f(nodes) if callable(f) else np.asarray(f)
+    return (np.pi / N) * float(np.sum(vals * nodes**power / r))
 
 
 def weighted_pv(h, a: float, b: float, xi: float) -> float:

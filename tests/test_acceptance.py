@@ -154,14 +154,14 @@ def test_criterion_03_closed_forms_match_general_path():
         a = solve_a(period, branch, derived, a0)
         rho = solve_rho(period, branch, derived, rho0)
         if forms == "n2":
-            ca = n2_closed_form_a(period, branch, derived, a0, numerics)
-            cr = n2_closed_form_rho(period, branch, derived, rho0, numerics)
+            ca = n2_closed_form_a(period, branch, derived, a0)
+            cr = n2_closed_form_rho(period, branch, derived, rho0)
         elif forms == "n2sym":
-            ca = n2_symmetric_a(period, branch, derived, numerics)
-            cr = n2_symmetric_rho(period, branch, derived, numerics)
+            ca = n2_symmetric_a(period, branch, derived)
+            cr = n2_symmetric_rho(period, branch, derived)
         else:
-            ca = n3_closed_form_a(period, branch, derived, a0, numerics)
-            cr = n3_closed_form_rho(period, branch, derived, rho0, numerics)
+            ca = n3_closed_form_a(period, branch, derived, a0)
+            cr = n3_closed_form_rho(period, branch, derived, rho0)
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         worst = max(

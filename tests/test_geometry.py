@@ -82,12 +82,18 @@ def test_orientation_normalization_is_idempotent():
     assert fixed.signed_area > 0
 
 
+def _traced_profiles(sm, P):
+    """The contours of a solved map at P samples per bank."""
+    ends = np.array(sm.branch.slits)
+    grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], P)
+    return build_profiles(grid, sm.banks(grid).omega)
+
+
 def test_refinement_keeps_profiles_stable(solve_figure):
     res = solve_figure("fig1b")
     sm = res.slit_map
-    fn = lambda grid: sm.banks(grid).omega
-    coarse = build_profiles(fn, sm.branch.slits, 1600)
-    fine = build_profiles(fn, sm.branch.slits, 3200)
+    coarse = _traced_profiles(sm, 1600)
+    fine = _traced_profiles(sm, 3200)
     for pc, pf in zip(coarse, fine):
         hd = hausdorff_distance(pc.points, pf.points)
         assert hd < 1e-6 * pc.diameter
@@ -95,11 +101,10 @@ def test_refinement_keeps_profiles_stable(solve_figure):
 
 def test_hausdorff_distance_is_exact_in_bounded_memory(solve_figure):
     sm = solve_figure("fig1b").slit_map
-    fn = lambda grid: sm.banks(grid).omega
-    small, large = (build_profiles(fn, sm.branch.slits, P)[0].points for P in (300, 700))
+    small, large = (_traced_profiles(sm, P)[0].points for P in (300, 700))
     # many row blocks; min and max are exact, so the value is the all-pairs one
     assert hausdorff_distance(small, large) == hausdorff_all_pairs(small, large)
-    coarse, fine = (build_profiles(fn, sm.branch.slits, P)[0].points for P in (1600, 3200))
+    coarse, fine = (_traced_profiles(sm, P)[0].points for P in (1600, 3200))
     tracemalloc.start()
     try:
         hausdorff_distance(coarse, fine)

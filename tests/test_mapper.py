@@ -600,7 +600,8 @@ def _sixteen_slit_map():
 @pytest.mark.parametrize("case", ["fig1b", "fig3a", "sixteen"])
 def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case):
     sm = _sixteen_slit_map() if case == "sixteen" else solved_map(case)[0]
-    grid = np.array([bank_parameter_grid(a, b, 41) for a, b in sm.branch.slits])
+    ends = np.array(sm.branch.slits)
+    grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], 41)
     stacked = sm.banks(grid)  # endpoints included: grid[:, 0] and grid[:, -1]
     for m in range(sm.branch.n):
         expected = _one_series_per_slit_pair(sm, grid[m], m)
@@ -618,7 +619,8 @@ def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case):
 
 def test_stacked_boundary_pass_rejects_bad_tables():
     sm, _, _ = solved_map("fig1b")
-    grid = np.array([bank_parameter_grid(a, b, 9) for a, b in sm.branch.slits])
+    ends = np.array(sm.branch.slits)
+    grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], 9)
     with pytest.raises(EvaluationError):
         sm.banks(grid[:1])
     with pytest.raises(EvaluationError):

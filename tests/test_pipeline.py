@@ -2,9 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from conftest import load_figure_inputs, slit_layout_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 
-from inclusion_forge import cli, pipeline
+from inclusion_forge import cli, figures, mapper, pipeline
 from inclusion_forge.model import ConfigurationError, FreeParameters
 
 
@@ -145,12 +145,34 @@ def test_validation_failures_raise():
     cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig1b")
     from inclusion_forge.model import MaterialSet
 
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"kappa\[0\] = 1 makes the contrast"):
         pipeline.solve(cfg, loading, MaterialSet([1.0, 5.0]), free, numerics)
     with pytest.raises(ConfigurationError):
         pipeline.solve(
             cfg, loading, materials, free, numerics, override_a=[1.0, 2.0, 3.0]
         )
+
+
+@pytest.mark.parametrize("case", ["fig3a", "sixteen"])
+def test_solve_makes_one_boundary_pass(monkeypatch, case):
+    # the contours and the Schwarz report read the same traced values
+    shapes = []
+    original = mapper.SlitMap.banks
+
+    def counted(self, xi):
+        shapes.append(np.shape(xi))
+        return original(self, xi)
+
+    monkeypatch.setattr(mapper.SlitMap, "banks", counted)
+    inputs = sixteen_slit_inputs() if case == "sixteen" else load_figure_inputs(case)[:5]
+    result = pipeline.solve(*inputs)
+    assert shapes == [(result.slit_map.branch.n, inputs[4].P)]
+
+
+def test_schwarz_residuals_at_every_traced_vertex_stay_at_rounding(solve_figure):
+    for case in figures.FIGURE_CASES:
+        schwarz = solve_figure(case.name).diagnostics.schwarz
+        assert max(schwarz.values()) <= 1e-14, case.name
 
 
 def test_verdict_shortcuts(solve_figure):

@@ -1,9 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs
-from oracles import smooth_weight, weighted_integral
+from oracles import smooth_weight, weighted_integral, weighted_moment
 
-from inclusion_forge import pipeline, solvability
+import inclusion_forge
+from inclusion_forge import pipeline
 from inclusion_forge.branch import BranchData, slit_table
 from inclusion_forge.mapper import g0
 from inclusion_forge.model import (
@@ -31,7 +35,6 @@ from inclusion_forge.solvability import (
     solve_a,
     solve_rho,
     system_matrix,
-    weighted_moment,
 )
 
 NUM = NumericsConfig()
@@ -109,7 +112,7 @@ def test_imaginary_scaling_reproduces_published_antisymmetric_a():
     expected_a1 = weighted_moment(
         branch, 1, lambda x: 1.0 / x, 0, NUM.N
     ) / period.entry(1, 1)
-    sym = n2_symmetric_a(period, branch, derived, NUM)
+    sym = n2_symmetric_a(period, branch, derived)
     assert sym[1] == pytest.approx(expected_a1, rel=1e-13)
     assert sym[0] == pytest.approx(-expected_a1, rel=1e-13)
     # the general path with the antisymmetric free value agrees
@@ -136,7 +139,7 @@ def test_fig2c_rho_matches_published_closed_form():
     period = period_matrix(branch, numerics)
     _, rho0 = antisymmetric_free_values(period, branch, derived)
     rho = solve_rho(period, branch, derived, rho0)
-    sym = n2_symmetric_rho(period, branch, derived, numerics)
+    sym = n2_symmetric_rho(period, branch, derived)
     np.testing.assert_allclose(rho, sym, atol=1e-12)
     # direct quadrature of the printed expression
     lam0 = derived.lam[0]
@@ -190,10 +193,10 @@ def test_two_slit_closed_forms_match_general_path(name):
     a = solve_a(period, branch, derived, 0.0)
     rho = solve_rho(period, branch, derived, 0.0)
     np.testing.assert_allclose(
-        a, n2_closed_form_a(period, branch, derived, 0.0, numerics), atol=1e-10
+        a, n2_closed_form_a(period, branch, derived, 0.0), atol=1e-10
     )
     np.testing.assert_allclose(
-        rho, n2_closed_form_rho(period, branch, derived, 0.0, numerics), atol=1e-10
+        rho, n2_closed_form_rho(period, branch, derived, 0.0), atol=1e-10
     )
 
 
@@ -204,10 +207,10 @@ def test_three_slit_closed_forms_match_general_path(name):
     a = solve_a(period, branch, derived, 0.2)
     rho = solve_rho(period, branch, derived, -0.3)
     np.testing.assert_allclose(
-        a, n3_closed_form_a(period, branch, derived, 0.2, numerics), atol=1e-10
+        a, n3_closed_form_a(period, branch, derived, 0.2), atol=1e-10
     )
     np.testing.assert_allclose(
-        rho, n3_closed_form_rho(period, branch, derived, -0.3, numerics), atol=1e-10
+        rho, n3_closed_form_rho(period, branch, derived, -0.3), atol=1e-10
     )
 
 
@@ -282,16 +285,23 @@ def test_slit_table_moments_match_weighted_moment(N):
 
 
 def test_sixteen_slit_solve_makes_no_per_slit_moment_calls(monkeypatch):
-    calls = []
-    original = solvability.weighted_moment
+    # every moment of a solve, the printed closed forms' too, is summed over
+    # the stacked slit table: the one-slit weight factor is never evaluated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("weight_factor called during a solve")
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(solvability, "weighted_moment", counted)
+    modules = [inclusion_forge] + [
+        importlib.import_module(f"inclusion_forge.{info.name}")
+        for info in pkgutil.iter_modules(inclusion_forge.__path__)
+    ]
+    holders = [module for module in modules if hasattr(module, "weight_factor")]
+    assert inclusion_forge.branch in holders
+    for module in holders:
+        monkeypatch.setattr(module, "weight_factor", forbidden)
+    for name in ("fig1b", "fig3a"):
+        result = pipeline.solve(*load_figure_inputs(name)[:5])
+        assert result.diagnostics.cross_check["applied"], name
     result = pipeline.solve(*sixteen_slit_inputs())
     assert result.slit_map.branch.n == 16
     assert max(result.diagnostics.boundedness["a_relative"],
                result.diagnostics.boundedness["rho_relative"]) < 1e-8
-    assert calls == []
