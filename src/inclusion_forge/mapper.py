@@ -49,6 +49,8 @@ from .model import (
 )
 from .quadrature import (
     DegreeTable,
+    block_degrees,
+    cauchy_off_blocks,
     cauchy_off_stack,
     coef_from_samples,
     degree_table,
@@ -126,11 +128,16 @@ class SlitMap:
     closed form).  Every Cauchy sum over the slits weights row j of a family
     by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
     Boundary values of every slit and both banks come from one stacked pass
-    (:meth:`banks`); the per-slit evaluators are its one-slit case.  Off the
-    slits, each family set sums only to the degrees its
-    :class:`~inclusion_forge.quadrature.DegreeTable` asks for; a table is
-    built from the map alone on the first interior call that needs it.  All
-    evaluation methods are pure and accept scalars or arrays of targets.
+    (:meth:`banks`); the per-slit evaluators are its one-slit case.  On the
+    slits, the targets of slit i and the series of another slit j form one
+    block, summed to the degree :func:`~inclusion_forge.quadrature.block_degrees`
+    gives at the largest |w_j| on slit i, its nearer endpoint; the own slit
+    adds its principal value.  The block degrees of every family are built
+    with the coefficients and logged once at DEBUG.  Off the slits, each
+    family set sums only to the degrees its
+    :class:`~inclusion_forge.quadrature.DegreeTable` asks for, a table built
+    from the map alone on first use.  All evaluation methods are pure and
+    accept scalars or arrays of targets.
     """
 
     def __init__(
@@ -155,6 +162,9 @@ class SlitMap:
         lam_alt = alt * np.asarray(derived.lam)
         self._weights = np.stack([alt, lam_alt, lam_alt])
 
+        # |w_j| at the nearer endpoint of slit i: the worst of block (i, j)
+        self._worst_w = np.abs(slit_roots(self._lo, self._hi, ends).w).max(axis=-1).T
+
         table = slit_table(branch, numerics.N)
         nodes = table.nodes
         phi = np.reshape(constants.a, (n, 1)) - pole_density(nodes, derived)
@@ -164,10 +174,21 @@ class SlitMap:
         self._coef = np.zeros((len(FAMILIES), n, min(M + 1, table.N)))
         self._coef[0] = coef_from_samples(phi / table.r, M)
         self._coef[1] = coef_from_samples(g0_rho / table.r, M)
+        # terms of block (target slit i, source slit j) per family
+        self._block_degree = np.zeros((len(FAMILIES), n, n), dtype=int)
+        self._block_degree[_PHI] = block_degrees(self._coef[_PHI], self._worst_w)
         # g_1 needs the phi rows of every slit, so it is sampled second.
         g1 = self._g1_values(nodes, self._rows)
         self._coef[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
         self._degree_tables: dict[tuple[str, ...], DegreeTable] = {}
+        self._block_degree[_MAP] = block_degrees(self._coef[_MAP], self._worst_w)
+        self._block_degree[:, self._rows, self._rows] = 0  # own-slit blocks are never formed
+        degree, L = self._block_degree.max(axis=0), self._coef.shape[-1]
+        mean = degree.sum() / (n * (n - 1))
+        log.debug(
+            "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop",
+            mean, degree.max(), L, 100.0 * mean / L,
+        )
 
     # -- Cauchy sums over the slits ---------------------------------------------
 
@@ -210,26 +231,32 @@ class SlitMap:
     def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.
 
-        Every row but the target's own goes through the off-interval kernel,
-        in real arithmetic and in blocks as in :meth:`_off_sums`; the
-        own-slit entries, where that kernel does not apply, are masked out and
-        replaced by the principal value of the own row (per-row targets of
-        ``singular_on_stack``).
+        Every other slit j forms one block with the targets x[i], summed by
+        :func:`~inclusion_forge.quadrature.cauchy_off_blocks` in real
+        arithmetic to the largest degree of block (rows[i], j) over the
+        family set.  The blocks are sorted by degree once; targets pass
+        through in column ranges of at most _BLOCK_VALUES (family, block,
+        target) values.  The own slit adds the principal value of its row
+        (per-row targets of ``singular_on_stack``).
         """
         coef, weights = self._coef[fams], self._weights[fams]
-        flat = x.reshape(-1)
-        own = np.repeat(rows, x.shape[-1])
-        out = np.empty((len(coef), flat.size))
-        step = max(1, _BLOCK_VALUES // weights.size)
-        for s in range(0, flat.size, step):
-            # the kernel divides by zero at the own slit's endpoints; masked below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                roots = slit_roots(self._lo, self._hi, flat[s : s + step])
-                vals = cauchy_off_stack(coef, roots)
-            vals[:, own[s : s + step], np.arange(vals.shape[-1])] = 0.0
-            out[:, s : s + step] = _row_sum(weights, vals)
+        k, n = len(rows), self.branch.n
+        i, j = np.nonzero(rows[:, None] != self._rows)
+        block_weights = weights[:, j].reshape(len(coef), k, n - 1)
+        degree = self._block_degree[fams].max(axis=0)[rows[i], j]
+        order = np.argsort(-degree)
+        unsort = np.argsort(order)
+        i, j, degree = i[order], j[order], degree[order]
+        block_coef = coef[:, j, : degree[0]]
+        lo, hi = self._lo[j, None], self._hi[j, None]
+        out = np.empty((len(coef),) + x.shape)
+        step = max(1, _BLOCK_VALUES // (len(coef) * len(j)))
+        for s in range(0, x.shape[-1], step):
+            vals = cauchy_off_blocks(block_coef, lo, hi, x[i, s : s + step], degree)
+            vals = vals[:, unsort].reshape(len(coef), k, n - 1, -1)
+            out[..., s : s + step] = np.einsum("fij,fijt->fit", block_weights, vals)
         pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)
-        return out.reshape(pv.shape) + weights[:, rows, None] * pv
+        return out + weights[:, rows, None] * pv
 
     # -- boundary values -----------------------------------------------------
 

@@ -24,16 +24,26 @@ values.
 
 The off-interval series converges like |w|^k, and |w| falls like
 h / 2|zeta - c| away from the interval, so a far target needs few terms.
-A :class:`DegreeTable` bounds the tail of every row: with k' the first
-coefficient at least 2^-10 of the row's largest and d > k',
+With k' the first coefficient of a row at least 2^-10 of its largest, the
+terms k >= d of the row may be dropped at a target where
 
-    sum_{k >= d} |c_k| |w|^k  <=  max_{k >= d} |c_k| |w|^d / (1 - |w|)
-                              <=  2^-63 |c_k'| |w|^k'
+    sum_{k >= d} |c_k| |w|^k  <=  2^-63 |c_k'| |w|^k'.
 
-whenever |w| <= thr[j, d].  |c_k'| |w|^k' is one term of the full sum, so
-2^-63 of it lies below the sum's own rounding scale, also where c_0 = 0.
-Given a table, the kernel sums the terms k < D for every pair and the terms
-k >= D only for the pairs beyond thr[j, D].
+|c_k'| |w|^k' is one term of the full sum, so 2^-63 of it lies below the
+sum's own rounding scale, also where c_0 = 0.  For d > k' the tail over the
+lead term grows with |w|, so a bound met at some |w| holds at every smaller
+one.  The bound is evaluated in two ways:
+
+* per block, at a known worst |w|: :func:`block_degrees` sums the tail term
+  by term at the largest |w| of a group of targets, which on the slits is
+  the |w| at the nearer endpoint of the target slit, and
+  :func:`cauchy_off_blocks` sums every block to its own degree;
+* by thresholds, for arbitrary targets off the slits: a
+  :class:`DegreeTable` bounds the tail by
+  max_{k >= d} |c_k| |w|^d / (1 - |w|) and gives the largest |w|,
+  thr[j, d], at which that bound is met.  Given a table, the kernel sums
+  the terms k < D for every pair and the terms k >= D only for the pairs
+  beyond thr[j, D].
 """
 
 from __future__ import annotations
@@ -56,7 +66,9 @@ __all__ = [
     "DegreeTable",
     "tail_thresholds",
     "degree_table",
+    "block_degrees",
     "cauchy_off_stack",
+    "cauchy_off_blocks",
     "singular_on",
     "cauchy_off",
 ]
@@ -231,7 +243,11 @@ def slit_roots(lo, hi, zeta) -> SlitRoots:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     t = np.asarray(zeta, dtype=complex if np.iscomplexobj(zeta) else float)
     shape = lo.shape + (1,) * t.ndim
-    lo, hi = lo.reshape(shape), hi.reshape(shape)
+    return _roots(lo.reshape(shape), hi.reshape(shape), t)
+
+
+def _roots(lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> SlitRoots:
+    """:class:`SlitRoots` of intervals [lo, hi] that broadcast against targets t."""
     dz = t - 0.5 * (hi + lo)
     rho = t - lo
     rho *= t - hi
@@ -321,6 +337,35 @@ def degree_table(coef, lo, hi) -> DegreeTable:
     return DegreeTable(thr, D, float(beyond[D - 1]))
 
 
+def block_degrees(coef, w) -> np.ndarray:
+    """Terms each block must sum, shape (F, K, R), for rows of shape (F, R, L).
+
+    ``w`` (shape (K, R)) is the largest |w| of interval r over the targets
+    of group k.  The degree of block (k, r) in family f is the smallest d at
+    which row (f, r) meets the tail bound of the module docstring at that
+    |w|, with the tail summed term by term and the bound lowered by 2^-40,
+    which covers the rounding of the powers and the sums.  It is 0 for rows
+    that are all zero and L where even the last term exceeds the bound; the
+    bound then holds at every target of the group.
+    """
+    mags = np.abs(np.asarray(coef))
+    top = mags.max(axis=-1, keepdims=True)
+    mags = np.divide(mags, top, out=np.zeros_like(mags), where=top > 0.0)
+    L = mags.shape[-1]
+    lead_k = np.argmax(mags >= _LEAD, axis=-1)[:, None, :, None]
+    w = np.asarray(w, dtype=float)
+    powers = np.empty(w.shape + (L,))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = w[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    # terms of shape (F, K, R, L), highest degree first, so the tails are one cumsum
+    terms = mags[:, None, :, ::-1] * powers[..., ::-1]
+    index = np.broadcast_to(L - 1 - lead_k, terms.shape[:-1] + (1,))
+    bound = np.take_along_axis(terms, index, axis=-1) * (_TAIL * (1.0 - 2.0**-40))
+    fails = np.cumsum(terms, axis=-1, out=terms) > bound
+    return fails.sum(axis=-1)
+
+
 def _high_terms(coef, w, row, rows: int, D: int, dtype) -> np.ndarray:
     """sum_{k>=D} c_k w^(k-D+1) by Horner's rule at pairs (row[i], w[i]).
 
@@ -379,6 +424,35 @@ def cauchy_off_stack(coef, roots: SlitRoots, table: DegreeTable | None = None) -
         total += coef[..., m, None]
     total *= np.divide(-np.pi, rho.reshape(rows, -1))
     return total.reshape(coef.shape[:-1] + rho.shape[1:])
+
+
+def cauchy_off_blocks(coef, lo, hi, x, degree) -> np.ndarray:
+    """Weighted Cauchy integrals of blocks of real targets, each to its own degree.
+
+    Block b pairs the first-kind coefficients ``coef[..., b, :]`` of the
+    interval [lo[b], hi[b]] with its real targets ``x[b]``, all off that
+    interval, and sums the first ``degree[b]`` terms of the series.  Shapes:
+    ``coef`` (..., B, L'), ``lo`` and ``hi`` (B, 1), ``x`` (B, T) and
+    ``degree`` (B,), at most L'.  The degrees must not increase from block
+    to block: one Horner loop in real arithmetic runs down from the largest
+    degree over the prefix of blocks that still need the current term; a block enters the loop at its own
+    degree with the same operations as the plain loop of
+    :func:`cauchy_off_stack`, so a block of full degree gives that kernel's
+    value bit for bit.  The result has shape (..., B, T).
+    """
+    coef = np.asarray(coef)
+    degree = np.asarray(degree)
+    rho, w = _roots(lo, hi, np.asarray(x, dtype=float))
+    top = int(degree[0]) if len(degree) else 0
+    total = np.zeros(coef.shape[:-2] + w.shape, dtype=np.result_type(coef, w))
+    # blocks [0, active[m]) have degree > m, so they sum term m
+    active = np.searchsorted(-degree, -np.arange(top), side="left")
+    for m in range(top - 1, -1, -1):
+        part = total[..., : active[m], :]
+        part *= w[: active[m]]
+        part += coef[..., : active[m], m, None]
+    total *= np.divide(-np.pi, rho)
+    return total
 
 
 def singular_on(series: ChebyshevSeries, xi):

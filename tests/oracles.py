@@ -163,6 +163,23 @@ def cauchy_off_80bit(coef, a: float, b: float, zeta) -> np.ndarray:
     return -pi / (half * root) * total
 
 
+def tail_degree_80bit(coef, w: float, scale: float = 1.0) -> int:
+    """Smallest d at which every row of coef (F, L) meets the tail bound at |w|, in 80 bits.
+
+    The bound is sum_{k>=d} |c_k| |w|^k <= scale * 2^-63 |c_k'| |w|^k', with
+    k' the first coefficient of the row at least 2^-10 of its largest; each
+    tail is summed term by term.  0 when every row is zero.
+    """
+    mags = np.abs(np.asarray(coef)).astype(np.longdouble)
+    L = mags.shape[-1]
+    terms = mags * np.longdouble(w) ** np.arange(L)
+    tails = np.cumsum(terms[:, ::-1], axis=-1)[:, ::-1]
+    tails = np.concatenate([tails, np.zeros((len(terms), 1), dtype=np.longdouble)], axis=-1)
+    lead_k = np.argmax(mags >= mags.max(axis=-1, keepdims=True) * 2.0**-10, axis=-1)
+    bound = np.longdouble(scale) * np.longdouble(2.0**-63) * terms[np.arange(len(terms)), lead_k]
+    return int(np.argmax(np.all(tails <= bound[:, None], axis=0)))
+
+
 # -- all-pairs contour predicates ----------------------------------------------
 #
 # The package's predicates test only the segment pairs a sort-and-sweep keeps.

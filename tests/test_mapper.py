@@ -3,10 +3,16 @@ import logging
 import numpy as np
 import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
-from oracles import cauchy_weighted, smooth_weight, weighted_pv
+from oracles import (
+    cauchy_off_80bit,
+    cauchy_weighted,
+    smooth_weight,
+    tail_degree_80bit,
+    weighted_pv,
+)
 
 from inclusion_forge import branch as branch_module
-from inclusion_forge import mapper, pipeline
+from inclusion_forge import mapper, pipeline, quadrature
 from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
     SlitMap,
@@ -32,6 +38,8 @@ from inclusion_forge.quadrature import (
     cauchy_off,
     cheb_coeffs,
     singular_on,
+    singular_on_stack,
+    slit_roots,
 )
 from inclusion_forge.solvability import (
     antisymmetric_free_values,
@@ -625,3 +633,145 @@ def test_stacked_boundary_pass_rejects_bad_tables():
         sm.banks(grid[:1])
     with pytest.raises(EvaluationError):
         sm.banks(grid[::-1])  # rows on the wrong slits
+
+
+# -- per-block degrees of the boundary pass -------------------------------------
+
+
+def _bank_grid(sm, P=41):
+    ends = np.array(sm.branch.slits)
+    return bank_parameter_grid(ends[:, :1], ends[:, 1:], P)  # endpoints included
+
+
+@pytest.mark.parametrize("case", ["fig1b", "fig3a", "sixteen"])
+def test_block_degrees_of_solved_maps_match_the_80_bit_degree(case):
+    sm = _sixteen_slit_map() if case == "sixteen" else solved_map(case)[0]
+    n = sm.branch.n
+    grid = _bank_grid(sm)
+    degree = sm._block_degree
+    assert degree.shape == (len(mapper.FAMILIES), n, n)
+    assert not degree[:, sm._rows, sm._rows].any()
+    for i, j in zip(*np.nonzero(~np.eye(n, dtype=bool))):
+        # the worst |w| of block (i, j) bounds |w_j| at every target on slit i
+        w = np.abs(slit_roots(sm._lo[j : j + 1], sm._hi[j : j + 1], grid[i]).w)
+        assert w.max() == sm._worst_w[i, j]
+        for f in range(len(mapper.FAMILIES)):
+            row = sm._coef[f, j : j + 1]
+            low = tail_degree_80bit(row, sm._worst_w[i, j])
+            high = tail_degree_80bit(row, sm._worst_w[i, j], 1.0 - 2.0**-39)
+            assert low <= degree[f, i, j] <= high, (f, i, j)
+    if case == "fig1b":  # all-zero phi rows sum no term
+        assert not degree[0].any()
+
+
+def _layout_inputs(n):
+    """The seeded layout of n slits; for n = 2, which needs a real pole, with the pole mid-gap."""
+    cfg, *rest = slit_layout_inputs(n, seed=n)
+    if n == 2:
+        cfg = SlitConfiguration(cfg.endpoints, 0.5 * (cfg.endpoints[1] + cfg.endpoints[2]))
+    return (cfg, *rest)
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["layout", "edge"])
+@pytest.mark.parametrize("n", [2, 8, 16, 24, 32])
+def test_boundary_sums_match_full_degree_80_bit_sums(n, edge):
+    sm = pipeline.solve(*(_edge_inputs(n) if edge else _layout_inputs(n))).slit_map
+    grid = _bank_grid(sm)
+    coef, weights = sm._coef, sm._weights
+    got = sm._slit_sums(mapper._ALL, grid, sm._rows)
+    pv = weights[:, :, None] * singular_on_stack(coef, sm._centre, sm._half, grid)
+    expected = pv.astype(np.longdouble)
+    scale = np.abs(pv)
+    for m in range(n):
+        for j, (a, b) in enumerate(sm.branch.slits):
+            if j == m:
+                continue
+            rho, w = slit_roots([a], [b], grid[m])
+            powers = np.abs(w) ** np.arange(coef.shape[-1])[:, None]
+            for f in range(len(mapper.FAMILIES)):
+                full = cauchy_off_80bit(coef[f, j], a, b, grid[m]).real
+                expected[f, m] += weights[f, j] * full
+                scale[f, m] += np.pi * np.abs(weights[f, j] * (np.abs(coef[f, j]) @ powers / rho[0]))
+    # truncation <= 2^-63 of each lead term; the rest is float64 rounding
+    # of Horner loops of <= 64 terms and of the sums over the slits
+    err = np.abs(got - expected).astype(float)
+    assert np.all(err <= 2.0**-44 * scale)
+
+
+def test_no_own_slit_block_is_formed(monkeypatch):
+    sm = _sixteen_slit_map()
+    n = sm.branch.n
+    seen = []
+
+    def spy(coef, lo, hi, x, degree):
+        seen.append((lo, hi, x))
+        return quadrature.cauchy_off_blocks(coef, lo, hi, x, degree)
+
+    monkeypatch.setattr(mapper, "cauchy_off_blocks", spy)
+    grid = _bank_grid(sm)
+    sm.banks(grid)
+    sm.g1(grid[5], 5)
+    assert sum(len(lo) for lo, _, _ in seen) == n * (n - 1) + (n - 1)
+    for lo, hi, x in seen:
+        assert np.all((x < lo) | (x > hi))
+
+
+def test_block_degrees_are_logged_once_per_map(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger=mapper.__name__):
+        sm, _, _ = solved_map("fig3a")
+        grid = _bank_grid(sm)
+        for _ in range(2):
+            sm.banks(grid)
+            sm.g1(grid[1], 1)
+    messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
+    assert len(messages) == 1
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert messages[0].startswith("block degrees of the boundary pass: mean ")
+    assert "of L = 64" in messages[0] and "% of the full loop" in messages[0]
+    assert capsys.readouterr() == ("", "")
+
+
+def _contours(args, monkeypatch, degrees=None, kernel=None):
+    with monkeypatch.context() as patch:
+        if degrees is not None:
+            patch.setattr(mapper, "block_degrees", degrees)
+        if kernel is not None:
+            patch.setattr(mapper, "cauchy_off_blocks", kernel)
+        result = pipeline.solve(*args)
+    return result.verdict, [p.points for p in result.profiles]
+
+
+def _full_degree(coef, w):
+    """Every block to degree L: the boundary pass of the plain L-term loop."""
+    return np.full((len(coef),) + np.shape(w), np.shape(coef)[-1])
+
+
+def _blocks_80bit(coef, lo, hi, x, degree):
+    """Every block to the full width of coef, in 80-bit arithmetic."""
+    c = np.asarray(coef).astype(np.longdouble)
+    long = [np.asarray(v).astype(np.longdouble) for v in (lo, hi, x)]
+    rho, w = quadrature._roots(*long)
+    total = np.zeros(c.shape[:-2] + w.shape, dtype=np.longdouble)
+    for m in range(c.shape[-1] - 1, -1, -1):
+        total = total * w + c[..., m, None]
+    return (total * (-np.pi / rho)).astype(float)
+
+
+def _largest_move(a, b):
+    """Largest vertex move between two sets of contours, relative to each diameter."""
+    return max(np.abs(p - q).max() / np.abs(p[:, None] - p[None]).max() for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_block_degrees_move_contours_far_less_than_float64_rounding(n, seed, monkeypatch):
+    # the alternating slit sums cancel, so float64 rounding of the full-degree
+    # pass already moves the contours by 8e-12 (n = 16) to 2.4e-7 (n = 32) of
+    # their diameter from the 80-bit sums; dropping the terms past each
+    # block's degree must stay at least ten times below that
+    args = slit_layout_inputs(n, seed)
+    verdict, got = _contours(args, monkeypatch)
+    full_verdict, full = _contours(args, monkeypatch, _full_degree)
+    ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit)
+    assert verdict == full_verdict == ref_verdict
+    assert _largest_move(got, full) <= 0.1 * _largest_move(full, ref)

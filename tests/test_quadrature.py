@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from oracles import cauchy_off_80bit, cauchy_weighted, sqrt_weight_moment, weighted_pv
+from oracles import (
+    cauchy_off_80bit,
+    cauchy_weighted,
+    sqrt_weight_moment,
+    tail_degree_80bit,
+    weighted_pv,
+)
 
 from inclusion_forge.quadrature import (
     DegreeTable,
     SlitRoots,
+    block_degrees,
     cauchy_off,
+    cauchy_off_blocks,
     cauchy_off_stack,
     cheb_coeffs,
     cheb_nodes,
@@ -388,3 +396,72 @@ def test_kernel_without_a_table_is_the_full_loop(rng):
         np.testing.assert_array_equal(cauchy_off_stack(coef, roots), expected)
         every = DegreeTable(tail_thresholds(coef), _L, 0.0)
         np.testing.assert_array_equal(cauchy_off_stack(coef, roots, every), expected)
+
+
+# -- block degrees and the block kernel ------------------------------------------
+
+
+def _worst_w(lo, hi):
+    """|w_j| at the nearer endpoint of interval i, shape (i, j), as SlitMap takes it."""
+    ends = np.stack([lo, hi], axis=-1)
+    return np.abs(slit_roots(lo, hi, ends).w).max(axis=-1).T
+
+
+# block_degrees lowers the bound by 2^-40 against rounding; its degree lies
+# between the 80-bit degrees of the exact bound and of a bound 2^-39 lower
+_LOWERED = 1.0 - 2.0**-39
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_block_degrees_are_conservative_and_minimal(kind, seed):
+    rng = np.random.default_rng([seed, 13])
+    coef = _seeded_table(kind, rng)
+    # the layout's worst |w| per (interval, interval), and random |w| in (0, 1)
+    for w in (_worst_w(_LO, _HI), rng.uniform(0.0, 1.0, (6, 4)) ** 3):
+        degree = block_degrees(coef, w)
+        assert degree.shape == (len(coef),) + w.shape
+        # the exact bound holds at the degree; one term earlier even the lowered one fails
+        for f, k, r in np.ndindex(degree.shape):
+            row = coef[f : f + 1, r]
+            low, high = tail_degree_80bit(row, w[k, r]), tail_degree_80bit(row, w[k, r], _LOWERED)
+            assert low <= degree[f, k, r] <= high, (f, k, r)
+    if kind == "all_zero":
+        assert not degree.any()
+    if kind == "flat":  # O(1) rows at |w| near 1 keep every term
+        assert block_degrees(coef, np.full((1, 4), 0.999)).min() == _L
+
+
+def _truncated_horner(coef, roots, d):
+    """-pi/rho times the first d terms of each row, by the plain loop; zero for d = 0."""
+    rho, w = roots
+    total = np.zeros(coef.shape[:-1] + w.shape[-1:])
+    if d:
+        total[...] = coef[..., d - 1, None]
+    for m in range(d - 2, -1, -1):
+        total *= w
+        total += coef[..., m, None]
+    return total * np.divide(-np.pi, rho)
+
+
+def _block_targets(rng, row, T):
+    """T real targets per block off its interval, 1e-3 to 1e3 half-lengths away."""
+    half = 0.5 * (_HI - _LO)[row, None]
+    gap = half * 10.0 ** rng.uniform(-3.0, 3.0, (len(row), T))
+    return np.where(rng.uniform(size=gap.shape) < 0.5, _LO[row, None] - gap, _HI[row, None] + gap)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_each_block_sums_exactly_its_own_degree(kind, rng):
+    coef = _seeded_table(kind, rng)
+    row = rng.integers(len(_LO), size=30)
+    x = _block_targets(rng, row, 7)
+    degree = np.sort(rng.integers(0, _L + 1, size=len(row)))[::-1]
+    degree[[0, 1, -1]] = (_L, _L, 0)  # not increasing, L and 0 included
+    got = cauchy_off_blocks(coef[:, row], _LO[row, None], _HI[row, None], x, degree)
+    assert got.shape == (2, len(row), 7) and got.dtype == np.float64
+    for b, (r, d) in enumerate(zip(row, degree)):
+        roots = slit_roots(_LO[r : r + 1], _HI[r : r + 1], x[b])
+        np.testing.assert_array_equal(got[:, b], _truncated_horner(coef[:, r : r + 1], roots, d)[:, 0])
+        if d == _L:  # a block of full degree is the plain kernel, bit for bit
+            np.testing.assert_array_equal(got[:, b], cauchy_off_stack(coef[:, r : r + 1], roots)[:, 0])
