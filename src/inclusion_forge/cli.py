@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import figures, pipeline
@@ -108,8 +108,51 @@ CONFIG_SCHEMA = {
 }
 
 
-# compiled once: jsonschema.validate would check the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+# Draft 2020-12's type predicates; "integer" admits integer-valued floats like 200.0
+_TYPES = {
+    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+# check(instance, keyword value, schema) for each keyword CONFIG_SCHEMA uses;
+# as in JSON Schema, a keyword that constrains one type passes any other type
+_KEYWORDS = {
+    "type": lambda v, t, s: _TYPES[t](v),
+    "const": lambda v, c, s: v == c and isinstance(v, bool) == isinstance(c, bool),
+    "oneOf": lambda v, subs, s: sum(_conforms(v, sub) for sub in subs) == 1,
+    "minimum": lambda v, m, s: not (_is_number(v) and v < m),
+    "minItems": lambda v, k, s: not isinstance(v, list) or len(v) >= k,
+    "maxItems": lambda v, k, s: not isinstance(v, list) or len(v) <= k,
+    "items": lambda v, sub, s: not isinstance(v, list) or all(_conforms(x, sub) for x in v),
+    "required": lambda v, keys, s: not isinstance(v, dict) or all(k in v for k in keys),
+    "properties": lambda v, props, s: not isinstance(v, dict)
+    or all(_conforms(v[k], sub) for k, sub in props.items() if k in v),
+    "additionalProperties": lambda v, sub, s: not isinstance(v, dict)
+    or all(_conforms(v[k], sub) for k in v.keys() - s.get("properties", {})),
+}
+
+
+def _conforms(doc, schema) -> bool:
+    """Whether doc satisfies a Draft 2020-12 schema built of the keywords above.
+
+    Any other keyword raises, so the schema cannot outgrow this check.
+    """
+    if isinstance(schema, bool):
+        return schema
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise ValueError(f"config schema keyword {key!r} has no check")
+        if not _KEYWORDS[key](doc, value, schema):
+            return False
+    return True
 
 
 class CliError(Exception):
@@ -122,8 +165,11 @@ def _as_complex(obj) -> complex:
 
 def parse_config(doc: dict):
     """Schema-check a config document and build the model objects."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
+    if not _conforms(doc, CONFIG_SCHEMA):
+        import jsonschema  # only a rejected document needs its message worded
+
+        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
         raise CliError(f"config schema violation: {error.message}")
     if doc["n"] != len(doc["slits"]):
         raise CliError(f"n = {doc['n']} but {len(doc['slits'])} slits given")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .branch import (
     BranchData,
+    SlitTable,
     abs_q,
     check_bank,
     check_on_slit,
@@ -137,7 +138,9 @@ class SlitMap:
     family set sums only to the degrees its
     :class:`~inclusion_forge.quadrature.DegreeTable` asks for, a table built
     from the map alone on first use.  All evaluation methods are pure and
-    accept scalars or arrays of targets.
+    accept scalars or arrays of targets.  ``table`` is the node table
+    ``slit_table(branch, numerics.N)``, built here unless the caller already
+    has it (the solve passes the period matrix's).
     """
 
     def __init__(
@@ -146,6 +149,7 @@ class SlitMap:
         derived: DerivedConstants,
         constants: "SolvabilityConstants",
         numerics: NumericsConfig = NumericsConfig(),
+        table: SlitTable | None = None,
     ) -> None:
         self.branch = branch
         self.derived = derived
@@ -165,7 +169,8 @@ class SlitMap:
         # |w_j| at the nearer endpoint of slit i: the worst of block (i, j)
         self._worst_w = np.abs(slit_roots(self._lo, self._hi, ends).w).max(axis=-1).T
 
-        table = slit_table(branch, numerics.N)
+        if table is None:
+            table = slit_table(branch, numerics.N)
         nodes = table.nodes
         phi = np.reshape(constants.a, (n, 1)) - pole_density(nodes, derived)
         g0_rho = g0(nodes, self._rows[:, None], derived)
@@ -354,6 +359,9 @@ class SlitMap:
         """F off the slits; bounded at infinity once the a_j are solved."""
         d = self.derived
         z = np.asarray(zeta, dtype=complex)
+        if not self._coef[_PHI].any():  # no phi density: F is its singular part
+            reject_on_slits(self.branch, z)
+            return like_input(d.beta0 + singular_part_F(z, d), zeta)
         (total,), q = self._off_sums(_PHI, z)
         sign = (-1.0) ** (self.branch.n - 1)
         out = d.beta0 + singular_part_F(z, d) - 1j * sign * q / np.pi * total

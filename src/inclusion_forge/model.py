@@ -192,6 +192,11 @@ class FreeParameters:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c_m1", complex(self.c_m1))
         object.__setattr__(self, "gamma", complex(self.gamma))
+        for name in ("a0", "rho0", "beta0"):
+            _require_finite(name, getattr(self, name))
+        for name in ("c_m1", "gamma"):
+            value = getattr(self, name)
+            _require_finite(name, value.real, value.imag)
         if self.c_m1 == 0:
             raise ConfigurationError("scaling constant c_m1 must be nonzero")
 
@@ -214,6 +219,7 @@ class NumericsConfig:
             raise ConfigurationError("truncation order M must not exceed N")
         if self.P < 16:
             raise ConfigurationError("contour sample count P must be >= 16")
+        _require_finite("tol_solve", self.tol_solve)
         if not self.tol_solve > 0:
             raise ConfigurationError("tol_solve must be positive")
 

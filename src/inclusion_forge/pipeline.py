@@ -317,7 +317,7 @@ def solve(
     )
 
     with _stage(timings, "map_build"):
-        sm = mapper.SlitMap(branch, derived, constants, numerics)
+        sm = mapper.SlitMap(branch, derived, constants, numerics, period.table)
     with _stage(timings, "tracing"):
         ends = np.reshape(branch.endpoints, (branch.n, 2))
         grid = geometry.bank_parameter_grid(ends[:, :1], ends[:, 1:], numerics.P)

@@ -198,20 +198,32 @@ def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
     own targets; the result has shape (..., R, T).  T_0 contributes nothing
     and T_m maps to pi U_{m-1}, so each value is
     (pi / half) * sum_{m>=1} alpha_m U_{m-1}(x) at the mapped target, summed
-    by the ascending second-kind recurrence over all rows at once.  Endpoint
-    targets are admitted (U_{m-1}(+-1) is finite).
+    by the ascending second-kind recurrence, in place, over all rows at
+    once.  Leading entries and rows whose terms m >= 1 are all zero are left
+    out of the sum: their values are 0.  Endpoint targets are admitted
+    (U_{m-1}(+-1) is finite).
     """
     coef = np.asarray(coef)
     half = np.asarray(half)[:, None]
     x = (np.asarray(xi, dtype=float) - np.asarray(centre)[:, None]) / half
-    total = np.zeros(coef.shape[:-1] + x.shape[-1:], dtype=np.result_type(coef, x))
-    u_prev = np.zeros_like(x)
-    u = np.ones_like(x)
-    for m in range(1, coef.shape[-1]):
-        total += coef[..., m, None] * u
-        u_prev, u = u, 2.0 * x * u - u_prev
+    flat = coef.reshape((-1,) + coef.shape[-2:])
+    total = np.zeros(flat.shape[:-1] + x.shape[-1:], dtype=np.result_type(coef, x))
+    live = flat[..., 1:].any(axis=-1)
+    lead, row = live.any(axis=1), live.any(axis=0)
+    if live.any():
+        c, two_x = flat[lead][:, row], 2.0 * x[row]
+        acc = np.zeros(c.shape[:-1] + two_x.shape[-1:], dtype=total.dtype)
+        term = np.empty_like(acc)
+        u_prev, u, u_next = np.zeros_like(two_x), np.ones_like(two_x), np.empty_like(two_x)
+        for m in range(1, coef.shape[-1]):
+            np.multiply(c[..., m, None], u, out=term)
+            acc += term
+            np.multiply(two_x, u, out=u_next)
+            u_next -= u_prev
+            u_prev, u, u_next = u, u_next, u_prev
+        total[np.ix_(lead, row)] = acc
     total *= np.pi / half
-    return total
+    return total.reshape(coef.shape[:-1] + x.shape[-1:])
 
 
 class SlitRoots(NamedTuple):

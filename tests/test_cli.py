@@ -1,4 +1,8 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -108,6 +112,36 @@ def test_tolerance_env_override(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", str(cfg_path)]) == 0
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("free", "a0", float("nan")),
+    ("free", "rho0", float("inf")),
+    ("free", "beta0", float("nan")),
+    ("free", "c_m1", {"re": float("nan")}),
+    ("free", "c_m1", {"re": 1.0, "im": -float("inf")}),
+    ("free", "gamma", {"re": float("inf")}),
+    ("free", "gamma", {"re": 0.0, "im": float("nan")}),
+    ("numerics", "tol_solve", float("inf")),
+    ("numerics", "tol_solve", float("nan")),
+])
+def test_non_finite_free_constants_and_tolerance_exit_two(
+    tmp_path, capsys, section, key, value
+):
+    doc = figures.load_case("fig3a")
+    doc[section][key] = value
+    with pytest.raises(CliError, match=f"^{key} must be finite"):
+        parse_config(doc)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_tolerance_env_exits_two(fig1b_path, monkeypatch, capsys):
+    monkeypatch.setenv("INCLUSION_FORGE_TOL", "inf")
+    assert cli.main(["solve", "--config", str(fig1b_path)]) == 2
+    assert "error: tol_solve must be finite" in capsys.readouterr().err
+
+
 def test_malformed_tolerance_env_exits_two(tmp_path, fig1b_path, monkeypatch, capsys):
     monkeypatch.setenv("INCLUSION_FORGE_TOL", "abc")
     assert cli.main(["solve", "--config", str(fig1b_path)]) == 2
@@ -200,6 +234,122 @@ def test_schema_messages_match_jsonschema_validate(spoil):
     with pytest.raises(CliError) as parsed:
         parse_config(doc)
     assert str(parsed.value) == f"config schema violation: {direct.value.message}"
+
+
+_SWAPS = (
+    "infinity", "x", None, True, False, 0, 3, -2, 1.5, [], [1.0, 2.0], {}, {"re": 1.0},
+)
+_EXTRA_KEYS = ("extra", "antisymmetric", "tol_solve", "im", "mu", "a", "free")
+
+
+def _slots(node, out):
+    """Every (container, key) pair below node, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+def _numpy_scalar(rng, v):
+    if isinstance(v, bool):
+        return np.bool_(v)
+    if isinstance(v, int):
+        return (np.int64, np.float64)[rng.integers(2)](v)
+    if isinstance(v, float):
+        return (np.float64, np.float32)[rng.integers(2)](v)
+    return np.float64(1.0)
+
+
+def _mutate(rng, doc):
+    """One random edit: a type swap, a deletion, an extra key, NaN/inf, a bool
+    for a number, a float for an integer, or a numpy scalar."""
+    slots = _slots(doc, [])
+    parent, key = slots[rng.integers(len(slots))]
+    kind = rng.integers(7)
+    if kind == 0:
+        parent[key] = copy.deepcopy(_SWAPS[rng.integers(len(_SWAPS))])
+    elif kind == 1:
+        del parent[key]
+    elif kind == 2:
+        dicts = [doc] + [p[k] for p, k in slots if isinstance(p[k], dict)]
+        target = dicts[rng.integers(len(dicts))]
+        value = _SWAPS[rng.integers(len(_SWAPS))]
+        target[_EXTRA_KEYS[rng.integers(len(_EXTRA_KEYS))]] = copy.deepcopy(value)
+    elif kind == 3:
+        parent[key] = (float("nan"), float("inf"), -float("inf"))[rng.integers(3)]
+    elif kind == 4:
+        parent[key] = bool(rng.integers(2))
+    elif kind == 5:
+        v = parent[key]
+        whole = isinstance(v, (int, float)) and not isinstance(v, bool)
+        parent[key] = float(v) + (0.0, 0.5)[rng.integers(2)] if whole else 200.0
+    else:
+        parent[key] = _numpy_scalar(rng, parent[key])
+
+
+def test_schema_walker_accepts_exactly_what_jsonschema_accepts():
+    rng = np.random.default_rng(1705)
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    bundled = [figures.load_case(case.name) for case in figures.FIGURE_CASES]
+    accepted = disagreements = 0
+    for trial in range(6000):
+        doc = copy.deepcopy(bundled[trial % len(bundled)])
+        for _ in range(rng.integers(4)):
+            if isinstance(doc, dict) and doc:
+                _mutate(rng, doc)
+        verdict = validator.is_valid(doc)
+        accepted += verdict
+        disagreements += cli._conforms(doc, CONFIG_SCHEMA) != verdict
+    assert disagreements == 0
+    assert 1000 < accepted < 5000
+
+
+def test_schema_walker_raises_on_a_keyword_it_has_no_check_for():
+    schema = {"type": "object", "properties": {"n": {"type": "integer", "maximum": 3}}}
+    with pytest.raises(ValueError, match="'maximum'"):
+        cli._conforms({"n": 2}, schema)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
+_SOLVE_EVERY_CASE = """
+import sys
+from inclusion_forge import cli, figures, pipeline
+for case in figures.FIGURE_CASES:
+    cfg, loading, materials, free, numerics, ov = cli.parse_config(figures.load_case(case.name))
+    result = pipeline.solve(cfg, loading, materials, free, numerics,
+                            override_a=ov.get("a"), override_rho=ov.get("rho"))
+    assert result.verdict == case.expected, case.name
+print("jsonschema" in sys.modules)
+"""
+
+
+def test_accepted_configs_never_import_jsonschema():
+    done = _run_python(_SOLVE_EVERY_CASE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_accepted_configs_parse_and_solve_without_jsonschema_installed():
+    blocker = (
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'jsonschema':\n"
+        "            raise ImportError('jsonschema is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+    )
+    done = _run_python(blocker + _SOLVE_EVERY_CASE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_parse_config_rejects_slit_count_mismatch():

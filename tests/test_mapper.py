@@ -31,6 +31,7 @@ from inclusion_forge.model import (
     SlitConfiguration,
     derive_constants,
     pole_density,
+    singular_part_F,
 )
 from inclusion_forge.geometry import bank_parameter_grid
 from inclusion_forge.quadrature import (
@@ -469,6 +470,38 @@ def test_each_degree_table_build_is_logged_once(caplog, capsys):
     assert messages[0].startswith("degree table for phi: D = ")
     assert messages[1].startswith("degree table for g0_rho+g1_weighted: D = ")
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig4a"])
+def test_F_interior_without_phi_rows_is_its_singular_part(name, monkeypatch):
+    sm, derived, _ = solved_map(name)
+    assert not sm._coef[mapper._PHI].any()
+    z = _far_and_near_targets(sm.branch, np.random.default_rng(11))
+    (total,), q = sm._off_sums(mapper._PHI, z)
+    sign = (-1.0) ** (sm.branch.n - 1)
+    summed = derived.beta0 + singular_part_F(z, derived) - 1j * sign * q / np.pi * total
+    on_slit = np.append(z[:3], sm.branch.endpoints[0] + 0j)
+    with pytest.raises(EvaluationError) as summed_error:
+        sm._off_sums(mapper._PHI, on_slit)
+    calls = []
+    for kernel in ("slit_roots", "cauchy_off_stack"):
+        monkeypatch.setattr(mapper, kernel, lambda *args: calls.append(args))
+    assert (sm.F_interior(z) == summed).all()
+    assert sm.F_interior(z[5]) == summed[5]
+    with pytest.raises(EvaluationError) as short_error:
+        sm.F_interior(on_slit)
+    assert str(short_error.value) == str(summed_error.value)
+    assert not calls
+
+
+def test_solve_builds_the_map_on_the_period_table(monkeypatch):
+    cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig3a")
+    with monkeypatch.context() as m:
+        m.setattr(mapper, "slit_table", lambda *args: pytest.fail("table rebuilt"))
+        sm = pipeline.solve(cfg, loading, materials, free, numerics).slit_map
+    rebuilt = SlitMap(sm.branch, sm.derived, sm.constants, sm.numerics)
+    np.testing.assert_array_equal(sm._coef, rebuilt._coef)
+    np.testing.assert_array_equal(sm._block_degree, rebuilt._block_degree)
 
 
 def _edge_inputs(n):

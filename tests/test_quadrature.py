@@ -280,6 +280,39 @@ def test_stacked_kernels_match_one_series_per_row():
         np.testing.assert_allclose(on[r], singular_on(s, xi), rtol=1e-15, atol=0)
 
 
+def _plain_singular_on_stack(coef, centre, half, xi):
+    """The principal-value recurrence with new arrays per term and no row skipped."""
+    half = np.asarray(half)[:, None]
+    x = (np.asarray(xi, dtype=float) - np.asarray(centre)[:, None]) / half
+    total = np.zeros(coef.shape[:-1] + x.shape[-1:], dtype=np.result_type(coef, x))
+    u_prev = np.zeros_like(x)
+    u = np.ones_like(x)
+    for m in range(1, coef.shape[-1]):
+        total += coef[..., m, None] * u
+        u_prev, u = u, 2.0 * x * u - u_prev
+    total *= np.pi / half
+    return total
+
+
+def test_in_place_principal_values_are_bit_identical_to_the_plain_recurrence(rng):
+    centre = np.array([-0.8, -0.1, 0.4, 0.9])
+    half = np.array([0.15, 0.2, 0.1, 0.05])
+    coef = rng.normal(size=(3, 4, 33))
+    coef[0] = 0.0  # a family with no density
+    coef[:, 2] = 0.0  # a slit with no density in any family
+    coef[1, 1, 1:] = 0.0  # T_0 alone, which adds nothing
+    frac = np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, 7)))
+    own = centre[:, None] + half[:, None] * frac  # endpoints of every row
+    for c in (coef, coef[1], coef[1:2, :3], np.zeros_like(coef)):
+        rows = c.shape[-2]
+        for xi in (own[:rows], own[1]):
+            got = singular_on_stack(c, centre[:rows], half[:rows], xi)
+            np.testing.assert_array_equal(
+                got, _plain_singular_on_stack(c, centre[:rows], half[:rows], xi)
+            )
+    assert not singular_on_stack(coef, centre, half, own)[0].any()
+
+
 # -- the degree table and the split Horner loop ----------------------------------
 
 # One long interval with three short ones close to its right end: the long
