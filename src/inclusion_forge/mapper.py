@@ -134,13 +134,14 @@ class SlitMap:
     block, summed to the degree :func:`~inclusion_forge.quadrature.block_degrees`
     gives at the largest |w_j| on slit i, its nearer endpoint; the own slit
     adds its principal value.  The block degrees of every family are built
-    with the coefficients and logged once at DEBUG.  Off the slits, each
-    family set sums only to the degrees its
-    :class:`~inclusion_forge.quadrature.DegreeTable` asks for, a table built
-    from the map alone on first use.  All evaluation methods are pure and
-    accept scalars or arrays of targets.  ``table`` is the node table
-    ``slit_table(branch, numerics.N)``, built here unless the caller already
-    has it (the solve passes the period matrix's).
+    with the coefficients and logged once at DEBUG.  Off the slits, the same
+    rule gives each family set a
+    :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone, on
+    the first interior call: a split degree, and the |w| beyond which a pair
+    sums further.  All evaluation methods are pure and accept scalars or
+    arrays of targets.  ``table`` is the node table
+    ``slit_table(branch, numerics.N)``, built here unless the caller
+    already has it (the solve passes the period matrix's).
     """
 
     def __init__(

@@ -264,6 +264,16 @@ def _schwarz_boundary_report(
     return {"imF_max_dev": dev_f, "omega_max_dev": dev_w}
 
 
+def _override(name: str, values: Sequence[float] | None, n: int) -> np.ndarray | None:
+    """An override vector as n finite floats; ``ConfigurationError`` otherwise."""
+    if values is None:
+        return None
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,) or not np.isfinite(v).all():
+        raise ConfigurationError(f"override {name} must hold {n} finite numbers, got {v.tolist()}")
+    return v
+
+
 def solve(
     cfg: SlitConfiguration,
     loading: Loading,
@@ -278,8 +288,11 @@ def solve(
     ``override_a``/``override_rho`` replace the solved constant vectors
     (letting deliberately violated configurations be traced); the
     boundedness residuals then report the violation and the verdict turns
-    INVALID-UNBOUNDED.
+    INVALID-UNBOUNDED.  Each must hold n finite numbers, also for n = 1,
+    whose closed forms do not read them.
     """
+    override_a = _override("a", override_a, cfg.n)
+    override_rho = _override("rho", override_rho, cfg.n)
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
     if cfg.n == 1:
@@ -298,16 +311,8 @@ def solve(
         rho = solvability.solve_rho(period, branch, derived, rho0)
         cross = _closed_form_cross_check(period, branch, derived, a, rho)
 
-    if override_a is not None:
-        override_a = np.asarray(override_a, dtype=float)
-        if override_a.shape != (cfg.n,):
-            raise ConfigurationError(f"override a must have length {cfg.n}")
-        a = override_a
-    if override_rho is not None:
-        override_rho = np.asarray(override_rho, dtype=float)
-        if override_rho.shape != (cfg.n,):
-            raise ConfigurationError(f"override rho must have length {cfg.n}")
-        rho = override_rho
+    a = a if override_a is None else override_a
+    rho = rho if override_rho is None else override_rho
 
     constants = solvability.build_constants(a, rho, derived)
     with _stage(timings, "residuals"):

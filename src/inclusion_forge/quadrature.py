@@ -32,18 +32,12 @@ terms k >= d of the row may be dropped at a target where
 |c_k'| |w|^k' is one term of the full sum, so 2^-63 of it lies below the
 sum's own rounding scale, also where c_0 = 0.  For d > k' the tail over the
 lead term grows with |w|, so a bound met at some |w| holds at every smaller
-one.  The bound is evaluated in two ways:
-
-* per block, at a known worst |w|: :func:`block_degrees` sums the tail term
-  by term at the largest |w| of a group of targets, which on the slits is
-  the |w| at the nearer endpoint of the target slit, and
-  :func:`cauchy_off_blocks` sums every block to its own degree;
-* by thresholds, for arbitrary targets off the slits: a
-  :class:`DegreeTable` bounds the tail by
-  max_{k >= d} |c_k| |w|^d / (1 - |w|) and gives the largest |w|,
-  thr[j, d], at which that bound is met.  Given a table, the kernel sums
-  the terms k < D for every pair and the terms k >= D only for the pairs
-  beyond thr[j, D].
+one.  One function evaluates the bound, term by term at a given |w|:
+:func:`block_degrees` gives the degree each block of targets on the slits
+needs at its largest |w|, and :func:`cauchy_off_blocks` sums every block to
+its own degree; :func:`degree_table` picks one split degree D for targets
+off the slits and bisects, per row, for the largest |w| at which D terms
+meet the bound, and the kernel sums the terms k >= D only beyond that |w|.
 """
 
 from __future__ import annotations
@@ -64,7 +58,6 @@ __all__ = [
     "SlitRoots",
     "slit_roots",
     "DegreeTable",
-    "tail_thresholds",
     "degree_table",
     "block_degrees",
     "cauchy_off_stack",
@@ -285,12 +278,12 @@ _BEYOND = 0.15       # largest share of slit-centre pairs left beyond the split 
 class DegreeTable(NamedTuple):
     """Where the off-interval series of R rows may stop.
 
-    ``thr[j, d]`` (shape (R, L + 1)) is the largest |w| at which the terms
-    k >= d of every family row of interval j stay within the tail bound of
-    the module docstring; it is rounded down and non-decreasing in d, 0
-    where no |w| > 0 qualifies and inf where the tail is zero.  The kernel
-    splits its Horner loop at degree ``D``; ``beyond`` is the share of
-    (interval, other interval's centre) pairs with |w| > thr[j, D].
+    The kernel splits its Horner loop at degree ``D``.  ``thr[j]`` (shape
+    (R,)) is the largest |w| below 1 at which every family row of interval j
+    needs at most D terms by the rule of :func:`block_degrees`, rounded down
+    by at most a relative 2^-30, and 0 where no |w| > 0 qualifies.
+    ``beyond`` is the share of (interval, other interval's centre) pairs
+    that need more than D terms.
     """
 
     thr: np.ndarray
@@ -298,55 +291,72 @@ class DegreeTable(NamedTuple):
     beyond: float
 
 
-def tail_thresholds(coef) -> np.ndarray:
-    """``DegreeTable.thr`` of coefficient rows of shape (..., R, L).
+def _tail_rule(coef):
+    """The tail bound of the module docstring for rows (F, R, L), as a function of |w|.
 
-    Each threshold a solves e ln a - ln(1 - a) = ln r, with e = d - k' and
-    r = 2^-63 |c_k'| / max_{k>=d} |c_k|, the tail bound of the module
-    docstring at equality.  The left side increases in a, and its root
-    u = ln a lies in [min((ln r - ln 2) / e, -ln 2), min(ln r / e, 0)], a
-    bracket at most ln 2 wide; bisection keeps the lower end, so no
-    threshold lies above its root.  The target is lowered by 2^-30, which
-    covers the rounding of the logarithms.
+    The function returned maps |w| of shape (K, R), interval r's |w| over
+    the targets of group k, to the smallest d at which row (f, r) meets the
+    bound there, shape (F, K, R).  The tail is summed term by term and the
+    bound lowered by 2^-40, which covers the rounding of the powers and the
+    sums.  The degree is 0 for rows that are all zero and L where even the
+    last term exceeds the bound.
     """
     mags = np.abs(np.asarray(coef))
-    mags = mags.reshape((-1,) + mags.shape[-2:])
     top = mags.max(axis=-1, keepdims=True)
-    lead_k = np.argmax(mags >= _LEAD * top, axis=-1)[..., None]
-    lead = np.take_along_axis(mags, lead_k, axis=-1)
-    tail_max = np.maximum.accumulate(mags[..., ::-1], axis=-1)[..., ::-1]
-    e = np.arange(mags.shape[-1]) - lead_k
-    solve = (e > 0) & (tail_max > 0.0)
-    e = np.broadcast_to(e, solve.shape)[solve]
-    lead = np.broadcast_to(lead, solve.shape)[solve]
-    log_r = np.log(lead) - np.log(tail_max[solve]) + (np.log(_TAIL) - 2.0**-30)
-    lo = np.minimum((log_r - np.log(2.0)) / e, -np.log(2.0))
-    hi = np.minimum(log_r / e, 0.0)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        below = e * mid - np.log1p(-np.exp(mid)) <= log_r
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    thr = np.where(tail_max > 0.0, 0.0, np.inf)
-    thr[solve] = np.exp(lo)
-    thr = np.maximum.accumulate(thr, axis=-1).min(axis=0)
-    return np.concatenate([thr, np.full((len(thr), 1), np.inf)], axis=-1)
+    mags = np.divide(mags, top, out=np.zeros_like(mags), where=top > 0.0)
+    L = mags.shape[-1]
+    lead_k = np.argmax(mags >= _LEAD, axis=-1)[:, None, :, None]
+    high_first = mags[:, None, :, ::-1]
+
+    def degrees(w) -> np.ndarray:
+        w = np.asarray(w, dtype=float)
+        powers = np.empty(w.shape + (L,))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = w[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        # terms of shape (F, K, R, L), highest degree first, so the tails are one cumsum
+        terms = high_first * powers[..., ::-1]
+        index = np.broadcast_to(L - 1 - lead_k, terms.shape[:-1] + (1,))
+        bound = np.take_along_axis(terms, index, axis=-1) * (_TAIL * (1.0 - 2.0**-40))
+        fails = np.cumsum(terms, axis=-1, out=terms) > bound
+        return fails.sum(axis=-1)
+
+    return degrees
+
+
+def _thresholds(coef, D: int) -> np.ndarray:
+    """``DegreeTable.thr`` at split degree D of rows (F, R, L).
+
+    Bisection on the bit patterns of |w| in [0, 1), which order like the
+    values: 41 halvings of the 2^62 patterns leave 2^21, a relative 2^-30,
+    between a |w| that passes and one that fails.  A row that passes with D
+    terms at some |w| > 0 has D > k', so it passes at every smaller |w|.
+    """
+    degrees = _tail_rule(coef)
+    low = np.zeros(coef.shape[-2], dtype=np.int64)  # passes
+    high = np.full_like(low, np.float64(1.0).view(np.int64))  # fails
+    for _ in range(41):
+        mid = (low + high) >> 1
+        passes = (degrees(mid.view(float)[None]) <= D).all(axis=(0, 1))
+        np.copyto(low, mid, where=passes)
+        np.copyto(high, mid, where=~passes)
+    return low.view(float)
 
 
 def degree_table(coef, lo, hi) -> DegreeTable:
-    """The degree table of rows (..., R, L) on R >= 2 disjoint intervals [lo, hi].
+    """The degree table of rows (F, R, L) on R >= 2 disjoint intervals [lo, hi].
 
     D depends on the intervals and the coefficients only, never on the
     targets: it is the smallest d >= 1 at which at most 15% of the pairs
-    (interval j, centre of another interval) have |w_j| > thr[j, d].
+    (interval j, centre of another interval) need more than d terms at their
+    |w_j|, by the rule of :func:`block_degrees`.
     """
-    thr = tail_thresholds(coef)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     w = np.abs(slit_roots(lo, hi, 0.5 * (lo + hi)).w)
-    pairs = w[~np.eye(len(w), dtype=bool)].reshape(len(w), -1)
-    beyond = (pairs[:, :, None] > thr[:, None, 1:]).mean(axis=(0, 1))
+    pairs = _tail_rule(coef)(w.T).max(axis=0)[~np.eye(len(w), dtype=bool)]
+    beyond = (pairs[:, None] > np.arange(1, np.shape(coef)[-1] + 1)).mean(axis=0)
     D = 1 + int(np.argmax(beyond <= _BEYOND))
-    return DegreeTable(thr, D, float(beyond[D - 1]))
+    return DegreeTable(_thresholds(coef, D), D, float(beyond[D - 1]))
 
 
 def block_degrees(coef, w) -> np.ndarray:
@@ -355,27 +365,9 @@ def block_degrees(coef, w) -> np.ndarray:
     ``w`` (shape (K, R)) is the largest |w| of interval r over the targets
     of group k.  The degree of block (k, r) in family f is the smallest d at
     which row (f, r) meets the tail bound of the module docstring at that
-    |w|, with the tail summed term by term and the bound lowered by 2^-40,
-    which covers the rounding of the powers and the sums.  It is 0 for rows
-    that are all zero and L where even the last term exceeds the bound; the
-    bound then holds at every target of the group.
+    |w|, so the bound holds at every target of the group.
     """
-    mags = np.abs(np.asarray(coef))
-    top = mags.max(axis=-1, keepdims=True)
-    mags = np.divide(mags, top, out=np.zeros_like(mags), where=top > 0.0)
-    L = mags.shape[-1]
-    lead_k = np.argmax(mags >= _LEAD, axis=-1)[:, None, :, None]
-    w = np.asarray(w, dtype=float)
-    powers = np.empty(w.shape + (L,))
-    powers[..., 0] = 1.0
-    powers[..., 1:] = w[..., None]
-    np.cumprod(powers, axis=-1, out=powers)
-    # terms of shape (F, K, R, L), highest degree first, so the tails are one cumsum
-    terms = mags[:, None, :, ::-1] * powers[..., ::-1]
-    index = np.broadcast_to(L - 1 - lead_k, terms.shape[:-1] + (1,))
-    bound = np.take_along_axis(terms, index, axis=-1) * (_TAIL * (1.0 - 2.0**-40))
-    fails = np.cumsum(terms, axis=-1, out=terms) > bound
-    return fails.sum(axis=-1)
+    return _tail_rule(coef)(w)
 
 
 def _high_terms(coef, w, row, rows: int, D: int, dtype) -> np.ndarray:
@@ -408,7 +400,7 @@ def cauchy_off_stack(coef, roots: SlitRoots, table: DegreeTable | None = None) -
     multiplied by one reciprocal -pi/rho per (row, target).
 
     With a :class:`DegreeTable` of the rows, every pair sums the terms
-    k < D, and only the pairs with |w| > thr[j, D] sum the terms k >= D:
+    k < D, and only the pairs with |w| > thr[j] sum the terms k >= D:
     one compact Horner pass over those pairs, grouped by row, seeds the
     loop below D, so they go through the same operations as without a
     table.  Without a table every pair sums all L terms.
@@ -428,7 +420,7 @@ def cauchy_off_stack(coef, roots: SlitRoots, table: DegreeTable | None = None) -
     total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
     total[...] = coef[..., D - 1, None]
     if D < L:
-        row, col = np.nonzero(np.abs(w) > table.thr[:, D, None])
+        row, col = np.nonzero(np.abs(w) > table.thr[:, None])
         if len(row):
             total[..., row, col] += _high_terms(coef, w[row, col], row, rows, D, total.dtype)
     for m in range(D - 2, -1, -1):

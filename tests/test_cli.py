@@ -136,6 +136,32 @@ def test_non_finite_free_constants_and_tolerance_exit_two(
     assert f"error: {key} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case, key, value", [
+    ("fig3a", "a", [float("nan"), 0.0, 0.0]),
+    ("fig3a", "rho", [0.0, float("inf"), 0.0]),
+    ("fig3a", "a", [0.0, 0.0]),
+    ("fig1a", "a", [1.0, 2.0, float("nan")]),
+    ("fig1a", "rho", [-float("inf")]),
+])
+def test_bad_config_overrides_exit_two(tmp_path, capsys, case, key, value):
+    doc = figures.load_case(case)
+    doc["overrides"] = {key: value}
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert f"error: override {key} must hold {doc['n']} finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [("--override-a", "nan,0,0"), ("--override-rho", "0,inf,0")])
+def test_non_finite_override_flags_exit_two(tmp_path, capsys, flag, value):
+    path = tmp_path / "fig3a.json"
+    path.write_text(json.dumps(figures.load_case("fig3a")))
+    assert cli.main(["solve", "--config", str(path), flag, value]) == 2
+    assert f"error: override {flag[11:]} must hold 3 finite numbers" in capsys.readouterr().err
+
+
 def test_non_finite_tolerance_env_exits_two(fig1b_path, monkeypatch, capsys):
     monkeypatch.setenv("INCLUSION_FORGE_TOL", "inf")
     assert cli.main(["solve", "--config", str(fig1b_path)]) == 2

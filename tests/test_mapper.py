@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from inclusion_forge import branch as branch_module
-from inclusion_forge import mapper, pipeline, quadrature
+from inclusion_forge import figures, mapper, pipeline, quadrature
 from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
     SlitMap,
@@ -456,6 +456,24 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
     for names, table in sm._degree_tables.items():
         assert table.D == other._degree_tables[names].D
         np.testing.assert_array_equal(table.thr, other._degree_tables[names].thr)
+
+
+def test_solves_never_build_a_degree_table(monkeypatch):
+    # the bisection for the interior split is paid on the first interior call
+    calls = []
+    build = mapper.degree_table
+    monkeypatch.setattr(mapper, "degree_table", lambda *args: calls.append(args) or build(*args))
+    for case in figures.FIGURE_CASES:
+        cfg, loading, materials, free, numerics, overrides = load_figure_inputs(case.name)
+        pipeline.solve(
+            cfg, loading, materials, free, numerics,
+            override_a=overrides.get("a"), override_rho=overrides.get("rho"),
+        )
+    sm = pipeline.solve(*slit_layout_inputs(16)).slit_map
+    assert len(figures.FIGURE_CASES) == 16 and not calls
+    sm.F_interior(0.3 + 0.5j)
+    sm.omega_interior(0.3 + 0.5j)
+    assert len(calls) == 2
 
 
 def test_each_degree_table_build_is_logged_once(caplog, capsys):

@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 
+import inclusion_forge
 from inclusion_forge import cli, figures, mapper, pipeline
 from inclusion_forge.model import ConfigurationError, FreeParameters
 
@@ -16,6 +19,18 @@ def run_figure(name, **kwargs):
         override_a=kwargs.pop("override_a", overrides.get("a")),
         override_rho=kwargs.pop("override_rho", overrides.get("rho")),
     )
+
+
+def test_every_exported_name_resolves():
+    modules = [inclusion_forge] + [
+        importlib.import_module(f"inclusion_forge.{info.name}")
+        for info in pkgutil.iter_modules(inclusion_forge.__path__)
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert inclusion_forge in exporting and len(exporting) >= 2
+    for module in exporting:
+        stale = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not stale, (module.__name__, stale)
 
 
 def test_fig1b_is_valid_with_two_disjoint_contours(solve_figure):
@@ -151,6 +166,25 @@ def test_validation_failures_raise():
         pipeline.solve(
             cfg, loading, materials, free, numerics, override_a=[1.0, 2.0, 3.0]
         )
+
+
+_BAD_OVERRIDES = {
+    "nan": lambda n: [float("nan")] + [0.0] * (n - 1),
+    "inf": lambda n: [0.0] * (n - 1) + [float("inf")],
+    "short": lambda n: [0.0] * (n - 1),
+    "long": lambda n: [1.0, 2.0, float("nan")] + [0.0] * (n - 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which", ["a", "rho"])
+@pytest.mark.parametrize("bad", sorted(_BAD_OVERRIDES))
+@pytest.mark.parametrize("case", ["fig1a", "fig3a"])
+def test_overrides_must_be_n_finite_numbers(case, bad, which):
+    # checked before the n = 1 branch, whose closed forms never read them
+    cfg = load_figure_inputs(case)[0]
+    with pytest.raises(ConfigurationError, match=f"^override {which} must hold {cfg.n} finite"):
+        run_figure(case, **{f"override_{which}": _BAD_OVERRIDES[bad](cfg.n)})
 
 
 @pytest.mark.parametrize("case", ["fig3a", "sixteen"])

@@ -8,6 +8,7 @@ from oracles import (
     weighted_pv,
 )
 
+from inclusion_forge import quadrature
 from inclusion_forge.quadrature import (
     DegreeTable,
     SlitRoots,
@@ -24,7 +25,6 @@ from inclusion_forge.quadrature import (
     singular_on,
     singular_on_stack,
     slit_roots,
-    tail_thresholds,
 )
 
 
@@ -364,28 +364,28 @@ def _full_horner(coef, roots):
     return total * np.divide(-np.pi, rho)
 
 
+# block_degrees lowers the bound by 2^-40 against rounding; its degree lies
+# between the 80-bit degrees of the exact bound and of a bound 2^-39 lower
+_LOWERED = 1.0 - 2.0**-39
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", TABLE_KINDS)
-def test_tail_thresholds_are_conservative(kind, seed):
+def test_degree_table_thresholds_are_conservative_and_minimal(kind, seed):
     coef = _seeded_table(kind, np.random.default_rng([seed, 7]))
-    thr = tail_thresholds(coef)
-    assert thr.shape == (4, _L + 1)
-    assert np.all(thr[:, 1:] >= thr[:, :-1]) and np.all(thr[:, -1] == np.inf)
-    mags = np.abs(coef)
-    for f, j in np.ndindex(mags.shape[:2]):
-        row = mags[f, j]
-        if not row.any():
-            continue
-        lead = np.argmax(row >= 2.0**-10 * row.max())
-        for d in range(_L):
-            a = thr[j, d]
-            if a == np.inf:
-                assert not row[d:].any()
-            elif a > 0.0:  # the exact tail, relative to the lead term
-                tail = np.sum(row[d:] * a ** (np.arange(d, _L) - lead))
-                assert tail <= 2.0**-63 * row[lead], (f, j, d)
+    table = degree_table(coef, _LO, _HI)
+    assert table.thr.shape == (len(_LO),)
+    assert np.all((table.thr >= 0.0) & (table.thr < 1.0))
+    for j, a in enumerate(table.thr):
+        rows = coef[:, j]
+        # the exact bound holds with D terms at thr[j]; a little above it even
+        # the lowered bound needs more
+        assert tail_degree_80bit(rows, a) <= table.D, j
+        above = a * (1.0 + 2.0**-30)
+        if above < 1.0:
+            assert tail_degree_80bit(rows, above, _LOWERED) > table.D, j
     if kind == "all_zero":
-        assert np.all(thr == np.inf)
+        assert np.all(table.thr >= 1.0 - 2.0**-30)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -401,7 +401,7 @@ def test_split_kernel_matches_the_full_horner_loop(kind, seed):
     full = cauchy_off_stack(coef, roots)
     full_80 = cauchy_off_stack(coef.astype(np.longdouble), wide)
     for D in sorted({table.D, 1, _L // 2, _L}):
-        split = DegreeTable(table.thr, D, table.beyond)
+        split = DegreeTable(quadrature._thresholds(coef, D), D, table.beyond)
         # in 80-bit arithmetic what is left is the truncation: <= 2^-63 of the
         # lead term, below 2^-60 of the scale with rounding to spare
         got_80 = cauchy_off_stack(coef.astype(np.longdouble), wide, split)
@@ -427,7 +427,7 @@ def test_kernel_without_a_table_is_the_full_loop(rng):
         roots = slit_roots(_LO, _HI, targets)
         expected = _full_horner(coef, roots)
         np.testing.assert_array_equal(cauchy_off_stack(coef, roots), expected)
-        every = DegreeTable(tail_thresholds(coef), _L, 0.0)
+        every = DegreeTable(quadrature._thresholds(coef, _L), _L, 0.0)
         np.testing.assert_array_equal(cauchy_off_stack(coef, roots, every), expected)
 
 
@@ -438,11 +438,6 @@ def _worst_w(lo, hi):
     """|w_j| at the nearer endpoint of interval i, shape (i, j), as SlitMap takes it."""
     ends = np.stack([lo, hi], axis=-1)
     return np.abs(slit_roots(lo, hi, ends).w).max(axis=-1).T
-
-
-# block_degrees lowers the bound by 2^-40 against rounding; its degree lies
-# between the 80-bit degrees of the exact bound and of a bound 2^-39 lower
-_LOWERED = 1.0 - 2.0**-39
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
