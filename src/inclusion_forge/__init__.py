@@ -11,6 +11,7 @@ from .branch import BranchData, bank_value, eval_q, weight_factor
 from .geometry import (
     ContourProfile,
     build_profiles,
+    contacts,
     disjoint,
     fit_ellipse,
     self_intersects,
@@ -19,7 +20,6 @@ from .geometry import (
 from .mapper import (
     BoundaryValue,
     SlitMap,
-    g0,
     n1_circular_profile,
     n1_shape_ratio,
     n1_slit_profile,
@@ -38,6 +38,7 @@ from .model import (
     SolverError,
     ValidationReport,
     derive_constants,
+    g0,
     validate,
 )
 from .pipeline import Diagnostics, SolveResult, override_constants, solve
@@ -86,6 +87,7 @@ __all__ = [
     "build_profiles",
     "cauchy_off",
     "cheb_coeffs",
+    "contacts",
     "derive_constants",
     "disjoint",
     "eval_q",

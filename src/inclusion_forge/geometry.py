@@ -5,14 +5,17 @@ slit: top bank left to right, bottom bank right to left, Chebyshev-clustered
 in the slit parameter so the physical points concentrate near the high
 curvature ends.  Validity of a configuration means every profile is a
 simple curve, profiles are pairwise disjoint and not nested, and none has
-collapsed to a segment.  All predicates are tolerance based; touching
-closer than 1e-9 of the scale counts as intersecting.
+collapsed to a segment.  :func:`contacts` decides the first three for all
+profiles at once, from one sweep over every segment of every profile, and
+returns a located record per failed test; the verdict reads that list.
+Touching closer than 1e-9 of the larger diameter counts as intersecting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -130,15 +133,19 @@ def build_profiles(grid: np.ndarray, omega: np.ndarray) -> list[ContourProfile]:
 # -- segment predicates --------------------------------------------------------
 #
 # Only segment pairs whose bounding boxes overlap are tested.  One sort and
-# sweep over the segment extents finds them (the any-crossing filter of
-# Shamos & Hoey, FOCS 1976): O(K log K + candidates) for K segments, with no
-# K x K array.  The filter is exact: a proper crossing, a collinear overlap or
-# a distance below the touch pad each make the two closed boxes, grown by the
-# pad, overlap.
+# sweep over the extents of every segment of every contour finds them (the
+# any-crossing filter of Shamos & Hoey, FOCS 1976): O(K log K + candidates)
+# for K segments, with no K x K array.  It grows the boxes by the largest
+# touch pad, and each test keeps the candidates that overlap under its own.
+# The filter is exact: a proper crossing, a collinear overlap or a distance
+# below the touch pad each make the two closed boxes, grown by the pad,
+# overlap.
 
 
-def _segments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return z[:-1], z[1:]
+def _boxes(s0, s1, pad):
+    """Left, right, bottom and top edges of the segments s0s1, grown by pad."""
+    return (np.minimum(s0.real, s1.real) - pad, np.maximum(s0.real, s1.real) + pad,
+            np.minimum(s0.imag, s1.imag) - pad, np.maximum(s0.imag, s1.imag) + pad)
 
 
 def _candidate_pairs(s0, s1, pad: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,8 +156,7 @@ def _candidate_pairs(s0, s1, pad: float) -> tuple[np.ndarray, np.ndarray]:
     pairs.  Each unordered pair appears once.  The runs stay short while
     few segments share an x-range, as on the smooth traced contours.
     """
-    x0, x1 = np.minimum(s0.real, s1.real) - pad, np.maximum(s0.real, s1.real) + pad
-    y0, y1 = np.minimum(s0.imag, s1.imag) - pad, np.maximum(s0.imag, s1.imag) + pad
+    x0, x1, y0, y1 = _boxes(s0, s1, pad)
     order = np.argsort(x0, kind="stable")
     stop = np.searchsorted(x0[order], x1[order], side="right")
     run = stop - np.arange(1, len(order) + 1)
@@ -199,74 +205,86 @@ def _point_segment_distance(pts, s0, s1) -> np.ndarray:
     return np.abs(pts - (s0 + t * d))
 
 
-def _first(i: np.ndarray, j: np.ndarray) -> tuple[int, int] | None:
-    """The lexicographically smallest pair (i[k], j[k]); None when empty."""
-    if i.size == 0:
-        return None
-    k = np.lexsort((j, i))[0]
-    return int(i[k]), int(j[k])
-
-
-def _self_crossing(profile: ContourProfile) -> tuple[int, int] | None:
-    """First segment pair (i < j) at which the closed polyline crosses itself.
-
-    Adjacent segments share a vertex and are not tested; the first and the
-    last segment are adjacent through the closing vertex.
-    """
-    s0, s1 = _segments(profile.points)
-    i, j = _candidate_pairs(s0, s1, 0.0)
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    keep = (j - i > 1) & (j - i != len(s0) - 1)
-    i, j = i[keep], j[keep]
-    hit = _segments_cross(s0[i], s1[i], s0[j], s1[j])
-    return _first(i[hit], j[hit])
-
-
-def self_intersects(profile: ContourProfile) -> bool:
-    """True when the closed polyline crosses itself (adjacent edges ignored)."""
-    return _self_crossing(profile) is not None
-
-
 def _winding_contains(profile: ContourProfile, point: complex) -> bool:
     z = profile.points - point
     angles = np.angle(z[1:] / z[:-1])
     return abs(np.sum(angles)) > np.pi
 
 
-def _pair_contact(p1: ContourProfile, p2: ContourProfile):
-    """Why two closed contours fail ``disjoint``, or None when they pass.
+def contacts(profiles: Sequence[ContourProfile]) -> list[dict]:
+    """One JSON-ready record per failed test, in test order; [] when all pass.
 
-    Returns ``(reason, i, j)``: ``"cross"`` or ``"touch"`` with the first
-    offending segment i of p1 and j of p2, or ``"nested"`` with i = j = -1.
+    First each contour: no two of its segments that share no vertex cross.
+    Then each pair p < q: no segments of the two cross (``"cross"``) or come
+    closer than 1e-9 of the larger diameter (``"touch"``), and neither
+    contour contains the other (``"nested"``).  A record holds the slit
+    indices of the two contours, the reason and, but for nested, the
+    ``[xi, bank]`` of the first offending segment on each (its start vertex).
     """
-    x0a, y0a, x1a, y1a = p1.bbox
-    x0b, y0b, x1b, y1b = p2.bbox
-    scale = max(p1.diameter, p2.diameter)
-    pad = _TOUCH_REL * scale
-    if x1a + pad < x0b or x1b + pad < x0a or y1a + pad < y0b or y1b + pad < y0a:
-        return None
-    a0, a1 = _segments(p1.points)
-    b0, b1 = _segments(p2.points)
-    s0, s1 = np.concatenate([a0, b0]), np.concatenate([a1, b1])
-    i, j = _candidate_pairs(s0, s1, pad)
-    mixed = (i < len(a0)) != (j < len(a0))
-    i, j = np.minimum(i, j)[mixed], np.maximum(i, j)[mixed]
+    n = len(profiles)
+    sizes = np.array([len(p.points) - 1 for p in profiles])
+    start = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(n), sizes)
+    s0 = np.concatenate([p.points[:-1] for p in profiles])
+    s1 = np.concatenate([p.points[1:] for p in profiles])
+    diam = np.array([p.diameter for p in profiles])
+    pads = _TOUCH_REL * np.maximum(diam[:, None], diam[None, :])
+    np.fill_diagonal(pads, 0.0)
+    box = np.array([p.bbox for p in profiles])
+    gap = (box[:, None, 2:] + pads[..., None] < box[None, :, :2]).any(axis=-1)
+    near = ~(gap | gap.T)  # contour boxes, grown by the pair's pad, meet
+    near_pairs = np.argwhere(np.triu(near, 1))
+
+    i, j = _candidate_pairs(s0, s1, pads.max())
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    a, b, step = owner[i], owner[j], j - i
+    keep = (a != b) | ((step > 1) & (step != sizes[a] - 1))  # adjacent segments share a vertex
+    if not keep.any() and not near_pairs.size:
+        return []  # no segment pair and no pair of contours to test
+    i, j, a, b = i[keep], j[keep], a[keep], b[keep]
+    x0, x1, y0, y1 = _boxes(s0[i], s1[i], pads[a, b])
+    u0, u1, v0, v1 = _boxes(s0[j], s1[j], pads[a, b])
+    keep = near[a, b] & (u0 <= x1) & (x0 <= u1) & (v0 <= y1) & (y0 <= v1)
+    i, j, a, b = i[keep], j[keep], a[keep], b[keep]
+
+    test = a * n + b
     hit = _segments_cross(s0[i], s1[i], s0[j], s1[j])
-    reason = "cross"
-    if not hit.any():
-        reason = "touch"
-        hit = np.minimum.reduce([
-            _point_segment_distance(s0[i], s0[j], s1[j]),
-            _point_segment_distance(s1[i], s0[j], s1[j]),
-            _point_segment_distance(s0[j], s0[i], s1[i]),
-            _point_segment_distance(s1[j], s0[i], s1[i]),
-        ]) < pad
-    first = _first(i[hit], j[hit])
-    if first is not None:
-        return reason, first[0], first[1] - len(a0)
-    if _winding_contains(p1, p2.points[0]) or _winding_contains(p2, p1.points[0]):
-        return "nested", -1, -1
-    return None
+    cross = hit.copy()
+    rest = (a != b) & ~np.isin(test, test[hit])  # pairs without a crossing
+    ir, jr = i[rest], j[rest]
+    hit[rest] = np.minimum(
+        _point_segment_distance(np.stack([s0[ir], s1[ir]]), s0[jr], s1[jr]).min(0),
+        _point_segment_distance(np.stack([s0[jr], s1[jr]]), s0[ir], s1[ir]).min(0),
+    ) < pads[a[rest], b[rest]]
+    # the first offending segment pair of each test
+    k = np.flatnonzero(hit)
+    k = k[np.lexsort((j[k], i[k], test[k]))]
+    found = {
+        (a[m], b[m]): ("cross" if cross[m] else "touch", i[m] - start[a[m]], j[m] - start[b[m]])
+        for m in k[np.unique(test[k], return_index=True)[1]].tolist()
+    }
+    for p, q in near_pairs.tolist():
+        if (p, q) not in found and (
+            _winding_contains(profiles[p], profiles[q].points[0])
+            or _winding_contains(profiles[q], profiles[p].points[0])
+        ):
+            found[p, q] = ("nested", -1, -1)
+
+    records = []
+    for p, q in sorted(found, key=lambda t: (t[0] != t[1], t)):
+        reason, ip, iq = found[p, q]
+        pair = (profiles[p], ip), (profiles[q], iq)
+        records.append({
+            "contours": [c.slit_index for c, _ in pair],
+            "reason": reason,
+            "at": None if reason == "nested" else [[float(c.xi[m]), int(c.bank[m])] for c, m in pair],
+        })
+    return records
+
+
+def self_intersects(profile: ContourProfile) -> bool:
+    """True when the closed polyline crosses itself (adjacent edges ignored)."""
+    return bool(contacts([profile]))
 
 
 def disjoint(p1: ContourProfile, p2: ContourProfile) -> bool:
@@ -274,31 +292,10 @@ def disjoint(p1: ContourProfile, p2: ContourProfile) -> bool:
 
     Crossing or touching (closer than 1e-9 of the larger diameter) counts
     as intersecting, and either contour containing the other counts as
-    embedded; both make the pair non-disjoint.
+    embedded; both make the pair non-disjoint.  Self-crossings of either
+    contour do not count: ``contacts`` lists them besides the pair's record.
     """
-    return _pair_contact(p1, p2) is None
-
-
-def contact(p1: ContourProfile, p2: ContourProfile | None = None) -> dict | None:
-    """Where ``self_intersects(p1)`` (p2 None) or ``disjoint(p1, p2)`` fails.
-
-    A JSON-ready record with the slit indices of the contours, the
-    ``reason`` (``"cross"``, ``"touch"`` or ``"nested"``) and, for cross
-    and touch, the ``[xi, bank]`` of the first offending segment on each
-    contour (its start vertex); None when the test passes.
-    """
-    if p2 is None:
-        p2, pair = p1, _self_crossing(p1)
-        found = None if pair is None else ("cross", *pair)
-    else:
-        found = _pair_contact(p1, p2)
-    if found is None:
-        return None
-    reason, i, j = found
-    at = None
-    if reason != "nested":
-        at = [[float(p.xi[k]), int(p.bank[k])] for p, k in ((p1, i), (p2, j))]
-    return {"contours": [p1.slit_index, p2.slit_index], "reason": reason, "at": at}
+    return len(contacts([p1, p2])) == self_intersects(p1) + self_intersects(p2)
 
 
 # -- shape diagnostics ---------------------------------------------------------

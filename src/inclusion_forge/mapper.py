@@ -44,6 +44,7 @@ from .model import (
     Loading,
     MaterialSet,
     NumericsConfig,
+    g0,
     pole_density,
     singular_part_F,
     singular_part_omega,
@@ -99,22 +100,6 @@ class BoundaryPass(NamedTuple):
     omega: np.ndarray
     F: np.ndarray
     g1: np.ndarray
-
-
-def g0(xi, j, derived: DerivedConstants):
-    """Density constant term of the second problem on slit j.
-
-    Re(e_j / (xi - zeta_inf)) for a finite pole preimage, c_star_j * xi for
-    the preimage at infinity; e_j carries the per-inclusion modulus, so
-    configurations with unequal stiffness ratios get per-slit densities.
-    ``j`` is a slit index or an integer array broadcasting against xi.
-    """
-    x = np.asarray(xi, dtype=float)
-    if derived.pole_at_infinity:
-        out = np.asarray(derived.c_star)[j] * x
-    else:
-        out = (np.asarray(derived.e)[j] / (x - derived.zeta_inf)).real
-    return like_input(out, xi)
 
 
 class SlitMap:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import like_input
+
 
 class ConfigurationError(ValueError):
     """Input data violates an invariant required by the construction."""
@@ -162,11 +164,11 @@ class SlitConfiguration:
     def pole_at_infinity(self) -> bool:
         return isinstance(self.zeta_inf, _AtInfinity)
 
-    def on_any_slit(self, z: complex, tol: float = 0.0) -> bool:
-        """True when z lies on (or within tol of) a closed slit."""
-        if abs(z.imag) > tol:
+    def on_any_slit(self, z: complex) -> bool:
+        """True when z lies on a closed slit."""
+        if z.imag != 0:
             return False
-        return any(a - tol <= z.real <= b + tol for a, b in self.slits)
+        return any(a <= z.real <= b for a, b in self.slits)
 
 
 @dataclass(frozen=True)
@@ -388,6 +390,22 @@ def pole_density(xi, derived: DerivedConstants):
     if derived.pole_at_infinity:
         return derived.c_double_prime * xi
     return (derived.c / (xi - derived.zeta_inf)).imag
+
+
+def g0(xi, j, derived: DerivedConstants):
+    """Density constant term of the second problem on slit j.
+
+    Re(e_j / (xi - zeta_inf)) for a finite pole preimage, c_star_j * xi for
+    the preimage at infinity; e_j carries the per-inclusion modulus, so
+    configurations with unequal stiffness ratios get per-slit densities.
+    ``j`` is a slit index or an integer array broadcasting against xi.
+    """
+    x = np.asarray(xi, dtype=float)
+    if derived.pole_at_infinity:
+        out = np.asarray(derived.c_star)[j] * x
+    else:
+        out = (np.asarray(derived.e)[j] / (x - derived.zeta_inf)).real
+    return like_input(out, xi)
 
 
 def singular_part_F(zeta, derived: DerivedConstants):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -143,23 +142,19 @@ def _determinant(matrix: np.ndarray) -> float | None:
 
 
 def _geometry_report(profiles: Sequence[ContourProfile]) -> tuple[dict, bool]:
-    selfx = [geometry.self_intersects(p) for p in profiles]
+    contacts = geometry.contacts(profiles)
+    tests = [c["contours"] for c in contacts]
     degen = [p.degenerate for p in profiles]
-    crossing = [(p,) for p, bad in zip(profiles, selfx) if bad]
-    overlapping = [
-        pair for pair in combinations(profiles, 2) if not geometry.disjoint(*pair)
-    ]
     report = {
-        "self_intersections": selfx,
-        "pairwise_disjoint": not overlapping,
+        "self_intersections": [[p.slit_index] * 2 in tests for p in profiles],
+        "pairwise_disjoint": all(p == q for p, q in tests),
         "degenerate": degen,
         "signed_areas": [p.signed_area for p in profiles],
         "diameters": [p.diameter for p in profiles],
-        # located only for the tests that failed; empty when all passed
-        "contacts": [geometry.contact(*c) for c in crossing + overlapping],
+        # one record per failed test; empty when all passed
+        "contacts": contacts,
     }
-    ok = not overlapping and not any(selfx) and not any(degen)
-    return report, ok
+    return report, not contacts and not any(degen)
 
 
 def _verdict(bounded_ok: bool, geometry_ok: bool) -> str:
@@ -288,11 +283,14 @@ def solve(
     ``override_a``/``override_rho`` replace the solved constant vectors
     (letting deliberately violated configurations be traced); the
     boundedness residuals then report the violation and the verdict turns
-    INVALID-UNBOUNDED.  Each must hold n finite numbers, also for n = 1,
-    whose closed forms do not read them.
+    INVALID-UNBOUNDED.  Each must hold n finite numbers.  A single
+    inclusion takes none: its elliptic closed forms solve no constants to
+    replace, so either override raises ``ConfigurationError`` there.
     """
     override_a = _override("a", override_a, cfg.n)
     override_rho = _override("rho", override_rho, cfg.n)
+    if cfg.n == 1 and (override_a is not None or override_rho is not None):
+        raise ConfigurationError("overrides need n >= 2: a single inclusion has no solved constants")
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
     if cfg.n == 1:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import BranchData, SlitTable, slit_table
-from .mapper import g0
-from .model import DerivedConstants, NumericsConfig, SolverError, pole_density
+from .model import DerivedConstants, NumericsConfig, SolverError, g0, pole_density
 
 
 @dataclass(frozen=True)

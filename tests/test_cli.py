@@ -162,6 +162,19 @@ def test_non_finite_override_flags_exit_two(tmp_path, capsys, flag, value):
     assert f"error: override {flag[11:]} must hold 3 finite numbers" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides, flags", [
+    ({"a": [5.0]}, []), ({"rho": [-3.0]}, []), ({}, ["--override-a", "5"]),
+])
+def test_single_inclusion_overrides_exit_two(tmp_path, capsys, overrides, flags):
+    doc = figures.load_case("fig1a")
+    doc["overrides"] = overrides
+    path = tmp_path / "fig1a.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--config", str(path), *flags]) == 2
+    assert "error: overrides need n >= 2" in capsys.readouterr().err
+
+
 def test_non_finite_tolerance_env_exits_two(fig1b_path, monkeypatch, capsys):
     monkeypatch.setenv("INCLUSION_FORGE_TOL", "inf")
     assert cli.main(["solve", "--config", str(fig1b_path)]) == 2

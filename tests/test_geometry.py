@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import load_figure_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs
 from oracles import (
     hausdorff_all_pairs,
     pair_contact_all_pairs,
@@ -13,14 +13,14 @@ from oracles import (
     self_crossing_all_pairs,
 )
 
-from inclusion_forge import pipeline
+from inclusion_forge import geometry, pipeline
 from inclusion_forge.geometry import (
     ContourProfile,
     bank_parameter_grid,
     build_profiles,
     central_symmetry_deviation,
     conjugation_symmetry_deviation,
-    contact,
+    contacts,
     disjoint,
     fit_ellipse,
     hausdorff_distance,
@@ -222,6 +222,27 @@ def placed_copy(rng, z):
     return mirrored + (1e-12 if rng.random() < 0.5 else 1e-12j)  # a 1e-12 gap
 
 
+def oracle_contacts(polylines):
+    """The records of ``contacts`` built test by test from the all-pairs oracles."""
+    def at(i, j):
+        return [[float(i), 1], [float(j), 1]]
+
+    records = [
+        {"contours": [m, m], "reason": "cross", "at": at(*want)}
+        for m, z in enumerate(polylines)
+        if (want := self_crossing_all_pairs(z)) is not None
+    ]
+    for (m, z), (k, w) in itertools.combinations(enumerate(polylines), 2):
+        want = pair_contact_all_pairs(z, w)
+        if want is not None:
+            reason, i, j = want
+            records.append({
+                "contours": [m, k], "reason": reason,
+                "at": None if reason == "nested" else at(i, j),
+            })
+    return records
+
+
 def test_predicates_match_the_all_pairs_oracle():
     rng = np.random.default_rng(4)
     reasons = {"cross": 0, "touch": 0, "nested": 0, None: 0}
@@ -231,28 +252,51 @@ def test_predicates_match_the_all_pairs_oracle():
         p = polyline_profile(z)
         want = self_crossing_all_pairs(z)
         assert self_intersects(p) == (want is not None)
-        if want is not None:
-            self_crossing += 1
-            assert contact(p) == {
-                "contours": [0, 0], "reason": "cross",
-                "at": [[float(want[0]), 1], [float(want[1]), 1]],
-            }
-        else:
-            assert contact(p) is None
+        assert contacts([p]) == oracle_contacts([z])
+        self_crossing += want is not None
         w = placed_copy(rng, z)
         q = polyline_profile(w, slit_index=1)
         want = pair_contact_all_pairs(z, w)
         assert disjoint(p, q) == (want is None)
-        got = contact(p, q)
-        if want is None:
-            assert got is None
-        else:
-            reason, i, j = want
-            at = None if reason == "nested" else [[float(i), 1], [float(j), 1]]
-            assert got == {"contours": [0, 1], "reason": reason, "at": at}
+        assert contacts([p, q]) == oracle_contacts([z, w])
         reasons[None if want is None else want[0]] += 1
     assert self_crossing > 500
     assert min(reasons.values()) > 100
+
+
+def test_contacts_of_many_contours_match_the_all_pairs_oracle():
+    # one sweep over all contours: each test must still see only its own
+    # candidates, under its own pad, and the records keep the test order
+    rng = np.random.default_rng(9)
+    reasons = {"cross": 0, "touch": 0, "nested": 0}
+    for _ in range(600):
+        polylines = [random_closed_polyline(rng)]
+        for _ in range(int(rng.integers(0, 5))):
+            polylines.append(placed_copy(rng, polylines[int(rng.integers(len(polylines)))]))
+        want = oracle_contacts(polylines)
+        profiles = [polyline_profile(z, slit_index=m) for m, z in enumerate(polylines)]
+        assert contacts(profiles) == want
+        for record in want:
+            reasons[record["reason"]] += record["contours"][0] != record["contours"][1]
+    assert min(reasons.values()) > 50
+
+
+@pytest.mark.parametrize("case, n", [("fig3a", 3), ("fig4d", 3), ("sixteen", 16)])
+def test_solve_sweeps_the_segments_once(monkeypatch, case, n):
+    if case == "sixteen":
+        cfg, loading, materials, free, numerics = sixteen_slit_inputs()
+    else:
+        cfg, loading, materials, free, numerics, _ = load_figure_inputs(case)
+    sizes = []
+    original = geometry._candidate_pairs
+
+    def counted(s0, s1, pad):
+        sizes.append(len(s0))
+        return original(s0, s1, pad)
+
+    monkeypatch.setattr(geometry, "_candidate_pairs", counted)
+    pipeline.solve(cfg, loading, materials, free, numerics)
+    assert sizes == [n * (2 * numerics.P - 2)]
 
 
 def test_fig3a_at_1600_points_is_valid_with_small_geometry_memory():
@@ -263,8 +307,7 @@ def test_fig3a_at_1600_points_is_valid_with_small_geometry_memory():
     assert res.verdict == pipeline.VERDICT_VALID
     tracemalloc.start()
     try:
-        assert not any(self_intersects(p) for p in res.profiles)
-        assert all(disjoint(p, q) for p, q in itertools.combinations(res.profiles, 2))
+        assert contacts(res.profiles) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -187,6 +187,17 @@ def test_overrides_must_be_n_finite_numbers(case, bad, which):
         run_figure(case, **{f"override_{which}": _BAD_OVERRIDES[bad](cfg.n)})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides", [
+    {"override_a": [5.0]}, {"override_rho": [-3.0]},
+    {"override_a": [5.0], "override_rho": [-3.0]},
+])
+def test_single_inclusion_rejects_overrides(overrides):
+    # its elliptic closed forms have no solved constants to replace
+    with pytest.raises(ConfigurationError, match="^overrides need n >= 2"):
+        run_figure("fig1a", **overrides)
+
+
 @pytest.mark.parametrize("case", ["fig3a", "sixteen"])
 def test_solve_makes_one_boundary_pass(monkeypatch, case):
     # the contours and the Schwarz report read the same traced values
