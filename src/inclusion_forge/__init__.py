@@ -12,13 +12,10 @@ from .geometry import (
     ContourProfile,
     build_profiles,
     contacts,
-    disjoint,
     fit_ellipse,
-    self_intersects,
     symmetry_checks,
 )
 from .mapper import (
-    BoundaryValue,
     SlitMap,
     n1_circular_profile,
     n1_shape_ratio,
@@ -41,7 +38,7 @@ from .model import (
     g0,
     validate,
 )
-from .pipeline import Diagnostics, SolveResult, override_constants, solve
+from .pipeline import Diagnostics, SolveResult, solve
 from .quadrature import (
     ChebyshevSeries,
     cauchy_off,
@@ -62,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AT_INFINITY",
-    "BoundaryValue",
     "BranchData",
     "ChebyshevSeries",
     "ConfigurationError",
@@ -89,7 +85,6 @@ __all__ = [
     "cheb_coeffs",
     "contacts",
     "derive_constants",
-    "disjoint",
     "eval_q",
     "fit_ellipse",
     "g0",
@@ -97,9 +92,7 @@ __all__ = [
     "n1_circular_profile",
     "n1_shape_ratio",
     "n1_slit_profile",
-    "override_constants",
     "period_matrix",
-    "self_intersects",
     "singular_on",
     "solve",
     "solve_a",

@@ -15,6 +15,7 @@ classification for reproduce-figures), 2 unreadable/invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import numbers
 import os
@@ -177,32 +178,25 @@ def parse_config(doc: dict):
     zeta_inf = AT_INFINITY if zeta == "infinity" else _as_complex(zeta)
     try:
         cfg = SlitConfiguration(doc["slits"], zeta_inf)
-        ld = doc["loading"]
-        loading = Loading(
-            ld["tau1"], ld["tau2"], ld["tau1_inf"], ld["tau2_inf"], ld.get("mu", 1.0)
-        )
+        # absent optional keys take the defaults of the model types
+        loading = Loading(**doc["loading"])
         materials = MaterialSet(doc["kappa"])
-        fr = doc.get("free", {})
-        free = FreeParameters(
-            a0=fr.get("a0", 0.0),
-            rho0=fr.get("rho0", 0.0),
-            c_m1=_as_complex(fr.get("c_m1", {"re": 1.0})),
-            gamma=_as_complex(fr.get("gamma", {"re": 0.0})),
-            beta0=fr.get("beta0", 0.0),
-            antisymmetric=fr.get("antisymmetric", False),
-        )
-        nu = doc.get("numerics", {})
-        try:
-            tol = float(os.environ.get("INCLUSION_FORGE_TOL", nu.get("tol_solve", 1e-8)))
-        except ValueError as exc:
-            raise CliError(f"INCLUSION_FORGE_TOL is not a number: {exc}") from exc
+        free = FreeParameters(**{
+            k: _as_complex(v) if k in ("c_m1", "gamma") else v
+            for k, v in doc.get("free", {}).items()
+        })
         # the schema's "integer" also admits integer-valued floats like 200.0
-        numerics = NumericsConfig(
-            N=int(nu.get("N", 64)),
-            M=int(nu.get("M", 64)),
-            P=int(nu.get("P", 200)),
-            tol_solve=tol,
-        )
+        nu = {
+            k: int(v) if k in ("N", "M", "P") else v
+            for k, v in doc.get("numerics", {}).items()
+        }
+        tol = os.environ.get("INCLUSION_FORGE_TOL", nu.get("tol_solve"))
+        if tol is not None:
+            try:
+                nu["tol_solve"] = float(tol)
+            except ValueError as exc:
+                raise CliError(f"INCLUSION_FORGE_TOL is not a number: {exc}") from exc
+        numerics = NumericsConfig(**nu)
     except ConfigurationError as exc:
         raise CliError(str(exc)) from exc
     overrides = doc.get("overrides", {})
@@ -265,14 +259,11 @@ def write_diagnostics_json(result: pipeline.SolveResult, path: str | Path) -> No
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_SVG_WIDTH = 480.0
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_svg(
-    contours: list[np.ndarray],
-    labels: list[str] | None = None,
-    width: float = 480.0,
-) -> str:
+def render_svg(contours: list[np.ndarray], labels: list[str] | None = None) -> str:
     """Deterministic equal-aspect SVG of closed contours (y axis up)."""
     all_pts = np.concatenate(contours)
     x0, x1 = float(all_pts.real.min()), float(all_pts.real.max())
@@ -281,18 +272,18 @@ def render_svg(
     pad = 0.05 * span
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     dx, dy = x1 - x0, y1 - y0
-    height = width * dy / dx
+    height = _SVG_WIDTH * dy / dx
 
     def fx(v: float) -> str:
-        return format(width * (v - x0) / dx, ".3f")
+        return format(_SVG_WIDTH * (v - x0) / dx, ".3f")
 
     def fy(v: float) -> str:
         return format(height * (y1 - v) / dy, ".3f")
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:.3f}" viewBox="0 0 {width:g} {height:.3f}">',
-        f'<rect width="{width:g}" height="{height:.3f}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:g}" '
+        f'height="{height:.3f}" viewBox="0 0 {_SVG_WIDTH:g} {height:.3f}">',
+        f'<rect width="{_SVG_WIDTH:g}" height="{height:.3f}" fill="white"/>',
     ]
     if x0 < 0 < x1:
         parts.append(
@@ -301,7 +292,7 @@ def render_svg(
         )
     if y0 < 0 < y1:
         parts.append(
-            f'<line x1="0" y1="{fy(0)}" x2="{width:g}" y2="{fy(0)}" '
+            f'<line x1="0" y1="{fy(0)}" x2="{_SVG_WIDTH:g}" y2="{fy(0)}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
     for i, z in enumerate(contours):
@@ -334,18 +325,12 @@ def write_svg(
 
 
 def _apply_flag_overrides(args, numerics: NumericsConfig) -> NumericsConfig:
-    if args.nodes is None and args.points is None:
-        return numerics
-    # --nodes moves the truncation order along with the node count
-    N = args.nodes if args.nodes is not None else numerics.N
-    M = N if args.nodes is not None else numerics.M
+    changes = {} if args.points is None else {"P": args.points}
+    if args.nodes is not None:
+        # --nodes moves the truncation order along with the node count
+        changes.update(N=args.nodes, M=args.nodes)
     try:
-        return NumericsConfig(
-            N=N,
-            M=M,
-            P=args.points if args.points is not None else numerics.P,
-            tol_solve=numerics.tol_solve,
-        )
+        return dataclasses.replace(numerics, **changes)
     except ConfigurationError as exc:
         raise CliError(str(exc)) from exc
 
@@ -389,8 +374,8 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = load_config(args.config)
-    cfg, loading, materials, free, _numerics, _overrides = parse_config(doc)
-    report = validate_model(cfg, loading, materials, free)
+    cfg, loading, materials, _free, _numerics, _overrides = parse_config(doc)
+    report = validate_model(cfg, loading, materials)
     for v in report.violations:
         print(f"violation: {v}")
     for w in report.warnings:

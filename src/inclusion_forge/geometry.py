@@ -48,14 +48,14 @@ class ContourProfile:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "closure_error", float(closure_error))
 
-    @property
+    # Computed on first access and kept in the instance dict, outside the
+    # dataclass fields, so equality still compares the fields only.
+    @cached_property
     def signed_area(self) -> float:
         z = self.points
         x, y = z.real, z.imag
         return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
-    # Computed on first access and kept in the instance dict, outside the
-    # dataclass fields, so equality still compares the fields only.
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
         z = self.points
@@ -280,22 +280,6 @@ def contacts(profiles: Sequence[ContourProfile]) -> list[dict]:
             "at": None if reason == "nested" else [[float(c.xi[m]), int(c.bank[m])] for c, m in pair],
         })
     return records
-
-
-def self_intersects(profile: ContourProfile) -> bool:
-    """True when the closed polyline crosses itself (adjacent edges ignored)."""
-    return bool(contacts([profile]))
-
-
-def disjoint(p1: ContourProfile, p2: ContourProfile) -> bool:
-    """True when the two closed contours bound disjoint, non-nested regions.
-
-    Crossing or touching (closer than 1e-9 of the larger diameter) counts
-    as intersecting, and either contour containing the other counts as
-    embedded; both make the pair non-disjoint.  Self-crossings of either
-    contour do not count: ``contacts`` lists them besides the pair's record.
-    """
-    return len(contacts([p1, p2])) == self_intersects(p1) + self_intersects(p2)
 
 
 # -- shape diagnostics ---------------------------------------------------------

@@ -22,7 +22,6 @@ endpoints (the bank-dependent terms carry |q| or g_1 and vanish there).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -78,16 +77,6 @@ _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 def _row_sum(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Per-family sums over slit rows: vals (F, R, ...) weighted by (F, R)."""
     return np.einsum("fj,fj...->f...", weights, vals)
-
-
-@dataclass(frozen=True)
-class BoundaryValue:
-    """One traced boundary sample: parameter, bank, and physical point."""
-
-    xi: float
-    slit_index: int
-    bank: int
-    z: complex
 
 
 class BoundaryPass(NamedTuple):
@@ -312,10 +301,6 @@ class SlitMap:
         check_bank(bank)
         x, vals = self._one_slit(xi, m)
         return like_input(vals.omega[_BANK_ROW[bank], 0].reshape(x.shape), xi)
-
-    def boundary_value(self, xi: float, bank: int, m: int) -> BoundaryValue:
-        """One boundary sample as a record with its parameter bookkeeping."""
-        return BoundaryValue(float(xi), m, bank, self.omega_boundary(xi, bank, m))
 
     def omega_interior(self, zeta):
         """Map value off the slits (and away from the pole preimage)."""

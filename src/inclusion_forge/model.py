@@ -274,7 +274,6 @@ def validate(
     cfg: SlitConfiguration,
     loading: Loading,
     materials: MaterialSet,
-    free: FreeParameters | None = None,
 ) -> ValidationReport:
     """Collect every violated invariant of a run configuration.
 
@@ -331,8 +330,6 @@ def validate(
             f"endpoints span [{e[0]}, {e[-1]}] instead of the conventional "
             "[-1, 1]; formulas do not require the normalization"
         )
-    if free is not None and free.c_m1 == 0:
-        bad.append("scaling constant c_m1 must be nonzero")
 
     return ValidationReport(bad, warn)
 
@@ -348,7 +345,7 @@ def derive_constants(
     Raises :class:`ConfigurationError` on any violated invariant; use
     :func:`validate` first for a full report.
     """
-    report = validate(cfg, loading, materials, free)
+    report = validate(cfg, loading, materials)
     if not report.ok:
         raise ConfigurationError("; ".join(report.violations))
 

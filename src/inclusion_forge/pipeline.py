@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from .model import (
     SlitConfiguration,
     SolverError,
     derive_constants,
+    g0,
     singular_part_omega,
 )
 from .solvability import SolvabilityConstants
@@ -90,17 +91,7 @@ class Diagnostics:
     tol_solve: float
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "boundedness": self.boundedness,
-            "schwarz": self.schwarz,
-            "closure_errors": list(self.closure_errors),
-            "solvability_determinant": self.solvability_determinant,
-            "truncation": self.truncation,
-            "geometry": self.geometry,
-            "cross_check": self.cross_check,
-            "tol_solve": self.tol_solve,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -190,6 +181,7 @@ def _solve_n1(
         verdict=_verdict(True, geo_ok),
         boundedness={
             "a_residuals": [], "rho_residuals": [],
+            "a_scales": [], "rho_scales": [],
             "a_relative": 0.0, "rho_relative": 0.0,
         },
         schwarz={"imF_max_dev": 0.0, "omega_max_dev": 0.0},
@@ -252,7 +244,7 @@ def _schwarz_boundary_report(
     lhs = (1j * derived.tau_bar * om0).imag
     rhs = (
         np.asarray(derived.lam)[rows]
-        * (mapper.g0(grid, rows, derived) + sign * boundary.g1)
+        * (g0(grid, rows, derived) + sign * boundary.g1)
         + constants.rho[rows]
     )
     dev_w = float(np.abs(lhs - rhs).max())
@@ -351,18 +343,3 @@ def solve(
         tol_solve=numerics.tol_solve,
     )
     return SolveResult(constants, tuple(profiles), diag, derived, sm, timings)
-
-
-def override_constants(
-    cfg: SlitConfiguration,
-    loading: Loading,
-    materials: MaterialSet,
-    a: Sequence[float],
-    rho: Sequence[float],
-    free: FreeParameters = FreeParameters(),
-    numerics: NumericsConfig = NumericsConfig(),
-) -> SolveResult:
-    """Trace contours with user-supplied constants instead of solved ones."""
-    return solve(
-        cfg, loading, materials, free, numerics, override_a=a, override_rho=rho
-    )

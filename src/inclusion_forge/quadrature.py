@@ -53,7 +53,6 @@ __all__ = [
     "gauss_cheb",
     "cheb_coeffs",
     "coef_from_samples",
-    "series_from_samples",
     "singular_on_stack",
     "SlitRoots",
     "slit_roots",
@@ -172,14 +171,9 @@ def coef_from_samples(samples, M: int) -> np.ndarray:
     return coef
 
 
-def series_from_samples(samples, a: float, b: float, M: int) -> ChebyshevSeries:
-    """Series through degree M from values at the N first-kind nodes of (a, b)."""
-    return ChebyshevSeries(a, b, coef_from_samples(samples, M))
-
-
 def cheb_coeffs(h, a: float, b: float, N: int, M: int) -> ChebyshevSeries:
     """Expand the callable h over [a, b] in Chebyshev polynomials up to T_M."""
-    return series_from_samples(h(cheb_nodes(a, b, N)), a, b, M)
+    return ChebyshevSeries(a, b, coef_from_samples(h(cheb_nodes(a, b, N)), M))
 
 
 def singular_on_stack(coef, centre, half, xi) -> np.ndarray:

@@ -25,6 +25,8 @@ import numpy as np
 from .branch import BranchData, SlitTable, slit_table
 from .model import DerivedConstants, NumericsConfig, SolverError, g0, pole_density
 
+_SYMMETRY_TOL = 1e-12  # mirror pair: endpoint sums within this of the largest |endpoint|
+
 
 @dataclass(frozen=True)
 class PeriodMatrix:
@@ -227,13 +229,14 @@ def antisymmetric_free_values(
 # -- printed closed forms (cross-check targets) --------------------------------
 
 
-def is_symmetric_pair(branch: BranchData, tol: float = 1e-12) -> bool:
+def is_symmetric_pair(branch: BranchData) -> bool:
     """True for two slits mirror-symmetric about the origin."""
     if branch.n != 2:
         return False
     k = branch.endpoints
     scale = max(abs(v) for v in k)
-    return abs(k[0] + k[3]) <= tol * scale and abs(k[1] + k[2]) <= tol * scale
+    return (abs(k[0] + k[3]) <= _SYMMETRY_TOL * scale
+            and abs(k[1] + k[2]) <= _SYMMETRY_TOL * scale)
 
 
 def n2_closed_form_a(

@@ -18,6 +18,7 @@ from inclusion_forge.cli import (
     read_contours_csv,
     render_svg,
 )
+from inclusion_forge.model import FreeParameters, Loading, NumericsConfig
 
 
 @pytest.fixture
@@ -232,14 +233,21 @@ def test_render_svg_is_deterministic_and_equal_aspect():
     assert 'width="480" height="480.000"' in one
 
 
-def test_parse_config_defaults():
-    doc = figures.load_case("fig1b")
-    del doc["free"]
-    del doc["numerics"]
-    cfg, loading, materials, free, numerics, overrides = parse_config(doc)
-    assert free.c_m1 == 1.0 + 0.0j
-    assert numerics.N == 64 and numerics.M == 64 and numerics.P == 200
-    assert overrides == {}
+def test_parse_config_defaults(monkeypatch):
+    monkeypatch.delenv("INCLUSION_FORGE_TOL", raising=False)
+    doc = figures.load_case("fig3a")
+    ld = doc["loading"]
+    ld.pop("mu", None)
+    optional = ("free", "numerics", "overrides")
+    for sections in (dict.fromkeys(optional, {}), {}):  # empty, then absent
+        for key in optional:
+            doc.pop(key, None)
+        doc.update(sections)
+        _, loading, _, free, numerics, overrides = parse_config(doc)
+        assert loading == Loading(ld["tau1"], ld["tau2"], ld["tau1_inf"], ld["tau2_inf"])
+        assert free == FreeParameters()
+        assert numerics == NumericsConfig()
+        assert overrides == {}
 
 
 def test_config_schema_is_a_valid_draft_2020_12_schema():

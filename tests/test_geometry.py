@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import itertools
@@ -21,10 +22,8 @@ from inclusion_forge.geometry import (
     central_symmetry_deviation,
     conjugation_symmetry_deviation,
     contacts,
-    disjoint,
     fit_ellipse,
     hausdorff_distance,
-    self_intersects,
     symmetry_checks,
 )
 from inclusion_forge.model import NumericsConfig
@@ -60,18 +59,45 @@ def test_profiles_are_closed_and_counterclockwise(solve_figure):
 
 def test_extents_are_computed_once_and_stay_out_of_equality(solve_figure):
     for p in solve_figure("fig3a").profiles:
-        twin = copy.copy(p)  # shares the field arrays, nothing read yet
+        twin = copy.copy(p)  # shares the field arrays: distinct ones make == raise
         z = p.points
         box = (z.real.min(), z.imag.min(), z.real.max(), z.imag.max())
         assert p.bbox == box
         assert p.diameter == np.hypot(box[2] - box[0], box[3] - box[1])
+        x, y = z.real, z.imag
+        assert p.signed_area == 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
         assert p.bbox is p.bbox and p.diameter is p.diameter
+        assert p.signed_area is p.signed_area
         assert p == twin and twin == p
-        assert {f.name for f in dataclasses.fields(p)}.isdisjoint({"bbox", "diameter"})
+        cached = {"bbox", "diameter", "signed_area"}
+        assert {f.name for f in dataclasses.fields(p)}.isdisjoint(cached)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.bbox = (0.0, 0.0, 1.0, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
+            p.signed_area = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
             p.points = z
+
+
+def test_solve_computes_each_signed_area_at_most_twice(monkeypatch):
+    # once on the traced polyline, once on its counterclockwise copy if reversed
+    cached = ContourProfile.__dict__["signed_area"]
+    original = cached.func
+    areas = []
+
+    def counted(self):
+        areas.append(self.slit_index)
+        return original(self)
+
+    monkeypatch.setattr(cached, "func", counted)
+    for name in ("fig1a", "fig3a", "fig4d"):
+        cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
+        areas.clear()
+        res = pipeline.solve(cfg, loading, materials, free, numerics)
+        [p.signed_area for p in res.profiles]  # read again after the solve
+        counts = collections.Counter(areas)
+        assert sorted(counts) == [p.slit_index for p in res.profiles]
+        assert max(counts.values()) <= 2
 
 
 def test_orientation_normalization_is_idempotent():
@@ -121,55 +147,63 @@ def test_degenerate_contour_is_flagged():
     assert not square().degenerate
 
 
+def contact_reasons(*profiles):
+    """The reason of each failed test among the profiles, in test order."""
+    return [c["reason"] for c in contacts(profiles)]
+
+
 def test_self_intersection_detects_figure_eight():
     eight = polyline_profile([-1 - 1j, 1 + 1j, 1 - 1j, -1 + 1j])
-    assert self_intersects(eight)
-    assert not self_intersects(square())
+    assert contacts([eight]) == [
+        {"contours": [0, 0], "reason": "cross", "at": [[0.0, 1], [2.0, 1]]}
+    ]
+    assert contacts([square()]) == []
 
 
 def test_far_translated_copies_are_disjoint():
     s1 = square()
     s2 = square(center=10.0 + 0.0j)
-    assert disjoint(s1, s2)
-    assert disjoint(s2, s1)
+    assert contact_reasons(s1, s2) == []
+    assert contact_reasons(s2, s1) == []
 
 
 def test_overlapping_and_nested_contours_are_not_disjoint():
     a, b = square(), square(center=0.4 + 0.3j)
-    assert not disjoint(a, b)
-    assert not disjoint(b, a)
+    assert contact_reasons(a, b) == ["cross"]
+    assert contact_reasons(b, a) == ["cross"]
     outer = square(side=4.0)
     inner = square(side=1.0)
-    assert not disjoint(outer, inner)
-    assert not disjoint(inner, outer)
+    assert contact_reasons(outer, inner) == ["nested"]
+    assert contact_reasons(inner, outer) == ["nested"]
 
 
 def test_touching_contours_count_as_intersecting():
     s1 = square()
     s2 = square(center=1.0 + 1e-12j)  # shares the x = 0.5 edge within 1e-12
-    assert not disjoint(s1, s2)
+    assert contact_reasons(s1, s2) == ["cross"]  # a collinear overlap
+    s3 = square(center=1.0 + 1e-12)  # a 1e-12 gap between the edges
+    assert contact_reasons(s1, s3) == ["touch"]
 
 
 def test_predicates_invariant_under_translation_and_scaling():
     s1, s2 = square(), square(center=0.4 + 0.3j)
+    eight = polyline_profile([-1 - 1j, 1 + 1j, 1 - 1j, -1 + 1j])
     for shift, scale in ((5.0 - 7.0j, 3.0), (-2.0 + 0.1j, 0.25)):
         t1 = polyline_profile(s1.points * scale + shift)
         t2 = polyline_profile(s2.points * scale + shift)
-        assert disjoint(t1, t2) == disjoint(s1, s2)
-        assert self_intersects(t1) == self_intersects(s1)
+        assert contacts([t1, t2]) == contacts([s1, s2])
+        moved = polyline_profile(eight.points * scale + shift)
+        assert contacts([moved]) == contacts([eight])
     far1, far2 = square(), square(center=10.0)
     moved1 = polyline_profile(far1.points * 2.0 + 1j)
     moved2 = polyline_profile(far2.points * 2.0 + 1j)
-    assert disjoint(moved1, moved2)
+    assert contacts([moved1, moved2]) == []
 
 
 def test_figure_geometry_classifications(solve_figure):
-    bad = solve_figure("fig4d")
-    assert not disjoint(bad.profiles[0], bad.profiles[1])
-    good = solve_figure("fig4a")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert disjoint(good.profiles[i], good.profiles[j])
+    bad = solve_figure("fig4d").profiles
+    assert contact_reasons(bad[0], bad[1]) == ["cross"]
+    assert contacts(solve_figure("fig4a").profiles) == []
 
 
 def test_fig4d_contacts_name_the_crossing_segments(solve_figure):
@@ -250,14 +284,11 @@ def test_predicates_match_the_all_pairs_oracle():
     for _ in range(2500):
         z = random_closed_polyline(rng)
         p = polyline_profile(z)
-        want = self_crossing_all_pairs(z)
-        assert self_intersects(p) == (want is not None)
         assert contacts([p]) == oracle_contacts([z])
-        self_crossing += want is not None
+        self_crossing += self_crossing_all_pairs(z) is not None
         w = placed_copy(rng, z)
         q = polyline_profile(w, slit_index=1)
         want = pair_contact_all_pairs(z, w)
-        assert disjoint(p, q) == (want is None)
         assert contacts([p, q]) == oracle_contacts([z, w])
         reasons[None if want is None else want[0]] += 1
     assert self_crossing > 500

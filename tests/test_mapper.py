@@ -561,13 +561,6 @@ def test_edge_interior_values_are_q_times_the_full_length_sums(n):
     assert all(1 <= t.D <= sm._coef.shape[-1] for t in sm._degree_tables.values())
 
 
-def test_boundary_value_records():
-    sm, _, _ = solved_map("fig1b")
-    rec = sm.boundary_value(0.7, +1, 1)
-    assert rec.slit_index == 1 and rec.bank == +1 and rec.xi == 0.7
-    assert rec.z == sm.omega_boundary(0.7, +1, 1)
-
-
 # -- scalar / array contract ---------------------------------------------------
 
 

@@ -80,9 +80,9 @@ def test_fig4d_is_invalid_geometry(solve_figure):
 def test_override_with_solved_values_is_identity(solve_figure):
     base = solve_figure("fig1b")
     cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig1b")
-    re_run = pipeline.override_constants(
-        cfg, loading, materials,
-        base.constants.a, base.constants.rho, free, numerics,
+    re_run = pipeline.solve(
+        cfg, loading, materials, free, numerics,
+        override_a=base.constants.a, override_rho=base.constants.rho,
     )
     np.testing.assert_array_equal(re_run.constants.a, base.constants.a)
     np.testing.assert_array_equal(re_run.constants.rho, base.constants.rho)
@@ -107,6 +107,23 @@ def test_override_rho_only_breaks_one_condition(solve_figure):
     assert res.diagnostics.boundedness["a_relative"] < 1e-12
     assert res.diagnostics.boundedness["rho_relative"] > 1e-3
     assert res.verdict == "INVALID-UNBOUNDED"
+
+
+def _key_paths(tree, prefix=""):
+    """The dotted path of every key in a tree of dicts."""
+    paths = set()
+    for key, value in tree.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, prefix + key + ".")
+    return paths
+
+
+def test_single_inclusion_diagnostics_carry_the_keys_of_many(solve_figure):
+    one = _key_paths(solve_figure("fig1a").diagnostics.to_dict())
+    two = _key_paths(solve_figure("fig1b").diagnostics.to_dict())
+    assert one - {"geometry.ellipse_fit_residual"} == two
+    assert "boundedness.a_scales" in one and "boundedness.rho_scales" in one
 
 
 def test_determinism_of_diagnostics(solve_figure):
