@@ -7,8 +7,8 @@ validate           report every violated invariant of a configuration
 reproduce-figures  regenerate the bundled sample configurations
 
 Exit codes: 0 valid result, 1 invalid verdict (or unexpected
-classification for reproduce-figures), 2 unreadable/invalid input,
-3 internal numerical failure.  The environment variable
+classification for reproduce-figures), 2 unreadable/invalid input or
+unwritable output, 3 internal numerical failure.  The environment variable
 ``INCLUSION_FORGE_TOL`` overrides the boundedness tolerance.
 """
 
@@ -157,7 +157,7 @@ def _conforms(doc, schema) -> bool:
 
 
 class CliError(Exception):
-    """Input-level failure mapped to exit code 2."""
+    """Input- or output-level failure mapped to exit code 2."""
 
 
 def _as_complex(obj) -> complex:
@@ -219,21 +219,23 @@ def load_config(path: str | Path) -> dict:
 # -- emitters -------------------------------------------------------------------
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: round-trips IEEE doubles exactly."""
-    return format(float(x), ".17g")
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}") from exc
 
 
 def write_contours_csv(result: pipeline.SolveResult, path: str | Path) -> None:
-    lines = ["slit_index,bank,xi,re_z,im_z"]
+    """One row per vertex; 17 significant digits round-trip IEEE doubles exactly."""
+    parts = ["slit_index,bank,xi,re_z,im_z\n"]
     for p in result.profiles:
-        # Python floats and ints: formatting numpy scalars costs more
-        for z, xi, bank in zip(p.points.tolist(), p.xi.tolist(), p.bank.tolist()):
-            lines.append(
-                f"{p.slit_index},{bank:+d},{format_float(xi)},"
-                f"{format_float(z.real)},{format_float(z.imag)}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+        # one % pass per contour over Python floats; %+d prints the bank column's
+        # integral floats as ints
+        row = f"{p.slit_index},%+d,%.17g,%.17g,%.17g\n"
+        cols = np.column_stack((p.bank, p.xi, p.points.real, p.points.imag))
+        parts.append(row * len(cols) % tuple(cols.ravel().tolist()))
+    _write(path, "".join(parts))
 
 
 def read_contours_csv(path: str | Path) -> dict[int, np.ndarray]:
@@ -256,7 +258,7 @@ def write_diagnostics_json(result: pipeline.SolveResult, path: str | Path) -> No
             "rho_prime": result.constants.rho_prime.tolist(),
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 _SVG_WIDTH = 480.0
@@ -318,7 +320,7 @@ def write_svg(
     labels: list[str] | None = None,
 ) -> None:
     contours = [p.points for p in result.profiles] + list(extra_contours or [])
-    Path(path).write_text(render_svg(contours, labels))
+    _write(path, render_svg(contours, labels))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -388,7 +390,10 @@ def cmd_validate(args) -> int:
 
 def cmd_reproduce_figures(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}") from exc
     rows = []
     failures = 0
     for case in figures.FIGURE_CASES:
@@ -421,8 +426,9 @@ def cmd_reproduce_figures(args) -> int:
     ]
     summary = "\n".join(lines) + "\n"
     print(summary, end="")
-    (outdir / "summary.txt").write_text(summary)
-    (outdir / "summary.json").write_text(
+    _write(outdir / "summary.txt", summary)
+    _write(
+        outdir / "summary.json",
         json.dumps(
             [
                 {"case": r[0], "verdict": r[1], "expected": r[2], "note": r[3]}

@@ -23,7 +23,7 @@ _TOUCH_REL = 1e-9
 _DEGENERATE_AREA_REL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourProfile:
     """Closed polyline image of one slit with its parameter bookkeeping.
 
@@ -48,8 +48,23 @@ class ContourProfile:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "closure_error", float(closure_error))
 
+    def __eq__(self, other) -> bool:
+        """Field by field, the arrays by value; the cached extents stay out."""
+        if not isinstance(other, ContourProfile):
+            return NotImplemented
+        return (
+            self.slit_index == other.slit_index
+            and self.closure_error == other.closure_error
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("points", "xi", "bank")
+            )
+        )
+
+    __hash__ = None  # unhashable, as its arrays are
+
     # Computed on first access and kept in the instance dict, outside the
-    # dataclass fields, so equality still compares the fields only.
+    # dataclass fields and the equality above.
     @cached_property
     def signed_area(self) -> float:
         z = self.points

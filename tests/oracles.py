@@ -9,9 +9,13 @@ Cauchy kernel through an 80-bit Horner sum.  The contour predicates test every s
 package sweeps for candidate pairs first.  The one Gauss-Chebyshev sum here,
 :func:`weighted_moment`, takes one slit at a time with the package's
 pointwise ``weight_factor``; the stacked slit table is checked against it.
+The contour CSV is written one row at a time, each field by its own
+``format()`` call, where the package formats a whole contour at once.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -297,3 +301,15 @@ def hausdorff_all_pairs(points1, points2) -> float:
         _point_segment_matrix(za, zb[:-1], zb[1:]).min(axis=1).max(),
         _point_segment_matrix(zb, za[:-1], za[1:]).min(axis=1).max(),
     ))
+
+
+def write_contours_csv_per_row(result, path) -> None:
+    """The contour CSV of ``result``: a row per vertex, a ``format()`` per float."""
+    lines = ["slit_index,bank,xi,re_z,im_z"]
+    for p in result.profiles:
+        for z, xi, bank in zip(p.points.tolist(), p.xi.tolist(), p.bank.tolist()):
+            lines.append(
+                f"{p.slit_index},{bank:+d},{format(xi, '.17g')},"
+                f"{format(z.real, '.17g')},{format(z.imag, '.17g')}"
+            )
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,23 +1,27 @@
 import copy
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
+from oracles import write_contours_csv_per_row
 
-from inclusion_forge import cli, figures
+from inclusion_forge import cli, figures, pipeline
 from inclusion_forge.cli import (
     CONFIG_SCHEMA,
     CliError,
-    format_float,
     parse_config,
     read_contours_csv,
     render_svg,
 )
+from inclusion_forge.geometry import ContourProfile
 from inclusion_forge.model import FreeParameters, Loading, NumericsConfig
 
 
@@ -26,11 +30,6 @@ def fig1b_path(tmp_path):
     path = tmp_path / "fig1b.json"
     path.write_text(json.dumps(figures.load_case("fig1b")))
     return path
-
-
-def test_seventeen_digit_floats_round_trip(rng):
-    for x in rng.normal(size=50) * 10.0 ** rng.integers(-12, 12, size=50):
-        assert float(format_float(x)) == x
 
 
 def test_solve_writes_all_outputs(tmp_path, fig1b_path, capsys):
@@ -54,6 +53,72 @@ def test_csv_round_trip_is_bit_exact(tmp_path, fig1b_path, solve_figure):
     res = solve_figure("fig1b")
     for p in res.profiles:
         np.testing.assert_array_equal(polylines[p.slit_index], p.points)
+
+
+def _solve_doc(doc: dict, P: int | None = None) -> pipeline.SolveResult:
+    cfg, loading, materials, free, numerics, overrides = parse_config(doc)
+    if P is not None:
+        numerics = dataclasses.replace(numerics, P=P)
+    return pipeline.solve(
+        cfg, loading, materials, free, numerics,
+        override_a=overrides.get("a"), override_rho=overrides.get("rho"),
+    )
+
+
+def _many_slits_results(seed: int) -> list[pipeline.SolveResult]:
+    """The n = 16 layouts the benchmark's many_slits workload solves at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    docs = workloads.generate("many_slits", seed, None).docs
+    return [_solve_doc(doc) for doc in docs.values()]
+
+
+def _hand_built(values: np.ndarray) -> SimpleNamespace:
+    """A result of two contours whose coordinates and parameters are ``values``."""
+    k = len(values)
+    bank = np.where(np.arange(k) % 2 == 0, 1, -1)
+    z = np.empty(k, dtype=complex)  # 1j * inf would be nan + inf j
+    z.real, z.imag = values, values[::-1]
+    return SimpleNamespace(profiles=[
+        ContourProfile(0, z, values, bank, 0.0),
+        ContourProfile(3, z[::-1], values[::-1], -bank, 0.0),
+    ])
+
+
+_EXTREMES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    np.nan, np.inf, -np.inf, 1.0, -1.0, 0.1, 1e16, 123456789.0,
+])
+
+
+@pytest.mark.parametrize("case", [
+    "corpus", "many_slits-seed0", "many_slits-seed7", "fig3a-P800",
+    "special-values", "round-trip",
+])
+def test_csv_writer_matches_the_per_row_oracle(tmp_path, solve_figure, rng, case):
+    if case == "corpus":
+        results = [solve_figure(c.name) for c in figures.FIGURE_CASES]
+    elif case.startswith("many_slits"):
+        results = _many_slits_results(int(case.removeprefix("many_slits-seed")))
+    elif case == "fig3a-P800":
+        results = [_solve_doc(figures.load_case("fig3a"), P=800)]
+    elif case == "special-values":
+        results = [_hand_built(_EXTREMES)]
+    else:
+        values = rng.normal(size=50) * 10.0 ** rng.integers(-12, 12, size=50)
+        results = [_hand_built(values)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for result in results:
+        cli.write_contours_csv(result, got)
+        write_contours_csv_per_row(result, want)
+        assert got.read_bytes() == want.read_bytes()
+    if case == "round-trip":  # 17 significant digits give back every double
+        polylines = read_contours_csv(got)
+        for p in results[0].profiles:
+            np.testing.assert_array_equal(polylines[p.slit_index], p.points)
 
 
 def test_invalid_geometry_exits_one_with_svg(tmp_path):
@@ -429,3 +494,19 @@ def test_reproduce_figures_writes_everything(tmp_path):
     assert verdicts["fig2c"] == "VALID"
     assert verdicts["fig2d"] == "INVALID-UNBOUNDED"
     assert verdicts["fig4d"] == "INVALID-GEOMETRY"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--diag"])
+def test_unwritable_solve_output_exits_two(tmp_path, fig1b_path, capsys, flag):
+    target = tmp_path / "missing" / "dir" / "output"
+    assert cli.main(["solve", "--config", str(fig1b_path), flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and str(target) in err
+
+
+def test_unwritable_outdir_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["reproduce-figures", "--outdir", str(blocker / "figs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and str(blocker) in err

@@ -1,5 +1,4 @@
 import collections
-import copy
 import dataclasses
 import itertools
 import tracemalloc
@@ -59,7 +58,7 @@ def test_profiles_are_closed_and_counterclockwise(solve_figure):
 
 def test_extents_are_computed_once_and_stay_out_of_equality(solve_figure):
     for p in solve_figure("fig3a").profiles:
-        twin = copy.copy(p)  # shares the field arrays: distinct ones make == raise
+        twin = ContourProfile(p.slit_index, p.points, p.xi, p.bank, p.closure_error)
         z = p.points
         box = (z.real.min(), z.imag.min(), z.real.max(), z.imag.max())
         assert p.bbox == box
@@ -77,6 +76,27 @@ def test_extents_are_computed_once_and_stay_out_of_equality(solve_figure):
             p.signed_area = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.points = z
+
+
+def test_profiles_built_from_equal_arrays_compare_equal_and_are_unhashable():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=9) + 1j * rng.normal(size=9)
+    xi, bank = np.linspace(-1.0, 1.0, 9), np.where(np.arange(9) < 5, 1, -1)
+    p = ContourProfile(2, z, xi, bank, 1e-15)
+    twin = ContourProfile(2, z.copy(), xi.copy(), bank.copy(), 1e-15)
+    assert p.points is not twin.points
+    assert p == twin and not p != twin
+    _ = p.signed_area  # an extent cached on one side only leaves equality alone
+    assert p == twin
+    moved = z.copy()
+    moved[4] += 1e-12
+    assert p != ContourProfile(2, moved, xi, bank, 1e-15)
+    assert p != ContourProfile(3, z, xi, bank, 1e-15)
+    assert p != ContourProfile(2, z, xi, -bank, 1e-15)
+    assert p != ContourProfile(2, z, xi, bank, 2e-15)
+    assert p != "not a profile"
+    with pytest.raises(TypeError, match="unhashable type: 'ContourProfile'"):
+        hash(p)
 
 
 def test_solve_computes_each_signed_area_at_most_twice(monkeypatch):
