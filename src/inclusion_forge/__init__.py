@@ -13,7 +13,6 @@ from .geometry import (
     build_profiles,
     contacts,
     fit_ellipse,
-    symmetry_checks,
 )
 from .mapper import (
     SlitMap,
@@ -97,7 +96,6 @@ __all__ = [
     "solve",
     "solve_a",
     "solve_rho",
-    "symmetry_checks",
     "validate",
     "weight_factor",
 ]

@@ -238,17 +238,6 @@ def write_contours_csv(result: pipeline.SolveResult, path: str | Path) -> None:
     _write(path, "".join(parts))
 
 
-def read_contours_csv(path: str | Path) -> dict[int, np.ndarray]:
-    """Reconstruct the polylines written by :func:`write_contours_csv`."""
-    out: dict[int, list[complex]] = {}
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            idx, _bank, _xi, re_z, im_z = line.strip().split(",")
-            out.setdefault(int(idx), []).append(complex(float(re_z), float(im_z)))
-    return {k: np.asarray(v) for k, v in out.items()}
-
-
 def write_diagnostics_json(result: pipeline.SolveResult, path: str | Path) -> None:
     doc = {
         "diagnostics": result.diagnostics.to_dict(),
@@ -263,10 +252,15 @@ def write_diagnostics_json(result: pipeline.SolveResult, path: str | Path) -> No
 
 _SVG_WIDTH = 480.0
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # escapes for element text
 
 
 def render_svg(contours: list[np.ndarray], labels: list[str] | None = None) -> str:
-    """Deterministic equal-aspect SVG of closed contours (y axis up)."""
+    """Deterministic equal-aspect SVG of closed contours (y axis up).
+
+    The first ``len(labels)`` contours get a legend entry each.
+    """
+    labels = labels or []
     all_pts = np.concatenate(contours)
     x0, x1 = float(all_pts.real.min()), float(all_pts.real.max())
     y0, y1 = float(all_pts.imag.min()), float(all_pts.imag.max())
@@ -276,11 +270,12 @@ def render_svg(contours: list[np.ndarray], labels: list[str] | None = None) -> s
     dx, dy = x1 - x0, y1 - y0
     height = _SVG_WIDTH * dy / dx
 
-    def fx(v: float) -> str:
-        return format(_SVG_WIDTH * (v - x0) / dx, ".3f")
+    # page coordinates of data values, for Python floats and arrays alike
+    def sx(v):
+        return _SVG_WIDTH * (v - x0) / dx
 
-    def fy(v: float) -> str:
-        return format(height * (y1 - v) / dy, ".3f")
+    def sy(v):
+        return height * (y1 - v) / dy
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:g}" '
@@ -289,25 +284,31 @@ def render_svg(contours: list[np.ndarray], labels: list[str] | None = None) -> s
     ]
     if x0 < 0 < x1:
         parts.append(
-            f'<line x1="{fx(0)}" y1="0" x2="{fx(0)}" y2="{height:.3f}" '
+            f'<line x1="{sx(0):.3f}" y1="0" x2="{sx(0):.3f}" y2="{height:.3f}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
     if y0 < 0 < y1:
         parts.append(
-            f'<line x1="0" y1="{fy(0)}" x2="{_SVG_WIDTH:g}" y2="{fy(0)}" '
+            f'<line x1="0" y1="{sy(0):.3f}" x2="{_SVG_WIDTH:g}" y2="{sy(0):.3f}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
     for i, z in enumerate(contours):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{fx(p.real)},{fy(p.imag)}" for p in np.asarray(z).tolist())
+        z = np.asarray(z)
+        # the IEEE operations of the scalar form; Python floats do not warn
+        # on inf - inf or on overflow, so neither may numpy
+        with np.errstate(invalid="ignore", over="ignore"):
+            xy = np.column_stack((sx(z.real), sy(z.imag)))
+        # one % pass per contour; %.3f prints what format(v, ".3f") does
+        coords = " ".join(["%.3f,%.3f"] * len(z)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
-        if labels:
+        if i < len(labels):
             parts.append(
                 f'<text x="{8 + 90 * i}" y="16" font-size="12" '
-                f'fill="{color}">{labels[i]}</text>'
+                f'fill="{color}">{labels[i].translate(_XML_TEXT)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

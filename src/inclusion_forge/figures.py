@@ -44,10 +44,3 @@ def load_case(name: str) -> dict:
     """Parsed JSON document of one bundled configuration."""
     path = resources.files(__package__) / "figures" / f"{name}.json"
     return json.loads(path.read_text())
-
-
-def get_case(name: str) -> FigureCase:
-    for case in FIGURE_CASES:
-        if case.name == name:
-            return case
-    raise KeyError(name)

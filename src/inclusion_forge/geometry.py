@@ -150,11 +150,16 @@ def build_profiles(grid: np.ndarray, omega: np.ndarray) -> list[ContourProfile]:
 # Only segment pairs whose bounding boxes overlap are tested.  One sort and
 # sweep over the extents of every segment of every contour finds them (the
 # any-crossing filter of Shamos & Hoey, FOCS 1976): O(K log K + candidates)
-# for K segments, with no K x K array.  It grows the boxes by the largest
-# touch pad, and each test keeps the candidates that overlap under its own.
-# The filter is exact: a proper crossing, a collinear overlap or a distance
-# below the touch pad each make the two closed boxes, grown by the pad,
-# overlap.
+# time for K segments, with no K x K array.  It grows each segment's box by
+# its own contour's touch pad, and each test keeps the candidates that overlap
+# under the pad of its pair, the larger of the two.  The filter is exact: a
+# proper crossing, a collinear overlap or a distance below that pad each make
+# the two closed boxes, grown by their own pads, overlap.  The sweep hands out
+# its pairs in blocks, and each block is reduced to the first offending pair
+# of each test before the next is made, so for n contours memory stays
+# O(K + n^2 + _SWEEP_BLOCK + the longest run) however many pairs overlap.
+
+_SWEEP_BLOCK = 2**14  # sweep pairs made at once, before the y-extents prune them
 
 
 def _boxes(s0, s1, pad):
@@ -163,23 +168,30 @@ def _boxes(s0, s1, pad):
             np.minimum(s0.imag, s1.imag) - pad, np.maximum(s0.imag, s1.imag) + pad)
 
 
-def _candidate_pairs(s0, s1, pad: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of distinct segments whose boxes, grown by pad, overlap.
+def _candidate_pairs(s0, s1, pad):
+    """Blocks of index pairs (i, j) of distinct segments whose boxes, grown by pad, overlap.
 
     Segments sorted by their left edge pair with the run of later segments
     whose left edge is at most their right edge; the y-extents prune those
-    pairs.  Each unordered pair appears once.  The runs stay short while
-    few segments share an x-range, as on the smooth traced contours.
+    pairs.  Each unordered pair appears once.  A block covers the longest
+    stretch of runs holding at most _SWEEP_BLOCK pairs, or one longer run.
     """
     x0, x1, y0, y1 = _boxes(s0, s1, pad)
     order = np.argsort(x0, kind="stable")
     stop = np.searchsorted(x0[order], x1[order], side="right")
     run = stop - np.arange(1, len(order) + 1)
-    first = np.repeat(np.arange(len(order)), run)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(run) - run, run)
-    i, j = order[first], order[second]
-    keep = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
-    return i[keep], j[keep]
+    end = np.cumsum(run)  # runs lo..hi-1 hold sweep pairs end[lo] - run[lo] to end[hi - 1]
+    lo = 0
+    while lo < len(order):
+        base = end[lo] - run[lo]
+        hi = max(lo + 1, int(np.searchsorted(end, base + _SWEEP_BLOCK, side="right")))
+        r = run[lo:hi]
+        first = np.repeat(np.arange(lo, hi), r)
+        second = first + 1 + np.arange(base, end[hi - 1]) - np.repeat(end[lo:hi] - r, r)
+        i, j = order[first], order[second]
+        keep = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+        yield i[keep], j[keep]
+        lo = hi
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -250,33 +262,35 @@ def contacts(profiles: Sequence[ContourProfile]) -> list[dict]:
     near = ~(gap | gap.T)  # contour boxes, grown by the pair's pad, meet
     near_pairs = np.argwhere(np.triu(near, 1))
 
-    i, j = _candidate_pairs(s0, s1, pads.max())
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    a, b, step = owner[i], owner[j], j - i
-    keep = (a != b) | ((step > 1) & (step != sizes[a] - 1))  # adjacent segments share a vertex
-    if not keep.any() and not near_pairs.size:
-        return []  # no segment pair and no pair of contours to test
-    i, j, a, b = i[keep], j[keep], a[keep], b[keep]
-    x0, x1, y0, y1 = _boxes(s0[i], s1[i], pads[a, b])
-    u0, u1, v0, v1 = _boxes(s0[j], s1[j], pads[a, b])
-    keep = near[a, b] & (u0 <= x1) & (x0 <= u1) & (v0 <= y1) & (y0 <= v1)
-    i, j, a, b = i[keep], j[keep], a[keep], b[keep]
+    # the first offending pair of each test so far, one row per test:
+    # (test, 0 for a crossing or 1 for a touch, i, j); crossings come first
+    first = np.empty((0, 4), dtype=int)
+    for i, j in _candidate_pairs(s0, s1, np.repeat(_TOUCH_REL * diam, sizes)):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        a, b, step = owner[i], owner[j], j - i
+        keep = (a != b) | ((step > 1) & (step != sizes[a] - 1))  # adjacent segments share a vertex
+        if not keep.any():
+            continue
+        i, j, a, b = i[keep], j[keep], a[keep], b[keep]
+        x0, x1, y0, y1 = _boxes(s0[i], s1[i], pads[a, b])
+        u0, u1, v0, v1 = _boxes(s0[j], s1[j], pads[a, b])
+        keep = near[a, b] & (u0 <= x1) & (x0 <= u1) & (v0 <= y1) & (y0 <= v1)
+        i, j, a, b = i[keep], j[keep], a[keep], b[keep]
 
-    test = a * n + b
-    hit = _segments_cross(s0[i], s1[i], s0[j], s1[j])
-    cross = hit.copy()
-    rest = (a != b) & ~np.isin(test, test[hit])  # pairs without a crossing
-    ir, jr = i[rest], j[rest]
-    hit[rest] = np.minimum(
-        _point_segment_distance(np.stack([s0[ir], s1[ir]]), s0[jr], s1[jr]).min(0),
-        _point_segment_distance(np.stack([s0[jr], s1[jr]]), s0[ir], s1[ir]).min(0),
-    ) < pads[a[rest], b[rest]]
-    # the first offending segment pair of each test
-    k = np.flatnonzero(hit)
-    k = k[np.lexsort((j[k], i[k], test[k]))]
+        cross = _segments_cross(s0[i], s1[i], s0[j], s1[j])
+        hit = cross.copy()
+        rest = (a != b) & ~cross
+        ir, jr = i[rest], j[rest]
+        hit[rest] = np.minimum(
+            _point_segment_distance(np.stack([s0[ir], s1[ir]]), s0[jr], s1[jr]).min(0),
+            _point_segment_distance(np.stack([s0[jr], s1[jr]]), s0[ir], s1[ir]).min(0),
+        ) < pads[a[rest], b[rest]]
+        rows = np.concatenate([first, np.column_stack((a * n + b, ~cross, i, j))[hit]])
+        rows = rows[np.lexsort(rows.T[::-1])]
+        first = rows[np.unique(rows[:, 0], return_index=True)[1]]
     found = {
-        (a[m], b[m]): ("cross" if cross[m] else "touch", i[m] - start[a[m]], j[m] - start[b[m]])
-        for m in k[np.unique(test[k], return_index=True)[1]].tolist()
+        divmod(t, n): ("touch" if touch else "cross", i - start[t // n], j - start[t % n])
+        for t, touch, i, j in first.tolist()
     }
     for p, q in near_pairs.tolist():
         if (p, q) not in found and (
@@ -325,14 +339,6 @@ def fit_ellipse(points) -> float:
     return float(sing[-1] / np.sqrt(len(x)))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Maximal deviations, normalized by the larger contour diameter."""
-
-    central_deviation: float | None
-    conjugation_deviation: float | None
-
-
 def _match_indices(profile: ContourProfile, xi: np.ndarray, bank: np.ndarray,
                    tol: float) -> np.ndarray:
     """Index into profile for each requested (xi, bank) parameter pair.
@@ -371,45 +377,3 @@ def conjugation_symmetry_deviation(profile: ContourProfile) -> float:
     idx = _match_indices(profile, xi, -np.ones(len(xi), dtype=int), tol)
     top = profile.points[:-1][sel]
     return float(np.abs(np.conj(top) - profile.points[idx]).max())
-
-
-def symmetry_checks(profiles: list[ContourProfile]) -> SymmetryReport:
-    """Central symmetry of the outermost mirror pair plus conjugation.
-
-    Central deviation is reported when the first and last slit grids mirror
-    each other; conjugation deviation is always reported (maximal over all
-    contours).  Deviations are normalized by the larger diameter.
-    """
-    scale = max(p.diameter for p in profiles)
-    scale = max(scale, 1e-300)
-    conj_dev = max(conjugation_symmetry_deviation(p) for p in profiles) / scale
-    central = None
-    if len(profiles) >= 2:
-        try:
-            central = central_symmetry_deviation(profiles[0], profiles[-1]) / scale
-        except ValueError:
-            central = None
-    return SymmetryReport(central, conj_dev)
-
-
-_HAUSDORFF_BLOCK = 2**16  # vertex x segment distances per block
-
-
-def hausdorff_distance(z1, z2) -> float:
-    """Symmetric vertex-to-polyline Hausdorff distance of two polylines.
-
-    Vertices are taken in row blocks of at most _HAUSDORFF_BLOCK distances;
-    min and max are exact, so the blocking does not change the value.
-    """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-
-    def one_sided(a, b):
-        s0, s1 = b[None, :-1], b[None, 1:]
-        step = max(1, _HAUSDORFF_BLOCK // max(len(b) - 1, 1))
-        return max(
-            _point_segment_distance(a[i : i + step, None], s0, s1).min(axis=1).max()
-            for i in range(0, len(a), step)
-        )
-
-    return float(max(one_sided(z1, z2), one_sided(z2, z1)))

@@ -10,17 +10,24 @@ package sweeps for candidate pairs first.  The one Gauss-Chebyshev sum here,
 :func:`weighted_moment`, takes one slit at a time with the package's
 pointwise ``weight_factor``; the stacked slit table is checked against it.
 The contour CSV is written one row at a time, each field by its own
-``format()`` call, where the package formats a whole contour at once.
+``format()`` call, and the SVG one point at a time, where the package formats
+a whole contour at once.  The test-only helpers at the end (symmetry report,
+Hausdorff distance, CSV reader) serve the tests alone, not the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
 from inclusion_forge.branch import weight_factor
+from inclusion_forge.geometry import (
+    central_symmetry_deviation,
+    conjugation_symmetry_deviation,
+)
 from inclusion_forge.quadrature import cheb_nodes
 
 
@@ -313,3 +320,116 @@ def write_contours_csv_per_row(result, path) -> None:
                 f"{format(z.real, '.17g')},{format(z.imag, '.17g')}"
             )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+_SVG_WIDTH = 480.0
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def render_svg_per_point(contours, labels=None) -> str:
+    """The contour SVG: two closure calls and two ``format()`` calls per point.
+
+    ``labels`` must name every contour.
+    """
+    all_pts = np.concatenate(contours)
+    x0, x1 = float(all_pts.real.min()), float(all_pts.real.max())
+    y0, y1 = float(all_pts.imag.min()), float(all_pts.imag.max())
+    span = max(x1 - x0, y1 - y0, 1e-12)
+    pad = 0.05 * span
+    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    dx, dy = x1 - x0, y1 - y0
+    height = _SVG_WIDTH * dy / dx
+
+    def fx(v: float) -> str:
+        return format(_SVG_WIDTH * (v - x0) / dx, ".3f")
+
+    def fy(v: float) -> str:
+        return format(height * (y1 - v) / dy, ".3f")
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:g}" '
+        f'height="{height:.3f}" viewBox="0 0 {_SVG_WIDTH:g} {height:.3f}">',
+        f'<rect width="{_SVG_WIDTH:g}" height="{height:.3f}" fill="white"/>',
+    ]
+    if x0 < 0 < x1:
+        parts.append(
+            f'<line x1="{fx(0)}" y1="0" x2="{fx(0)}" y2="{height:.3f}" '
+            'stroke="#cccccc" stroke-width="1"/>'
+        )
+    if y0 < 0 < y1:
+        parts.append(
+            f'<line x1="0" y1="{fy(0)}" x2="{_SVG_WIDTH:g}" y2="{fy(0)}" '
+            'stroke="#cccccc" stroke-width="1"/>'
+        )
+    for i, z in enumerate(contours):
+        color = _PALETTE[i % len(_PALETTE)]
+        coords = " ".join(f"{fx(p.real)},{fy(p.imag)}" for p in np.asarray(z).tolist())
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>'
+        )
+        if labels:
+            parts.append(
+                f'<text x="{8 + 90 * i}" y="16" font-size="12" '
+                f'fill="{color}">{labels[i]}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def read_contours_csv(path) -> dict[int, np.ndarray]:
+    """The polylines of a contour CSV, by slit index."""
+    out: dict[int, list[complex]] = {}
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            idx, _bank, _xi, re_z, im_z = line.strip().split(",")
+            out.setdefault(int(idx), []).append(complex(float(re_z), float(im_z)))
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+@dataclass(frozen=True)
+class SymmetryReport:
+    """Maximal deviations, normalized by the larger contour diameter."""
+
+    central_deviation: float | None
+    conjugation_deviation: float | None
+
+
+def symmetry_checks(profiles) -> SymmetryReport:
+    """Central symmetry of the outermost mirror pair plus conjugation.
+
+    Central deviation is reported when the first and last slit grids mirror
+    each other; conjugation deviation is always reported (maximal over all
+    contours).  Deviations are normalized by the larger diameter.
+    """
+    scale = max(max(p.diameter for p in profiles), 1e-300)
+    conj_dev = max(conjugation_symmetry_deviation(p) for p in profiles) / scale
+    central = None
+    if len(profiles) >= 2:
+        try:
+            central = central_symmetry_deviation(profiles[0], profiles[-1]) / scale
+        except ValueError:
+            central = None
+    return SymmetryReport(central, conj_dev)
+
+
+_HAUSDORFF_BLOCK = 2**16  # vertex x segment distances per block
+
+
+def hausdorff_distance(z1, z2) -> float:
+    """:func:`hausdorff_all_pairs` in row blocks of at most _HAUSDORFF_BLOCK distances.
+
+    min and max are exact, so the blocking does not change the value.
+    """
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+
+    def one_sided(a, b):
+        step = max(1, _HAUSDORFF_BLOCK // max(len(b) - 1, 1))
+        return max(
+            _point_segment_matrix(a[i : i + step], b[:-1], b[1:]).min(axis=1).max()
+            for i in range(0, len(a), step)
+        )
+
+    return float(max(one_sided(z1, z2), one_sided(z2, z1)))

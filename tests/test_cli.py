@@ -7,21 +7,22 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
 import pytest
-from oracles import write_contours_csv_per_row
+from oracles import read_contours_csv, render_svg_per_point, write_contours_csv_per_row
 
 from inclusion_forge import cli, figures, pipeline
 from inclusion_forge.cli import (
     CONFIG_SCHEMA,
     CliError,
     parse_config,
-    read_contours_csv,
     render_svg,
 )
 from inclusion_forge.geometry import ContourProfile
+from inclusion_forge.mapper import n1_circular_profile
 from inclusion_forge.model import FreeParameters, Loading, NumericsConfig
 
 
@@ -119,6 +120,56 @@ def test_csv_writer_matches_the_per_row_oracle(tmp_path, solve_figure, rng, case
         polylines = read_contours_csv(got)
         for p in results[0].profiles:
             np.testing.assert_array_equal(polylines[p.slit_index], p.points)
+
+
+def _figure_drawing(case, solve_figure) -> tuple[list[np.ndarray], list[str] | None]:
+    """The contours and labels reproduce-figures draws for a bundled case."""
+    contours = [p.points for p in solve_figure(case.name).profiles]
+    if not case.overlay_circular:
+        return contours, None
+    _cfg, loading, materials, free, numerics, _ = parse_config(figures.load_case(case.name))
+    phi = np.linspace(0.0, 2.0 * np.pi, numerics.P * 2 + 1)
+    return contours + [n1_circular_profile(phi, loading, materials, free)], [
+        "slit map", "circular map"
+    ]
+
+
+_FINITE = _EXTREMES[np.isfinite(_EXTREMES)]
+
+
+@pytest.mark.parametrize("case", [
+    "corpus", "many_slits-seed0", "many_slits-seed7", "fig3a-P800", "special-values",
+])
+def test_svg_writer_matches_the_per_point_oracle(solve_figure, case):
+    if case == "corpus":
+        drawings = [_figure_drawing(c, solve_figure) for c in figures.FIGURE_CASES]
+        assert sum(labels is not None for _, labels in drawings) == 1
+    elif case == "special-values":
+        # one frame each: nan everywhere; infinite extents; extents that
+        # overflow; page coordinates that overflow to inf; subnormals
+        drawings = [
+            ([p.points for p in _hand_built(values).profiles], None)
+            for values in (
+                _EXTREMES, _EXTREMES[~np.isnan(_EXTREMES)], _FINITE,
+                np.array([1e308, 0.0, -0.0, 5e-324, -1.0]), _FINITE[np.abs(_FINITE) < 1e300],
+            )
+        ]
+        assert "inf," in render_svg_per_point(*drawings[3])
+    else:
+        if case == "fig3a-P800":
+            results = [_solve_doc(figures.load_case("fig3a"), P=800)]
+        else:
+            results = _many_slits_results(int(case.removeprefix("many_slits-seed")))
+        drawings = [([p.points for p in r.profiles], None) for r in results]
+    for contours, labels in drawings:
+        assert render_svg(contours, labels) == render_svg_per_point(contours, labels)
+
+
+def test_svg_labels_the_first_contours_with_escaped_text():
+    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 9))
+    svg = render_svg([z, z + 3.0, z + 6.0], ["a<b & c", "d"])
+    texts = ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+    assert [t.text for t in texts] == ["a<b & c", "d"]
 
 
 def test_invalid_geometry_exits_one_with_svg(tmp_path):
@@ -488,7 +539,7 @@ def test_reproduce_figures_writes_everything(tmp_path):
     for case in figures.FIGURE_CASES:
         assert (outdir / f"{case.name}.svg").exists()
         polylines = read_contours_csv(outdir / f"{case.name}.csv")
-        assert len(polylines) == figures.get_case(case.name).n_contours
+        assert len(polylines) == case.n_contours
     summary = json.loads((outdir / "summary.json").read_text())
     verdicts = {row["case"]: row["verdict"] for row in summary}
     assert verdicts["fig2c"] == "VALID"

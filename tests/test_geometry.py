@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import load_figure_inputs, sixteen_slit_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 from oracles import (
     hausdorff_all_pairs,
+    hausdorff_distance,
     pair_contact_all_pairs,
     segments_cross_matrix,
     self_crossing_all_pairs,
+    symmetry_checks,
 )
 
 from inclusion_forge import geometry, pipeline
@@ -22,10 +24,8 @@ from inclusion_forge.geometry import (
     conjugation_symmetry_deviation,
     contacts,
     fit_ellipse,
-    hausdorff_distance,
-    symmetry_checks,
 )
-from inclusion_forge.model import NumericsConfig
+from inclusion_forge.model import MaterialSet, NumericsConfig
 
 
 def polyline_profile(points, slit_index=0):
@@ -330,6 +330,65 @@ def test_contacts_of_many_contours_match_the_all_pairs_oracle():
         for record in want:
             reasons[record["reason"]] += record["contours"][0] != record["contours"][1]
     assert min(reasons.values()) > 50
+
+
+def test_contacts_of_contours_of_very_different_sizes_match_the_all_pairs_oracle():
+    # each segment's box grows by its own contour's pad, yet a pair's touch
+    # test uses the larger pad: a tiny contour a fraction of the big one's pad
+    # away must still touch it
+    rng = np.random.default_rng(12)
+    reasons = collections.Counter()
+    for _ in range(400):
+        scale = 10.0 ** rng.integers(-3, 7)
+        big = random_closed_polyline(rng) * scale
+        tiny = random_closed_polyline(rng) * scale * 10.0 ** -rng.integers(0, 13)
+        if rng.random() < 0.2:  # inside the big contour's box, maybe nested
+            tiny = tiny + big.mean()
+        else:  # right of its rightmost vertex, 0.3 to 3 of its pads away
+            pad = 1e-9 * np.hypot(np.ptp(big.real), np.ptp(big.imag))
+            k = np.argmax(big.real)
+            tiny = tiny - tiny[np.argmin(tiny.real)] + big[k] + rng.uniform(0.3, 3.0) * pad
+        polylines = [big, tiny]
+        want = oracle_contacts(polylines)
+        profiles = [polyline_profile(z, slit_index=m) for m, z in enumerate(polylines)]
+        assert contacts(profiles) == want
+        reasons.update([next((r["reason"] for r in want if r["contours"] == [0, 1]), None)])
+    assert min(reasons[r] for r in ("touch", "nested", None)) > 20
+
+
+def _contacts_peak(profiles) -> tuple[list[dict], int, int]:
+    """The records of contacts, its tracemalloc peak and the bytes of its two segment arrays."""
+    tracemalloc.start()
+    try:
+        records = contacts(profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return records, peak, sum(32 * (len(p.points) - 1) for p in profiles)
+
+
+@pytest.mark.parametrize("n", [72, 80])
+def test_many_slit_layouts_finish_with_geometry_in_bounded_memory(n):
+    # the largest contour's pad once grew every box: at n = 72 the sweep asked
+    # for 27.8M pairs at once and needed ~3.9 GB
+    res = pipeline.solve(*slit_layout_inputs(n))
+    records, peak, segment_bytes = _contacts_peak(res.profiles)
+    assert records == res.diagnostics.geometry["contacts"]
+    # about a dozen arrays of one entry per segment, and one block of pairs
+    assert peak < 16 * segment_bytes
+
+
+def test_near_vertical_contours_sweep_in_bounded_memory():
+    # kappa -> 1 stretches the contours into near-vertical slivers that share
+    # one x-range: their sweep runs hold 29M pairs, walked a block at a time
+    cfg, loading, _, free, numerics, _ = load_figure_inputs("fig3a")
+    res = pipeline.solve(cfg, loading, MaterialSet([0.1, 0.1, 1 + 1e-9]), free,
+                         dataclasses.replace(numerics, P=3200))
+    x0, _, x1, _ = res.profiles[0].bbox
+    assert x1 - x0 < 1e-6 * res.profiles[0].diameter
+    records, peak, segment_bytes = _contacts_peak(res.profiles)
+    assert records == res.diagnostics.geometry["contacts"]
+    assert peak < 16 * segment_bytes
 
 
 @pytest.mark.parametrize("case, n", [("fig3a", 3), ("fig4d", 3), ("sixteen", 16)])
