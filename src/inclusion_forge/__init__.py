@@ -48,10 +48,8 @@ from .quadrature import (
 from .solvability import (
     PeriodMatrix,
     SolvabilityConstants,
-    antisymmetric_free_values,
     period_matrix,
-    solve_a,
-    solve_rho,
+    solve_constants,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "ValidationReport",
-    "antisymmetric_free_values",
     "bank_value",
     "build_profiles",
     "cauchy_off",
@@ -94,8 +91,7 @@ __all__ = [
     "period_matrix",
     "singular_on",
     "solve",
-    "solve_a",
-    "solve_rho",
+    "solve_constants",
     "validate",
     "weight_factor",
 ]

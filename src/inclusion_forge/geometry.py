@@ -150,16 +150,20 @@ def build_profiles(grid: np.ndarray, omega: np.ndarray) -> list[ContourProfile]:
 # Only segment pairs whose bounding boxes overlap are tested.  One sort and
 # sweep over the extents of every segment of every contour finds them (the
 # any-crossing filter of Shamos & Hoey, FOCS 1976): O(K log K + candidates)
-# time for K segments, with no K x K array.  It grows each segment's box by
-# its own contour's touch pad, and each test keeps the candidates that overlap
-# under the pad of its pair, the larger of the two.  The filter is exact: a
-# proper crossing, a collinear overlap or a distance below that pad each make
-# the two closed boxes, grown by their own pads, overlap.  The sweep hands out
-# its pairs in blocks, and each block is reduced to the first offending pair
-# of each test before the next is made, so for n contours memory stays
-# O(K + n^2 + _SWEEP_BLOCK + the longest run) however many pairs overlap.
+# time for K segments, with no K x K array.  It sweeps along the longer side
+# of the box around all segments: contours stretched along y, such as the
+# near-vertical slivers of kappa -> 1, share one x-range, where an x sweep
+# would pair nearly every segment with every other.  It grows each segment's
+# box by its own contour's touch pad, and each test keeps the candidates that
+# overlap under the pad of its pair, the larger of the two.  The filter is
+# exact: a proper crossing, a collinear overlap or a distance below that pad
+# each make the two closed boxes, grown by their own pads, overlap.  The
+# sweep hands out its pairs in blocks, and each block is reduced to the first
+# offending pair of each test before the next is made, so for n contours
+# memory stays O(K + n^2 + _SWEEP_BLOCK + the longest run) however many pairs
+# overlap.
 
-_SWEEP_BLOCK = 2**14  # sweep pairs made at once, before the y-extents prune them
+_SWEEP_BLOCK = 2**14  # sweep pairs made at once, before the cross extents prune them
 
 
 def _boxes(s0, s1, pad):
@@ -171,12 +175,16 @@ def _boxes(s0, s1, pad):
 def _candidate_pairs(s0, s1, pad):
     """Blocks of index pairs (i, j) of distinct segments whose boxes, grown by pad, overlap.
 
-    Segments sorted by their left edge pair with the run of later segments
-    whose left edge is at most their right edge; the y-extents prune those
-    pairs.  Each unordered pair appears once.  A block covers the longest
-    stretch of runs holding at most _SWEEP_BLOCK pairs, or one longer run.
+    The sweep runs along the longer side of the box around all segments, x
+    unless y is longer; call that axis x here.  Segments sorted by their
+    left edge pair with the run of later segments whose left edge is at most
+    their right edge; the y-extents prune those pairs.  Each unordered pair
+    appears once.  A block covers the longest stretch of runs holding at
+    most _SWEEP_BLOCK pairs, or one longer run.
     """
     x0, x1, y0, y1 = _boxes(s0, s1, pad)
+    if x0.size and y1.max() - y0.min() > x1.max() - x0.min():
+        x0, x1, y0, y1 = y0, y1, x0, x1
     order = np.argsort(x0, kind="stable")
     stop = np.searchsorted(x0[order], x1[order], side="right")
     run = stop - np.arange(1, len(order) + 1)

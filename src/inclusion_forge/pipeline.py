@@ -199,22 +199,18 @@ def _closed_form_cross_check(
     period: solvability.PeriodMatrix,
     branch: BranchData,
     derived: DerivedConstants,
-    a: np.ndarray,
-    rho: np.ndarray,
+    constants: SolvabilityConstants,
 ) -> dict:
     """Compare the general-path constants with the printed closed forms."""
     n = branch.n
+    a, rho = constants.a, constants.rho
     candidates: list[np.ndarray] = []
     if n == 2 and solvability.is_symmetric_pair(branch):
-        candidates.append(solvability.n2_closed_form_a(period, branch, derived, a[0]) - a)
-        candidates.append(
-            solvability.n2_closed_form_rho(period, branch, derived, rho[0]) - rho
-        )
+        candidates.append(solvability.n2_closed_form_a(period, derived, a[0]) - a)
+        candidates.append(solvability.n2_closed_form_rho(period, derived, rho[0]) - rho)
     elif n == 3:
-        candidates.append(solvability.n3_closed_form_a(period, branch, derived, a[0]) - a)
-        candidates.append(
-            solvability.n3_closed_form_rho(period, branch, derived, rho[0]) - rho
-        )
+        candidates.append(solvability.n3_closed_form_a(period, derived, a[0]) - a)
+        candidates.append(solvability.n3_closed_form_rho(period, derived, rho[0]) - rho)
     if not candidates:
         return {"applied": False, "max_mismatch": 0.0}
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(rho).max()))
@@ -277,12 +273,15 @@ def solve(
     boundedness residuals then report the violation and the verdict turns
     INVALID-UNBOUNDED.  Each must hold n finite numbers.  A single
     inclusion takes none: its elliptic closed forms solve no constants to
-    replace, so either override raises ``ConfigurationError`` there.
+    replace, so either override raises ``ConfigurationError`` there, and so
+    does ``free.antisymmetric``, which needs a second slit to mirror.
     """
     override_a = _override("a", override_a, cfg.n)
     override_rho = _override("rho", override_rho, cfg.n)
     if cfg.n == 1 and (override_a is not None or override_rho is not None):
         raise ConfigurationError("overrides need n >= 2: a single inclusion has no solved constants")
+    if cfg.n == 1 and free.antisymmetric:
+        raise ConfigurationError("antisymmetric selection needs at least two slits")
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
     if cfg.n == 1:
@@ -294,17 +293,15 @@ def solve(
         det = _determinant(solvability.system_matrix(period))
 
     with _stage(timings, "constants"):
-        a0, rho0 = free.a0, free.rho0
-        if free.antisymmetric:
-            a0, rho0 = solvability.antisymmetric_free_values(period, branch, derived)
-        a = solvability.solve_a(period, branch, derived, a0)
-        rho = solvability.solve_rho(period, branch, derived, rho0)
-        cross = _closed_form_cross_check(period, branch, derived, a, rho)
+        constants = solvability.solve_constants(period, derived, free)
+        cross = _closed_form_cross_check(period, branch, derived, constants)
 
-    a = a if override_a is None else override_a
-    rho = rho if override_rho is None else override_rho
-
-    constants = solvability.build_constants(a, rho, derived)
+    if override_a is not None or override_rho is not None:
+        constants = solvability.build_constants(
+            constants.a if override_a is None else override_a,
+            constants.rho if override_rho is None else override_rho,
+            derived,
+        )
     with _stage(timings, "residuals"):
         bounded = solvability.boundedness_residuals(branch, derived, constants, numerics)
     bounded_ok = (

@@ -9,11 +9,12 @@ the period integrals
 
 Every moment is a Gauss-Chebyshev sum over one :class:`SlitTable` (the nodes
 and weight factors of all slits), so each set of moments is one array
-reduction.  The general solver covers any n >= 2; the two- and three-slit
-closed forms are kept alongside as printed and cross-checked against it.
-They sum their moments over the period matrix's table too, so the
-cross-check tests the printed algebra against the general linear solve, not
-a second quadrature.
+reduction.  The two systems share their matrix and differ only in the
+driving density, so :func:`solve_constants` fixes both constant vectors
+together, for any n >= 2.  The two- and three-slit closed forms are kept
+alongside as printed and cross-checked against it.  They sum their moments
+over the period matrix's table too, so the cross-check tests the printed
+algebra against the general linear solve, not a second quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import BranchData, SlitTable, slit_table
-from .model import DerivedConstants, NumericsConfig, SolverError, g0, pole_density
+from .model import DerivedConstants, FreeParameters, NumericsConfig, SolverError, g0, pole_density
 
 _SYMMETRY_TOL = 1e-12  # mirror pair: endpoint sums within this of the largest |endpoint|
 
@@ -32,10 +33,10 @@ _SYMMETRY_TOL = 1e-12  # mirror pair: endpoint sums within this of the largest |
 class PeriodMatrix:
     """Moments I_mj over the slit tops, rows m = 1..n, columns j = 0..n-1.
 
-    Row n is one moment past the solvability range; it feeds the
-    right-hand sides of the pole-at-infinity case.  ``table`` holds the
+    Row n is one moment past the solvability range; it feeds the printed
+    three-slit forms of the pole-at-infinity case.  ``table`` holds the
     nodes the moments were summed over; the right-hand sides of
-    :func:`solve_a` and :func:`solve_rho` are summed over the same table.
+    :func:`solve_constants` are summed over the same table.
     """
 
     I: np.ndarray
@@ -65,6 +66,15 @@ def _alternating(moments: np.ndarray, weights) -> np.ndarray:
     return np.add.accumulate(np.asarray(weights) * moments, axis=-1)[..., -1]
 
 
+def _moments(table: SlitTable, density, weights) -> np.ndarray:
+    """sum_j weights_j * integral over slit j of density * xi^m / |q|, m = 0..n-2.
+
+    ``density`` holds the samples at the table's nodes, shape (n, N).
+    """
+    n = table.nodes.shape[0]
+    return _alternating(table.integrate(density * table.powers[: n - 1]), weights)
+
+
 def _g0_table(table: SlitTable, derived: DerivedConstants) -> np.ndarray:
     """g0 of every slit at its nodes: shape (n, N)."""
     rows = np.arange(table.nodes.shape[0])[:, None]
@@ -81,54 +91,6 @@ def system_matrix(period: PeriodMatrix) -> np.ndarray:
     """The (n-1)x(n-1) sign-alternating block (-1)^j I_mj, j, m = 1..n-1."""
     n = period.n
     return period.I[: n - 1, 1:] * (-1.0) ** np.arange(1, n)
-
-
-def _solve_alternating(period: PeriodMatrix, rhs: np.ndarray) -> np.ndarray:
-    A = system_matrix(period)
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # period matrix is provably regular
-        raise SolverError(f"singular solvability system: {exc}") from exc
-
-
-def solve_a(
-    period: PeriodMatrix,
-    branch: BranchData,
-    derived: DerivedConstants,
-    a0: float,
-) -> np.ndarray:
-    """Constants a_j making the first solution bounded, given free a_0."""
-    n = branch.n
-    if n == 1:
-        return np.array([a0])
-    alt = (-1.0) ** np.arange(n)
-    if derived.pole_at_infinity:
-        total = derived.c_double_prime * _alternating(period.I[1:], alt)
-    else:
-        table = period.table
-        moments = table.integrate(
-            pole_density(table.nodes, derived) * table.powers[: n - 1]
-        )
-        total = _alternating(moments, alt)
-    rhs = total - period.I[: n - 1, 0] * a0
-    return np.concatenate(([a0], _solve_alternating(period, rhs)))
-
-
-def solve_rho(
-    period: PeriodMatrix,
-    branch: BranchData,
-    derived: DerivedConstants,
-    rho0: float,
-) -> np.ndarray:
-    """Constants rho_j making the second solution bounded, given free rho_0."""
-    n = branch.n
-    if n == 1:
-        return np.array([rho0])
-    table = period.table
-    moments = table.integrate(_g0_table(table, derived) * table.powers[: n - 1])
-    km = _alternating(moments, (-1.0) ** np.arange(n) * np.asarray(derived.lam))
-    rhs = -(km + period.I[: n - 1, 0] * rho0)
-    return np.concatenate(([rho0], _solve_alternating(period, rhs)))
 
 
 @dataclass(frozen=True)
@@ -162,6 +124,45 @@ def build_constants(a, rho, derived: DerivedConstants) -> SolvabilityConstants:
     return SolvabilityConstants(a, rho, rho_prime, derived.beta0 - rho_prime)
 
 
+def solve_constants(
+    period: PeriodMatrix,
+    derived: DerivedConstants,
+    free: FreeParameters,
+) -> SolvabilityConstants:
+    """Constants a_j, rho_j making both surface solutions bounded.
+
+    Moving the free constant's column to the right-hand side leaves one
+    system for both problems: each solution is a particular one plus its
+    free constant times the shared response h to that column.  With
+    ``free.antisymmetric`` the free constants are the ones giving
+    a_{n-1} = -a_0 and rho_{n-1} = -rho_0; otherwise they are taken from
+    ``free``.  The three vectors are solved one at a time: a single
+    multi-column solve changes the last bits of the first.
+    """
+    table = period.table
+    n = period.n
+    alt = (-1.0) ** np.arange(n)
+    A = system_matrix(period)
+    try:  # the period matrix is provably regular
+        pa = np.linalg.solve(A, _moments(table, pole_density(table.nodes, derived), alt))
+        pr = np.linalg.solve(
+            A, -_moments(table, _g0_table(table, derived), alt * np.asarray(derived.lam))
+        )
+        h = np.linalg.solve(A, -period.I[: n - 1, 0])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular solvability system: {exc}") from exc
+    a0, rho0 = free.a0, free.rho0
+    if free.antisymmetric:
+        denom = 1.0 + h[-1]
+        if abs(denom) < 1e-12:
+            raise SolverError("antisymmetric constants are not determined")
+        a0, rho0 = -pa[-1] / denom, -pr[-1] / denom
+    # a zero free value leaves the particular solution as solved, -0.0 included
+    a = np.concatenate(([a0], pa + a0 * h if a0 else pa))
+    rho = np.concatenate(([rho0], pr + rho0 * h if rho0 else pr))
+    return build_constants(a, rho, derived)
+
+
 def boundedness_residuals(
     branch: BranchData,
     derived: DerivedConstants,
@@ -179,12 +180,13 @@ def boundedness_residuals(
     lam = np.asarray(derived.lam)
     alt = (-1.0) ** np.arange(n)
     powers = table.powers[: n - 1]
-    phi = (constants.a[:, None] - pole_density(table.nodes, derived)) * powers
-    dens = (_g0_table(table, derived) + constants.rho_prime[:, None]) * powers
-    res_a = _alternating(table.integrate(phi), alt)
-    res_r = _alternating(table.integrate(dens), alt * lam)
-    scale_a = _alternating(table.integrate(np.abs(phi)), np.ones(n))
-    scale_r = _alternating(table.integrate(np.abs(dens)), np.abs(lam))
+    phi = constants.a[:, None] - pole_density(table.nodes, derived)
+    dens = _g0_table(table, derived) + constants.rho_prime[:, None]
+    res_a = _moments(table, phi, alt)
+    res_r = _moments(table, dens, alt * lam)
+    # scales: integrals of |density * xi^m|, which _moments of |density| is not
+    scale_a = _alternating(table.integrate(np.abs(phi * powers)), np.ones(n))
+    scale_r = _alternating(table.integrate(np.abs(dens * powers)), np.abs(lam))
     floor = 1e-30
     rel_a = float(np.max(np.abs(res_a) / np.maximum(scale_a, floor), initial=0.0))
     rel_r = float(np.max(np.abs(res_r) / np.maximum(scale_r, floor), initial=0.0))
@@ -196,34 +198,6 @@ def boundedness_residuals(
         "a_relative": rel_a,
         "rho_relative": rel_r,
     }
-
-
-def antisymmetric_free_values(
-    period: PeriodMatrix,
-    branch: BranchData,
-    derived: DerivedConstants,
-) -> tuple[float, float]:
-    """Free values (a_0, rho_0) giving a_{n-1} = -a_0 and rho_{n-1} = -rho_0.
-
-    Both solved vectors are affine in their free constant, so each fixed
-    point is one scalar linear equation probed with two solves.
-    """
-    n = branch.n
-    if n < 2:
-        raise SolverError("antisymmetric selection needs at least two slits")
-
-    def fixed_point(solver) -> float:
-        v0 = solver(0.0)[n - 1]
-        v1 = solver(1.0)[n - 1]
-        slope = v1 - v0
-        denom = 1.0 + slope
-        if abs(denom) < 1e-12:
-            raise SolverError("antisymmetric constants are not determined")
-        return -v0 / denom
-
-    a0 = fixed_point(lambda t: solve_a(period, branch, derived, t))
-    rho0 = fixed_point(lambda t: solve_rho(period, branch, derived, t))
-    return a0, rho0
 
 
 # -- printed closed forms (cross-check targets) --------------------------------
@@ -241,7 +215,6 @@ def is_symmetric_pair(branch: BranchData) -> bool:
 
 def n2_closed_form_a(
     period: PeriodMatrix,
-    branch: BranchData,
     derived: DerivedConstants,
     a0: float,
 ) -> np.ndarray:
@@ -253,7 +226,6 @@ def n2_closed_form_a(
 
 def n2_closed_form_rho(
     period: PeriodMatrix,
-    branch: BranchData,
     derived: DerivedConstants,
     rho0: float,
 ) -> np.ndarray:
@@ -265,7 +237,6 @@ def n2_closed_form_rho(
 
 def n2_symmetric_a(
     period: PeriodMatrix,
-    branch: BranchData,
     derived: DerivedConstants,
 ) -> np.ndarray:
     """Antisymmetric pair for the origin-symmetric case (pole at 0).
@@ -281,7 +252,6 @@ def n2_symmetric_a(
 
 def n2_symmetric_rho(
     period: PeriodMatrix,
-    branch: BranchData,
     derived: DerivedConstants,
 ) -> np.ndarray:
     """Antisymmetric rho pair for the origin-symmetric case (pole at 0)."""
@@ -292,7 +262,6 @@ def n2_symmetric_rho(
 
 def n3_closed_form_a(
     period: PeriodMatrix,
-    branch: BranchData,
     derived: DerivedConstants,
     a0: float,
 ) -> np.ndarray:
@@ -317,7 +286,6 @@ def n3_closed_form_a(
 
 def n3_closed_form_rho(
     period: PeriodMatrix,
-    branch: BranchData,
     derived: DerivedConstants,
     rho0: float,
 ) -> np.ndarray:

@@ -11,7 +11,10 @@ package sweeps for candidate pairs first.  The one Gauss-Chebyshev sum here,
 pointwise ``weight_factor``; the stacked slit table is checked against it.
 The contour CSV is written one row at a time, each field by its own
 ``format()`` call, and the SVG one point at a time, where the package formats
-a whole contour at once.  The test-only helpers at the end (symmetry report,
+a whole contour at once.  The solvability constants come from one linear
+solve per problem and free value, and the antisymmetric free values from two
+probe solves each, where the package solves each system once for both
+problems.  The test-only helpers at the end (symmetry report,
 Hausdorff distance, CSV reader) serve the tests alone, not the package.
 """
 
@@ -28,6 +31,7 @@ from inclusion_forge.geometry import (
     central_symmetry_deviation,
     conjugation_symmetry_deviation,
 )
+from inclusion_forge.model import SolverError, g0, pole_density
 from inclusion_forge.quadrature import cheb_nodes
 
 
@@ -375,6 +379,81 @@ def render_svg_per_point(contours, labels=None) -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# -- solvability constants, one solve per problem and free value ----------------
+
+
+def _alternating(moments: np.ndarray, weights) -> np.ndarray:
+    return np.add.accumulate(np.asarray(weights) * moments, axis=-1)[..., -1]
+
+
+def _g0_table(table, derived) -> np.ndarray:
+    rows = np.arange(table.nodes.shape[0])[:, None]
+    return g0(table.nodes, rows, derived)
+
+
+def _solve_alternating(period, rhs: np.ndarray) -> np.ndarray:
+    n = period.n
+    A = period.I[: n - 1, 1:] * (-1.0) ** np.arange(1, n)
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:  # period matrix is provably regular
+        raise SolverError(f"singular solvability system: {exc}") from exc
+
+
+def solve_a(period, branch, derived, a0: float) -> np.ndarray:
+    """Constants a_j making the first solution bounded, given free a_0."""
+    n = branch.n
+    if n == 1:
+        return np.array([a0])
+    alt = (-1.0) ** np.arange(n)
+    if derived.pole_at_infinity:
+        total = derived.c_double_prime * _alternating(period.I[1:], alt)
+    else:
+        table = period.table
+        moments = table.integrate(
+            pole_density(table.nodes, derived) * table.powers[: n - 1]
+        )
+        total = _alternating(moments, alt)
+    rhs = total - period.I[: n - 1, 0] * a0
+    return np.concatenate(([a0], _solve_alternating(period, rhs)))
+
+
+def solve_rho(period, branch, derived, rho0: float) -> np.ndarray:
+    """Constants rho_j making the second solution bounded, given free rho_0."""
+    n = branch.n
+    if n == 1:
+        return np.array([rho0])
+    table = period.table
+    moments = table.integrate(_g0_table(table, derived) * table.powers[: n - 1])
+    km = _alternating(moments, (-1.0) ** np.arange(n) * np.asarray(derived.lam))
+    rhs = -(km + period.I[: n - 1, 0] * rho0)
+    return np.concatenate(([rho0], _solve_alternating(period, rhs)))
+
+
+def antisymmetric_free_values(period, branch, derived) -> tuple[float, float]:
+    """Free values (a_0, rho_0) giving a_{n-1} = -a_0 and rho_{n-1} = -rho_0.
+
+    Both solved vectors are affine in their free constant, so each fixed
+    point is one scalar linear equation probed with two solves.
+    """
+    n = branch.n
+    if n < 2:
+        raise SolverError("antisymmetric selection needs at least two slits")
+
+    def fixed_point(solver) -> float:
+        v0 = solver(0.0)[n - 1]
+        v1 = solver(1.0)[n - 1]
+        slope = v1 - v0
+        denom = 1.0 + slope
+        if abs(denom) < 1e-12:
+            raise SolverError("antisymmetric constants are not determined")
+        return -v0 / denom
+
+    a0 = fixed_point(lambda t: solve_a(period, branch, derived, t))
+    rho0 = fixed_point(lambda t: solve_rho(period, branch, derived, t))
+    return a0, rho0
 
 
 def read_contours_csv(path) -> dict[int, np.ndarray]:

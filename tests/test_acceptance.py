@@ -29,7 +29,6 @@ from inclusion_forge.model import (
 )
 from inclusion_forge.quadrature import cauchy_off, cheb_coeffs, gauss_cheb, singular_on
 from inclusion_forge.solvability import (
-    antisymmetric_free_values,
     build_constants,
     n2_closed_form_a,
     n2_closed_form_rho,
@@ -38,8 +37,7 @@ from inclusion_forge.solvability import (
     n3_closed_form_a,
     n3_closed_form_rho,
     period_matrix,
-    solve_a,
-    solve_rho,
+    solve_constants,
 )
 
 FIG1A_LOADING = Loading(1.0, 1.0, -1.0, 1.0)
@@ -147,21 +145,17 @@ def test_criterion_03_closed_forms_match_general_path():
         branch = BranchData(cfg.endpoints)
         t0 = time.perf_counter()
         period = period_matrix(branch, numerics)
-        if free.antisymmetric:
-            a0, rho0 = antisymmetric_free_values(period, branch, derived)
-        else:
-            a0, rho0 = free.a0, free.rho0
-        a = solve_a(period, branch, derived, a0)
-        rho = solve_rho(period, branch, derived, rho0)
+        constants = solve_constants(period, derived, free)
+        a, rho = constants.a, constants.rho
         if forms == "n2":
-            ca = n2_closed_form_a(period, branch, derived, a0)
-            cr = n2_closed_form_rho(period, branch, derived, rho0)
+            ca = n2_closed_form_a(period, derived, a[0])
+            cr = n2_closed_form_rho(period, derived, rho[0])
         elif forms == "n2sym":
-            ca = n2_symmetric_a(period, branch, derived)
-            cr = n2_symmetric_rho(period, branch, derived)
+            ca = n2_symmetric_a(period, derived)
+            cr = n2_symmetric_rho(period, derived)
         else:
-            ca = n3_closed_form_a(period, branch, derived, a0)
-            cr = n3_closed_form_rho(period, branch, derived, rho0)
+            ca = n3_closed_form_a(period, derived, a[0])
+            cr = n3_closed_form_rho(period, derived, rho[0])
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         worst = max(

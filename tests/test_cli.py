@@ -292,6 +292,18 @@ def test_single_inclusion_overrides_exit_two(tmp_path, capsys, overrides, flags)
     assert "error: overrides need n >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_single_inclusion_antisymmetric_exits_two(tmp_path, capsys):
+    doc = figures.load_case("fig1a")
+    doc["free"].update(a0=0.7, rho0=-0.2, antisymmetric=True)
+    path = tmp_path / "fig1a.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "fig1a.csv"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert "error: antisymmetric selection needs at least two slits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_tolerance_env_exits_two(fig1b_path, monkeypatch, capsys):
     monkeypatch.setenv("INCLUSION_FORGE_TOL", "inf")
     assert cli.main(["solve", "--config", str(fig1b_path)]) == 2
@@ -347,6 +359,20 @@ def test_render_svg_is_deterministic_and_equal_aspect():
     assert one == two
     # square data box stays square on the page
     assert 'width="480" height="480.000"' in one
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points", [
+    [1000 + 1000j] * 3,
+    [1000 + 1e6j] * 3,
+    [1000 + 1e6j, 1000 + 1e-12 + 1e6j, 1000 + 1e6j],
+])
+def test_render_svg_frames_a_point_far_from_the_origin(points):
+    # the padded frame must stay wider than the float spacing at its corner
+    svg = render_svg([np.array(points)])
+    root = ElementTree.fromstring(svg)
+    assert "nan" not in svg
+    assert float(root.get("width")) > 0.0 and float(root.get("height")) > 0.0
 
 
 def test_parse_config_defaults(monkeypatch):

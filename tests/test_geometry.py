@@ -378,17 +378,39 @@ def test_many_slit_layouts_finish_with_geometry_in_bounded_memory(n):
     assert peak < 16 * segment_bytes
 
 
-def test_near_vertical_contours_sweep_in_bounded_memory():
+def _near_vertical_inputs():
     # kappa -> 1 stretches the contours into near-vertical slivers that share
-    # one x-range: their sweep runs hold 29M pairs, walked a block at a time
+    # one x-range
     cfg, loading, _, free, numerics, _ = load_figure_inputs("fig3a")
-    res = pipeline.solve(cfg, loading, MaterialSet([0.1, 0.1, 1 + 1e-9]), free,
-                         dataclasses.replace(numerics, P=3200))
+    return (cfg, loading, MaterialSet([0.1, 0.1, 1 + 1e-9]), free,
+            dataclasses.replace(numerics, P=3200))
+
+
+def test_near_vertical_contours_sweep_in_bounded_memory():
+    # swept along x, their runs would hold 29M pairs, walked a block at a
+    # time; swept along y, they hold a few thousand
+    res = pipeline.solve(*_near_vertical_inputs())
     x0, _, x1, _ = res.profiles[0].bbox
     assert x1 - x0 < 1e-6 * res.profiles[0].diameter
     records, peak, segment_bytes = _contacts_peak(res.profiles)
     assert records == res.diagnostics.geometry["contacts"]
     assert peak < 16 * segment_bytes
+
+
+def test_near_vertical_contours_are_swept_along_y(monkeypatch):
+    # along x every segment's run spans nearly all others: 2017 blocks
+    blocks = []
+    original = geometry._candidate_pairs
+
+    def counted(s0, s1, pad):
+        for block in original(s0, s1, pad):
+            blocks.append(len(block[0]))  # candidates left after the prune
+            yield block
+
+    monkeypatch.setattr(geometry, "_candidate_pairs", counted)
+    res = pipeline.solve(*_near_vertical_inputs())
+    assert len(blocks) <= 8
+    assert [r["reason"] for r in res.diagnostics.geometry["contacts"]] == ["nested", "nested"]
 
 
 @pytest.mark.parametrize("case, n", [("fig3a", 3), ("fig4d", 3), ("sixteen", 16)])

@@ -43,11 +43,9 @@ from inclusion_forge.quadrature import (
     slit_roots,
 )
 from inclusion_forge.solvability import (
-    antisymmetric_free_values,
     build_constants,
     period_matrix,
-    solve_a,
-    solve_rho,
+    solve_constants,
 )
 
 
@@ -57,13 +55,7 @@ def solved_map(name, free_override=None):
         free = free_override
     derived = derive_constants(loading, materials, cfg, free)
     branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, numerics)
-    a0, rho0 = free.a0, free.rho0
-    if free.antisymmetric:
-        a0, rho0 = antisymmetric_free_values(period, branch, derived)
-    a = solve_a(period, branch, derived, a0)
-    rho = solve_rho(period, branch, derived, rho0)
-    constants = build_constants(a, rho, derived)
+    constants = solve_constants(period_matrix(branch, numerics), derived, free)
     return SlitMap(branch, derived, constants, numerics), derived, constants
 
 
@@ -110,11 +102,8 @@ def _symmetric_complex_scaling_map():
     derived = derive_constants(loading, materials, cfg, free)
     branch = BranchData(cfg.endpoints)
     numerics = NumericsConfig()
-    period = period_matrix(branch, numerics)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived)
-    a = solve_a(period, branch, derived, a0)
-    rho = solve_rho(period, branch, derived, rho0)
-    return SlitMap(branch, derived, build_constants(a, rho, derived), numerics)
+    constants = solve_constants(period_matrix(branch, numerics), derived, free)
+    return SlitMap(branch, derived, constants, numerics)
 
 
 def test_g1_is_odd_for_symmetric_configuration():
@@ -264,10 +253,8 @@ def test_equal_stresses_make_F_constant():
     free = FreeParameters(beta0=0.25)
     derived = derive_constants(loading, materials, cfg, free)
     branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0)
-    rho = solve_rho(period, branch, derived, 0.0)
-    sm = SlitMap(branch, derived, build_constants(a, rho, derived), numerics)
+    constants = solve_constants(period_matrix(branch, numerics), derived, free)
+    sm = SlitMap(branch, derived, constants, numerics)
     zs = np.array([0.2 + 0.5j, -2.0 + 0.1j, 3.0 - 1.0j])
     np.testing.assert_allclose(sm.F_interior(zs), 0.25, atol=1e-12)
 

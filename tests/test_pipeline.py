@@ -215,6 +215,14 @@ def test_single_inclusion_rejects_overrides(overrides):
         run_figure("fig1a", **overrides)
 
 
+@pytest.mark.filterwarnings("error")
+def test_single_inclusion_rejects_antisymmetric_selection():
+    # no second slit to mirror: a = [a0] would be graded as if selected
+    free = FreeParameters(a0=0.7, rho0=-0.2, antisymmetric=True)
+    with pytest.raises(ConfigurationError, match="^antisymmetric selection needs at least two slits"):
+        run_figure("fig1a", free=free)
+
+
 @pytest.mark.parametrize("case", ["fig3a", "sixteen"])
 def test_solve_makes_one_boundary_pass(monkeypatch, case):
     # the contours and the Schwarz report read the same traced values

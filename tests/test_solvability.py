@@ -1,10 +1,18 @@
+import dataclasses
 import importlib
 import pkgutil
 
 import numpy as np
 import pytest
-from conftest import load_figure_inputs, sixteen_slit_inputs
-from oracles import smooth_weight, weighted_integral, weighted_moment
+from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
+from oracles import (
+    antisymmetric_free_values,
+    smooth_weight,
+    solve_a,
+    solve_rho,
+    weighted_integral,
+    weighted_moment,
+)
 
 import inclusion_forge
 from inclusion_forge import pipeline
@@ -21,7 +29,6 @@ from inclusion_forge.model import (
     pole_density,
 )
 from inclusion_forge.solvability import (
-    antisymmetric_free_values,
     boundedness_residuals,
     build_constants,
     is_symmetric_pair,
@@ -32,12 +39,13 @@ from inclusion_forge.solvability import (
     n3_closed_form_a,
     n3_closed_form_rho,
     period_matrix,
-    solve_a,
-    solve_rho,
+    solve_constants,
     system_matrix,
 )
 
 NUM = NumericsConfig()
+FREE = FreeParameters()  # a0 = rho0 = 0
+ANTISYMMETRIC = FreeParameters(antisymmetric=True)
 
 
 def figure_problem(name):
@@ -95,7 +103,7 @@ def test_symmetric_real_pole_strength_gives_zero_a():
     cfg, derived, branch, numerics = figure_problem("fig2b")
     assert derived.c_double_prime == 0.0
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0)
+    a = solve_constants(period, derived, FREE).a
     np.testing.assert_allclose(a, 0.0, atol=1e-15)
 
 
@@ -112,12 +120,11 @@ def test_imaginary_scaling_reproduces_published_antisymmetric_a():
     expected_a1 = weighted_moment(
         branch, 1, lambda x: 1.0 / x, 0, NUM.N
     ) / period.entry(1, 1)
-    sym = n2_symmetric_a(period, branch, derived)
+    sym = n2_symmetric_a(period, derived)
     assert sym[1] == pytest.approx(expected_a1, rel=1e-13)
     assert sym[0] == pytest.approx(-expected_a1, rel=1e-13)
     # the general path with the antisymmetric free value agrees
-    a0, _ = antisymmetric_free_values(period, branch, derived)
-    a = solve_a(period, branch, derived, a0)
+    a = solve_constants(period, derived, ANTISYMMETRIC).a
     np.testing.assert_allclose(a, sym, atol=1e-12)
 
 
@@ -130,16 +137,15 @@ def test_zero_drive_gives_zero_rho():
     np.testing.assert_allclose(derived.c_star, 0.0, atol=1e-16)
     branch = BranchData(cfg.endpoints)
     period = period_matrix(branch, NUM)
-    rho = solve_rho(period, branch, derived, 0.0)
+    rho = solve_constants(period, derived, FREE).rho
     np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
 
 def test_fig2c_rho_matches_published_closed_form():
     cfg, derived, branch, numerics = figure_problem("fig2c")
     period = period_matrix(branch, numerics)
-    _, rho0 = antisymmetric_free_values(period, branch, derived)
-    rho = solve_rho(period, branch, derived, rho0)
-    sym = n2_symmetric_rho(period, branch, derived)
+    rho = solve_constants(period, derived, ANTISYMMETRIC).rho
+    sym = n2_symmetric_rho(period, derived)
     np.testing.assert_allclose(rho, sym, atol=1e-12)
     # direct quadrature of the printed expression
     lam0 = derived.lam[0]
@@ -159,7 +165,7 @@ def test_fig2c_rho_matches_published_closed_form():
 def test_fig3a_conditions_hold_under_independent_quadrature():
     cfg, derived, branch, numerics = figure_problem("fig3a")
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0)
+    a = solve_constants(period, derived, FREE).a
     for m in (1, 2):
         total = 0.0
         for j in range(3):
@@ -177,9 +183,8 @@ def test_fig3a_conditions_hold_under_independent_quadrature():
 def test_fig4a_antisymmetric_constants():
     cfg, derived, branch, numerics = figure_problem("fig4a")
     period = period_matrix(branch, numerics)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived)
-    a = solve_a(period, branch, derived, a0)
-    rho = solve_rho(period, branch, derived, rho0)
+    constants = solve_constants(period, derived, ANTISYMMETRIC)
+    a, rho = constants.a, constants.rho
     assert a[0] == pytest.approx(-a[2], abs=1e-12)
     assert rho[0] == pytest.approx(-rho[2], abs=1e-8)
     assert rho[1] == pytest.approx(0.0, abs=1e-12)
@@ -190,13 +195,12 @@ def test_two_slit_closed_forms_match_general_path(name):
     cfg, derived, branch, numerics = figure_problem(name)
     assert is_symmetric_pair(branch)
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.0)
-    rho = solve_rho(period, branch, derived, 0.0)
+    constants = solve_constants(period, derived, FREE)
     np.testing.assert_allclose(
-        a, n2_closed_form_a(period, branch, derived, 0.0), atol=1e-10
+        constants.a, n2_closed_form_a(period, derived, 0.0), atol=1e-10
     )
     np.testing.assert_allclose(
-        rho, n2_closed_form_rho(period, branch, derived, 0.0), atol=1e-10
+        constants.rho, n2_closed_form_rho(period, derived, 0.0), atol=1e-10
     )
 
 
@@ -204,45 +208,42 @@ def test_two_slit_closed_forms_match_general_path(name):
 def test_three_slit_closed_forms_match_general_path(name):
     cfg, derived, branch, numerics = figure_problem(name)
     period = period_matrix(branch, numerics)
-    a = solve_a(period, branch, derived, 0.2)
-    rho = solve_rho(period, branch, derived, -0.3)
+    constants = solve_constants(period, derived, FreeParameters(a0=0.2, rho0=-0.3))
     np.testing.assert_allclose(
-        a, n3_closed_form_a(period, branch, derived, 0.2), atol=1e-10
+        constants.a, n3_closed_form_a(period, derived, 0.2), atol=1e-10
     )
     np.testing.assert_allclose(
-        rho, n3_closed_form_rho(period, branch, derived, -0.3), atol=1e-10
+        constants.rho, n3_closed_form_rho(period, derived, -0.3), atol=1e-10
     )
 
 
 def test_boundedness_residuals_flag_overrides():
     cfg, derived, branch, numerics = figure_problem("fig2c")
     period = period_matrix(branch, numerics)
-    _, rho0 = antisymmetric_free_values(period, branch, derived)
-    a = solve_a(period, branch, derived, 0.0)
-    rho = solve_rho(period, branch, derived, rho0)
-    good = boundedness_residuals(
-        branch, derived, build_constants(a, rho, derived), numerics
-    )
+    constants = solve_constants(period, derived, ANTISYMMETRIC)
+    good = boundedness_residuals(branch, derived, constants, numerics)
     assert max(good["a_relative"], good["rho_relative"]) < 1e-12
     bad = boundedness_residuals(
-        branch, derived, build_constants(a, np.zeros_like(rho), derived), numerics
+        branch, derived, build_constants(constants.a, np.zeros(2), derived), numerics
     )
     assert bad["rho_relative"] > 1e-2
 
 
-def test_mirrored_configuration_gives_antisymmetric_vectors():
+def mirrored_four_slit_inputs():
     # four symmetric slits, equal kappa, pole at the origin
     cfg = SlitConfiguration(
         [(-1.0, -0.7), (-0.5, -0.2), (0.2, 0.5), (0.7, 1.0)], 0.0 + 0.0j
     )
-    loading = Loading(1.0, 0.5, -0.5, 1.5)
-    materials = MaterialSet([3.0] * 4)
-    derived = derive_constants(loading, materials, cfg, FreeParameters(c_m1=0.7 + 0.2j))
-    branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, NUM)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived)
-    a = solve_a(period, branch, derived, a0)
-    rho = solve_rho(period, branch, derived, rho0)
+    free = FreeParameters(c_m1=0.7 + 0.2j, antisymmetric=True)
+    return cfg, Loading(1.0, 0.5, -0.5, 1.5), MaterialSet([3.0] * 4), free, NUM
+
+
+def test_mirrored_configuration_gives_antisymmetric_vectors():
+    cfg, loading, materials, free, numerics = mirrored_four_slit_inputs()
+    derived = derive_constants(loading, materials, cfg, free)
+    period = period_matrix(BranchData(cfg.endpoints), numerics)
+    constants = solve_constants(period, derived, free)
+    a, rho = constants.a, constants.rho
     np.testing.assert_allclose(a, -a[::-1], atol=1e-10)
     np.testing.assert_allclose(rho, -rho[::-1], atol=1e-10)
 
@@ -256,12 +257,58 @@ def test_general_path_handles_four_slits():
     derived = derive_constants(loading, materials, cfg, FreeParameters())
     branch = BranchData(cfg.endpoints)
     period = period_matrix(branch, NUM)
-    a = solve_a(period, branch, derived, 0.0)
-    rho = solve_rho(period, branch, derived, 0.0)
-    res = boundedness_residuals(
-        branch, derived, build_constants(a, rho, derived), NUM
-    )
+    res = boundedness_residuals(branch, derived, solve_constants(period, derived, FREE), NUM)
     assert max(res["a_relative"], res["rho_relative"]) < 1e-12
+
+
+def _antisymmetric_inputs(case):
+    if case == "mirrored":
+        return mirrored_four_slit_inputs()
+    if isinstance(case, int):
+        inputs = slit_layout_inputs(case)
+    else:
+        inputs = load_figure_inputs(case)[:5]
+    cfg, loading, materials, free, numerics = inputs
+    return cfg, loading, materials, dataclasses.replace(free, antisymmetric=True), numerics
+
+
+@pytest.mark.parametrize(
+    "case", ["fig2a", "fig2b", "fig2c", "fig4a", "fig4b", "mirrored", 4, 8, 12, 16, 20, 24]
+)
+def test_solve_constants_matches_the_per_problem_solves(case):
+    # the reference solves each problem once per free value and finds the
+    # antisymmetric free values from two probe solves each
+    cfg, loading, materials, free, numerics = _antisymmetric_inputs(case)
+    derived = derive_constants(loading, materials, cfg, free)
+    branch = BranchData(cfg.endpoints)
+    period = period_matrix(branch, numerics)
+    constants = solve_constants(period, derived, free)
+    a0, rho0 = antisymmetric_free_values(period, branch, derived)
+    # both carry solve errors of order eps * cond(A), above 1e-12 past n = 12;
+    # at n = 24 the reference misses its own antisymmetry by ~1e-8
+    rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(system_matrix(period)))
+    for got, want in ((constants.a, solve_a(period, branch, derived, a0)),
+                      (constants.rho, solve_rho(period, branch, derived, rho0))):
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        # the one solve makes the selected pair antisymmetric to rounding
+        assert abs(got[-1] + got[0]) <= 1e-15 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("name", ["fig4a", "fig4c"])
+@pytest.mark.parametrize("c_m1", [0.5 - 1j, 1 + 1.5j, 2 + 0.5j])
+def test_pole_at_infinity_with_complex_scaling_matches_printed_forms(name, c_m1):
+    # c'' = Im c is nonzero: the general moments of c'' xi carry the drive
+    # the printed three-slit forms take from the moment row n
+    cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
+    free = FreeParameters(a0=0.1, rho0=-0.2, c_m1=c_m1)
+    derived = derive_constants(loading, materials, cfg, free)
+    assert derived.pole_at_infinity and derived.c_double_prime != 0.0
+    period = period_matrix(BranchData(cfg.endpoints), numerics)
+    constants = solve_constants(period, derived, free)
+    for got, want in ((constants.a, n3_closed_form_a(period, derived, 0.1)),
+                      (constants.rho, n3_closed_form_rho(period, derived, -0.2))):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.ptp(constants.a) > 0.1  # the drive moves the constants
 
 
 @pytest.mark.parametrize("N", [64, 128])
