@@ -379,13 +379,16 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = load_config(args.config)
-    cfg, loading, materials, _free, _numerics, _overrides = parse_config(doc)
+    cfg, loading, materials, free, _numerics, overrides = parse_config(doc)
     report = validate_model(cfg, loading, materials)
-    for v in report.violations:
+    violations = report.violations + tuple(pipeline.request_violations(
+        cfg, free, overrides.get("a"), overrides.get("rho")
+    ))
+    for v in violations:
         print(f"violation: {v}")
     for w in report.warnings:
         print(f"warning: {w}")
-    if report.ok:
+    if not violations:
         print("configuration is runnable")
         return 0
     return 2

@@ -58,6 +58,7 @@ from .quadrature import (
     like_input,
     singular_on_stack,
     slit_roots,
+    standard_chop,
     truncation_indicator,
 )
 
@@ -69,6 +70,7 @@ log = logging.getLogger(__name__)
 # rows of the density table, in order
 FAMILIES = ("phi", "g0_rho", "g1_weighted")
 _PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
+_DIRECT, _G1 = slice(0, 2), slice(2, 3)  # sampled from closed forms; sampled from phi
 _BLOCK_VALUES = 2**16
 _BANK_ROW = {+1: 0, -1: 1}
 _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
@@ -100,7 +102,11 @@ class SlitMap:
     over the smooth weight factor, ``g0_rho`` the second-problem constant
     part, and ``g1_weighted`` g_1 times the endpoint weight (so the |q|
     factor it carries, which vanishes at every slit endpoint, is handled in
-    closed form).  Every Cauchy sum over the slits weights row j of a family
+    closed form).  Each family is chopped right after it is sampled
+    (:func:`~inclusion_forge.quadrature.standard_chop`; phi before g_1 is
+    sampled from it): rows are zeroed past their kept lengths and the table
+    is trimmed to its longest kept row, so every sum below stops there.
+    Every Cauchy sum over the slits weights row j of a family
     by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
     Boundary values of every slit and both banks come from one stacked pass
     (:meth:`banks`); the per-slit evaluators are its one-slit case.  On the
@@ -151,24 +157,42 @@ class SlitMap:
         g0_rho = g0(nodes, self._rows[:, None], derived)
         g0_rho += np.reshape(constants.rho_prime, (n, 1))
         # degree M, but at most the N coefficients N samples determine
-        self._coef = np.zeros((len(FAMILIES), n, min(M + 1, table.N)))
-        self._coef[0] = coef_from_samples(phi / table.r, M)
-        self._coef[1] = coef_from_samples(g0_rho / table.r, M)
+        raw = np.zeros((len(FAMILIES), n, min(M + 1, table.N)))
+        raw[0] = coef_from_samples(phi / table.r, M)
+        raw[1] = coef_from_samples(g0_rho / table.r, M)
+        self._truncation = np.zeros(len(FAMILIES))
+        self._kept = np.zeros(len(FAMILIES), dtype=int)
+        self._chop(raw, _DIRECT)
         # terms of block (target slit i, source slit j) per family
         self._block_degree = np.zeros((len(FAMILIES), n, n), dtype=int)
         self._block_degree[_PHI] = block_degrees(self._coef[_PHI], self._worst_w)
         # g_1 needs the phi rows of every slit, so it is sampled second.
         g1 = self._g1_values(nodes, self._rows)
-        self._coef[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
+        raw[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
+        self._chop(raw, _G1)
         self._degree_tables: dict[tuple[str, ...], DegreeTable] = {}
         self._block_degree[_MAP] = block_degrees(self._coef[_MAP], self._worst_w)
         self._block_degree[:, self._rows, self._rows] = 0  # own-slit blocks are never formed
         degree, L = self._block_degree.max(axis=0), self._coef.shape[-1]
         mean = degree.sum() / (n * (n - 1))
         log.debug(
-            "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop",
+            "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop;"
+            " kept lengths %s",
             mean, degree.max(), L, 100.0 * mean / L,
+            ", ".join(f"{f} {k}" for f, k in self.kept_lengths().items()),
         )
+
+    def _chop(self, raw: np.ndarray, fams: slice) -> None:
+        """Chop the rows of a family set in ``raw`` and trim ``_coef`` to the longest kept row.
+
+        Each row is cut at the length :func:`~inclusion_forge.quadrature.standard_chop`
+        gives it and zeroed past it, after its truncation indicator is taken.
+        """
+        self._truncation[fams] = truncation_indicator(raw[fams]).max(axis=1)
+        kept = standard_chop(raw[fams])
+        raw[fams] *= np.arange(raw.shape[-1]) < kept[..., None]
+        self._kept[fams] = kept.max(axis=1)
+        self._coef = raw[..., : max(1, self._kept.max())].copy()
 
     # -- Cauchy sums over the slits ---------------------------------------------
 
@@ -341,9 +365,12 @@ class SlitMap:
     # -- diagnostics ---------------------------------------------------------
 
     def truncation_indicators(self) -> dict[str, float]:
-        """Worst tail-coefficient ratio of each density family."""
-        worst = truncation_indicator(self._coef).max(axis=1)
-        return dict(zip(FAMILIES, worst.tolist()))
+        """Worst tail-coefficient ratio |alpha_M| of each density family, before the chop."""
+        return dict(zip(FAMILIES, self._truncation.tolist()))
+
+    def kept_lengths(self) -> dict[str, int]:
+        """Longest chopped row of each density family: the terms its sums run to."""
+        return dict(zip(FAMILIES, self._kept.tolist()))
 
 
 # -- single inclusion closed forms -------------------------------------------

@@ -86,6 +86,7 @@ class Diagnostics:
     closure_errors: tuple[float, ...]
     solvability_determinant: float | None
     truncation: dict
+    kept_length: dict
     geometry: dict
     cross_check: dict
     tol_solve: float
@@ -188,6 +189,7 @@ def _solve_n1(
         closure_errors=tuple(p.closure_error for p in profiles),
         solvability_determinant=None,
         truncation={"phi": 0.0, "g0_rho": 0.0, "g1_weighted": 0.0},
+        kept_length={"phi": 0, "g0_rho": 0, "g1_weighted": 0},
         geometry=geo_report,
         cross_check={"applied": False, "max_mismatch": 0.0},
         tol_solve=numerics.tol_solve,
@@ -247,14 +249,32 @@ def _schwarz_boundary_report(
     return {"imF_max_dev": dev_f, "omega_max_dev": dev_w}
 
 
-def _override(name: str, values: Sequence[float] | None, n: int) -> np.ndarray | None:
-    """An override vector as n finite floats; ``ConfigurationError`` otherwise."""
-    if values is None:
-        return None
-    v = np.asarray(values, dtype=float)
-    if v.shape != (n,) or not np.isfinite(v).all():
-        raise ConfigurationError(f"override {name} must hold {n} finite numbers, got {v.tolist()}")
-    return v
+def request_violations(
+    cfg: SlitConfiguration,
+    free: FreeParameters,
+    override_a: Sequence[float] | None = None,
+    override_rho: Sequence[float] | None = None,
+) -> list[str]:
+    """What :func:`solve` refuses beyond :func:`~inclusion_forge.model.validate`.
+
+    Each override must hold n finite numbers.  A single inclusion takes
+    none: its elliptic closed forms solve no constants to replace.  Nor
+    does it take ``free.antisymmetric``, which needs a second slit to
+    mirror.  Returns one message per violated rule, empty when the request
+    is runnable; the ``validate`` command reports the same list.
+    """
+    bad = []
+    for name, values in (("a", override_a), ("rho", override_rho)):
+        if values is None:
+            continue
+        v = np.asarray(values, dtype=float)
+        if v.shape != (cfg.n,) or not np.isfinite(v).all():
+            bad.append(f"override {name} must hold {cfg.n} finite numbers, got {v.tolist()}")
+    if cfg.n == 1 and (override_a is not None or override_rho is not None):
+        bad.append("overrides need n >= 2: a single inclusion has no solved constants")
+    if cfg.n == 1 and free.antisymmetric:
+        bad.append("antisymmetric selection needs at least two slits")
+    return bad
 
 
 def solve(
@@ -271,17 +291,12 @@ def solve(
     ``override_a``/``override_rho`` replace the solved constant vectors
     (letting deliberately violated configurations be traced); the
     boundedness residuals then report the violation and the verdict turns
-    INVALID-UNBOUNDED.  Each must hold n finite numbers.  A single
-    inclusion takes none: its elliptic closed forms solve no constants to
-    replace, so either override raises ``ConfigurationError`` there, and so
-    does ``free.antisymmetric``, which needs a second slit to mirror.
+    INVALID-UNBOUNDED.  A request that breaks a rule of
+    :func:`request_violations` raises ``ConfigurationError``.
     """
-    override_a = _override("a", override_a, cfg.n)
-    override_rho = _override("rho", override_rho, cfg.n)
-    if cfg.n == 1 and (override_a is not None or override_rho is not None):
-        raise ConfigurationError("overrides need n >= 2: a single inclusion has no solved constants")
-    if cfg.n == 1 and free.antisymmetric:
-        raise ConfigurationError("antisymmetric selection needs at least two slits")
+    bad = request_violations(cfg, free, override_a, override_rho)
+    if bad:
+        raise ConfigurationError("; ".join(bad))
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
     if cfg.n == 1:
@@ -335,6 +350,7 @@ def solve(
         closure_errors=tuple(p.closure_error for p in profiles),
         solvability_determinant=det,
         truncation=sm.truncation_indicators(),
+        kept_length=sm.kept_lengths(),
         geometry=geo_report,
         cross_check=cross,
         tol_solve=numerics.tol_solve,

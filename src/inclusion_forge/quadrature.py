@@ -22,6 +22,13 @@ targets: real targets on the axis are summed in real arithmetic, so
 real array for real array targets), and complex targets return ``complex``
 values.
 
+Each series is chopped before any sum runs: :func:`standard_chop` finds
+the rounding plateau of every row (Aurentz & Trefethen's rule at tolerance
+2^-52), and the caller zeroes the row past it and trims the table to its
+longest kept row.  The terms dropped there lie at the rounding level of the
+series itself, and the tail rule below then never needs a term past a zero
+tail, so every sum stops at the kept length.
+
 The off-interval series converges like |w|^k, and |w| falls like
 h / 2|zeta - c| away from the interval, so a far target needs few terms.
 With k' the first coefficient of a row at least 2^-10 of its largest, the
@@ -43,6 +50,7 @@ meet the bound, and the kernel sums the terms k >= D only beyond that |w|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +61,7 @@ __all__ = [
     "gauss_cheb",
     "cheb_coeffs",
     "coef_from_samples",
+    "standard_chop",
     "singular_on_stack",
     "SlitRoots",
     "slit_roots",
@@ -135,6 +144,69 @@ def truncation_indicator(coef) -> np.ndarray:
     mags = np.abs(coef)
     top = mags.max(axis=-1)
     return np.divide(mags[..., -1], top, out=np.zeros_like(top), where=top > 0.0)
+
+
+_CHOP_TOL = 2.0**-52               # chopping tolerance: the rounding unit of float64
+_CHOP_MIN = 17                     # shorter rows are kept whole
+_CHOP_FLOOR = _CHOP_TOL ** (7.0 / 6.0)
+_LOG_TOL = np.log(_CHOP_TOL)
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=None)
+def _chop_grid(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope indices j2 - 1 of the plateau test at j = 2, 3, ..., and the ramps.
+
+    Row m of the ramp table is np.linspace(0, -log10(tol) / 3, m + 1), bit
+    for bit, followed by inf, so adding it to a row leaves only its first
+    m + 1 entries finite.
+    """
+    j = np.arange(2, L + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)  # round half up
+    i2 = j2[j2 <= L] - 1
+    m, k = np.arange(L)[:, None], np.arange(L)
+    top = (-1.0 / 3.0) * np.log10(_CHOP_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramps = np.where(k < m, k * (top / m), np.where(k == m, top, np.inf))
+    i2.setflags(write=False)
+    ramps.setflags(write=False)
+    return i2, ramps
+
+
+def standard_chop(coef) -> np.ndarray:
+    """Kept length of each row of coefficients (..., R, L): shape (..., R).
+
+    The chopping rule of Aurentz & Trefethen (*Chopping a Chebyshev series*,
+    ACM TOMS 43, 2017) at tolerance 2^-52, for all rows at once.  A row's
+    envelope is the running maximum of |c_k| from its end, over its first
+    value.  A plateau starts at the first j (1-based, as in the paper) whose
+    envelope e_j is 0 or has e_j2 / e_j > 3 (1 - log e_j / log tol) at
+    j2 = round(1.25 j + 5) <= L.  The row is then cut where log10 of its
+    envelope plus a ramp from 0 to -log10(tol) / 3 over its first j2 entries
+    is least (j2 lowered to one past the last envelope value >= tol^(7/6),
+    which is set to tol^(7/6)), keeping at least one term.  A row with no
+    plateau keeps all L terms, an all-zero row none, and rows shorter than
+    17 terms are kept whole.  (The paper's cut before a zero envelope value
+    is never reached: a zero e_j is a plateau at j - 1 already.)
+    """
+    mags = np.abs(np.asarray(coef))
+    L = mags.shape[-1]
+    if L < _CHOP_MIN:
+        return np.full(mags.shape[:-1], L)
+    env = np.maximum.accumulate(mags.reshape(-1, L)[:, ::-1], axis=-1)[:, ::-1]
+    live = env[:, 0] > 0.0
+    env = env / np.where(live, env[:, 0], 1.0)[:, None]
+    i2, ramps = _chop_grid(L)
+    # e_j for j = 2, 3, ..., raised to the least normal float: where e_j is 0
+    # or subnormal the threshold is < 0 <= e_j2 / e_j either way, so the test
+    # passes as in the paper, with no division by zero
+    e1 = np.maximum(env[:, 1 : len(i2) + 1], _TINY)
+    plateau = env[:, i2] / e1 > 3.0 * (1.0 - np.log(e1) / _LOG_TOL)
+    # j2 - 1, lowered to the count of envelope values >= tol^(7/6)
+    last = np.minimum(i2[plateau.argmax(axis=-1)], (env >= _CHOP_FLOOR).sum(axis=-1))
+    cut = (np.log10(np.maximum(env, _CHOP_FLOOR)) + ramps[last]).argmin(axis=-1)
+    # an all-zero row has a plateau at j = 2 and its least entry first: it keeps 0
+    return np.where(plateau.any(axis=-1), np.maximum(cut, live), L).reshape(mags.shape[:-1])
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:

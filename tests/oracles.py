@@ -195,6 +195,55 @@ def tail_degree_80bit(coef, w: float, scale: float = 1.0) -> int:
     return int(np.argmax(np.all(tails <= bound[:, None], axis=0)))
 
 
+def standard_chop(coeffs, tol: float = 2.0**-52) -> int:
+    """Kept length of one coefficient row by ``standardChop`` of Chebfun, line by line.
+
+    A scalar transcription of the MATLAB code printed by Aurentz & Trefethen,
+    *Chopping a Chebyshev series*, ACM TOMS 43 (2017), with its 1-based
+    indices kept in the names.  It returns ``cutoff``, the count of leading
+    coefficients kept, except that an all-zero row keeps 0 where the original
+    keeps 1.
+    """
+    coeffs = np.abs(np.asarray(coeffs, dtype=complex))
+    n = len(coeffs)
+    cutoff = n
+    if n < 17:
+        return cutoff
+    # Step 1: the monotonically nonincreasing envelope, normalized to begin with 1
+    m = np.empty(n)
+    m[n - 1] = coeffs[n - 1]
+    for j in range(n - 2, -1, -1):
+        m[j] = max(coeffs[j], m[j + 1])
+    if m[0] == 0:
+        return 0
+    envelope = m / m[0]
+    # Step 2: the first point followed by a plateau
+    plateau_point = None
+    for j in range(2, n + 1):
+        j2 = int(np.floor(1.25 * j + 5 + 0.5))  # MATLAB round, half away from zero
+        if j2 > n:
+            return cutoff  # no plateau
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0:
+            plateau_point = j - 1
+            break
+        r = 3 * (1 - np.log(e1) / np.log(tol))
+        if e2 / e1 > r:
+            plateau_point = j - 1
+            break
+    # Step 3: cut where the envelope plus a linear bias to the left is least
+    if envelope[plateau_point - 1] == 0:
+        return plateau_point
+    j3 = int(np.sum(envelope >= tol ** (7 / 6)))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = tol ** (7 / 6)
+    cc = np.log10(envelope[:j2])
+    cc = cc + np.linspace(0, (-1 / 3) * np.log10(tol), j2)
+    d = int(np.argmin(cc)) + 1
+    return max(d - 1, 1)
+
+
 # -- all-pairs contour predicates ----------------------------------------------
 #
 # The package's predicates test only the segment pairs a sort-and-sweep keeps.

@@ -304,6 +304,22 @@ def test_single_inclusion_antisymmetric_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("free", {"antisymmetric": True}, "antisymmetric selection needs at least two slits"),
+    ("overrides", {"a": [5.0]}, "overrides need n >= 2"),
+])
+def test_validate_rejects_what_solve_rejects_on_a_single_inclusion(tmp_path, capsys, section, value, message):
+    doc = figures.load_case("fig1a")
+    doc.setdefault(section, {}).update(value)
+    path = tmp_path / "fig1a.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"violation: {message}" in out and "runnable" not in out
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_non_finite_tolerance_env_exits_two(fig1b_path, monkeypatch, capsys):
     monkeypatch.setenv("INCLUSION_FORGE_TOL", "inf")
     assert cli.main(["solve", "--config", str(fig1b_path)]) == 2

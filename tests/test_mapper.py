@@ -7,6 +7,7 @@ from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
     smooth_weight,
+    standard_chop as standard_chop_oracle,
     tail_degree_80bit,
     weighted_pv,
 )
@@ -41,6 +42,7 @@ from inclusion_forge.quadrature import (
     singular_on,
     singular_on_stack,
     slit_roots,
+    truncation_indicator,
 )
 from inclusion_forge.solvability import (
     build_constants,
@@ -758,18 +760,29 @@ def test_block_degrees_are_logged_once_per_map(caplog, capsys):
     assert len(messages) == 1
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     assert messages[0].startswith("block degrees of the boundary pass: mean ")
-    assert "of L = 64" in messages[0] and "% of the full loop" in messages[0]
+    assert f"of L = {sm._coef.shape[-1]}," in messages[0] and "% of the full loop" in messages[0]
+    kept = sm.kept_lengths()
+    assert messages[0].endswith(
+        f"kept lengths phi {kept['phi']}, g0_rho {kept['g0_rho']}, g1_weighted {kept['g1_weighted']}"
+    )
     assert capsys.readouterr() == ("", "")
 
 
-def _contours(args, monkeypatch, degrees=None, kernel=None):
+def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None):
     with monkeypatch.context() as patch:
         if degrees is not None:
             patch.setattr(mapper, "block_degrees", degrees)
         if kernel is not None:
             patch.setattr(mapper, "cauchy_off_blocks", kernel)
+        if chop is not None:
+            patch.setattr(mapper, "standard_chop", chop)
         result = pipeline.solve(*args)
     return result.verdict, [p.points for p in result.profiles]
+
+
+def _no_chop(coef):
+    """Every row kept whole: the density table of M + 1 terms."""
+    return np.full(np.shape(coef)[:-1], np.shape(coef)[-1])
 
 
 def _full_degree(coef, w):
@@ -806,3 +819,58 @@ def test_block_degrees_move_contours_far_less_than_float64_rounding(n, seed, mon
     ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit)
     assert verdict == full_verdict == ref_verdict
     assert _largest_move(got, full) <= 0.1 * _largest_move(full, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_chopped_table_stays_near_the_80_bit_sums_of_the_whole_table(n, seed, monkeypatch):
+    # the chop drops terms at the rounding plateau of each series, so the
+    # chopped pass may be no farther from the 80-bit full-degree sums of the
+    # unchopped table than twice the unchopped float64 pass is
+    args = slit_layout_inputs(n, seed)
+    verdict, got = _contours(args, monkeypatch)
+    full_verdict, full = _contours(args, monkeypatch, _full_degree, chop=_no_chop)
+    ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit, _no_chop)
+    assert verdict == full_verdict == ref_verdict
+    assert _largest_move(got, ref) <= 2.0 * _largest_move(full, ref)
+
+
+_CORPUS_MAPS = [case.name for case in figures.FIGURE_CASES if figures.load_case(case.name)["n"] >= 2]
+
+
+@pytest.mark.parametrize("case", _CORPUS_MAPS + ["sixteen"])
+def test_density_table_is_chopped_as_the_scalar_oracle_chops(case, monkeypatch):
+    calls = []
+
+    def spy(coef):
+        kept = quadrature.standard_chop(coef)
+        calls.append((np.array(coef), kept))
+        return kept
+
+    monkeypatch.setattr(mapper, "standard_chop", spy)
+    if case == "sixteen":
+        sm = _sixteen_slit_map()
+    else:
+        cfg, loading, materials, free, numerics, overrides = load_figure_inputs(case)
+        sm = pipeline.solve(
+            cfg, loading, materials, free, numerics,
+            override_a=overrides.get("a"), override_rho=overrides.get("rho"),
+        ).slit_map
+    # phi and g0_rho first, then g1_weighted
+    assert [len(coef) for coef, _ in calls] == [2, 1]
+    raw = np.concatenate([coef for coef, _ in calls])
+    kept = np.concatenate([k for _, k in calls])
+    assert kept.tolist() == [[standard_chop_oracle(row) for row in fam] for fam in raw]
+    L = max(1, int(kept.max()))
+    assert sm._coef.shape == raw.shape[:-1] + (L,)
+    np.testing.assert_array_equal(sm._coef, np.where(np.arange(L) < kept[..., None], raw[..., :L], 0.0))
+    assert sm.kept_lengths() == dict(zip(mapper.FAMILIES, kept.max(axis=1).tolist()))
+    # g1_weighted is sampled from the chopped phi rows
+    nodes = branch_module.slit_table(sm.branch, sm.numerics.N).nodes
+    weight = np.sqrt((nodes - sm._lo[:, None]) * (sm._hi[:, None] - nodes))
+    g1 = sm._g1_values(nodes, sm._rows) * weight
+    np.testing.assert_array_equal(raw[2], quadrature.coef_from_samples(g1, sm.numerics.M))
+    # the truncation indicators keep reading |alpha_M| of the unchopped series
+    assert sm.truncation_indicators() == dict(
+        zip(mapper.FAMILIES, truncation_indicator(raw).max(axis=1).tolist())
+    )

@@ -126,6 +126,16 @@ def test_single_inclusion_diagnostics_carry_the_keys_of_many(solve_figure):
     assert "boundedness.a_scales" in one and "boundedness.rho_scales" in one
 
 
+def test_diagnostics_report_the_kept_length_of_each_family(solve_figure):
+    assert solve_figure("fig1a").diagnostics.kept_length == {"phi": 0, "g0_rho": 0, "g1_weighted": 0}
+    result = solve_figure("fig3a")
+    kept = result.diagnostics.to_dict()["kept_length"]
+    assert kept == result.slit_map.kept_lengths()
+    assert all(type(v) is int for v in kept.values())
+    # the density series reach their rounding plateau well before M + 1 = 65 terms
+    assert 0 < max(kept.values()) == result.slit_map._coef.shape[-1] < 64
+
+
 def test_determinism_of_diagnostics(solve_figure):
     r1 = run_figure("fig3c")
     r2 = run_figure("fig3c")

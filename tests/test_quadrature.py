@@ -4,6 +4,7 @@ from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
     sqrt_weight_moment,
+    standard_chop as standard_chop_oracle,
     tail_degree_80bit,
     weighted_pv,
 )
@@ -25,6 +26,7 @@ from inclusion_forge.quadrature import (
     singular_on,
     singular_on_stack,
     slit_roots,
+    standard_chop,
 )
 
 
@@ -493,3 +495,59 @@ def test_each_block_sums_exactly_its_own_degree(kind, rng):
         np.testing.assert_array_equal(got[:, b], _truncated_horner(coef[:, r : r + 1], roots, d)[:, 0])
         if d == _L:  # a block of full degree is the plain kernel, bit for bit
             np.testing.assert_array_equal(got[:, b], cauchy_off_stack(coef[:, r : r + 1], roots)[:, 0])
+
+
+# -- chopping each series at its rounding plateau --------------------------------
+
+
+def _chop_rows(kind: str, rng, L: int, R: int = 24) -> np.ndarray:
+    """R seeded coefficient rows of length L of one kind."""
+    k = np.arange(L)
+    scale = 10.0 ** rng.uniform(-200.0, 200.0, (R, 1))
+    if kind == "noise plateau":  # geometric decay into noise at 1e-16 to 1e-13, before L / 2
+        decay = (10.0 ** (-rng.uniform(32.0, 48.0, (R, 1)) / L)) ** k * rng.standard_normal((R, L))
+        rows = decay + 10.0 ** rng.uniform(-16.0, -13.0, (R, 1)) * rng.standard_normal((R, L))
+    elif kind == "steep decay":  # below tol^(7/6) inside the plateau window, with no noise
+        rows = (10.0 ** -rng.uniform(0.5, 3.0, (R, 1))) ** k * rng.standard_normal((R, L))
+    elif kind == "no plateau":  # still above 1e-6 at the last term
+        rows = rng.uniform(0.9, 0.99, (R, 1)) ** k * rng.uniform(1.0, 2.0, (R, L))
+    elif kind == "zero tail":  # exact zeros from a seeded point on, within reach of the test
+        rows = rng.uniform(0.5, 0.95, (R, 1)) ** k * rng.standard_normal((R, L))
+        rows[k >= rng.integers(1, int(0.8 * (L - 6.5)), (R, 1))] = 0.0
+    elif kind == "all zero":
+        rows = np.zeros((R, L))
+    else:
+        raise ValueError(kind)
+    return scale * rows
+
+
+@pytest.mark.parametrize("L", [17, 40, 64, 65, 129])
+@pytest.mark.parametrize("kind", ["noise plateau", "steep decay", "no plateau", "zero tail", "all zero"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chop_matches_the_scalar_oracle(kind, L, seed):
+    rows = _chop_rows(kind, np.random.default_rng([seed, L]), L)
+    kept = standard_chop(rows.reshape(2, -1, L))  # any leading shape
+    assert kept.shape == (2, len(rows) // 2)
+    kept = kept.reshape(-1)
+    assert kept.tolist() == [standard_chop_oracle(r) for r in rows]
+    if kind in ("noise plateau", "steep decay"):
+        assert np.all(kept >= 1)
+        if kind == "noise plateau" and L > 17:  # at L = 17 the plateau test sees only j <= 9
+            assert np.all(kept < L)
+        # what is dropped lies at the noise level
+        dropped = np.where(np.arange(L) >= kept[:, None], np.abs(rows), 0.0)
+        assert np.all(dropped.max(axis=-1) <= 1e-11 * np.abs(rows).max(axis=-1))
+    elif kind == "no plateau":
+        assert np.all(kept == L)
+    elif kind == "zero tail":
+        first_zero = np.argmax(np.cumsum(np.abs(rows[:, ::-1]), axis=-1)[:, ::-1] == 0.0, axis=-1)
+        assert np.all((1 <= kept) & (kept <= first_zero))
+    else:
+        assert np.all(kept == 0)
+
+
+@pytest.mark.parametrize("L", [1, 8, 16])
+def test_rows_shorter_than_17_terms_are_kept_whole(L, rng):
+    rows = np.concatenate([rng.standard_normal((3, L)) * 0.1 ** np.arange(L), np.zeros((2, L))])
+    rows[0, L // 2 :] = 0.0
+    assert standard_chop(rows).tolist() == [L] * 5 == [standard_chop_oracle(r) for r in rows]
