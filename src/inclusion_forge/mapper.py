@@ -17,12 +17,17 @@ density into a smooth function handled by the Chebyshev machinery in
 Boundary values are assembled from the principal value plus explicit local
 jump term, never from numerical limits, so both banks are exact at slit
 endpoints (the bank-dependent terms carry |q| or g_1 and vanish there).
+Off the slits of four or more, the first two densities are multiplied by a
+polynomial omega with one zero in each gap, and their sums divided by
+omega(zeta) wherever |omega(zeta)| reaches its largest value on the slits:
+the solvability conditions make that exact, and it keeps the digits that q,
+of degree n, would otherwise magnify out of the cancelling sums.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +66,7 @@ from .quadrature import (
     standard_chop,
     truncation_indicator,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solvability import SolvabilityConstants
+from .solvability import SolvabilityConstants, arnoldi_basis, moment_residuals
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +75,10 @@ FAMILIES = ("phi", "g0_rho", "g1_weighted")
 _PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
 _DIRECT, _G1 = slice(0, 2), slice(2, 3)  # sampled from closed forms; sampled from phi
 _BLOCK_VALUES = 2**16
+# off-slit sums are balanced from this many slits on (below it the plain sums
+# keep 14 digits), for families whose moments are at most this relative residual
+_BALANCED_FROM = 4
+_BALANCED_RESIDUAL = 1e-13
 _BANK_ROW = {+1: 0, -1: 1}
 _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 
@@ -118,8 +125,11 @@ class SlitMap:
     rule gives each family set a
     :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone, on
     the first interior call: a split degree, and the |w| beyond which a pair
-    sums further.  All evaluation methods are pure and accept scalars or
-    arrays of targets.  ``table`` is the node table
+    sums further.  There the phi and g0_rho rows of a solved map of four
+    or more slits are replaced by rows balanced across the slits
+    (:meth:`_interior_rows`), so that the sums q multiplies keep their
+    digits far from the slits.  All evaluation methods are pure and accept
+    scalars or arrays of targets.  ``table`` is the node table
     ``slit_table(branch, numerics.N)``, built here unless the caller
     already has it (the solve passes the period matrix's).
     """
@@ -128,7 +138,7 @@ class SlitMap:
         self,
         branch: BranchData,
         derived: DerivedConstants,
-        constants: "SolvabilityConstants",
+        constants: SolvabilityConstants,
         numerics: NumericsConfig = NumericsConfig(),
         table: SlitTable | None = None,
     ) -> None:
@@ -156,6 +166,10 @@ class SlitMap:
         phi = np.reshape(constants.a, (n, 1)) - pole_density(nodes, derived)
         g0_rho = g0(nodes, self._rows[:, None], derived)
         g0_rho += np.reshape(constants.rho_prime, (n, 1))
+        self._table = table  # its nodes test the moments of the balanced rows
+        self._gap = 0.5 * (ends[1:, 0] + ends[:-1, 1])  # gap midpoints: the zeros of omega
+        self._interior: tuple[np.ndarray, np.ndarray] | None = None
+        self._omega_max = 0.0  # largest |omega| at the nodes, set with the balanced rows
         # degree M, but at most the N coefficients N samples determine
         raw = np.zeros((len(FAMILIES), n, min(M + 1, table.N)))
         raw[0] = coef_from_samples(phi / table.r, M)
@@ -196,41 +210,130 @@ class SlitMap:
 
     # -- Cauchy sums over the slits ---------------------------------------------
 
-    def _degree_table(self, fams: slice) -> DegreeTable:
-        """The degree table of a family set, built on first use."""
+    def _degree_table(self, fams: slice, plain: bool = False) -> DegreeTable:
+        """The degree table of a family set's interior (or plain) rows, built on first use."""
         names = FAMILIES[fams]
-        table = self._degree_tables.get(names)
+        table = self._degree_tables.get((names, plain))
         if table is None:
-            table = degree_table(self._coef[fams], self._lo, self._hi)
-            self._degree_tables[names] = table
+            coef = self._coef if plain else self._interior_rows()[0]
+            table = degree_table(coef[fams], self._lo, self._hi)
+            self._degree_tables[names, plain] = table
             log.debug(
-                "degree table for %s: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
-                "+".join(names), table.D, self._coef.shape[-1], 100.0 * table.beyond,
+                "degree table for %s%s: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
+                "+".join(names), " (plain rows)" if plain else "", table.D, coef.shape[-1],
+                100.0 * table.beyond,
             )
         return table
+
+    def _interior_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows the off-slit sums use where omega is large, and which families are balanced.
+
+        Off the slits q multiplies the sums of phi and g0_rho, and q grows
+        like zeta^n while those alternating sums cancel down to zeta^-n: summed
+        as they are, they lose about as many digits as |q| spans.  With one
+        node g_k mid-gap between neighbouring slits, omega(eta) =
+        prod_k (eta - g_k) has degree n - 1.  Where a family's rows are
+        orthogonal to every polynomial of degree n - 2 (the solvability
+        conditions), its sum at zeta equals the sum of the rows times omega,
+        divided by omega(zeta): the difference is the sum against
+        (omega(eta) - omega(zeta)) / (eta - zeta), a polynomial of degree
+        n - 2.  Those rows are balanced across the slits and need no
+        cancellation.  Each is its plain row times omega, formed exactly in
+        the Chebyshev basis and chopped at its rounding plateau.  The
+        difference grows with the moments of the plain rows, taken at the
+        table's nodes, so a family is balanced only where they are at
+        rounding (:func:`~inclusion_forge.solvability.moment_residuals` at
+        most _BALANCED_RESIDUAL); overridden constants, and g1_weighted,
+        which q does not multiply, keep their plain rows.  Below
+        _BALANCED_FROM slits the plain sums keep their digits and every
+        family keeps its plain rows.  Built on first use.
+        """
+        if self._interior is None:
+            n, table, coef = self.branch.n, self._table, self._coef
+            flags = np.zeros(len(FAMILIES), dtype=bool)
+            if n >= _BALANCED_FROM:
+                basis = arnoldi_basis(table, n - 1)
+                theta = (2 * np.arange(1, table.N + 1) - 1) * (np.pi / (2 * table.N))
+                values = coef[_DIRECT] @ np.cos(np.arange(coef.shape[-1])[:, None] * theta)
+                flags[_DIRECT] = [
+                    moment_residuals(table, basis, rows * table.r, weights)[2] <= _BALANCED_RESIDUAL
+                    for rows, weights in zip(values, self._weights[_DIRECT])
+                ]
+            if flags.any():
+                omega = np.prod(table.nodes[..., None] - self._gap, axis=-1)
+                self._omega_max = float(np.abs(omega).max())
+                balanced = self._times_gap_poly(coef[_DIRECT])
+                kept = standard_chop(balanced)
+                balanced *= np.arange(balanced.shape[-1]) < kept[..., None]
+                L = max(coef.shape[-1], int(kept.max()))
+                coef = np.zeros(coef.shape[:-1] + (L,))
+                coef[..., : self._coef.shape[-1]] = self._coef
+                for f in np.flatnonzero(flags):
+                    coef[f] = balanced[f, :, :L]
+            self._interior = coef, flags
+        return self._interior
+
+    def _times_gap_poly(self, coef: np.ndarray) -> np.ndarray:
+        """Rows of Chebyshev coefficients times prod_k (eta - g_k), n - 1 terms longer.
+
+        On slit j, eta = centre_j + half_j * t, and t * T_k = (T_{k+1} + T_{k-1}) / 2
+        (t * T_0 = T_1), so each factor is one shift-and-add of the rows.
+        """
+        out = np.zeros(coef.shape[:-1] + (coef.shape[-1] + len(self._gap),))
+        out[..., : coef.shape[-1]] = coef
+        for node in self._gap:
+            t_times = np.zeros_like(out)
+            t_times[..., 1:] = 0.5 * out[..., :-1]
+            t_times[..., 1] += 0.5 * out[..., 0]
+            t_times[..., :-1] += 0.5 * out[..., 1:]
+            out = (self._centre - node)[:, None] * out + self._half[:, None] * t_times
+        return out
 
     def _off_sums(self, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted sums over all slits of the off-slit Cauchy integrals, and q.
 
         Both come from one :func:`slit_roots` pass: q is the product over the
-        slits of the roots rho_j the kernel divides by.  Each (slit, target)
-        pair sums its series to the degree the family set's degree table
-        allows.  Targets on a closed slit are rejected.  Targets pass through
-        in blocks of at most _BLOCK_VALUES (family, slit, target) values, so
-        large batches need no temporaries of batch x slits size.
+        slits of the roots rho_j the kernel divides by.  The rows are those of
+        :meth:`_interior_rows`, each balanced family divided by omega at the
+        target, and each (slit, target) pair sums its series to the degree
+        the family set's degree table allows.  Where |omega(zeta)| is below
+        its largest modulus on the slits, the balanced sums would lose more
+        digits to that division than the plain ones lose to cancellation, so
+        those targets (near a gap's node, where omega vanishes, and mostly
+        near the slits) sum the plain rows.  Targets on a closed slit are
+        rejected.  Targets pass through in blocks of at most _BLOCK_VALUES
+        (family, slit, target) values, so large batches need no temporaries
+        of batch x slits size.
         """
         reject_on_slits(self.branch, z)
-        coef, weights = self._coef[fams], self._weights[fams]
-        table = self._degree_table(fams)
+        weights = self._weights[fams]
+        coef, flags = self._interior_rows()
+        divided = np.flatnonzero(flags[fams])
         flat = z.reshape(-1)
-        out = np.empty((len(coef), flat.size), dtype=complex)
+        passes = [(coef[fams], self._degree_table(fams), 0, flat.size)]
+        if len(divided):  # the balanced targets first, then the plain ones
+            gap_poly = flat - self._gap[0]
+            for node in self._gap[1:]:
+                gap_poly *= flat - node
+            balanced = np.abs(gap_poly) >= self._omega_max
+            order = np.argsort(~balanced, kind="stable")
+            flat, k = flat[order], int(balanced.sum())
+            passes[0] = passes[0][:3] + (k,)
+            if k < flat.size:
+                passes.append((self._coef[fams], self._degree_table(fams, plain=True), k, flat.size))
+        out = np.empty((len(weights), flat.size), dtype=complex)
         q = np.empty(flat.size, dtype=complex)
         step = max(1, _BLOCK_VALUES // weights.size)
-        for s in range(0, flat.size, step):
-            roots = slit_roots(self._lo, self._hi, flat[s : s + step])
-            np.prod(roots.rho, axis=0, out=q[s : s + step])
-            out[:, s : s + step] = _row_sum(weights, cauchy_off_stack(coef, roots, table))
-        return out.reshape((len(coef),) + z.shape), q.reshape(z.shape)
+        for rows, table, start, stop in passes:
+            for s in range(start, stop, step):
+                end = min(s + step, stop)
+                roots = slit_roots(self._lo, self._hi, flat[s:end])
+                np.prod(roots.rho, axis=0, out=q[s:end])
+                out[:, s:end] = _row_sum(weights, cauchy_off_stack(rows, roots, table))
+        if len(divided):
+            out[divided, :k] /= gap_poly[order[:k]]
+            out[:, order], q[order] = out.copy(), q.copy()
+        return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
 
     def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.

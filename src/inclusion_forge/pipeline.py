@@ -17,9 +17,11 @@ violated-condition configurations can be compared against solved ones.
 
 A single inclusion is routed to the exact elliptic closed forms.  For two
 and three inclusions the printed closed-form constants are evaluated next
-to the general solver, from the same moments, and a disagreement beyond the
+to the general solver, from the same nodes but in the monomial moments
+rather than the solver's orthonormal basis, and a disagreement beyond the
 cross-check tolerance aborts the run (it would mean the printed algebra and
-the general linear solve diverged).
+the general linear solve diverged).  ``Diagnostics.solvability_cond`` is
+the condition number of the system the general solver solved.
 
 The slit boundary is evaluated once per solve: one ``SlitMap.banks`` pass at
 the (n, P) bank grid gives the contours, and the Schwarz report reads the
@@ -58,7 +60,6 @@ VERDICT_UNBOUNDED = "INVALID-UNBOUNDED"
 VERDICT_GEOMETRY = "INVALID-GEOMETRY"
 
 _CROSS_CHECK_TOL = 1e-8
-_LOG_DET_RANGE = 700.0  # e^700 ~ 1e304: inside the normal float range
 
 # keys of SolveResult.timings, in pipeline order
 STAGES = (
@@ -84,7 +85,7 @@ class Diagnostics:
     boundedness: dict
     schwarz: dict
     closure_errors: tuple[float, ...]
-    solvability_determinant: float | None
+    solvability_cond: float | None
     truncation: dict
     kept_length: dict
     geometry: dict
@@ -118,19 +119,6 @@ class SolveResult:
     @property
     def valid(self) -> bool:
         return self.verdict == VERDICT_VALID
-
-
-def _determinant(matrix: np.ndarray) -> float | None:
-    """det(matrix) through its logarithm; None where a float cannot hold it.
-
-    ``np.linalg.det`` overflows to inf once the slit count reaches ~48.
-    """
-    sign, logdet = np.linalg.slogdet(matrix)
-    if sign == 0.0:
-        return 0.0
-    if abs(logdet) > _LOG_DET_RANGE:
-        return None
-    return float(sign * np.exp(logdet))
 
 
 def _geometry_report(profiles: Sequence[ContourProfile]) -> tuple[dict, bool]:
@@ -187,7 +175,7 @@ def _solve_n1(
         },
         schwarz={"imF_max_dev": 0.0, "omega_max_dev": 0.0},
         closure_errors=tuple(p.closure_error for p in profiles),
-        solvability_determinant=None,
+        solvability_cond=None,
         truncation={"phi": 0.0, "g0_rho": 0.0, "g1_weighted": 0.0},
         kept_length={"phi": 0, "g0_rho": 0, "g1_weighted": 0},
         geometry=geo_report,
@@ -305,7 +293,7 @@ def solve(
     branch = BranchData(cfg.endpoints)
     with _stage(timings, "moments"):
         period = solvability.period_matrix(branch, numerics)
-        det = _determinant(solvability.system_matrix(period))
+        cond = float(np.linalg.cond(solvability.system_matrix(period)))
 
     with _stage(timings, "constants"):
         constants = solvability.solve_constants(period, derived, free)
@@ -348,7 +336,7 @@ def solve(
         boundedness=bounded,
         schwarz=schwarz,
         closure_errors=tuple(p.closure_error for p in profiles),
-        solvability_determinant=det,
+        solvability_cond=cond,
         truncation=sm.truncation_indicators(),
         kept_length=sm.kept_lengths(),
         geometry=geo_report,

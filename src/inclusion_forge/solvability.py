@@ -1,25 +1,31 @@
 """Period integrals and the linear systems fixing the constants a_j, rho_j.
 
 Boundedness of the two surface solutions at the pair of infinite points
-forces n-1 moment conditions each.  Rewritten over the slit tops with the
-bank signs of q, both become small sign-alternating linear systems driven by
-the period integrals
+forces n-1 moment conditions each: the sign-alternating slit sums of each
+density against every polynomial of degree <= n-2, with the 1/|q| weight,
+must vanish.  Any basis of those polynomials gives the same constants; the
+monomials xi^m make the system's condition number grow exponentially in n,
+so the conditions are imposed against an orthonormal basis built by Arnoldi
+on the nodes of one :class:`SlitTable` (:func:`arnoldi_basis`).  Each set of
+moments is then one array reduction over that table.  The two systems share
+their matrix and differ only in the driving density, so
+:func:`solve_constants` fixes both constant vectors together, for any
+n >= 2.
 
-    I_mj = integral over slit j of  xi^(m-1) / |q(xi)| d xi  > 0.
+The two- and three-slit closed forms are kept alongside as printed, in the
+monomial moments
 
-Every moment is a Gauss-Chebyshev sum over one :class:`SlitTable` (the nodes
-and weight factors of all slits), so each set of moments is one array
-reduction.  The two systems share their matrix and differ only in the
-driving density, so :func:`solve_constants` fixes both constant vectors
-together, for any n >= 2.  The two- and three-slit closed forms are kept
-alongside as printed and cross-checked against it.  They sum their moments
-over the period matrix's table too, so the cross-check tests the printed
-algebra against the general linear solve, not a second quadrature.
+    I_mj = integral over slit j of  xi^(m-1) / |q(xi)| d xi  > 0,
+
+and cross-checked against the general solve.  They sum their moments over
+the period matrix's table too, so the cross-check tests the printed algebra
+against the general linear solve in another basis, not a second quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,28 +35,60 @@ from .model import DerivedConstants, FreeParameters, NumericsConfig, SolverError
 _SYMMETRY_TOL = 1e-12  # mirror pair: endpoint sums within this of the largest |endpoint|
 
 
+def arnoldi_basis(table: SlitTable, k: int) -> np.ndarray:
+    """Values of p_0..p_{k-1} at the table's nodes: shape (k, n, N), read-only.
+
+    The p_m are orthonormal for the table's discrete measure, weight
+    pi / (N r_j) at each node of slit j (the rule of
+    :meth:`SlitTable.integrate`), and p_m has degree m.  Each is the one
+    before times xi, orthogonalized twice against all earlier ones and
+    normalized: Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen,
+    SIAM Review 63(2), 2021), which never forms the monomial table.
+    """
+    x = table.nodes.ravel()
+    w = ((np.pi / table.N) / table.r).ravel()
+    p = np.empty((k, x.size))
+    if k:
+        p[0] = 1.0 / np.sqrt(w.sum())
+    for m in range(1, k):
+        v = x * p[m - 1]
+        for _ in range(2):
+            v -= (p[:m] @ (w * v)) @ p[:m]
+        p[m] = v / np.sqrt(w @ (v * v))
+    out = p.reshape((k,) + table.nodes.shape)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """Moments I_mj over the slit tops, rows m = 1..n, columns j = 0..n-1.
+    """The moments of the slit tops that fix the constants, on one table.
 
-    Row n is one moment past the solvability range; it feeds the printed
-    three-slit forms of the pole-at-infinity case.  ``table`` holds the
-    nodes the moments were summed over; the right-hand sides of
-    :func:`solve_constants` are summed over the same table.
+    ``basis`` is :func:`arnoldi_basis` of ``table`` through degree n-2 and
+    ``moments[m, j]`` the integral of p_m / |q| over slit j: the system
+    matrix is read from them, and the right-hand sides of
+    :func:`solve_constants` are summed over the same table and basis.
+
+    ``I`` holds the monomial moments I_mj, rows m = 1..n, columns
+    j = 0..n-1, for the printed closed forms; it is summed on first use, so
+    no general solve builds the monomial table.  Row n is one moment past
+    the solvability range; it feeds the printed three-slit forms of the
+    pole-at-infinity case.
     """
 
-    I: np.ndarray
     table: SlitTable
-
-    def __init__(self, I, table: SlitTable) -> None:
-        arr = np.array(I, dtype=float)  # owned copy; frozen below
-        arr.setflags(write=False)
-        object.__setattr__(self, "I", arr)
-        object.__setattr__(self, "table", table)
+    basis: np.ndarray
+    moments: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.I.shape[1]
+        return self.table.nodes.shape[0]
+
+    @cached_property
+    def I(self) -> np.ndarray:
+        out = self.table.integrate(self.table.powers)
+        out.setflags(write=False)
+        return out
 
     def entry(self, m: int, j: int) -> float:
         """I_mj with the 1-based moment index m used in the formulas."""
@@ -66,13 +104,27 @@ def _alternating(moments: np.ndarray, weights) -> np.ndarray:
     return np.add.accumulate(np.asarray(weights) * moments, axis=-1)[..., -1]
 
 
-def _moments(table: SlitTable, density, weights) -> np.ndarray:
-    """sum_j weights_j * integral over slit j of density * xi^m / |q|, m = 0..n-2.
+def _moments(table: SlitTable, basis: np.ndarray, density, weights) -> np.ndarray:
+    """sum_j weights_j * integral over slit j of density * p_m / |q|, per row m of basis.
 
-    ``density`` holds the samples at the table's nodes, shape (n, N).
+    ``density`` holds the samples at the table's nodes, shape (n, N), and
+    ``basis`` the values of the p_m there.
     """
-    n = table.nodes.shape[0]
-    return _alternating(table.integrate(density * table.powers[: n - 1]), weights)
+    return _alternating(table.integrate(density * basis), weights)
+
+
+def moment_residuals(
+    table: SlitTable, basis: np.ndarray, density, weights
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The moments of :func:`_moments`, their scales and the largest ratio of the two.
+
+    The scale of moment m is the sum of the integrals of |density * p_m|,
+    each weighted by |weights_j|, which the moment of |density| is not; the
+    ratio is 0 where the moment conditions hold exactly.
+    """
+    res = _moments(table, basis, density, weights)
+    scale = _alternating(table.integrate(np.abs(density * basis)), np.abs(weights))
+    return res, scale, float(np.max(np.abs(res) / np.maximum(scale, 1e-30), initial=0.0))
 
 
 def _g0_table(table: SlitTable, derived: DerivedConstants) -> np.ndarray:
@@ -82,15 +134,18 @@ def _g0_table(table: SlitTable, derived: DerivedConstants) -> np.ndarray:
 
 
 def period_matrix(branch: BranchData, numerics: NumericsConfig = NumericsConfig()) -> PeriodMatrix:
-    """All period moments up to row n; every entry is positive."""
+    """The N-point table of the branch, its Arnoldi basis and the basis moments."""
     table = slit_table(branch, numerics.N)
-    return PeriodMatrix(table.integrate(table.powers), table)
+    basis = arnoldi_basis(table, branch.n - 1)
+    moments = table.integrate(basis)
+    moments.setflags(write=False)
+    return PeriodMatrix(table, basis, moments)
 
 
 def system_matrix(period: PeriodMatrix) -> np.ndarray:
-    """The (n-1)x(n-1) sign-alternating block (-1)^j I_mj, j, m = 1..n-1."""
+    """The (n-1)x(n-1) sign-alternating block (-1)^j * moments[m, j], j = 1..n-1."""
     n = period.n
-    return period.I[: n - 1, 1:] * (-1.0) ** np.arange(1, n)
+    return period.moments[:, 1:] * (-1.0) ** np.arange(1, n)
 
 
 @dataclass(frozen=True)
@@ -139,16 +194,15 @@ def solve_constants(
     ``free``.  The three vectors are solved one at a time: a single
     multi-column solve changes the last bits of the first.
     """
-    table = period.table
-    n = period.n
-    alt = (-1.0) ** np.arange(n)
+    table, basis = period.table, period.basis
+    alt = (-1.0) ** np.arange(period.n)
     A = system_matrix(period)
     try:  # the period matrix is provably regular
-        pa = np.linalg.solve(A, _moments(table, pole_density(table.nodes, derived), alt))
+        pa = np.linalg.solve(A, _moments(table, basis, pole_density(table.nodes, derived), alt))
         pr = np.linalg.solve(
-            A, -_moments(table, _g0_table(table, derived), alt * np.asarray(derived.lam))
+            A, -_moments(table, basis, _g0_table(table, derived), alt * np.asarray(derived.lam))
         )
-        h = np.linalg.solve(A, -period.I[: n - 1, 0])
+        h = np.linalg.solve(A, -period.moments[:, 0])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular solvability system: {exc}") from exc
     a0, rho0 = free.a0, free.rho0
@@ -171,25 +225,20 @@ def boundedness_residuals(
 ) -> dict:
     """Moment residuals of both boundedness conditions, freshly quadratured.
 
-    Uses twice the configured node count so the check is not the identical
-    discretization the constants were solved on.  Residuals are reported
-    raw and relative to the absolute-integrand scale of each moment.
+    Uses twice the configured node count, and that table's own Arnoldi
+    basis, so the check is not the identical discretization the constants
+    were solved on.  Residuals are reported raw and relative to the
+    absolute-integrand scale of each moment.
     """
     n = branch.n
     table = slit_table(branch, 2 * numerics.N)
+    basis = arnoldi_basis(table, n - 1)
     lam = np.asarray(derived.lam)
     alt = (-1.0) ** np.arange(n)
-    powers = table.powers[: n - 1]
     phi = constants.a[:, None] - pole_density(table.nodes, derived)
     dens = _g0_table(table, derived) + constants.rho_prime[:, None]
-    res_a = _moments(table, phi, alt)
-    res_r = _moments(table, dens, alt * lam)
-    # scales: integrals of |density * xi^m|, which _moments of |density| is not
-    scale_a = _alternating(table.integrate(np.abs(phi * powers)), np.ones(n))
-    scale_r = _alternating(table.integrate(np.abs(dens * powers)), np.abs(lam))
-    floor = 1e-30
-    rel_a = float(np.max(np.abs(res_a) / np.maximum(scale_a, floor), initial=0.0))
-    rel_r = float(np.max(np.abs(res_r) / np.maximum(scale_r, floor), initial=0.0))
+    res_a, scale_a, rel_a = moment_residuals(table, basis, phi, alt)
+    res_r, scale_r, rel_r = moment_residuals(table, basis, dens, alt * lam)
     return {
         "a_residuals": res_a.tolist(),
         "rho_residuals": res_r.tolist(),

@@ -5,16 +5,19 @@ weighted integrals go through QUADPACK's algebraic-weight rule, principal
 values through singularity subtraction plus the analytic log term, the
 square-root branch through a literal continuity walk along a path around
 the cuts or an 80-bit product of principal roots, and the off-interval
-Cauchy kernel through an 80-bit Horner sum.  The contour predicates test every segment pair, where the
-package sweeps for candidate pairs first.  The one Gauss-Chebyshev sum here,
-:func:`weighted_moment`, takes one slit at a time with the package's
-pointwise ``weight_factor``; the stacked slit table is checked against it.
-The contour CSV is written one row at a time, each field by its own
-``format()`` call, and the SVG one point at a time, where the package formats
-a whole contour at once.  The solvability constants come from one linear
-solve per problem and free value, and the antisymmetric free values from two
-probe solves each, where the package solves each system once for both
-problems.  The test-only helpers at the end (symmetry report,
+Cauchy kernel through an 80-bit Horner sum.  The contour predicates test
+every segment pair, where the package sweeps for candidate pairs first.
+:func:`weighted_moment` takes one Gauss-Chebyshev sum over one slit at a
+time with the package's pointwise ``weight_factor``; the stacked slit table
+is checked against it.  The contour CSV is written one row at a time, each
+field by its own ``format()`` call, and the SVG one point at a time, where
+the package formats a whole contour at once.  The solvability constants come
+from one linear solve per problem and free value, and the antisymmetric free
+values from two probe solves each, where the package solves each system once
+for both problems.  :func:`far_field_sums_80bit` solves the constants and
+sums the off-slit Cauchy integrals directly on its own node table, all in
+80-bit arithmetic, where the package sums balanced Chebyshev rows in
+float64.  The test-only helpers at the end (symmetry report,
 Hausdorff distance, CSV reader) serve the tests alone, not the package.
 """
 
@@ -479,6 +482,76 @@ def solve_rho(period, branch, derived, rho0: float) -> np.ndarray:
     km = _alternating(moments, (-1.0) ** np.arange(n) * np.asarray(derived.lam))
     rhs = -(km + period.I[: n - 1, 0] * rho0)
     return np.concatenate(([rho0], _solve_alternating(period, rhs)))
+
+
+def _gauss_elimination(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A x = b by Gaussian elimination with partial pivoting, in the dtype of A."""
+    A, b = A.copy(), b.copy()
+    n = len(b)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, p]], b[[k, p]] = A[[p, k]], b[[p, k]]
+        f = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :, k:] -= f[:, None] * A[k, k:]
+        b[k + 1 :] -= f * b[k]
+    x = np.zeros(n, dtype=A.dtype)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
+    return x
+
+
+def far_field_sums_80bit(endpoints, derived, free, zeta, N: int = 128) -> tuple[np.ndarray, np.ndarray]:
+    """q times the alternating phi and g0_rho Cauchy sums at targets far off the slits, in 80 bits.
+
+    The node table, the moment conditions (in a basis orthonormalized by
+    plain Gram-Schmidt in 80-bit arithmetic), the elimination for a_j and
+    rho_j and the Cauchy sums, taken as direct N-point Gauss-Chebyshev sums
+    of density / (eta - zeta), all run in ``np.longdouble``; q comes from
+    ``branch_principal_product``.  The direct sums are accurate only for
+    targets many slit lengths away from every slit.
+    """
+    if free.antisymmetric:
+        raise NotImplementedError("the 80-bit constants take the free values as given")
+    L, CL = np.longdouble, np.clongdouble
+    pi = 4 * np.arctan(L(1))
+    n = len(endpoints) // 2
+    ends = np.asarray(endpoints, dtype=L).reshape(n, 2)
+    t = np.cos((2 * np.arange(1, N + 1, dtype=L) - 1) * pi / (2 * N))
+    x = (ends[:, :1] + ends[:, 1:]) / 2 + (ends[:, 1:] - ends[:, :1]) / 2 * t
+    others = np.broadcast_to(ends, (n, n, 2))[~np.eye(n, dtype=bool)].reshape(n, 2 * n - 2)
+    w = (pi / N) / np.sqrt(np.prod(np.abs(x[..., None] - others[:, None, :]), axis=-1))
+    if derived.pole_at_infinity:
+        pole = L(derived.c_double_prime) * x
+        g0_x = np.asarray(derived.c_star, dtype=L)[:, None] * x
+    else:
+        zinf = CL(derived.zeta_inf)
+        pole = (CL(derived.c) / (x - zinf)).imag
+        g0_x = (np.asarray(derived.e, dtype=CL)[:, None] / (x - zinf)).real
+    basis = [np.ones_like(x)]
+    for _ in range(n - 2):
+        v = x * basis[-1]
+        for _ in range(2):
+            for p in basis:
+                v = v - np.sum(w * v * p) / np.sum(w * p * p) * p
+        basis.append(v / np.sqrt(np.sum(w * v * v)))
+    moments = np.array([np.sum(w * p, axis=-1) for p in basis])  # (n - 1, n)
+    alt = (-1.0) ** np.arange(n)
+    lam = np.asarray(derived.lam, dtype=L)
+    A = moments[:, 1:] * alt[1:]
+    h = _gauss_elimination(A, -moments[:, 0])
+    pa = _gauss_elimination(A, np.array([np.sum(alt * np.sum(w * pole * p, -1)) for p in basis]))
+    pr = _gauss_elimination(A, -np.array([np.sum(alt * lam * np.sum(w * g0_x * p, -1)) for p in basis]))
+    a = np.concatenate(([L(free.a0)], pa + L(free.a0) * h))
+    rho = np.concatenate(([L(free.rho0)], pr + L(free.rho0) * h))
+    phi = a[:, None] - pole
+    g0_rho = g0_x + (rho / lam)[:, None]
+    z = np.asarray(zeta, dtype=CL).reshape(-1)
+    kernel = w[..., None] / (x[..., None] - z)  # (n, N, targets)
+    q = branch_principal_product(endpoints, np.asarray(zeta).reshape(-1)).astype(CL)
+    phi_sum = np.einsum("j,jk,jkt->t", alt, phi, kernel)
+    g0_sum = np.einsum("j,jk,jkt->t", alt * lam, g0_rho, kernel)
+    shape = np.shape(zeta)
+    return (q * phi_sum).astype(complex).reshape(shape), (q * g0_sum).astype(complex).reshape(shape)
 
 
 def antisymmetric_free_values(period, branch, derived) -> tuple[float, float]:

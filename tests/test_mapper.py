@@ -2,10 +2,12 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.fft
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
+    far_field_sums_80bit,
     smooth_weight,
     standard_chop as standard_chop_oracle,
     tail_degree_80bit,
@@ -375,11 +377,9 @@ def test_interior_evaluators_reject_points_on_a_closed_slit(name):
         assert np.all(np.isfinite(evaluate(z)))
 
 
-def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch):
-    sm, d, _ = solved_map("fig3a")
-    n = sm.branch.n
-    z = np.linspace(-1.8, 1.8, 9)[:, None] + 1j * np.array([-1.2, -0.03, 1e-6, 0.4, 2.0])
-    z = np.concatenate([z.ravel(), [0.3 + 0.0j, -2.5 - 0.0j, 40.0 + 30.0j]])
+def _plain_interior(sm, z):
+    """omega and F off the slits from full-length per-slit sums of the plain rows and eval_q."""
+    d, n = sm.derived, sm.branch.n
     q = eval_q(sm.branch, z)
     sums = np.zeros((len(mapper.FAMILIES), z.size), dtype=complex)
     for f in range(len(mapper.FAMILIES)):
@@ -391,6 +391,15 @@ def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch)
         + d.gamma
     )
     F = d.beta0 + mapper.singular_part_F(z, d) - 1j * (-1.0) ** (n - 1) * q / np.pi * sums[0]
+    return omega, F
+
+
+
+def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch):
+    sm, _, _ = solved_map("fig3a")
+    z = np.linspace(-1.8, 1.8, 9)[:, None] + 1j * np.array([-1.2, -0.03, 1e-6, 0.4, 2.0])
+    z = np.concatenate([z.ravel(), [0.3 + 0.0j, -2.5 - 0.0j, 40.0 + 30.0j]])
+    omega, F = _plain_interior(sm, z)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the interior path evaluates q on its own")
@@ -439,12 +448,15 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
     other = fresh[1]
     other.F_interior(z[::-1][:7])
     other.omega_interior(z[-1])
+    # (a map with balanced rows keeps one more table per family set, for its plain rows)
+    plain = (False, True) if case == "sixteen" else (False,)
+    family_sets = (mapper.FAMILIES[mapper._PHI], mapper.FAMILIES[mapper._MAP])
     assert sm._degree_tables.keys() == other._degree_tables.keys() == {
-        mapper.FAMILIES[mapper._PHI], mapper.FAMILIES[mapper._MAP]
+        (names, rows) for names in family_sets for rows in plain
     }
-    for names, table in sm._degree_tables.items():
-        assert table.D == other._degree_tables[names].D
-        np.testing.assert_array_equal(table.thr, other._degree_tables[names].thr)
+    for key, table in sm._degree_tables.items():
+        assert table.D == other._degree_tables[key].D
+        np.testing.assert_array_equal(table.thr, other._degree_tables[key].thr)
 
 
 def test_solves_never_build_a_degree_table(monkeypatch):
@@ -462,7 +474,8 @@ def test_solves_never_build_a_degree_table(monkeypatch):
     assert len(figures.FIGURE_CASES) == 16 and not calls
     sm.F_interior(0.3 + 0.5j)
     sm.omega_interior(0.3 + 0.5j)
-    assert len(calls) == 2
+    # one per family set, and one more for its plain rows where a target needs them
+    assert 2 <= len(calls) == len(sm._degree_tables)
 
 
 def test_each_degree_table_build_is_logged_once(caplog, capsys):
@@ -531,23 +544,114 @@ def _edge_inputs(n):
 @pytest.mark.parametrize("n", [2, 8, 16, 24])
 def test_edge_interior_values_are_q_times_the_full_length_sums(n):
     sm = pipeline.solve(*_edge_inputs(n)).slit_map
-    d = sm.derived
-    z = _far_and_near_targets(sm.branch, np.random.default_rng(n))[::6]
-    q = eval_q(sm.branch, z)
-    sums = np.zeros((len(mapper.FAMILIES), z.size), dtype=complex)
-    for f in range(len(mapper.FAMILIES)):
-        for j, (a, b) in enumerate(sm.branch.slits):
-            sums[f] += sm._weights[f, j] * cauchy_off(ChebyshevSeries(a, b, sm._coef[f, j]), z)
-    omega = (
-        mapper.singular_part_omega(z, d)
-        - 1j / (np.pi * d.tau_bar) * (sums[2] + (-1.0) ** n * 1j * q * sums[1])
-        + d.gamma
-    )
-    F = d.beta0 + mapper.singular_part_F(z, d) - 1j * (-1.0) ** (n - 1) * q / np.pi * sums[0]
+    z = _far_and_near_targets(sm.branch, np.random.default_rng(n))
+    if n >= mapper._BALANCED_FROM:
+        # the plain sums cancel at the far targets, which meet the 80-bit
+        # solve in test_far_field_sums_match_an_80_bit_solve instead
+        z = z[3000:]
+    z = z[::6]
+    omega, F = _plain_interior(sm, z)
     for got, expected in ((sm.omega_interior(z), omega), (sm.F_interior(z), F)):
         scale = np.abs(expected).max()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * scale)
     assert all(1 <= t.D <= sm._coef.shape[-1] for t in sm._degree_tables.values())
+
+
+def _far_field_error(sm, free, z):
+    """Largest distance of q times the phi and g0_rho sums from the 80-bit solve-and-sum."""
+    (phi,), q = sm._off_sums(mapper._PHI, z)
+    (g0_rho, _), _ = sm._off_sums(mapper._MAP, z)
+    want = far_field_sums_80bit(sm.branch.endpoints, sm.derived, free, z, N=sm.numerics.N)
+    return max(np.abs(got - w).max() / np.abs(w).max() for got, w in zip((q * phi, q * g0_rho), want))
+
+
+@pytest.mark.parametrize(("case", "bound"), [("sixteen", 1e-7), (8, 1e-10), (16, 1e-5)])
+def test_far_field_sums_match_an_80_bit_solve(case, bound):
+    # off the slits q ~ zeta^n multiplies sums that cancel to zeta^-n: summed
+    # plainly they read 5.4e-5 (sixteen), 1.6e-9 and 3.0e-4 (the n = 8 and 16
+    # edge layouts) off the 80-bit sums on these rings; the balanced rows
+    # 4.2e-9, 2.1e-12 and 6.2e-7
+    args = sixteen_slit_inputs() if case == "sixteen" else _edge_inputs(case)
+    sm = pipeline.solve(*args).slit_map
+    assert sm._interior_rows()[1].tolist() == [True, True, False]
+    k = np.asarray(sm.branch.endpoints)
+    centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
+    ring = np.exp(2j * np.pi * np.arange(16) / 16 + 0.1j)
+    z = np.concatenate([centre + r * half * ring for r in (1.5, 2.0)])
+    assert _far_field_error(sm, args[3], z) <= bound
+
+
+def test_balanced_rows_are_the_plain_rows_times_the_gap_polynomial():
+    # numpy's Chebyshev product of each row with omega expanded on its slit
+    sm = pipeline.solve(*slit_layout_inputs(8, 0)).slit_map
+    got = sm._times_gap_poly(sm._coef[mapper._DIRECT])
+    for j in range(sm.branch.n):
+        centre, half = sm._centre[j], sm._half[j]
+        omega = np.polynomial.Chebyshev.fromroots((sm._gap - centre) / half) * half ** len(sm._gap)
+        for f in range(2):
+            want = np.polynomial.chebyshev.chebmul(sm._coef[f, j], omega.coef)
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got[f, j, : len(want)], want, rtol=0, atol=1e-14 * scale)
+            assert not got[f, j, len(want) :].any()
+
+
+def _omega_level_targets(sm, count=7):
+    """Points where |omega| equals its largest modulus on the slits, on rays above the centre."""
+    k = np.asarray(sm.branch.endpoints)
+    centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
+    omega = lambda z: np.abs(np.prod(z[:, None] - sm._gap, axis=-1))
+    ray = np.exp(1j * np.linspace(0.2, np.pi - 0.2, count))
+    lo, hi = np.zeros(count), np.full(count, 3.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = omega(centre + mid * half * ray) < sm._omega_max
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return centre, centre + hi * half * ray
+
+
+@pytest.mark.parametrize("case", ["sixteen", 8])
+def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case, monkeypatch):
+    args = sixteen_slit_inputs() if case == "sixteen" else slit_layout_inputs(case, 0)
+    sm = pipeline.solve(*args).slit_map
+    assert sm._interior_rows()[1].tolist() == [True, True, False]
+    centre, level = _omega_level_targets(sm)
+    sides = {"plain": centre + 0.99 * (level - centre), "balanced": centre + 1.01 * (level - centre)}
+    kernel = mapper.cauchy_off_stack
+    for side, z in sides.items():
+        rows = []
+        monkeypatch.setattr(
+            mapper, "cauchy_off_stack", lambda coef, *a: rows.append(coef) or kernel(coef, *a)
+        )
+        got = sm.omega_interior(z), sm.F_interior(z)
+        monkeypatch.undo()
+        plain_rows = [np.shares_memory(c, sm._coef) for c in rows]
+        assert all(plain_rows) if side == "plain" else not any(plain_rows), side
+        # both sides keep 10 digits of the plain sums and of the 80-bit ones
+        for value, want in zip(got, _plain_interior(sm, z)):
+            assert np.abs(value - want).max() <= 1e-10 * np.abs(want).max(), side
+        assert _far_field_error(sm, args[3], z) <= 1e-10, side
+    # omega vanishes at the gap nodes themselves: real targets there take the plain rows
+    z = sm._gap.astype(complex)
+    for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
+        assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shift", [1e-11, 0.1])
+def test_moments_above_rounding_keep_the_plain_rows(shift):
+    # the balanced rows differ from the plain sums by the moments of the plain
+    # rows; a shift of 1e-11 leaves the boundedness residual inside tol_solve
+    # but far above rounding, and near the slits it would move the values by
+    # more than the plain sums' rounding
+    args = slit_layout_inputs(8, 0)
+    a = pipeline.solve(*args).slit_map.constants.a
+    shifted = a + shift * np.abs(a).max() * np.cos(np.arange(len(a)))
+    result = pipeline.solve(*args, override_a=shifted)
+    sm = result.slit_map
+    assert (result.diagnostics.boundedness["a_relative"] <= sm.numerics.tol_solve) == (shift < 1e-8)
+    assert sm._interior_rows()[1].tolist() == [False, True, False]
+    z = _far_and_near_targets(sm.branch, np.random.default_rng(3))[3000:]
+    for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
+        assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # -- scalar / array contract ---------------------------------------------------
@@ -768,7 +872,7 @@ def test_block_degrees_are_logged_once_per_map(caplog, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None):
+def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None, coef=None):
     with monkeypatch.context() as patch:
         if degrees is not None:
             patch.setattr(mapper, "block_degrees", degrees)
@@ -776,6 +880,8 @@ def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None):
             patch.setattr(mapper, "cauchy_off_blocks", kernel)
         if chop is not None:
             patch.setattr(mapper, "standard_chop", chop)
+        if coef is not None:
+            patch.setattr(mapper, "coef_from_samples", coef)
         result = pipeline.solve(*args)
     return result.verdict, [p.points for p in result.profiles]
 
@@ -783,6 +889,13 @@ def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None):
 def _no_chop(coef):
     """Every row kept whole: the density table of M + 1 terms."""
     return np.full(np.shape(coef)[:-1], np.shape(coef)[-1])
+
+
+def _scipy_coef(samples, M):
+    """coef_from_samples through scipy's type-II DCT: the same sums, rounded otherwise."""
+    coef = scipy.fft.dct(samples, type=2, axis=-1)[..., : M + 1] / np.shape(samples)[-1]
+    coef[..., 0] *= 0.5
+    return coef
 
 
 def _full_degree(coef, w):
@@ -821,18 +934,23 @@ def test_block_degrees_move_contours_far_less_than_float64_rounding(n, seed, mon
     assert _largest_move(got, full) <= 0.1 * _largest_move(full, ref)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_chopped_table_stays_near_the_80_bit_sums_of_the_whole_table(n, seed, monkeypatch):
     # the chop drops terms at the rounding plateau of each series, so the
     # chopped pass may be no farther from the 80-bit full-degree sums of the
-    # unchopped table than twice the unchopped float64 pass is
+    # unchopped table than twice the float64 rounding of that table: the
+    # rounding of its sums (the unchopped pass against the 80-bit sums) plus
+    # the rounding of its coefficients (the unchopped pass against the same
+    # pass with its coefficients from another DCT)
     args = slit_layout_inputs(n, seed)
     verdict, got = _contours(args, monkeypatch)
     full_verdict, full = _contours(args, monkeypatch, _full_degree, chop=_no_chop)
     ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit, _no_chop)
-    assert verdict == full_verdict == ref_verdict
-    assert _largest_move(got, ref) <= 2.0 * _largest_move(full, ref)
+    alt_verdict, alt = _contours(args, monkeypatch, _full_degree, chop=_no_chop, coef=_scipy_coef)
+    assert verdict == full_verdict == ref_verdict == alt_verdict
+    floor = _largest_move(full, ref) + _largest_move(full, alt)
+    assert _largest_move(got, ref) <= 2.0 * floor
 
 
 _CORPUS_MAPS = [case.name for case in figures.FIGURE_CASES if figures.load_case(case.name)["n"] >= 2]

@@ -99,6 +99,16 @@ def test_system_matrix_is_nonsingular_on_figures():
         assert det != 0.0
 
 
+def test_one_slit_has_no_moment_conditions():
+    # degree n - 2 = -1: an empty basis and system, and the one monomial moment,
+    # the integral of 1/|q| over the slit, which is pi
+    period = period_matrix(BranchData([-1.0, 2.0]), NumericsConfig(N=16, M=16))
+    assert period.basis.shape == (0, 1, 16)
+    assert period.moments.shape == (0, 1)
+    assert system_matrix(period).shape == (0, 0)
+    np.testing.assert_allclose(period.I, [[np.pi]], rtol=1e-15)
+
+
 def test_symmetric_real_pole_strength_gives_zero_a():
     cfg, derived, branch, numerics = figure_problem("fig2b")
     assert derived.c_double_prime == 0.0
@@ -284,9 +294,12 @@ def test_solve_constants_matches_the_per_problem_solves(case):
     period = period_matrix(branch, numerics)
     constants = solve_constants(period, derived, free)
     a0, rho0 = antisymmetric_free_values(period, branch, derived)
-    # both carry solve errors of order eps * cond(A), above 1e-12 past n = 12;
-    # at n = 24 the reference misses its own antisymmetry by ~1e-8
-    rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(system_matrix(period)))
+    # the reference solves the monomial system it forms from period.I; its
+    # solve errors, of order eps * cond of that system, are above 1e-12 past
+    # n = 12, and at n = 24 it misses its own antisymmetry by ~1e-8
+    n = branch.n
+    monomial = period.I[: n - 1, 1:] * (-1.0) ** np.arange(1, n)
+    rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(monomial))
     for got, want in ((constants.a, solve_a(period, branch, derived, a0)),
                       (constants.rho, solve_rho(period, branch, derived, rho0))):
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()
