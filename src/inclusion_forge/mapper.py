@@ -58,6 +58,7 @@ from .quadrature import (
     block_degrees,
     cauchy_off_blocks,
     cauchy_off_stack,
+    cheb_nodes,
     coef_from_samples,
     degree_table,
     like_input,
@@ -75,10 +76,12 @@ FAMILIES = ("phi", "g0_rho", "g1_weighted")
 _PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
 _DIRECT, _G1 = slice(0, 2), slice(2, 3)  # sampled from closed forms; sampled from phi
 _BLOCK_VALUES = 2**16
-# off-slit sums are balanced from this many slits on (below it the plain sums
-# keep 14 digits), for families whose moments are at most this relative residual
+# off-slit sums are balanced, and the banks may be traced through interpolants,
+# from this many slits on (below it the plain sums keep 14 digits); balanced for
+# families whose moments are at most this relative residual
 _BALANCED_FROM = 4
 _BALANCED_RESIDUAL = 1e-13
+_INTERPOLANT_BITS = 53  # the interpolants of the other-slit sums resolve them to 2^-53
 _BANK_ROW = {+1: 0, -1: 1}
 _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 
@@ -120,8 +123,17 @@ class SlitMap:
     slits, the targets of slit i and the series of another slit j form one
     block, summed to the degree :func:`~inclusion_forge.quadrature.block_degrees`
     gives at the largest |w_j| on slit i, its nearer endpoint; the own slit
-    adds its principal value.  The block degrees of every family are built
-    with the coefficients and logged once at DEBUG.  Off the slits, the same
+    adds its principal value.  From four slits on, a pass of T targets per
+    slit sums the blocks at K first-kind nodes of each slit instead, where
+    that sums fewer terms (K S + n T K < T S, S the sum of the block
+    degrees): the Chebyshev interpolants of the other-slit sums, rewritten
+    in second-kind polynomials, join the own rows, and one principal-value
+    pass gives both (:meth:`_bank_sums`).  K is derived from the layout
+    (:func:`_interpolant_nodes`), and the path depends on the map and T
+    only, so a one-slit evaluator takes the path :meth:`banks` takes at the
+    same T; the g_1 samples of the table always sum directly.  The block
+    degrees of every family are built with the coefficients and logged
+    once at DEBUG with K and the T it is used from.  Off the slits, the same
     rule gives each family set a
     :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone, on
     the first interior call: a split degree, and the |w| beyond which a pair
@@ -188,12 +200,17 @@ class SlitMap:
         self._block_degree[_MAP] = block_degrees(self._coef[_MAP], self._worst_w)
         self._block_degree[:, self._rows, self._rows] = 0  # own-slit blocks are never formed
         degree, L = self._block_degree.max(axis=0), self._coef.shape[-1]
-        mean = degree.sum() / (n * (n - 1))
+        # the bank pass interpolates from T targets per slit on, where it sums
+        # fewer terms than the direct pass: K S + n T K < T S
+        S, K = int(degree.sum()), _interpolant_nodes(self._lo, self._hi)
+        self._block_terms, self._nodes = S, K
+        self._interpolate_from = K * S // (S - n * K) + 1 if n >= _BALANCED_FROM and S > n * K else None
         log.debug(
             "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop;"
-            " kept lengths %s",
-            mean, degree.max(), L, 100.0 * mean / L,
+            " kept lengths %s; other-slit interpolants of K = %d nodes, used from T = %s targets per slit",
+            S / (n * (n - 1)), degree.max(), L, 100.0 * S / (n * (n - 1) * L),
             ", ".join(f"{f} {k}" for f, k in self.kept_lengths().items()),
+            K, "never" if self._interpolate_from is None else self._interpolate_from,
         )
 
     def _chop(self, raw: np.ndarray, fams: slice) -> None:
@@ -335,16 +352,15 @@ class SlitMap:
             out[:, order], q[order] = out.copy(), q.copy()
         return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
 
-    def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.
+    def _other_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weighted sums over the other slits at real targets x[i] on slit rows[i].
 
         Every other slit j forms one block with the targets x[i], summed by
         :func:`~inclusion_forge.quadrature.cauchy_off_blocks` in real
         arithmetic to the largest degree of block (rows[i], j) over the
         family set.  The blocks are sorted by degree once; targets pass
         through in column ranges of at most _BLOCK_VALUES (family, block,
-        target) values.  The own slit adds the principal value of its row
-        (per-row targets of ``singular_on_stack``).
+        target) values.  Shape (F,) + x.shape.
         """
         coef, weights = self._coef[fams], self._weights[fams]
         k, n = len(rows), self.branch.n
@@ -362,8 +378,61 @@ class SlitMap:
             vals = cauchy_off_blocks(block_coef, lo, hi, x[i, s : s + step], degree)
             vals = vals[:, unsort].reshape(len(coef), k, n - 1, -1)
             out[..., s : s + step] = np.einsum("fij,fijt->fit", block_weights, vals)
+        return out
+
+    def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weighted sums at real targets x[i] on slit rows[i]: shape (F,) + x.shape.
+
+        The other slits are summed directly at every target
+        (:meth:`_other_sums`), and the own slit adds the principal value of
+        its row (per-row targets of ``singular_on_stack``).
+        """
+        coef, weights = self._coef[fams], self._weights[fams]
         pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)
-        return out + weights[:, rows, None] * pv
+        return self._other_sums(fams, x, rows) + weights[:, rows, None] * pv
+
+    def _bank_nodes(self, T: int) -> int:
+        """Interpolation nodes K per slit of a bank pass at T targets per slit; 0 sums directly."""
+        start = self._interpolate_from
+        return self._nodes if start is not None and T >= start else 0
+
+    def _interpolant_rows(self, rows: np.ndarray, K: int) -> np.ndarray:
+        """Rows whose principal values on slit rows[i] are the other-slit sums: shape (F, k, K + 1).
+
+        On slit m the sum over the other slits is analytic, its nearest
+        singularity one gap away.  It is summed at K first-kind nodes of the
+        slit (:meth:`_other_sums`), and its Chebyshev coefficients s_k are
+        rewritten in second-kind polynomials: T_0 = U_0, T_1 = U_1 / 2 and
+        T_k = (U_k - U_{k-2}) / 2.  The principal value maps a row's term k
+        to (pi / h_m) U_{k-1}, so the U-coefficient u_k, scaled by h_m / pi,
+        is term k + 1 of the row; term 0 is 0.
+        """
+        nodes = cheb_nodes(self._lo[rows, None], self._hi[rows, None], K)
+        s = coef_from_samples(self._other_sums(_ALL, nodes, rows), K - 1)
+        u = 0.5 * s
+        u[..., 0] = s[..., 0]
+        u[..., :-2] -= 0.5 * s[..., 2:]
+        out = np.zeros(s.shape[:-1] + (K + 1,))
+        out[..., 1:] = (self._half[rows, None] / np.pi) * u
+        return out
+
+    def _bank_sums(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The weighted sums of every family at real targets x[i] on slit rows[i], x of shape (k, T).
+
+        Where :meth:`_bank_nodes` picks interpolants, their rows
+        (:meth:`_interpolant_rows`) are added to the weighted own rows, and
+        one principal-value pass gives the own slit and the other slits
+        together.  Otherwise the other slits are summed directly
+        (:meth:`_slit_sums`).
+        """
+        K = self._bank_nodes(x.shape[-1])
+        if not K:
+            return self._slit_sums(_ALL, x, rows)
+        coef, L = self._coef[:, rows], self._coef.shape[-1]
+        folded = np.zeros(coef.shape[:-1] + (max(L, K + 1),))
+        folded[..., : K + 1] = self._interpolant_rows(rows, K)
+        folded[..., :L] += self._weights[:, rows, None] * coef
+        return singular_on_stack(folded, self._centre[rows], self._half[rows], x)
 
     # -- boundary values -----------------------------------------------------
 
@@ -380,7 +449,7 @@ class SlitMap:
     def _banks(self, x: np.ndarray, rows: np.ndarray) -> BoundaryPass:
         """Both banks at real x[i] on slit rows[i], x of shape (k, T)."""
         d = self.derived
-        phi_sum, g0_sum, g1_sum = self._slit_sums(_ALL, x, rows)
+        phi_sum, g0_sum, g1_sum = self._bank_sums(x, rows)
         absq = abs_q(self.branch, x)
         g1 = (absq / np.pi) * phi_sum
         sign = _BANK_SIGN * (-1.0) ** rows[:, None]
@@ -467,6 +536,19 @@ class SlitMap:
 
     # -- diagnostics ---------------------------------------------------------
 
+    def bank_work(self, T: int) -> dict[str, int]:
+        """Terms a bank pass at T targets per slit sums, and its interpolation nodes K per slit.
+
+        A term is one coefficient times one power or polynomial value at one
+        target, in one family: the blocks of the other slits, each to its
+        degree at the K nodes (or at the T targets of the direct pass), plus
+        the principal values of the own rows at the T targets.  K is 0 on
+        the direct pass.
+        """
+        n, L, K = self.branch.n, self._coef.shape[-1], self._bank_nodes(T)
+        per_family = (K or T) * self._block_terms + n * T * (max(L, K + 1) - 1)
+        return {"bank_terms": len(FAMILIES) * per_family, "bank_nodes": K}
+
     def truncation_indicators(self) -> dict[str, float]:
         """Worst tail-coefficient ratio |alpha_M| of each density family, before the chop."""
         return dict(zip(FAMILIES, self._truncation.tolist()))
@@ -474,6 +556,21 @@ class SlitMap:
     def kept_lengths(self) -> dict[str, int]:
         """Longest chopped row of each density family: the terms its sums run to."""
         return dict(zip(FAMILIES, self._kept.tolist()))
+
+
+def _interpolant_nodes(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Nodes per slit at which Chebyshev interpolants resolve the other-slit sums to 2^-53.
+
+    On slit m of half-length h the nearest singularity of the sum over the
+    other slits is the endpoint one gap g away, at x = 1 + g / h in the
+    mapped variable, so the interpolants converge like rho^-K in the
+    Bernstein ellipse of rho = x + sqrt(x^2 - 1).  K = ceil(53 ln 2 / ln rho)
+    at the slit whose nearer gap is smallest against its half-length.
+    """
+    gaps = lo[1:] - hi[:-1]
+    nearer = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+    u = float((nearer / (0.5 * (hi - lo))).min())
+    return int(np.ceil(_INTERPOLANT_BITS * np.log(2.0) / np.log1p(u + np.sqrt(u * (2.0 + u)))))
 
 
 # -- single inclusion closed forms -------------------------------------------

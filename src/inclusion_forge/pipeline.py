@@ -25,7 +25,13 @@ the condition number of the system the general solver solved.
 
 The slit boundary is evaluated once per solve: one ``SlitMap.banks`` pass at
 the (n, P) bank grid gives the contours, and the Schwarz report reads the
-same values at every traced vertex, slit endpoints included.
+same values at every traced vertex, slit endpoints included.  From four
+slits on, that pass sums the other slits at K Chebyshev nodes per slit
+rather than at the P targets wherever this sums fewer terms; K =
+ceil(53 ln 2 / ln rho) for the Bernstein ellipse through the nearest other
+slit, taken where the nearer gap is smallest against the half-length (see
+:class:`~inclusion_forge.mapper.SlitMap`).  ``SolveResult.work`` reports the
+terms the pass summed and the K it used.
 """
 
 from __future__ import annotations
@@ -101,8 +107,11 @@ class SolveResult:
     """The solved constants, the traced contours and what the verdict rests on.
 
     ``timings`` holds the wall time in seconds of each stage in ``STAGES``
-    (0.0 for a stage the solve skipped); it is kept out of ``diagnostics``
-    so that those stay a deterministic function of the input.
+    (0.0 for a stage the solve skipped), and ``work`` what the bank pass
+    summed (:meth:`~inclusion_forge.mapper.SlitMap.bank_work`: its terms and
+    its interpolation nodes per slit, 0 and 0 for a single inclusion).  Both
+    are kept out of ``diagnostics``, so that those stay a deterministic
+    function of the input.
     """
 
     constants: SolvabilityConstants
@@ -111,6 +120,7 @@ class SolveResult:
     derived: DerivedConstants
     slit_map: mapper.SlitMap | None = field(repr=False, default=None)
     timings: dict[str, float] = field(repr=False, compare=False, default_factory=dict)
+    work: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -182,7 +192,8 @@ def _solve_n1(
         cross_check={"applied": False, "max_mismatch": 0.0},
         tol_solve=numerics.tol_solve,
     )
-    return SolveResult(constants, tuple(profiles), diag, derived, None, timings)
+    work = {"bank_terms": 0, "bank_nodes": 0}
+    return SolveResult(constants, tuple(profiles), diag, derived, None, timings, work)
 
 
 def _closed_form_cross_check(
@@ -343,4 +354,5 @@ def solve(
         cross_check=cross,
         tol_solve=numerics.tol_solve,
     )
-    return SolveResult(constants, tuple(profiles), diag, derived, sm, timings)
+    work = sm.bank_work(grid.shape[-1])
+    return SolveResult(constants, tuple(profiles), diag, derived, sm, timings, work)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +39,16 @@ def slit_layout_inputs(n: int, seed: int = 16):
 def sixteen_slit_inputs(seed: int = 16):
     """The seeded layout of 16 slits of :func:`slit_layout_inputs`."""
     return slit_layout_inputs(16, seed)
+
+
+def many_slits_docs(seed: int) -> list[dict]:
+    """The config documents of the n = 16 layouts the benchmark's many_slits workload solves at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return list(workloads.generate("many_slits", seed, None).docs.values())
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ from xml.etree import ElementTree
 import jsonschema
 import numpy as np
 import pytest
+from conftest import many_slits_docs
 from oracles import read_contours_csv, render_svg_per_point, write_contours_csv_per_row
 
 from inclusion_forge import cli, figures, pipeline
@@ -68,13 +68,7 @@ def _solve_doc(doc: dict, P: int | None = None) -> pipeline.SolveResult:
 
 def _many_slits_results(seed: int) -> list[pipeline.SolveResult]:
     """The n = 16 layouts the benchmark's many_slits workload solves at ``seed``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    docs = workloads.generate("many_slits", seed, None).docs
-    return [_solve_doc(doc) for doc in docs.values()]
+    return [_solve_doc(doc) for doc in many_slits_docs(seed)]
 
 
 def _hand_built(values: np.ndarray) -> SimpleNamespace:

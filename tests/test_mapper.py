@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
+from conftest import load_figure_inputs, many_slits_docs, sixteen_slit_inputs, slit_layout_inputs
 from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from inclusion_forge import branch as branch_module
-from inclusion_forge import figures, mapper, pipeline, quadrature
+from inclusion_forge import cli, figures, mapper, pipeline, quadrature
 from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
     SlitMap,
@@ -742,8 +742,14 @@ def _sixteen_slit_map():
     return pipeline.solve(*sixteen_slit_inputs()).slit_map
 
 
+def _direct(self, T):
+    """SlitMap._bank_nodes of a map that always sums the other slits at the bank targets."""
+    return 0
+
+
 @pytest.mark.parametrize("case", ["fig1b", "fig3a", "sixteen"])
-def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case):
+def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case, monkeypatch):
+    monkeypatch.setattr(SlitMap, "_bank_nodes", _direct)  # the direct kernel is pinned here
     sm = _sixteen_slit_map() if case == "sixteen" else solved_map(case)[0]
     ends = np.array(sm.branch.slits)
     grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], 41)
@@ -754,12 +760,23 @@ def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case):
         for value, oracle in zip(got, expected):
             scale = np.abs(oracle).max()
             np.testing.assert_allclose(value, oracle, rtol=1e-13, atol=1e-13 * scale)
-        for k, bank in enumerate((+1, -1)):
-            np.testing.assert_array_equal(
-                sm.omega_boundary(grid[m], bank, m), stacked.omega[k, m]
-            )
-            np.testing.assert_array_equal(sm.F_boundary(grid[m], bank, m), stacked.F[k, m])
-        np.testing.assert_array_equal(sm.g1(grid[m], m), stacked.g1[m])
+        _assert_one_slit_evaluators_match(sm, grid, stacked, m)
+
+
+def _assert_one_slit_evaluators_match(sm, grid, stacked, m):
+    for k, bank in enumerate((+1, -1)):
+        np.testing.assert_array_equal(sm.omega_boundary(grid[m], bank, m), stacked.omega[k, m])
+        np.testing.assert_array_equal(sm.F_boundary(grid[m], bank, m), stacked.F[k, m])
+    np.testing.assert_array_equal(sm.g1(grid[m], m), stacked.g1[m])
+
+
+def test_one_slit_evaluators_stay_on_the_interpolated_bank_pass():
+    sm = _sixteen_slit_map()
+    grid = _bank_grid(sm, 200)
+    assert sm._bank_nodes(200) == sm._nodes > 0
+    stacked = sm.banks(grid)
+    for m in range(sm.branch.n):
+        _assert_one_slit_evaluators_match(sm, grid, stacked, m)
 
 
 def test_stacked_boundary_pass_rejects_bad_tables():
@@ -809,13 +826,13 @@ def _layout_inputs(n):
     return (cfg, *rest)
 
 
-@pytest.mark.parametrize("edge", [False, True], ids=["layout", "edge"])
-@pytest.mark.parametrize("n", [2, 8, 16, 24, 32])
-def test_boundary_sums_match_full_degree_80_bit_sums(n, edge):
-    sm = pipeline.solve(*(_edge_inputs(n) if edge else _layout_inputs(n))).slit_map
-    grid = _bank_grid(sm)
-    coef, weights = sm._coef, sm._weights
-    got = sm._slit_sums(mapper._ALL, grid, sm._rows)
+def _full_degree_80_bit_sums(sm, grid):
+    """The weighted slit sums at the bank grid, every other slit to full degree in 80 bits, and their scale.
+
+    The scale of a sum is |its principal value| plus, for each other slit,
+    the sum of the moduli of that slit's terms.
+    """
+    n, coef, weights = sm.branch.n, sm._coef, sm._weights
     pv = weights[:, :, None] * singular_on_stack(coef, sm._centre, sm._half, grid)
     expected = pv.astype(np.longdouble)
     scale = np.abs(pv)
@@ -829,10 +846,51 @@ def test_boundary_sums_match_full_degree_80_bit_sums(n, edge):
                 full = cauchy_off_80bit(coef[f, j], a, b, grid[m]).real
                 expected[f, m] += weights[f, j] * full
                 scale[f, m] += np.pi * np.abs(weights[f, j] * (np.abs(coef[f, j]) @ powers / rho[0]))
+    return expected, scale
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["layout", "edge"])
+@pytest.mark.parametrize("n", [2, 8, 16, 24, 32])
+def test_boundary_sums_match_full_degree_80_bit_sums(n, edge):
+    sm = pipeline.solve(*(_edge_inputs(n) if edge else _layout_inputs(n))).slit_map
+    grid = _bank_grid(sm)
+    got = sm._slit_sums(mapper._ALL, grid, sm._rows)
+    expected, scale = _full_degree_80_bit_sums(sm, grid)
     # truncation <= 2^-63 of each lead term; the rest is float64 rounding
     # of Horner loops of <= 64 terms and of the sums over the slits
     err = np.abs(got - expected).astype(float)
     assert np.all(err <= 2.0**-44 * scale)
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["layout", "edge"])
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+@pytest.mark.parametrize("P", [200, 1600])
+def test_interpolated_bank_sums_match_full_degree_80_bit_sums(P, n, edge):
+    sm = pipeline.solve(*(_edge_inputs(n) if edge else _layout_inputs(n))).slit_map
+    grid = _bank_grid(sm, P)
+    K = sm._bank_nodes(P)
+    assert K > 0
+    coef, weights, rows = sm._coef, sm._weights, sm._rows
+    expected, scale = _full_degree_80_bit_sums(sm, grid)
+    # the interpolants of the other slits, added to the same own-slit
+    # principal values as above, are held to the bound of the direct pass
+    own = weights[:, :, None] * singular_on_stack(coef, sm._centre, sm._half, grid)
+    other = singular_on_stack(sm._interpolant_rows(rows, K), sm._centre, sm._half, grid)
+    assert np.all(np.abs(other + own - expected).astype(float) <= 2.0**-44 * scale)
+    # folded into the own rows they share one principal-value sum, whose
+    # rounding scales with its terms: (pi / h) sum_k |alpha_k U_{k-1}(x)|;
+    # the direct pass is held to the same bound against 80-bit principal values
+    x = (grid - sm._centre[:, None]) / sm._half[:, None]
+    U = np.empty((coef.shape[-1],) + x.shape)
+    U[0], U[1] = 0.0, 1.0
+    for k in range(2, len(U)):
+        U[k] = 2.0 * x * U[k - 1] - U[k - 2]
+    own_terms = np.pi / sm._half[:, None] * np.einsum("fjk,kjt->fjt", np.abs(weights[..., None] * coef), np.abs(U))
+    long = [np.asarray(v).astype(np.longdouble) for v in (coef, sm._centre, sm._half, grid)]
+    expected += weights[:, :, None] * singular_on_stack(*long) - own
+    bound = 2.0**-44 * (scale + own_terms)
+    for got in (sm._bank_sums(grid, rows), sm._slit_sums(mapper._ALL, grid, rows)):
+        assert np.all(np.abs(got - expected).astype(float) <= bound)
 
 
 def test_no_own_slit_block_is_formed(monkeypatch):
@@ -866,14 +924,30 @@ def test_block_degrees_are_logged_once_per_map(caplog, capsys):
     assert messages[0].startswith("block degrees of the boundary pass: mean ")
     assert f"of L = {sm._coef.shape[-1]}," in messages[0] and "% of the full loop" in messages[0]
     kept = sm.kept_lengths()
+    assert (
+        f"kept lengths phi {kept['phi']}, g0_rho {kept['g0_rho']}, g1_weighted {kept['g1_weighted']};"
+        in messages[0]
+    )
+    # three slits: the bank pass never interpolates
     assert messages[0].endswith(
-        f"kept lengths phi {kept['phi']}, g0_rho {kept['g0_rho']}, g1_weighted {kept['g1_weighted']}"
+        f"other-slit interpolants of K = {sm._nodes} nodes, used from T = never targets per slit"
     )
     assert capsys.readouterr() == ("", "")
 
 
-def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None, coef=None):
+def test_interpolant_nodes_are_logged_with_the_targets_they_are_used_from(caplog):
+    with caplog.at_level(logging.DEBUG, logger=mapper.__name__):
+        sm = _sixteen_slit_map()
+    messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
+    start = sm._interpolate_from
+    assert messages[0].endswith(f"other-slit interpolants of K = {sm._nodes} nodes, used from T = {start} targets per slit")
+    assert sm._bank_nodes(start - 1) == 0 < sm._bank_nodes(start) == sm._nodes
+
+
+def _contours(args, monkeypatch, degrees=None, kernel=None, chop=None, coef=None, direct=False):
     with monkeypatch.context() as patch:
+        if direct:
+            patch.setattr(SlitMap, "_bank_nodes", _direct)
         if degrees is not None:
             patch.setattr(mapper, "block_degrees", degrees)
         if kernel is not None:
@@ -926,12 +1000,36 @@ def test_block_degrees_move_contours_far_less_than_float64_rounding(n, seed, mon
     # pass already moves the contours by 8e-12 (n = 16) to 2.4e-7 (n = 32) of
     # their diameter from the 80-bit sums; dropping the terms past each
     # block's degree must stay at least ten times below that
+    # (the direct pass: these are the block degrees of its targets)
     args = slit_layout_inputs(n, seed)
-    verdict, got = _contours(args, monkeypatch)
-    full_verdict, full = _contours(args, monkeypatch, _full_degree)
-    ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit)
+    verdict, got = _contours(args, monkeypatch, direct=True)
+    full_verdict, full = _contours(args, monkeypatch, _full_degree, direct=True)
+    ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit, direct=True)
     assert verdict == full_verdict == ref_verdict
     assert _largest_move(got, full) <= 0.1 * _largest_move(full, ref)
+
+
+def _many_slits_args(seed):
+    return [cli.parse_config(doc)[:5] for doc in many_slits_docs(seed)]
+
+
+_INTERPOLATED_CASES = [("many_slits", 0, k) for k in range(4)] + [
+    ("layout", n, seed) for n in (16, 24, 32) for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("case", _INTERPOLATED_CASES, ids=lambda c: f"{c[0]}{c[1]}-{c[2]}")
+def test_interpolated_contours_stay_as_near_the_80_bit_sums_as_the_direct_pass(case, monkeypatch):
+    # the interpolants may add to the float64 rounding of the direct pass,
+    # measured against its full-degree 80-bit sums, at most a quarter of it
+    kind, a, b = case
+    args = _many_slits_args(a)[b] if kind == "many_slits" else slit_layout_inputs(a, b)
+    assert pipeline.solve(*args).work["bank_nodes"] > 0
+    verdict, got = _contours(args, monkeypatch)
+    direct_verdict, direct = _contours(args, monkeypatch, direct=True)
+    ref_verdict, ref = _contours(args, monkeypatch, _full_degree, _blocks_80bit, direct=True)
+    assert verdict == direct_verdict == ref_verdict
+    assert _largest_move(got, ref) <= 1.25 * _largest_move(direct, ref)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -992,3 +1090,88 @@ def test_density_table_is_chopped_as_the_scalar_oracle_chops(case, monkeypatch):
     assert sm.truncation_indicators() == dict(
         zip(mapper.FAMILIES, truncation_indicator(raw).max(axis=1).tolist())
     )
+
+
+# -- the path of the bank pass ---------------------------------------------------
+
+
+def _bank_pass_rule(sm, T):
+    """The path rule spelled out: K nodes from four slits on where K S + n T K < T S, else 0.
+
+    S is the sum of the map's block degrees, T the targets per slit.
+    """
+    n, K = sm.branch.n, sm._nodes
+    S = int(sm._block_degree.max(axis=0).sum())
+    return K if n >= 4 and K * S + n * T * K < T * S else 0
+
+
+def _spread_gap_inputs(n, seed):
+    """slit_layout_inputs with its n - 1 gap lengths spread log-evenly over three decades, in seeded order."""
+    cfg, loading, materials, free, numerics = slit_layout_inputs(n, seed)
+    slits = np.asarray(cfg.endpoints).reshape(n, 2)
+    parts = np.empty(2 * n - 1)
+    parts[::2] = slits[:, 1] - slits[:, 0]
+    parts[1::2] = np.random.default_rng(seed).permutation(np.logspace(-3.0, 0.0, n - 1))
+    parts[1::2] *= (slits[1:, 0] - slits[:-1, 1]).mean()
+    ends = -1.0 + np.concatenate(([0.0], np.cumsum(parts * (2.0 / parts.sum()))))
+    ends[-1] = 1.0
+    return SlitConfiguration(ends.reshape(n, 2).tolist(), 0.3 + 3.0j), loading, materials, free, numerics
+
+
+@pytest.mark.parametrize("case", _CORPUS_MAPS)
+def test_corpus_maps_keep_the_direct_bank_pass(case, solve_figure):
+    result = solve_figure(case)
+    sm = result.slit_map
+    assert result.work["bank_nodes"] == 0
+    for P in (200, 800):  # the corpus, and the fine_contours cases
+        assert sm._bank_nodes(P) == 0 == _bank_pass_rule(sm, P)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_many_slits_layouts_take_the_interpolants(seed):
+    for args in _many_slits_args(seed):
+        result = pipeline.solve(*args)
+        sm = result.slit_map
+        assert result.work["bank_nodes"] == _bank_pass_rule(sm, args[4].P) == sm._nodes > 0
+
+
+def test_gaps_over_three_decades_keep_the_direct_bank_pass():
+    args = _spread_gap_inputs(16, 3)
+    result = pipeline.solve(*args)
+    sm = result.slit_map
+    assert result.work["bank_nodes"] == 0 == _bank_pass_rule(sm, args[4].P)
+    assert sm._nodes > args[4].P
+
+
+@pytest.mark.parametrize("case", ["fig3a", "four", "sixteen", "spread"])
+def test_the_bank_pass_takes_the_path_of_fewer_terms(case):
+    args = {
+        "fig3a": lambda: load_figure_inputs("fig3a")[:5],
+        "four": lambda: slit_layout_inputs(4, 0),
+        "sixteen": sixteen_slit_inputs,
+        "spread": lambda: _spread_gap_inputs(16, 3),
+    }[case]()
+    sm = pipeline.solve(*args).slit_map
+    for T in range(2, 2000):
+        assert sm._bank_nodes(T) == _bank_pass_rule(sm, T), T
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["interpolated", "direct"])
+def test_bank_work_counts_the_terms_the_kernels_sum(direct, monkeypatch):
+    sm = _sixteen_slit_map()
+    if direct:
+        monkeypatch.setattr(SlitMap, "_bank_nodes", _direct)
+    terms = []
+
+    def blocks(coef, lo, hi, x, degree):
+        terms.append(len(coef) * int(np.sum(degree)) * x.shape[-1])
+        return quadrature.cauchy_off_blocks(coef, lo, hi, x, degree)
+
+    def pv(coef, centre, half, xi):
+        terms.append(int(np.prod(np.shape(coef)[:-1])) * (np.shape(coef)[-1] - 1) * np.shape(xi)[-1])
+        return quadrature.singular_on_stack(coef, centre, half, xi)
+
+    monkeypatch.setattr(mapper, "cauchy_off_blocks", blocks)
+    monkeypatch.setattr(mapper, "singular_on_stack", pv)
+    sm.banks(_bank_grid(sm, 200))
+    assert sm.bank_work(200) == {"bank_terms": sum(terms), "bank_nodes": 0 if direct else sm._nodes}

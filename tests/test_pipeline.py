@@ -311,3 +311,16 @@ def test_stage_timings_cover_every_stage(solve_figure, name):
     if result.slit_map is not None:
         assert all(t > 0.0 for t in result.timings.values())
     assert "timings" not in result.diagnostics.to_dict()
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig3a", "sixteen"])
+def test_work_counts_the_bank_pass_apart_from_the_diagnostics(solve_figure, name):
+    result = pipeline.solve(*sixteen_slit_inputs()) if name == "sixteen" else solve_figure(name)
+    sm = result.slit_map
+    if sm is None:  # a single inclusion: closed forms, no bank pass
+        assert result.work == {"bank_terms": 0, "bank_nodes": 0}
+    else:
+        assert result.work == sm.bank_work(sm.numerics.P)
+        assert result.work["bank_terms"] > 0
+        assert result.work["bank_nodes"] == (sm._nodes if name == "sixteen" else 0)
+    assert "work" not in result.diagnostics.to_dict()
