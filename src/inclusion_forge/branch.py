@@ -100,10 +100,16 @@ def eval_q(branch: BranchData, zeta):
 
 
 def abs_q(branch: BranchData, xi):
-    """|q(xi)| = sqrt(|p(xi)|) for real xi (any position)."""
+    """|q(xi)| = sqrt(|p(xi)|) for real xi (any position).
+
+    p is accumulated one endpoint at a time, in increasing order, so no
+    temporary of targets x endpoints is formed.
+    """
     x = np.asarray(xi, dtype=float)
-    k = np.asarray(branch.endpoints)
-    p = np.prod(x[..., None] - k, axis=-1)
+    k = branch.endpoints
+    p = x - k[0]
+    for point in k[1:]:
+        p *= x - point
     out = np.sqrt(np.abs(p))
     return like_input(out, xi)
 

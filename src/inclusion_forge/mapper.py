@@ -116,7 +116,10 @@ class SlitMap:
     (:func:`~inclusion_forge.quadrature.standard_chop`; phi before g_1 is
     sampled from it): rows are zeroed past their kept lengths and the table
     is trimmed to its longest kept row, so every sum below stops there.
-    Every Cauchy sum over the slits weights row j of a family
+    A family that keeps no term is not live, and no sum forms it: its sums
+    are 0.  On symmetric layouts phi vanishes, and g_1 and g1_weighted with
+    it, so those maps sum g0_rho alone, and F off the slits is its singular
+    part.  Every Cauchy sum over the slits weights row j of a family
     by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
     Boundary values of every slit and both banks come from one stacked pass
     (:meth:`banks`); the per-slit evaluators are its one-slit case.  On the
@@ -218,14 +221,26 @@ class SlitMap:
 
         Each row is cut at the length :func:`~inclusion_forge.quadrature.standard_chop`
         gives it and zeroed past it, after its truncation indicator is taken.
+        A family that keeps no term is not live: every sum skips it.
         """
         self._truncation[fams] = truncation_indicator(raw[fams]).max(axis=1)
         kept = standard_chop(raw[fams])
         raw[fams] *= np.arange(raw.shape[-1]) < kept[..., None]
         self._kept[fams] = kept.max(axis=1)
+        self._live = self._kept > 0
         self._coef = raw[..., : max(1, self._kept.max())].copy()
 
     # -- Cauchy sums over the slits ---------------------------------------------
+
+    def _live_rows(self, fams: slice) -> slice:
+        """The live families of a family set, as a slice of the set.
+
+        Any subset of the three families is evenly spaced, so the rows it
+        picks are views of the table, not copies.
+        """
+        f = np.flatnonzero(self._live[fams])
+        step = int(f[1] - f[0]) if len(f) > 1 else 1
+        return slice(int(f[0]), int(f[-1]) + 1, step) if len(f) else slice(0, 0)
 
     def _degree_table(self, fams: slice, plain: bool = False) -> DegreeTable:
         """The degree table of a family set's interior (or plain) rows, built on first use."""
@@ -313,7 +328,8 @@ class SlitMap:
         slits of the roots rho_j the kernel divides by.  The rows are those of
         :meth:`_interior_rows`, each balanced family divided by omega at the
         target, and each (slit, target) pair sums its series to the degree
-        the family set's degree table allows.  Where |omega(zeta)| is below
+        the family set's degree table allows.  Families that are not live
+        are not summed: their sums are 0.  Where |omega(zeta)| is below
         its largest modulus on the slits, the balanced sums would lose more
         digits to that division than the plain ones lose to cancellation, so
         those targets (near a gap's node, where omega vanishes, and mostly
@@ -323,11 +339,11 @@ class SlitMap:
         of batch x slits size.
         """
         reject_on_slits(self.branch, z)
-        weights = self._weights[fams]
+        weights, live = self._weights[fams], self._live_rows(fams)
         coef, flags = self._interior_rows()
         divided = np.flatnonzero(flags[fams])
         flat = z.reshape(-1)
-        passes = [(coef[fams], self._degree_table(fams), 0, flat.size)]
+        passes = [(coef[fams][live], self._degree_table(fams), 0, flat.size)]
         if len(divided):  # the balanced targets first, then the plain ones
             gap_poly = flat - self._gap[0]
             for node in self._gap[1:]:
@@ -337,8 +353,8 @@ class SlitMap:
             flat, k = flat[order], int(balanced.sum())
             passes[0] = passes[0][:3] + (k,)
             if k < flat.size:
-                passes.append((self._coef[fams], self._degree_table(fams, plain=True), k, flat.size))
-        out = np.empty((len(weights), flat.size), dtype=complex)
+                passes.append((self._coef[fams][live], self._degree_table(fams, plain=True), k, flat.size))
+        out = np.zeros((len(weights), flat.size), dtype=complex)
         q = np.empty(flat.size, dtype=complex)
         step = max(1, _BLOCK_VALUES // weights.size)
         for rows, table, start, stop in passes:
@@ -346,7 +362,8 @@ class SlitMap:
                 end = min(s + step, stop)
                 roots = slit_roots(self._lo, self._hi, flat[s:end])
                 np.prod(roots.rho, axis=0, out=q[s:end])
-                out[:, s:end] = _row_sum(weights, cauchy_off_stack(rows, roots, table))
+                if len(rows):
+                    out[live, s:end] = _row_sum(weights[live], cauchy_off_stack(rows, roots, table))
         if len(divided):
             out[divided, :k] /= gap_poly[order[:k]]
             out[:, order], q[order] = out.copy(), q.copy()
@@ -360,10 +377,15 @@ class SlitMap:
         arithmetic to the largest degree of block (rows[i], j) over the
         family set.  The blocks are sorted by degree once; targets pass
         through in column ranges of at most _BLOCK_VALUES (family, block,
-        target) values.  Shape (F,) + x.shape.
+        target) values.  Shape (F,) + x.shape; families that are not live
+        are not summed, and their sums are 0.
         """
-        coef, weights = self._coef[fams], self._weights[fams]
+        live = self._live_rows(fams)
+        coef, weights = self._coef[fams][live], self._weights[fams][live]
         k, n = len(rows), self.branch.n
+        out = np.zeros((len(FAMILIES[fams]),) + x.shape)
+        if not len(coef):
+            return out
         i, j = np.nonzero(rows[:, None] != self._rows)
         block_weights = weights[:, j].reshape(len(coef), k, n - 1)
         degree = self._block_degree[fams].max(axis=0)[rows[i], j]
@@ -372,12 +394,11 @@ class SlitMap:
         i, j, degree = i[order], j[order], degree[order]
         block_coef = coef[:, j, : degree[0]]
         lo, hi = self._lo[j, None], self._hi[j, None]
-        out = np.empty((len(coef),) + x.shape)
-        step = max(1, _BLOCK_VALUES // (len(coef) * len(j)))
+        step = max(1, _BLOCK_VALUES // (len(out) * len(j)))
         for s in range(0, x.shape[-1], step):
             vals = cauchy_off_blocks(block_coef, lo, hi, x[i, s : s + step], degree)
             vals = vals[:, unsort].reshape(len(coef), k, n - 1, -1)
-            out[..., s : s + step] = np.einsum("fij,fijt->fit", block_weights, vals)
+            out[live, :, s : s + step] = np.einsum("fij,fijt->fit", block_weights, vals)
         return out
 
     def _slit_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -385,11 +406,16 @@ class SlitMap:
 
         The other slits are summed directly at every target
         (:meth:`_other_sums`), and the own slit adds the principal value of
-        its row (per-row targets of ``singular_on_stack``).
+        its row (per-row targets of ``singular_on_stack``), live families
+        only.
         """
-        coef, weights = self._coef[fams], self._weights[fams]
-        pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)
-        return self._other_sums(fams, x, rows) + weights[:, rows, None] * pv
+        live = self._live_rows(fams)
+        coef, weights = self._coef[fams][live], self._weights[fams][live]
+        out = self._other_sums(fams, x, rows)
+        if len(coef):
+            pv = singular_on_stack(coef[:, rows], self._centre[rows], self._half[rows], x)
+            out[live] += weights[:, rows, None] * pv
+        return out
 
     def _bank_nodes(self, T: int) -> int:
         """Interpolation nodes K per slit of a bank pass at T targets per slit; 0 sums directly."""
@@ -423,16 +449,19 @@ class SlitMap:
         (:meth:`_interpolant_rows`) are added to the weighted own rows, and
         one principal-value pass gives the own slit and the other slits
         together.  Otherwise the other slits are summed directly
-        (:meth:`_slit_sums`).
+        (:meth:`_slit_sums`).  Families that are not live read 0.
         """
         K = self._bank_nodes(x.shape[-1])
         if not K:
             return self._slit_sums(_ALL, x, rows)
-        coef, L = self._coef[:, rows], self._coef.shape[-1]
+        live = self._live_rows(_ALL)
+        coef, L = self._coef[live][:, rows], self._coef.shape[-1]
         folded = np.zeros(coef.shape[:-1] + (max(L, K + 1),))
-        folded[..., : K + 1] = self._interpolant_rows(rows, K)
-        folded[..., :L] += self._weights[:, rows, None] * coef
-        return singular_on_stack(folded, self._centre[rows], self._half[rows], x)
+        folded[..., : K + 1] = self._interpolant_rows(rows, K)[live]
+        folded[..., :L] += self._weights[live][:, rows, None] * coef
+        out = np.zeros((len(FAMILIES),) + x.shape)
+        out[live] = singular_on_stack(folded, self._centre[rows], self._half[rows], x)
+        return out
 
     # -- boundary values -----------------------------------------------------
 
@@ -444,6 +473,8 @@ class SlitMap:
         return self.constants.a[m] - pole_density(xi, self.derived)
 
     def _g1_values(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if not self._live[_PHI].any():  # no phi density: g_1 vanishes
+            return np.zeros(x.shape)
         return (abs_q(self.branch, x) / np.pi) * self._slit_sums(_PHI, x, rows)[0]
 
     def _banks(self, x: np.ndarray, rows: np.ndarray) -> BoundaryPass:
@@ -526,7 +557,7 @@ class SlitMap:
         """F off the slits; bounded at infinity once the a_j are solved."""
         d = self.derived
         z = np.asarray(zeta, dtype=complex)
-        if not self._coef[_PHI].any():  # no phi density: F is its singular part
+        if not self._live[_PHI].any():  # no phi density: F is its singular part
             reject_on_slits(self.branch, z)
             return like_input(d.beta0 + singular_part_F(z, d), zeta)
         (total,), q = self._off_sums(_PHI, z)
@@ -540,14 +571,14 @@ class SlitMap:
         """Terms a bank pass at T targets per slit sums, and its interpolation nodes K per slit.
 
         A term is one coefficient times one power or polynomial value at one
-        target, in one family: the blocks of the other slits, each to its
-        degree at the K nodes (or at the T targets of the direct pass), plus
-        the principal values of the own rows at the T targets.  K is 0 on
-        the direct pass.
+        target, in one live family: the blocks of the other slits, each to
+        its degree at the K nodes (or at the T targets of the direct pass),
+        plus the principal values of the own rows at the T targets.  K is 0
+        on the direct pass.
         """
         n, L, K = self.branch.n, self._coef.shape[-1], self._bank_nodes(T)
         per_family = (K or T) * self._block_terms + n * T * (max(L, K + 1) - 1)
-        return {"bank_terms": len(FAMILIES) * per_family, "bank_nodes": K}
+        return {"bank_terms": int(self._live.sum()) * per_family, "bank_nodes": K}
 
     def truncation_indicators(self) -> dict[str, float]:
         """Worst tail-coefficient ratio |alpha_M| of each density family, before the chop."""

@@ -108,8 +108,9 @@ class SolveResult:
 
     ``timings`` holds the wall time in seconds of each stage in ``STAGES``
     (0.0 for a stage the solve skipped), and ``work`` what the bank pass
-    summed (:meth:`~inclusion_forge.mapper.SlitMap.bank_work`: its terms and
-    its interpolation nodes per slit, 0 and 0 for a single inclusion).  Both
+    summed (:meth:`~inclusion_forge.mapper.SlitMap.bank_work`: its terms,
+    counted over the density families that keep terms, and its
+    interpolation nodes per slit, 0 and 0 for a single inclusion).  Both
     are kept out of ``diagnostics``, so that those stay a deterministic
     function of the input.
     """

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import inclusion_forge
 from inclusion_forge import cli, figures, pipeline
 from inclusion_forge.model import (
     FreeParameters,
@@ -41,14 +42,28 @@ def sixteen_slit_inputs(seed: int = 16):
     return slit_layout_inputs(16, seed)
 
 
+def _workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded once."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[name] = workloads  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    return sys.modules[name]
+
+
 def many_slits_docs(seed: int) -> list[dict]:
     """The config documents of the n = 16 layouts the benchmark's many_slits workload solves at ``seed``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return list(workloads.generate("many_slits", seed, None).docs.values())
+    return list(_workloads().generate("many_slits", seed, None).docs.values())
+
+
+def interior_field_inputs(seed: int) -> list[tuple[dict, np.ndarray]]:
+    """(config document, targets) of each map the benchmark's interior_field workload evaluates at ``seed``."""
+    workloads = _workloads()
+    inputs = workloads.generate("interior_field", seed, workloads.load_bundled(inclusion_forge))
+    return [(doc, inputs.targets[key]) for key, doc in inputs.docs.items()]
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +85,22 @@ def solve_figure():
         return cache[key]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def corpus_maps_by_live_families(solve_figure):
+    """The corpus cases of two or more slits, keyed by the families their maps keep terms of.
+
+    The keys are tuples of family names read from ``kept_lengths()``, so
+    ("g0_rho",) holds the maps whose phi density, and with it g_1, vanishes.
+    """
+    split: dict[tuple[str, ...], list[str]] = {}
+    for case in figures.FIGURE_CASES:
+        sm = solve_figure(case.name).slit_map
+        if sm is not None:
+            live = tuple(name for name, kept in sm.kept_lengths().items() if kept > 0)
+            split.setdefault(live, []).append(case.name)
+    return split
 
 
 @pytest.fixture

@@ -17,7 +17,10 @@ values from two probe solves each, where the package solves each system once
 for both problems.  :func:`far_field_sums_80bit` solves the constants and
 sums the off-slit Cauchy integrals directly on its own node table, all in
 80-bit arithmetic, where the package sums balanced Chebyshev rows in
-float64.  The test-only helpers at the end (symmetry report,
+float64.  :func:`abs_q_broadcast` forms |q| from one array of differences,
+where the package multiplies one endpoint at a time, and the all-family
+sums sum every density family of the map, where the package skips the
+families that keep no term.  The test-only helpers at the end (symmetry report,
 Hausdorff distance, CSV reader) serve the tests alone, not the package.
 """
 
@@ -29,13 +32,20 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
-from inclusion_forge.branch import weight_factor
+from inclusion_forge import mapper
+from inclusion_forge.branch import reject_on_slits, weight_factor
 from inclusion_forge.geometry import (
     central_symmetry_deviation,
     conjugation_symmetry_deviation,
 )
 from inclusion_forge.model import SolverError, g0, pole_density
-from inclusion_forge.quadrature import cheb_nodes
+from inclusion_forge.quadrature import (
+    cauchy_off_blocks,
+    cauchy_off_stack,
+    cheb_nodes,
+    singular_on_stack,
+    slit_roots,
+)
 
 
 def weighted_integral(f, a: float, b: float) -> float:
@@ -159,6 +169,12 @@ def branch_principal_product(endpoints, zeta) -> np.ndarray:
     for k in endpoints:
         out *= np.sqrt(z - np.longdouble(k))
     return out
+
+
+def abs_q_broadcast(endpoints, xi) -> np.ndarray:
+    """|q| at real xi from one (..., 2n) array of differences, multiplied by ``np.prod``."""
+    x = np.asarray(xi, dtype=float)
+    return np.sqrt(np.abs(np.prod(x[..., None] - np.asarray(endpoints), axis=-1)))
 
 
 def cauchy_off_80bit(coef, a: float, b: float, zeta) -> np.ndarray:
@@ -576,6 +592,79 @@ def antisymmetric_free_values(period, branch, derived) -> tuple[float, float]:
     a0 = fixed_point(lambda t: solve_a(period, branch, derived, t))
     rho0 = fixed_point(lambda t: solve_rho(period, branch, derived, t))
     return a0, rho0
+
+
+# -- the slit sums of every family ------------------------------------------------
+#
+# ``SlitMap``'s off-slit, other-slit and on-slit sums as they were before the
+# map skipped the families that keep no term: every family of the set is
+# summed, all-zero rows too.  Each takes the map in place of ``self``.
+
+
+def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``SlitMap._off_sums`` over every family of the set."""
+    reject_on_slits(sm.branch, z)
+    weights = sm._weights[fams]
+    coef, flags = sm._interior_rows()
+    divided = np.flatnonzero(flags[fams])
+    flat = z.reshape(-1)
+    passes = [(coef[fams], sm._degree_table(fams), 0, flat.size)]
+    if len(divided):  # the balanced targets first, then the plain ones
+        gap_poly = flat - sm._gap[0]
+        for node in sm._gap[1:]:
+            gap_poly *= flat - node
+        balanced = np.abs(gap_poly) >= sm._omega_max
+        order = np.argsort(~balanced, kind="stable")
+        flat, k = flat[order], int(balanced.sum())
+        passes[0] = passes[0][:3] + (k,)
+        if k < flat.size:
+            passes.append((sm._coef[fams], sm._degree_table(fams, plain=True), k, flat.size))
+    out = np.empty((len(weights), flat.size), dtype=complex)
+    q = np.empty(flat.size, dtype=complex)
+    step = max(1, mapper._BLOCK_VALUES // weights.size)
+    for rows, table, start, stop in passes:
+        for s in range(start, stop, step):
+            end = min(s + step, stop)
+            roots = slit_roots(sm._lo, sm._hi, flat[s:end])
+            np.prod(roots.rho, axis=0, out=q[s:end])
+            out[:, s:end] = np.einsum("fj,fj...->f...", weights, cauchy_off_stack(rows, roots, table))
+    if len(divided):
+        out[divided, :k] /= gap_poly[order[:k]]
+        out[:, order], q[order] = out.copy(), q.copy()
+    return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
+
+
+def all_family_other_sums(sm, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``SlitMap._other_sums`` over every family of the set."""
+    coef, weights = sm._coef[fams], sm._weights[fams]
+    k, n = len(rows), sm.branch.n
+    i, j = np.nonzero(rows[:, None] != sm._rows)
+    block_weights = weights[:, j].reshape(len(coef), k, n - 1)
+    degree = sm._block_degree[fams].max(axis=0)[rows[i], j]
+    order = np.argsort(-degree)
+    unsort = np.argsort(order)
+    i, j, degree = i[order], j[order], degree[order]
+    block_coef = coef[:, j, : degree[0]]
+    lo, hi = sm._lo[j, None], sm._hi[j, None]
+    out = np.empty((len(coef),) + x.shape)
+    step = max(1, mapper._BLOCK_VALUES // (len(coef) * len(j)))
+    for s in range(0, x.shape[-1], step):
+        vals = cauchy_off_blocks(block_coef, lo, hi, x[i, s : s + step], degree)
+        vals = vals[:, unsort].reshape(len(coef), k, n - 1, -1)
+        out[..., s : s + step] = np.einsum("fij,fijt->fit", block_weights, vals)
+    return out
+
+
+def all_family_slit_sums(sm, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``SlitMap._slit_sums`` over every family of the set."""
+    coef, weights = sm._coef[fams], sm._weights[fams]
+    pv = singular_on_stack(coef[:, rows], sm._centre[rows], sm._half[rows], x)
+    return all_family_other_sums(sm, fams, x, rows) + weights[:, rows, None] * pv
+
+
+def all_family_g1_values(sm, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``SlitMap._g1_values`` from the phi sums, also where phi keeps no term."""
+    return (abs_q_broadcast(sm.branch.endpoints, x) / np.pi) * all_family_slit_sums(sm, mapper._PHI, x, rows)[0]
 
 
 def read_contours_csv(path) -> dict[int, np.ndarray]:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from oracles import branch_by_continuity, branch_principal_product
+from conftest import slit_layout_inputs
+from oracles import abs_q_broadcast, branch_by_continuity, branch_principal_product
 
+from inclusion_forge import figures
 from inclusion_forge.branch import (
     BranchData,
     abs_q,
@@ -10,6 +12,7 @@ from inclusion_forge.branch import (
     top_bank_sign,
     weight_factor,
 )
+from inclusion_forge.geometry import bank_parameter_grid
 from inclusion_forge.model import EvaluationError
 
 SINGLE = BranchData((-1.0, 1.0))
@@ -149,6 +152,24 @@ def test_abs_q_is_sqrt_of_abs_p():
 
 
 # -- one root per slit against the principal-root product ------------------------
+
+
+_ABS_Q_CASES = [case.name for case in figures.FIGURE_CASES] + ["layout16", "layout32"]
+
+
+@pytest.mark.parametrize("P", [200, 1600])
+@pytest.mark.parametrize("case", _ABS_Q_CASES)
+def test_abs_q_multiplies_in_the_order_of_the_broadcast_product(case, P):
+    # the product of one endpoint at a time is bit for bit np.prod's over the
+    # endpoint axis, which multiplies in the same order; a numpy that
+    # reorders that product would move every contour's rounding
+    if case.startswith("layout"):
+        endpoints = slit_layout_inputs(int(case[6:]))[0].endpoints
+    else:
+        endpoints = [k for slit in figures.load_case(case)["slits"] for k in slit]
+    ends = np.reshape(endpoints, (-1, 2))
+    grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], P)
+    np.testing.assert_array_equal(abs_q(BranchData(endpoints), grid), abs_q_broadcast(endpoints, grid))
 
 
 def _seeded_branch(rng, n):

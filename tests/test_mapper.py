@@ -3,8 +3,18 @@ import logging
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import load_figure_inputs, many_slits_docs, sixteen_slit_inputs, slit_layout_inputs
+from conftest import (
+    interior_field_inputs,
+    load_figure_inputs,
+    many_slits_docs,
+    sixteen_slit_inputs,
+    slit_layout_inputs,
+)
 from oracles import (
+    all_family_g1_values,
+    all_family_off_sums,
+    all_family_other_sums,
+    all_family_slit_sums,
     cauchy_off_80bit,
     cauchy_weighted,
     far_field_sums_80bit,
@@ -1158,7 +1168,8 @@ def test_the_bank_pass_takes_the_path_of_fewer_terms(case):
 
 @pytest.mark.parametrize("direct", [False, True], ids=["interpolated", "direct"])
 def test_bank_work_counts_the_terms_the_kernels_sum(direct, monkeypatch):
-    sm = _sixteen_slit_map()
+    # fig1b and fig4a keep no phi term, so their kernels sum g0_rho alone
+    maps = [_sixteen_slit_map(), solved_map("fig1b")[0], solved_map("fig4a")[0]]
     if direct:
         monkeypatch.setattr(SlitMap, "_bank_nodes", _direct)
     terms = []
@@ -1173,5 +1184,92 @@ def test_bank_work_counts_the_terms_the_kernels_sum(direct, monkeypatch):
 
     monkeypatch.setattr(mapper, "cauchy_off_blocks", blocks)
     monkeypatch.setattr(mapper, "singular_on_stack", pv)
+    for sm in maps:
+        terms.clear()
+        sm.banks(_bank_grid(sm, 200))
+        K = 0 if direct or sm.branch.n < 4 else sm._nodes
+        assert sm.bank_work(200) == {"bank_terms": sum(terms), "bank_nodes": K}
+    assert [sum(kept > 0 for kept in sm.kept_lengths().values()) for sm in maps] == [3, 1, 1]
+
+
+# -- families with no kept terms -------------------------------------------------
+
+
+def test_corpus_maps_split_into_maps_with_and_without_phi(corpus_maps_by_live_families):
+    split = corpus_maps_by_live_families
+    assert set(split) == {mapper.FAMILIES, ("g0_rho",)}
+    assert sum(map(len, split.values())) == len(_CORPUS_MAPS)
+
+
+def _family_spies(monkeypatch):
+    """Spies on both Cauchy kernels: the families of each call's coefficients, by kernel."""
+    calls = {"cauchy_off_stack": [], "cauchy_off_blocks": []}
+    for name, seen in calls.items():
+        kernel = getattr(quadrature, name)
+        monkeypatch.setattr(
+            mapper, name, lambda coef, *a, kernel=kernel, seen=seen: seen.append(coef) or kernel(coef, *a)
+        )
+    return calls
+
+
+def _sum_through_every_path(sm):
+    """A fresh map of sm's solve (its g_1 samples), then its interior and bank passes."""
+    sm = SlitMap(sm.branch, sm.derived, sm.constants, sm.numerics)
+    z = _far_and_near_targets(sm.branch, np.random.default_rng(2))
+    sm.omega_interior(z)
+    sm.F_interior(z)
+    sm.omega_regular(z[:5])
     sm.banks(_bank_grid(sm, 200))
-    assert sm.bank_work(200) == {"bank_terms": sum(terms), "bank_nodes": 0 if direct else sm._nodes}
+
+
+def test_no_kernel_call_sums_a_family_without_kept_terms(corpus_maps_by_live_families, solve_figure, monkeypatch):
+    calls = _family_spies(monkeypatch)
+    for name in corpus_maps_by_live_families[("g0_rho",)]:
+        _sum_through_every_path(solve_figure(name).slit_map)
+    # g0_rho alone: the off-slit sums of omega, and the bank pass
+    for seen in calls.values():
+        assert seen and all(len(coef) == 1 and coef.any() for coef in seen)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_many_slits_layouts_sum_every_family(seed, monkeypatch):
+    maps = [pipeline.solve(*args).slit_map for args in _many_slits_args(seed)]
+    calls = _family_spies(monkeypatch)
+    for sm in maps:
+        assert all(sm.kept_lengths().values())
+        _sum_through_every_path(sm)
+    # phi for F and the g_1 samples, g0_rho and g1_weighted for omega, all three on the banks
+    assert {len(coef) for coef in calls["cauchy_off_stack"]} == {1, 2}
+    assert {len(coef) for coef in calls["cauchy_off_blocks"]} == {1, 3}
+    assert all(family.any() for seen in calls.values() for coef in seen for family in coef)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_interior_values_equal_the_all_family_sums(seed, monkeypatch):
+    for doc, z in interior_field_inputs(seed):
+        sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
+        got = sm.omega_interior(z), sm.F_interior(z), sm.omega_regular(z)
+        with monkeypatch.context() as m:
+            m.setattr(SlitMap, "_off_sums", all_family_off_sums)
+            omega, regular = sm.omega_interior(z), sm.omega_regular(z)
+        # F summed over the phi rows also where they are all zero
+        d = sm.derived
+        (total,), q = all_family_off_sums(sm, mapper._PHI, z)
+        F = d.beta0 + singular_part_F(z, d) - 1j * (-1.0) ** (sm.branch.n - 1) * q / np.pi * total
+        for value, want in zip(got, (omega, F, regular)):
+            np.testing.assert_array_equal(value, want)
+
+
+def test_banks_equal_the_all_family_sums(solve_figure, monkeypatch):
+    for name in _CORPUS_MAPS:
+        solved = solve_figure(name).slit_map
+        sm = SlitMap(solved.branch, solved.derived, solved.constants, solved.numerics)
+        with monkeypatch.context() as m:
+            m.setattr(SlitMap, "_other_sums", all_family_other_sums)
+            m.setattr(SlitMap, "_slit_sums", all_family_slit_sums)
+            m.setattr(SlitMap, "_g1_values", all_family_g1_values)
+            every = SlitMap(solved.branch, solved.derived, solved.constants, solved.numerics)
+            want = every.banks(_bank_grid(every, 200))
+        np.testing.assert_array_equal(sm._coef, every._coef)
+        for value, oracle in zip(sm.banks(_bank_grid(sm, 200)), want):
+            np.testing.assert_array_equal(value, oracle)

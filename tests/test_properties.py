@@ -3,7 +3,8 @@
 * A similarity zeta -> s zeta + beta of a layout, with every endpoint and
   ``zeta_inf`` moved, maps the inclusions onto a similar set, so it must not
   change the verdict or the conditioning of the system solved, and it
-  divides each a_j by s.
+  divides each a_j by s.  The density families it keeps terms of stay the
+  same: a vanishing phi density, and with it g_1, still vanishes.
 * The constants are resolved at the configured node count: doubling N
   moves them by no more than the solve's rounding.
 * Past a few slits the solve never forms the monomial moment table, whose
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 
-from inclusion_forge import pipeline
+from inclusion_forge import figures, pipeline
 from inclusion_forge.branch import BranchData, SlitTable
 from inclusion_forge.model import SlitConfiguration, derive_constants
 from inclusion_forge.solvability import period_matrix, solve_constants
@@ -41,6 +42,27 @@ def test_a_similar_layout_gets_the_same_verdict(n, seed, s, beta):
     # with the pole at a finite point, a_j scales like 1/s
     want = base.constants.a / s
     assert np.abs(moved.constants.a - want).max() <= 1e-9 * np.abs(want).max()
+    assert _live_families(moved) == _live_families(base)
+
+
+def _live_families(result) -> tuple[str, ...]:
+    return tuple(name for name, kept in result.slit_map.kept_lengths().items() if kept > 0)
+
+
+# the corpus maps of two or more slits with a finite pole and no overrides
+_FINITE_POLE_MAPS = [
+    case.name for case in figures.FIGURE_CASES
+    if (doc := figures.load_case(case.name))["n"] >= 2 and doc["zeta_inf"] != "infinity" and "overrides" not in doc
+]
+
+
+@pytest.mark.parametrize("s, beta", [(1.0, 2.0), (0.5, 0.0), (3.0, -5.0)])
+@pytest.mark.parametrize("name", _FINITE_POLE_MAPS)
+def test_a_similar_corpus_map_keeps_the_same_density_families(name, s, beta):
+    args = load_figure_inputs(name)[:5]
+    base, moved = pipeline.solve(*args), pipeline.solve(*_similar(args, s, beta))
+    assert moved.verdict == base.verdict
+    assert _live_families(moved) == _live_families(base)
 
 
 def _constants(args, N: int):
