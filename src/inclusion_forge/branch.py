@@ -52,6 +52,32 @@ class BranchData:
     def slit(self, j: int) -> tuple[float, float]:
         return self.endpoints[2 * j], self.endpoints[2 * j + 1]
 
+    @property
+    def gaps(self) -> np.ndarray:
+        """The n - 1 gap midpoints g_k, each halfway between neighbouring slits."""
+        e = np.reshape(self.endpoints, (self.n, 2))
+        return 0.5 * (e[1:, 0] + e[:-1, 1])
+
+    def omega(self, x):
+        """omega(x) = prod_k (x - g_k), multiplied in gap order (1 for one slit)."""
+        out = np.ones_like(x) if self.n == 1 else x - self.gaps[0]
+        for node in self.gaps[1:]:
+            out *= x - node
+        return out
+
+    def lagrange(self, x) -> np.ndarray:
+        """L_k(x) = omega(x) / ((x - g_k) omega'(g_k)), 1 at g_k and 0 at the other g_j.
+
+        The result has shape (n - 1,) + x.shape.
+        """
+        x, g = np.asarray(x, dtype=float), self.gaps
+        diff = g[:, None] - g
+        np.fill_diagonal(diff, 1.0)  # the product of row k is omega'(g_k)
+        shape = (-1,) + (1,) * x.ndim
+        denom = (x - g.reshape(shape)) * diff.prod(axis=1).reshape(shape)
+        # at x = g_k the quotient is 0 / 0, and L_k is 1
+        return np.divide(self.omega(x), denom, out=np.ones_like(denom), where=denom != 0.0)
+
 
 def top_bank_sign(n: int, m: int) -> int:
     """Sign s with q = s * i * |q| on the top bank of slit m (0-based)."""

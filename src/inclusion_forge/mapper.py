@@ -67,7 +67,7 @@ from .quadrature import (
     standard_chop,
     truncation_indicator,
 )
-from .solvability import SolvabilityConstants, arnoldi_basis, moment_residuals
+from .solvability import SolvabilityConstants, gap_basis, moment_residuals
 
 log = logging.getLogger(__name__)
 
@@ -182,7 +182,6 @@ class SlitMap:
         g0_rho = g0(nodes, self._rows[:, None], derived)
         g0_rho += np.reshape(constants.rho_prime, (n, 1))
         self._table = table  # its nodes test the moments of the balanced rows
-        self._gap = 0.5 * (ends[1:, 0] + ends[:-1, 1])  # gap midpoints: the zeros of omega
         self._interior: tuple[np.ndarray, np.ndarray] | None = None
         self._omega_max = 0.0  # largest |omega| at the nodes, set with the balanced rows
         # degree M, but at most the N coefficients N samples determine
@@ -284,7 +283,7 @@ class SlitMap:
             n, table, coef = self.branch.n, self._table, self._coef
             flags = np.zeros(len(FAMILIES), dtype=bool)
             if n >= _BALANCED_FROM:
-                basis = arnoldi_basis(table, n - 1)
+                basis = gap_basis(self.branch, table)
                 theta = (2 * np.arange(1, table.N + 1) - 1) * (np.pi / (2 * table.N))
                 values = coef[_DIRECT] @ np.cos(np.arange(coef.shape[-1])[:, None] * theta)
                 flags[_DIRECT] = [
@@ -292,8 +291,7 @@ class SlitMap:
                     for rows, weights in zip(values, self._weights[_DIRECT])
                 ]
             if flags.any():
-                omega = np.prod(table.nodes[..., None] - self._gap, axis=-1)
-                self._omega_max = float(np.abs(omega).max())
+                self._omega_max = float(np.abs(self.branch.omega(table.nodes)).max())
                 balanced = self._times_gap_poly(coef[_DIRECT])
                 kept = standard_chop(balanced)
                 balanced *= np.arange(balanced.shape[-1]) < kept[..., None]
@@ -311,9 +309,9 @@ class SlitMap:
         On slit j, eta = centre_j + half_j * t, and t * T_k = (T_{k+1} + T_{k-1}) / 2
         (t * T_0 = T_1), so each factor is one shift-and-add of the rows.
         """
-        out = np.zeros(coef.shape[:-1] + (coef.shape[-1] + len(self._gap),))
+        out = np.zeros(coef.shape[:-1] + (coef.shape[-1] + self.branch.n - 1,))
         out[..., : coef.shape[-1]] = coef
-        for node in self._gap:
+        for node in self.branch.gaps:
             t_times = np.zeros_like(out)
             t_times[..., 1:] = 0.5 * out[..., :-1]
             t_times[..., 1] += 0.5 * out[..., 0]
@@ -345,9 +343,7 @@ class SlitMap:
         flat = z.reshape(-1)
         passes = [(coef[fams][live], self._degree_table(fams), 0, flat.size)]
         if len(divided):  # the balanced targets first, then the plain ones
-            gap_poly = flat - self._gap[0]
-            for node in self._gap[1:]:
-                gap_poly *= flat - node
+            gap_poly = self.branch.omega(flat)
             balanced = np.abs(gap_poly) >= self._omega_max
             order = np.argsort(~balanced, kind="stable")
             flat, k = flat[order], int(balanced.sum())
@@ -585,7 +581,11 @@ class SlitMap:
         return dict(zip(FAMILIES, self._truncation.tolist()))
 
     def kept_lengths(self) -> dict[str, int]:
-        """Longest chopped row of each density family: the terms its sums run to."""
+        """Longest chopped row of each density family: the terms its sums run to.
+
+        Not an invariant of the layout: rows near the chop's plateau move by a
+        few terms with the frame and with the last bits of the constants.
+        """
         return dict(zip(FAMILIES, self._kept.tolist()))
 
 

@@ -18,7 +18,7 @@ violated-condition configurations can be compared against solved ones.
 A single inclusion is routed to the exact elliptic closed forms.  For two
 and three inclusions the printed closed-form constants are evaluated next
 to the general solver, from the same nodes but in the monomial moments
-rather than the solver's orthonormal basis, and a disagreement beyond the
+rather than the solver's gap basis, and a disagreement beyond the
 cross-check tolerance aborts the run (it would mean the printed algebra and
 the general linear solve diverged).  ``Diagnostics.solvability_cond`` is
 the condition number of the system the general solver solved.
@@ -85,7 +85,11 @@ def _stage(timings: dict[str, float], name: str) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Everything the verdict is based on, JSON-serializable via to_dict."""
+    """Everything the verdict is based on, JSON-serializable via to_dict.
+
+    ``kept_length`` records work, not an invariant of the layout (see
+    :meth:`~inclusion_forge.mapper.SlitMap.kept_lengths`).
+    """
 
     verdict: str
     boundedness: dict

@@ -5,12 +5,12 @@ forces n-1 moment conditions each: the sign-alternating slit sums of each
 density against every polynomial of degree <= n-2, with the 1/|q| weight,
 must vanish.  Any basis of those polynomials gives the same constants; the
 monomials xi^m make the system's condition number grow exponentially in n,
-so the conditions are imposed against an orthonormal basis built by Arnoldi
-on the nodes of one :class:`SlitTable` (:func:`arnoldi_basis`).  Each set of
-moments is then one array reduction over that table.  The two systems share
-their matrix and differ only in the driving density, so
-:func:`solve_constants` fixes both constant vectors together, for any
-n >= 2.
+so the conditions are imposed against the Lagrange polynomials of the n-1
+gap midpoints, each scaled by its largest slit moment (:func:`gap_basis`).
+Each set of moments is then one array reduction over one
+:class:`SlitTable`.  The two systems share their matrix and differ only in
+the driving density, so :func:`solve_constants` fixes both constant vectors
+together, for any n >= 2.
 
 The two- and three-slit closed forms are kept alongside as printed, in the
 monomial moments
@@ -35,27 +35,14 @@ from .model import DerivedConstants, FreeParameters, NumericsConfig, SolverError
 _SYMMETRY_TOL = 1e-12  # mirror pair: endpoint sums within this of the largest |endpoint|
 
 
-def arnoldi_basis(table: SlitTable, k: int) -> np.ndarray:
-    """Values of p_0..p_{k-1} at the table's nodes: shape (k, n, N), read-only.
+def gap_basis(branch: BranchData, table: SlitTable) -> np.ndarray:
+    """:meth:`BranchData.lagrange` at the table's nodes: shape (n-1, n, N), read-only.
 
-    The p_m are orthonormal for the table's discrete measure, weight
-    pi / (N r_j) at each node of slit j (the rule of
-    :meth:`SlitTable.integrate`), and p_m has degree m.  Each is the one
-    before times xi, orthogonalized twice against all earlier ones and
-    normalized: Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen,
-    SIAM Review 63(2), 2021), which never forms the monomial table.
+    Each L_k is divided by its largest slit moment, so every row of the
+    system matrix has largest entry 1 in modulus.
     """
-    x = table.nodes.ravel()
-    w = ((np.pi / table.N) / table.r).ravel()
-    p = np.empty((k, x.size))
-    if k:
-        p[0] = 1.0 / np.sqrt(w.sum())
-    for m in range(1, k):
-        v = x * p[m - 1]
-        for _ in range(2):
-            v -= (p[:m] @ (w * v)) @ p[:m]
-        p[m] = v / np.sqrt(w @ (v * v))
-    out = p.reshape((k,) + table.nodes.shape)
+    values = branch.lagrange(table.nodes)
+    out = values / np.abs(table.integrate(values)).max(axis=-1)[:, None, None]
     out.setflags(write=False)
     return out
 
@@ -64,8 +51,8 @@ def arnoldi_basis(table: SlitTable, k: int) -> np.ndarray:
 class PeriodMatrix:
     """The moments of the slit tops that fix the constants, on one table.
 
-    ``basis`` is :func:`arnoldi_basis` of ``table`` through degree n-2 and
-    ``moments[m, j]`` the integral of p_m / |q| over slit j: the system
+    ``basis`` is :func:`gap_basis` of ``table`` and ``moments[m, j]`` the
+    integral of its row p_m over slit j with the 1/|q| weight: the system
     matrix is read from them, and the right-hand sides of
     :func:`solve_constants` are summed over the same table and basis.
 
@@ -134,9 +121,9 @@ def _g0_table(table: SlitTable, derived: DerivedConstants) -> np.ndarray:
 
 
 def period_matrix(branch: BranchData, numerics: NumericsConfig = NumericsConfig()) -> PeriodMatrix:
-    """The N-point table of the branch, its Arnoldi basis and the basis moments."""
+    """The N-point table of the branch, its gap basis and the basis moments."""
     table = slit_table(branch, numerics.N)
-    basis = arnoldi_basis(table, branch.n - 1)
+    basis = gap_basis(branch, table)
     moments = table.integrate(basis)
     moments.setflags(write=False)
     return PeriodMatrix(table, basis, moments)
@@ -225,14 +212,14 @@ def boundedness_residuals(
 ) -> dict:
     """Moment residuals of both boundedness conditions, freshly quadratured.
 
-    Uses twice the configured node count, and that table's own Arnoldi
-    basis, so the check is not the identical discretization the constants
+    Uses twice the configured node count, and the gap basis at that table's
+    nodes, so the check is not the identical discretization the constants
     were solved on.  Residuals are reported raw and relative to the
     absolute-integrand scale of each moment.
     """
     n = branch.n
     table = slit_table(branch, 2 * numerics.N)
-    basis = arnoldi_basis(table, n - 1)
+    basis = gap_basis(branch, table)
     lam = np.asarray(derived.lam)
     alt = (-1.0) ** np.arange(n)
     phi = constants.a[:, None] - pole_density(table.nodes, derived)

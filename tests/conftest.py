@@ -37,6 +37,15 @@ def slit_layout_inputs(n: int, seed: int = 16):
     return cfg, loading, materials, FreeParameters(), NumericsConfig()
 
 
+def spread_layout_inputs(n: int, seed: int):
+    """slit_layout_inputs with its slit and gap lengths spread log-evenly over three decades, in seeded order."""
+    cfg, loading, materials, free, numerics = slit_layout_inputs(n, seed)
+    parts = np.random.default_rng(seed).permutation(np.logspace(-3.0, 0.0, 2 * n - 1))
+    ends = -1.0 + np.concatenate(([0.0], np.cumsum(parts * (2.0 / parts.sum()))))
+    ends[-1] = 1.0
+    return SlitConfiguration(ends.reshape(n, 2).tolist(), cfg.zeta_inf), loading, materials, free, numerics
+
+
 def sixteen_slit_inputs(seed: int = 16):
     """The seeded layout of 16 slits of :func:`slit_layout_inputs`."""
     return slit_layout_inputs(16, seed)

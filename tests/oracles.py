@@ -610,8 +610,8 @@ def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.
     flat = z.reshape(-1)
     passes = [(coef[fams], sm._degree_table(fams), 0, flat.size)]
     if len(divided):  # the balanced targets first, then the plain ones
-        gap_poly = flat - sm._gap[0]
-        for node in sm._gap[1:]:
+        gap_poly = flat - sm.branch.gaps[0]
+        for node in sm.branch.gaps[1:]:
             gap_poly *= flat - node
         balanced = np.abs(gap_poly) >= sm._omega_max
         order = np.argsort(~balanced, kind="stable")

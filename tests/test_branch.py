@@ -227,3 +227,25 @@ def test_one_root_per_slit_matches_the_principal_root_product(n):
             for target in rng.choice(walkable, 4, replace=False):
                 oracle = branch_by_continuity(branch.endpoints, target, steps=1000)
                 assert eval_q(branch, target) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_gap_midpoints_and_omega():
+    np.testing.assert_array_equal(TRIPLE.gaps, [-0.3, 0.3])
+    x = np.linspace(-2.0, 2.0, 9)
+    np.testing.assert_array_equal(TRIPLE.omega(x), (x + 0.3) * (x - 0.3))
+    np.testing.assert_array_equal(SINGLE.omega(x), np.ones_like(x))
+    assert SINGLE.lagrange(x).shape == (0, 9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 96])
+def test_lagrange_polynomials_are_one_at_their_own_gap_midpoint_and_zero_at_the_others(n):
+    branch = BranchData(slit_layout_inputs(n, 0)[0])
+    np.testing.assert_array_equal(branch.lagrange(branch.gaps), np.eye(n - 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_lagrange_polynomials_interpolate_every_polynomial_of_degree_n_minus_2(n):
+    branch = BranchData(slit_layout_inputs(n, 1)[0])
+    p = np.polynomial.Polynomial(np.random.default_rng(n).standard_normal(n - 1))
+    x = np.linspace(-1.0, 1.0, 41)
+    np.testing.assert_allclose(p(branch.gaps) @ branch.lagrange(x), p(x), rtol=0, atol=1e-12)

@@ -597,7 +597,8 @@ def test_balanced_rows_are_the_plain_rows_times_the_gap_polynomial():
     got = sm._times_gap_poly(sm._coef[mapper._DIRECT])
     for j in range(sm.branch.n):
         centre, half = sm._centre[j], sm._half[j]
-        omega = np.polynomial.Chebyshev.fromroots((sm._gap - centre) / half) * half ** len(sm._gap)
+        gaps = sm.branch.gaps
+        omega = np.polynomial.Chebyshev.fromroots((gaps - centre) / half) * half ** len(gaps)
         for f in range(2):
             want = np.polynomial.chebyshev.chebmul(sm._coef[f, j], omega.coef)
             scale = np.abs(want).max()
@@ -609,7 +610,7 @@ def _omega_level_targets(sm, count=7):
     """Points where |omega| equals its largest modulus on the slits, on rays above the centre."""
     k = np.asarray(sm.branch.endpoints)
     centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
-    omega = lambda z: np.abs(np.prod(z[:, None] - sm._gap, axis=-1))
+    omega = lambda z: np.abs(np.prod(z[:, None] - sm.branch.gaps, axis=-1))
     ray = np.exp(1j * np.linspace(0.2, np.pi - 0.2, count))
     lo, hi = np.zeros(count), np.full(count, 3.0)
     for _ in range(60):
@@ -641,7 +642,7 @@ def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case,
             assert np.abs(value - want).max() <= 1e-10 * np.abs(want).max(), side
         assert _far_field_error(sm, args[3], z) <= 1e-10, side
     # omega vanishes at the gap nodes themselves: real targets there take the plain rows
-    z = sm._gap.astype(complex)
+    z = sm.branch.gaps.astype(complex)
     for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
         assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
 

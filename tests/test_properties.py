@@ -6,7 +6,9 @@
   divides each a_j by s.  The density families it keeps terms of stay the
   same: a vanishing phi density, and with it g_1, still vanishes.
 * The constants are resolved at the configured node count: doubling N
-  moves them by no more than the solve's rounding.
+  moves them by no more than the solve's rounding, up to 96 slits, and the
+  system solved stays well conditioned there and on layouts whose slit and
+  gap lengths spread over three decades.
 * Past a few slits the solve never forms the monomial moment table, whose
   conditioning grows exponentially in n.
 """
@@ -15,12 +17,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
+from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs, spread_layout_inputs
 
 from inclusion_forge import figures, pipeline
 from inclusion_forge.branch import BranchData, SlitTable
 from inclusion_forge.model import SlitConfiguration, derive_constants
-from inclusion_forge.solvability import period_matrix, solve_constants
+from inclusion_forge.solvability import period_matrix, solve_constants, system_matrix
 
 
 def _similar(args, s: float, beta: float):
@@ -73,13 +75,28 @@ def _constants(args, N: int):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n", [24, 32, 40])
+@pytest.mark.parametrize("n", [24, 32, 40, 48, 64, 96])
 def test_constants_are_resolved_at_the_configured_node_count(n, seed):
     args = slit_layout_inputs(n, seed)
     N = args[4].N
     coarse, fine = _constants(args, N), _constants(args, 2 * N)
     for got, want in ((coarse.a, fine.a), (coarse.rho, fine.rho)):
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# the jittered layouts of the most slits, and slit and gap lengths over three decades
+_CONDITIONED = [(slit_layout_inputs, n) for n in (48, 64, 96)] + [
+    (spread_layout_inputs, n) for n in (4, 8, 16, 24, 32, 48, 64)
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("layout, n", _CONDITIONED, ids=lambda c: getattr(c, "__name__", c))
+def test_the_system_solved_stays_well_conditioned(layout, n, seed):
+    # Diagnostics.solvability_cond, without the rest of the solve
+    cfg, *_, numerics = layout(n, seed)
+    period = period_matrix(BranchData(cfg.endpoints), numerics)
+    assert np.linalg.cond(system_matrix(period)) <= 30.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
