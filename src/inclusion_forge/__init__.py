@@ -38,13 +38,6 @@ from .model import (
     validate,
 )
 from .pipeline import Diagnostics, SolveResult, solve
-from .quadrature import (
-    ChebyshevSeries,
-    cauchy_off,
-    cheb_coeffs,
-    gauss_cheb,
-    singular_on,
-)
 from .solvability import (
     PeriodMatrix,
     SolvabilityConstants,
@@ -57,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AT_INFINITY",
     "BranchData",
-    "ChebyshevSeries",
     "ConfigurationError",
     "ContourProfile",
     "DegenerateEllipseError",
@@ -77,19 +69,15 @@ __all__ = [
     "ValidationReport",
     "bank_value",
     "build_profiles",
-    "cauchy_off",
-    "cheb_coeffs",
     "contacts",
     "derive_constants",
     "eval_q",
     "fit_ellipse",
     "g0",
-    "gauss_cheb",
     "n1_circular_profile",
     "n1_shape_ratio",
     "n1_slit_profile",
     "period_matrix",
-    "singular_on",
     "solve",
     "solve_constants",
     "validate",

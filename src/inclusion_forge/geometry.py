@@ -345,43 +345,3 @@ def fit_ellipse(points) -> float:
     )
     _, sing, _ = np.linalg.svd(design, full_matrices=False)
     return float(sing[-1] / np.sqrt(len(x)))
-
-
-def _match_indices(profile: ContourProfile, xi: np.ndarray, bank: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """Index into profile for each requested (xi, bank) parameter pair.
-
-    Slit endpoints are sampled on one bank only (both banks coincide
-    there), so an xi-only match is accepted as fallback.
-    """
-    out = np.empty(len(xi), dtype=int)
-    for i, (x, s) in enumerate(zip(xi, bank)):
-        near = np.abs(profile.xi - x) <= tol
-        cand = np.nonzero(near & (profile.bank == s))[0]
-        if len(cand) == 0:
-            cand = np.nonzero(near)[0]
-        if len(cand) == 0:
-            raise ValueError("profiles were not sampled on matching grids")
-        out[i] = cand[0]
-    return out
-
-
-def central_symmetry_deviation(p1: ContourProfile, p2: ContourProfile) -> float:
-    """max |z1(xi, bank) + z2(-xi, -bank)| over matched sample parameters.
-
-    Meaningful for mirror-image slit pairs sampled on the same relative
-    grid (the default sampling is symmetric).
-    """
-    tol = 1e-9 * max(1.0, np.abs(p1.xi).max())
-    idx = _match_indices(p2, -p1.xi[:-1], -p1.bank[:-1], tol)
-    return float(np.abs(p1.points[:-1] + p2.points[idx]).max())
-
-
-def conjugation_symmetry_deviation(profile: ContourProfile) -> float:
-    """max |conj(z(xi, +)) - z(xi, -)| over matched sample parameters."""
-    tol = 1e-9 * max(1.0, np.abs(profile.xi).max())
-    sel = profile.bank[:-1] == 1
-    xi = profile.xi[:-1][sel]
-    idx = _match_indices(profile, xi, -np.ones(len(xi), dtype=int), tol)
-    top = profile.points[:-1][sel]
-    return float(np.abs(np.conj(top) - profile.points[idx]).max())

@@ -33,12 +33,9 @@ import numpy as np
 
 from .branch import (
     BranchData,
-    SlitTable,
     abs_q,
-    check_bank,
     check_on_slit,
     reject_on_slits,
-    slit_table,
 )
 from .model import (
     DegenerateEllipseError,
@@ -67,7 +64,7 @@ from .quadrature import (
     standard_chop,
     truncation_indicator,
 )
-from .solvability import SolvabilityConstants, gap_basis, moment_residuals
+from .solvability import PeriodMatrix, SolvabilityConstants, moment_residuals, period_matrix
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +79,6 @@ _BLOCK_VALUES = 2**16
 _BALANCED_FROM = 4
 _BALANCED_RESIDUAL = 1e-13
 _INTERPOLANT_BITS = 53  # the interpolants of the other-slit sums resolve them to 2^-53
-_BANK_ROW = {+1: 0, -1: 1}
 _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 
 
@@ -94,8 +90,8 @@ def _row_sum(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
 class BoundaryPass(NamedTuple):
     """Boundary values at a table of slit parameters, both banks at once.
 
-    ``omega`` and ``F`` have shape (2, k, T), bank +1 first, for parameters
-    of shape (k, T); ``g1`` (bank independent) has shape (k, T).
+    ``omega`` and ``F`` have shape (2, n, T), bank +1 first, for parameters
+    of shape (n, T); ``g1`` (bank independent) has shape (n, T).
     """
 
     omega: np.ndarray
@@ -122,19 +118,18 @@ class SlitMap:
     part.  Every Cauchy sum over the slits weights row j of a family
     by ``_weights[f, j]``: (-1)^j for phi, (-1)^j lam_j for the other two.
     Boundary values of every slit and both banks come from one stacked pass
-    (:meth:`banks`); the per-slit evaluators are its one-slit case.  On the
-    slits, the targets of slit i and the series of another slit j form one
-    block, summed to the degree :func:`~inclusion_forge.quadrature.block_degrees`
-    gives at the largest |w_j| on slit i, its nearer endpoint; the own slit
-    adds its principal value.  From four slits on, a pass of T targets per
+    (:meth:`banks`).  On the slits, the targets of slit i and the series of
+    another slit j form one block, summed to the degree
+    :func:`~inclusion_forge.quadrature.block_degrees` gives at the largest
+    |w_j| on slit i, its nearer endpoint; the own slit adds its principal
+    value.  From four slits on, a pass of T targets per
     slit sums the blocks at K first-kind nodes of each slit instead, where
     that sums fewer terms (K S + n T K < T S, S the sum of the block
     degrees): the Chebyshev interpolants of the other-slit sums, rewritten
     in second-kind polynomials, join the own rows, and one principal-value
     pass gives both (:meth:`_bank_sums`).  K is derived from the layout
     (:func:`_interpolant_nodes`), and the path depends on the map and T
-    only, so a one-slit evaluator takes the path :meth:`banks` takes at the
-    same T; the g_1 samples of the table always sum directly.  The block
+    only; the g_1 samples of the table always sum directly.  The block
     degrees of every family are built with the coefficients and logged
     once at DEBUG with K and the T it is used from.  Off the slits, the same
     rule gives each family set a
@@ -144,9 +139,10 @@ class SlitMap:
     or more slits are replaced by rows balanced across the slits
     (:meth:`_interior_rows`), so that the sums q multiplies keep their
     digits far from the slits.  All evaluation methods are pure and accept
-    scalars or arrays of targets.  ``table`` is the node table
-    ``slit_table(branch, numerics.N)``, built here unless the caller
-    already has it (the solve passes the period matrix's).
+    scalars or arrays of targets.  ``period`` is
+    ``period_matrix(branch, numerics)``, built here unless the caller
+    already has it (the solve passes its own): its node table samples the
+    densities, and its gap basis tests the moments of the balanced rows.
     """
 
     def __init__(
@@ -155,7 +151,7 @@ class SlitMap:
         derived: DerivedConstants,
         constants: SolvabilityConstants,
         numerics: NumericsConfig = NumericsConfig(),
-        table: SlitTable | None = None,
+        period: PeriodMatrix | None = None,
     ) -> None:
         self.branch = branch
         self.derived = derived
@@ -175,13 +171,14 @@ class SlitMap:
         # |w_j| at the nearer endpoint of slit i: the worst of block (i, j)
         self._worst_w = np.abs(slit_roots(self._lo, self._hi, ends).w).max(axis=-1).T
 
-        if table is None:
-            table = slit_table(branch, numerics.N)
+        if period is None:
+            period = period_matrix(branch, numerics)
+        table = period.table
         nodes = table.nodes
         phi = np.reshape(constants.a, (n, 1)) - pole_density(nodes, derived)
         g0_rho = g0(nodes, self._rows[:, None], derived)
         g0_rho += np.reshape(constants.rho_prime, (n, 1))
-        self._table = table  # its nodes test the moments of the balanced rows
+        self._period = period
         self._interior: tuple[np.ndarray, np.ndarray] | None = None
         self._omega_max = 0.0  # largest |omega| at the nodes, set with the balanced rows
         # degree M, but at most the N coefficients N samples determine
@@ -280,10 +277,10 @@ class SlitMap:
         family keeps its plain rows.  Built on first use.
         """
         if self._interior is None:
-            n, table, coef = self.branch.n, self._table, self._coef
+            n, table, coef = self.branch.n, self._period.table, self._coef
             flags = np.zeros(len(FAMILIES), dtype=bool)
             if n >= _BALANCED_FROM:
-                basis = gap_basis(self.branch, table)
+                basis = self._period.basis
                 theta = (2 * np.arange(1, table.N + 1) - 1) * (np.pi / (2 * table.N))
                 values = coef[_DIRECT] @ np.cos(np.arange(coef.shape[-1])[:, None] * theta)
                 flags[_DIRECT] = [
@@ -473,8 +470,18 @@ class SlitMap:
             return np.zeros(x.shape)
         return (abs_q(self.branch, x) / np.pi) * self._slit_sums(_PHI, x, rows)[0]
 
-    def _banks(self, x: np.ndarray, rows: np.ndarray) -> BoundaryPass:
-        """Both banks at real x[i] on slit rows[i], x of shape (k, T)."""
+    def banks(self, xi) -> BoundaryPass:
+        """Map and F on both banks of every slit, and g_1, in one pass.
+
+        ``xi`` has shape (n, T): row m holds parameters on the closed slit m.
+        """
+        x, rows = np.asarray(xi, dtype=float), self._rows
+        if x.ndim != 2 or x.shape[0] != self.branch.n:
+            raise EvaluationError(
+                f"expected one row of parameters per slit, got shape {x.shape}"
+            )
+        for m in rows:
+            check_on_slit(self.branch, x[m], m)
         d = self.derived
         phi_sum, g0_sum, g1_sum = self._bank_sums(x, rows)
         absq = abs_q(self.branch, x)
@@ -493,37 +500,7 @@ class SlitMap:
         F = d.beta0 + singular_part_F(x, d) + sign * g1 + 1j * self.phi(x, rows[:, None])
         return BoundaryPass(omega, F, g1)
 
-    def banks(self, xi) -> BoundaryPass:
-        """Map and F on both banks of every slit, and g_1, in one pass.
-
-        ``xi`` has shape (n, T): row m holds parameters on the closed slit m.
-        """
-        x = np.asarray(xi, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.branch.n:
-            raise EvaluationError(
-                f"expected one row of parameters per slit, got shape {x.shape}"
-            )
-        for m in self._rows:
-            check_on_slit(self.branch, x[m], m)
-        return self._banks(x, self._rows)
-
-    def _one_slit(self, xi, m: int) -> tuple[np.ndarray, BoundaryPass]:
-        x = np.asarray(xi, dtype=float)
-        check_on_slit(self.branch, x, m)
-        return x, self._banks(x.reshape(1, -1), self._rows[m : m + 1])
-
-    def g1(self, xi, m: int):
-        """Odd companion density carrying the |q| factor; 0 at endpoints."""
-        x, vals = self._one_slit(xi, m)
-        return like_input(vals.g1[0].reshape(x.shape), xi)
-
     # -- the map -----------------------------------------------------------
-
-    def omega_boundary(self, xi, bank: int, m: int):
-        """Map value on bank +-1 of slit m, i.e. a point of contour m."""
-        check_bank(bank)
-        x, vals = self._one_slit(xi, m)
-        return like_input(vals.omega[_BANK_ROW[bank], 0].reshape(x.shape), xi)
 
     def omega_interior(self, zeta):
         """Map value off the slits (and away from the pole preimage)."""
@@ -542,12 +519,6 @@ class SlitMap:
         return -1j / (np.pi * d.tau_bar) * total + d.gamma
 
     # -- the companion function F -------------------------------------------
-
-    def F_boundary(self, xi, bank: int, m: int):
-        """Boundary value of F; its imaginary part is exactly a_m."""
-        check_bank(bank)
-        x, vals = self._one_slit(xi, m)
-        return like_input(vals.F[_BANK_ROW[bank], 0].reshape(x.shape), xi)
 
     def F_interior(self, zeta):
         """F off the slits; bounded at infinity once the a_j are solved."""

@@ -328,7 +328,7 @@ def solve(
     )
 
     with _stage(timings, "map_build"):
-        sm = mapper.SlitMap(branch, derived, constants, numerics, period.table)
+        sm = mapper.SlitMap(branch, derived, constants, numerics, period)
     with _stage(timings, "tracing"):
         ends = np.reshape(branch.endpoints, (branch.n, 2))
         grid = geometry.bank_parameter_grid(ends[:, :1], ends[:, 1:], numerics.P)

@@ -6,21 +6,21 @@ Every integral in this package has the form
 
 with h smooth and K either 1 (plain quadrature), 1/(eta - xi) with xi inside
 (a, b) (principal value), or 1/(eta - zeta) with zeta off [a, b] (Cauchy
-integral).  The plain case is the classical N-point Gauss-Chebyshev rule;
-the other two are evaluated through the Chebyshev expansion of h: the
-polynomials of the first kind map to second-kind polynomials inside the
-interval and to a geometric kernel outside, so a single coefficient vector
-serves boundary and off-interval targets alike, arbitrarily close to the
-interval.
+integral).  The plain case is the classical N-point Gauss-Chebyshev rule
+(:meth:`~inclusion_forge.branch.SlitTable.integrate`, at the nodes of
+:func:`cheb_nodes`); the other two are evaluated through the Chebyshev
+expansion of h: the polynomials of the first kind map to second-kind
+polynomials inside the interval and to a geometric kernel outside, so a
+single coefficient vector serves boundary and off-interval targets alike,
+arbitrarily close to the interval.
 
 The geometric kernel needs one square root per (interval, target):
 :func:`slit_roots` returns it with the ratio w that the series is summed
 in, and the branch q of :mod:`inclusion_forge.branch` is the product of the
 same roots.  The off-interval kernel computes in the arithmetic of its
 targets: real targets on the axis are summed in real arithmetic, so
-``cauchy_off`` of a real series at a real target returns a ``float`` (a
-real array for real array targets), and complex targets return ``complex``
-values.
+:func:`cauchy_off_stack` of real coefficients at real targets returns a
+real (float64) array, and complex targets return a complex array.
 
 Each series is chopped before any sum runs: :func:`standard_chop` finds
 the rounding plateau of every row (Aurentz & Trefethen's rule at tolerance
@@ -49,17 +49,13 @@ meet the bound, and the kernel sums the terms k >= D only beyond that |w|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ChebyshevSeries",
     "cheb_nodes",
-    "gauss_cheb",
-    "cheb_coeffs",
     "coef_from_samples",
     "standard_chop",
     "singular_on_stack",
@@ -70,8 +66,6 @@ __all__ = [
     "block_degrees",
     "cauchy_off_stack",
     "cauchy_off_blocks",
-    "singular_on",
-    "cauchy_off",
 ]
 
 
@@ -80,51 +74,6 @@ def cheb_nodes(a: float, b: float, N: int) -> np.ndarray:
     j = np.arange(1, N + 1)
     x = np.cos((2 * j - 1) * np.pi / (2 * N))
     return 0.5 * (b + a) + 0.5 * (b - a) * x
-
-
-def gauss_cheb(h, a: float, b: float, N: int):
-    """N-point Gauss-Chebyshev value of integral h(eta)/sqrt((eta-a)(b-eta)).
-
-    ``h`` is a callable vectorized over node arrays.  Exact for h a
-    polynomial of degree <= 2N - 1 in the mapped variable.
-    """
-    nodes = cheb_nodes(a, b, N)
-    return (np.pi / N) * np.sum(h(nodes), axis=-1)
-
-
-@dataclass(frozen=True)
-class ChebyshevSeries:
-    """First-kind Chebyshev coefficients of a smooth density on [a, b]."""
-
-    a: float
-    b: float
-    coef: np.ndarray
-
-    def __init__(self, a: float, b: float, coef) -> None:
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        c = np.array(coef)  # owned copy; frozen below
-        if not np.iscomplexobj(c):
-            c = c.astype(float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coef", c)
-
-    @property
-    def delta_plus(self) -> float:
-        return 0.5 * (self.b + self.a)
-
-    @property
-    def delta_minus(self) -> float:
-        return 0.5 * (self.b - self.a)
-
-    @property
-    def order(self) -> int:
-        return len(self.coef) - 1
-
-    @property
-    def truncation_indicator(self) -> float:
-        """|alpha_M| relative to the largest coefficient; ~0 when resolved."""
-        return float(truncation_indicator(self.coef))
 
 
 def like_input(value, arg):
@@ -241,11 +190,6 @@ def coef_from_samples(samples, M: int) -> np.ndarray:
     coef = raw[..., : M + 1] / N
     coef[..., 0] *= 0.5
     return coef
-
-
-def cheb_coeffs(h, a: float, b: float, N: int, M: int) -> ChebyshevSeries:
-    """Expand the callable h over [a, b] in Chebyshev polynomials up to T_M."""
-    return ChebyshevSeries(a, b, coef_from_samples(h(cheb_nodes(a, b, N)), M))
 
 
 def singular_on_stack(coef, centre, half, xi) -> np.ndarray:
@@ -523,22 +467,3 @@ def cauchy_off_blocks(coef, lo, hi, x, degree) -> np.ndarray:
         part += coef[..., : active[m], m, None]
     total *= np.divide(-np.pi, rho)
     return total
-
-
-def singular_on(series: ChebyshevSeries, xi):
-    """Principal value of the weighted Cauchy integral at xi in (a, b)."""
-    out = singular_on_stack(
-        series.coef[None], [series.delta_plus], [series.delta_minus], np.reshape(xi, -1)
-    )
-    return like_input(out[0].reshape(np.shape(xi)), xi)
-
-
-def cauchy_off(series: ChebyshevSeries, zeta):
-    """Weighted Cauchy integral at a target zeta off the closed interval.
-
-    A real target (a Python or numpy float, or a real array) with a real
-    series gives a real result: ``cauchy_off(series, 2.0)`` is a ``float``.
-    A complex target gives a ``complex`` (see :func:`cauchy_off_stack`).
-    """
-    out = cauchy_off_stack(series.coef[None], slit_roots([series.a], [series.b], zeta))
-    return like_input(out[0], zeta)

@@ -271,31 +271,6 @@ def n2_closed_form_rho(
     return np.array([rho0, rho0 + (k0 - k1) / period.entry(1, 1)])
 
 
-def n2_symmetric_a(
-    period: PeriodMatrix,
-    derived: DerivedConstants,
-) -> np.ndarray:
-    """Antisymmetric pair for the origin-symmetric case (pole at 0).
-
-    The driving constant is Im c; the printed form writes Im c_{-1}, which
-    agrees whenever (tau_inf_bar - tau_bar)/mu is real.  The odd moment is
-    the integral over the right slit of d xi / (xi |q|).
-    """
-    odd = period.table.integrate(1.0 / period.table.nodes)[1]
-    a1 = derived.c_double_prime * odd / period.entry(1, 1)
-    return np.array([-a1, a1])
-
-
-def n2_symmetric_rho(
-    period: PeriodMatrix,
-    derived: DerivedConstants,
-) -> np.ndarray:
-    """Antisymmetric rho pair for the origin-symmetric case (pole at 0)."""
-    odd = period.table.integrate(1.0 / period.table.nodes)[1]
-    rho1 = -derived.lam[0] * derived.c_star[0] * odd / period.entry(1, 1)
-    return np.array([-rho1, rho1])
-
-
 def n3_closed_form_a(
     period: PeriodMatrix,
     derived: DerivedConstants,

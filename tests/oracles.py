@@ -20,8 +20,13 @@ sums the off-slit Cauchy integrals directly on its own node table, all in
 float64.  :func:`abs_q_broadcast` forms |q| from one array of differences,
 where the package multiplies one endpoint at a time, and the all-family
 sums sum every density family of the map, where the package skips the
-families that keep no term.  The test-only helpers at the end (symmetry report,
-Hausdorff distance, CSV reader) serve the tests alone, not the package.
+families that keep no term.  The printed two-slit forms of the
+origin-symmetric case (:func:`n2_symmetric_a`, :func:`n2_symmetric_rho`)
+are kept here as cross-check targets of the general solve.  The test-only
+helpers at the end (symmetry deviations and report, Hausdorff distance, the
+one-row and one-slit cases of the package's stacked kernels and bank pass,
+CSV reader) serve the tests alone, not the package; the one-row and
+one-slit helpers call the package's own kernels and are not references.
 """
 
 from __future__ import annotations
@@ -33,19 +38,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from inclusion_forge import mapper
-from inclusion_forge.branch import reject_on_slits, weight_factor
-from inclusion_forge.geometry import (
-    central_symmetry_deviation,
-    conjugation_symmetry_deviation,
-)
-from inclusion_forge.model import SolverError, g0, pole_density
+from inclusion_forge.branch import BranchData, reject_on_slits, slit_table, weight_factor
+from inclusion_forge.geometry import ContourProfile
+from inclusion_forge.model import DerivedConstants, SolverError, g0, pole_density
 from inclusion_forge.quadrature import (
     cauchy_off_blocks,
     cauchy_off_stack,
     cheb_nodes,
+    coef_from_samples,
     singular_on_stack,
     slit_roots,
 )
+from inclusion_forge.solvability import PeriodMatrix
 
 
 def weighted_integral(f, a: float, b: float) -> float:
@@ -500,6 +504,31 @@ def solve_rho(period, branch, derived, rho0: float) -> np.ndarray:
     return np.concatenate(([rho0], _solve_alternating(period, rhs)))
 
 
+def n2_symmetric_a(
+    period: PeriodMatrix,
+    derived: DerivedConstants,
+) -> np.ndarray:
+    """Antisymmetric pair for the origin-symmetric case (pole at 0).
+
+    The driving constant is Im c; the printed form writes Im c_{-1}, which
+    agrees whenever (tau_inf_bar - tau_bar)/mu is real.  The odd moment is
+    the integral over the right slit of d xi / (xi |q|).
+    """
+    odd = period.table.integrate(1.0 / period.table.nodes)[1]
+    a1 = derived.c_double_prime * odd / period.entry(1, 1)
+    return np.array([-a1, a1])
+
+
+def n2_symmetric_rho(
+    period: PeriodMatrix,
+    derived: DerivedConstants,
+) -> np.ndarray:
+    """Antisymmetric rho pair for the origin-symmetric case (pole at 0)."""
+    odd = period.table.integrate(1.0 / period.table.nodes)[1]
+    rho1 = -derived.lam[0] * derived.c_star[0] * odd / period.entry(1, 1)
+    return np.array([-rho1, rho1])
+
+
 def _gauss_elimination(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A x = b by Gaussian elimination with partial pivoting, in the dtype of A."""
     A, b = A.copy(), b.copy()
@@ -667,6 +696,53 @@ def all_family_g1_values(sm, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (abs_q_broadcast(sm.branch.endpoints, x) / np.pi) * all_family_slit_sums(sm, mapper._PHI, x, rows)[0]
 
 
+# -- one row of the stacked kernels, and one slit of the bank pass ------------------
+
+
+def gauss_rule(h, a: float, b: float, N: int) -> float:
+    """The solve's N-point rule on [a, b]: ``slit_table(...).integrate`` of h at its nodes."""
+    table = slit_table(BranchData((a, b)), N)
+    return float(table.integrate(h(table.nodes))[0])
+
+
+def series_coef(h, a: float, b: float, N: int, M: int) -> np.ndarray:
+    """First-kind coefficients through T_M of the callable h on [a, b], from N nodes."""
+    return coef_from_samples(h(cheb_nodes(a, b, N)), M)
+
+
+def off_one_row(coef, a: float, b: float, zeta) -> np.ndarray:
+    """``cauchy_off_stack`` of one row on [a, b] at targets zeta off it, shaped like zeta."""
+    return cauchy_off_stack(np.asarray(coef)[None], slit_roots([a], [b], zeta))[0]
+
+
+def pv_one_row(coef, a: float, b: float, xi) -> np.ndarray:
+    """``singular_on_stack`` of one row on [a, b] at targets xi in it, shaped like xi."""
+    x = np.asarray(xi, dtype=float)
+    out = singular_on_stack(np.asarray(coef)[None], [0.5 * (b + a)], [0.5 * (b - a)], x.reshape(-1))
+    return out[0].reshape(x.shape)
+
+
+def slit_banks(sm, xi, m: int) -> mapper.BoundaryPass:
+    """Row m of ``sm.banks`` at parameters xi on slit m, each field shaped like xi.
+
+    ``omega`` and ``F`` gain a leading bank axis, bank +1 first.  Every
+    other slit takes its targets at the same relative positions in its own
+    interval, with the endpoints exactly where xi is at one, so the pass
+    runs at T = xi.size targets per slit.
+    """
+    x = np.asarray(xi, dtype=float)
+    a, b = sm.branch.slit(m)
+    t = (x.reshape(-1) - a) / (b - a)
+    lo, hi = np.array(sm.branch.slits).T[:, :, None]
+    grid = np.where(t == 1.0, hi, np.clip(lo + (hi - lo) * t, lo, hi))
+    grid[m] = x.reshape(-1)
+    vals = sm.banks(grid)
+    return mapper.BoundaryPass(
+        vals.omega[:, m].reshape((2,) + x.shape), vals.F[:, m].reshape((2,) + x.shape),
+        vals.g1[m].reshape(x.shape),
+    )
+
+
 def read_contours_csv(path) -> dict[int, np.ndarray]:
     """The polylines of a contour CSV, by slit index."""
     out: dict[int, list[complex]] = {}
@@ -676,6 +752,46 @@ def read_contours_csv(path) -> dict[int, np.ndarray]:
             idx, _bank, _xi, re_z, im_z = line.strip().split(",")
             out.setdefault(int(idx), []).append(complex(float(re_z), float(im_z)))
     return {k: np.asarray(v) for k, v in out.items()}
+
+
+def _match_indices(profile: ContourProfile, xi: np.ndarray, bank: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """Index into profile for each requested (xi, bank) parameter pair.
+
+    Slit endpoints are sampled on one bank only (both banks coincide
+    there), so an xi-only match is accepted as fallback.
+    """
+    out = np.empty(len(xi), dtype=int)
+    for i, (x, s) in enumerate(zip(xi, bank)):
+        near = np.abs(profile.xi - x) <= tol
+        cand = np.nonzero(near & (profile.bank == s))[0]
+        if len(cand) == 0:
+            cand = np.nonzero(near)[0]
+        if len(cand) == 0:
+            raise ValueError("profiles were not sampled on matching grids")
+        out[i] = cand[0]
+    return out
+
+
+def central_symmetry_deviation(p1: ContourProfile, p2: ContourProfile) -> float:
+    """max |z1(xi, bank) + z2(-xi, -bank)| over matched sample parameters.
+
+    Meaningful for mirror-image slit pairs sampled on the same relative
+    grid (the default sampling is symmetric).
+    """
+    tol = 1e-9 * max(1.0, np.abs(p1.xi).max())
+    idx = _match_indices(p2, -p1.xi[:-1], -p1.bank[:-1], tol)
+    return float(np.abs(p1.points[:-1] + p2.points[idx]).max())
+
+
+def conjugation_symmetry_deviation(profile: ContourProfile) -> float:
+    """max |conj(z(xi, +)) - z(xi, -)| over matched sample parameters."""
+    tol = 1e-9 * max(1.0, np.abs(profile.xi).max())
+    sel = profile.bank[:-1] == 1
+    xi = profile.xi[:-1][sel]
+    idx = _match_indices(profile, xi, -np.ones(len(xi), dtype=int), tol)
+    top = profile.points[:-1][sel]
+    return float(np.abs(np.conj(top) - profile.points[idx]).max())
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,17 @@ import time
 import numpy as np
 import pytest
 from conftest import load_figure_inputs
+from oracles import (
+    central_symmetry_deviation,
+    conjugation_symmetry_deviation,
+    gauss_rule,
+    n2_symmetric_a,
+    n2_symmetric_rho,
+    off_one_row,
+    pv_one_row,
+    series_coef,
+    slit_banks,
+)
 
 from inclusion_forge import cli, figures, geometry, pipeline
 from inclusion_forge.branch import BranchData
@@ -27,13 +38,10 @@ from inclusion_forge.model import (
     MaterialSet,
     derive_constants,
 )
-from inclusion_forge.quadrature import cauchy_off, cheb_coeffs, gauss_cheb, singular_on
 from inclusion_forge.solvability import (
     build_constants,
     n2_closed_form_a,
     n2_closed_form_rho,
-    n2_symmetric_a,
-    n2_symmetric_rho,
     n3_closed_form_a,
     n3_closed_form_rho,
     period_matrix,
@@ -67,7 +75,7 @@ def _epsilon_schwarz_residual(name: str, solve_figure, N: int) -> float:
         om0 = sm.omega_regular(xs + 1j * eps) - d.gamma
         lhs = (1j * d.tau_bar * om0).imag
         rhs = (
-            d.lam[m] * (g0(xs, m, d) + (-1.0) ** m * sm.g1(xs, m))
+            d.lam[m] * (g0(xs, m, d) + (-1.0) ** m * slit_banks(sm, xs, m).g1)
             + constants.rho[m]
         )
         worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -208,7 +216,7 @@ def test_criterion_05_interior_limits_reach_boundary(solve_figure):
             a, b = sm.branch.slit(m)
             pad = 0.05 * (b - a)
             xs = np.linspace(a + pad, b - pad, 20)
-            top = sm.omega_boundary(xs, +1, m)
+            top = slit_banks(sm, xs, m).omega[0]
             d1 = float(np.abs(sm.omega_interior(xs + 1e-4j) - top).max())
             d2 = float(np.abs(sm.omega_interior(xs + 0.5e-4j) - top).max())
             worst_frac = max(worst_frac, d1 / (1e-2 * diam))
@@ -233,14 +241,14 @@ def test_criterion_07_symmetries(solve_figure):
     for name in ("fig2a", "fig2b"):
         res = solve_figure(name)
         diam = max(p.diameter for p in res.profiles)
-        dev = geometry.central_symmetry_deviation(res.profiles[0], res.profiles[1])
+        dev = central_symmetry_deviation(res.profiles[0], res.profiles[1])
         worst_central = max(worst_central, dev / diam)
     worst_conj = 0.0
     for name in ("fig2c", "fig4a", "fig4b"):
         res = solve_figure(name)
         diam = max(p.diameter for p in res.profiles)
         dev = max(
-            geometry.conjugation_symmetry_deviation(p) for p in res.profiles
+            conjugation_symmetry_deviation(p) for p in res.profiles
         )
         worst_conj = max(worst_conj, dev / diam)
     ok = worst_central < 1e-6 and worst_conj < 1e-6
@@ -293,16 +301,16 @@ def test_criterion_09_figure_regression(tmp_path):
 
 
 def test_criterion_10_quadrature_identities(solve_figure):
-    dev = abs(gauss_cheb(lambda x: np.ones_like(x), -1.0, 1.0, 8) - np.pi)
+    dev = abs(gauss_rule(lambda x: np.ones_like(x), -1.0, 1.0, 8) - np.pi)
     xs = np.array([-0.7, -0.2, 0.3, 0.8])
     for m in (1, 2, 3, 5):
-        series = cheb_coeffs(lambda y, m=m: np.cos(m * np.arccos(y)), -1.0, 1.0, 64, 32)
+        series = series_coef(lambda y, m=m: np.cos(m * np.arccos(y)), -1.0, 1.0, 64, 32)
         # U_{m-1} via its trigonometric form
         theta = np.arccos(xs)
         u = np.sin(m * theta) / np.sin(theta)
-        dev = max(dev, float(np.abs(singular_on(series, xs) - np.pi * u).max()))
-    s0 = cheb_coeffs(lambda y: np.ones_like(y), -1.0, 1.0, 32, 16)
-    dev = max(dev, abs(cauchy_off(s0, 2.0) - (-np.pi / np.sqrt(3.0))))
+        dev = max(dev, float(np.abs(pv_one_row(series, -1.0, 1.0, xs) - np.pi * u).max()))
+    s0 = series_coef(lambda y: np.ones_like(y), -1.0, 1.0, 32, 16)
+    dev = max(dev, float(abs(off_one_row(s0, -1.0, 1.0, 2.0) - (-np.pi / np.sqrt(3.0)))))
     identities_ok = dev < 1e-12
     r128 = _epsilon_schwarz_residual("fig1b", solve_figure, 128)
     r256 = _epsilon_schwarz_residual("fig1b", solve_figure, 256)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 from oracles import (
+    central_symmetry_deviation,
+    conjugation_symmetry_deviation,
     hausdorff_all_pairs,
     hausdorff_distance,
     pair_contact_all_pairs,
@@ -20,8 +22,6 @@ from inclusion_forge.geometry import (
     ContourProfile,
     bank_parameter_grid,
     build_profiles,
-    central_symmetry_deviation,
-    conjugation_symmetry_deviation,
     contacts,
     fit_ellipse,
 )

@@ -18,6 +18,9 @@ from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
     far_field_sums_80bit,
+    off_one_row,
+    pv_one_row,
+    slit_banks,
     smooth_weight,
     standard_chop as standard_chop_oracle,
     tail_degree_80bit,
@@ -25,7 +28,7 @@ from oracles import (
 )
 
 from inclusion_forge import branch as branch_module
-from inclusion_forge import cli, figures, mapper, pipeline, quadrature
+from inclusion_forge import cli, figures, mapper, pipeline, quadrature, solvability
 from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
 from inclusion_forge.mapper import (
     SlitMap,
@@ -48,10 +51,6 @@ from inclusion_forge.model import (
 )
 from inclusion_forge.geometry import bank_parameter_grid
 from inclusion_forge.quadrature import (
-    ChebyshevSeries,
-    cauchy_off,
-    cheb_coeffs,
-    singular_on,
     singular_on_stack,
     slit_roots,
     truncation_indicator,
@@ -125,18 +124,18 @@ def test_g1_is_odd_for_symmetric_configuration():
     # real-scaling sample set) ...
     sm, _, _ = solved_map("fig2a")
     xs = np.linspace(0.25, 0.95, 9)
-    np.testing.assert_allclose(sm.g1(-xs, 0), -sm.g1(xs, 1), atol=1e-13)
+    np.testing.assert_allclose(slit_banks(sm, -xs, 0).g1, -slit_banks(sm, xs, 1).g1, atol=1e-13)
     # ... and genuinely odd with a complex scaling constant
     smc = _symmetric_complex_scaling_map()
     xs = np.linspace(0.35, 0.95, 9)
-    assert np.abs(smc.g1(xs, 1)).max() > 0.1
-    np.testing.assert_allclose(smc.g1(-xs, 0), -smc.g1(xs, 1), atol=1e-13)
+    assert np.abs(slit_banks(smc, xs, 1).g1).max() > 0.1
+    np.testing.assert_allclose(slit_banks(smc, -xs, 0).g1, -slit_banks(smc, xs, 1).g1, atol=1e-13)
 
 
 def test_g1_vanishes_at_endpoints():
     sm, _, _ = solved_map("fig1b")
-    assert sm.g1(0.5, 1) == 0.0
-    assert sm.g1(1.0, 1) == 0.0
+    assert slit_banks(sm, 0.5, 1).g1 == 0.0
+    assert slit_banks(sm, 1.0, 1).g1 == 0.0
 
 
 def test_g1_against_principal_value_oracle():
@@ -156,7 +155,7 @@ def test_g1_against_principal_value_oracle():
             else:
                 total += (-1.0) ** j * cauchy_weighted(h, aj, bj, xi).real
         oracle = abs_q(branch, xi) / np.pi * total
-        assert sm.g1(xi, m) == pytest.approx(oracle, abs=1e-6)
+        assert slit_banks(sm, xi, m).g1 == pytest.approx(oracle, abs=1e-6)
 
 
 # -- omega ----------------------------------------------------------------
@@ -165,45 +164,41 @@ def test_g1_against_principal_value_oracle():
 def test_central_symmetry_of_symmetric_pair():
     sm, _, _ = solved_map("fig2a")
     xs = np.linspace(0.22, 0.98, 11)
-    for bank in (+1, -1):
-        lhs = sm.omega_boundary(xs, bank, 1)
-        rhs = -sm.omega_boundary(-xs, -bank, 0)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    right, left = slit_banks(sm, xs, 1).omega, slit_banks(sm, -xs, 0).omega
+    for k in (0, 1):  # each bank of one slit against the other bank of the other
+        np.testing.assert_allclose(right[k], -left[1 - k], atol=1e-12)
     # also with a complex scaling constant (nontrivial g_1 branch)
     smc = _symmetric_complex_scaling_map()
     xs = np.linspace(0.35, 0.95, 9)
-    for bank in (+1, -1):
-        np.testing.assert_allclose(
-            smc.omega_boundary(xs, bank, 1),
-            -smc.omega_boundary(-xs, -bank, 0),
-            atol=1e-12,
-        )
+    right, left = slit_banks(smc, xs, 1).omega, slit_banks(smc, -xs, 0).omega
+    for k in (0, 1):
+        np.testing.assert_allclose(right[k], -left[1 - k], atol=1e-12)
 
 
 def test_endpoint_closure_is_exact():
     sm, _, _ = solved_map("fig1c")
     for m in (0, 1):
         for end in sm.branch.slit(m):
-            assert sm.omega_boundary(end, +1, m) == sm.omega_boundary(end, -1, m)
+            top, bottom = slit_banks(sm, end, m).omega
+            assert top == bottom
 
 
 @pytest.mark.parametrize("name", ["fig1b", "fig3a", "fig4a"])
 def test_interior_limit_reaches_boundary_values(name):
     sm, _, _ = solved_map(name)
     scale = max(
-        abs(sm.omega_boundary(sum(sm.branch.slit(m)) / 2, +1, m))
+        abs(slit_banks(sm, sum(sm.branch.slit(m)) / 2, m).omega[0])
         for m in range(sm.branch.n)
     )
     for m in range(sm.branch.n):
         a, b = sm.branch.slit(m)
         pad = 0.05 * (b - a)
         xs = np.linspace(a + pad, b - pad, 9)
-        top = sm.omega_boundary(xs, +1, m)
+        top, bot = slit_banks(sm, xs, m).omega
         d1 = np.abs(sm.omega_interior(xs + 1e-4j) - top).max()
         d2 = np.abs(sm.omega_interior(xs + 5e-5j) - top).max()
         assert d1 < 1e-2 * max(scale, 1.0)
         assert d2 < d1
-        bot = sm.omega_boundary(xs, -1, m)
         assert np.abs(sm.omega_interior(xs - 1e-4j) - bot).max() < 1e-2 * max(scale, 1.0)
 
 
@@ -240,11 +235,8 @@ def test_broken_rho_makes_regular_part_grow():
 def test_conjugation_symmetry_with_real_data():
     sm, _, _ = solved_map("fig2c")
     xs = np.linspace(0.4, 0.95, 9)
-    np.testing.assert_allclose(
-        np.conj(sm.omega_boundary(xs, +1, 1)),
-        sm.omega_boundary(xs, -1, 1),
-        atol=1e-14,
-    )
+    top, bottom = slit_banks(sm, xs, 1).omega
+    np.testing.assert_allclose(np.conj(top), bottom, atol=1e-14)
 
 
 # -- F --------------------------------------------------------------------
@@ -256,8 +248,7 @@ def test_imaginary_part_of_F_is_the_slit_constant(name):
     for m in range(sm.branch.n):
         a, b = sm.branch.slit(m)
         xs = np.linspace(a + 0.03 * (b - a), b - 0.03 * (b - a), 9)
-        for bank in (+1, -1):
-            F = sm.F_boundary(xs, bank, m)
+        for F in slit_banks(sm, xs, m).F:  # bank +1, then -1
             np.testing.assert_allclose(F.imag, constants.a[m], atol=5e-15)
 
 
@@ -278,7 +269,7 @@ def test_F_interior_limit_oracle():
     m = 2
     a, b = sm.branch.slit(m)
     xs = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), 7)
-    top = sm.F_boundary(xs, +1, m)
+    top = slit_banks(sm, xs, m).F[0]
     d1 = np.abs(sm.F_interior(xs + 1e-4j) - top).max()
     d2 = np.abs(sm.F_interior(xs + 5e-5j) - top).max()
     assert d2 < d1 < 1e-2
@@ -394,7 +385,7 @@ def _plain_interior(sm, z):
     sums = np.zeros((len(mapper.FAMILIES), z.size), dtype=complex)
     for f in range(len(mapper.FAMILIES)):
         for j, (a, b) in enumerate(sm.branch.slits):
-            sums[f] += sm._weights[f, j] * cauchy_off(ChebyshevSeries(a, b, sm._coef[f, j]), z)
+            sums[f] += sm._weights[f, j] * off_one_row(sm._coef[f, j], a, b, z)
     omega = (
         mapper.singular_part_omega(z, d)
         - 1j / (np.pi * d.tau_bar) * (sums[2] + (-1.0) ** n * 1j * q * sums[1])
@@ -527,11 +518,28 @@ def test_F_interior_without_phi_rows_is_its_singular_part(name, monkeypatch):
 def test_solve_builds_the_map_on_the_period_table(monkeypatch):
     cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig3a")
     with monkeypatch.context() as m:
-        m.setattr(mapper, "slit_table", lambda *args: pytest.fail("table rebuilt"))
+        m.setattr(mapper, "period_matrix", lambda *args: pytest.fail("period matrix rebuilt"))
         sm = pipeline.solve(cfg, loading, materials, free, numerics).slit_map
     rebuilt = SlitMap(sm.branch, sm.derived, sm.constants, sm.numerics)
     np.testing.assert_array_equal(sm._coef, rebuilt._coef)
     np.testing.assert_array_equal(sm._block_degree, rebuilt._block_degree)
+
+
+def test_a_solve_and_one_interior_call_build_two_gap_bases(monkeypatch):
+    built = []
+    basis = solvability.gap_basis
+
+    def spy(branch, table):
+        built.append(table.N)
+        return basis(branch, table)
+
+    monkeypatch.setattr(solvability, "gap_basis", spy)
+    monkeypatch.setattr(mapper, "gap_basis", spy, raising=False)
+    sm = pipeline.solve(*sixteen_slit_inputs()).slit_map
+    sm.omega_interior(np.array([2.0 + 1.0j]))
+    assert sm._interior_rows()[1].any()  # the balanced rows were tested against the basis
+    # the period matrix's table, then the residuals' table of twice its nodes
+    assert built == [sm.numerics.N, 2 * sm.numerics.N]
 
 
 def _edge_inputs(n):
@@ -676,28 +684,21 @@ def evaluators():
     a, b = branch.slit(1)
     on = lambda s: a + (b - a) * s
     off = lambda s: 1.5 + s + (0.5 - s) * 1j
-    series = cheb_coeffs(np.exp, a, b, 16, 12)
     return {
         "eval_q": (lambda t: eval_q(branch, t), off),
         "abs_q": (lambda t: abs_q(branch, t), on),
         "bank_value": (lambda t: bank_value(branch, t, 1, +1), on),
         "weight_factor": (lambda t: weight_factor(branch, t, 1), on),
-        "singular_on": (lambda t: singular_on(series, t), on),
-        "cauchy_off": (lambda t: cauchy_off(series, t), off),
         "g0": (lambda t: g0(t, 1, derived), on),
-        "g1": (lambda t: sm.g1(t, 1), on),
-        "omega_boundary": (lambda t: sm.omega_boundary(t, -1, 1), on),
         "omega_interior": (sm.omega_interior, off),
         "omega_regular": (sm.omega_regular, off),
-        "F_boundary": (lambda t: sm.F_boundary(t, +1, 1), on),
         "F_interior": (sm.F_interior, off),
     }
 
 
 EVALUATORS = (
-    "eval_q", "abs_q", "bank_value", "weight_factor", "singular_on", "cauchy_off",
-    "g0", "g1", "omega_boundary", "omega_interior", "omega_regular",
-    "F_boundary", "F_interior",
+    "eval_q", "abs_q", "bank_value", "weight_factor",
+    "g0", "omega_interior", "omega_regular", "F_interior",
 )
 
 
@@ -719,18 +720,17 @@ def test_scalar_in_scalar_out_array_in_array_out(evaluators, name):
 def _one_series_per_slit_pair(sm, x, m):
     """Both banks of omega and F, and g_1, at x on slit m, one series at a time.
 
-    Every (family, slit) density is its own ChebyshevSeries: the other
-    slits go through the off-interval kernel, then the principal value on
-    slit m is added (the order of the per-slit sums).
+    Every (family, slit) density is its own row: the other slits go through
+    the off-interval kernel, then the principal value on slit m is added
+    (the order of the per-slit sums).
     """
     d, c = sm.derived, sm.constants
     sums = np.zeros((len(mapper.FAMILIES), len(x)))
     for f in range(len(mapper.FAMILIES)):
-        series = [ChebyshevSeries(a, b, sm._coef[f, j]) for j, (a, b) in enumerate(sm.branch.slits)]
-        for j, s in enumerate(series):
+        for j, (a, b) in enumerate(sm.branch.slits):
             if j != m:
-                sums[f] += sm._weights[f, j] * cauchy_off(s, x).real
-        sums[f] += sm._weights[f, m] * singular_on(series[m], x)
+                sums[f] += sm._weights[f, j] * off_one_row(sm._coef[f, j], a, b, x).real
+        sums[f] += sm._weights[f, m] * pv_one_row(sm._coef[f, m], *sm.branch.slit(m), x)
     absq = abs_q(sm.branch, x)
     g1 = absq / np.pi * sums[0]
     omega, F = [], []
@@ -771,23 +771,6 @@ def test_stacked_boundary_pass_matches_one_series_per_slit_pair(case, monkeypatc
         for value, oracle in zip(got, expected):
             scale = np.abs(oracle).max()
             np.testing.assert_allclose(value, oracle, rtol=1e-13, atol=1e-13 * scale)
-        _assert_one_slit_evaluators_match(sm, grid, stacked, m)
-
-
-def _assert_one_slit_evaluators_match(sm, grid, stacked, m):
-    for k, bank in enumerate((+1, -1)):
-        np.testing.assert_array_equal(sm.omega_boundary(grid[m], bank, m), stacked.omega[k, m])
-        np.testing.assert_array_equal(sm.F_boundary(grid[m], bank, m), stacked.F[k, m])
-    np.testing.assert_array_equal(sm.g1(grid[m], m), stacked.g1[m])
-
-
-def test_one_slit_evaluators_stay_on_the_interpolated_bank_pass():
-    sm = _sixteen_slit_map()
-    grid = _bank_grid(sm, 200)
-    assert sm._bank_nodes(200) == sm._nodes > 0
-    stacked = sm.banks(grid)
-    for m in range(sm.branch.n):
-        _assert_one_slit_evaluators_match(sm, grid, stacked, m)
 
 
 def test_stacked_boundary_pass_rejects_bad_tables():
@@ -916,8 +899,7 @@ def test_no_own_slit_block_is_formed(monkeypatch):
     monkeypatch.setattr(mapper, "cauchy_off_blocks", spy)
     grid = _bank_grid(sm)
     sm.banks(grid)
-    sm.g1(grid[5], 5)
-    assert sum(len(lo) for lo, _, _ in seen) == n * (n - 1) + (n - 1)
+    assert sum(len(lo) for lo, _, _ in seen) == n * (n - 1)
     for lo, hi, x in seen:
         assert np.all((x < lo) | (x > hi))
 
@@ -928,7 +910,6 @@ def test_block_degrees_are_logged_once_per_map(caplog, capsys):
         grid = _bank_grid(sm)
         for _ in range(2):
             sm.banks(grid)
-            sm.g1(grid[1], 1)
     messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
     assert len(messages) == 1
     assert all(r.levelno == logging.DEBUG for r in caplog.records)

@@ -3,6 +3,10 @@ import pytest
 from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
+    gauss_rule,
+    off_one_row,
+    pv_one_row,
+    series_coef,
     sqrt_weight_moment,
     standard_chop as standard_chop_oracle,
     tail_degree_80bit,
@@ -14,36 +18,33 @@ from inclusion_forge.quadrature import (
     DegreeTable,
     SlitRoots,
     block_degrees,
-    cauchy_off,
     cauchy_off_blocks,
     cauchy_off_stack,
-    cheb_coeffs,
     cheb_nodes,
     coef_from_samples,
     degree_table,
-    gauss_cheb,
     like_input,
-    singular_on,
     singular_on_stack,
     slit_roots,
     standard_chop,
+    truncation_indicator,
 )
 
 
 def test_constant_integrates_to_pi():
-    assert gauss_cheb(lambda x: np.ones_like(x), -1.0, 1.0, 8) == pytest.approx(
+    assert gauss_rule(lambda x: np.ones_like(x), -1.0, 1.0, 8) == pytest.approx(
         np.pi, abs=1e-14
     )
 
 
 def test_odd_density_vanishes():
-    assert gauss_cheb(lambda x: x, -1.0, 1.0, 8) == pytest.approx(0.0, abs=1e-15)
+    assert gauss_rule(lambda x: x, -1.0, 1.0, 8) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_square_density():
     # integral x^2/sqrt(1-x^2) = pi/2 (double-factorial oracle)
     assert sqrt_weight_moment(2) == pytest.approx(np.pi / 2)
-    assert gauss_cheb(lambda x: x**2, -1.0, 1.0, 8) == pytest.approx(
+    assert gauss_rule(lambda x: x**2, -1.0, 1.0, 8) == pytest.approx(
         np.pi / 2, abs=1e-14
     )
 
@@ -52,26 +53,26 @@ def test_exactness_for_high_degree_polynomials(rng):
     N = 8
     coeffs = rng.normal(size=2 * N)  # degree 2N-1
     exact = sum(c * sqrt_weight_moment(k) for k, c in enumerate(coeffs))
-    val = gauss_cheb(np.polynomial.Polynomial(coeffs), -1.0, 1.0, N)
+    val = gauss_rule(np.polynomial.Polynomial(coeffs), -1.0, 1.0, N)
     assert val == pytest.approx(exact, rel=1e-13)
 
 
 def test_mapped_interval_against_substitution():
     # x = delta_+ + delta_- y turns the weight into sqrt(1-y^2)
-    y_form = gauss_cheb(lambda y: np.exp(0.75 + 0.25 * y), -1.0, 1.0, 32)
-    assert gauss_cheb(np.exp, 0.5, 1.0, 32) == pytest.approx(y_form, rel=1e-14)
+    y_form = gauss_rule(lambda y: np.exp(0.75 + 0.25 * y), -1.0, 1.0, 32)
+    assert gauss_rule(np.exp, 0.5, 1.0, 32) == pytest.approx(y_form, rel=1e-14)
 
 
 def test_coefficients_recover_polynomials():
-    t2 = cheb_coeffs(lambda y: 2 * y**2 - 1, -1.0, 1.0, 16, 8)
+    t2 = series_coef(lambda y: 2 * y**2 - 1, -1.0, 1.0, 16, 8)
     expected = np.zeros(9)
     expected[2] = 1.0
-    np.testing.assert_allclose(t2.coef, expected, atol=1e-14)
-    const = cheb_coeffs(lambda y: np.ones_like(y), -1.0, 1.0, 16, 8)
-    assert const.coef[0] == pytest.approx(1.0, abs=1e-15)
-    cubic = cheb_coeffs(lambda y: y**3, -1.0, 1.0, 16, 8)
-    assert cubic.coef[1] == pytest.approx(0.75, abs=1e-14)
-    assert cubic.coef[3] == pytest.approx(0.25, abs=1e-14)
+    np.testing.assert_allclose(t2, expected, atol=1e-14)
+    const = series_coef(lambda y: np.ones_like(y), -1.0, 1.0, 16, 8)
+    assert const[0] == pytest.approx(1.0, abs=1e-15)
+    cubic = series_coef(lambda y: y**3, -1.0, 1.0, 16, 8)
+    assert cubic[1] == pytest.approx(0.75, abs=1e-14)
+    assert cubic[3] == pytest.approx(0.25, abs=1e-14)
 
 
 @pytest.mark.parametrize("N", [7, 8, 64, 65])
@@ -87,81 +88,83 @@ def test_coefficients_are_the_gauss_cosine_sums(N):
 
 
 def test_pv_of_first_kind_polynomials():
-    s1 = cheb_coeffs(lambda y: y, -1.0, 1.0, 16, 8)
+    s1 = series_coef(lambda y: y, -1.0, 1.0, 16, 8)
     for x in (-0.6, 0.0, 0.3, 0.9):
-        assert singular_on(s1, x) == pytest.approx(np.pi, abs=1e-13)
-    s0 = cheb_coeffs(lambda y: np.ones_like(y), -1.0, 1.0, 16, 8)
-    assert singular_on(s0, 0.4) == pytest.approx(0.0, abs=1e-14)
-    s2 = cheb_coeffs(lambda y: y**2, -1.0, 1.0, 16, 8)
-    assert singular_on(s2, 0.5) == pytest.approx(np.pi / 2, abs=1e-13)
+        assert pv_one_row(s1, -1.0, 1.0, x) == pytest.approx(np.pi, abs=1e-13)
+    s0 = series_coef(lambda y: np.ones_like(y), -1.0, 1.0, 16, 8)
+    assert pv_one_row(s0, -1.0, 1.0, 0.4) == pytest.approx(0.0, abs=1e-14)
+    s2 = series_coef(lambda y: y**2, -1.0, 1.0, 16, 8)
+    assert pv_one_row(s2, -1.0, 1.0, 0.5) == pytest.approx(np.pi / 2, abs=1e-13)
 
 
 def test_pv_against_subtraction_oracle():
     # oracle accuracy is limited by QUADPACK roundoff near the pole
     a, b = 0.35, 1.0
     h = lambda t: np.cos(2.0 * t) + t
-    series = cheb_coeffs(h, a, b, 64, 48)
+    series = series_coef(h, a, b, 64, 48)
     for xi in (0.5, 0.62, 0.9):
-        assert singular_on(series, xi) == pytest.approx(
+        assert pv_one_row(series, a, b, xi) == pytest.approx(
             weighted_pv(h, a, b, xi), abs=1e-8
         )
 
 
 def test_cauchy_off_reference_values():
-    s0 = cheb_coeffs(lambda y: np.ones_like(y), -1.0, 1.0, 16, 8)
-    assert cauchy_off(s0, 2.0) == pytest.approx(-np.pi / np.sqrt(3.0), abs=1e-13)
-    far = cauchy_off(s0, 1e6)
+    s0 = series_coef(lambda y: np.ones_like(y), -1.0, 1.0, 16, 8)
+    assert off_one_row(s0, -1.0, 1.0, 2.0) == pytest.approx(-np.pi / np.sqrt(3.0), abs=1e-13)
+    far = off_one_row(s0, -1.0, 1.0, 1e6)
     assert far == pytest.approx(-np.pi / 1e6, rel=1e-5)
     # real targets beyond the interval give real values
-    assert abs(cauchy_off(s0, 3.7).imag) == 0.0
+    assert abs(off_one_row(s0, -1.0, 1.0, 3.7).imag) == 0.0
 
 
 def test_cauchy_off_against_quadrature_oracle():
     a, b = -1.0, -0.5
     h = lambda t: np.sin(t) + 2.0
-    series = cheb_coeffs(h, a, b, 48, 40)
+    series = series_coef(h, a, b, 48, 40)
     for zeta in (0.3 + 0.4j, -2.0 + 0.0j, 1.5 - 2.2j):
         oracle = cauchy_weighted(h, a, b, zeta)
-        assert cauchy_off(series, zeta) == pytest.approx(oracle, abs=1e-10)
+        assert off_one_row(series, a, b, zeta) == pytest.approx(oracle, abs=1e-10)
+
+
+_A, _B = -0.4, 0.6  # the interval of _real_series
 
 
 def _real_series():
-    a, b = -0.4, 0.6
     h = lambda t: np.exp(t) / (2.5 - t)
-    return h, cheb_coeffs(h, a, b, 48, 40)
+    return h, series_coef(h, _A, _B, 48, 40)
 
 
-def _off_axis_targets(series, count, rng):
+def _off_axis_targets(count, rng):
     """Real targets 1e-2 to 1e2 half-lengths off the interval, on both sides."""
-    gap = series.delta_minus * 10.0 ** rng.uniform(-2.0, 2.0, count)
+    gap = 0.5 * (_B - _A) * 10.0 ** rng.uniform(-2.0, 2.0, count)
     side = rng.choice([-1.0, 1.0], count)
-    return np.where(side > 0, series.b + gap, series.a - gap)
+    return np.where(side > 0, _B + gap, _A - gap)
 
 
 def test_real_targets_with_real_coefficients_give_float64():
     _, series = _real_series()
-    lo, hi = [series.a], [series.b]
-    out = cauchy_off_stack(series.coef[None], slit_roots(lo, hi, np.array([-2.0, 1.5])))
+    lo, hi = [_A], [_B]
+    out = cauchy_off_stack(series[None], slit_roots(lo, hi, np.array([-2.0, 1.5])))
     assert out.dtype == np.float64
-    both = np.stack([series.coef, 1j * series.coef])[:, None]
+    both = np.stack([series, 1j * series])[:, None]
     assert cauchy_off_stack(both, slit_roots(lo, hi, np.array([2.0]))).dtype == np.complex128
 
 
 def test_real_targets_agree_with_the_complex_path(rng):
     _, series = _real_series()
-    x = _off_axis_targets(series, 4000, rng)
-    real = cauchy_off(series, x)
-    cplx = cauchy_off(series, x + 0j)
+    x = _off_axis_targets(4000, rng)
+    real = off_one_row(series, _A, _B, x)
+    cplx = off_one_row(series, _A, _B, x + 0j)
     np.testing.assert_allclose(real, cplx.real, rtol=1e-12, atol=0)
     assert np.all(cplx.imag == 0.0)
 
 
 def test_real_targets_against_quadrature_oracle():
     h, series = _real_series()
-    a, b = series.a, series.b
+    a, b = _A, _B
     for x in (a - 1e-3, b + 1e-3, a - 0.05, b + 0.3, -3.0, 7.5):
-        val = cauchy_off(series, x)
-        assert type(val) is float
+        val = off_one_row(series, a, b, x)
+        assert val.dtype == np.float64
         assert val == pytest.approx(cauchy_weighted(h, a, b, x).real, abs=1e-10)
 
 
@@ -169,14 +172,14 @@ def test_far_field_matches_an_80_bit_horner_sum():
     # |x| = 4e2 ... 4e6 half-lengths from the centre: w = x - root would
     # cancel to ~|x|^2 eps here, w = h / ((zeta - c) + rho) does not
     _, series = _real_series()
-    c, h = series.delta_plus, series.delta_minus
+    c, h = 0.5 * (_B + _A), 0.5 * (_B - _A)
     r = 4.0 * 10.0 ** np.arange(2, 7)
     angles = np.array([0.3, 1.2, 2.5, -0.7, -2.9])
     zeta = c + h * (r[:, None] * np.exp(1j * angles)).ravel()
     x = c + h * np.concatenate([r, -r])
     for targets in (zeta, x):
-        ref = cauchy_off_80bit(series.coef, series.a, series.b, targets)
-        got = cauchy_off(series, targets)
+        ref = cauchy_off_80bit(series, _A, _B, targets)
+        got = off_one_row(series, _A, _B, targets)
         assert got.dtype == targets.dtype
         ref = ref if np.iscomplexobj(got) else ref.real
         np.testing.assert_allclose(got, ref.astype(got.dtype), rtol=1e-14, atol=0)
@@ -185,51 +188,50 @@ def test_far_field_matches_an_80_bit_horner_sum():
 def test_complex_targets_keep_the_complex_path():
     _, series = _real_series()
     for zeta in (2.0 + 0.0j, np.complex128(-1.5), np.array([2.0 + 0j, -1.0 + 0j])):
-        out = cauchy_off(series, zeta)
+        out = off_one_row(series, _A, _B, zeta)
         assert np.iscomplexobj(out)
         np.testing.assert_array_equal(np.imag(out), 0.0)
 
 
 def test_cauchy_off_return_type_follows_the_target():
     _, series = _real_series()
-    assert type(cauchy_off(series, 2.0)) is float
-    assert type(cauchy_off(series, np.float64(2.0))) is float
-    assert type(cauchy_off(series, 2)) is float
-    assert type(cauchy_off(series, 2.0 + 1.0j)) is complex
-    real = cauchy_off(series, np.array([2.0, -3.0]))
+    for target in (2.0, np.float64(2.0), 2):
+        assert off_one_row(series, _A, _B, target).dtype == np.float64
+    assert off_one_row(series, _A, _B, 2.0 + 1.0j).dtype == np.complex128
+    real = off_one_row(series, _A, _B, np.array([2.0, -3.0]))
     assert isinstance(real, np.ndarray) and real.dtype == np.float64 and real.shape == (2,)
-    cplx = cauchy_off(series, np.array([[2.0 + 1j], [-3.0 + 0j]]))
+    cplx = off_one_row(series, _A, _B, np.array([[2.0 + 1j], [-3.0 + 0j]]))
     assert cplx.dtype == np.complex128 and cplx.shape == (2, 1)
 
 
 def test_plemelj_jump_average():
     a, b = -1.0, 1.0
     h = lambda t: np.exp(t)
-    series = cheb_coeffs(h, a, b, 64, 48)
+    series = series_coef(h, a, b, 64, 48)
     eps = 1e-5
     for x in (-0.4, 0.2, 0.7):
-        avg = 0.5 * (cauchy_off(series, x + 1j * eps) + cauchy_off(series, x - 1j * eps))
-        assert abs(avg - singular_on(series, x)) < 1e-3
+        avg = 0.5 * (off_one_row(series, a, b, x + 1j * eps) + off_one_row(series, a, b, x - 1j * eps))
+        assert abs(avg - pv_one_row(series, a, b, x)) < 1e-3
 
 
 def test_doubling_nodes_is_stable_for_analytic_densities():
     a, b = 0.2, 1.3
     h = lambda t: np.exp(np.sin(3.0 * t))
-    v1 = gauss_cheb(h, a, b, 64)
-    v2 = gauss_cheb(h, a, b, 128)
+    v1 = gauss_rule(h, a, b, 64)
+    v2 = gauss_rule(h, a, b, 128)
     assert abs(v1 - v2) < 1e-10
-    s1 = cheb_coeffs(h, a, b, 64, 40)
-    s2 = cheb_coeffs(h, a, b, 128, 40)
-    assert abs(singular_on(s1, 0.8) - singular_on(s2, 0.8)) < 1e-10
-    assert abs(cauchy_off(s1, 2.0 + 1j) - cauchy_off(s2, 2.0 + 1j)) < 1e-10
+    s1 = series_coef(h, a, b, 64, 40)
+    s2 = series_coef(h, a, b, 128, 40)
+    assert abs(pv_one_row(s1, a, b, 0.8) - pv_one_row(s2, a, b, 0.8)) < 1e-10
+    assert abs(off_one_row(s1, a, b, 2.0 + 1j) - off_one_row(s2, a, b, 2.0 + 1j)) < 1e-10
 
 
 def test_truncation_indicator_reflects_resolution():
     h = lambda t: 1.0 / (1.06 - t)
-    resolved = cheb_coeffs(h, -1.0, 1.0, 128, 96)
-    coarse = cheb_coeffs(h, -1.0, 1.0, 128, 8)
-    assert resolved.truncation_indicator < 1e-8
-    assert coarse.truncation_indicator > 1e-3
+    resolved = series_coef(h, -1.0, 1.0, 128, 96)
+    coarse = series_coef(h, -1.0, 1.0, 128, 8)
+    assert truncation_indicator(resolved) < 1e-8
+    assert truncation_indicator(coarse) > 1e-3
 
 
 def test_nodes_follow_published_pattern():
@@ -241,8 +243,8 @@ def test_nodes_follow_published_pattern():
 
 def test_complex_densities_supported():
     h = lambda t: np.exp(1j * t)
-    series = cheb_coeffs(h, -1.0, 1.0, 32, 24)
-    val = cauchy_off(series, 2.0 + 1.0j)
+    series = series_coef(h, -1.0, 1.0, 32, 24)
+    val = off_one_row(series, -1.0, 1.0, 2.0 + 1.0j)
     oracle = cauchy_weighted(h, -1.0, 1.0, 2.0 + 1.0j)
     assert val == pytest.approx(oracle, abs=1e-10)
 
@@ -259,27 +261,25 @@ def test_like_input_returns_python_scalars_for_scalar_arguments():
 def test_stacked_kernels_match_one_series_per_row():
     intervals = [(-1.0, -0.6), (-0.2, 0.3), (0.5, 1.2)]
     densities = [np.exp, np.cos, lambda t: 1.0 / (2.0 - t)]
-    series = [cheb_coeffs(h, a, b, 32, 24) for (a, b), h in zip(intervals, densities)]
-    coef = np.stack([s.coef for s in series])
+    coef = np.stack([series_coef(h, a, b, 32, 24) for (a, b), h in zip(intervals, densities)])
     twice = np.stack([coef, 2.0 * coef])  # a leading family axis broadcasts
-    centre = np.array([s.delta_plus for s in series])
-    half = np.array([s.delta_minus for s in series])
+    lo, hi = np.array(intervals).T
+    centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     zeta = np.array([
         [0.1 + 0.4j, -2.0 + 0.0j, 1.5 - 2.2j],
         [0.4 - 1e-6j, 3.0 + 1j, -0.8 + 1e-3j],
     ])
-    lo, hi = np.array(intervals).T
     off = cauchy_off_stack(twice, slit_roots(lo, hi, zeta))
     assert off.shape == (2, 3) + zeta.shape
-    for r, s in enumerate(series):
-        np.testing.assert_allclose(off[0, r], cauchy_off(s, zeta), rtol=1e-15, atol=0)
+    for r, (a, b) in enumerate(intervals):
+        np.testing.assert_allclose(off[0, r], off_one_row(coef[r], a, b, zeta), rtol=1e-15, atol=0)
         np.testing.assert_allclose(off[1, r], 2.0 * off[0, r], rtol=1e-15, atol=0)
     # principal values: each row at targets inside its own interval
     frac = np.array([0.0, 0.3, 0.8, 1.0])
-    for r, s in enumerate(series):
-        xi = s.a + (s.b - s.a) * frac
+    for r, (a, b) in enumerate(intervals):
+        xi = a + (b - a) * frac
         on = singular_on_stack(coef, centre, half, xi)
-        np.testing.assert_allclose(on[r], singular_on(s, xi), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(on[r], pv_one_row(coef[r], a, b, xi), rtol=1e-15, atol=0)
 
 
 def _plain_singular_on_stack(coef, centre, half, xi):

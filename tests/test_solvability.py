@@ -7,6 +7,8 @@ import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 from oracles import (
     antisymmetric_free_values,
+    n2_symmetric_a,
+    n2_symmetric_rho,
     smooth_weight,
     solve_a,
     solve_rho,
@@ -34,8 +36,6 @@ from inclusion_forge.solvability import (
     is_symmetric_pair,
     n2_closed_form_a,
     n2_closed_form_rho,
-    n2_symmetric_a,
-    n2_symmetric_rho,
     n3_closed_form_a,
     n3_closed_form_rho,
     period_matrix,
