@@ -165,11 +165,19 @@ def weight_factor(branch: BranchData, xi, j: int):
     """
     x = np.asarray(xi, dtype=float)
     check_on_slit(branch, x, j)
-    k = np.asarray(branch.endpoints)
-    others = np.delete(k, [2 * j, 2 * j + 1])
-    prod = np.prod(np.abs(x[..., None] - others), axis=-1)
-    out = np.sqrt(prod)
-    return like_input(out, xi)
+    return like_input(_smooth_factor(branch, x, j), xi)
+
+
+def _smooth_factor(branch: BranchData, x: np.ndarray, slit) -> np.ndarray:
+    """r_j = sqrt(prod |x - k|) over the endpoints k of the other slits; j = ``slit`` broadcasts against x.
+
+    Multiplied one endpoint at a time in increasing order from ones, as in :func:`abs_q`, so
+    one slit gives 1 and no targets x endpoints temporary is formed; own endpoints multiply by 1.
+    """
+    out = np.ones(x.shape)
+    for i, point in enumerate(branch.endpoints):
+        out *= np.where(slit == i // 2, 1.0, np.abs(x - point))
+    return np.sqrt(out)
 
 
 @dataclass(frozen=True)
@@ -209,10 +217,7 @@ def slit_table(branch: BranchData, N: int) -> SlitTable:
     n = branch.n
     ends = np.reshape(branch.endpoints, (n, 2))
     nodes = cheb_nodes(ends[:, :1], ends[:, 1:], N)
-    # row j: the 2n - 2 endpoints of the other slits, in increasing order
-    others = np.broadcast_to(ends, (n, n, 2))[~np.eye(n, dtype=bool)]
-    others = others.reshape(n, 2 * n - 2)
-    r = np.sqrt(np.prod(np.abs(nodes[..., None] - others[:, None, :]), axis=-1))
+    r = _smooth_factor(branch, nodes, np.arange(n)[:, None])
     nodes.setflags(write=False)
     r.setflags(write=False)
     return SlitTable(nodes, r)

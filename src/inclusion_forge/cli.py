@@ -8,8 +8,7 @@ reproduce-figures  regenerate the bundled sample configurations
 
 Exit codes: 0 valid result, 1 invalid verdict (or unexpected
 classification for reproduce-figures), 2 unreadable/invalid input or
-unwritable output, 3 internal numerical failure.  The environment variable
-``INCLUSION_FORGE_TOL`` overrides the boundedness tolerance.
+unwritable output, 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import numbers
-import os
 import sys
 from pathlib import Path
 
@@ -185,17 +183,11 @@ def parse_config(doc: dict):
             k: _as_complex(v) if k in ("c_m1", "gamma") else v
             for k, v in doc.get("free", {}).items()
         })
-        # the schema's "integer" also admits integer-valued floats like 200.0
+        # the schema's "integer" admits floats like 200.0, and its "number" integers
         nu = {
-            k: int(v) if k in ("N", "M", "P") else v
+            k: int(v) if k in ("N", "M", "P") else float(v)
             for k, v in doc.get("numerics", {}).items()
         }
-        tol = os.environ.get("INCLUSION_FORGE_TOL", nu.get("tol_solve"))
-        if tol is not None:
-            try:
-                nu["tol_solve"] = float(tol)
-            except ValueError as exc:
-                raise CliError(f"INCLUSION_FORGE_TOL is not a number: {exc}") from exc
         numerics = NumericsConfig(**nu)
     except ConfigurationError as exc:
         raise CliError(str(exc)) from exc

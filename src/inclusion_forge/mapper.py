@@ -73,9 +73,10 @@ FAMILIES = ("phi", "g0_rho", "g1_weighted")
 _PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
 _DIRECT, _G1 = slice(0, 2), slice(2, 3)  # sampled from closed forms; sampled from phi
 _BLOCK_VALUES = 2**16
-# off-slit sums are balanced, and the banks may be traced through interpolants,
-# from this many slits on (below it the plain sums keep 14 digits); balanced for
-# families whose moments are at most this relative residual
+# the one switch to accelerated sums: from this many slits on, off-slit rows are
+# balanced and split by degree tables, and banks may be traced through interpolants;
+# below it the plain loop keeps 14 digits and costs less.  Balanced for families
+# whose moments are at most this relative residual
 _BALANCED_FROM = 4
 _BALANCED_RESIDUAL = 1e-13
 _INTERPOLANT_BITS = 53  # the interpolants of the other-slit sums resolve them to 2^-53
@@ -122,23 +123,22 @@ class SlitMap:
     another slit j form one block, summed to the degree
     :func:`~inclusion_forge.quadrature.block_degrees` gives at the largest
     |w_j| on slit i, its nearer endpoint; the own slit adds its principal
-    value.  From four slits on, a pass of T targets per
-    slit sums the blocks at K first-kind nodes of each slit instead, where
-    that sums fewer terms (K S + n T K < T S, S the sum of the block
-    degrees): the Chebyshev interpolants of the other-slit sums, rewritten
-    in second-kind polynomials, join the own rows, and one principal-value
-    pass gives both (:meth:`_bank_sums`).  K is derived from the layout
-    (:func:`_interpolant_nodes`), and the path depends on the map and T
-    only; the g_1 samples of the table always sum directly.  The block
-    degrees of every family are built with the coefficients and logged
-    once at DEBUG with K and the T it is used from.  Off the slits, the same
-    rule gives each family set a
-    :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone, on
-    the first interior call: a split degree, and the |w| beyond which a pair
-    sums further.  There the phi and g0_rho rows of a solved map of four
-    or more slits are replaced by rows balanced across the slits
+    value.  Below _BALANCED_FROM (four) slits every sum is the plain loop;
+    from four on, and nothing else selects them, three accelerations join.
+    A bank pass of T targets per slit sums the blocks at K first-kind nodes
+    of each slit instead, where that sums fewer terms (K S + n T K < T S, S
+    the sum of the block degrees): the Chebyshev interpolants of the
+    other-slit sums, rewritten in second-kind polynomials, join the own
+    rows, and one principal-value pass gives both (:meth:`_bank_sums`); K
+    comes from the layout (:func:`_interpolant_nodes`), and the g_1 samples
+    of the table always sum directly.  Off the slits, the phi and g0_rho
+    rows of a solved map are replaced by rows balanced across the slits
     (:meth:`_interior_rows`), so that the sums q multiplies keep their
-    digits far from the slits.  All evaluation methods are pure and accept
+    digits far from the slits, and each family set gets a
+    :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone on
+    the first interior call: a split degree, and the |w| beyond which a
+    pair sums further.  The block degrees are logged once at DEBUG with K
+    and the T it is used from.  All evaluation methods are pure and accept
     scalars or arrays of targets.  ``period`` is
     ``period_matrix(branch, numerics)``, built here unless the caller
     already has it (the solve passes its own): its node table samples the
@@ -238,8 +238,10 @@ class SlitMap:
         step = int(f[1] - f[0]) if len(f) > 1 else 1
         return slice(int(f[0]), int(f[-1]) + 1, step) if len(f) else slice(0, 0)
 
-    def _degree_table(self, fams: slice, plain: bool = False) -> DegreeTable:
-        """The degree table of a family set's interior (or plain) rows, built on first use."""
+    def _degree_table(self, fams: slice, plain: bool = False) -> DegreeTable | None:
+        """A family set's degree table of its interior (or plain) rows; None below _BALANCED_FROM slits."""
+        if self.branch.n < _BALANCED_FROM:
+            return None
         names = FAMILIES[fams]
         table = self._degree_tables.get((names, plain))
         if table is None:
@@ -272,9 +274,8 @@ class SlitMap:
         table's nodes, so a family is balanced only where they are at
         rounding (:func:`~inclusion_forge.solvability.moment_residuals` at
         most _BALANCED_RESIDUAL); overridden constants, and g1_weighted,
-        which q does not multiply, keep their plain rows.  Below
-        _BALANCED_FROM slits the plain sums keep their digits and every
-        family keeps its plain rows.  Built on first use.
+        which q does not multiply, keep their plain rows, as does every
+        family below _BALANCED_FROM slits.  Built on first use.
         """
         if self._interior is None:
             n, table, coef = self.branch.n, self._period.table, self._coef

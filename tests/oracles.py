@@ -181,6 +181,15 @@ def abs_q_broadcast(endpoints, xi) -> np.ndarray:
     return np.sqrt(np.abs(np.prod(x[..., None] - np.asarray(endpoints), axis=-1)))
 
 
+def slit_table_r_broadcast(endpoints, nodes) -> np.ndarray:
+    """r_j at the (n, N) nodes from one (n, N, 2n - 2) array of differences, multiplied by ``np.prod``."""
+    ends = np.reshape(endpoints, (-1, 2))
+    n = len(ends)
+    # row j: the 2n - 2 endpoints of the other slits, in increasing order
+    others = np.broadcast_to(ends, (n, n, 2))[~np.eye(n, dtype=bool)].reshape(n, 2 * n - 2)
+    return np.sqrt(np.prod(np.abs(nodes[..., None] - others[:, None, :]), axis=-1))
+
+
 def cauchy_off_80bit(coef, a: float, b: float, zeta) -> np.ndarray:
     """Weighted Cauchy integral of a first-kind series off [a, b], in 80 bits.
 

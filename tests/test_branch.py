@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 from conftest import slit_layout_inputs
-from oracles import abs_q_broadcast, branch_by_continuity, branch_principal_product
+from oracles import (
+    abs_q_broadcast,
+    branch_by_continuity,
+    branch_principal_product,
+    slit_table_r_broadcast,
+)
 
 from inclusion_forge import figures
 from inclusion_forge.branch import (
@@ -9,6 +14,7 @@ from inclusion_forge.branch import (
     abs_q,
     bank_value,
     eval_q,
+    slit_table,
     top_bank_sign,
     weight_factor,
 )
@@ -170,6 +176,19 @@ def test_abs_q_multiplies_in_the_order_of_the_broadcast_product(case, P):
     ends = np.reshape(endpoints, (-1, 2))
     grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], P)
     np.testing.assert_array_equal(abs_q(BranchData(endpoints), grid), abs_q_broadcast(endpoints, grid))
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 96])
+def test_smooth_factor_multiplies_in_the_order_of_the_broadcast_product(n, N):
+    # r is accumulated one endpoint at a time, as abs_q is; bit for bit the
+    # np.prod over the other slits' endpoints, so the density tables do not move
+    endpoints = SINGLE.endpoints if n == 1 else slit_layout_inputs(n)[0].endpoints
+    branch = BranchData(endpoints)
+    table = slit_table(branch, N)
+    np.testing.assert_array_equal(table.r, slit_table_r_broadcast(endpoints, table.nodes))
+    for j in range(n):
+        np.testing.assert_array_equal(weight_factor(branch, table.nodes[j], j), table.r[j])
 
 
 def _seeded_branch(rng, n):

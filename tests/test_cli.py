@@ -215,11 +215,13 @@ def test_override_flags(tmp_path, fig1b_path):
     assert doc["constants"]["rho"] == [0.5, 0.0]
 
 
-def test_tolerance_env_override(tmp_path, monkeypatch):
+def test_tolerance_from_the_document(tmp_path):
+    doc = figures.load_case("fig2d")
     cfg_path = tmp_path / "fig2d.json"
-    cfg_path.write_text(json.dumps(figures.load_case("fig2d")))
+    cfg_path.write_text(json.dumps(doc))
     assert cli.main(["solve", "--config", str(cfg_path)]) == 1
-    monkeypatch.setenv("INCLUSION_FORGE_TOL", "10.0")
+    doc.setdefault("numerics", {})["tol_solve"] = 10
+    cfg_path.write_text(json.dumps(doc))
     assert cli.main(["solve", "--config", str(cfg_path)]) == 0
 
 
@@ -314,18 +316,6 @@ def test_validate_rejects_what_solve_rejects_on_a_single_inclusion(tmp_path, cap
     assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_non_finite_tolerance_env_exits_two(fig1b_path, monkeypatch, capsys):
-    monkeypatch.setenv("INCLUSION_FORGE_TOL", "inf")
-    assert cli.main(["solve", "--config", str(fig1b_path)]) == 2
-    assert "error: tol_solve must be finite" in capsys.readouterr().err
-
-
-def test_malformed_tolerance_env_exits_two(tmp_path, fig1b_path, monkeypatch, capsys):
-    monkeypatch.setenv("INCLUSION_FORGE_TOL", "abc")
-    assert cli.main(["solve", "--config", str(fig1b_path)]) == 2
-    assert "INCLUSION_FORGE_TOL" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("numerics", [{"N": 64.0}, {"M": 32.0}, {"P": 200.0}])
 def test_integer_valued_float_numerics_are_accepted(tmp_path, numerics):
     doc = figures.load_case("fig1b")
@@ -385,8 +375,7 @@ def test_render_svg_frames_a_point_far_from_the_origin(points):
     assert float(root.get("width")) > 0.0 and float(root.get("height")) > 0.0
 
 
-def test_parse_config_defaults(monkeypatch):
-    monkeypatch.delenv("INCLUSION_FORGE_TOL", raising=False)
+def test_parse_config_defaults():
     doc = figures.load_case("fig3a")
     ld = doc["loading"]
     ld.pop("mu", None)

@@ -449,8 +449,9 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
     other = fresh[1]
     other.F_interior(z[::-1][:7])
     other.omega_interior(z[-1])
-    # (a map with balanced rows keeps one more table per family set, for its plain rows)
-    plain = (False, True) if case == "sixteen" else (False,)
+    # (a map with balanced rows keeps one more table per family set, for its
+    # plain rows; a map below _BALANCED_FROM slits keeps none)
+    plain = (False, True) if case == "sixteen" else ()
     family_sets = (mapper.FAMILIES[mapper._PHI], mapper.FAMILIES[mapper._MAP])
     assert sm._degree_tables.keys() == other._degree_tables.keys() == {
         (names, rows) for names in family_sets for rows in plain
@@ -480,17 +481,59 @@ def test_solves_never_build_a_degree_table(monkeypatch):
 
 
 def test_each_degree_table_build_is_logged_once(caplog, capsys):
-    sm, _, _ = solved_map("fig3a")
+    (sm,) = _sixteen_slit_solve_maps(1)
     with caplog.at_level(logging.DEBUG, logger=mapper.__name__):
         for _ in range(2):
             sm.F_interior(0.3 + 0.5j)
             sm.omega_interior(np.array([0.3 + 0.5j, 2.0 - 1e-3j]))
     messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
-    assert len(messages) == 2
+    assert len(messages) == len(sm._degree_tables) == 4
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    assert messages[0].startswith("degree table for phi: D = ")
-    assert messages[1].startswith("degree table for g0_rho+g1_weighted: D = ")
+    for message, start in zip(messages, (
+        "phi: D = ", "phi (plain rows): D = ",
+        "g0_rho+g1_weighted: D = ", "g0_rho+g1_weighted (plain rows): D = ",
+    )):
+        assert message.startswith("degree table for " + start)
     assert capsys.readouterr() == ("", "")
+
+
+def _split_table(sm, fams, plain=False):
+    """The degree table of the rows a pass sums, at any n: the split forced below four slits."""
+    return quadrature.degree_table((sm._coef if plain else sm._interior_rows()[0])[fams], sm._lo, sm._hi)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_the_interior_split_starts_at_four_slits(seed, monkeypatch):
+    # below _BALANCED_FROM slits every off-slit sum is the plain loop, which
+    # agrees with the split to rounding; from four slits on the split runs
+    tables, builds = [], []
+    stack, build = mapper.cauchy_off_stack, mapper.degree_table
+    monkeypatch.setattr(mapper, "cauchy_off_stack", lambda *args: tables.append(args[2]) or stack(*args))
+    monkeypatch.setattr(mapper, "degree_table", lambda *args: builds.append(args) or build(*args))
+    sizes = set()
+    for doc, z in interior_field_inputs(seed):
+        sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
+        tables.clear()
+        builds.clear()
+        got = sm.omega_interior(z), sm.F_interior(z)
+        n = sm.branch.n
+        sizes.add(n)
+        if n >= mapper._BALANCED_FROM:
+            assert sm._degree_tables.keys() == {
+                (mapper.FAMILIES[fams], plain) for fams in (mapper._PHI, mapper._MAP) for plain in (False, True)
+            }
+            assert len(builds) == 4 and all(isinstance(t, quadrature.DegreeTable) for t in tables)
+            continue
+        assert tables and all(t is None for t in tables)
+        assert not builds and not sm._degree_tables
+        tables.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SlitMap, "_degree_table", _split_table)
+            split = sm.omega_interior(z), sm.F_interior(z)
+        assert all(isinstance(t, quadrature.DegreeTable) for t in tables)
+        for value, want in zip(got, split):
+            np.testing.assert_allclose(value, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert sizes == {2, 3, 16}
 
 
 @pytest.mark.parametrize("name", ["fig1b", "fig4a"])
