@@ -98,14 +98,15 @@ def check_on_slit(branch: BranchData, x: np.ndarray, m: int) -> None:
 
 
 def reject_on_slits(branch: BranchData, z: np.ndarray) -> None:
-    """Raise :class:`EvaluationError` if any complex target lies on a closed slit."""
+    """Raise :class:`EvaluationError` naming the first closed slit that a complex target lies on."""
     on_cut = z.imag == 0.0
     if np.any(on_cut):
         x = np.where(on_cut, z.real, np.inf)
-        for a, b in branch.slits:
+        for j, (a, b) in enumerate(branch.slits):
             if np.any((x >= a) & (x <= b)):
                 raise EvaluationError(
-                    "q is two-valued on the slits; use bank_value there"
+                    f"target on closed slit {j} = [{a}, {b}], where q is two-valued;"
+                    " its boundary values on both banks come from SlitMap.banks"
                 )
 
 

@@ -21,7 +21,11 @@ Off the slits of four or more, the first two densities are multiplied by a
 polynomial omega with one zero in each gap, and their sums divided by
 omega(zeta) wherever |omega(zeta)| reaches its largest value on the slits:
 the solvability conditions make that exact, and it keeps the digits that q,
-of degree n, would otherwise magnify out of the cancelling sums.
+of degree n, would otherwise magnify out of the cancelling sums.  Outside
+the hull [lo_0, hi_{n-1}] of those slits, the regular parts of the map and
+of F are analytic and bounded, also at infinity, so each is one power
+series in the Joukowski variable w of the hull: a target far from the
+slits sums that series in place of n slit roots and n Cauchy sums.
 """
 
 from __future__ import annotations
@@ -80,6 +84,14 @@ _BLOCK_VALUES = 2**16
 _BALANCED_FROM = 4
 _BALANCED_RESIDUAL = 1e-13
 _INTERPOLANT_BITS = 53  # the interpolants of the other-slit sums resolve them to 2^-53
+# the far-field series resolve the regular parts to 2^-53 at the targets with |w| <=
+# 1/_FAR_RATIO in the variable w of the hull [lo_0, hi_{n-1}], where each term gains a
+# bit.  They interpolate _RING_SAMPLES values on |w| = 1/_FAR_RATIO itself, so by the
+# maximum principle their error there bounds it at every far target; term k aliases
+# term k + _RING_SAMPLES, 2^-_RING_SAMPLES smaller, and the power of two past twice
+# the _FAR_BITS / log2 _FAR_RATIO terms leaves the chop room to see the plateau
+_FAR_BITS, _FAR_RATIO = 53, 2.0
+_RING_SAMPLES = 1 << int(np.ceil(np.log2(2.0 * _FAR_BITS / np.log2(_FAR_RATIO))))
 _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 
 
@@ -124,7 +136,7 @@ class SlitMap:
     :func:`~inclusion_forge.quadrature.block_degrees` gives at the largest
     |w_j| on slit i, its nearer endpoint; the own slit adds its principal
     value.  Below _BALANCED_FROM (four) slits every sum is the plain loop;
-    from four on, and nothing else selects them, three accelerations join.
+    from four on, and nothing else selects them, four accelerations join.
     A bank pass of T targets per slit sums the blocks at K first-kind nodes
     of each slit instead, where that sums fewer terms (K S + n T K < T S, S
     the sum of the block degrees): the Chebyshev interpolants of the
@@ -137,9 +149,13 @@ class SlitMap:
     digits far from the slits, and each family set gets a
     :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone on
     the first interior call: a split degree, and the |w| beyond which a
-    pair sums further.  The block degrees are logged once at DEBUG with K
-    and the T it is used from.  All evaluation methods are pure and accept
-    scalars or arrays of targets.  ``period`` is
+    pair sums further.  On that call each regular part whose moments are at
+    rounding also gets a far-field series (:meth:`_far_series`): targets
+    with |w| <= 1/_FAR_RATIO in the variable of the hull [lo_0, hi_{n-1}]
+    sum it (:meth:`_regular`), the others the Cauchy sums.  The block
+    degrees are logged once at DEBUG with K and the T it is used from.
+    All evaluation methods are pure and accept scalars or arrays of
+    targets.  ``period`` is
     ``period_matrix(branch, numerics)``, built here unless the caller
     already has it (the solve passes its own): its node table samples the
     densities, and its gap basis tests the moments of the balanced rows.
@@ -163,6 +179,7 @@ class SlitMap:
         self._lo, self._hi = ends[:, 0], ends[:, 1]
         self._centre = 0.5 * (b + a)[:, 0]
         self._half = 0.5 * (b - a)[:, 0]
+        self._hull = 0.5 * (self._hi[-1] + self._lo[0]), 0.5 * (self._hi[-1] - self._lo[0])  # centre, half
         self._rows = np.arange(n)
         alt = (-1.0) ** self._rows
         lam_alt = alt * np.asarray(derived.lam)
@@ -196,6 +213,7 @@ class SlitMap:
         raw[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
         self._chop(raw, _G1)
         self._degree_tables: dict[tuple[str, ...], DegreeTable] = {}
+        self._far: dict[tuple[str, ...], np.ndarray | None] = {}
         self._block_degree[_MAP] = block_degrees(self._coef[_MAP], self._worst_w)
         self._block_degree[:, self._rows, self._rows] = 0  # own-slit blocks are never formed
         degree, L = self._block_degree.max(axis=0), self._coef.shape[-1]
@@ -501,23 +519,85 @@ class SlitMap:
         F = d.beta0 + singular_part_F(x, d) + sign * g1 + 1j * self.phi(x, rows[:, None])
         return BoundaryPass(omega, F, g1)
 
+    # -- the regular parts off the slits ----------------------------------------
+
+    def _direct(self, fams: slice, z: np.ndarray) -> np.ndarray:
+        """The regular part of the map (``_MAP``), or F's q-term (``_PHI``), from the Cauchy sums."""
+        sums, q = self._off_sums(fams, z)
+        if fams == _PHI:
+            return 1j * (-1.0) ** (self.branch.n - 1) * q / np.pi * sums[0]
+        total = sums[1] + (-1.0) ** self.branch.n * 1j * q * sums[0]
+        return -1j / (np.pi * self.derived.tau_bar) * total + self.derived.gamma
+
+    def _regular(self, fams: slice, z: np.ndarray) -> np.ndarray:
+        """:meth:`_direct` at targets z, each target with |w| <= 1/_FAR_RATIO from the far-field series.
+
+        w is the root of the hull [lo_0, hi_{n-1}], 1 / (x + sqrt(x - 1) sqrt(x + 1))
+        at the mapped target x, which stays finite however large the target.
+        Every other target, and every target of a map without a series, is
+        summed directly.
+        """
+        series = self._far_series(fams)
+        if series is None:
+            return self._direct(fams, z)
+        flat, (centre, half) = z.reshape(-1), self._hull
+        with np.errstate(invalid="ignore", over="ignore"):  # w is NaN at non-finite targets: they sum directly
+            x = (flat - centre) / half
+            w = 1.0 / (x + np.sqrt(x - 1.0) * np.sqrt(x + 1.0))
+        far = np.abs(w) <= 1.0 / _FAR_RATIO
+        out = np.empty(flat.shape, dtype=complex)
+        out[far] = np.polynomial.polynomial.polyval(w[far], series)
+        if not far.all():
+            out[~far] = self._direct(fams, flat[~far])
+        return out.reshape(z.shape)
+
+    def _far_series(self, fams: slice) -> np.ndarray | None:
+        """Coefficients A_k of :meth:`_direct` as sum_k A_k w^k off the hull, or None where there is none.
+
+        Outside the hull [lo_0, hi_{n-1}] the regular parts of a solved map
+        are analytic and bounded, also at infinity (w = 0), so each is one
+        power series in the hull's w.  Where the family q multiplies (the
+        first of the set) has balanced rows, its moments at rounding and
+        from _BALANCED_FROM slits on (:meth:`_interior_rows`), the direct
+        values at _RING_SAMPLES points of |w| = 1/_FAR_RATIO give the A_k by
+        one FFT.
+        The ring coefficients are chopped at their rounding plateau, and
+        the series stops at the degree
+        :func:`~inclusion_forge.quadrature.block_degrees` gives at
+        |w| = 1/_FAR_RATIO.  Where the chop finds no plateau, or keeps no
+        term, there is no series.  Built on the first interior call and
+        logged once at DEBUG.
+        """
+        names = FAMILIES[fams]
+        if names in self._far:
+            return self._far[names]
+        series = None
+        if self._interior_rows()[1][fams][0]:
+            (centre, half), w = self._hull, np.exp(2j * np.pi * np.arange(_RING_SAMPLES) / _RING_SAMPLES) / _FAR_RATIO
+            ring = np.fft.fft(self._direct(fams, centre + 0.5 * half * (w + 1.0 / w)))
+            ring /= _RING_SAMPLES
+            kept = int(standard_chop(ring))
+            if 0 < kept < _RING_SAMPLES:
+                coef = ring[:kept] * _FAR_RATIO ** np.arange(kept)
+                series = coef[: int(block_degrees(coef[None, None], np.array([[1.0 / _FAR_RATIO]])).item())]
+            log.debug(
+                "far-field series for %s: %d terms, ring chopped at %d of %d, at |w| <= %g of the hull",
+                "+".join(names), 0 if series is None else len(series), kept, _RING_SAMPLES, 1.0 / _FAR_RATIO,
+            )
+        self._far[names] = series
+        return series
+
     # -- the map -----------------------------------------------------------
 
     def omega_interior(self, zeta):
         """Map value off the slits (and away from the pole preimage)."""
         z = np.asarray(zeta, dtype=complex)
-        out = singular_part_omega(z, self.derived) + self._omega_regular(z)
+        out = singular_part_omega(z, self.derived) + self._regular(_MAP, z)
         return like_input(out, zeta)
 
     def omega_regular(self, zeta):
         """Bounded remainder of the map after removing the singular term."""
-        return like_input(self._omega_regular(np.asarray(zeta, dtype=complex)), zeta)
-
-    def _omega_regular(self, z: np.ndarray):
-        d = self.derived
-        (g0_sum, g1_sum), q = self._off_sums(_MAP, z)
-        total = g1_sum + (-1.0) ** self.branch.n * 1j * q * g0_sum
-        return -1j / (np.pi * d.tau_bar) * total + d.gamma
+        return like_input(self._regular(_MAP, np.asarray(zeta, dtype=complex)), zeta)
 
     # -- the companion function F -------------------------------------------
 
@@ -528,9 +608,7 @@ class SlitMap:
         if not self._live[_PHI].any():  # no phi density: F is its singular part
             reject_on_slits(self.branch, z)
             return like_input(d.beta0 + singular_part_F(z, d), zeta)
-        (total,), q = self._off_sums(_PHI, z)
-        sign = (-1.0) ** (self.branch.n - 1)
-        out = d.beta0 + singular_part_F(z, d) - 1j * sign * q / np.pi * total
+        out = d.beta0 + singular_part_F(z, d) - self._regular(_PHI, z)
         return like_input(out, zeta)
 
     # -- diagnostics ---------------------------------------------------------

@@ -191,23 +191,62 @@ def slit_table_r_broadcast(endpoints, nodes) -> np.ndarray:
 
 
 def cauchy_off_80bit(coef, a: float, b: float, zeta) -> np.ndarray:
-    """Weighted Cauchy integral of a first-kind series off [a, b], in 80 bits.
+    """Weighted Cauchy integrals of first-kind series off [a, b], in 80 bits.
 
-    Horner's rule in w = 1/(x + root) at the mapped target x, with
-    root = sqrt(x - 1) sqrt(x + 1), and the result -pi/(h root) sum alpha_m w^m
-    for the half-length h.  Returned as ``clongdouble``.
+    ``coef`` holds rows of coefficients in its last axis, shape (..., L), and
+    the result has shape (...) + zeta.shape: one root per target serves
+    every row.  Horner's rule in w = 1/(x + root) at the mapped target x,
+    with root = sqrt(x - 1) sqrt(x + 1), and the result
+    -pi/(h root) sum alpha_m w^m for the half-length h.  Complex targets
+    return ``clongdouble``.  Real targets, all off [a, b], are summed in
+    real arithmetic and return ``longdouble``: the root is
+    sign(x) sqrt(|x - 1|) sqrt(|x + 1|), and each division by a real value
+    is a product with its reciprocal, as complex division forms it, so the
+    result is the real part of the complex one bit for bit.
     """
     a, b = np.longdouble(a), np.longdouble(b)
     centre, half = (a + b) / 2, (b - a) / 2
-    x = (np.asarray(zeta, dtype=np.clongdouble) - centre) / half
-    root = np.sqrt(x - 1) * np.sqrt(x + 1)
+    if np.iscomplexobj(zeta):
+        x = (np.asarray(zeta, dtype=np.clongdouble) - centre) / half
+        root = np.sqrt(x - 1) * np.sqrt(x + 1)
+    else:
+        x = (np.asarray(zeta, dtype=np.longdouble) - centre) * (1 / half)
+        root = np.copysign(np.sqrt(np.abs(x - 1)) * np.sqrt(np.abs(x + 1)), x)
     w = 1 / (x + root)
-    coef = np.asarray(coef).astype(np.clongdouble)
-    total = np.full(x.shape, coef[-1], dtype=np.clongdouble)
-    for c in coef[-2::-1]:
-        total = total * w + c
+    coef = np.asarray(coef).astype(x.dtype)
+    total = np.zeros(coef.shape[:-1] + x.shape, dtype=x.dtype)
+    for m in range(coef.shape[-1] - 1, -1, -1):
+        for row in np.ndindex(coef.shape[:-1]):  # a scalar per row adds faster than a broadcast
+            total[row] *= w
+            total[row] += coef[row + (m,)]
     pi = np.longdouble("3.14159265358979323846264338327950288")
+    if x.dtype == np.longdouble:
+        return -pi * (1 / (half * root)) * total
     return -pi / (half * root) * total
+
+
+def full_degree_80_bit_sums(sm, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted slit sums of a map at its bank grid, every other slit to full degree in 80 bits, and their scale.
+
+    ``grid`` holds T real parameters per slit, shape (n, T).  Each slit's
+    rows are summed in one call at the targets of every other slit, from
+    one 80-bit root per target, and the own slit adds the package's float64
+    principal value.  The scale of a sum is |its principal value| plus, for
+    each other slit, the sum of the moduli of that slit's terms.
+    """
+    n, coef, weights = sm.branch.n, sm._coef, sm._weights
+    pv = weights[:, :, None] * singular_on_stack(coef, sm._centre, sm._half, grid)
+    expected = pv.astype(np.longdouble)
+    scale = np.abs(pv)
+    for j, (a, b) in enumerate(sm.branch.slits):
+        others = np.flatnonzero(np.arange(n) != j)
+        expected[:, others] += weights[:, j, None, None] * cauchy_off_80bit(coef[:, j], a, b, grid[others])
+        for m in others:
+            rho, w = slit_roots([a], [b], grid[m])
+            powers = np.abs(w) ** np.arange(coef.shape[-1])[:, None]
+            for f in range(len(coef)):
+                scale[f, m] += np.pi * np.abs(weights[f, j] * (np.abs(coef[f, j]) @ powers / rho[0]))
+    return expected, scale
 
 
 def tail_degree_80bit(coef, w: float, scale: float = 1.0) -> int:

@@ -9,6 +9,7 @@ from conftest import (
     many_slits_docs,
     sixteen_slit_inputs,
     slit_layout_inputs,
+    spread_layout_inputs,
 )
 from oracles import (
     all_family_g1_values,
@@ -18,6 +19,7 @@ from oracles import (
     cauchy_off_80bit,
     cauchy_weighted,
     far_field_sums_80bit,
+    full_degree_80_bit_sums,
     off_one_row,
     pv_one_row,
     slit_banks,
@@ -364,12 +366,14 @@ def test_interior_values_do_not_depend_on_the_target_blocking(monkeypatch):
 def test_interior_evaluators_reject_points_on_a_closed_slit(name):
     sm, _, _ = solved_map("fig3a")
     evaluate = getattr(sm, name)
-    for a, b in sm.branch.slits:
+    for j, (a, b) in enumerate(sm.branch.slits):
+        # the message names the slit and where its boundary values come from
+        message = rf"closed slit {j} = \[{a}, {b}\].*SlitMap\.banks"
         for x in (a, 0.3 * a + 0.7 * b, b):
             for z in (complex(x, 0.0), complex(x, -0.0)):
-                with pytest.raises(EvaluationError):
+                with pytest.raises(EvaluationError, match=message):
                     evaluate(z)
-                with pytest.raises(EvaluationError):
+                with pytest.raises(EvaluationError, match=message):
                     evaluate(np.array([2.0 + 1.0j, z]))
     # real targets in a gap and outside all slits are accepted
     k = sm.branch.endpoints
@@ -459,13 +463,20 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
     for key, table in sm._degree_tables.items():
         assert table.D == other._degree_tables[key].D
         np.testing.assert_array_equal(table.thr, other._degree_tables[key].thr)
+    # and so do the far-field series (none below _BALANCED_FROM slits)
+    assert sm._far.keys() == other._far.keys()
+    for key, series in sm._far.items():
+        assert (series is None) == (case != "sixteen")
+        np.testing.assert_array_equal(series, other._far[key])
 
 
 def test_solves_never_build_a_degree_table(monkeypatch):
-    # the bisection for the interior split is paid on the first interior call
-    calls = []
-    build = mapper.degree_table
+    # the bisection for the interior split and the ring samples of the
+    # far-field series are paid on the first interior call
+    calls, series = [], []
+    build, far = mapper.degree_table, SlitMap._far_series
     monkeypatch.setattr(mapper, "degree_table", lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(SlitMap, "_far_series", lambda self, fams: series.append(fams) or far(self, fams))
     for case in figures.FIGURE_CASES:
         cfg, loading, materials, free, numerics, overrides = load_figure_inputs(case.name)
         pipeline.solve(
@@ -473,11 +484,13 @@ def test_solves_never_build_a_degree_table(monkeypatch):
             override_a=overrides.get("a"), override_rho=overrides.get("rho"),
         )
     sm = pipeline.solve(*slit_layout_inputs(16)).slit_map
-    assert len(figures.FIGURE_CASES) == 16 and not calls
+    assert len(figures.FIGURE_CASES) == 16 and not calls and not series and not sm._far
     sm.F_interior(0.3 + 0.5j)
     sm.omega_interior(0.3 + 0.5j)
     # one per family set, and one more for its plain rows where a target needs them
     assert 2 <= len(calls) == len(sm._degree_tables)
+    # one series per family set
+    assert len(sm._far) == 2 and all(s is not None for s in sm._far.values())
 
 
 def test_each_degree_table_build_is_logged_once(caplog, capsys):
@@ -487,13 +500,22 @@ def test_each_degree_table_build_is_logged_once(caplog, capsys):
             sm.F_interior(0.3 + 0.5j)
             sm.omega_interior(np.array([0.3 + 0.5j, 2.0 - 1e-3j]))
     messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
-    assert len(messages) == len(sm._degree_tables) == 4
+    # the far-field series of each family set samples a ring through the
+    # degree tables, and logs its own build once
+    tables = [m for m in messages if m.startswith("degree table for ")]
+    series = [m for m in messages if m.startswith("far-field series for ")]
+    assert len(tables) == len(sm._degree_tables) == 4
+    assert len(series) == len(sm._far) == 2 and len(messages) == 6
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    for message, start in zip(messages, (
+    for message, start in zip(tables, (
         "phi: D = ", "phi (plain rows): D = ",
         "g0_rho+g1_weighted: D = ", "g0_rho+g1_weighted (plain rows): D = ",
     )):
         assert message.startswith("degree table for " + start)
+    for message, names in zip(series, ("phi", "g0_rho+g1_weighted")):
+        terms = len(sm._far[tuple(names.split("+"))])
+        assert message.startswith(f"far-field series for {names}: {terms} terms, ring chopped at ")
+        assert message.endswith(f" of {mapper._RING_SAMPLES}, at |w| <= 0.5 of the hull")
     assert capsys.readouterr() == ("", "")
 
 
@@ -526,6 +548,7 @@ def test_the_interior_split_starts_at_four_slits(seed, monkeypatch):
             continue
         assert tables and all(t is None for t in tables)
         assert not builds and not sm._degree_tables
+        assert all(series is None for series in sm._far.values())  # no far-field series either
         tables.clear()
         with monkeypatch.context() as m:
             m.setattr(SlitMap, "_degree_table", _split_table)
@@ -619,11 +642,22 @@ def test_edge_interior_values_are_q_times_the_full_length_sums(n):
 
 
 def _far_field_error(sm, free, z):
-    """Largest distance of q times the phi and g0_rho sums from the 80-bit solve-and-sum."""
+    """Largest distance of q times the phi and g0_rho sums from the 80-bit solve-and-sum.
+
+    Both from the Cauchy sums and through the path the evaluators take,
+    the far-field series where a target has one: there q times the phi sum
+    is F's q-term over i (-1)^(n-1) / pi, and q times the g0_rho sum comes
+    from the map's regular part less the g1_weighted sum.
+    """
+    n, d = sm.branch.n, sm.derived
     (phi,), q = sm._off_sums(mapper._PHI, z)
-    (g0_rho, _), _ = sm._off_sums(mapper._MAP, z)
+    (g0_rho, g1), _ = sm._off_sums(mapper._MAP, z)
+    total = 1j * np.pi * d.tau_bar * (sm._regular(mapper._MAP, z) - d.gamma)
+    served = (sm._regular(mapper._PHI, z) * np.pi / (1j * (-1.0) ** (n - 1)), (total - g1) / ((-1.0) ** n * 1j))
     want = far_field_sums_80bit(sm.branch.endpoints, sm.derived, free, z, N=sm.numerics.N)
-    return max(np.abs(got - w).max() / np.abs(w).max() for got, w in zip((q * phi, q * g0_rho), want))
+    return max(
+        np.abs(got - w).max() / np.abs(w).max() for path in ((q * phi, q * g0_rho), served) for got, w in zip(path, want)
+    )
 
 
 @pytest.mark.parametrize(("case", "bound"), [("sixteen", 1e-7), (8, 1e-10), (16, 1e-5)])
@@ -631,10 +665,12 @@ def test_far_field_sums_match_an_80_bit_solve(case, bound):
     # off the slits q ~ zeta^n multiplies sums that cancel to zeta^-n: summed
     # plainly they read 5.4e-5 (sixteen), 1.6e-9 and 3.0e-4 (the n = 8 and 16
     # edge layouts) off the 80-bit sums on these rings; the balanced rows
-    # 4.2e-9, 2.1e-12 and 6.2e-7
+    # 4.2e-9, 2.1e-12 and 6.2e-7, and the far-field series, which serves
+    # every target of these rings, the same
     args = sixteen_slit_inputs() if case == "sixteen" else _edge_inputs(case)
     sm = pipeline.solve(*args).slit_map
     assert sm._interior_rows()[1].tolist() == [True, True, False]
+    assert all(sm._far_series(fams) is not None for fams in (mapper._PHI, mapper._MAP))
     k = np.asarray(sm.branch.endpoints)
     centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
     ring = np.exp(2j * np.pi * np.arange(16) / 16 + 0.1j)
@@ -678,6 +714,8 @@ def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case,
     assert sm._interior_rows()[1].tolist() == [True, True, False]
     centre, level = _omega_level_targets(sm)
     sides = {"plain": centre + 0.99 * (level - centre), "balanced": centre + 1.01 * (level - centre)}
+    for fams in (mapper._PHI, mapper._MAP):  # the ring samples of the series sum both kinds of rows
+        assert sm._far_series(fams) is not None
     kernel = mapper.cauchy_off_stack
     for side, z in sides.items():
         rows = []
@@ -699,7 +737,7 @@ def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case,
 
 
 @pytest.mark.parametrize("shift", [1e-11, 0.1])
-def test_moments_above_rounding_keep_the_plain_rows(shift):
+def test_moments_above_rounding_keep_the_plain_rows(shift, monkeypatch):
     # the balanced rows differ from the plain sums by the moments of the plain
     # rows; a shift of 1e-11 leaves the boundedness residual inside tol_solve
     # but far above rounding, and near the slits it would move the values by
@@ -714,6 +752,105 @@ def test_moments_above_rounding_keep_the_plain_rows(shift):
     z = _far_and_near_targets(sm.branch, np.random.default_rng(3))[3000:]
     for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
         assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
+    # nor does F take a far-field series, which would be bounded where F is not:
+    # its far targets are summed directly, while the map, whose g0_rho rows are
+    # balanced, takes its series
+    assert sm._far_series(mapper._PHI) is None and sm._far_series(mapper._MAP) is not None
+    far = _far_targets(sm, np.random.default_rng(4))
+    got = sm.F_interior(far)
+    monkeypatch.setattr(SlitMap, "_far_series", _no_series)
+    np.testing.assert_array_equal(got, sm.F_interior(far))
+
+
+def test_broken_rho_makes_the_regular_part_grow_from_four_slits_on():
+    # with rho broken the g0_rho moments are off rounding: the map keeps no
+    # far-field series, which would be bounded, and its regular part grows
+    sm = pipeline.solve(*slit_layout_inputs(8, 0)).slit_map
+    rho_bad = sm.constants.rho.copy()
+    rho_bad[1] += 0.1
+    smb = SlitMap(sm.branch, sm.derived, build_constants(sm.constants.a, rho_bad, sm.derived), sm.numerics)
+    t = np.pi / 7
+    ref = smb.omega_regular(1e2 * np.exp(1j * t))
+    d3 = abs(smb.omega_regular(1e3 * np.exp(1j * t)) - ref)
+    d4 = abs(smb.omega_regular(1e4 * np.exp(1j * t)) - ref)
+    assert d4 / d3 >= 10.0
+    assert not smb._interior_rows()[1][1] and smb._far_series(mapper._MAP) is None
+    assert sm._far_series(mapper._MAP) is not None
+
+
+def _no_series(self, fams):
+    """SlitMap._far_series of a map that sums every target directly."""
+    return None
+
+
+def _far_targets(sm, rng, radii=(0.01, 0.49), count=600):
+    """Targets with |w| in ``radii`` in the hull's variable; below 1/2 a far-field series serves them.
+
+    Targets within 0.2 hull half-lengths of a finite pole preimage are left out.
+    """
+    k = np.asarray(sm.branch.endpoints)
+    centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
+    w = rng.uniform(*radii, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    z = centre + 0.5 * half * (w + 1.0 / w)
+    return z if sm.derived.pole_at_infinity else z[np.abs(z - sm.derived.zeta_inf) >= 0.2 * half]
+
+
+_FAR_CASES = {
+    "sixteen": sixteen_slit_inputs,
+    "edge8": lambda: _edge_inputs(8),
+    "edge16": lambda: _edge_inputs(16),
+    "edge24": lambda: _edge_inputs(24),
+    "spread_gaps": lambda: _spread_gap_inputs(16, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAR_CASES))
+def test_far_field_series_agree_with_the_direct_sums(case, monkeypatch):
+    # the series interpolate the direct values on |w| = 1/2; at targets inside
+    # that ring they read at most 1.4e-15 of the largest direct value
+    # (spread_gaps, omega_regular), and targets outside it sum directly
+    sm = pipeline.solve(*_FAR_CASES[case]()).slit_map
+    rng = np.random.default_rng(8)
+    z, near = _far_targets(sm, rng), _far_targets(sm, rng, (0.51, 0.99))
+    names = ("omega_interior", "omega_regular", "F_interior")
+    got = [(getattr(sm, name)(z), getattr(sm, name)(near)) for name in names]
+    assert all(sm._far_series(fams) is not None for fams in (mapper._PHI, mapper._MAP))
+    monkeypatch.setattr(SlitMap, "_far_series", _no_series)
+    for name, (value, value_near) in zip(names, got):
+        want = getattr(sm, name)(z)
+        assert np.abs(value - want).max() <= 1e-14 * np.abs(want).max(), name
+        np.testing.assert_array_equal(value_near, getattr(sm, name)(near))
+
+
+def test_far_field_series_need_a_plateau_on_their_ring():
+    # slit and gap lengths spread over three decades: the ring of the series
+    # crosses targets where omega is below its slit maximum and the plain rows
+    # take over, and the ring coefficients find no plateau
+    sm = pipeline.solve(*spread_layout_inputs(16, 3)).slit_map
+    assert sm._interior_rows()[1].tolist() == [True, True, False]
+    assert sm._far_series(mapper._PHI) is None and sm._far_series(mapper._MAP) is None
+
+
+def test_far_field_at_huge_and_non_finite_targets():
+    # q overflows past |zeta| ~ 1e19 on the n = 16 map, so the direct sums read
+    # NaN there; through the series a finite target, however large, reads the
+    # value at infinity, the series' first coefficient
+    sm = _sixteen_slit_map()
+    d = sm.derived
+    huge = np.array([1e20, -1e200, 1e200j, -1e300 + 1e300j, 1.7e308])
+    at_infinity = sm._far_series(mapper._MAP)[0], sm._far_series(mapper._PHI)[0]
+    assert np.all(sm.omega_regular(huge) == at_infinity[0])
+    assert np.all(sm.omega_interior(huge) == mapper.singular_part_omega(huge, d) + at_infinity[0])
+    assert np.all(sm.F_interior(huge) == d.beta0 + singular_part_F(huge, d) - at_infinity[1])
+    # and the values approach it
+    assert abs(sm.omega_regular(1e8 + 1e8j) - at_infinity[0]) <= 1e-7 * abs(at_infinity[0])
+    # non-finite targets read NaN, as before; below four slits q still overflows
+    fig3a, _, _ = solved_map("fig3a")
+    nan = np.array([np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.inf, np.inf), complex(np.nan, 1.0)])
+    with np.errstate(all="ignore"):
+        for evaluate in (sm.omega_interior, sm.omega_regular, sm.F_interior):
+            assert np.all(np.isnan(evaluate(nan)))
+        assert np.isnan(fig3a.omega_regular(1e200))
 
 
 # -- scalar / array contract ---------------------------------------------------
@@ -863,27 +1000,21 @@ def _layout_inputs(n):
     return (cfg, *rest)
 
 
-def _full_degree_80_bit_sums(sm, grid):
-    """The weighted slit sums at the bank grid, every other slit to full degree in 80 bits, and their scale.
-
-    The scale of a sum is |its principal value| plus, for each other slit,
-    the sum of the moduli of that slit's terms.
-    """
-    n, coef, weights = sm.branch.n, sm._coef, sm._weights
-    pv = weights[:, :, None] * singular_on_stack(coef, sm._centre, sm._half, grid)
-    expected = pv.astype(np.longdouble)
-    scale = np.abs(pv)
-    for m in range(n):
+def test_stacked_80_bit_sums_equal_one_row_and_one_pair_at_a_time():
+    # one 80-bit root per target for every family, and one call per slit at
+    # the targets of every other slit, in real arithmetic: the same bits as
+    # the complex sums of one row and one slit pair at a time
+    sm = pipeline.solve(*_edge_inputs(8)).slit_map
+    grid = _bank_grid(sm, 200)
+    expected, _ = full_degree_80_bit_sums(sm, grid)
+    pv = sm._weights[:, :, None] * singular_on_stack(sm._coef, sm._centre, sm._half, grid)
+    one = pv.astype(np.longdouble)
+    for m in range(sm.branch.n):
         for j, (a, b) in enumerate(sm.branch.slits):
-            if j == m:
-                continue
-            rho, w = slit_roots([a], [b], grid[m])
-            powers = np.abs(w) ** np.arange(coef.shape[-1])[:, None]
-            for f in range(len(mapper.FAMILIES)):
-                full = cauchy_off_80bit(coef[f, j], a, b, grid[m]).real
-                expected[f, m] += weights[f, j] * full
-                scale[f, m] += np.pi * np.abs(weights[f, j] * (np.abs(coef[f, j]) @ powers / rho[0]))
-    return expected, scale
+            if j != m:
+                for f in range(len(mapper.FAMILIES)):
+                    one[f, m] += sm._weights[f, j] * cauchy_off_80bit(sm._coef[f, j], a, b, grid[m] + 0j).real
+    np.testing.assert_array_equal(expected, one)
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["layout", "edge"])
@@ -892,7 +1023,7 @@ def test_boundary_sums_match_full_degree_80_bit_sums(n, edge):
     sm = pipeline.solve(*(_edge_inputs(n) if edge else _layout_inputs(n))).slit_map
     grid = _bank_grid(sm)
     got = sm._slit_sums(mapper._ALL, grid, sm._rows)
-    expected, scale = _full_degree_80_bit_sums(sm, grid)
+    expected, scale = full_degree_80_bit_sums(sm, grid)
     # truncation <= 2^-63 of each lead term; the rest is float64 rounding
     # of Horner loops of <= 64 terms and of the sums over the slits
     err = np.abs(got - expected).astype(float)
@@ -908,7 +1039,7 @@ def test_interpolated_bank_sums_match_full_degree_80_bit_sums(P, n, edge):
     K = sm._bank_nodes(P)
     assert K > 0
     coef, weights, rows = sm._coef, sm._weights, sm._rows
-    expected, scale = _full_degree_80_bit_sums(sm, grid)
+    expected, scale = full_degree_80_bit_sums(sm, grid)
     # the interpolants of the other slits, added to the same own-slit
     # principal values as above, are held to the bound of the direct pass
     own = weights[:, :, None] * singular_on_stack(coef, sm._centre, sm._half, grid)
@@ -1274,13 +1405,16 @@ def test_interior_values_equal_the_all_family_sums(seed, monkeypatch):
     for doc, z in interior_field_inputs(seed):
         sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
         got = sm.omega_interior(z), sm.F_interior(z), sm.omega_regular(z)
+        # a fresh map whose every sum goes over all families, its far-field
+        # series sampled from those sums (from four slits on)
+        d = sm.derived
         with monkeypatch.context() as m:
             m.setattr(SlitMap, "_off_sums", all_family_off_sums)
-            omega, regular = sm.omega_interior(z), sm.omega_regular(z)
-        # F summed over the phi rows also where they are all zero
-        d = sm.derived
-        (total,), q = all_family_off_sums(sm, mapper._PHI, z)
-        F = d.beta0 + singular_part_F(z, d) - 1j * (-1.0) ** (sm.branch.n - 1) * q / np.pi * total
+            every = SlitMap(sm.branch, d, sm.constants, sm.numerics)
+            omega, regular = every.omega_interior(z), every.omega_regular(z)
+            # F summed over the phi rows also where they are all zero
+            F = d.beta0 + singular_part_F(z, d) - every._regular(mapper._PHI, z)
+        assert all((series is None) == (sm.branch.n < mapper._BALANCED_FROM) for series in every._far.values())
         for value, want in zip(got, (omega, F, regular)):
             np.testing.assert_array_equal(value, want)
 
