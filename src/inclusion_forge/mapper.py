@@ -135,8 +135,9 @@ class SlitMap:
     another slit j form one block, summed to the degree
     :func:`~inclusion_forge.quadrature.block_degrees` gives at the largest
     |w_j| on slit i, its nearer endpoint; the own slit adds its principal
-    value.  Below _BALANCED_FROM (four) slits every sum is the plain loop;
-    from four on, and nothing else selects them, four accelerations join.
+    value.  Below _BALANCED_FROM (four) slits every Cauchy sum is the plain
+    loop; from four on, and nothing else selects them, three accelerations
+    join.
     A bank pass of T targets per slit sums the blocks at K first-kind nodes
     of each slit instead, where that sums fewer terms (K S + n T K < T S, S
     the sum of the block degrees): the Chebyshev interpolants of the
@@ -150,15 +151,15 @@ class SlitMap:
     :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone on
     the first interior call: a split degree, and the |w| beyond which a
     pair sums further.  On that call each regular part whose moments are at
-    rounding also gets a far-field series (:meth:`_far_series`): targets
-    with |w| <= 1/_FAR_RATIO in the variable of the hull [lo_0, hi_{n-1}]
-    sum it (:meth:`_regular`), the others the Cauchy sums.  The block
-    degrees are logged once at DEBUG with K and the T it is used from.
-    All evaluation methods are pure and accept scalars or arrays of
-    targets.  ``period`` is
-    ``period_matrix(branch, numerics)``, built here unless the caller
-    already has it (the solve passes its own): its node table samples the
-    densities, and its gap basis tests the moments of the balanced rows.
+    rounding, at any n, also gets a far-field series (:meth:`_far_series`):
+    targets with |w| <= 1/_FAR_RATIO in the variable of the hull
+    [lo_0, hi_{n-1}] sum it (:meth:`_regular`), the others the Cauchy sums.
+    The block degrees are logged once at DEBUG with K and the T it is used
+    from.  All evaluation methods are pure and accept scalars or arrays of
+    targets.  ``period`` is ``period_matrix(branch, numerics)``, built here
+    unless the caller already has it (the solve passes its own): its node
+    table samples the densities, and its gap basis tests the moments of
+    the off-slit rows.
     """
 
     def __init__(
@@ -274,7 +275,7 @@ class SlitMap:
         return table
 
     def _interior_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows the off-slit sums use where omega is large, and which families are balanced.
+        """The rows the off-slit sums use where omega is large, and which families have moments at rounding.
 
         Off the slits q multiplies the sums of phi and g0_rho, and q grows
         like zeta^n while those alternating sums cancel down to zeta^-n: summed
@@ -292,21 +293,21 @@ class SlitMap:
         table's nodes, so a family is balanced only where they are at
         rounding (:func:`~inclusion_forge.solvability.moment_residuals` at
         most _BALANCED_RESIDUAL); overridden constants, and g1_weighted,
-        which q does not multiply, keep their plain rows, as does every
-        family below _BALANCED_FROM slits.  Built on first use.
+        which q does not multiply, keep their plain rows.  The flags name
+        the families whose moments are at rounding at every n, for the
+        far-field series; below _BALANCED_FROM slits every family keeps its
+        plain rows.  Built on first use.
         """
         if self._interior is None:
             n, table, coef = self.branch.n, self._period.table, self._coef
             flags = np.zeros(len(FAMILIES), dtype=bool)
-            if n >= _BALANCED_FROM:
-                basis = self._period.basis
-                theta = (2 * np.arange(1, table.N + 1) - 1) * (np.pi / (2 * table.N))
-                values = coef[_DIRECT] @ np.cos(np.arange(coef.shape[-1])[:, None] * theta)
-                flags[_DIRECT] = [
-                    moment_residuals(table, basis, rows * table.r, weights)[2] <= _BALANCED_RESIDUAL
-                    for rows, weights in zip(values, self._weights[_DIRECT])
-                ]
-            if flags.any():
+            theta = (2 * np.arange(1, table.N + 1) - 1) * (np.pi / (2 * table.N))
+            values = coef[_DIRECT] @ np.cos(np.arange(coef.shape[-1])[:, None] * theta)
+            flags[_DIRECT] = [
+                moment_residuals(table, self._period.basis, rows * table.r, weights)[2] <= _BALANCED_RESIDUAL
+                for rows, weights in zip(values, self._weights[_DIRECT])
+            ]
+            if n >= _BALANCED_FROM and flags.any():
                 self._omega_max = float(np.abs(self.branch.omega(table.nodes)).max())
                 balanced = self._times_gap_poly(coef[_DIRECT])
                 kept = standard_chop(balanced)
@@ -355,7 +356,7 @@ class SlitMap:
         reject_on_slits(self.branch, z)
         weights, live = self._weights[fams], self._live_rows(fams)
         coef, flags = self._interior_rows()
-        divided = np.flatnonzero(flags[fams])
+        divided = np.flatnonzero(flags[fams]) if self.branch.n >= _BALANCED_FROM else []
         flat = z.reshape(-1)
         passes = [(coef[fams][live], self._degree_table(fams), 0, flat.size)]
         if len(divided):  # the balanced targets first, then the plain ones
@@ -532,22 +533,34 @@ class SlitMap:
     def _regular(self, fams: slice, z: np.ndarray) -> np.ndarray:
         """:meth:`_direct` at targets z, each target with |w| <= 1/_FAR_RATIO from the far-field series.
 
-        w is the root of the hull [lo_0, hi_{n-1}], 1 / (x + sqrt(x - 1) sqrt(x + 1))
-        at the mapped target x, which stays finite however large the target.
-        Every other target, and every target of a map without a series, is
+        w is the root of the hull [lo_0, hi_{n-1}].  |w| = 1/R (R =
+        _FAR_RATIO) is the ellipse whose focal distances |z - lo_0| +
+        |z - hi_{n-1}| sum to half (R + 1/R), so a target is far where its
+        sum reaches that, and no root is formed at the other targets.  At the
+        far targets w = u / (1 + sqrt(1 - u^2)), u = half / (z - centre) the
+        reciprocal of the mapped target: the principal root's branch cut is
+        the hull itself, its real part is >= 0, so 1 + sqrt never cancels,
+        and no step overflows, however large the target.  The series is
+        summed by Horner's rule in place.  Non-finite targets, the targets
+        that are not far, and every target of a map without a series are
         summed directly.
         """
         series = self._far_series(fams)
         if series is None:
             return self._direct(fams, z)
         flat, (centre, half) = z.reshape(-1), self._hull
-        with np.errstate(invalid="ignore", over="ignore"):  # w is NaN at non-finite targets: they sum directly
-            x = (flat - centre) / half
-            w = 1.0 / (x + np.sqrt(x - 1.0) * np.sqrt(x + 1.0))
-        far = np.abs(w) <= 1.0 / _FAR_RATIO
+        with np.errstate(over="ignore"):  # past |z| ~ 1e308 the sum overflows to inf: still far
+            focal = np.abs(flat - self._lo[0]) + np.abs(flat - self._hi[-1])
+        far = np.isfinite(flat) & (focal >= half * (_FAR_RATIO + 1.0 / _FAR_RATIO))
+        u = half / (flat[far] - centre)
+        w = u / (1.0 + np.sqrt(1.0 - u * u))
+        total = np.full(w.shape, series[-1])
+        for coef in series[-2::-1]:
+            total *= w
+            total += coef
         out = np.empty(flat.shape, dtype=complex)
-        out[far] = np.polynomial.polynomial.polyval(w[far], series)
-        if not far.all():
+        out[far] = total
+        if len(w) < flat.size:
             out[~far] = self._direct(fams, flat[~far])
         return out.reshape(z.shape)
 
@@ -557,10 +570,9 @@ class SlitMap:
         Outside the hull [lo_0, hi_{n-1}] the regular parts of a solved map
         are analytic and bounded, also at infinity (w = 0), so each is one
         power series in the hull's w.  Where the family q multiplies (the
-        first of the set) has balanced rows, its moments at rounding and
-        from _BALANCED_FROM slits on (:meth:`_interior_rows`), the direct
-        values at _RING_SAMPLES points of |w| = 1/_FAR_RATIO give the A_k by
-        one FFT.
+        first of the set) has its moments at rounding (:meth:`_interior_rows`),
+        at any n, the direct values at _RING_SAMPLES points of
+        |w| = 1/_FAR_RATIO give the A_k by one FFT.
         The ring coefficients are chopped at their rounding plateau, and
         the series stops at the degree
         :func:`~inclusion_forge.quadrature.block_degrees` gives at

@@ -683,7 +683,7 @@ def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.
     reject_on_slits(sm.branch, z)
     weights = sm._weights[fams]
     coef, flags = sm._interior_rows()
-    divided = np.flatnonzero(flags[fams])
+    divided = np.flatnonzero(flags[fams]) if sm.branch.n >= mapper._BALANCED_FROM else []
     flat = z.reshape(-1)
     passes = [(coef[fams], sm._degree_table(fams), 0, flat.size)]
     if len(divided):  # the balanced targets first, then the plain ones

@@ -399,12 +399,34 @@ def _plain_interior(sm, z):
     return omega, F
 
 
+def _series_interior(sm, z):
+    """omega and F at targets z from the far-field series, numpy's polyval at w = 1/(x + sqrt(x - 1) sqrt(x + 1)).
+
+    Also |w|, x being z mapped onto the hull [lo_0, hi_{n-1}]; a target is
+    served by the series where |w| <= 1/2.
+    """
+    d, k = sm.derived, np.asarray(sm.branch.endpoints)
+    x = (z - 0.5 * (k[0] + k[-1])) / (0.5 * (k[-1] - k[0]))
+    w = 1.0 / (x + np.sqrt(x - 1.0) * np.sqrt(x + 1.0))
+    regular, phi_term = (np.polynomial.polynomial.polyval(w, sm._far_series(f)) for f in (mapper._MAP, mapper._PHI))
+    omega = mapper.singular_part_omega(z, d) + regular
+    return omega, d.beta0 + mapper.singular_part_F(z, d) - phi_term, np.abs(w)
+
 
 def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch):
+    # the 32 targets the far-field series serve read the series, which meet
+    # the 80-bit sums to 3.1e-16 of their largest value; there the plain sums
+    # cancel and read 1.1e-12 (omega 7.7e-13 relative off at 40 + 30j)
     sm, _, _ = solved_map("fig3a")
     z = np.linspace(-1.8, 1.8, 9)[:, None] + 1j * np.array([-1.2, -0.03, 1e-6, 0.4, 2.0])
     z = np.concatenate([z.ravel(), [0.3 + 0.0j, -2.5 - 0.0j, 40.0 + 30.0j]])
     omega, F = _plain_interior(sm, z)
+    series_omega, series_F, w = _series_interior(sm, z)
+    far = w <= 0.5
+    assert 0 < far.sum() < far.size
+    omega[far], F[far] = series_omega[far], series_F[far]
+    direct, served = _far_field_error(sm, load_figure_inputs("fig3a")[3], z[far])
+    assert served <= 1e-15 and served <= direct
 
     def refuse(*args, **kwargs):
         raise AssertionError("the interior path evaluates q on its own")
@@ -449,6 +471,9 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(mapper, "_BLOCK_VALUES", 8)
             np.testing.assert_allclose(evaluate(z), whole, rtol=0, atol=1e-14 * scale)
+    # the batch mixes targets the far-field series serve with targets summed directly
+    w = _series_interior(sm, z)[2]
+    assert (w <= 0.5).any() and (w > 0.5).any()
     # the degree tables come from the map alone, whatever batch comes first
     other = fresh[1]
     other.F_interior(z[::-1][:7])
@@ -463,10 +488,10 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
     for key, table in sm._degree_tables.items():
         assert table.D == other._degree_tables[key].D
         np.testing.assert_array_equal(table.thr, other._degree_tables[key].thr)
-    # and so do the far-field series (none below _BALANCED_FROM slits)
+    # and so do the far-field series, at any n
     assert sm._far.keys() == other._far.keys()
     for key, series in sm._far.items():
-        assert (series is None) == (case != "sixteen")
+        assert series is not None
         np.testing.assert_array_equal(series, other._far[key])
 
 
@@ -537,7 +562,8 @@ def test_the_interior_split_starts_at_four_slits(seed, monkeypatch):
         sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
         tables.clear()
         builds.clear()
-        got = sm.omega_interior(z), sm.F_interior(z)
+        sm.omega_interior(z)
+        sm.F_interior(z)
         n = sm.branch.n
         sizes.add(n)
         if n >= mapper._BALANCED_FROM:
@@ -548,13 +574,16 @@ def test_the_interior_split_starts_at_four_slits(seed, monkeypatch):
             continue
         assert tables and all(t is None for t in tables)
         assert not builds and not sm._degree_tables
-        assert all(series is None for series in sm._far.values())  # no far-field series either
-        tables.clear()
+        # the far-field series need no table: they serve every map whose moments are at rounding
+        assert sm._far and all(series is not None for series in sm._far.values())
         with monkeypatch.context() as m:
+            m.setattr(SlitMap, "_far_series", _no_series)  # every target through the Cauchy sums
+            plain = sm.omega_interior(z), sm.F_interior(z)
+            tables.clear()
             m.setattr(SlitMap, "_degree_table", _split_table)
             split = sm.omega_interior(z), sm.F_interior(z)
         assert all(isinstance(t, quadrature.DegreeTable) for t in tables)
-        for value, want in zip(got, split):
+        for value, want in zip(plain, split):
             np.testing.assert_allclose(value, want, rtol=0, atol=1e-14 * np.abs(want).max())
     assert sizes == {2, 3, 16}
 
@@ -642,12 +671,14 @@ def test_edge_interior_values_are_q_times_the_full_length_sums(n):
 
 
 def _far_field_error(sm, free, z):
-    """Largest distance of q times the phi and g0_rho sums from the 80-bit solve-and-sum.
+    """Largest distances of q times the phi and g0_rho sums from the 80-bit solve-and-sum.
 
-    Both from the Cauchy sums and through the path the evaluators take,
+    One from the Cauchy sums, one through the path the evaluators take,
     the far-field series where a target has one: there q times the phi sum
     is F's q-term over i (-1)^(n-1) / pi, and q times the g0_rho sum comes
-    from the map's regular part less the g1_weighted sum.
+    from the map's regular part less the g1_weighted sum.  Each is relative
+    to the largest 80-bit value, over the families that keep terms (a phi
+    that keeps none sums to 0 on both sides).
     """
     n, d = sm.branch.n, sm.derived
     (phi,), q = sm._off_sums(mapper._PHI, z)
@@ -655,27 +686,43 @@ def _far_field_error(sm, free, z):
     total = 1j * np.pi * d.tau_bar * (sm._regular(mapper._MAP, z) - d.gamma)
     served = (sm._regular(mapper._PHI, z) * np.pi / (1j * (-1.0) ** (n - 1)), (total - g1) / ((-1.0) ** n * 1j))
     want = far_field_sums_80bit(sm.branch.endpoints, sm.derived, free, z, N=sm.numerics.N)
-    return max(
-        np.abs(got - w).max() / np.abs(w).max() for path in ((q * phi, q * g0_rho), served) for got, w in zip(path, want)
+    live = np.flatnonzero(sm._live[mapper._DIRECT])
+    return tuple(
+        max(np.abs(path[f] - want[f]).max() / np.abs(want[f]).max() for f in live)
+        for path in ((q * phi, q * g0_rho), served)
     )
 
 
-@pytest.mark.parametrize(("case", "bound"), [("sixteen", 1e-7), (8, 1e-10), (16, 1e-5)])
+@pytest.mark.parametrize(
+    ("case", "bound"),
+    [("sixteen", 1e-7), (8, 1e-10), (16, 1e-5), ("fig1b", 2e-15), ("fig3a", 2e-15), ("fig3c", 2e-15), ("fig3d", 2e-15)],
+)
 def test_far_field_sums_match_an_80_bit_solve(case, bound):
     # off the slits q ~ zeta^n multiplies sums that cancel to zeta^-n: summed
     # plainly they read 5.4e-5 (sixteen), 1.6e-9 and 3.0e-4 (the n = 8 and 16
     # edge layouts) off the 80-bit sums on these rings; the balanced rows
     # 4.2e-9, 2.1e-12 and 6.2e-7, and the far-field series, which serves
-    # every target of these rings, the same
-    args = sixteen_slit_inputs() if case == "sixteen" else _edge_inputs(case)
+    # every target of these rings, the same.  Below four slits the plain rows
+    # are the direct path: they read 8.6e-16 (fig1b, n = 2), 4.7e-15, 1.3e-14
+    # and 4.8e-15 (fig3a, c and d, n = 3), and the series, sampled from them,
+    # 1.7e-16, 2.4e-16, 5.8e-16 and 4.0e-16
+    if case == "sixteen":
+        args = sixteen_slit_inputs()
+    else:
+        args = _edge_inputs(case) if isinstance(case, int) else load_figure_inputs(case)[:5]
     sm = pipeline.solve(*args).slit_map
     assert sm._interior_rows()[1].tolist() == [True, True, False]
-    assert all(sm._far_series(fams) is not None for fams in (mapper._PHI, mapper._MAP))
+    # a phi that keeps no term (fig1b) gets no series: F is its singular part
+    assert all((sm._far_series(fams) is not None) == sm._live[fams.start] for fams in (mapper._PHI, mapper._MAP))
     k = np.asarray(sm.branch.endpoints)
     centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
     ring = np.exp(2j * np.pi * np.arange(16) / 16 + 0.1j)
     z = np.concatenate([centre + r * half * ring for r in (1.5, 2.0)])
-    assert _far_field_error(sm, args[3], z) <= bound
+    direct, served = _far_field_error(sm, args[3], z)
+    assert served <= bound
+    # the series must be no farther off than the direct path, which below
+    # four slits cancels in the plain rows
+    assert direct <= bound if sm.branch.n >= mapper._BALANCED_FROM else served <= direct
 
 
 def test_balanced_rows_are_the_plain_rows_times_the_gap_polynomial():
@@ -729,7 +776,7 @@ def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case,
         # both sides keep 10 digits of the plain sums and of the 80-bit ones
         for value, want in zip(got, _plain_interior(sm, z)):
             assert np.abs(value - want).max() <= 1e-10 * np.abs(want).max(), side
-        assert _far_field_error(sm, args[3], z) <= 1e-10, side
+        assert max(_far_field_error(sm, args[3], z)) <= 1e-10, side
     # omega vanishes at the gap nodes themselves: real targets there take the plain rows
     z = sm.branch.gaps.astype(complex)
     for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
@@ -762,20 +809,53 @@ def test_moments_above_rounding_keep_the_plain_rows(shift, monkeypatch):
     np.testing.assert_array_equal(got, sm.F_interior(far))
 
 
+def _broken_rho_map(sm, shift=0.1):
+    """A map of sm's layout and constants with rho_1 off its solved value by ``shift``."""
+    rho_bad = sm.constants.rho.copy()
+    rho_bad[1] += shift
+    return SlitMap(sm.branch, sm.derived, build_constants(sm.constants.a, rho_bad, sm.derived), sm.numerics)
+
+
+def _regular_growth(sm):
+    """How much further the regular part moves from 1e2 to 1e4 than from 1e2 to 1e3 out."""
+    ray = np.exp(1j * np.pi / 7)
+    ref = sm.omega_regular(1e2 * ray)
+    return abs(sm.omega_regular(1e4 * ray) - ref) / abs(sm.omega_regular(1e3 * ray) - ref)
+
+
 def test_broken_rho_makes_the_regular_part_grow_from_four_slits_on():
     # with rho broken the g0_rho moments are off rounding: the map keeps no
     # far-field series, which would be bounded, and its regular part grows
     sm = pipeline.solve(*slit_layout_inputs(8, 0)).slit_map
-    rho_bad = sm.constants.rho.copy()
-    rho_bad[1] += 0.1
-    smb = SlitMap(sm.branch, sm.derived, build_constants(sm.constants.a, rho_bad, sm.derived), sm.numerics)
-    t = np.pi / 7
-    ref = smb.omega_regular(1e2 * np.exp(1j * t))
-    d3 = abs(smb.omega_regular(1e3 * np.exp(1j * t)) - ref)
-    d4 = abs(smb.omega_regular(1e4 * np.exp(1j * t)) - ref)
-    assert d4 / d3 >= 10.0
+    smb = _broken_rho_map(sm)
+    assert _regular_growth(smb) >= 10.0
     assert not smb._interior_rows()[1][1] and smb._far_series(mapper._MAP) is None
     assert sm._far_series(mapper._MAP) is not None
+
+
+@pytest.mark.parametrize(("name", "shift"), [("fig1b", 0.1), ("fig3a", 0.1), ("fig1b", 1e-11), ("fig2d", None)])
+def test_moments_off_rounding_keep_the_direct_sums_below_four_slits(name, shift, solve_figure, monkeypatch):
+    # the moment test gates the far-field series at every n: with rho broken
+    # on fig1b (n = 2) and fig3a (n = 3), and with the overridden constants of
+    # fig2d (n = 2), the g0_rho moments are off rounding, so the map keeps no
+    # series; every target of the map is summed directly, bit for bit.  By
+    # 0.1, and on fig2d, the regular part grows (like zeta on fig1b and fig2d,
+    # like zeta^2 on fig3a) and leaves the ring no plateau either; by 1e-11 it
+    # leaves one, and only the moment test refuses a series 1.6e-10 off the
+    # direct sums.  F keeps its series where phi keeps terms (fig3a): a is not broken
+    sm = solve_figure(name).slit_map
+    if shift is not None:
+        assert sm._far_series(mapper._MAP) is not None
+        sm = _broken_rho_map(sm, shift)
+    assert not sm._interior_rows()[1][1] and sm._far_series(mapper._MAP) is None
+    assert (sm._far_series(mapper._PHI) is not None) == sm._live[0] == (name == "fig3a")
+    if shift != 1e-11:
+        assert _regular_growth(sm) >= 10.0
+    far = _far_targets(sm, np.random.default_rng(6))
+    got = sm.omega_interior(far), sm.omega_regular(far)
+    monkeypatch.setattr(SlitMap, "_far_series", _no_series)
+    for value, want in zip(got, (sm.omega_interior(far), sm.omega_regular(far))):
+        np.testing.assert_array_equal(value, want)
 
 
 def _no_series(self, fams):
@@ -795,12 +875,15 @@ def _far_targets(sm, rng, radii=(0.01, 0.49), count=600):
     return z if sm.derived.pole_at_infinity else z[np.abs(z - sm.derived.zeta_inf) >= 0.2 * half]
 
 
+# solve inputs, and the bound on the series' distance from the direct sums
 _FAR_CASES = {
-    "sixteen": sixteen_slit_inputs,
-    "edge8": lambda: _edge_inputs(8),
-    "edge16": lambda: _edge_inputs(16),
-    "edge24": lambda: _edge_inputs(24),
-    "spread_gaps": lambda: _spread_gap_inputs(16, 3),
+    "sixteen": (sixteen_slit_inputs, 1e-14),
+    "edge8": (lambda: _edge_inputs(8), 1e-14),
+    "edge16": (lambda: _edge_inputs(16), 1e-14),
+    "edge24": (lambda: _edge_inputs(24), 1e-14),
+    "spread_gaps": (lambda: _spread_gap_inputs(16, 3), 1e-14),
+    "fig1b": (lambda: load_figure_inputs("fig1b")[:5], 2e-14),
+    "fig3c": (lambda: load_figure_inputs("fig3c")[:5], 1e-11),
 }
 
 
@@ -808,17 +891,23 @@ _FAR_CASES = {
 def test_far_field_series_agree_with_the_direct_sums(case, monkeypatch):
     # the series interpolate the direct values on |w| = 1/2; at targets inside
     # that ring they read at most 1.4e-15 of the largest direct value
-    # (spread_gaps, omega_regular), and targets outside it sum directly
-    sm = pipeline.solve(*_FAR_CASES[case]()).slit_map
+    # (spread_gaps, omega_regular), and targets outside it sum directly.
+    # Below four slits the direct values are plain sums, which cancel more
+    # as |w| shrinks: there the two read 1.05e-14 (fig1b, n = 2) and 3.8e-12
+    # (fig3c, n = 3, omega_regular) apart, the error of the direct side
+    # (test_far_field_sums_match_an_80_bit_solve)
+    inputs, bound = _FAR_CASES[case]
+    sm = pipeline.solve(*inputs()).slit_map
     rng = np.random.default_rng(8)
     z, near = _far_targets(sm, rng), _far_targets(sm, rng, (0.51, 0.99))
     names = ("omega_interior", "omega_regular", "F_interior")
     got = [(getattr(sm, name)(z), getattr(sm, name)(near)) for name in names]
-    assert all(sm._far_series(fams) is not None for fams in (mapper._PHI, mapper._MAP))
+    # a phi that keeps no term (fig1b) gets no series: F is its singular part
+    assert all((sm._far_series(fams) is not None) == sm._live[fams.start] for fams in (mapper._PHI, mapper._MAP))
     monkeypatch.setattr(SlitMap, "_far_series", _no_series)
     for name, (value, value_near) in zip(names, got):
         want = getattr(sm, name)(z)
-        assert np.abs(value - want).max() <= 1e-14 * np.abs(want).max(), name
+        assert np.abs(value - want).max() <= bound * np.abs(want).max(), name
         np.testing.assert_array_equal(value_near, getattr(sm, name)(near))
 
 
@@ -844,13 +933,19 @@ def test_far_field_at_huge_and_non_finite_targets():
     assert np.all(sm.F_interior(huge) == d.beta0 + singular_part_F(huge, d) - at_infinity[1])
     # and the values approach it
     assert abs(sm.omega_regular(1e8 + 1e8j) - at_infinity[0]) <= 1e-7 * abs(at_infinity[0])
-    # non-finite targets read NaN, as before; below four slits q still overflows
-    fig3a, _, _ = solved_map("fig3a")
+    # the maps of two and three slits read it too, where their direct sums
+    # overflow as well
+    fig1b, fig3a = solved_map("fig1b")[0], solved_map("fig3a")[0]
+    for small in (fig1b, fig3a):
+        assert np.all(small.omega_regular(huge) == small._far_series(mapper._MAP)[0])
+    # non-finite targets are never far: they are summed directly and read NaN,
+    # on every map (F of fig1b keeps no phi term, so it is its singular part
+    # alone, whose limit at infinity it reads, as before)
     nan = np.array([np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.inf, np.inf), complex(np.nan, 1.0)])
     with np.errstate(all="ignore"):
-        for evaluate in (sm.omega_interior, sm.omega_regular, sm.F_interior):
-            assert np.all(np.isnan(evaluate(nan)))
-        assert np.isnan(fig3a.omega_regular(1e200))
+        for m in (sm, fig1b, fig3a):
+            for evaluate in (m.omega_interior, m.omega_regular) + ((m.F_interior,) if m._live[0] else ()):
+                assert np.all(np.isnan(evaluate(nan)))
 
 
 # -- scalar / array contract ---------------------------------------------------
@@ -1406,7 +1501,7 @@ def test_interior_values_equal_the_all_family_sums(seed, monkeypatch):
         sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
         got = sm.omega_interior(z), sm.F_interior(z), sm.omega_regular(z)
         # a fresh map whose every sum goes over all families, its far-field
-        # series sampled from those sums (from four slits on)
+        # series sampled from those sums
         d = sm.derived
         with monkeypatch.context() as m:
             m.setattr(SlitMap, "_off_sums", all_family_off_sums)
@@ -1414,7 +1509,9 @@ def test_interior_values_equal_the_all_family_sums(seed, monkeypatch):
             omega, regular = every.omega_interior(z), every.omega_regular(z)
             # F summed over the phi rows also where they are all zero
             F = d.beta0 + singular_part_F(z, d) - every._regular(mapper._PHI, z)
-        assert all((series is None) == (sm.branch.n < mapper._BALANCED_FROM) for series in every._far.values())
+        # the map's series at any n, and F's where phi keeps terms
+        assert every._far[mapper.FAMILIES[mapper._MAP]] is not None
+        assert (every._far[mapper.FAMILIES[mapper._PHI]] is not None) == sm._live[0]
         for value, want in zip(got, (omega, F, regular)):
             np.testing.assert_array_equal(value, want)
 
