@@ -7,7 +7,7 @@ Gauss-Chebyshev rules, Chebyshev expansions of the slit densities, and
 closed-form continuation of the weighted Cauchy kernels.
 """
 
-from .branch import BranchData, bank_value, eval_q, weight_factor
+from .branch import BranchData
 from .geometry import (
     ContourProfile,
     build_profiles,
@@ -67,11 +67,9 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "ValidationReport",
-    "bank_value",
     "build_profiles",
     "contacts",
     "derive_constants",
-    "eval_q",
     "fit_ellipse",
     "g0",
     "n1_circular_profile",
@@ -81,5 +79,4 @@ __all__ = [
     "solve",
     "solve_constants",
     "validate",
-    "weight_factor",
 ]

@@ -1,12 +1,14 @@
-"""The square-root branch q of p(zeta) = prod (zeta - k_i) over the slits.
+"""The branch points of the square-root branch q of p(zeta) = prod (zeta - k_i), and q on the slits.
 
 With 2n real branch points k_0 < ... < k_{2n-1} and cuts along the slits
 l_j = [k_{2j}, k_{2j+1}], the branch is fixed by q(zeta) ~ zeta^n at
-infinity.  It is realized as the product over the slits of
+infinity.  Off the slits it is the product over the slits of
 rho_j = sqrt((zeta - k_{2j})(zeta - k_{2j+1})), each the branch cut along
 its own slit with rho_j ~ zeta at infinity, so the product is continuous
-exactly on the cut plane.  This is the product of the principal roots
-prod sqrt(zeta - k_i) with one square root per slit instead of two.
+exactly on the cut plane: the product of the principal roots
+prod sqrt(zeta - k_i) with one square root per slit instead of two.  The
+off-slit sums form it from the roots
+:func:`~inclusion_forge.quadrature.slit_roots` gives their Cauchy kernels.
 
 On the banks q is pure imaginary: approaching slit m from above gives
 q = i * (-1)^(n-1-m) * |q|, so the top-bank sign alternates slit to slit and
@@ -20,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EvaluationError, SlitConfiguration
-from .quadrature import cheb_nodes, like_input, slit_roots
+from .model import EvaluationError
+from .quadrature import cheb_nodes, like_input
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,6 @@ class BranchData:
     endpoints: tuple[float, ...]
 
     def __init__(self, endpoints) -> None:
-        if isinstance(endpoints, SlitConfiguration):
-            endpoints = endpoints.endpoints
         object.__setattr__(self, "endpoints", tuple(float(k) for k in endpoints))
         e = self.endpoints
         if len(e) % 2 != 0 or len(e) < 2:
@@ -79,17 +79,6 @@ class BranchData:
         return np.divide(self.omega(x), denom, out=np.ones_like(denom), where=denom != 0.0)
 
 
-def top_bank_sign(n: int, m: int) -> int:
-    """Sign s with q = s * i * |q| on the top bank of slit m (0-based)."""
-    return -1 if (n - 1 - m) % 2 else 1
-
-
-def check_bank(bank) -> None:
-    """Raise :class:`EvaluationError` unless bank is +1 (above) or -1 (below)."""
-    if bank not in (+1, -1):
-        raise EvaluationError(f"bank must be +1 or -1, got {bank!r}")
-
-
 def check_on_slit(branch: BranchData, x: np.ndarray, m: int) -> None:
     """Raise :class:`EvaluationError` if any real parameter lies off closed slit m."""
     a, b = branch.slit(m)
@@ -110,22 +99,6 @@ def reject_on_slits(branch: BranchData, z: np.ndarray) -> None:
                 )
 
 
-def eval_q(branch: BranchData, zeta):
-    """Evaluate the branch off the slits; scalars and arrays accepted.
-
-    q is the product over the slits of sqrt((zeta - a_j)(zeta - b_j)), one
-    root per slit (:func:`~inclusion_forge.quadrature.slit_roots`).  Points
-    on a closed slit are rejected: the two banks carry different values
-    there, use :func:`bank_value` instead.
-    """
-    z = np.asarray(zeta, dtype=complex)
-    reject_on_slits(branch, z)
-    vals = np.ones(z.shape, dtype=complex)
-    for a, b in branch.slits:  # one slit at a time: no targets x n temporary
-        vals *= slit_roots([a], [b], z).rho[0]
-    return like_input(vals, zeta)
-
-
 def abs_q(branch: BranchData, xi):
     """|q(xi)| = sqrt(|p(xi)|) for real xi (any position).
 
@@ -141,36 +114,11 @@ def abs_q(branch: BranchData, xi):
     return like_input(out, xi)
 
 
-def bank_value(branch: BranchData, xi, m: int, bank: int):
-    """Boundary value of q on bank +1 (above) or -1 (below) of slit m.
-
-    Endpoints return exactly 0; strictly interior points return the pure
-    imaginary value +-i (-1)^(n-1-m) |q(xi)|.
-    """
-    check_bank(bank)
-    x = np.asarray(xi, dtype=float)
-    check_on_slit(branch, x, m)
-    a, b = branch.slit(m)
-    sign = bank * top_bank_sign(branch.n, m)
-    vals = 1j * sign * abs_q(branch, x)
-    vals = np.where((x == a) | (x == b), 0.0 + 0.0j, vals)
-    return like_input(vals, xi)
-
-
-def weight_factor(branch: BranchData, xi, j: int):
-    """Smooth positive factor r_j with |q| = r_j * sqrt((xi-a)(b-xi)) on slit j.
-
-    The vanishing endpoint factors of slit j are removed analytically, so
-    r_j stays finite and strictly positive on the closed slit and densities
-    divided by it remain smooth.
-    """
-    x = np.asarray(xi, dtype=float)
-    check_on_slit(branch, x, j)
-    return like_input(_smooth_factor(branch, x, j), xi)
-
-
 def _smooth_factor(branch: BranchData, x: np.ndarray, slit) -> np.ndarray:
     """r_j = sqrt(prod |x - k|) over the endpoints k of the other slits; j = ``slit`` broadcasts against x.
+
+    On slit j, |q| = r_j sqrt((x - a_j)(b_j - x)): r_j is finite and positive
+    on the closed slit, so densities divided by it stay smooth.
 
     Multiplied one endpoint at a time in increasing order from ones, as in :func:`abs_q`, so
     one slit gives 1 and no targets x endpoints temporary is formed; own endpoints multiply by 1.
@@ -186,7 +134,7 @@ class SlitTable:
     """The N first-kind Chebyshev nodes of every slit and r_j at them.
 
     ``nodes[j]`` are the nodes of slit j, ordered like :func:`cheb_nodes`,
-    and ``r[j]`` the smooth factor of :func:`weight_factor` there; both have
+    and ``r[j]`` the smooth factor r_j of :func:`_smooth_factor` there; both have
     shape (n, N) and are read-only.  Every integral over the slits with the
     1/|q| weight is one Gauss-Chebyshev sum per row (:meth:`integrate`).
     """

@@ -121,37 +121,63 @@ _TYPES = {
     "object": lambda v: isinstance(v, dict),
 }
 
-# check(instance, keyword value, schema) for each keyword CONFIG_SCHEMA uses;
-# as in JSON Schema, a keyword that constrains one type passes any other type
+
+def _items(v, sub, s):
+    if isinstance(v, list):
+        for i, x in enumerate(v):
+            if (failure := _violation(x, sub)) is not None:
+                failure.append(i)
+                return failure
+    return True
+
+
+def _properties(v, props, s):
+    if isinstance(v, dict):
+        for k, sub in props.items():
+            if k in v and (failure := _violation(v[k], sub)) is not None:
+                failure.append(k)
+                return failure
+    return True
+
+
+# check(instance, keyword value, schema) for each keyword CONFIG_SCHEMA uses: whether
+# the instance passes the keyword itself (numpy scalars may make that a numpy bool),
+# or the failure of the child it fails in; as in JSON Schema, a keyword that constrains
+# one type passes any other type.  additionalProperties takes true or false, as
+# CONFIG_SCHEMA does: under a subschema there, every extra key would fail
 _KEYWORDS = {
     "type": lambda v, t, s: _TYPES[t](v),
     "const": lambda v, c, s: v == c and isinstance(v, bool) == isinstance(c, bool),
-    "oneOf": lambda v, subs, s: sum(_conforms(v, sub) for sub in subs) == 1,
+    "oneOf": lambda v, subs, s: sum(_violation(v, sub) is None for sub in subs) == 1,
     "minimum": lambda v, m, s: not (_is_number(v) and v < m),
     "minItems": lambda v, k, s: not isinstance(v, list) or len(v) >= k,
     "maxItems": lambda v, k, s: not isinstance(v, list) or len(v) <= k,
-    "items": lambda v, sub, s: not isinstance(v, list) or all(_conforms(x, sub) for x in v),
+    "items": _items,
     "required": lambda v, keys, s: not isinstance(v, dict) or all(k in v for k in keys),
-    "properties": lambda v, props, s: not isinstance(v, dict)
-    or all(_conforms(v[k], sub) for k, sub in props.items() if k in v),
-    "additionalProperties": lambda v, sub, s: not isinstance(v, dict)
-    or all(_conforms(v[k], sub) for k in v.keys() - s.get("properties", {})),
+    "properties": _properties,
+    "additionalProperties": lambda v, allowed, s: allowed is True or not isinstance(v, dict)
+    or v.keys() <= s.get("properties", {}).keys(),
 }
 
 
-def _conforms(doc, schema) -> bool:
-    """Whether doc satisfies a Draft 2020-12 schema built of the keywords above.
+def _violation(doc, schema) -> list | None:
+    """None where doc satisfies a Draft 2020-12 schema built of the keywords above.
 
-    Any other keyword raises, so the schema cannot outgrow this check.
+    Otherwise the first check it fails, as [keyword, key, ..., key]: the
+    keys lead from the failing value out to doc, innermost first, each
+    appended while the failure unwinds, so a document that conforms builds
+    no path.  Any other keyword raises, so the schema cannot outgrow this
+    check.
     """
-    if isinstance(schema, bool):
-        return schema
     for key, value in schema.items():
         if key not in _KEYWORDS:
             raise ValueError(f"config schema keyword {key!r} has no check")
-        if not _KEYWORDS[key](doc, value, schema):
-            return False
-    return True
+        result = _KEYWORDS[key](doc, value, schema)
+        if isinstance(result, list):
+            return result
+        if not result:
+            return [key]
+    return None
 
 
 class CliError(Exception):
@@ -164,12 +190,10 @@ def _as_complex(obj) -> complex:
 
 def parse_config(doc: dict):
     """Schema-check a config document and build the model objects."""
-    if not _conforms(doc, CONFIG_SCHEMA):
-        import jsonschema  # only a rejected document needs its message worded
-
-        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-        error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-        raise CliError(f"config schema violation: {error.message}")
+    if (failure := _violation(doc, CONFIG_SCHEMA)) is not None:
+        keyword, *keys = failure
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(keys))
+        raise CliError(f"config schema violation at ${path}: {keyword}")
     if doc["n"] != len(doc["slits"]):
         raise CliError(f"n = {doc['n']} but {len(doc['slits'])} slits given")
     zeta = doc["zeta_inf"]

@@ -543,8 +543,14 @@ class SlitMap:
         and no step overflows, however large the target.  The series is
         summed by Horner's rule in place.  Non-finite targets, the targets
         that are not far, and every target of a map without a series are
-        summed directly.
+        summed directly.  A family set with no live family has no sums and
+        needs no root: its part is the constant the sums add to, 0 for F's
+        q-term and gamma for the map, and NaN at non-finite targets, as
+        everywhere.
         """
+        if not self._live[fams].any():  # 0 * z is NaN where z is not finite
+            reject_on_slits(self.branch, z)
+            return z * 0.0 + (0.0 if fams == _PHI else self.derived.gamma)
         series = self._far_series(fams)
         if series is None:
             return self._direct(fams, z)
@@ -617,9 +623,6 @@ class SlitMap:
         """F off the slits; bounded at infinity once the a_j are solved."""
         d = self.derived
         z = np.asarray(zeta, dtype=complex)
-        if not self._live[_PHI].any():  # no phi density: F is its singular part
-            reject_on_slits(self.branch, z)
-            return like_input(d.beta0 + singular_part_F(z, d), zeta)
         out = d.beta0 + singular_part_F(z, d) - self._regular(_PHI, z)
         return like_input(out, zeta)
 

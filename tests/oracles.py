@@ -8,8 +8,8 @@ the cuts or an 80-bit product of principal roots, and the off-interval
 Cauchy kernel through an 80-bit Horner sum.  The contour predicates test
 every segment pair, where the package sweeps for candidate pairs first.
 :func:`weighted_moment` takes one Gauss-Chebyshev sum over one slit at a
-time with the package's pointwise ``weight_factor``; the stacked slit table
-is checked against it.  The contour CSV is written one row at a time, each
+time with r_j from :func:`smooth_weight`; the stacked slit table is
+checked against it.  The contour CSV is written one row at a time, each
 field by its own ``format()`` call, and the SVG one point at a time, where
 the package formats a whole contour at once.  The solvability constants come
 from one linear solve per problem and free value, and the antisymmetric free
@@ -20,13 +20,15 @@ sums the off-slit Cauchy integrals directly on its own node table, all in
 float64.  :func:`abs_q_broadcast` forms |q| from one array of differences,
 where the package multiplies one endpoint at a time, and the all-family
 sums sum every density family of the map, where the package skips the
-families that keep no term.  The printed two-slit forms of the
-origin-symmetric case (:func:`n2_symmetric_a`, :func:`n2_symmetric_rho`)
-are kept here as cross-check targets of the general solve.  The test-only
-helpers at the end (symmetry deviations and report, Hausdorff distance, the
-one-row and one-slit cases of the package's stacked kernels and bank pass,
-CSV reader) serve the tests alone, not the package; the one-row and
-one-slit helpers call the package's own kernels and are not references.
+families that keep no term.  :func:`bank_value` states the published bank
+sign rule of q, which the package applies inside its boundary pass.  The
+printed two-slit forms of the origin-symmetric case (:func:`n2_symmetric_a`,
+:func:`n2_symmetric_rho`) are kept here as cross-check targets of the
+general solve.  The test-only helpers at the end (symmetry deviations and
+report, Hausdorff distance, the one-row and one-slit cases of the package's
+stacked kernels and bank pass, CSV reader) serve the tests alone, not the
+package; the one-row and one-slit helpers call the package's own kernels
+and are not references.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from inclusion_forge import mapper
-from inclusion_forge.branch import BranchData, reject_on_slits, slit_table, weight_factor
+from inclusion_forge.branch import BranchData, reject_on_slits, slit_table
 from inclusion_forge.geometry import ContourProfile
 from inclusion_forge.model import DerivedConstants, SolverError, g0, pole_density
 from inclusion_forge.quadrature import (
@@ -62,7 +64,7 @@ def weighted_moment(branch, j: int, f, power: int, N: int) -> float:
     """integral over slit j of f(xi) xi^power / |q(xi)| d xi by N Gauss nodes."""
     a, b = branch.slit(j)
     nodes = cheb_nodes(a, b, N)
-    r = weight_factor(branch, nodes, j)
+    r = smooth_weight(branch.endpoints, j, nodes)
     vals = f(nodes) if callable(f) else np.asarray(f)
     return (np.pi / N) * float(np.sum(vals * nodes**power / r))
 
@@ -122,10 +124,10 @@ def sqrt_weight_moment(k: int) -> float:
 
 
 def smooth_weight(endpoints, j: int, x):
-    """Unchecked r_j(x): the |q| factor with slit j's endpoint weight removed.
+    """r_j(x), the |q| factor with slit j's endpoint weight removed, from one array of differences.
 
-    Same formula as the package's weight_factor but without the domain
-    guard, since QUADPACK probes a hair outside the closed interval.
+    Defined for any real x, since QUADPACK probes a hair outside the
+    closed interval.
     """
     k = np.asarray(endpoints, dtype=float)
     others = np.delete(k, [2 * j, 2 * j + 1])
@@ -188,6 +190,20 @@ def slit_table_r_broadcast(endpoints, nodes) -> np.ndarray:
     # row j: the 2n - 2 endpoints of the other slits, in increasing order
     others = np.broadcast_to(ends, (n, n, 2))[~np.eye(n, dtype=bool)].reshape(n, 2 * n - 2)
     return np.sqrt(np.prod(np.abs(nodes[..., None] - others[:, None, :]), axis=-1))
+
+
+def top_bank_sign(n: int, m: int) -> int:
+    """Sign s with q = s * i * |q| on the top bank of slit m (0-based)."""
+    return -1 if (n - 1 - m) % 2 else 1
+
+
+def bank_value(branch, xi, m: int, bank: int) -> np.ndarray:
+    """Boundary value of q on bank +1 (above) or -1 (below) of slit m, by the published sign rule.
+
+    The pure imaginary value +-i (-1)^(n-1-m) |q(xi)|, with |q| from
+    :func:`abs_q_broadcast`: 0 at the endpoints.
+    """
+    return 1j * bank * top_bank_sign(branch.n, m) * abs_q_broadcast(branch.endpoints, xi)
 
 
 def cauchy_off_80bit(coef, a: float, b: float, zeta) -> np.ndarray:

@@ -3,36 +3,37 @@ import pytest
 from conftest import slit_layout_inputs
 from oracles import (
     abs_q_broadcast,
+    bank_value,
     branch_by_continuity,
     branch_principal_product,
     slit_table_r_broadcast,
+    top_bank_sign,
 )
 
 from inclusion_forge import figures
-from inclusion_forge.branch import (
-    BranchData,
-    abs_q,
-    bank_value,
-    eval_q,
-    slit_table,
-    top_bank_sign,
-    weight_factor,
-)
+from inclusion_forge.branch import BranchData, abs_q, reject_on_slits, slit_table
 from inclusion_forge.geometry import bank_parameter_grid
 from inclusion_forge.model import EvaluationError
+from inclusion_forge.quadrature import slit_roots
 
 SINGLE = BranchData((-1.0, 1.0))
 PAIR = BranchData((-1.0, -0.5, 0.5, 1.0))
 TRIPLE = BranchData((-1.0, -0.5, -0.1, 0.1, 0.5, 1.0))
 
 
+def _q(branch, zeta):
+    """q off the slits as the off-slit sums form it: the product of the slit roots."""
+    ends = np.reshape(branch.endpoints, (-1, 2))
+    return np.prod(slit_roots(ends[:, 0], ends[:, 1], np.asarray(zeta, dtype=complex)).rho, axis=0)
+
+
 def test_single_slit_value_beyond_endpoint():
-    assert eval_q(SINGLE, 2.0) == pytest.approx(np.sqrt(3.0), abs=1e-15)
+    assert _q(SINGLE, 2.0) == pytest.approx(np.sqrt(3.0), abs=1e-15)
 
 
 def test_far_field_normalization():
     for z in (1e6 + 0.0j, 1e6 * np.exp(0.4j), -1e6 + 3.0j):
-        assert abs(eval_q(PAIR, z) / z**2 - 1.0) < 1e-5
+        assert abs(_q(PAIR, z) / z**2 - 1.0) < 1e-5
 
 
 def test_gap_value_matches_continuity_walk():
@@ -40,9 +41,9 @@ def test_gap_value_matches_continuity_walk():
     # beyond the last endpoint, detouring above the cuts
     target = 0.0 + 1e-9j
     oracle = branch_by_continuity(PAIR.endpoints, target)
-    assert eval_q(PAIR, target) == pytest.approx(oracle, rel=1e-9)
+    assert _q(PAIR, target) == pytest.approx(oracle, rel=1e-9)
     # the gap value is real and negative for this configuration
-    probe = eval_q(PAIR, 1e-12j)
+    probe = _q(PAIR, 1e-12j)
     assert probe.real == pytest.approx(-0.5, rel=1e-10)
 
 
@@ -57,7 +58,7 @@ def test_gap_value_matches_continuity_walk():
 )
 def test_branch_matches_continuity_walk(endpoints, target):
     oracle = branch_by_continuity(endpoints, target)
-    assert eval_q(BranchData(endpoints), target) == pytest.approx(oracle, rel=1e-8)
+    assert _q(BranchData(endpoints), target) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_two_slit_bank_signs_as_published():
@@ -102,53 +103,52 @@ def test_bank_endpoint_is_exactly_zero():
 
 @pytest.mark.parametrize("branch,m,xi", [(PAIR, 1, 0.7), (TRIPLE, 1, 0.05)])
 def test_plemelj_consistency(branch, m, xi):
-    limit = eval_q(branch, xi + 1e-6j)
+    limit = _q(branch, xi + 1e-6j)
     bank = bank_value(branch, xi, m, +1)
     assert abs(limit - bank) / abs(bank) < 1e-3
 
 
 def test_schwarz_reflection():
     for z in (0.3 + 0.8j, -2.0 + 0.1j, 1.2 - 0.4j):
-        assert eval_q(PAIR, np.conj(z)) == pytest.approx(
-            np.conj(eval_q(PAIR, z)), rel=1e-14
+        assert _q(PAIR, np.conj(z)) == pytest.approx(
+            np.conj(_q(PAIR, z)), rel=1e-14
         )
 
 
 def test_eval_q_rejects_points_on_slits():
-    with pytest.raises(EvaluationError):
-        eval_q(PAIR, 0.7)
-    with pytest.raises(EvaluationError):
-        eval_q(PAIR, np.array([3.0, 0.5 + 0j]))
+    # the off-slit sums reject targets on a closed slit before forming q
+    with pytest.raises(EvaluationError, match="slit 1"):
+        reject_on_slits(PAIR, np.array(0.7 + 0j))
+    with pytest.raises(EvaluationError, match="slit 1"):
+        reject_on_slits(PAIR, np.array([3.0, 0.5 + 0j]))
     # real points off the slits are fine
-    assert eval_q(PAIR, 0.0) == pytest.approx(-0.5, rel=1e-12)
+    reject_on_slits(PAIR, np.array([0.0, -2.0, 3.0]) + 0j)
+    assert _q(PAIR, 0.0) == pytest.approx(-0.5, rel=1e-12)
 
 
 def test_weight_factor_single_slit_is_one():
-    xi = np.linspace(-1.0, 1.0, 11)
-    np.testing.assert_allclose(weight_factor(SINGLE, xi, 0), 1.0, rtol=0, atol=0)
+    np.testing.assert_array_equal(slit_table(SINGLE, 11).r, 1.0)
 
 
 def test_weight_factor_defining_identity():
     a, b = PAIR.slit(1)
-    xi = np.linspace(a + 1e-3, b - 1e-3, 9)
-    lhs = weight_factor(PAIR, xi, 1) ** 2 * (xi - a) * (b - xi)
+    table = slit_table(PAIR, 9)
+    xi = table.nodes[1]
+    lhs = table.r[1] ** 2 * (xi - a) * (b - xi)
     p = np.prod(xi[:, None] - np.asarray(PAIR.endpoints), axis=1)
     np.testing.assert_allclose(lhs, np.abs(p), rtol=1e-13)
 
 
 def test_weight_factor_endpoint_limit():
     # symbolic limit at the left endpoint of the right slit: |p| carries
-    # |xi-k2||k3-xi| which the weight removes, leaving the two far factors
+    # |xi-k2||k3-xi| which the weight removes, leaving the two far factors;
+    # the table's node nearest k2 lies within 1.2e-9 of it
     k0, k1, k2, k3 = PAIR.endpoints
     expected = np.sqrt(abs((k2 - k0) * (k2 - k1)))
-    assert weight_factor(PAIR, k2, 1) == pytest.approx(expected, rel=1e-14)
-    # consistency with the interior limit
-    assert weight_factor(PAIR, k2 + 1e-9, 1) == pytest.approx(expected, rel=1e-8)
-
-
-def test_weight_factor_rejects_outside_points():
-    with pytest.raises(EvaluationError):
-        weight_factor(PAIR, 0.2, 1)
+    table = slit_table(PAIR, 1 << 14)
+    nearest = np.argmin(table.nodes[1])
+    assert 0.0 < table.nodes[1, nearest] - k2 < 1.2e-9
+    assert table.r[1, nearest] == pytest.approx(expected, rel=1e-8)
 
 
 def test_abs_q_is_sqrt_of_abs_p():
@@ -187,8 +187,6 @@ def test_smooth_factor_multiplies_in_the_order_of_the_broadcast_product(n, N):
     branch = BranchData(endpoints)
     table = slit_table(branch, N)
     np.testing.assert_array_equal(table.r, slit_table_r_broadcast(endpoints, table.nodes))
-    for j in range(n):
-        np.testing.assert_array_equal(weight_factor(branch, table.nodes[j], j), table.r[j])
 
 
 def _seeded_branch(rng, n):
@@ -231,7 +229,7 @@ def test_one_root_per_slit_matches_the_principal_root_product(n):
     for layout in range(6):
         branch = _seeded_branch(rng, n)
         z = _branch_targets(branch, rng)
-        got = eval_q(branch, z)
+        got = _q(branch, z)
         ref = branch_principal_product(branch.endpoints, z)
         err = np.abs(got - ref) / np.abs(ref)
         assert err.max() <= 1e-14
@@ -245,7 +243,7 @@ def test_one_root_per_slit_matches_the_principal_root_product(n):
             walkable = z[(z.imag > 0.0) | ~on_slit]
             for target in rng.choice(walkable, 4, replace=False):
                 oracle = branch_by_continuity(branch.endpoints, target, steps=1000)
-                assert eval_q(branch, target) == pytest.approx(oracle, rel=1e-13)
+                assert _q(branch, target) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_gap_midpoints_and_omega():
@@ -258,13 +256,13 @@ def test_gap_midpoints_and_omega():
 
 @pytest.mark.parametrize("n", [2, 3, 16, 96])
 def test_lagrange_polynomials_are_one_at_their_own_gap_midpoint_and_zero_at_the_others(n):
-    branch = BranchData(slit_layout_inputs(n, 0)[0])
+    branch = BranchData(slit_layout_inputs(n, 0)[0].endpoints)
     np.testing.assert_array_equal(branch.lagrange(branch.gaps), np.eye(n - 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_lagrange_polynomials_interpolate_every_polynomial_of_degree_n_minus_2(n):
-    branch = BranchData(slit_layout_inputs(n, 1)[0])
+    branch = BranchData(slit_layout_inputs(n, 1)[0].endpoints)
     p = np.polynomial.Polynomial(np.random.default_rng(n).standard_normal(n - 1))
     x = np.linspace(-1.0, 1.0, 41)
     np.testing.assert_allclose(p(branch.gaps) @ branch.lagrange(x), p(x), rtol=0, atol=1e-12)

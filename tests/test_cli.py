@@ -411,17 +411,30 @@ def _missing_tau1(doc):
     del doc["loading"]["tau1"]
 
 
-@pytest.mark.parametrize("spoil", [
-    _unknown_numerics_key, _zeta_inf_without_re, _three_element_slit, _missing_tau1,
-])
+# each spoil, and where the message of its rejection puts it
+_SPOILED_AT = {
+    _unknown_numerics_key: "$.numerics: additionalProperties",
+    _zeta_inf_without_re: "$.zeta_inf: oneOf",
+    _three_element_slit: "$.slits[0]: maxItems",
+    _missing_tau1: "$.loading: required",
+}
+
+
+def _jsonschema_messages(validator, doc) -> set[str]:
+    """The rejection message parse_config would give for each of jsonschema's own errors of doc."""
+    return {f"config schema violation at {e.json_path}: {e.validator}" for e in validator.iter_errors(doc)}
+
+
+@pytest.mark.parametrize("spoil", list(_SPOILED_AT))
 def test_schema_messages_match_jsonschema_validate(spoil):
+    # the walker words its own rejection: the JSON path and the keyword of
+    # the first check that fails, which is one of jsonschema's errors
     doc = figures.load_case("fig1b")
     spoil(doc)
-    with pytest.raises(jsonschema.ValidationError) as direct:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
     with pytest.raises(CliError) as parsed:
         parse_config(doc)
-    assert str(parsed.value) == f"config schema violation: {direct.value.message}"
+    assert str(parsed.value) == f"config schema violation at {_SPOILED_AT[spoil]}"
+    assert str(parsed.value) in _jsonschema_messages(jsonschema.Draft202012Validator(CONFIG_SCHEMA), doc)
 
 
 _SWAPS = (
@@ -482,6 +495,7 @@ def test_schema_walker_accepts_exactly_what_jsonschema_accepts():
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     bundled = [figures.load_case(case.name) for case in figures.FIGURE_CASES]
     accepted = disagreements = 0
+    unnamed = []  # rejections whose path and keyword are not among jsonschema's errors
     for trial in range(6000):
         doc = copy.deepcopy(bundled[trial % len(bundled)])
         for _ in range(rng.integers(4)):
@@ -489,15 +503,21 @@ def test_schema_walker_accepts_exactly_what_jsonschema_accepts():
                 _mutate(rng, doc)
         verdict = validator.is_valid(doc)
         accepted += verdict
-        disagreements += cli._conforms(doc, CONFIG_SCHEMA) != verdict
+        disagreements += (cli._violation(doc, CONFIG_SCHEMA) is None) != verdict
+        if not verdict:
+            with pytest.raises(CliError) as parsed:
+                parse_config(doc)
+            if str(parsed.value) not in _jsonschema_messages(validator, doc):
+                unnamed.append((trial, str(parsed.value)))
     assert disagreements == 0
+    assert not unnamed
     assert 1000 < accepted < 5000
 
 
 def test_schema_walker_raises_on_a_keyword_it_has_no_check_for():
     schema = {"type": "object", "properties": {"n": {"type": "integer", "maximum": 3}}}
     with pytest.raises(ValueError, match="'maximum'"):
-        cli._conforms({"n": 2}, schema)
+        cli._violation({"n": 2}, schema)
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
@@ -526,18 +546,39 @@ def test_accepted_configs_never_import_jsonschema():
     assert done.stdout == "False\n"
 
 
+_BLOCK_JSONSCHEMA = (
+    "import sys\n"
+    "class Block:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'jsonschema':\n"
+    "            raise ImportError('jsonschema is blocked')\n"
+    "sys.meta_path.insert(0, Block())\n"
+)
+
+
 def test_accepted_configs_parse_and_solve_without_jsonschema_installed():
-    blocker = (
-        "import sys\n"
-        "class Block:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.partition('.')[0] == 'jsonschema':\n"
-        "            raise ImportError('jsonschema is blocked')\n"
-        "sys.meta_path.insert(0, Block())\n"
-    )
-    done = _run_python(blocker + _SOLVE_EVERY_CASE)
+    done = _run_python(_BLOCK_JSONSCHEMA + _SOLVE_EVERY_CASE)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_rejected_configs_are_worded_without_jsonschema_installed(tmp_path):
+    paths = []
+    for spoil in _SPOILED_AT:
+        doc = figures.load_case("fig1b")
+        spoil(doc)
+        paths.append(tmp_path / f"{spoil.__name__}.json")
+        paths[-1].write_text(json.dumps(doc))
+    done = _run_python(
+        _BLOCK_JSONSCHEMA
+        + "from inclusion_forge import cli\n"
+        + f"for path in {[str(p) for p in paths]!r}:\n"
+        + "    print(cli.main(['validate', '--config', path]))\n"
+    )
+    assert done.stdout == "2\n" * len(paths), done.stderr
+    assert done.stderr.splitlines() == [
+        f"error: config schema violation at {where}" for where in _SPOILED_AT.values()
+    ]
 
 
 def test_parse_config_rejects_slit_count_mismatch():

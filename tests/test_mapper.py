@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import (
     all_family_off_sums,
     all_family_other_sums,
     all_family_slit_sums,
+    branch_principal_product,
     cauchy_off_80bit,
     cauchy_weighted,
     far_field_sums_80bit,
@@ -31,7 +33,7 @@ from oracles import (
 
 from inclusion_forge import branch as branch_module
 from inclusion_forge import cli, figures, mapper, pipeline, quadrature, solvability
-from inclusion_forge.branch import BranchData, abs_q, bank_value, eval_q, weight_factor
+from inclusion_forge.branch import BranchData, abs_q
 from inclusion_forge.mapper import (
     SlitMap,
     g0,
@@ -383,9 +385,9 @@ def test_interior_evaluators_reject_points_on_a_closed_slit(name):
 
 
 def _plain_interior(sm, z):
-    """omega and F off the slits from full-length per-slit sums of the plain rows and eval_q."""
+    """omega and F off the slits from full-length per-slit sums of the plain rows and the 80-bit q."""
     d, n = sm.derived, sm.branch.n
-    q = eval_q(sm.branch, z)
+    q = branch_principal_product(sm.branch.endpoints, z).astype(complex)
     sums = np.zeros((len(mapper.FAMILIES), z.size), dtype=complex)
     for f in range(len(mapper.FAMILIES)):
         for j, (a, b) in enumerate(sm.branch.slits):
@@ -413,7 +415,7 @@ def _series_interior(sm, z):
     return omega, d.beta0 + mapper.singular_part_F(z, d) - phi_term, np.abs(w)
 
 
-def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch):
+def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q():
     # the 32 targets the far-field series serve read the series, which meet
     # the 80-bit sums to 3.1e-16 of their largest value; there the plain sums
     # cancel and read 1.1e-12 (omega 7.7e-13 relative off at 40 + 30j)
@@ -427,12 +429,6 @@ def test_interior_values_are_q_times_the_cauchy_sums_without_eval_q(monkeypatch)
     omega[far], F[far] = series_omega[far], series_F[far]
     direct, served = _far_field_error(sm, load_figure_inputs("fig3a")[3], z[far])
     assert served <= 1e-15 and served <= direct
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the interior path evaluates q on its own")
-
-    monkeypatch.setattr(mapper, "eval_q", refuse, raising=False)
-    monkeypatch.setattr(branch_module, "eval_q", refuse)
     np.testing.assert_allclose(sm.omega_interior(z), omega, rtol=1e-14, atol=0)
     np.testing.assert_allclose(sm.F_interior(z), F, rtol=1e-14, atol=0)
 
@@ -938,14 +934,41 @@ def test_far_field_at_huge_and_non_finite_targets():
     fig1b, fig3a = solved_map("fig1b")[0], solved_map("fig3a")[0]
     for small in (fig1b, fig3a):
         assert np.all(small.omega_regular(huge) == small._far_series(mapper._MAP)[0])
-    # non-finite targets are never far: they are summed directly and read NaN,
-    # on every map (F of fig1b keeps no phi term, so it is its singular part
-    # alone, whose limit at infinity it reads, as before)
-    nan = np.array([np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.inf, np.inf), complex(np.nan, 1.0)])
+    # non-finite targets are never far, and read NaN on every map, also
+    # where a part keeps no density (F's q-term on fig1b)
     with np.errstate(all="ignore"):
         for m in (sm, fig1b, fig3a):
-            for evaluate in (m.omega_interior, m.omega_regular) + ((m.F_interior,) if m._live[0] else ()):
-                assert np.all(np.isnan(evaluate(nan)))
+            for evaluate in (m.omega_interior, m.omega_regular, m.F_interior):
+                assert np.all(np.isnan(evaluate(_NON_FINITE)))
+
+
+_NON_FINITE = np.array([np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.inf, np.inf), complex(np.nan, 1.0)])
+
+
+@pytest.mark.parametrize("case, fams, live", [
+    pytest.param("fig1b", mapper._PHI, None, id="fig1b-phi"),  # phi keeps no term
+    # no solved map is known to keep no map density: fig3a's are switched off
+    pytest.param("fig3a", mapper._MAP, [True, False, False], id="fig3a-map"),
+])
+def test_a_part_without_live_densities_forms_no_root(case, fams, live, monkeypatch):
+    gamma = 0.25 - 0.5j  # the map's part keeps it, F's does not
+    sm = solved_map(case, dataclasses.replace(load_figure_inputs(case)[3], gamma=gamma))[0]
+    if live is not None:
+        sm._live = np.array(live)
+    assert not sm._live[fams].any()
+    z = np.array([0.3 + 0.7j, -2.0 - 1e-9j, 40.0, 1e200j])
+    direct = sm._direct(fams, z[:3])  # the sums over no density: the constant they add to
+    np.testing.assert_array_equal(direct, 0.0 if fams == mapper._PHI else gamma)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root was formed")
+
+    monkeypatch.setattr(mapper, "slit_roots", refuse)
+    np.testing.assert_array_equal(sm._regular(fams, z), np.full(z.shape, direct[0]))
+    with np.errstate(invalid="ignore"):  # 0 * inf warns, as the direct sums do at these targets
+        assert np.all(np.isnan(sm._regular(fams, _NON_FINITE)))
+    with pytest.raises(EvaluationError):
+        sm._regular(fams, np.array([sm.branch.endpoints[0] + 0j]))
 
 
 # -- scalar / array contract ---------------------------------------------------
@@ -960,10 +983,7 @@ def evaluators():
     on = lambda s: a + (b - a) * s
     off = lambda s: 1.5 + s + (0.5 - s) * 1j
     return {
-        "eval_q": (lambda t: eval_q(branch, t), off),
         "abs_q": (lambda t: abs_q(branch, t), on),
-        "bank_value": (lambda t: bank_value(branch, t, 1, +1), on),
-        "weight_factor": (lambda t: weight_factor(branch, t, 1), on),
         "g0": (lambda t: g0(t, 1, derived), on),
         "omega_interior": (sm.omega_interior, off),
         "omega_regular": (sm.omega_regular, off),
@@ -971,10 +991,7 @@ def evaluators():
     }
 
 
-EVALUATORS = (
-    "eval_q", "abs_q", "bank_value", "weight_factor",
-    "g0", "omega_interior", "omega_regular", "F_interior",
-)
+EVALUATORS = ("abs_q", "g0", "omega_interior", "omega_regular", "F_interior")
 
 
 @pytest.mark.parametrize("name", EVALUATORS)
@@ -1508,10 +1525,11 @@ def test_interior_values_equal_the_all_family_sums(seed, monkeypatch):
             every = SlitMap(sm.branch, d, sm.constants, sm.numerics)
             omega, regular = every.omega_interior(z), every.omega_regular(z)
             # F summed over the phi rows also where they are all zero
-            F = d.beta0 + singular_part_F(z, d) - every._regular(mapper._PHI, z)
+            phi_term = (every._regular if sm._live[0] else every._direct)(mapper._PHI, z)
+            F = d.beta0 + singular_part_F(z, d) - phi_term
         # the map's series at any n, and F's where phi keeps terms
         assert every._far[mapper.FAMILIES[mapper._MAP]] is not None
-        assert (every._far[mapper.FAMILIES[mapper._PHI]] is not None) == sm._live[0]
+        assert (every._far.get(mapper.FAMILIES[mapper._PHI]) is not None) == sm._live[0]
         for value, want in zip(got, (omega, F, regular)):
             np.testing.assert_array_equal(value, want)
 

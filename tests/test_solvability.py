@@ -1,6 +1,4 @@
 import dataclasses
-import importlib
-import pkgutil
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from oracles import (
     weighted_moment,
 )
 
-import inclusion_forge
+from inclusion_forge import branch as branch_module
 from inclusion_forge import pipeline
 from inclusion_forge.branch import BranchData, slit_table
 from inclusion_forge.mapper import g0
@@ -346,22 +344,25 @@ def test_slit_table_moments_match_weighted_moment(N):
 
 def test_sixteen_slit_solve_makes_no_per_slit_moment_calls(monkeypatch):
     # every moment of a solve, the printed closed forms' too, is summed over
-    # the stacked slit table: the one-slit weight factor is never evaluated
-    def forbidden(*args, **kwargs):
-        raise AssertionError("weight_factor called during a solve")
+    # the stacked slit table: r_j is formed twice per solve, each time for
+    # every slit at once, at the N = 64 nodes of the period matrix and at the
+    # 2N of the moment residuals
+    shapes = []
+    smooth_factor = branch_module._smooth_factor
 
-    modules = [inclusion_forge] + [
-        importlib.import_module(f"inclusion_forge.{info.name}")
-        for info in pkgutil.iter_modules(inclusion_forge.__path__)
-    ]
-    holders = [module for module in modules if hasattr(module, "weight_factor")]
-    assert inclusion_forge.branch in holders
-    for module in holders:
-        monkeypatch.setattr(module, "weight_factor", forbidden)
-    for name in ("fig1b", "fig3a"):
+    def counted(branch, x, slit):
+        shapes.append(x.shape)
+        return smooth_factor(branch, x, slit)
+
+    monkeypatch.setattr(branch_module, "_smooth_factor", counted)
+    for name, n in (("fig1b", 2), ("fig3a", 3)):
+        shapes.clear()
         result = pipeline.solve(*load_figure_inputs(name)[:5])
         assert result.diagnostics.cross_check["applied"], name
+        assert shapes == [(n, 64), (n, 128)], name
+    shapes.clear()
     result = pipeline.solve(*sixteen_slit_inputs())
     assert result.slit_map.branch.n == 16
+    assert shapes == [(16, 64), (16, 128)]
     assert max(result.diagnostics.boundedness["a_relative"],
                result.diagnostics.boundedness["rho_relative"]) < 1e-8

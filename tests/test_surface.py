@@ -1,12 +1,14 @@
-"""The package keeps no module-level code that nothing in it calls.
+"""The package keeps no code that nothing in it calls, and imports numpy alone.
 
 A function or class of ``src/inclusion_forge`` either serves the package,
 so some other code of the package reads its name, or is public, so the
-package's ``__all__`` lists it.  Code that only tests read lives in
-``tests/oracles.py``.
+package's ``__all__`` lists it.  So does each method or property: an
+underscore one, or any of a class that is not exported, is read somewhere
+in the package.  Code that only tests read lives in ``tests/oracles.py``.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import inclusion_forge
@@ -29,17 +31,68 @@ def _names_read(tree: ast.AST, skip: ast.AST) -> set[str]:
     return out
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+
+
+def _unread(trees: dict[str, ast.Module], node: ast.AST, name: str) -> bool:
+    return not any(name in _names_read(other, skip=node) for other in trees.values())
+
+
 def test_every_module_level_definition_is_used_in_the_package_or_exported():
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    trees = _trees()
     public = set(inclusion_forge.__all__)
     unused = []
     for module, tree in sorted(trees.items()):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in public:
                 continue
-            if not any(node.name in _names_read(other, skip=node) for other in trees.values()):
+            if _unread(trees, node, node.name):
                 unused.append(f"{module}.{node.name}")
     assert not unused, f"defined in src/ but neither used there nor in inclusion_forge.__all__: {unused}"
+
+
+def test_every_private_method_and_every_method_of_an_unexported_class_is_used_in_the_package():
+    trees = _trees()
+    public = set(inclusion_forge.__all__)
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                    continue
+                if (node.name.startswith("_") or cls.name not in public) and _unread(trees, node, node.name):
+                    unused.append(f"{module}.{cls.name}.{node.name}")
+    assert not unused, f"methods of src/ that nothing there reads: {unused}"
+
+
+def _imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, top-level module) of every absolute import in tree, also inside functions."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module.partition(".")[0]))
+    return out
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # numpy is the one dependency at run time; every other import is the
+    # package's own or the standard library's
+    allowed = set(sys.stdlib_module_names) | {"numpy", "inclusion_forge"}
+    foreign = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := [
+            (line, name)
+            for line, name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+            if name not in allowed
+        ])
+    }
+    assert not foreign, f"modules of src/ import these beyond numpy and the standard library: {foreign}"
 
 
 def _environment_reads(tree: ast.AST) -> list[int]:
