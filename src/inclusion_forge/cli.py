@@ -142,7 +142,8 @@ def _properties(v, props, s):
 
 # check(instance, keyword value, schema) for each keyword CONFIG_SCHEMA uses: whether
 # the instance passes the keyword itself (numpy scalars may make that a numpy bool),
-# or the failure of the child it fails in; as in JSON Schema, a keyword that constrains
+# or its failure: the child's it fails in, or the keyword with the first missing or
+# extra key it names, formed only then; as in JSON Schema, a keyword that constrains
 # one type passes any other type.  additionalProperties takes true or false, as
 # CONFIG_SCHEMA does: under a subschema there, every extra key would fail
 _KEYWORDS = {
@@ -153,10 +154,12 @@ _KEYWORDS = {
     "minItems": lambda v, k, s: not isinstance(v, list) or len(v) >= k,
     "maxItems": lambda v, k, s: not isinstance(v, list) or len(v) <= k,
     "items": _items,
-    "required": lambda v, keys, s: not isinstance(v, dict) or all(k in v for k in keys),
+    "required": lambda v, keys, s: not isinstance(v, dict) or all(k in v for k in keys)
+    or [f"required {next(k for k in keys if k not in v)!r}"],
     "properties": _properties,
     "additionalProperties": lambda v, allowed, s: allowed is True or not isinstance(v, dict)
-    or v.keys() <= s.get("properties", {}).keys(),
+    or v.keys() <= s.get("properties", {}).keys()
+    or [f"additionalProperties {next(k for k in v if k not in s.get('properties', {}))!r}"],
 }
 
 

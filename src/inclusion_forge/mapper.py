@@ -78,7 +78,7 @@ _PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
 _DIRECT, _G1 = slice(0, 2), slice(2, 3)  # sampled from closed forms; sampled from phi
 _BLOCK_VALUES = 2**16
 # the one switch to accelerated sums: from this many slits on, off-slit rows are
-# balanced and split by degree tables, and banks may be traced through interpolants;
+# balanced and split by one degree table, and banks may be traced through interpolants;
 # below it the plain loop keeps 14 digits and costs less.  Balanced for families
 # whose moments are at most this relative residual
 _BALANCED_FROM = 4
@@ -110,6 +110,15 @@ class BoundaryPass(NamedTuple):
     omega: np.ndarray
     F: np.ndarray
     g1: np.ndarray
+
+
+class InteriorRows(NamedTuple):
+    """The rows of a map's off-slit sums, their switch and their degree table (:meth:`SlitMap._interior_rows`)."""
+
+    rows: tuple[np.ndarray, ...]  # per pass, (3, n, L): the balanced rows where a family has them, then the plain rows
+    flags: np.ndarray  # the families whose moments are at rounding
+    omega_max: float  # largest |omega| on the slits: from it on a target sums the balanced rows
+    table: DegreeTable | None  # of every row; None below _BALANCED_FROM slits
 
 
 class SlitMap:
@@ -147,8 +156,8 @@ class SlitMap:
     of the table always sum directly.  Off the slits, the phi and g0_rho
     rows of a solved map are replaced by rows balanced across the slits
     (:meth:`_interior_rows`), so that the sums q multiplies keep their
-    digits far from the slits, and each family set gets a
-    :class:`~inclusion_forge.quadrature.DegreeTable` from the map alone on
+    digits far from the slits, and the plain and the balanced rows share one
+    :class:`~inclusion_forge.quadrature.DegreeTable`, from the map alone on
     the first interior call: a split degree, and the |w| beyond which a
     pair sums further.  On that call each regular part whose moments are at
     rounding, at any n, also gets a far-field series (:meth:`_far_series`):
@@ -197,8 +206,7 @@ class SlitMap:
         g0_rho = g0(nodes, self._rows[:, None], derived)
         g0_rho += np.reshape(constants.rho_prime, (n, 1))
         self._period = period
-        self._interior: tuple[np.ndarray, np.ndarray] | None = None
-        self._omega_max = 0.0  # largest |omega| at the nodes, set with the balanced rows
+        self._interior: InteriorRows | None = None
         # degree M, but at most the N coefficients N samples determine
         raw = np.zeros((len(FAMILIES), n, min(M + 1, table.N)))
         raw[0] = coef_from_samples(phi / table.r, M)
@@ -213,7 +221,6 @@ class SlitMap:
         g1 = self._g1_values(nodes, self._rows)
         raw[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
         self._chop(raw, _G1)
-        self._degree_tables: dict[tuple[str, ...], DegreeTable] = {}
         self._far: dict[tuple[str, ...], np.ndarray | None] = {}
         self._block_degree[_MAP] = block_degrees(self._coef[_MAP], self._worst_w)
         self._block_degree[:, self._rows, self._rows] = 0  # own-slit blocks are never formed
@@ -257,25 +264,8 @@ class SlitMap:
         step = int(f[1] - f[0]) if len(f) > 1 else 1
         return slice(int(f[0]), int(f[-1]) + 1, step) if len(f) else slice(0, 0)
 
-    def _degree_table(self, fams: slice, plain: bool = False) -> DegreeTable | None:
-        """A family set's degree table of its interior (or plain) rows; None below _BALANCED_FROM slits."""
-        if self.branch.n < _BALANCED_FROM:
-            return None
-        names = FAMILIES[fams]
-        table = self._degree_tables.get((names, plain))
-        if table is None:
-            coef = self._coef if plain else self._interior_rows()[0]
-            table = degree_table(coef[fams], self._lo, self._hi)
-            self._degree_tables[names, plain] = table
-            log.debug(
-                "degree table for %s%s: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
-                "+".join(names), " (plain rows)" if plain else "", table.D, coef.shape[-1],
-                100.0 * table.beyond,
-            )
-        return table
-
-    def _interior_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows the off-slit sums use where omega is large, and which families have moments at rounding.
+    def _interior_rows(self) -> InteriorRows:
+        """The rows the off-slit sums use, which families have moments at rounding, and the degree table.
 
         Off the slits q multiplies the sums of phi and g0_rho, and q grows
         like zeta^n while those alternating sums cancel down to zeta^-n: summed
@@ -295,8 +285,9 @@ class SlitMap:
         most _BALANCED_RESIDUAL); overridden constants, and g1_weighted,
         which q does not multiply, keep their plain rows.  The flags name
         the families whose moments are at rounding at every n, for the
-        far-field series; below _BALANCED_FROM slits every family keeps its
-        plain rows.  Built on first use.
+        far-field series.  From _BALANCED_FROM slits on, one degree table
+        covers the balanced and the plain rows, zero-padded to one length;
+        below it the plain rows are summed whole.  Built on first use.
         """
         if self._interior is None:
             n, table, coef = self.branch.n, self._period.table, self._coef
@@ -307,17 +298,24 @@ class SlitMap:
                 moment_residuals(table, self._period.basis, rows * table.r, weights)[2] <= _BALANCED_RESIDUAL
                 for rows, weights in zip(values, self._weights[_DIRECT])
             ]
-            if n >= _BALANCED_FROM and flags.any():
-                self._omega_max = float(np.abs(self.branch.omega(table.nodes)).max())
-                balanced = self._times_gap_poly(coef[_DIRECT])
-                kept = standard_chop(balanced)
-                balanced *= np.arange(balanced.shape[-1]) < kept[..., None]
-                L = max(coef.shape[-1], int(kept.max()))
-                coef = np.zeros(coef.shape[:-1] + (L,))
-                coef[..., : self._coef.shape[-1]] = self._coef
-                for f in np.flatnonzero(flags):
-                    coef[f] = balanced[f, :, :L]
-            self._interior = coef, flags
+            rows, omega_max, degrees = coef[None], np.inf, None
+            if n >= _BALANCED_FROM:
+                if flags.any():
+                    omega_max = float(np.abs(self.branch.omega(table.nodes)).max())
+                    balanced = self._times_gap_poly(coef[_DIRECT])
+                    kept = standard_chop(balanced)
+                    balanced *= np.arange(balanced.shape[-1]) < kept[..., None]
+                    rows = np.zeros((2,) + coef.shape[:-1] + (max(coef.shape[-1], int(kept.max())),))
+                    rows[..., : coef.shape[-1]] = coef
+                    rows[0, flags] = balanced[flags[_DIRECT], :, : rows.shape[-1]]
+                degrees = degree_table(rows.reshape(-1, n, rows.shape[-1]), self._lo, self._hi)
+                log.debug(
+                    "degree table of the off-slit rows: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
+                    degrees.D, rows.shape[-1], 100.0 * degrees.beyond,
+                )
+                # past its own length a plain row is zero: its pass stops there, or at D
+                rows = (*rows[:-1], rows[-1, ..., : max(coef.shape[-1], degrees.D)])
+            self._interior = InteriorRows(tuple(rows), flags, omega_max, degrees)
         return self._interior
 
     def _times_gap_poly(self, coef: np.ndarray) -> np.ndarray:
@@ -343,40 +341,38 @@ class SlitMap:
         slits of the roots rho_j the kernel divides by.  The rows are those of
         :meth:`_interior_rows`, each balanced family divided by omega at the
         target, and each (slit, target) pair sums its series to the degree
-        the family set's degree table allows.  Families that are not live
-        are not summed: their sums are 0.  Where |omega(zeta)| is below
-        its largest modulus on the slits, the balanced sums would lose more
-        digits to that division than the plain ones lose to cancellation, so
-        those targets (near a gap's node, where omega vanishes, and mostly
-        near the slits) sum the plain rows.  Targets on a closed slit are
-        rejected.  Targets pass through in blocks of at most _BLOCK_VALUES
-        (family, slit, target) values, so large batches need no temporaries
-        of batch x slits size.
+        the map's degree table allows.  Families that are not live are not
+        summed: their sums are 0.  Where |omega(zeta)| is below its largest
+        modulus on the slits, the balanced sums would lose more digits to
+        that division than the plain ones lose to cancellation, so those
+        targets (near a gap's node, where omega vanishes, and mostly near
+        the slits) sum the plain rows: the two passes differ only in their
+        rows and their targets.  Targets on a closed slit are rejected.
+        Targets pass through in blocks of at most _BLOCK_VALUES (family,
+        slit, target) values, so large batches need no temporaries of
+        batch x slits size.
         """
         reject_on_slits(self.branch, z)
         weights, live = self._weights[fams], self._live_rows(fams)
-        coef, flags = self._interior_rows()
-        divided = np.flatnonzero(flags[fams]) if self.branch.n >= _BALANCED_FROM else []
-        flat = z.reshape(-1)
-        passes = [(coef[fams][live], self._degree_table(fams), 0, flat.size)]
+        rows, flags, omega_max, table = self._interior_rows()
+        divided = np.flatnonzero(flags[fams]) if len(rows) > 1 else []
+        flat, k = z.reshape(-1), z.size
         if len(divided):  # the balanced targets first, then the plain ones
             gap_poly = self.branch.omega(flat)
-            balanced = np.abs(gap_poly) >= self._omega_max
+            balanced = np.abs(gap_poly) >= omega_max
             order = np.argsort(~balanced, kind="stable")
             flat, k = flat[order], int(balanced.sum())
-            passes[0] = passes[0][:3] + (k,)
-            if k < flat.size:
-                passes.append((self._coef[fams][live], self._degree_table(fams, plain=True), k, flat.size))
         out = np.zeros((len(weights), flat.size), dtype=complex)
         q = np.empty(flat.size, dtype=complex)
         step = max(1, _BLOCK_VALUES // weights.size)
-        for rows, table, start, stop in passes:
+        for coef, start, stop in zip(rows, (0, k), (k, flat.size)):
+            coef = coef[fams][live]
             for s in range(start, stop, step):
                 end = min(s + step, stop)
                 roots = slit_roots(self._lo, self._hi, flat[s:end])
                 np.prod(roots.rho, axis=0, out=q[s:end])
-                if len(rows):
-                    out[live, s:end] = _row_sum(weights[live], cauchy_off_stack(rows, roots, table))
+                if len(coef):
+                    out[live, s:end] = _row_sum(weights[live], cauchy_off_stack(coef, roots, table))
         if len(divided):
             out[divided, :k] /= gap_poly[order[:k]]
             out[:, order], q[order] = out.copy(), q.copy()

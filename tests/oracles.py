@@ -698,29 +698,27 @@ def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.
     """``SlitMap._off_sums`` over every family of the set."""
     reject_on_slits(sm.branch, z)
     weights = sm._weights[fams]
-    coef, flags = sm._interior_rows()
-    divided = np.flatnonzero(flags[fams]) if sm.branch.n >= mapper._BALANCED_FROM else []
+    rows, flags, omega_max, table = sm._interior_rows()
+    divided = np.flatnonzero(flags[fams]) if len(rows) > 1 else []
     flat = z.reshape(-1)
-    passes = [(coef[fams], sm._degree_table(fams), 0, flat.size)]
+    passes = [(rows[0][fams], 0, flat.size)]
     if len(divided):  # the balanced targets first, then the plain ones
         gap_poly = flat - sm.branch.gaps[0]
         for node in sm.branch.gaps[1:]:
             gap_poly *= flat - node
-        balanced = np.abs(gap_poly) >= sm._omega_max
+        balanced = np.abs(gap_poly) >= omega_max
         order = np.argsort(~balanced, kind="stable")
         flat, k = flat[order], int(balanced.sum())
-        passes[0] = passes[0][:3] + (k,)
-        if k < flat.size:
-            passes.append((sm._coef[fams], sm._degree_table(fams, plain=True), k, flat.size))
+        passes = [(rows[0][fams], 0, k), (rows[1][fams], k, flat.size)]
     out = np.empty((len(weights), flat.size), dtype=complex)
     q = np.empty(flat.size, dtype=complex)
     step = max(1, mapper._BLOCK_VALUES // weights.size)
-    for rows, table, start, stop in passes:
+    for coef, start, stop in passes:
         for s in range(start, stop, step):
             end = min(s + step, stop)
             roots = slit_roots(sm._lo, sm._hi, flat[s:end])
             np.prod(roots.rho, axis=0, out=q[s:end])
-            out[:, s:end] = np.einsum("fj,fj...->f...", weights, cauchy_off_stack(rows, roots, table))
+            out[:, s:end] = np.einsum("fj,fj...->f...", weights, cauchy_off_stack(coef, roots, table))
     if len(divided):
         out[divided, :k] /= gap_poly[order[:k]]
         out[:, order], q[order] = out.copy(), q.copy()

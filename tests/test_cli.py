@@ -413,22 +413,35 @@ def _missing_tau1(doc):
 
 # each spoil, and where the message of its rejection puts it
 _SPOILED_AT = {
-    _unknown_numerics_key: "$.numerics: additionalProperties",
+    _unknown_numerics_key: "$.numerics: additionalProperties 'eps_near'",
     _zeta_inf_without_re: "$.zeta_inf: oneOf",
     _three_element_slit: "$.slits[0]: maxItems",
-    _missing_tau1: "$.loading: required",
+    _missing_tau1: "$.loading: required 'tau1'",
 }
 
 
 def _jsonschema_messages(validator, doc) -> set[str]:
-    """The rejection message parse_config would give for each of jsonschema's own errors of doc."""
-    return {f"config schema violation at {e.json_path}: {e.validator}" for e in validator.iter_errors(doc)}
+    """The rejection messages parse_config may give for jsonschema's own errors of doc.
+
+    Each error's path and keyword; a required or additionalProperties error
+    once for each key that its own message quotes.
+    """
+    out = set()
+    for e in validator.iter_errors(doc):
+        message = f"config schema violation at {e.json_path}: {e.validator}"
+        if e.validator in ("required", "additionalProperties"):
+            keys = e.validator_value if e.validator == "required" else e.instance
+            out |= {f"{message} {k!r}" for k in keys if repr(k) in e.message}
+        else:
+            out.add(message)
+    return out
 
 
 @pytest.mark.parametrize("spoil", list(_SPOILED_AT))
 def test_schema_messages_match_jsonschema_validate(spoil):
     # the walker words its own rejection: the JSON path and the keyword of
-    # the first check that fails, which is one of jsonschema's errors
+    # the first check that fails, which is one of jsonschema's errors, and
+    # the missing or extra key that error names
     doc = figures.load_case("fig1b")
     spoil(doc)
     with pytest.raises(CliError) as parsed:

@@ -470,20 +470,17 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
     # the batch mixes targets the far-field series serve with targets summed directly
     w = _series_interior(sm, z)[2]
     assert (w <= 0.5).any() and (w > 0.5).any()
-    # the degree tables come from the map alone, whatever batch comes first
+    # the degree table comes from the map alone, whatever batch comes first
     other = fresh[1]
     other.F_interior(z[::-1][:7])
     other.omega_interior(z[-1])
-    # (a map with balanced rows keeps one more table per family set, for its
-    # plain rows; a map below _BALANCED_FROM slits keeps none)
-    plain = (False, True) if case == "sixteen" else ()
-    family_sets = (mapper.FAMILIES[mapper._PHI], mapper.FAMILIES[mapper._MAP])
-    assert sm._degree_tables.keys() == other._degree_tables.keys() == {
-        (names, rows) for names in family_sets for rows in plain
-    }
-    for key, table in sm._degree_tables.items():
-        assert table.D == other._degree_tables[key].D
-        np.testing.assert_array_equal(table.thr, other._degree_tables[key].thr)
+    # (one table over every row of a map with four or more slits; a map
+    # below _BALANCED_FROM slits keeps none)
+    table, other_table = sm._interior.table, other._interior.table
+    assert (table is None) == (other_table is None) == (case == "fig3a")
+    if table is not None:
+        assert table.D == other_table.D
+        np.testing.assert_array_equal(table.thr, other_table.thr)
     # and so do the far-field series, at any n
     assert sm._far.keys() == other._far.keys()
     for key, series in sm._far.items():
@@ -508,8 +505,8 @@ def test_solves_never_build_a_degree_table(monkeypatch):
     assert len(figures.FIGURE_CASES) == 16 and not calls and not series and not sm._far
     sm.F_interior(0.3 + 0.5j)
     sm.omega_interior(0.3 + 0.5j)
-    # one per family set, and one more for its plain rows where a target needs them
-    assert 2 <= len(calls) == len(sm._degree_tables)
+    # one table per map, over the plain and the balanced rows of every family
+    assert len(calls) == 1 and sm._interior.table is not None
     # one series per family set
     assert len(sm._far) == 2 and all(s is not None for s in sm._far.values())
 
@@ -522,17 +519,13 @@ def test_each_degree_table_build_is_logged_once(caplog, capsys):
             sm.omega_interior(np.array([0.3 + 0.5j, 2.0 - 1e-3j]))
     messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
     # the far-field series of each family set samples a ring through the
-    # degree tables, and logs its own build once
-    tables = [m for m in messages if m.startswith("degree table for ")]
+    # map's one degree table, and logs its own build once
+    tables = [m for m in messages if m.startswith("degree table ")]
     series = [m for m in messages if m.startswith("far-field series for ")]
-    assert len(tables) == len(sm._degree_tables) == 4
-    assert len(series) == len(sm._far) == 2 and len(messages) == 6
+    assert len(tables) == 1 and sm._interior.table is not None
+    assert len(series) == len(sm._far) == 2 and len(messages) == 3
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    for message, start in zip(tables, (
-        "phi: D = ", "phi (plain rows): D = ",
-        "g0_rho+g1_weighted: D = ", "g0_rho+g1_weighted (plain rows): D = ",
-    )):
-        assert message.startswith("degree table for " + start)
+    assert tables[0].startswith(f"degree table of the off-slit rows: D = {sm._interior.table.D} of L = ")
     for message, names in zip(series, ("phi", "g0_rho+g1_weighted")):
         terms = len(sm._far[tuple(names.split("+"))])
         assert message.startswith(f"far-field series for {names}: {terms} terms, ring chopped at ")
@@ -540,9 +533,11 @@ def test_each_degree_table_build_is_logged_once(caplog, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def _split_table(sm, fams, plain=False):
-    """The degree table of the rows a pass sums, at any n: the split forced below four slits."""
-    return quadrature.degree_table((sm._coef if plain else sm._interior_rows()[0])[fams], sm._lo, sm._hi)
+def _split_rows(sm):
+    """The map's plain rows with their degree table: the split forced below four slits."""
+    interior = sm._interior_rows()
+    (rows,) = interior.rows
+    return interior._replace(table=quadrature.degree_table(rows, sm._lo, sm._hi))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -563,20 +558,18 @@ def test_the_interior_split_starts_at_four_slits(seed, monkeypatch):
         n = sm.branch.n
         sizes.add(n)
         if n >= mapper._BALANCED_FROM:
-            assert sm._degree_tables.keys() == {
-                (mapper.FAMILIES[fams], plain) for fams in (mapper._PHI, mapper._MAP) for plain in (False, True)
-            }
-            assert len(builds) == 4 and all(isinstance(t, quadrature.DegreeTable) for t in tables)
+            assert len(builds) == 1 and all(t is sm._interior.table for t in tables)
+            assert isinstance(sm._interior.table, quadrature.DegreeTable)
             continue
         assert tables and all(t is None for t in tables)
-        assert not builds and not sm._degree_tables
+        assert not builds and sm._interior.table is None
         # the far-field series need no table: they serve every map whose moments are at rounding
         assert sm._far and all(series is not None for series in sm._far.values())
         with monkeypatch.context() as m:
             m.setattr(SlitMap, "_far_series", _no_series)  # every target through the Cauchy sums
             plain = sm.omega_interior(z), sm.F_interior(z)
             tables.clear()
-            m.setattr(SlitMap, "_degree_table", _split_table)
+            m.setattr(sm, "_interior", _split_rows(sm))
             split = sm.omega_interior(z), sm.F_interior(z)
         assert all(isinstance(t, quadrature.DegreeTable) for t in tables)
         for value, want in zip(plain, split):
@@ -663,7 +656,36 @@ def test_edge_interior_values_are_q_times_the_full_length_sums(n):
     for got, expected in ((sm.omega_interior(z), omega), (sm.F_interior(z), F)):
         scale = np.abs(expected).max()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * scale)
-    assert all(1 <= t.D <= sm._coef.shape[-1] for t in sm._degree_tables.values())
+    table = sm._interior.table
+    assert (table is None) == (n < mapper._BALANCED_FROM)
+    assert table is None or 1 <= table.D <= sm._coef.shape[-1]
+
+
+def _layout0_inputs():
+    """The n = 16 layout the benchmark's interior_field workload evaluates."""
+    doc = next(doc for doc, _ in interior_field_inputs(0) if doc["n"] == 16)
+    return cli.parse_config(doc)[:5]
+
+
+@pytest.mark.parametrize("case", ["layout0", "edge16", "spread16"])
+def test_the_one_degree_table_serves_every_row_it_is_used_for(case):
+    # the plain and the balanced rows of every family share the map's one
+    # table: at |w| = thr[j] no row of slit j needs more than D terms, by the
+    # rule the table is built from
+    args = {
+        "layout0": _layout0_inputs,
+        "edge16": lambda: _edge_inputs(16),
+        "spread16": lambda: spread_layout_inputs(16, 3),
+    }[case]()
+    sm = pipeline.solve(*args).slit_map
+    rows, flags, _, table = sm._interior_rows()
+    assert len(rows) == 2 and flags.tolist() == [True, True, False]
+    np.testing.assert_array_equal(rows[1][..., : sm._coef.shape[-1]], sm._coef)
+    assert not rows[1][..., sm._coef.shape[-1] :].any()
+    for coef in (sm._coef, rows[0]):
+        degrees = quadrature.block_degrees(coef, table.thr[None])
+        assert degrees.shape == (len(mapper.FAMILIES), 1, sm.branch.n)
+        assert (degrees <= table.D).all()
 
 
 def _far_field_error(sm, free, z):
@@ -745,7 +767,7 @@ def _omega_level_targets(sm, count=7):
     lo, hi = np.zeros(count), np.full(count, 3.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        inside = omega(centre + mid * half * ray) < sm._omega_max
+        inside = omega(centre + mid * half * ray) < sm._interior_rows().omega_max
         lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     return centre, centre + hi * half * ray
 
@@ -767,7 +789,7 @@ def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case,
         )
         got = sm.omega_interior(z), sm.F_interior(z)
         monkeypatch.undo()
-        plain_rows = [np.shares_memory(c, sm._coef) for c in rows]
+        plain_rows = [np.shares_memory(c, sm._interior.rows[1]) for c in rows]
         assert all(plain_rows) if side == "plain" else not any(plain_rows), side
         # both sides keep 10 digits of the plain sums and of the 80-bit ones
         for value, want in zip(got, _plain_interior(sm, z)):

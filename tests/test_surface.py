@@ -4,7 +4,9 @@ A function or class of ``src/inclusion_forge`` either serves the package,
 so some other code of the package reads its name, or is public, so the
 package's ``__all__`` lists it.  So does each method or property: an
 underscore one, or any of a class that is not exported, is read somewhere
-in the package.  Code that only tests read lives in ``tests/oracles.py``.
+in the package.  So does each module-level constant, a tuning knob above
+all: one that nothing reads changes nothing.  Code that only tests read
+lives in ``tests/oracles.py``.
 """
 
 import ast
@@ -23,7 +25,7 @@ def _names_read(tree: ast.AST, skip: ast.AST) -> set[str]:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -66,6 +68,36 @@ def test_every_private_method_and_every_method_of_an_unexported_class_is_used_in
                 if (node.name.startswith("_") or cls.name not in public) and _unread(trees, node, node.name):
                     unused.append(f"{module}.{cls.name}.{node.name}")
     assert not unused, f"methods of src/ that nothing there reads: {unused}"
+
+
+def _assigned_names(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
+    """(statement, name) of every name a module binds by assignment at its top level, tuples unpacked."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        out += [
+            (node, name.id) for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        ]
+    return out
+
+
+def test_every_module_level_constant_is_read_in_the_package_or_exported():
+    # dunders such as __all__ and __version__ are read by Python and its tools
+    trees = _trees()
+    public = set(inclusion_forge.__all__)
+    unread = [
+        f"{module}.{name}"
+        for module, tree in sorted(trees.items())
+        for node, name in _assigned_names(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in public and _unread(trees, node, name)
+    ]
+    assert not unread, f"bound at module level in src/ but neither read there nor in inclusion_forge.__all__: {unread}"
 
 
 def _imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
