@@ -25,7 +25,10 @@ of degree n, would otherwise magnify out of the cancelling sums.  Outside
 the hull [lo_0, hi_{n-1}] of those slits, the regular parts of the map and
 of F are analytic and bounded, also at infinity, so each is one power
 series in the Joukowski variable w of the hull: a target far from the
-slits sums that series in place of n slit roots and n Cauchy sums.
+slits sums that series in place of n slit roots and n Cauchy sums.  Beside
+one slit, the sums over the other slits and the product of their roots are
+analytic too, so from four slits on each is a Chebyshev series on that
+slit: a target beside it forms that slit's root alone.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from .quadrature import (
     coef_from_samples,
     degree_table,
     like_input,
+    pair_roots,
+    row_lengths,
     singular_on_stack,
     slit_roots,
     standard_chop,
@@ -78,20 +83,22 @@ _PHI, _MAP, _ALL = slice(0, 1), slice(1, 3), slice(0, 3)
 _DIRECT, _G1 = slice(0, 2), slice(2, 3)  # sampled from closed forms; sampled from phi
 _BLOCK_VALUES = 2**16
 # the one switch to accelerated sums: from this many slits on, off-slit rows are
-# balanced and split by one degree table, and banks may be traced through interpolants;
-# below it the plain loop keeps 14 digits and costs less.  Balanced for families
-# whose moments are at most this relative residual
+# balanced and split by one degree table, targets beside a slit sum slit-local series,
+# and banks may be traced through interpolants; below it the plain loop keeps 14 digits
+# and costs less.  Balanced for families whose moments are at most this relative residual
 _BALANCED_FROM = 4
 _BALANCED_RESIDUAL = 1e-13
 _INTERPOLANT_BITS = 53  # the interpolants of the other-slit sums resolve them to 2^-53
+# the slit-local series of the other-slit sums resolve them to 2^-53 beside their slit,
+# where the rounding of their coefficients grows by at most 2^_BESIDE_GROWTH_BITS
+_BESIDE_GROWTH_BITS = 2
 # the far-field series resolve the regular parts to 2^-53 at the targets with |w| <=
 # 1/_FAR_RATIO in the variable w of the hull [lo_0, hi_{n-1}], where each term gains a
-# bit.  They interpolate _RING_SAMPLES values on |w| = 1/_FAR_RATIO itself, so by the
-# maximum principle their error there bounds it at every far target; term k aliases
-# term k + _RING_SAMPLES, 2^-_RING_SAMPLES smaller, and the power of two past twice
-# the _FAR_BITS / log2 _FAR_RATIO terms leaves the chop room to see the plateau
-_FAR_BITS, _FAR_RATIO = 53, 2.0
-_RING_SAMPLES = 1 << int(np.ceil(np.log2(2.0 * _FAR_BITS / np.log2(_FAR_RATIO))))
+# bit; below _BALANCED_FROM slits a band series serves 1/_FAR_RATIO < |w| <=
+# 1/_BAND_RATIO, where each term gains a third of a bit (_ring_samples).  From four
+# slits on a ring at |w| = 1/_BAND_RATIO crosses the switch between balanced and plain
+# rows, so those maps have no band series
+_FAR_BITS, _FAR_RATIO, _BAND_RATIO = 53, 2.0, 1.25
 _BANK_SIGN = np.array([1.0, -1.0])[:, None, None]  # bank +1, then -1
 
 
@@ -112,6 +119,13 @@ class BoundaryPass(NamedTuple):
     g1: np.ndarray
 
 
+class BesideSeries(NamedTuple):
+    """Slit-local series of the off-slit sums (:meth:`SlitMap._beside_series`)."""
+
+    reach: np.ndarray  # (n,): beside slit j where |z - lo_j| + |z - hi_j| <= reach[j]; 0 without series
+    coef: np.ndarray  # (K, 4, n): Chebyshev coefficients of the other-slit sums of each family, then of Q_j
+
+
 class InteriorRows(NamedTuple):
     """The rows of a map's off-slit sums, their switch and their degree table (:meth:`SlitMap._interior_rows`)."""
 
@@ -119,6 +133,7 @@ class InteriorRows(NamedTuple):
     flags: np.ndarray  # the families whose moments are at rounding
     omega_max: float  # largest |omega| on the slits: from it on a target sums the balanced rows
     table: DegreeTable | None  # of every row; None below _BALANCED_FROM slits
+    beside: BesideSeries | None  # the slit-local series; None below _BALANCED_FROM slits
 
 
 class SlitMap:
@@ -145,8 +160,9 @@ class SlitMap:
     :func:`~inclusion_forge.quadrature.block_degrees` gives at the largest
     |w_j| on slit i, its nearer endpoint; the own slit adds its principal
     value.  Below _BALANCED_FROM (four) slits every Cauchy sum is the plain
-    loop; from four on, and nothing else selects them, three accelerations
-    join.
+    loop; from four on, and nothing else selects them, four accelerations
+    join: the interpolated bank pass, the balanced rows, the degree table
+    and the slit-local series.
     A bank pass of T targets per slit sums the blocks at K first-kind nodes
     of each slit instead, where that sums fewer terms (K S + n T K < T S, S
     the sum of the block degrees): the Chebyshev interpolants of the
@@ -159,10 +175,16 @@ class SlitMap:
     digits far from the slits, and the plain and the balanced rows share one
     :class:`~inclusion_forge.quadrature.DegreeTable`, from the map alone on
     the first interior call: a split degree, and the |w| beyond which a
-    pair sums further.  On that call each regular part whose moments are at
-    rounding, at any n, also gets a far-field series (:meth:`_far_series`):
-    targets with |w| <= 1/_FAR_RATIO in the variable of the hull
-    [lo_0, hi_{n-1}] sum it (:meth:`_regular`), the others the Cauchy sums.
+    pair sums further.  On that call each slit also gets Chebyshev series of
+    the other slits' sums and of the product of their roots
+    (:meth:`_beside_series`), so that a target beside the slit forms one
+    root and sums its own rows and those series (:meth:`_beside_sums`) in
+    place of n roots and n Cauchy sums.  Each regular part whose moments
+    are at rounding, at any n, also gets a far-field series
+    (:meth:`_far_series`): targets with |w| <= 1/_FAR_RATIO in the variable
+    of the hull [lo_0, hi_{n-1}] sum it (:meth:`_regular`), and below four
+    slits those with |w| <= 1/_BAND_RATIO a band series; the others the
+    Cauchy sums.
     The block degrees are logged once at DEBUG with K and the T it is used
     from.  All evaluation methods are pure and accept scalars or arrays of
     targets.  ``period`` is ``period_matrix(branch, numerics)``, built here
@@ -222,6 +244,7 @@ class SlitMap:
         raw[2] = coef_from_samples(g1 * np.sqrt((nodes - a) * (b - nodes)), M)
         self._chop(raw, _G1)
         self._far: dict[tuple[str, ...], np.ndarray | None] = {}
+        self._band: dict[tuple[str, ...], np.ndarray | None] = {}
         self._block_degree[_MAP] = block_degrees(self._coef[_MAP], self._worst_w)
         self._block_degree[:, self._rows, self._rows] = 0  # own-slit blocks are never formed
         degree, L = self._block_degree.max(axis=0), self._coef.shape[-1]
@@ -298,7 +321,7 @@ class SlitMap:
                 moment_residuals(table, self._period.basis, rows * table.r, weights)[2] <= _BALANCED_RESIDUAL
                 for rows, weights in zip(values, self._weights[_DIRECT])
             ]
-            rows, omega_max, degrees = coef[None], np.inf, None
+            rows, omega_max, degrees, beside = coef[None], np.inf, None, None
             if n >= _BALANCED_FROM:
                 if flags.any():
                     omega_max = float(np.abs(self.branch.omega(table.nodes)).max())
@@ -315,7 +338,8 @@ class SlitMap:
                 )
                 # past its own length a plain row is zero: its pass stops there, or at D
                 rows = (*rows[:-1], rows[-1, ..., : max(coef.shape[-1], degrees.D)])
-            self._interior = InteriorRows(tuple(rows), flags, omega_max, degrees)
+                beside = self._beside_series(degrees)
+            self._interior = InteriorRows(tuple(rows), flags, omega_max, degrees, beside)
         return self._interior
 
     def _times_gap_poly(self, coef: np.ndarray) -> np.ndarray:
@@ -334,8 +358,130 @@ class SlitMap:
             out = (self._centre - node)[:, None] * out + self._half[:, None] * t_times
         return out
 
+    def _beside_series(self, table: DegreeTable) -> BesideSeries:
+        """Chebyshev series, per slit, of the other slits' weighted sums and of Q_j = prod_{i != j} rho_i.
+
+        Near slit j the sums over the other slits, and the product Q_j of
+        their roots, are analytic: their nearest singularity is the nearest
+        other endpoint, at Bernstein parameter rho_e of the slit (as in
+        :func:`_interpolant_nodes`).  Sampled at K first-kind nodes of the
+        slit, their Chebyshev series converge like (rho / rho_e)^K at a
+        target of parameter rho, while the rounding of their coefficients
+        grows like rho^K there.  K = ceil((53 + b) ln 2 / ln rho_e), b =
+        _BESIDE_GROWTH_BITS and 53 = _INTERPOLANT_BITS, so that inside
+        rho_s = 2^(b / K) both stay at 2^-53 and 2^(b - 53); a target is
+        beside slit j inside that Bernstein ellipse, whose focal distances
+        sum to 2 h_j cosh(ln rho_s) for the half-length h_j.  The samples
+        are the plain rows' sums of :func:`cauchy_off_stack`, with the map's
+        degree table, and the product of the other slits' real roots, formed
+        in 80-bit arithmetic where numpy has it.  A slit keeps the direct
+        sums where its series would sum more terms per target than they do
+        (K for each live family and for Q_j, against D for each live family
+        and other slit), and where its samples cancel: their rounding, 2^-53
+        of the terms summed, grown 2^b by the series, must stay within
+        _BALANCED_RESIDUAL of the sums' largest value.  Built on the first
+        interior call and logged once at DEBUG.
+        """
+        n, live = self.branch.n, np.flatnonzero(self._live)
+        K = np.ceil((_INTERPOLANT_BITS + _BESIDE_GROWTH_BITS) * np.log(2.0) / _log_bernstein(self._lo, self._hi))
+        K = K.astype(int)
+        has = (len(live) + 1) * K < len(live) * (n - 1) * table.D
+        coef = np.zeros((int(K[has].max(initial=1)), len(FAMILIES) + 1, n))
+        slits = np.flatnonzero(has)
+        if len(slits):  # none without a live family
+            owner = np.repeat(slits, K[slits])
+            nodes = np.concatenate([cheb_nodes(self._lo[j], self._hi[j], K[j]) for j in slits])
+            own = (owner, np.arange(len(nodes)))
+            terms = cauchy_off_stack(self._coef[live], slit_roots(self._lo, self._hi, nodes), table)
+            terms[:, own[0], own[1]] = 0.0
+            terms *= self._weights[live][..., None]
+            # Q_j in 80-bit arithmetic where numpy has it: one rounding per sample
+            x, lo, hi = np.longdouble(nodes), np.longdouble(self._lo)[:, None], np.longdouble(self._hi)[:, None]
+            rho = np.copysign(np.sqrt(np.abs((x - lo) * (x - hi))), x - 0.5 * (lo + hi))
+            rho[own] = 1.0
+            samples = np.concatenate([terms.sum(axis=1), rho.prod(axis=0).astype(float)[None]])
+            spread = np.abs(terms).sum(axis=1)
+            rows = np.append(live, len(FAMILIES))
+            cut = np.cumsum(K[slits])[:-1]
+            for j, part, size in zip(slits, np.split(samples, cut, axis=-1), np.split(spread, cut, axis=-1)):
+                rounding = 2.0 ** (_BESIDE_GROWTH_BITS - 53) * size.max(axis=-1)
+                has[j] = (rounding <= _BALANCED_RESIDUAL * np.abs(part[:-1]).max(axis=-1)).all()
+                coef[: K[j], rows, j] = coef_from_samples(part, K[j] - 1).T if has[j] else 0.0
+        log_reach = _BESIDE_GROWTH_BITS * np.log(2.0) / K
+        reach = np.where(has, 2.0 * self._half * np.cosh(log_reach), 0.0)
+        log.debug(
+            "slit-local series beside %d of %d slits: K = %s nodes, reach rho_s - 1 = %s",
+            has.sum(), n, K[has].tolist(), np.round(np.expm1(log_reach[has]), 4).tolist(),
+        )
+        return BesideSeries(reach, coef)
+
     def _off_sums(self, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted sums over all slits of the off-slit Cauchy integrals, and q.
+
+        A target beside a slit (:meth:`_beside_series`, from _BALANCED_FROM
+        slits on) takes its sums from :meth:`_beside_sums`; every other
+        target from :meth:`_cauchy_sums`.  The slit a target may be beside
+        is the one between the gap midpoints around it, and the test is its
+        focal distances to that slit's endpoints, so no root is formed for
+        it.  Targets on a closed slit are rejected.
+        """
+        reject_on_slits(self.branch, z)
+        beside = self._interior_rows().beside
+        flat = z.reshape(-1)
+        if beside is None:
+            out, q = self._cauchy_sums(fams, flat)
+            return out.reshape(out.shape[:1] + z.shape), q.reshape(z.shape)
+        slit = np.searchsorted(self.branch.gaps, flat.real)
+        near = np.abs(flat - self._lo[slit]) + np.abs(flat - self._hi[slit]) <= beside.reach[slit]
+        out = np.empty((len(FAMILIES[fams]), flat.size), dtype=complex)
+        q = np.empty(flat.size, dtype=complex)
+        index = np.flatnonzero(near)
+        if len(index):
+            out[:, index], q[index] = self._beside_sums(fams, flat[index], slit[index])
+        index = np.flatnonzero(~near)
+        if len(index):
+            out[:, index], q[index] = self._cauchy_sums(fams, flat[index])
+        return out.reshape(out.shape[:1] + z.shape), q.reshape(z.shape)
+
+    def _beside_sums(self, fams: slice, z: np.ndarray, slit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sums and q of :meth:`_off_sums` at targets z beside slits ``slit``, from one root each.
+
+        The own slit j sums its plain rows in its w_j by Horner's rule, from
+        the longest row's last nonzero term; the other slits' weighted sums
+        are the Chebyshev series of :meth:`_beside_series` at the mapped
+        target x = (z - c_j) / h_j, summed by Clenshaw's recurrence, and
+        q = rho_j Q_j(x).
+        Each target gathers its slit's coefficients, so targets pass through
+        in blocks of at most _BLOCK_VALUES targets times the longer of the
+        series and the rows.
+        """
+        coef = self._interior_rows().beside.coef
+        weights, live = self._weights[fams], self._live_rows(fams)
+        families = np.arange(len(FAMILIES))[fams][live]
+        series = coef[:, np.append(families, len(FAMILIES))]  # (K, F + 1, n)
+        own = self._coef[families].reshape(-1, self._coef.shape[-1])  # (F n, L)
+        own = own[:, : row_lengths(own).max(initial=0)]  # past the longest row every term is 0
+        out = np.zeros((len(weights), z.size), dtype=complex)
+        q = np.empty(z.size, dtype=complex)
+        step = max(1, _BLOCK_VALUES // max(series.shape[0], own.shape[-1]))
+        for s in range(0, z.size, step):
+            t, j = z[s : s + step], slit[s : s + step]
+            rho, w = pair_roots(self._lo[j], self._hi[j], t)
+            index = (np.arange(len(families))[:, None] * self.branch.n + j).reshape(-1)
+            c, w = own[index], np.tile(w, len(families))
+            total = np.zeros(len(index), dtype=complex)
+            for m in range(own.shape[-1] - 1, -1, -1):
+                total *= w
+                total += c[:, m]
+            total = total.reshape(len(families), len(t))
+            other = _clenshaw(series[..., j], (t - self._centre[j]) / self._half[j])
+            total *= (-np.pi / rho) * weights[live][:, j]
+            out[live, s : s + step] = total + other[:-1]
+            q[s : s + step] = rho * other[-1]
+        return out, q
+
+    def _cauchy_sums(self, fams: slice, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted sums over all slits of the off-slit Cauchy integrals at targets flat, and q.
 
         Both come from one :func:`slit_roots` pass: q is the product over the
         slits of the roots rho_j the kernel divides by.  The rows are those of
@@ -347,16 +493,14 @@ class SlitMap:
         that division than the plain ones lose to cancellation, so those
         targets (near a gap's node, where omega vanishes, and mostly near
         the slits) sum the plain rows: the two passes differ only in their
-        rows and their targets.  Targets on a closed slit are rejected.
-        Targets pass through in blocks of at most _BLOCK_VALUES (family,
-        slit, target) values, so large batches need no temporaries of
-        batch x slits size.
+        rows and their targets.  Targets pass through in blocks of at most
+        _BLOCK_VALUES (family, slit, target) values, so large batches need
+        no temporaries of batch x slits size.
         """
-        reject_on_slits(self.branch, z)
         weights, live = self._weights[fams], self._live_rows(fams)
-        rows, flags, omega_max, table = self._interior_rows()
+        rows, flags, omega_max, table, _ = self._interior_rows()
         divided = np.flatnonzero(flags[fams]) if len(rows) > 1 else []
-        flat, k = z.reshape(-1), z.size
+        k = flat.size
         if len(divided):  # the balanced targets first, then the plain ones
             gap_poly = self.branch.omega(flat)
             balanced = np.abs(gap_poly) >= omega_max
@@ -376,7 +520,7 @@ class SlitMap:
         if len(divided):
             out[divided, :k] /= gap_poly[order[:k]]
             out[:, order], q[order] = out.copy(), q.copy()
-        return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
+        return out, q
 
     def _other_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted sums over the other slits at real targets x[i] on slit rows[i].
@@ -537,12 +681,15 @@ class SlitMap:
         reciprocal of the mapped target: the principal root's branch cut is
         the hull itself, its real part is >= 0, so 1 + sqrt never cancels,
         and no step overflows, however large the target.  The series is
-        summed by Horner's rule in place.  Non-finite targets, the targets
-        that are not far, and every target of a map without a series are
-        summed directly.  A family set with no live family has no sums and
-        needs no root: its part is the constant the sums add to, 0 for F's
-        q-term and gamma for the map, and NaN at non-finite targets, as
-        everywhere.
+        summed by Horner's rule in place.  Below _BALANCED_FROM slits, where
+        every off-slit sum is the plain loop, the targets of the band
+        1/_FAR_RATIO < |w| <= 1/_BAND_RATIO sum a second series of the same
+        kind, sampled on |w| = 1/_BAND_RATIO, and form no slit root either.
+        Non-finite targets, the targets in neither, and every target of a
+        map without a series are summed directly.  A family set with no live
+        family has no sums and needs no root: its part is the constant the
+        sums add to, 0 for F's q-term and gamma for the map, and NaN at
+        non-finite targets, as everywhere.
         """
         if not self._live[fams].any():  # 0 * z is NaN where z is not finite
             reject_on_slits(self.branch, z)
@@ -553,52 +700,62 @@ class SlitMap:
         flat, (centre, half) = z.reshape(-1), self._hull
         with np.errstate(over="ignore"):  # past |z| ~ 1e308 the sum overflows to inf: still far
             focal = np.abs(flat - self._lo[0]) + np.abs(flat - self._hi[-1])
-        far = np.isfinite(flat) & (focal >= half * (_FAR_RATIO + 1.0 / _FAR_RATIO))
-        u = half / (flat[far] - centre)
+        band = self._far_series(fams, _BAND_RATIO) if self.branch.n < _BALANCED_FROM else None
+        ratio = _FAR_RATIO if band is None else _BAND_RATIO
+        served = np.flatnonzero(np.isfinite(flat) & (focal >= half * (ratio + 1.0 / ratio)))
+        u = half / (flat[served] - centre)
         w = u / (1.0 + np.sqrt(1.0 - u * u))
-        total = np.full(w.shape, series[-1])
-        for coef in series[-2::-1]:
-            total *= w
-            total += coef
+        far = focal[served] >= half * (_FAR_RATIO + 1.0 / _FAR_RATIO)
+        far_w = w[far]
+        total = np.full(far_w.shape, series[-1])
+        for c in series[-2::-1]:
+            total *= far_w
+            total += c
         out = np.empty(flat.shape, dtype=complex)
-        out[far] = total
-        if len(w) < flat.size:
-            out[~far] = self._direct(fams, flat[~far])
+        out[served[far]] = total
+        if band is not None:
+            out[served[~far]] = _power_series(band, w[~far])
+        direct = np.ones(flat.shape, dtype=bool)
+        direct[served] = False
+        if direct.any():
+            out[direct] = self._direct(fams, flat[direct])
         return out.reshape(z.shape)
 
-    def _far_series(self, fams: slice) -> np.ndarray | None:
+    def _far_series(self, fams: slice, ratio: float = _FAR_RATIO) -> np.ndarray | None:
         """Coefficients A_k of :meth:`_direct` as sum_k A_k w^k off the hull, or None where there is none.
 
         Outside the hull [lo_0, hi_{n-1}] the regular parts of a solved map
         are analytic and bounded, also at infinity (w = 0), so each is one
         power series in the hull's w.  Where the family q multiplies (the
         first of the set) has its moments at rounding (:meth:`_interior_rows`),
-        at any n, the direct values at _RING_SAMPLES points of
-        |w| = 1/_FAR_RATIO give the A_k by one FFT.
+        at any n, the direct values at :func:`_ring_samples` points of
+        |w| = 1/ratio give the A_k by one FFT: ratio _FAR_RATIO for the
+        far-field series, _BAND_RATIO for the band series of :meth:`_regular`.
         The ring coefficients are chopped at their rounding plateau, and
         the series stops at the degree
         :func:`~inclusion_forge.quadrature.block_degrees` gives at
-        |w| = 1/_FAR_RATIO.  Where the chop finds no plateau, or keeps no
-        term, there is no series.  Built on the first interior call and
-        logged once at DEBUG.
+        |w| = 1/ratio.  Where the chop finds no plateau, or keeps no
+        term, there is no series.  Built on the first interior call that
+        needs it and logged once at DEBUG.
         """
-        names = FAMILIES[fams]
-        if names in self._far:
-            return self._far[names]
+        names, cache = FAMILIES[fams], self._far if ratio == _FAR_RATIO else self._band
+        if names in cache:
+            return cache[names]
         series = None
         if self._interior_rows()[1][fams][0]:
-            (centre, half), w = self._hull, np.exp(2j * np.pi * np.arange(_RING_SAMPLES) / _RING_SAMPLES) / _FAR_RATIO
+            samples = _ring_samples(ratio)
+            (centre, half), w = self._hull, np.exp(2j * np.pi * np.arange(samples) / samples) / ratio
             ring = np.fft.fft(self._direct(fams, centre + 0.5 * half * (w + 1.0 / w)))
-            ring /= _RING_SAMPLES
+            ring /= samples
             kept = int(standard_chop(ring))
-            if 0 < kept < _RING_SAMPLES:
-                coef = ring[:kept] * _FAR_RATIO ** np.arange(kept)
-                series = coef[: int(block_degrees(coef[None, None], np.array([[1.0 / _FAR_RATIO]])).item())]
+            if 0 < kept < samples:
+                coef = ring[:kept] * ratio ** np.arange(kept)
+                series = coef[: int(block_degrees(coef[None, None], np.array([[1.0 / ratio]])).item())]
             log.debug(
                 "far-field series for %s: %d terms, ring chopped at %d of %d, at |w| <= %g of the hull",
-                "+".join(names), 0 if series is None else len(series), kept, _RING_SAMPLES, 1.0 / _FAR_RATIO,
+                "+".join(names), 0 if series is None else len(series), kept, samples, 1.0 / ratio,
             )
-        self._far[names] = series
+        cache[names] = series
         return series
 
     # -- the map -----------------------------------------------------------
@@ -650,19 +807,85 @@ class SlitMap:
         return dict(zip(FAMILIES, self._kept.tolist()))
 
 
+def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k, :, t] T_k(x[t]) by Clenshaw's recurrence: shape (R, T) for coef (K, R, T)."""
+    x2 = 2.0 * x
+    b1 = np.zeros(coef.shape[1:], dtype=complex)
+    b2, t = np.zeros_like(b1), np.empty_like(b1)
+    for k in range(coef.shape[0] - 1, 0, -1):
+        np.multiply(b1, x2, out=t)
+        t -= b2
+        t += coef[k]
+        b1, b2, t = t, b1, b2
+    b1 *= x
+    b1 -= b2
+    b1 += coef[0]
+    return b1
+
+
+def _power_series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] w^k at targets w, by baby steps and giant steps.
+
+    With B = ceil(sqrt K) for K terms, one matrix product of the coefficient
+    blocks with the powers w^0 ... w^(B-1) gives each block's sum, and
+    Horner's rule in w^B adds the blocks: about 2 sqrt K array operations
+    where Horner's rule takes 2 K.  Targets pass through in blocks of
+    _BLOCK_VALUES / B, so the powers and the block sums of a large batch
+    need no temporaries of batch x B size.
+    """
+    B = int(np.ceil(np.sqrt(len(coef))))
+    blocks = np.zeros(-(-len(coef) // B) * B, dtype=coef.dtype)
+    blocks[: len(coef)] = coef
+    blocks = blocks.reshape(-1, B)
+    out = np.empty(w.shape, dtype=complex)
+    step = max(1, _BLOCK_VALUES // B)
+    for s in range(0, w.size, step):
+        t = w[s : s + step]
+        powers = np.empty((B, t.size), dtype=complex)
+        powers[0] = 1.0
+        for i in range(1, B):
+            np.multiply(powers[i - 1], t, out=powers[i])
+        sums = blocks @ powers
+        giant = powers[-1] * t
+        total = sums[-1]
+        for block in sums[-2::-1]:
+            total *= giant
+            total += block
+        out[s : s + step] = total
+    return out
+
+
+def _ring_samples(ratio: float) -> int:
+    """Samples on |w| = 1/ratio of a series that resolves a regular part to 2^-_FAR_BITS inside that ring.
+
+    By the maximum principle the error of the series on the ring bounds it
+    at every target inside; term k aliases term k + samples, ratio^-samples
+    smaller, and the power of two past twice the _FAR_BITS / log2 ratio terms
+    leaves the chop room to see the plateau.
+    """
+    return 1 << int(np.ceil(np.log2(2.0 * _FAR_BITS / np.log2(ratio))))
+
+
+def _log_bernstein(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ln rho_e of each slit: the Bernstein parameter of its nearest other endpoint.
+
+    On slit m of half-length h the nearest singularity of a sum over the
+    other slits is the endpoint one gap g away, at x = 1 + g / h in the
+    mapped variable, so Chebyshev interpolants of it on the slit converge
+    like rho_e^-K in the Bernstein ellipse of rho_e = x + sqrt(x^2 - 1).
+    """
+    gaps = lo[1:] - hi[:-1]
+    u = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf)) / (0.5 * (hi - lo))
+    return np.log1p(u + np.sqrt(u * (2.0 + u)))
+
+
 def _interpolant_nodes(lo: np.ndarray, hi: np.ndarray) -> int:
     """Nodes per slit at which Chebyshev interpolants resolve the other-slit sums to 2^-53.
 
-    On slit m of half-length h the nearest singularity of the sum over the
-    other slits is the endpoint one gap g away, at x = 1 + g / h in the
-    mapped variable, so the interpolants converge like rho^-K in the
-    Bernstein ellipse of rho = x + sqrt(x^2 - 1).  K = ceil(53 ln 2 / ln rho)
-    at the slit whose nearer gap is smallest against its half-length.
+    K = ceil(53 ln 2 / ln rho_e) at the slit of the smallest Bernstein
+    parameter rho_e (:func:`_log_bernstein`).
     """
-    gaps = lo[1:] - hi[:-1]
-    nearer = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
-    u = float((nearer / (0.5 * (hi - lo))).min())
-    return int(np.ceil(_INTERPOLANT_BITS * np.log(2.0) / np.log1p(u + np.sqrt(u * (2.0 + u)))))
+    return int(np.ceil(_INTERPOLANT_BITS * np.log(2.0) / _log_bernstein(lo, hi).min()))
 
 
 # -- single inclusion closed forms -------------------------------------------

@@ -17,8 +17,10 @@ arbitrarily close to the interval.
 The geometric kernel needs one square root per (interval, target):
 :func:`slit_roots` returns it with the ratio w that the series is summed
 in, and the branch q of :mod:`inclusion_forge.branch` is the product of the
-same roots.  The off-interval kernel computes in the arithmetic of its
-targets: real targets on the axis are summed in real arithmetic, so
+same roots; beside one interval the mapper forms that interval's root alone
+(:func:`pair_roots`, one interval per target) and takes the product of the
+others from a series.  The off-interval kernel computes in the arithmetic of
+its targets: real targets on the axis are summed in real arithmetic, so
 :func:`cauchy_off_stack` of real coefficients at real targets returns a
 real (float64) array, and complex targets return a complex array.
 
@@ -61,9 +63,11 @@ __all__ = [
     "singular_on_stack",
     "SlitRoots",
     "slit_roots",
+    "pair_roots",
     "DegreeTable",
     "degree_table",
     "block_degrees",
+    "row_lengths",
     "cauchy_off_stack",
     "cauchy_off_blocks",
 ]
@@ -103,23 +107,24 @@ _TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=None)
-def _chop_grid(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope indices j2 - 1 of the plateau test at j = 2, 3, ..., and the ramps.
-
-    Row m of the ramp table is np.linspace(0, -log10(tol) / 3, m + 1), bit
-    for bit, followed by inf, so adding it to a row leaves only its first
-    m + 1 entries finite.
-    """
+def _chop_envelope_index(L: int) -> np.ndarray:
+    """Envelope indices j2 - 1 of the plateau test at j = 2, 3, ... of rows of length L."""
     j = np.arange(2, L + 1)
     j2 = np.floor(1.25 * j + 5.5).astype(int)  # round half up
     i2 = j2[j2 <= L] - 1
-    m, k = np.arange(L)[:, None], np.arange(L)
+    i2.setflags(write=False)
+    return i2
+
+
+def _chop_ramps(last: np.ndarray, L: int) -> np.ndarray:
+    """Row r: np.linspace(0, -log10(tol) / 3, last[r] + 1), bit for bit, then inf up to length L.
+
+    Added to a row, it leaves only its first last[r] + 1 entries finite.
+    """
+    m, k = last[:, None], np.arange(L)
     top = (-1.0 / 3.0) * np.log10(_CHOP_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ramps = np.where(k < m, k * (top / m), np.where(k == m, top, np.inf))
-    i2.setflags(write=False)
-    ramps.setflags(write=False)
-    return i2, ramps
+        return np.where(k < m, k * (top / m), np.where(k == m, top, np.inf))
 
 
 def standard_chop(coef) -> np.ndarray:
@@ -145,7 +150,7 @@ def standard_chop(coef) -> np.ndarray:
     env = np.maximum.accumulate(mags.reshape(-1, L)[:, ::-1], axis=-1)[:, ::-1]
     live = env[:, 0] > 0.0
     env = env / np.where(live, env[:, 0], 1.0)[:, None]
-    i2, ramps = _chop_grid(L)
+    i2 = _chop_envelope_index(L)
     # e_j for j = 2, 3, ..., raised to the least normal float: where e_j is 0
     # or subnormal the threshold is < 0 <= e_j2 / e_j either way, so the test
     # passes as in the paper, with no division by zero
@@ -153,7 +158,7 @@ def standard_chop(coef) -> np.ndarray:
     plateau = env[:, i2] / e1 > 3.0 * (1.0 - np.log(e1) / _LOG_TOL)
     # j2 - 1, lowered to the count of envelope values >= tol^(7/6)
     last = np.minimum(i2[plateau.argmax(axis=-1)], (env >= _CHOP_FLOOR).sum(axis=-1))
-    cut = (np.log10(np.maximum(env, _CHOP_FLOOR)) + ramps[last]).argmin(axis=-1)
+    cut = (np.log10(np.maximum(env, _CHOP_FLOOR)) + _chop_ramps(last, L)).argmin(axis=-1)
     # an all-zero row has a plateau at j = 2 and its least entry first: it keeps 0
     return np.where(plateau.any(axis=-1), np.maximum(cut, live), L).reshape(mags.shape[:-1])
 
@@ -258,11 +263,14 @@ def slit_roots(lo, hi, zeta) -> SlitRoots:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     t = np.asarray(zeta, dtype=complex if np.iscomplexobj(zeta) else float)
     shape = lo.shape + (1,) * t.ndim
-    return _roots(lo.reshape(shape), hi.reshape(shape), t)
+    return pair_roots(lo.reshape(shape), hi.reshape(shape), t)
 
 
-def _roots(lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> SlitRoots:
-    """:class:`SlitRoots` of intervals [lo, hi] that broadcast against targets t."""
+def pair_roots(lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> SlitRoots:
+    """:class:`SlitRoots` of intervals [lo, hi] that broadcast against targets t.
+
+    Arrays of one shape pair interval i with target i: one root per target.
+    """
     dz = t - 0.5 * (hi + lo)
     rho = t - lo
     rho *= t - hi
@@ -380,6 +388,12 @@ def block_degrees(coef, w) -> np.ndarray:
     return _tail_rule(coef)(w)
 
 
+def row_lengths(coef) -> np.ndarray:
+    """One past the last nonzero coefficient of each row of coef (..., L); 0 for an all-zero row."""
+    nonzero = np.asarray(coef) != 0
+    return np.where(nonzero.any(axis=-1), nonzero.shape[-1] - np.argmax(nonzero[..., ::-1], axis=-1), 0)
+
+
 def _high_terms(coef, w, row, rows: int, D: int, dtype) -> np.ndarray:
     """sum_{k>=D} c_k w^(k-D+1) by Horner's rule at pairs (row[i], w[i]).
 
@@ -406,8 +420,9 @@ def cauchy_off_stack(coef, roots: SlitRoots, table: DegreeTable | None = None) -
     variable); the formula is the exact analytic continuation of the
     principal-value expansion, so it stays accurate arbitrarily close to the
     interval (only the truncation of the series matters there).  The series
-    in w is summed by Horner's rule in place over all rows and targets, and
-    multiplied by one reciprocal -pi/rho per (row, target).
+    in w is summed by Horner's rule in place over all rows and targets,
+    from the longest row's last nonzero term, and multiplied by one
+    reciprocal -pi/rho per (row, target).
 
     With a :class:`DegreeTable` of the rows, every pair sums the terms
     k < D, and only the pairs with |w| > thr[j] sum the terms k >= D:
@@ -427,13 +442,15 @@ def cauchy_off_stack(coef, roots: SlitRoots, table: DegreeTable | None = None) -
     rows, L = len(rho), coef.shape[-1]
     w = w.reshape(rows, -1)
     D = L if table is None else table.D
+    longest = int(row_lengths(coef.reshape(-1, L)).max(initial=0))
+    top = min(longest, D)
     total = np.empty(coef.shape[:-1] + w.shape[-1:], dtype=np.result_type(coef, w))
-    total[...] = coef[..., D - 1, None]
-    if D < L:
+    total[...] = coef[..., top - 1, None] if top else 0.0
+    if top < longest:
         row, col = np.nonzero(np.abs(w) > table.thr[:, None])
         if len(row):
-            total[..., row, col] += _high_terms(coef, w[row, col], row, rows, D, total.dtype)
-    for m in range(D - 2, -1, -1):
+            total[..., row, col] += _high_terms(coef[..., :longest], w[row, col], row, rows, D, total.dtype)
+    for m in range(top - 2, -1, -1):
         total *= w
         total += coef[..., m, None]
     total *= np.divide(-np.pi, rho.reshape(rows, -1))
@@ -456,7 +473,7 @@ def cauchy_off_blocks(coef, lo, hi, x, degree) -> np.ndarray:
     """
     coef = np.asarray(coef)
     degree = np.asarray(degree)
-    rho, w = _roots(lo, hi, np.asarray(x, dtype=float))
+    rho, w = pair_roots(lo, hi, np.asarray(x, dtype=float))
     top = int(degree[0]) if len(degree) else 0
     total = np.zeros(coef.shape[:-2] + w.shape, dtype=np.result_type(coef, w))
     # blocks [0, active[m]) have degree > m, so they sum term m

@@ -48,6 +48,7 @@ from inclusion_forge.quadrature import (
     cauchy_off_stack,
     cheb_nodes,
     coef_from_samples,
+    pair_roots,
     singular_on_stack,
     slit_roots,
 )
@@ -695,12 +696,55 @@ def antisymmetric_free_values(period, branch, derived) -> tuple[float, float]:
 
 
 def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``SlitMap._off_sums`` over every family of the set."""
+    """``SlitMap._off_sums`` over every family of the set.
+
+    Targets beside a slit go through :func:`all_family_beside_sums`, the
+    others through the Cauchy sums of every slit.
+    """
     reject_on_slits(sm.branch, z)
     weights = sm._weights[fams]
-    rows, flags, omega_max, table = sm._interior_rows()
-    divided = np.flatnonzero(flags[fams]) if len(rows) > 1 else []
+    rows, flags, omega_max, table, beside = sm._interior_rows()
     flat = z.reshape(-1)
+    out = np.empty((len(weights), flat.size), dtype=complex)
+    q = np.empty(flat.size, dtype=complex)
+    near = np.zeros(flat.size, dtype=bool)
+    if beside is not None:
+        slit = np.searchsorted(sm.branch.gaps, flat.real)
+        near = np.abs(flat - sm._lo[slit]) + np.abs(flat - sm._hi[slit]) <= beside.reach[slit]
+        out[:, near], q[near] = all_family_beside_sums(sm, fams, flat[near], slit[near])
+    out[:, ~near], q[~near] = _all_family_cauchy_sums(sm, fams, flat[~near])
+    return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
+
+
+def all_family_beside_sums(sm, fams: slice, z: np.ndarray, slit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``SlitMap._beside_sums`` over every family of the set, each own row from its last term L - 1.
+
+    The own rows go through Horner's rule over all L terms, zero terms
+    included, one row per target; the other slits' series and Q_j through
+    Clenshaw's recurrence per target.
+    """
+    series = sm._interior_rows().beside.coef
+    rows = np.append(np.arange(len(mapper.FAMILIES))[fams], len(mapper.FAMILIES))
+    rho, w = pair_roots(sm._lo[slit], sm._hi[slit], z)
+    x = (z - sm._centre[slit]) / sm._half[slit]
+    own = sm._coef[fams][:, slit]  # (F, T, L)
+    total = np.zeros(own.shape[:-1], dtype=complex)
+    for m in range(own.shape[-1] - 1, -1, -1):
+        total = total * w + own[..., m]
+    c = series[:, rows][..., slit]  # (K, F + 1, T)
+    b1 = b2 = np.zeros(c.shape[1:], dtype=complex)
+    for k in range(len(c) - 1, 0, -1):
+        b1, b2 = b1 * (2.0 * x) - b2 + c[k], b1
+    other = b1 * x - b2 + c[0]
+    total *= (-np.pi / rho) * sm._weights[fams][:, slit]
+    return total + other[:-1], rho * other[-1]
+
+
+def _all_family_cauchy_sums(sm, fams: slice, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``SlitMap._cauchy_sums`` over every family of the set."""
+    weights = sm._weights[fams]
+    rows, flags, omega_max, table, _ = sm._interior_rows()
+    divided = np.flatnonzero(flags[fams]) if len(rows) > 1 else []
     passes = [(rows[0][fams], 0, flat.size)]
     if len(divided):  # the balanced targets first, then the plain ones
         gap_poly = flat - sm.branch.gaps[0]
@@ -722,7 +766,7 @@ def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.
     if len(divided):
         out[divided, :k] /= gap_poly[order[:k]]
         out[:, order], q[order] = out.copy(), q.copy()
-    return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
+    return out, q
 
 
 def all_family_other_sums(sm, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from inclusion_forge.quadrature import (
     coef_from_samples,
     degree_table,
     like_input,
+    pair_roots,
     singular_on_stack,
     slit_roots,
     standard_chop,
@@ -364,6 +365,16 @@ def _full_horner(coef, roots):
         total *= w
         total += coef[..., m, None]
     return total * np.divide(-np.pi, rho)
+
+
+def test_pair_roots_are_the_slit_roots_of_each_targets_own_interval(rng):
+    lo, hi = np.array([-2.0, -0.5, 1.0]), np.array([-1.0, 0.5, 3.0])
+    z = rng.uniform(-4.0, 4.0, 50) + 1j * rng.uniform(-1.0, 1.0, 50)
+    j = rng.integers(0, 3, 50)
+    whole = slit_roots(lo, hi, z)
+    pairs = pair_roots(lo[j], hi[j], z)
+    for got, want in zip(pairs, whole):
+        np.testing.assert_array_equal(got, want[j, np.arange(50)])
 
 
 # block_degrees lowers the bound by 2^-40 against rounding; its degree lies
