@@ -272,6 +272,77 @@ def write_diagnostics_json(result: pipeline.SolveResult, path: str | Path) -> No
 _SVG_WIDTH = 480.0
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # escapes for element text
+_FALLBACK = 1  # the byte that stands for a value format() writes
+
+
+def _digit_words() -> np.ndarray:
+    """Four ASCII bytes per c = 0..999, read as one uint32, at 1000 s + c.
+
+    s = 0 blank, 1 c unpadded, 2 c zero-padded (both after a NUL), 3 "."
+    and c zero-padded.
+    """
+    c = np.arange(1000)[:, None]
+    digits = 48 + c // [100, 10, 1] % 10
+    words = np.zeros((4, 1000, 4), dtype=np.uint8)
+    words[1, :, 1:] = np.where(c >= [100, 10, 0], digits, 0)
+    words[2:, :, 1:] = digits
+    words[3, :, 0] = ord(".")
+    return words.view(np.uint32).ravel()
+
+
+_WORDS = _digit_words()
+
+
+def _points_texts(xy: np.ndarray, counts: list[int]) -> list[str]:
+    """Each polyline's ``points`` text: "x,y x,y ..." with format(v, ".3f") digits.
+
+    ``xy`` holds the (x, y) page coordinates of every contour's points, the
+    contours one after another, ``counts[i]`` points to contour i.  One pass
+    writes all of them: q = rint(1000 v) gives the digits three at a time
+    as words of ``_WORDS``, in rows of equal width padded with NUL bytes,
+    each ending in its separator (a comma after x, a space after y, a
+    newline after a contour's last point); the padding is then deleted and
+    the text split at the newlines.  q is the correctly rounded 1000 v that
+    %.3f prints unless a half-integer lies within one ulp of the rounded
+    product, where the exact product may sit on its other side; those
+    values, non-finite ones and |1000 v| >= 2^53 are formatted one at a
+    time, so the text is format()'s for every double.
+    """
+    v = xy.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = v * 1000.0
+        tie = np.abs(y - (np.floor(y) + 0.5)) <= np.abs(np.spacing(y))
+        fast = (np.abs(y) < 2.0**53) & ~tie  # False at inf and nan
+    q = np.abs(np.rint(np.where(fast, y, 0.0)).astype(np.int64))  # no nan or inf is cast
+    whole, frac = np.divmod(q, 1000)
+    chunks = -(-len(str(int(whole.max(initial=0)))) // 3)
+    # a row: the integer digits, three to a word, then ".ddd", then the separator
+    rows = np.zeros((len(v), chunks + 2), dtype=np.uint32)
+    rest = whole
+    for j in range(chunks):  # the lowest three digits first
+        higher, c = np.divmod(rest, 1000) if j < chunks - 1 else (0, rest)
+        # zero-padded below higher digits, blank above the number, which
+        # prints at least its lowest digit
+        style = 1000 * (higher > 0) + (1000 * (rest > 0) if j else 1000)
+        rows[:, chunks - 1 - j] = _WORDS[style + c]
+        rest = higher
+    rows[:, -2] = _WORDS[3000 + frac]
+    rows[:, -1] = ord(" ")
+    rows[0::2, -1] = ord(",")
+    ends = np.cumsum(counts) * 2 - 1
+    rows[ends[np.diff(ends, prepend=-1) > 0], -1] = ord("\n")
+    raw = rows.view(np.uint8)
+    raw[np.signbit(v) & fast, 0] = ord("-")  # the NULs between it and the digits go
+    slow = np.flatnonzero(~fast)
+    rows[slow, :-1] = 0
+    raw[slow, 0] = _FALLBACK
+    text = raw.tobytes().translate(None, b"\0").decode("ascii")
+    if len(slow):
+        pieces = text.split(chr(_FALLBACK))
+        texts = [format(f, ".3f") for f in v[slow].tolist()]
+        text = "".join([s for pair in zip(pieces, texts) for s in pair] + pieces[-1:])
+    lines = iter(text.split("\n"))
+    return [next(lines) if c else "" for c in counts]
 
 
 def render_svg(contours: list[np.ndarray], labels: list[str] | None = None) -> str:
@@ -313,15 +384,13 @@ def render_svg(contours: list[np.ndarray], labels: list[str] | None = None) -> s
             f'<line x1="0" y1="{sy(0):.3f}" x2="{_SVG_WIDTH:g}" y2="{sy(0):.3f}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
-    for i, z in enumerate(contours):
+    # the IEEE operations of the scalar form; Python floats do not warn on
+    # inf - inf or on overflow, so neither may numpy
+    with np.errstate(invalid="ignore", over="ignore"):
+        xy = np.column_stack((sx(all_pts.real), sy(all_pts.imag)))
+    texts = _points_texts(xy, [len(z) for z in contours])
+    for i, coords in enumerate(texts):
         color = _PALETTE[i % len(_PALETTE)]
-        z = np.asarray(z)
-        # the IEEE operations of the scalar form; Python floats do not warn
-        # on inf - inf or on overflow, so neither may numpy
-        with np.errstate(invalid="ignore", over="ignore"):
-            xy = np.column_stack((sx(z.real), sy(z.imag)))
-        # one % pass per contour; %.3f prints what format(v, ".3f") does
-        coords = " ".join(["%.3f,%.3f"] * len(z)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
@@ -388,10 +457,12 @@ def cmd_solve(args) -> int:
     if args.svg:
         write_svg(result, args.svg)
     print(f"verdict: {result.verdict}")
-    for p in result.profiles:
+    turns = result.diagnostics.geometry["orientation"]
+    for p, turn in zip(result.profiles, turns):
         print(
             f"  contour {p.slit_index}: diameter {p.diameter:.6g}, "
-            f"area {p.signed_area:.6g}, closure {p.closure_error:.2e}"
+            f"area {p.signed_area:.6g}, orientation {turn:+d}, "
+            f"closure {p.closure_error:.2e}"
         )
     return 0 if result.valid else 1
 

@@ -145,6 +145,19 @@ def build_profiles(grid: np.ndarray, omega: np.ndarray) -> list[ContourProfile]:
     return [_closed_profile(m, grid[m], top[m], bot[m]) for m in range(len(grid))]
 
 
+def traced_orientation(profile: ContourProfile) -> int:
+    """The sign of the signed area of a built profile's path as traced: +1 or -1.
+
+    The path is the one :func:`_closed_profile` traces, top bank left to
+    right, then the bottom bank back; where its signed area is negative,
+    :meth:`ContourProfile.oriented_ccw` reverses it, and the reversed path
+    leaves its first vertex along the bottom bank.  So the sign is read from
+    the bank order, with no further area; a zero area, kept as traced,
+    reads +1.
+    """
+    return int(profile.bank[1])
+
+
 # -- segment predicates --------------------------------------------------------
 #
 # Only segment pairs whose bounding boxes overlap are tested.  One sort and

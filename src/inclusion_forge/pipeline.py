@@ -145,6 +145,7 @@ def _geometry_report(profiles: Sequence[ContourProfile]) -> tuple[dict, bool]:
         "pairwise_disjoint": all(p == q for p, q in tests),
         "degenerate": degen,
         "signed_areas": [p.signed_area for p in profiles],
+        "orientation": [geometry.traced_orientation(p) for p in profiles],
         "diameters": [p.diameter for p in profiles],
         # one record per failed test; empty when all passed
         "contacts": contacts,

@@ -475,7 +475,7 @@ def render_svg_per_point(contours, labels=None) -> str:
     all_pts = np.concatenate(contours)
     x0, x1 = float(all_pts.real.min()), float(all_pts.real.max())
     y0, y1 = float(all_pts.imag.min()), float(all_pts.imag.max())
-    span = max(x1 - x0, y1 - y0, 1e-12)
+    span = max(x1 - x0, y1 - y0, 1e-12 * max(1.0, abs(x0), abs(x1), abs(y0), abs(y1)))
     pad = 0.05 * span
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     dx, dy = x1 - x0, y1 - y0

@@ -40,9 +40,13 @@ def test_solve_writes_all_outputs(tmp_path, fig1b_path, capsys):
         "--out", str(out), "--svg", str(svg), "--diag", str(diag),
     ])
     assert code == 0
-    assert "verdict: VALID" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "verdict: VALID" in printed
     doc = json.loads(diag.read_text())
     assert doc["diagnostics"]["verdict"] == "VALID"
+    turns = doc["diagnostics"]["geometry"]["orientation"]
+    assert turns == [1, 1]
+    assert printed.count(", orientation +1, ") == len(turns)
     assert svg.read_text().startswith("<svg")
     assert out.read_text().splitlines()[0] == "slit_index,bank,xi,re_z,im_z"
 
@@ -133,9 +137,15 @@ _FINITE = _EXTREMES[np.isfinite(_EXTREMES)]
 
 @pytest.mark.parametrize("case", [
     "corpus", "many_slits-seed0", "many_slits-seed7", "fig3a-P800", "special-values",
+    "far-point", "vertical-sliver",
 ])
 def test_svg_writer_matches_the_per_point_oracle(solve_figure, case):
-    if case == "corpus":
+    if case == "far-point":  # the span floors at 1e-12 of the coordinates
+        drawings = [([np.array([1e6 + 1e6j])], None)]
+    elif case == "vertical-sliver":  # a page 5280 high: four integer digits
+        drawings = [([0.3 + 2j * np.sin(np.linspace(0.0, 2.0 * np.pi, 401))], ["sliver"])]
+        assert 'height="5280.000"' in render_svg_per_point(*drawings[0])
+    elif case == "corpus":
         drawings = [_figure_drawing(c, solve_figure) for c in figures.FIGURE_CASES]
         assert sum(labels is not None for _, labels in drawings) == 1
     elif case == "special-values":
@@ -157,6 +167,43 @@ def test_svg_writer_matches_the_per_point_oracle(solve_figure, case):
         drawings = [([p.points for p in r.profiles], None) for r in results]
     for contours, labels in drawings:
         assert render_svg(contours, labels) == render_svg_per_point(contours, labels)
+
+
+_FORMAT_EDGES = np.array([
+    0.0, -0.0, -0.0004, 0.0005, 0.0015, 0.0625, 999.9995, 9.99e11, 1e12,
+    2.0**53 / 1000, np.nextafter(2.0**53 / 1000, 0), np.nextafter(2.0**53 / 1000, np.inf),
+    -2.0**53 / 1000, 5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 1.0,
+])
+
+
+@pytest.mark.parametrize("case", [1e-3, 1.0, 480.0, 1e4, 1e7, 1e12, "edges"])
+def test_points_kernel_prints_what_format_prints(monkeypatch, rng, case):
+    if case == "edges":
+        values = _FORMAT_EDGES
+    else:
+        # ties of 1000 v: exact ones at dyadic k / 2048, rounded ones at (2k + 1) / 2000
+        k = np.rint(rng.normal(size=(2, 10**4)) * case * 2048).astype(np.int64)
+        values = np.concatenate([
+            rng.normal(size=10**5) * case, k[0] / 2048, (2 * k[1] + 1) / 2000
+        ])
+        rng.shuffle(values)
+    xy = values.reshape(-1, 2)
+    counts = [3, 0, len(xy) - 5, 1, 1, 0]
+    want, start = [], 0
+    for c in counts:
+        want.append(" ".join(
+            f"{format(x, '.3f')},{format(y, '.3f')}" for x, y in xy[start:start + c].tolist()
+        ))
+        start += c
+    one_at_a_time = []
+
+    def counted_format(v, spec):
+        one_at_a_time.append(v)
+        return format(v, spec)
+
+    monkeypatch.setattr(cli, "format", counted_format, raising=False)
+    assert cli._points_texts(xy, counts) == want
+    assert one_at_a_time  # the fallback branch ran
 
 
 def test_svg_labels_the_first_contours_with_escaped_text():

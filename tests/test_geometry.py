@@ -17,7 +17,7 @@ from oracles import (
     symmetry_checks,
 )
 
-from inclusion_forge import geometry, pipeline
+from inclusion_forge import figures, geometry, mapper, pipeline
 from inclusion_forge.geometry import (
     ContourProfile,
     bank_parameter_grid,
@@ -25,7 +25,14 @@ from inclusion_forge.geometry import (
     contacts,
     fit_ellipse,
 )
-from inclusion_forge.model import MaterialSet, NumericsConfig
+from inclusion_forge.model import (
+    AT_INFINITY,
+    FreeParameters,
+    Loading,
+    MaterialSet,
+    NumericsConfig,
+    SlitConfiguration,
+)
 
 
 def polyline_profile(points, slit_index=0):
@@ -126,6 +133,32 @@ def test_orientation_normalization_is_idempotent():
     flipped = ContourProfile(0, p.points[::-1], p.xi, p.bank, 0.0)
     fixed = flipped.oriented_ccw()
     assert fixed.signed_area > 0
+
+
+def test_every_bundled_contour_is_traced_counterclockwise(solve_figure):
+    for case in figures.FIGURE_CASES:
+        res = solve_figure(case.name)
+        assert res.diagnostics.geometry["orientation"] == [1] * len(res.profiles), case.name
+
+
+@pytest.mark.parametrize("s, delta, turn", [
+    (0.9, 0.19, -1), (1.0, 0.0, -1), (1.2, 0.37, -1), (3.0, 3.71, 1),
+])
+def test_single_inclusion_records_the_orientation_it_was_traced_in(s, delta, turn):
+    # kappa = 0.3, tau = 1 + i and tau_inf = tau (1 + kappa) / (2 kappa) s
+    tau_inf = (1 + 1j) * 1.3 / 0.6 * s
+    loading = Loading(tau1=1.0, tau2=1.0, tau1_inf=tau_inf.real, tau2_inf=tau_inf.imag)
+    materials = MaterialSet([0.3])
+    assert abs(mapper.n1_shape_ratio(loading, materials)) == pytest.approx(delta, abs=0.005)
+    res = pipeline.solve(SlitConfiguration([(-1.0, 1.0)], AT_INFINITY), loading, materials)
+    assert res.diagnostics.geometry["orientation"] == [turn]
+    assert res.profiles[0].signed_area > 0
+    # the sign of the traced path's own area: top bank left to right, bottom back
+    grid = bank_parameter_grid(-1.0, 1.0, NumericsConfig().P)
+    top, bot = (mapper.n1_slit_profile(grid, b, loading, materials, FreeParameters())
+                for b in (1, -1))
+    traced = polyline_profile(np.concatenate([top, bot[-2:0:-1]]))
+    assert np.sign(traced.signed_area) == turn
 
 
 def _traced_profiles(sm, P):
