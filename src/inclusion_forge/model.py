@@ -43,6 +43,9 @@ class _AtInfinity:
 
 
 AT_INFINITY = _AtInfinity()
+# the largest N, M and P: one float64 per node or sample on a slit is 16 GiB past it,
+# and numpy refuses the arrays of far larger counts outright
+_COUNT_MAX = 2**31 - 1
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -213,6 +216,9 @@ class NumericsConfig:
     tol_solve: float = 1e-8
 
     def __post_init__(self) -> None:
+        for name in ("N", "M", "P"):
+            if getattr(self, name) > _COUNT_MAX:
+                raise ConfigurationError(f"{name} must be at most 2^31 - 1 = {_COUNT_MAX}")
         if self.N < 8:
             raise ConfigurationError("node count N must be >= 8")
         if self.M < 4:

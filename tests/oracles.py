@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from inclusion_forge import mapper
-from inclusion_forge.branch import BranchData, reject_on_slits, slit_table
+from inclusion_forge.branch import BranchData, slit_table
 from inclusion_forge.geometry import ContourProfile
 from inclusion_forge.model import DerivedConstants, SolverError, g0, pole_density
 from inclusion_forge.quadrature import (
@@ -695,35 +695,32 @@ def antisymmetric_free_values(period, branch, derived) -> tuple[float, float]:
 # summed, all-zero rows too.  Each takes the map in place of ``self``.
 
 
-def all_family_off_sums(sm, fams: slice, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``SlitMap._off_sums`` over every family of the set.
+def all_family_sums(off, fams: slice, flat: np.ndarray, route) -> list:
+    """``OffSlit.sums`` over every family of the set.
 
-    Targets beside a slit go through :func:`all_family_beside_sums`, the
-    others through the Cauchy sums of every slit.
+    Beside targets go through :func:`all_family_beside_sums`, the balanced
+    and plain ones through the Cauchy sums of every slit.
     """
-    reject_on_slits(sm.branch, z)
-    weights = sm._weights[fams]
-    rows, flags, omega_max, table, beside = sm._interior_rows()
-    flat = z.reshape(-1)
-    out = np.empty((len(weights), flat.size), dtype=complex)
-    q = np.empty(flat.size, dtype=complex)
-    near = np.zeros(flat.size, dtype=bool)
-    if beside is not None:
-        slit = np.searchsorted(sm.branch.gaps, flat.real)
-        near = np.abs(flat - sm._lo[slit]) + np.abs(flat - sm._hi[slit]) <= beside.reach[slit]
-        out[:, near], q[near] = all_family_beside_sums(sm, fams, flat[near], slit[near])
-    out[:, ~near], q[~near] = _all_family_cauchy_sums(sm, fams, flat[~near])
-    return out.reshape((len(weights),) + z.shape), q.reshape(z.shape)
+    out = []
+    if len(route.beside):
+        out.append((route.beside, *all_family_beside_sums(off, fams, flat[route.beside], route.slit)))
+    if len(route.balanced):
+        sums, q = _all_family_cauchy_sums(off, fams, flat[route.balanced], off.rows[0])
+        sums[np.flatnonzero(off.flags[fams])] /= route.omega
+        out.append((route.balanced, sums, q))
+    if len(route.plain):
+        out.append((route.plain, *_all_family_cauchy_sums(off, fams, flat[route.plain], off.rows[-1])))
+    return out
 
 
-def all_family_beside_sums(sm, fams: slice, z: np.ndarray, slit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``SlitMap._beside_sums`` over every family of the set, each own row from its last term L - 1.
+def all_family_beside_sums(off, fams: slice, z: np.ndarray, slit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``OffSlit._beside_sums`` over every family of the set, each own row from its last term L - 1.
 
     The own rows go through Horner's rule over all L terms, zero terms
     included, one row per target; the other slits' series and Q_j through
     Clenshaw's recurrence per target.
     """
-    series = sm._interior_rows().beside.coef
+    sm = off.map
     rows = np.append(np.arange(len(mapper.FAMILIES))[fams], len(mapper.FAMILIES))
     rho, w = pair_roots(sm._lo[slit], sm._hi[slit], z)
     x = (z - sm._centre[slit]) / sm._half[slit]
@@ -731,7 +728,7 @@ def all_family_beside_sums(sm, fams: slice, z: np.ndarray, slit: np.ndarray) -> 
     total = np.zeros(own.shape[:-1], dtype=complex)
     for m in range(own.shape[-1] - 1, -1, -1):
         total = total * w + own[..., m]
-    c = series[:, rows][..., slit]  # (K, F + 1, T)
+    c = off.beside[:, rows][..., slit]  # (K, F + 1, T)
     b1 = b2 = np.zeros(c.shape[1:], dtype=complex)
     for k in range(len(c) - 1, 0, -1):
         b1, b2 = b1 * (2.0 * x) - b2 + c[k], b1
@@ -740,32 +737,17 @@ def all_family_beside_sums(sm, fams: slice, z: np.ndarray, slit: np.ndarray) -> 
     return total + other[:-1], rho * other[-1]
 
 
-def _all_family_cauchy_sums(sm, fams: slice, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``SlitMap._cauchy_sums`` over every family of the set."""
+def _all_family_cauchy_sums(off, fams: slice, t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``OffSlit._cauchy_sums`` over every family of the set."""
+    sm = off.map
     weights = sm._weights[fams]
-    rows, flags, omega_max, table, _ = sm._interior_rows()
-    divided = np.flatnonzero(flags[fams]) if len(rows) > 1 else []
-    passes = [(rows[0][fams], 0, flat.size)]
-    if len(divided):  # the balanced targets first, then the plain ones
-        gap_poly = flat - sm.branch.gaps[0]
-        for node in sm.branch.gaps[1:]:
-            gap_poly *= flat - node
-        balanced = np.abs(gap_poly) >= omega_max
-        order = np.argsort(~balanced, kind="stable")
-        flat, k = flat[order], int(balanced.sum())
-        passes = [(rows[0][fams], 0, k), (rows[1][fams], k, flat.size)]
-    out = np.empty((len(weights), flat.size), dtype=complex)
-    q = np.empty(flat.size, dtype=complex)
+    out = np.empty((len(weights), t.size), dtype=complex)
+    q = np.empty(t.size, dtype=complex)
     step = max(1, mapper._BLOCK_VALUES // weights.size)
-    for coef, start, stop in passes:
-        for s in range(start, stop, step):
-            end = min(s + step, stop)
-            roots = slit_roots(sm._lo, sm._hi, flat[s:end])
-            np.prod(roots.rho, axis=0, out=q[s:end])
-            out[:, s:end] = np.einsum("fj,fj...->f...", weights, cauchy_off_stack(coef, roots, table))
-    if len(divided):
-        out[divided, :k] /= gap_poly[order[:k]]
-        out[:, order], q[order] = out.copy(), q.copy()
+    for s in range(0, t.size, step):
+        roots = slit_roots(sm._lo, sm._hi, t[s : s + step])
+        np.prod(roots.rho, axis=0, out=q[s : s + step])
+        out[:, s : s + step] = np.einsum("fj,fj...->f...", weights, cauchy_off_stack(rows[fams], roots, off.table))
     return out, q
 
 

@@ -363,6 +363,26 @@ def test_validate_rejects_what_solve_rejects_on_a_single_inclusion(tmp_path, cap
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("numerics", [{"P": 1e20}, {"N": 1e300}, {"P": 2**62}])
+def test_oversized_counts_exit_two_in_solve_and_validate(tmp_path, capsys, numerics):
+    # counts whose arrays numpy refuses before allocating: refused as input, not a traceback
+    doc = figures.load_case("fig1b")
+    doc["numerics"] = numerics
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc))
+    (name,) = numerics
+    for command in ("solve", "validate"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must be at most 2^31 - 1 = 2147483647\n"
+        assert "runnable" not in captured.out
+
+
+def test_oversized_points_flag_exits_two(fig1b_path, capsys):
+    assert cli.main(["solve", "--config", str(fig1b_path), "--points", "100000000000000000000"]) == 2
+    assert capsys.readouterr().err == "error: P must be at most 2^31 - 1 = 2147483647\n"
+
+
 @pytest.mark.parametrize("numerics", [{"N": 64.0}, {"M": 32.0}, {"P": 200.0}])
 def test_integer_valued_float_numerics_are_accepted(tmp_path, numerics):
     doc = figures.load_case("fig1b")

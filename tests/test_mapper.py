@@ -14,7 +14,7 @@ from conftest import (
 )
 from oracles import (
     all_family_g1_values,
-    all_family_off_sums,
+    all_family_sums,
     all_family_other_sums,
     all_family_slit_sums,
     branch_principal_product,
@@ -32,7 +32,7 @@ from oracles import (
 )
 
 from inclusion_forge import branch as branch_module
-from inclusion_forge import cli, figures, mapper, pipeline, quadrature, solvability
+from inclusion_forge import cli, figures, interior, mapper, pipeline, quadrature, solvability
 from inclusion_forge.branch import BranchData, abs_q
 from inclusion_forge.mapper import (
     SlitMap,
@@ -52,6 +52,7 @@ from inclusion_forge.model import (
     derive_constants,
     pole_density,
     singular_part_F,
+    singular_part_omega,
 )
 from inclusion_forge.geometry import bank_parameter_grid
 from inclusion_forge.quadrature import (
@@ -207,7 +208,7 @@ def test_interior_limit_reaches_boundary_values(name):
 
 
 @pytest.mark.parametrize("case", ["eight", "sixteen", "thirty-two", "edge16"])
-def test_interior_limit_reaches_boundary_values_from_four_slits_on(case, monkeypatch):
+def test_interior_limit_reaches_boundary_values_from_four_slits_on(case):
     # from four slits on, the targets at xi +- i eps h (h the slit length,
     # 5% to 95% along every slit) sum their slit's slit-local series, on the
     # slits that have them (8 of 8, 14 of 16, 19 of 32, 11 of edge16's 16);
@@ -232,22 +233,18 @@ def test_interior_limit_reaches_boundary_values_from_four_slits_on(case, monkeyp
     grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.05, 0.95, 9)
     banks = sm.banks(grid)
     scale = np.abs(banks.omega).max(), np.abs(banks.F).max()
-    beside = sm._interior_rows().beside
-    assert (beside.reach > 0).sum() >= n // 2
-    served = []
-    local = SlitMap._beside_sums
-    monkeypatch.setattr(
-        SlitMap, "_beside_sums", lambda self, fams, t, j: served.append(t.size) or local(self, fams, t, j)
-    )
+    off = sm._off_slit()
+    assert (off.reach > 0).sum() >= n // 2
     previous = None
     for eps in (1e-4, 1e-6, 1e-8):
         z = grid + 1j * eps * (hi - lo)[:, None]
-        served.clear()
         distance = []
-        for name, value, s in (("omega_interior", banks.omega, scale[0]), ("F_interior", banks.F, scale[1])):
+        for name, value, s, fams in (
+            ("omega_interior", banks.omega, scale[0], mapper._MAP), ("F_interior", banks.F, scale[1], mapper._PHI)
+        ):
             for bank, targets in enumerate((z, z.conj())):
                 distance.append((np.abs(getattr(sm, name)(targets) - value[bank])[slits] / s).max())
-        assert served == [z[beside.reach > 0].size] * 4
+                assert len(off.route(fams, targets.reshape(-1)).beside) == z[off.reach > 0].size
         if previous is not None:
             assert all(d <= p / 10.0 for d, p in zip(distance, previous)), (eps, distance, previous)
         previous = distance
@@ -464,12 +461,38 @@ def _interior_80bit(sm, z):
 
 
 def _beside_targets(sm, z):
-    """Which targets z sum the slit-local series of the slit between the gap midpoints around them."""
-    beside = sm._interior_rows().beside
-    if beside is None:
-        return np.zeros(z.shape, dtype=bool)
-    slit = np.searchsorted(sm.branch.gaps, z.real)
-    return np.abs(z - sm._lo[slit]) + np.abs(z - sm._hi[slit]) <= beside.reach[slit]
+    """Which targets z sum the slit-local series of the slit between the gap midpoints around them.
+
+    That is the beside route of targets that no far-field series serves.
+    """
+    beside = np.zeros(z.size, dtype=bool)
+    beside[sm._off_slit().route(mapper._MAP, z.reshape(-1), series=False).beside] = True
+    return beside.reshape(z.shape)
+
+
+def _far(sm, fams):
+    """The far-field series of a family set, None where it has none."""
+    return sm._off_slit().far.get(mapper.FAMILIES[fams])
+
+
+def _sums(sm, fams, z):
+    """The weighted sums over the slits, and q, at targets z, none of them served by a series."""
+    off, flat = sm._off_slit(), z.reshape(-1)
+    sums = np.empty((len(mapper.FAMILIES[fams]), flat.size), dtype=complex)
+    q = np.empty(flat.size, dtype=complex)
+    for index, part, part_q in off.sums(fams, flat, off.route(fams, flat, series=False)):
+        sums[:, index], q[index] = part, part_q
+    return sums.reshape((-1,) + z.shape), q.reshape(z.shape)
+
+
+def _direct_values(sm, z):
+    """omega_interior, omega_regular and F_interior at targets z, each target summed over the slits."""
+    off, d = sm._off_slit(), sm.derived
+    regular = off.regular(mapper._MAP, z, series=False)
+    return (
+        singular_part_omega(z, d) + regular, regular,
+        d.beta0 + singular_part_F(z, d) - off.regular(mapper._PHI, z, series=False),
+    )
 
 
 def _hull_w(sm, z):
@@ -486,7 +509,7 @@ def _series_interior(sm, z):
     served by the series where |w| <= 1/2.
     """
     d, w = sm.derived, _hull_w(sm, z)
-    regular, phi_term = (np.polynomial.polynomial.polyval(w, sm._far_series(f)) for f in (mapper._MAP, mapper._PHI))
+    regular, phi_term = (np.polynomial.polynomial.polyval(w, _far(sm, f)) for f in (mapper._MAP, mapper._PHI))
     omega = mapper.singular_part_omega(z, d) + regular
     return omega, d.beta0 + mapper.singular_part_F(z, d) - phi_term, np.abs(w)
 
@@ -559,107 +582,76 @@ def test_interior_values_do_not_depend_on_the_batch(case, monkeypatch):
         assert table.D == other_table.D
         np.testing.assert_array_equal(table.thr, other_table.thr)
     # and so do the far-field series, at any n
-    assert sm._far.keys() == other._far.keys()
-    for key, series in sm._far.items():
+    assert sm._interior.far.keys() == other._interior.far.keys()
+    for key, series in sm._interior.far.items():
         assert series is not None
-        np.testing.assert_array_equal(series, other._far[key])
+        np.testing.assert_array_equal(series, other._interior.far[key])
 
 
-def test_solves_never_build_a_degree_table(monkeypatch):
+def test_solves_never_build_a_degree_table():
     # the bisection for the interior split, the samples of the slit-local
     # series and the ring samples of the far-field and band series are paid
-    # on the first interior call
-    calls, series, beside = [], [], []
-    build, far, local = mapper.degree_table, SlitMap._far_series, SlitMap._beside_series
-    monkeypatch.setattr(mapper, "degree_table", lambda *args: calls.append(args) or build(*args))
-    monkeypatch.setattr(SlitMap, "_far_series", lambda self, *args: series.append(args) or far(self, *args))
-    monkeypatch.setattr(SlitMap, "_beside_series", lambda self, *args: beside.append(args) or local(self, *args))
-    maps = []
-    for case in figures.FIGURE_CASES:
-        cfg, loading, materials, free, numerics, overrides = load_figure_inputs(case.name)
-        maps.append(pipeline.solve(
-            cfg, loading, materials, free, numerics,
-            override_a=overrides.get("a"), override_rho=overrides.get("rho"),
-        ).slit_map)
+    # on the first interior call, which builds the map's one OffSlit (a solve
+    # never loads its module: tests/test_surface.py)
     sm = pipeline.solve(*slit_layout_inputs(16)).slit_map
-    assert len(figures.FIGURE_CASES) == 16 and not calls and not series and not beside
-    assert not any(m._far or m._band or m._interior for m in maps + [sm] if m is not None)
+    assert sm._interior is None
     sm.F_interior(0.3 + 0.5j)
+    off = sm._interior
     sm.omega_interior(0.3 + 0.5j)
+    assert sm._interior is off
     # one table per map, over the plain and the balanced rows of every family,
     # and one set of slit-local series
-    assert len(calls) == 1 and sm._interior.table is not None
-    assert len(beside) == 1 and sm._interior.beside is not None
+    assert isinstance(off.table, quadrature.DegreeTable) and off.beside is not None
     # one series per family set, and no band series from four slits on
-    assert len(sm._far) == 2 and all(s is not None for s in sm._far.values()) and not sm._band
-    # below four slits a band series per family set, and no slit-local series
+    assert len(off.far) == 2 and all(s is not None for s in off.far.values()) and not off.band
+    # below four slits a band series per family set, and no table or slit-local series
     fig3a = solved_map("fig3a")[0]
     fig3a.omega_interior(0.3 + 0.5j)
-    fig3a.F_interior(0.3 + 0.5j)
-    assert len(fig3a._band) == 2 and all(s is not None for s in fig3a._band.values())
-    assert fig3a._interior.beside is None and len(beside) == 1
+    assert len(fig3a._interior.band) == 2 and all(s is not None for s in fig3a._interior.band.values())
+    assert fig3a._interior.beside is None and fig3a._interior.table is None
 
 
-def _root_spies(monkeypatch):
-    """Spies on the slit roots the off-slit sums form: (intervals, targets) of each call, by function.
-
-    ``slit_roots`` pairs every interval with every target; ``pair_roots``
-    pairs interval i with target i.
-    """
-    calls = {"slit_roots": [], "pair_roots": []}
-    for name, seen in calls.items():
-        roots = getattr(quadrature, name)
-        monkeypatch.setattr(mapper, name, lambda lo, hi, t, roots=roots, seen=seen: seen.append(
-            (np.size(lo), np.size(t))) or roots(lo, hi, t))
-    return calls
-
-
-def test_a_sixteen_slit_interior_call_forms_one_root_per_beside_target(monkeypatch):
+def test_a_sixteen_slit_interior_call_forms_one_root_per_beside_target():
+    # one hull root per far target, one root of its own slit per beside
+    # target, and n per target summed over every slit
     doc, z = next((doc, z) for doc, z in interior_field_inputs(0) if doc["n"] == 16)
     sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
-    sm.omega_interior(z[:1]), sm.F_interior(z[:1])  # the series
-    far = np.abs(_hull_w(sm, z)) <= 1.0 / mapper._FAR_RATIO
+    far = np.abs(_hull_w(sm, z)) <= 1.0 / interior._FAR_RATIO
     beside = _beside_targets(sm, z) & ~far
     assert not (_beside_targets(sm, z) & far).any()
     assert 1600 <= beside.sum() <= 2200  # the targets hugging a slit with series
-    served = []
-    local = SlitMap._beside_sums
-    monkeypatch.setattr(SlitMap, "_beside_sums", lambda self, fams, t, j: served.append(t) or local(self, fams, t, j))
-    calls = _root_spies(monkeypatch)
-    for evaluate in (sm.omega_interior, sm.F_interior):
-        served.clear()
-        for seen in calls.values():
-            seen.clear()
-        evaluate(z)
-        # one root of its own slit per beside target, n per target summed directly
-        assert calls["pair_roots"] and all(rows == t for rows, t in calls["pair_roots"])
-        assert sum(t for _, t in calls["pair_roots"]) == beside.sum()
-        assert all(rows == sm.branch.n for rows, _ in calls["slit_roots"])
-        assert sum(t for _, t in calls["slit_roots"]) == (~far & ~beside).sum()
-        assert np.array_equal(np.sort_complex(np.concatenate(served)), np.sort_complex(z[beside]))
+    for fams in (mapper._MAP, mapper._PHI):
+        route = sm._off_slit().route(fams, z)
+        np.testing.assert_array_equal(route.far, np.flatnonzero(far))
+        np.testing.assert_array_equal(route.beside, np.flatnonzero(beside))
+        summed = np.sort(np.concatenate([route.balanced, route.plain]))
+        np.testing.assert_array_equal(summed, np.flatnonzero(~far & ~beside))
+        assert not len(route.band)
 
 
-def test_band_targets_below_four_slits_form_no_root(monkeypatch):
+def test_band_targets_below_four_slits_form_no_root():
     sm = solved_map("fig3a")[0]
     z = _far_targets(sm, np.random.default_rng(9), (0.51, 0.79))
     assert not _beside_targets(sm, z).any()
-    got = sm.omega_interior(z), sm.F_interior(z)  # the series
-    calls = _root_spies(monkeypatch)
-    for value, evaluate in zip(got, (sm.omega_interior, sm.F_interior)):
-        np.testing.assert_array_equal(evaluate(z), value)
-    assert calls == {"slit_roots": [], "pair_roots": []}
+    off = sm._off_slit()
+    for fams in (mapper._PHI, mapper._MAP):
+        route = off.route(fams, z)
+        np.testing.assert_array_equal(route.band, np.arange(z.size))
+        np.testing.assert_allclose(np.abs(route.band_w), np.abs(_hull_w(sm, z)), rtol=1e-14)
     # and one target past |w| = 4/5 forms its three
-    sm.omega_interior(np.append(z, _far_targets(sm, np.random.default_rng(9), (0.81, 0.99), 1)))
-    assert calls["slit_roots"] == [(3, 1)] and not calls["pair_roots"]
+    z = np.append(z, _far_targets(sm, np.random.default_rng(9), (0.81, 0.99), 1))
+    route = off.route(mapper._MAP, z)
+    assert route.plain.tolist() == [z.size - 1] and len(route.band) == z.size - 1
+    assert not len(route.far) and not len(route.beside) and not len(route.balanced)
 
 
 def test_each_degree_table_build_is_logged_once(caplog, capsys):
     (sm,) = _sixteen_slit_solve_maps(1)
-    with caplog.at_level(logging.DEBUG, logger=mapper.__name__):
+    with caplog.at_level(logging.DEBUG, logger=interior.__name__):
         for _ in range(2):
             sm.F_interior(0.3 + 0.5j)
             sm.omega_interior(np.array([0.3 + 0.5j, 2.0 - 1e-3j]))
-    messages = [r.getMessage() for r in caplog.records if r.name == mapper.__name__]
+    messages = [r.getMessage() for r in caplog.records]
     # the far-field series of each family set samples a ring through the
     # map's one degree table, and logs its own build once, and so do the
     # slit-local series, sampled on the map's first interior call
@@ -667,58 +659,42 @@ def test_each_degree_table_build_is_logged_once(caplog, capsys):
     series = [m for m in messages if m.startswith("far-field series for ")]
     beside = [m for m in messages if m.startswith("slit-local series beside ")]
     assert len(tables) == 1 and sm._interior.table is not None
-    n, served = sm.branch.n, (sm._interior.beside.reach > 0).sum()
+    n, served = sm.branch.n, (sm._interior.reach > 0).sum()
     assert len(beside) == 1 and beside[0].startswith(f"slit-local series beside {served} of {n} slits: K = ")
     assert 0 < served
-    assert len(series) == len(sm._far) == 2 and len(messages) == 4
+    assert len(series) == len(sm._interior.far) == 2 and len(messages) == 4
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     assert tables[0].startswith(f"degree table of the off-slit rows: D = {sm._interior.table.D} of L = ")
     for message, names in zip(series, ("phi", "g0_rho+g1_weighted")):
-        terms = len(sm._far[tuple(names.split("+"))])
+        terms = len(sm._interior.far[tuple(names.split("+"))])
         assert message.startswith(f"far-field series for {names}: {terms} terms, ring chopped at ")
-        assert message.endswith(f" of {mapper._ring_samples(mapper._FAR_RATIO)}, at |w| <= 0.5 of the hull")
+        assert message.endswith(f" of {interior._ring_samples(interior._FAR_RATIO)}, at |w| <= 0.5 of the hull")
     assert capsys.readouterr() == ("", "")
 
 
-def _split_rows(sm):
-    """The map's plain rows with their degree table: the split forced below four slits."""
-    interior = sm._interior_rows()
-    (rows,) = interior.rows
-    return interior._replace(table=quadrature.degree_table(rows, sm._lo, sm._hi))
-
-
 @pytest.mark.parametrize("seed", [0, 5, 11])
-def test_the_interior_split_starts_at_four_slits(seed, monkeypatch):
+def test_the_interior_split_starts_at_four_slits(seed):
     # below _BALANCED_FROM slits every off-slit sum is the plain loop, which
-    # agrees with the split to rounding; from four slits on the split runs
-    tables, builds = [], []
-    stack, build = mapper.cauchy_off_stack, mapper.degree_table
-    monkeypatch.setattr(mapper, "cauchy_off_stack", lambda *args: tables.append(args[2]) or stack(*args))
-    monkeypatch.setattr(mapper, "degree_table", lambda *args: builds.append(args) or build(*args))
+    # agrees with the split to rounding; from four slits on the split runs,
+    # and every pass sums through the map's one degree table
     sizes = set()
     for doc, z in interior_field_inputs(seed):
         sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
-        tables.clear()
-        builds.clear()
-        sm.omega_interior(z)
-        sm.F_interior(z)
+        off = sm._off_slit()
+        routes = [off.route(fams, z) for fams in (mapper._PHI, mapper._MAP)]
         n = sm.branch.n
         sizes.add(n)
         if n >= mapper._BALANCED_FROM:
-            assert len(builds) == 1 and all(t is sm._interior.table for t in tables)
-            assert isinstance(sm._interior.table, quadrature.DegreeTable)
+            assert isinstance(off.table, quadrature.DegreeTable) and len(off.rows) == 2
+            assert all(len(r.beside) and len(r.balanced) and not len(r.band) for r in routes)
             continue
-        assert tables and all(t is None for t in tables)
-        assert not builds and sm._interior.table is None
+        assert off.table is None and off.beside is None and len(off.rows) == 1
+        assert not any(len(r.beside) or len(r.balanced) for r in routes)
         # the far-field series need no table: they serve every map whose moments are at rounding
-        assert sm._far and all(series is not None for series in sm._far.values())
-        with monkeypatch.context() as m:
-            m.setattr(SlitMap, "_far_series", _no_series)  # every target through the Cauchy sums
-            plain = sm.omega_interior(z), sm.F_interior(z)
-            tables.clear()
-            m.setattr(sm, "_interior", _split_rows(sm))
-            split = sm.omega_interior(z), sm.F_interior(z)
-        assert all(isinstance(t, quadrature.DegreeTable) for t in tables)
+        assert off.far and all(series is not None for series in off.far.values())
+        plain = [off.regular(fams, z, series=False) for fams in (mapper._PHI, mapper._MAP)]
+        off.table = quadrature.degree_table(off.rows[0], sm._lo, sm._hi)  # the split, forced
+        split = [off.regular(fams, z, series=False) for fams in (mapper._PHI, mapper._MAP)]
         for value, want in zip(plain, split):
             np.testing.assert_allclose(value, want, rtol=0, atol=1e-14 * np.abs(want).max())
     assert sizes == {2, 3, 16}
@@ -729,15 +705,15 @@ def test_F_interior_without_phi_rows_is_its_singular_part(name, monkeypatch):
     sm, derived, _ = solved_map(name)
     assert not sm._coef[mapper._PHI].any()
     z = _far_and_near_targets(sm.branch, np.random.default_rng(11))
-    (total,), q = sm._off_sums(mapper._PHI, z)
+    (total,), q = _sums(sm, mapper._PHI, z)
     sign = (-1.0) ** (sm.branch.n - 1)
     summed = derived.beta0 + singular_part_F(z, derived) - 1j * sign * q / np.pi * total
     on_slit = np.append(z[:3], sm.branch.endpoints[0] + 0j)
     with pytest.raises(EvaluationError) as summed_error:
-        sm._off_sums(mapper._PHI, on_slit)
+        _sums(sm, mapper._PHI, on_slit)
     calls = []
-    for kernel in ("slit_roots", "cauchy_off_stack"):
-        monkeypatch.setattr(mapper, kernel, lambda *args: calls.append(args))
+    for kernel in ("slit_roots", "pair_roots", "cauchy_off_stack"):
+        monkeypatch.setattr(interior, kernel, lambda *args: calls.append(args))
     assert (sm.F_interior(z) == summed).all()
     assert sm.F_interior(z[5]) == summed[5]
     with pytest.raises(EvaluationError) as short_error:
@@ -768,7 +744,7 @@ def test_a_solve_and_one_interior_call_build_two_gap_bases(monkeypatch):
     monkeypatch.setattr(mapper, "gap_basis", spy, raising=False)
     sm = pipeline.solve(*sixteen_slit_inputs()).slit_map
     sm.omega_interior(np.array([2.0 + 1.0j]))
-    assert sm._interior_rows()[1].any()  # the balanced rows were tested against the basis
+    assert sm._interior.flags.any()  # the balanced rows were tested against the basis
     # the period matrix's table, then the residuals' table of twice its nodes
     assert built == [sm.numerics.N, 2 * sm.numerics.N]
 
@@ -831,7 +807,7 @@ def test_the_off_slit_kernel_starts_past_zero_terms_only(case, monkeypatch):
         calls.append(table is not None)
         return got
 
-    monkeypatch.setattr(mapper, "cauchy_off_stack", spy)
+    monkeypatch.setattr(interior, "cauchy_off_stack", spy)
     sm.omega_interior(z)
     sm.F_interior(z)
     assert len(calls) >= 3 and all(calls)
@@ -877,12 +853,12 @@ def test_slit_local_series_keep_the_digits_of_the_direct_sums_out_to_their_reach
         "thirty-two": lambda: slit_layout_inputs(32),
     }[case]()
     sm = pipeline.solve(*args).slit_map
-    beside = sm._interior_rows().beside
-    slits = np.flatnonzero(beside.reach > 0)
+    reach = sm._off_slit().reach
+    slits = np.flatnonzero(reach > 0)
     assert len(slits) >= sm.branch.n // 2
     # 24 targets around each slit on the ellipse of its reach, just inside
     theta = np.linspace(0.1, 2.0 * np.pi - 0.1, 24)
-    major = 0.5 * beside.reach[slits, None] * (1.0 - 1e-12)
+    major = 0.5 * reach[slits, None] * (1.0 - 1e-12)
     minor = np.sqrt(major**2 - sm._half[slits, None] ** 2)
     z = (sm._centre[slits, None] + major * np.cos(theta) + 1j * minor * np.sin(theta)).ravel()
     assert _beside_targets(sm, z).all()
@@ -909,7 +885,8 @@ def test_the_one_degree_table_serves_every_row_it_is_used_for(case):
         "spread16": lambda: spread_layout_inputs(16, 3),
     }[case]()
     sm = pipeline.solve(*args).slit_map
-    rows, flags, _, table, _ = sm._interior_rows()
+    off = sm._off_slit()
+    rows, flags, table = off.rows, off.flags, off.table
     assert len(rows) == 2 and flags.tolist() == [True, True, False]
     np.testing.assert_array_equal(rows[1][..., : sm._coef.shape[-1]], sm._coef)
     assert not rows[1][..., sm._coef.shape[-1] :].any()
@@ -930,10 +907,11 @@ def _far_field_error(sm, free, z):
     that keeps none sums to 0 on both sides).
     """
     n, d = sm.branch.n, sm.derived
-    (phi,), q = sm._off_sums(mapper._PHI, z)
-    (g0_rho, g1), _ = sm._off_sums(mapper._MAP, z)
-    total = 1j * np.pi * d.tau_bar * (sm._regular(mapper._MAP, z) - d.gamma)
-    served = (sm._regular(mapper._PHI, z) * np.pi / (1j * (-1.0) ** (n - 1)), (total - g1) / ((-1.0) ** n * 1j))
+    (phi,), q = _sums(sm, mapper._PHI, z)
+    (g0_rho, g1), _ = _sums(sm, mapper._MAP, z)
+    off = sm._off_slit()
+    total = 1j * np.pi * d.tau_bar * (off.regular(mapper._MAP, z) - d.gamma)
+    served = (off.regular(mapper._PHI, z) * np.pi / (1j * (-1.0) ** (n - 1)), (total - g1) / ((-1.0) ** n * 1j))
     want = far_field_sums_80bit(sm.branch.endpoints, sm.derived, free, z, N=sm.numerics.N)
     live = np.flatnonzero(sm._live[mapper._DIRECT])
     return tuple(
@@ -962,9 +940,9 @@ def test_far_field_sums_match_an_80_bit_solve(case, bound):
     else:
         args = _edge_inputs(case) if isinstance(case, int) else load_figure_inputs(case)[:5]
     sm = pipeline.solve(*args).slit_map
-    assert sm._interior_rows()[1].tolist() == [True, True, False]
+    assert sm._off_slit().flags.tolist() == [True, True, False]
     # a phi that keeps no term (fig1b) gets no series: F is its singular part
-    assert all((sm._far_series(fams) is not None) == sm._live[fams.start] for fams in (mapper._PHI, mapper._MAP))
+    assert all((_far(sm, fams) is not None) == sm._live[fams.start] for fams in (mapper._PHI, mapper._MAP))
     k = np.asarray(sm.branch.endpoints)
     centre, half = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
     ring = np.exp(2j * np.pi * np.arange(16) / 16 + 0.1j)
@@ -984,7 +962,7 @@ def test_far_field_sums_match_an_80_bit_solve(case, bound):
 def test_balanced_rows_are_the_plain_rows_times_the_gap_polynomial():
     # numpy's Chebyshev product of each row with omega expanded on its slit
     sm = pipeline.solve(*slit_layout_inputs(8, 0)).slit_map
-    got = sm._times_gap_poly(sm._coef[mapper._DIRECT])
+    got = interior._times_gap_poly(sm, sm._coef[mapper._DIRECT])
     for j in range(sm.branch.n):
         centre, half = sm._centre[j], sm._half[j]
         gaps = sm.branch.gaps
@@ -1005,42 +983,38 @@ def _omega_level_targets(sm, count=7):
     lo, hi = np.zeros(count), np.full(count, 3.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        inside = omega(centre + mid * half * ray) < sm._interior_rows().omega_max
+        inside = omega(centre + mid * half * ray) < sm._off_slit().omega_max
         lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     return centre, centre + hi * half * ray
 
 
 @pytest.mark.parametrize("case", ["sixteen", 8])
-def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case, monkeypatch):
+def test_targets_where_omega_is_below_its_slit_maximum_keep_the_plain_rows(case):
     args = sixteen_slit_inputs() if case == "sixteen" else slit_layout_inputs(case, 0)
     sm = pipeline.solve(*args).slit_map
-    assert sm._interior_rows()[1].tolist() == [True, True, False]
+    off = sm._off_slit()
+    assert off.flags.tolist() == [True, True, False]
     centre, level = _omega_level_targets(sm)
     sides = {"plain": centre + 0.99 * (level - centre), "balanced": centre + 1.01 * (level - centre)}
     for fams in (mapper._PHI, mapper._MAP):  # the ring samples of the series sum both kinds of rows
-        assert sm._far_series(fams) is not None
-    kernel = mapper.cauchy_off_stack
+        assert _far(sm, fams) is not None
     for side, z in sides.items():
-        rows = []
-        monkeypatch.setattr(
-            mapper, "cauchy_off_stack", lambda coef, *a: rows.append(coef) or kernel(coef, *a)
-        )
         got = sm.omega_interior(z), sm.F_interior(z)
-        monkeypatch.undo()
-        plain_rows = [np.shares_memory(c, sm._interior.rows[1]) for c in rows]
-        assert all(plain_rows) if side == "plain" else not any(plain_rows), side
+        for fams in (mapper._PHI, mapper._MAP):
+            np.testing.assert_array_equal(getattr(off.route(fams, z), side), np.arange(z.size))
         # both sides keep 10 digits of the plain sums and of the 80-bit ones
         for value, want in zip(got, _plain_interior(sm, z)):
             assert np.abs(value - want).max() <= 1e-10 * np.abs(want).max(), side
         assert max(_far_field_error(sm, args[3], z)) <= 1e-10, side
     # omega vanishes at the gap nodes themselves: real targets there take the plain rows
     z = sm.branch.gaps.astype(complex)
+    np.testing.assert_array_equal(off.route(mapper._MAP, z).plain, np.arange(z.size))
     for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
         assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("shift", [1e-11, 0.1])
-def test_moments_above_rounding_keep_the_plain_rows(shift, monkeypatch):
+def test_moments_above_rounding_keep_the_plain_rows(shift):
     # the balanced rows differ from the plain sums by the moments of the plain
     # rows; a shift of 1e-11 leaves the boundedness residual inside tol_solve
     # but far above rounding, and near the slits it would move the values by
@@ -1051,18 +1025,18 @@ def test_moments_above_rounding_keep_the_plain_rows(shift, monkeypatch):
     result = pipeline.solve(*args, override_a=shifted)
     sm = result.slit_map
     assert (result.diagnostics.boundedness["a_relative"] <= sm.numerics.tol_solve) == (shift < 1e-8)
-    assert sm._interior_rows()[1].tolist() == [False, True, False]
+    assert sm._off_slit().flags.tolist() == [False, True, False]
     z = _far_and_near_targets(sm.branch, np.random.default_rng(3))[3000:]
     for value, want in zip((sm.omega_interior(z), sm.F_interior(z)), _plain_interior(sm, z)):
         assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
     # nor does F take a far-field series, which would be bounded where F is not:
     # its far targets are summed directly, while the map, whose g0_rho rows are
     # balanced, takes its series
-    assert sm._far_series(mapper._PHI) is None and sm._far_series(mapper._MAP) is not None
+    assert _far(sm, mapper._PHI) is None and _far(sm, mapper._MAP) is not None
     far = _far_targets(sm, np.random.default_rng(4))
-    got = sm.F_interior(far)
-    monkeypatch.setattr(SlitMap, "_far_series", _no_series)
-    np.testing.assert_array_equal(got, sm.F_interior(far))
+    route = sm._off_slit().route(mapper._PHI, far)
+    assert not len(route.far) and not len(route.band)
+    np.testing.assert_array_equal(sm.F_interior(far), _direct_values(sm, far)[2])
 
 
 def _broken_rho_map(sm, shift=0.1):
@@ -1085,12 +1059,12 @@ def test_broken_rho_makes_the_regular_part_grow_from_four_slits_on():
     sm = pipeline.solve(*slit_layout_inputs(8, 0)).slit_map
     smb = _broken_rho_map(sm)
     assert _regular_growth(smb) >= 10.0
-    assert not smb._interior_rows()[1][1] and smb._far_series(mapper._MAP) is None
-    assert sm._far_series(mapper._MAP) is not None
+    assert not smb._off_slit().flags[1] and _far(smb, mapper._MAP) is None
+    assert _far(sm, mapper._MAP) is not None
 
 
 @pytest.mark.parametrize(("name", "shift"), [("fig1b", 0.1), ("fig3a", 0.1), ("fig1b", 1e-11), ("fig2d", None)])
-def test_moments_off_rounding_keep_the_direct_sums_below_four_slits(name, shift, solve_figure, monkeypatch):
+def test_moments_off_rounding_keep_the_direct_sums_below_four_slits(name, shift, solve_figure):
     # the moment test gates the far-field series at every n: with rho broken
     # on fig1b (n = 2) and fig3a (n = 3), and with the overridden constants of
     # fig2d (n = 2), the g0_rho moments are off rounding, so the map keeps no
@@ -1101,22 +1075,17 @@ def test_moments_off_rounding_keep_the_direct_sums_below_four_slits(name, shift,
     # direct sums.  F keeps its series where phi keeps terms (fig3a): a is not broken
     sm = solve_figure(name).slit_map
     if shift is not None:
-        assert sm._far_series(mapper._MAP) is not None
+        assert _far(sm, mapper._MAP) is not None
         sm = _broken_rho_map(sm, shift)
-    assert not sm._interior_rows()[1][1] and sm._far_series(mapper._MAP) is None
-    assert (sm._far_series(mapper._PHI) is not None) == sm._live[0] == (name == "fig3a")
+    assert not sm._off_slit().flags[1] and _far(sm, mapper._MAP) is None
+    assert (_far(sm, mapper._PHI) is not None) == sm._live[0] == (name == "fig3a")
     if shift != 1e-11:
         assert _regular_growth(sm) >= 10.0
     far = _far_targets(sm, np.random.default_rng(6))
-    got = sm.omega_interior(far), sm.omega_regular(far)
-    monkeypatch.setattr(SlitMap, "_far_series", _no_series)
-    for value, want in zip(got, (sm.omega_interior(far), sm.omega_regular(far))):
+    route = sm._off_slit().route(mapper._MAP, far)
+    assert not len(route.far) and not len(route.band)
+    for value, want in zip((sm.omega_interior(far), sm.omega_regular(far)), _direct_values(sm, far)):
         np.testing.assert_array_equal(value, want)
-
-
-def _no_series(self, fams, ratio=mapper._FAR_RATIO):
-    """SlitMap._far_series of a map that sums every target directly."""
-    return None
 
 
 def _far_targets(sm, rng, radii=(0.01, 0.49), count=600):
@@ -1144,7 +1113,7 @@ _FAR_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_FAR_CASES))
-def test_far_field_series_agree_with_the_direct_sums(case, monkeypatch):
+def test_far_field_series_agree_with_the_direct_sums(case):
     # the series interpolate the direct values on |w| = 1/2; at targets inside
     # that ring they read at most 1.4e-15 of the largest direct value
     # (spread_gaps, omega_regular), and targets outside it sum directly.
@@ -1159,17 +1128,15 @@ def test_far_field_series_agree_with_the_direct_sums(case, monkeypatch):
     sm = pipeline.solve(*inputs()).slit_map
     rng = np.random.default_rng(8)
     z, near = _far_targets(sm, rng), _far_targets(sm, rng, (0.51, 0.99))
-    band = np.abs(_hull_w(sm, near)) <= 1.0 / mapper._BAND_RATIO
+    band = np.abs(_hull_w(sm, near)) <= 1.0 / interior._BAND_RATIO
     if sm.branch.n >= mapper._BALANCED_FROM:
         band[:] = False
     assert band.any() == (sm.branch.n < mapper._BALANCED_FROM) and not band.all()
     names = ("omega_interior", "omega_regular", "F_interior")
     got = [(getattr(sm, name)(z), getattr(sm, name)(near)) for name in names]
     # a phi that keeps no term (fig1b) gets no series: F is its singular part
-    assert all((sm._far_series(fams) is not None) == sm._live[fams.start] for fams in (mapper._PHI, mapper._MAP))
-    monkeypatch.setattr(SlitMap, "_far_series", _no_series)
-    for name, (value, value_near) in zip(names, got):
-        want, want_near = getattr(sm, name)(z), getattr(sm, name)(near)
+    assert all((_far(sm, fams) is not None) == sm._live[fams.start] for fams in (mapper._PHI, mapper._MAP))
+    for name, (value, value_near), want, want_near in zip(names, got, _direct_values(sm, z), _direct_values(sm, near)):
         assert np.abs(value - want).max() <= bound * np.abs(want).max(), name
         assert np.abs(value_near - want_near)[band].max(initial=0.0) <= 1e-14 * np.abs(want_near).max(), name
         np.testing.assert_array_equal(value_near[~band], want_near[~band])
@@ -1180,8 +1147,8 @@ def test_far_field_series_need_a_plateau_on_their_ring():
     # crosses targets where omega is below its slit maximum and the plain rows
     # take over, and the ring coefficients find no plateau
     sm = pipeline.solve(*spread_layout_inputs(16, 3)).slit_map
-    assert sm._interior_rows()[1].tolist() == [True, True, False]
-    assert sm._far_series(mapper._PHI) is None and sm._far_series(mapper._MAP) is None
+    assert sm._off_slit().flags.tolist() == [True, True, False]
+    assert _far(sm, mapper._PHI) is None and _far(sm, mapper._MAP) is None
 
 
 def test_far_field_at_huge_and_non_finite_targets():
@@ -1191,7 +1158,7 @@ def test_far_field_at_huge_and_non_finite_targets():
     sm = _sixteen_slit_map()
     d = sm.derived
     huge = np.array([1e20, -1e200, 1e200j, -1e300 + 1e300j, 1.7e308])
-    at_infinity = sm._far_series(mapper._MAP)[0], sm._far_series(mapper._PHI)[0]
+    at_infinity = _far(sm, mapper._MAP)[0], _far(sm, mapper._PHI)[0]
     assert np.all(sm.omega_regular(huge) == at_infinity[0])
     assert np.all(sm.omega_interior(huge) == mapper.singular_part_omega(huge, d) + at_infinity[0])
     assert np.all(sm.F_interior(huge) == d.beta0 + singular_part_F(huge, d) - at_infinity[1])
@@ -1201,7 +1168,7 @@ def test_far_field_at_huge_and_non_finite_targets():
     # overflow as well
     fig1b, fig3a = solved_map("fig1b")[0], solved_map("fig3a")[0]
     for small in (fig1b, fig3a):
-        assert np.all(small.omega_regular(huge) == small._far_series(mapper._MAP)[0])
+        assert np.all(small.omega_regular(huge) == _far(small, mapper._MAP)[0])
     # non-finite targets are never far, and read NaN on every map, also
     # where a part keeps no density (F's q-term on fig1b)
     with np.errstate(all="ignore"):
@@ -1225,18 +1192,21 @@ def test_a_part_without_live_densities_forms_no_root(case, fams, live, monkeypat
         sm._live = np.array(live)
     assert not sm._live[fams].any()
     z = np.array([0.3 + 0.7j, -2.0 - 1e-9j, 40.0, 1e200j])
-    direct = sm._direct(fams, z[:3])  # the sums over no density: the constant they add to
-    np.testing.assert_array_equal(direct, 0.0 if fams == mapper._PHI else gamma)
+    sums, q = _sums(sm, fams, z[:3])  # the sums over no density vanish: the part is the constant they add to
+    assert not sums.any() and np.all(q != 0)
+    constant = 0.0 if fams == mapper._PHI else gamma
 
     def refuse(*args, **kwargs):
         raise AssertionError("a root was formed")
 
-    monkeypatch.setattr(mapper, "slit_roots", refuse)
-    np.testing.assert_array_equal(sm._regular(fams, z), np.full(z.shape, direct[0]))
+    for kernel in ("slit_roots", "pair_roots"):
+        monkeypatch.setattr(interior, kernel, refuse)
+    off = sm._off_slit()
+    np.testing.assert_array_equal(off.regular(fams, z), np.full(z.shape, constant))
     with np.errstate(invalid="ignore"):  # 0 * inf warns, as the direct sums do at these targets
-        assert np.all(np.isnan(sm._regular(fams, _NON_FINITE)))
+        assert np.all(np.isnan(off.regular(fams, _NON_FINITE)))
     with pytest.raises(EvaluationError):
-        sm._regular(fams, np.array([sm.branch.endpoints[0] + 0j]))
+        off.regular(fams, np.array([sm.branch.endpoints[0] + 0j]))
 
 
 # -- scalar / array contract ---------------------------------------------------
@@ -1244,34 +1214,55 @@ def test_a_part_without_live_densities_forms_no_root(case, fams, live, monkeypat
 
 @pytest.fixture(scope="module")
 def evaluators():
-    """name -> (evaluator, map from fractions in [0, 1] to admissible targets)."""
+    """name -> [(evaluator, map from fractions in [0, 1] to admissible targets)], and "maps".
+
+    The interior evaluators run on three maps, listed under "maps" with
+    their targets: fig1b (n = 2); fig3a, at 1/2 < |w| < 4/5 of the hull,
+    where its band series serves; and the n = 16 layout, from just above
+    slit 4, beside it, up to where the balanced rows serve, over the plain ones.
+    """
     sm, derived, _ = solved_map("fig1b")
     branch = sm.branch
     a, b = branch.slit(1)
     on = lambda s: a + (b - a) * s
-    off = lambda s: 1.5 + s + (0.5 - s) * 1j
-    return {
-        "abs_q": (lambda t: abs_q(branch, t), on),
-        "g0": (lambda t: g0(t, 1, derived), on),
-        "omega_interior": (sm.omega_interior, off),
-        "omega_regular": (sm.omega_regular, off),
-        "F_interior": (sm.F_interior, off),
-    }
+    fig3a = solved_map("fig3a")[0]
+    (centre, half), ring = fig3a._off_slit().hull, lambda s: (0.55 + 0.2 * s) * np.exp(1j * (0.4 + 2.3 * s))
+    sixteen = pipeline.solve(*slit_layout_inputs(16)).slit_map
+    c4, h4 = sixteen._centre[4], sixteen._half[4]
+    maps = [
+        (sm, lambda s: 1.5 + s + (0.5 - s) * 1j),
+        (fig3a, lambda s: centre + 0.5 * half * (ring(s) + 1.0 / ring(s))),
+        (sixteen, lambda s: c4 + 1.8 * h4 * (s - 0.5) + 1j * (1e-4 + 0.8 * s**3)),
+    ]
+    out = {"abs_q": [(lambda t: abs_q(branch, t), on)], "g0": [(lambda t: g0(t, 1, derived), on)], "maps": maps}
+    for name in ("omega_interior", "omega_regular", "F_interior"):
+        out[name] = [(getattr(m, name), target) for m, target in maps]
+    return out
 
 
 EVALUATORS = ("abs_q", "g0", "omega_interior", "omega_regular", "F_interior")
+_SAMPLES = (np.array([0.2, 0.5, 0.7]), np.array([[0.1, 0.4, 0.6], [0.25, 0.5, 0.9]]), np.zeros(0), np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("name", EVALUATORS)
 def test_scalar_in_scalar_out_array_in_array_out(evaluators, name):
-    fn, target = evaluators[name]
-    scalar = fn(target(0.3))
-    assert type(scalar) in (float, complex)
-    for s in (np.array([0.2, 0.5, 0.7]), np.array([[0.1, 0.4, 0.6], [0.25, 0.5, 0.9]])):
-        out = fn(target(s))
-        assert isinstance(out, np.ndarray) and out.shape == s.shape
-        expected = [fn(target(v)) for v in s.ravel()]
-        np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=1e-15)
+    for fn, target in evaluators[name]:
+        scalar = fn(target(0.3))
+        assert type(scalar) in (float, complex)
+        for s in _SAMPLES:
+            out = fn(target(s))
+            assert isinstance(out, np.ndarray) and out.shape == s.shape
+            expected = [fn(target(v)) for v in s.ravel()]
+            np.testing.assert_allclose(out.ravel(), expected, rtol=1e-13, atol=1e-15)
+    if name in ("abs_q", "g0"):
+        return
+    # the targets of the interior evaluators pass every off-slit route
+    routes = set()
+    for sm, target in evaluators["maps"]:
+        for s in _SAMPLES + (np.array(0.3),):
+            route = sm._off_slit().route(mapper._MAP, np.ravel(target(s)).astype(complex))
+            routes.update(name for name in route._fields[:5] if len(getattr(route, name)))
+    assert routes == {"far", "band", "beside", "balanced", "plain"}
 
 
 # -- the stacked boundary pass --------------------------------------------------
@@ -1740,10 +1731,10 @@ def test_corpus_maps_split_into_maps_with_and_without_phi(corpus_maps_by_live_fa
 def _family_spies(monkeypatch):
     """Spies on both Cauchy kernels: the families of each call's coefficients, by kernel."""
     calls = {"cauchy_off_stack": [], "cauchy_off_blocks": []}
-    for name, seen in calls.items():
+    for (name, seen), module in zip(calls.items(), (interior, mapper)):
         kernel = getattr(quadrature, name)
         monkeypatch.setattr(
-            mapper, name, lambda coef, *a, kernel=kernel, seen=seen: seen.append(coef) or kernel(coef, *a)
+            module, name, lambda coef, *a, kernel=kernel, seen=seen: seen.append(coef) or kernel(coef, *a)
         )
     return calls
 
@@ -1790,15 +1781,17 @@ def test_interior_values_equal_the_all_family_sums(seed, monkeypatch):
         # series sampled from those sums
         d = sm.derived
         with monkeypatch.context() as m:
-            m.setattr(SlitMap, "_off_sums", all_family_off_sums)
+            m.setattr(interior.OffSlit, "sums", all_family_sums)
             every = SlitMap(sm.branch, d, sm.constants, sm.numerics)
             omega, regular = every.omega_interior(z), every.omega_regular(z)
-            # F summed over the phi rows also where they are all zero
-            phi_term = (every._regular if sm._live[0] else every._direct)(mapper._PHI, z)
+            # F summed over the phi rows also where they are all zero, and those sums vanish
+            phi_term = every._off_slit().regular(mapper._PHI, z)
+            if not sm._live[0]:
+                assert not _sums(every, mapper._PHI, z)[0].any()
             F = d.beta0 + singular_part_F(z, d) - phi_term
         # the map's series at any n, and F's where phi keeps terms
-        assert every._far[mapper.FAMILIES[mapper._MAP]] is not None
-        assert (every._far.get(mapper.FAMILIES[mapper._PHI]) is not None) == sm._live[0]
+        assert _far(every, mapper._MAP) is not None
+        assert (_far(every, mapper._PHI) is not None) == sm._live[0]
         for value, want in zip(got, (omega, F, regular)):
             np.testing.assert_array_equal(value, want)
 

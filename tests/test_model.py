@@ -138,6 +138,7 @@ def test_free_parameters_reject_zero_scaling():
     [
         {"N": 4}, {"M": 2}, {"N": 16, "M": 32},
         {"P": 4}, {"tol_solve": 0.0},
+        {"P": 2**62}, {"N": 10**20}, {"N": 2**40, "M": 2**31},
     ],
 )
 def test_numerics_invariants(kwargs):

@@ -10,6 +10,8 @@ lives in ``tests/oracles.py``.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -148,3 +150,76 @@ def test_no_module_reads_the_environment():
         if (lines := _environment_reads(ast.parse(path.read_text(), filename=str(path))))
     }
     assert not reads, f"modules of src/ read the environment at these lines: {reads}"
+
+
+def test_solves_never_load_the_off_slit_module():
+    # every bundled case and a 16-slit layout solve in a fresh interpreter
+    # without loading inclusion_forge.interior; the first interior call loads it
+    script = """
+import sys
+from conftest import load_figure_inputs, slit_layout_inputs
+from inclusion_forge import figures, pipeline
+for case in figures.FIGURE_CASES:
+    cfg, loading, materials, free, numerics, overrides = load_figure_inputs(case.name)
+    a, rho = overrides.get("a"), overrides.get("rho")
+    pipeline.solve(cfg, loading, materials, free, numerics, override_a=a, override_rho=rho)
+sm = pipeline.solve(*slit_layout_inputs(16)).slit_map
+print(len(figures.FIGURE_CASES), "inclusion_forge.interior" in sys.modules)
+sm.omega_interior(0.3 + 0.5j)
+print("inclusion_forge.interior" in sys.modules)
+"""
+    path = os.pathsep.join([str(SRC.parent), str(Path(__file__).parent)])
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout.split() == ["16", "False", "True"]
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    """The modules and names of every import in tree, the last part of a dotted module name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out |= {node.module, *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.rpartition(".")[2] for alias in node.names}
+    return out
+
+
+def _readers(trees: dict[str, ast.Module], name: str) -> set[str]:
+    """module.Class.function, or module.function, of each function in src that reads or imports ``name``.
+
+    A module or class that imports it at its top level is named as well.
+    """
+    out = set()
+    for module, tree in trees.items():
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        scopes = [(tree, module)] + [(node, f"{module}.{node.name}") for node in classes]
+        for scope, qualified in scopes:
+            for node in scope.body:
+                if isinstance(node, ast.FunctionDef) and name in _names_read(node, skip=None) | _imported_names(node):
+                    out.add(f"{qualified}.{node.name}")
+                elif isinstance(node, (ast.Import, ast.ImportFrom)) and name in _imported_names(node):
+                    out.add(qualified)
+    return out
+
+
+def test_only_the_interior_evaluators_reach_the_off_slit_module():
+    # one method imports inclusion_forge.interior, and only the three
+    # evaluators of values off the slits call it: nothing a solve runs
+    trees = _trees()
+    assert _readers(trees, "interior") == {"mapper.SlitMap._off_slit"}
+    evaluators = ("omega_interior", "omega_regular", "F_interior")
+    assert _readers(trees, "_off_slit") == {f"mapper.SlitMap.{name}" for name in evaluators}
+
+
+def test_the_off_slit_module_reads_nothing_of_the_bank_pass():
+    # the off-slit routes share no code with the values on the slit banks, so
+    # a check of one against the other checks from outside
+    tree = _trees()["interior"]
+    bank_pass = {
+        "banks", "_bank_sums", "_slit_sums", "_other_sums", "_interpolant_rows",
+        "singular_on_stack", "cauchy_off_blocks",
+    }
+    assert not (_names_read(tree, skip=None) | _imported_names(tree)) & bank_pass
