@@ -456,7 +456,8 @@ def cmd_solve(args) -> int:
         write_diagnostics_json(result, args.diag)
     if args.svg:
         write_svg(result, args.svg)
-    print(f"verdict: {result.verdict}")
+    failed = result.diagnostics.failed_gates
+    print(f"verdict: {result.verdict}" + (f" (failed: {', '.join(failed)})" if failed else ""))
     turns = result.diagnostics.geometry["orientation"]
     for p, turn in zip(result.profiles, turns):
         print(

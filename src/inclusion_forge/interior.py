@@ -62,9 +62,11 @@ class Route(NamedTuple):
     """Where each target of an off-slit call is summed (:meth:`OffSlit.route`).
 
     The five routes are ascending indices into the flattened targets, which
-    they partition.  ``far_w`` and ``band_w`` are the hull's w at the far
-    and the band targets, ``slit`` the slit of each beside target, and
-    ``omega`` the gap polynomial at each balanced target.
+    partition the finite ones.  A non-finite target is on no route: nothing
+    is summed for it, and its regular part is NaN (:meth:`OffSlit.regular`).
+    ``far_w`` and ``band_w`` are the hull's w at the far and the band
+    targets, ``slit`` the slit of each beside target, and ``omega`` the gap
+    polynomial at each balanced target.
     """
 
     far: np.ndarray
@@ -130,10 +132,11 @@ class OffSlit:
                 rows[..., : coef.shape[-1]] = coef
                 rows[0, self.flags] = balanced[self.flags[_DIRECT], :, : rows.shape[-1]]
             self.table = degree_table(rows.reshape(-1, n, rows.shape[-1]), sm._lo, sm._hi)
-            log.debug(
-                "degree table of the off-slit rows: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
-                self.table.D, rows.shape[-1], 100.0 * self.table.beyond,
-            )
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug(
+                    "degree table of the off-slit rows: D = %d of L = %d, %.1f%% of slit-centre pairs beyond D",
+                    self.table.D, rows.shape[-1], 100.0 * self.table.beyond,
+                )
             # past its own length a plain row is zero: its pass stops there, or at D
             rows = (*rows[:-1], rows[-1, ..., : max(coef.shape[-1], self.table.D)])
             self.reach, self.beside = self._beside_series()
@@ -197,10 +200,11 @@ class OffSlit:
                 coef[: K[j], rows, j] = coef_from_samples(part, K[j] - 1).T if has[j] else 0.0
         log_reach = _BESIDE_GROWTH_BITS * np.log(2.0) / K
         reach = np.where(has, 2.0 * sm._half * np.cosh(log_reach), 0.0)
-        log.debug(
-            "slit-local series beside %d of %d slits: K = %s nodes, reach rho_s - 1 = %s",
-            has.sum(), n, K[has].tolist(), np.round(np.expm1(log_reach[has]), 4).tolist(),
-        )
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "slit-local series beside %d of %d slits: K = %s nodes, reach rho_s - 1 = %s",
+                has.sum(), n, K[has].tolist(), np.round(np.expm1(log_reach[has]), 4).tolist(),
+            )
         return reach, coef
 
     def _series(self, fams: slice, ratio: float) -> np.ndarray | None:
@@ -222,10 +226,11 @@ class OffSlit:
         if 0 < kept < samples:
             coef = ring[:kept] * ratio ** np.arange(kept)
             series = coef[: int(block_degrees(coef[None, None], np.array([[1.0 / ratio]])).item())]
-        log.debug(
-            "far-field series for %s: %d terms, ring chopped at %d of %d, at |w| <= %g of the hull",
-            "+".join(FAMILIES[fams]), 0 if series is None else len(series), kept, samples, 1.0 / ratio,
-        )
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "far-field series for %s: %d terms, ring chopped at %d of %d, at |w| <= %g of the hull",
+                "+".join(FAMILIES[fams]), 0 if series is None else len(series), kept, samples, 1.0 / ratio,
+            )
         return series
 
     def route(self, fams: slice, flat: np.ndarray, series: bool = True) -> Route:
@@ -236,22 +241,23 @@ class OffSlit:
         where its focal distances |z - lo_0| + |z - hi_{n-1}| reach half
         (R + 1/R) of the hull (|w| <= 1/R), so no root is formed to tell; only
         where the set has that series and ``series`` is set (it is not for
-        the ring samples the series are built from), and never where it is
-        not finite.  A target is beside the slit between the gap midpoints
-        around it by its focal distances to that slit.  Targets on a closed
-        slit are rejected.
+        the ring samples the series are built from).  A target that is not
+        finite takes no route.  A target is beside the slit between the gap
+        midpoints around it by its focal distances to that slit.  Targets on
+        a closed slit are rejected.
         """
         sm, names = self.map, FAMILIES[fams]
         far = band = beside = slit = balanced = _NONE
         far_w = band_w = omega = np.zeros(0, dtype=complex)
-        rest = np.arange(flat.size)
+        finite = np.isfinite(flat)
+        rest = np.flatnonzero(finite)
         if series and self.far.get(names) is not None:
             (centre, half), banded = self.hull, self.band.get(names) is not None
             with np.errstate(over="ignore"):  # past |z| ~ 1e308 the sum overflows to inf: still far
                 focal = np.abs(flat - sm._lo[0]) + np.abs(flat - sm._hi[-1])
             ratio = _BAND_RATIO if banded else _FAR_RATIO
-            inside = np.isfinite(flat) & (focal >= half * (ratio + 1.0 / ratio))  # |w| <= 1/ratio
-            served, rest = np.flatnonzero(inside), np.flatnonzero(~inside)
+            inside = focal >= half * (ratio + 1.0 / ratio)  # |w| <= 1/ratio
+            served, rest = np.flatnonzero(finite & inside), np.flatnonzero(finite & ~inside)
             u = half / (flat[served] - centre)
             w = u / (1.0 + np.sqrt(1.0 - u * u))
             is_far = focal[served] >= half * (_FAR_RATIO + 1.0 / _FAR_RATIO)
@@ -283,7 +289,7 @@ class OffSlit:
             return z * 0.0 + (0.0 if fams == _PHI else sm.derived.gamma)
         flat = z.reshape(-1)
         route = self.route(fams, flat, series)
-        out = np.empty(flat.shape, dtype=complex)
+        out = np.full(flat.shape, np.nan, dtype=complex)  # at the targets of no route
         if len(route.far):
             total = np.full(route.far_w.shape, self.far[names][-1])
             for c in self.far[names][-2::-1]:

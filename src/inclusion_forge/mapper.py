@@ -176,13 +176,14 @@ class SlitMap:
         S, K = int(degree.sum()), _interpolant_nodes(self._lo, self._hi)
         self._block_terms, self._nodes = S, K
         self._interpolate_from = K * S // (S - n * K) + 1 if n >= _BALANCED_FROM and S > n * K else None
-        log.debug(
-            "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop;"
-            " kept lengths %s; other-slit interpolants of K = %d nodes, used from T = %s targets per slit",
-            S / (n * (n - 1)), degree.max(), L, 100.0 * S / (n * (n - 1) * L),
-            ", ".join(f"{f} {k}" for f, k in self.kept_lengths().items()),
-            K, "never" if self._interpolate_from is None else self._interpolate_from,
-        )
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop;"
+                " kept lengths %s; other-slit interpolants of K = %d nodes, used from T = %s targets per slit",
+                S / (n * (n - 1)), degree.max(), L, 100.0 * S / (n * (n - 1) * L),
+                ", ".join(f"{f} {k}" for f, k in self.kept_lengths().items()),
+                K, "never" if self._interpolate_from is None else self._interpolate_from,
+            )
 
     def _chop(self, raw: np.ndarray, fams: slice) -> None:
         """Chop the rows of a family set in ``raw`` and trim ``_coef`` to the longest kept row.

@@ -4,16 +4,21 @@
 a_j and rho_j (or accepts overrides), traces every contour, and grades the
 result:
 
-* ``VALID``             both boundedness conditions hold to tolerance and
-                        the contours are simple, pairwise disjoint, and not
-                        collapsed;
-* ``INVALID-UNBOUNDED`` a boundedness residual exceeds tolerance (the map
-                        exists but grows at infinity, as with overridden
+* ``VALID``             every gate passed: both boundedness conditions hold
+                        to tolerance and the contours are simple, pairwise
+                        disjoint, and not collapsed;
+* ``INVALID-UNBOUNDED`` a boundedness, Schwarz or closure gate failed (the
+                        map exists but grows at infinity, as with overridden
                         constants);
-* ``INVALID-GEOMETRY``  contours intersect, touch, nest, or degenerate.
+* ``INVALID-GEOMETRY``  only a geometry gate failed: contours intersect,
+                        touch, nest, or degenerate.
 
-An invalid verdict is a result, not an error; contours are still emitted so
-violated-condition configurations can be compared against solved ones.
+Each gate is one record of ``Diagnostics.gates`` (value, threshold, unit,
+passed), filled alike for one inclusion and for many, and the verdict is
+read from that record alone (:func:`_verdict`); it is logged at INFO with
+the gates that failed.  An invalid verdict is a result, not an error;
+contours are still emitted so violated-condition configurations can be
+compared against solved ones.
 
 A single inclusion is routed to the exact elliptic closed forms.  For two
 and three inclusions the printed closed-form constants are evaluated next
@@ -36,6 +41,7 @@ terms the pass summed and the K it used.
 
 from __future__ import annotations
 
+import logging
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -65,7 +71,21 @@ VERDICT_VALID = "VALID"
 VERDICT_UNBOUNDED = "INVALID-UNBOUNDED"
 VERDICT_GEOMETRY = "INVALID-GEOMETRY"
 
+# every gate of Diagnostics.gates and the verdict its failure gives, in the order
+# the verdict reads them
+_GATE_VERDICTS = {
+    "boundedness.a": VERDICT_UNBOUNDED,
+    "boundedness.rho": VERDICT_UNBOUNDED,
+    "schwarz.imF": VERDICT_UNBOUNDED,
+    "schwarz.omega": VERDICT_UNBOUNDED,
+    "closure": VERDICT_UNBOUNDED,
+    "geometry.contacts": VERDICT_GEOMETRY,
+    "geometry.degenerate": VERDICT_GEOMETRY,
+}
+
 _CROSS_CHECK_TOL = 1e-8
+
+log = logging.getLogger(__name__)
 
 # keys of SolveResult.timings, in pipeline order
 STAGES = (
@@ -87,11 +107,15 @@ def _stage(timings: dict[str, float], name: str) -> Iterator[None]:
 class Diagnostics:
     """Everything the verdict is based on, JSON-serializable via to_dict.
 
-    ``kept_length`` records work, not an invariant of the layout (see
-    :meth:`~inclusion_forge.mapper.SlitMap.kept_lengths`).
+    ``gates`` maps each gate name of ``_GATE_VERDICTS`` to its record: the
+    ``value`` measured, the ``threshold`` it must not exceed, the ``unit``
+    both are in, and whether it ``passed``.  The verdict is read from it
+    alone.  ``kept_length`` records work, not an invariant of the layout
+    (see :meth:`~inclusion_forge.mapper.SlitMap.kept_lengths`).
     """
 
     verdict: str
+    gates: dict
     boundedness: dict
     schwarz: dict
     closure_errors: tuple[float, ...]
@@ -104,6 +128,11 @@ class Diagnostics:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @property
+    def failed_gates(self) -> list[str]:
+        """The names of the gates that failed, in the order the verdict reads them."""
+        return [name for name, gate in self.gates.items() if not gate["passed"]]
 
 
 @dataclass(frozen=True)
@@ -136,29 +165,75 @@ class SolveResult:
         return self.verdict == VERDICT_VALID
 
 
-def _geometry_report(profiles: Sequence[ContourProfile]) -> tuple[dict, bool]:
+def _geometry_report(profiles: Sequence[ContourProfile]) -> dict:
     contacts = geometry.contacts(profiles)
     tests = [c["contours"] for c in contacts]
-    degen = [p.degenerate for p in profiles]
-    report = {
+    return {
         "self_intersections": [[p.slit_index] * 2 in tests for p in profiles],
         "pairwise_disjoint": all(p == q for p, q in tests),
-        "degenerate": degen,
+        "degenerate": [p.degenerate for p in profiles],
         "signed_areas": [p.signed_area for p in profiles],
         "orientation": [geometry.traced_orientation(p) for p in profiles],
         "diameters": [p.diameter for p in profiles],
         # one record per failed test; empty when all passed
         "contacts": contacts,
     }
-    return report, not contacts and not any(degen)
 
 
-def _verdict(bounded_ok: bool, geometry_ok: bool) -> str:
-    if not bounded_ok:
-        return VERDICT_UNBOUNDED
-    if not geometry_ok:
-        return VERDICT_GEOMETRY
-    return VERDICT_VALID
+def _verdict(gates: dict) -> str:
+    """The verdict of the first failing gate in ``_GATE_VERDICTS`` order; VALID where none failed."""
+    failed = (_GATE_VERDICTS[name] for name in _GATE_VERDICTS if not gates[name]["passed"])
+    return next(failed, VERDICT_VALID)
+
+
+def _graded(
+    profiles: Sequence[ContourProfile],
+    geo_report: dict,
+    boundedness: dict,
+    schwarz: dict,
+    tol: float,
+    **rest,
+) -> Diagnostics:
+    """The diagnostics of a traced solve: its gate record, and the verdict read from it.
+
+    A gate passes where its value does not exceed its threshold; a NaN
+    value fails.  The boundary-route Schwarz residuals are exact by
+    construction; they still gate the verdict so an implementation
+    inconsistency cannot pass.
+    """
+    relative = "relative to the moment's absolute-integrand scale"
+    diameter = max(max(p.diameter for p in profiles), 1e-300)
+    rows = (
+        ("boundedness.a", boundedness["a_relative"], tol, relative),
+        ("boundedness.rho", boundedness["rho_relative"], tol, relative),
+        ("schwarz.imF", schwarz["imF_max_dev"], tol, "absolute"),
+        ("schwarz.omega", schwarz["omega_max_dev"], tol, "absolute"),
+        ("closure", max(p.closure_error for p in profiles), tol * diameter,
+         "absolute; the threshold is tol_solve times the largest contour diameter"),
+        ("geometry.contacts", len(geo_report["contacts"]), 0, "contact records"),
+        ("geometry.degenerate", sum(geo_report["degenerate"]), 0, "degenerate contours"),
+    )
+    gates = {
+        name: {"value": value, "threshold": threshold, "unit": unit, "passed": bool(value <= threshold)}
+        for name, value, threshold, unit in rows
+    }
+    verdict = _verdict(gates)
+    if log.isEnabledFor(logging.INFO):
+        failed = [
+            f"{name} {g['value']:.3g} > {g['threshold']:.3g} ({g['unit']})"
+            for name, g in gates.items() if not g["passed"]
+        ]
+        log.info("verdict %s; failed gates: %s", verdict, "; ".join(failed) or "none")
+    return Diagnostics(
+        verdict=verdict,
+        gates=gates,
+        boundedness=boundedness,
+        schwarz=schwarz,
+        closure_errors=tuple(p.closure_error for p in profiles),
+        geometry=geo_report,
+        tol_solve=tol,
+        **rest,
+    )
 
 
 def _solve_n1(
@@ -177,26 +252,27 @@ def _solve_n1(
         ])
         profiles = geometry.build_profiles(grid, omega)
     with _stage(timings, "geometry"):
-        geo_report, geo_ok = _geometry_report(profiles)
+        geo_report = _geometry_report(profiles)
     geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
     constants = solvability.build_constants(
         [free.a0], [free.rho0], derived
     )
-    diag = Diagnostics(
-        verdict=_verdict(True, geo_ok),
+    # the closed forms solve no moment system and trace no boundary pass:
+    # their boundedness and Schwarz residuals are zero
+    diag = _graded(
+        profiles,
+        geo_report,
         boundedness={
             "a_residuals": [], "rho_residuals": [],
             "a_scales": [], "rho_scales": [],
             "a_relative": 0.0, "rho_relative": 0.0,
         },
         schwarz={"imF_max_dev": 0.0, "omega_max_dev": 0.0},
-        closure_errors=tuple(p.closure_error for p in profiles),
+        tol=numerics.tol_solve,
         solvability_cond=None,
         truncation={"phi": 0.0, "g0_rho": 0.0, "g1_weighted": 0.0},
         kept_length={"phi": 0, "g0_rho": 0, "g1_weighted": 0},
-        geometry=geo_report,
         cross_check={"applied": False, "max_mismatch": 0.0},
-        tol_solve=numerics.tol_solve,
     )
     work = {"bank_terms": 0, "bank_nodes": 0}
     return SolveResult(constants, tuple(profiles), diag, derived, None, timings, work)
@@ -220,8 +296,8 @@ def _closed_form_cross_check(
         candidates.append(solvability.n3_closed_form_rho(period, derived, rho[0]) - rho)
     if not candidates:
         return {"applied": False, "max_mismatch": 0.0}
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(rho).max()))
-    mismatch = max(float(np.abs(c).max()) for c in candidates) / scale
+    size = max(1.0, float(np.abs(a).max()), float(np.abs(rho).max()))
+    mismatch = max(float(np.abs(c).max()) for c in candidates) / size
     if mismatch > _CROSS_CHECK_TOL:
         raise SolverError(
             f"closed-form constants disagree with the general path by {mismatch:.3e}"
@@ -324,9 +400,6 @@ def solve(
         )
     with _stage(timings, "residuals"):
         bounded = solvability.boundedness_residuals(branch, derived, constants, numerics)
-    bounded_ok = (
-        max(bounded["a_relative"], bounded["rho_relative"]) <= numerics.tol_solve
-    )
 
     with _stage(timings, "map_build"):
         sm = mapper.SlitMap(branch, derived, constants, numerics, period)
@@ -336,29 +409,20 @@ def solve(
         boundary = sm.banks(grid)
         profiles = geometry.build_profiles(grid, boundary.omega)
     with _stage(timings, "geometry"):
-        geo_report, geo_ok = _geometry_report(profiles)
+        geo_report = _geometry_report(profiles)
     with _stage(timings, "schwarz"):
         schwarz = _schwarz_boundary_report(boundary, grid, derived, constants)
-    # the boundary-route residuals are exact by construction; they still
-    # gate the verdict so an implementation inconsistency cannot pass
-    scale = max(max(p.diameter for p in profiles), 1e-300)
-    residuals_ok = (
-        max(schwarz["imF_max_dev"], schwarz["omega_max_dev"]) <= numerics.tol_solve
-        and max(p.closure_error for p in profiles) <= numerics.tol_solve * scale
-    )
-    bounded_ok = bounded_ok and residuals_ok
 
-    diag = Diagnostics(
-        verdict=_verdict(bounded_ok, geo_ok),
-        boundedness=bounded,
-        schwarz=schwarz,
-        closure_errors=tuple(p.closure_error for p in profiles),
+    diag = _graded(
+        profiles,
+        geo_report,
+        bounded,
+        schwarz,
+        numerics.tol_solve,
         solvability_cond=cond,
         truncation=sm.truncation_indicators(),
         kept_length=sm.kept_lengths(),
-        geometry=geo_report,
         cross_check=cross,
-        tol_solve=numerics.tol_solve,
     )
     work = sm.bank_work(grid.shape[-1])
     return SolveResult(constants, tuple(profiles), diag, derived, sm, timings, work)

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -51,15 +52,45 @@ def sixteen_slit_inputs(seed: int = 16):
     return slit_layout_inputs(16, seed)
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def _workloads():
     """The benchmark's ``perfbench/workloads.py``, loaded once."""
     name = "perfbench_workloads"
     if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[name] = workloads  # its dataclasses look their module up
-        spec.loader.exec_module(workloads)
+        _load(name, _PERFBENCH / "workloads.py")
+    return sys.modules[name]
+
+
+def perfbench_run():
+    """The benchmark's ``perfbench/run.py``, loaded once, with the modules it imports by their bare names.
+
+    Its ``workloads`` is the module :func:`_workloads` loads; ``tracer`` and
+    ``reference`` are loaded from ``perfbench/`` under those names.  run.py
+    pins the BLAS thread counts in ``os.environ`` as it loads; the
+    environment is restored after.
+    """
+    name = "perfbench_run"
+    if name not in sys.modules:
+        sys.modules.setdefault("workloads", _workloads())
+        for sibling in ("tracer", "reference"):
+            if sibling not in sys.modules:
+                _load(sibling, _PERFBENCH / f"{sibling}.py")
+        environ = dict(os.environ)
+        try:
+            _load(name, _PERFBENCH / "run.py")
+        finally:
+            os.environ.clear()
+            os.environ.update(environ)
     return sys.modules[name]
 
 

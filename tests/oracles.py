@@ -14,7 +14,9 @@ field by its own ``format()`` call, and the SVG one point at a time, where
 the package formats a whole contour at once.  The solvability constants come
 from one linear solve per problem and free value, and the antisymmetric free
 values from two probe solves each, where the package solves each system once
-for both problems.  :func:`far_field_sums_80bit` solves the constants and
+for both problems.  :func:`forward_interior_stress` solves the antiplane
+transmission problem on the traced contours, reading nothing of the map that
+traced them.  :func:`far_field_sums_80bit` solves the constants and
 sums the off-slit Cauchy integrals directly on its own node table, all in
 80-bit arithmetic, where the package sums balanced Chebyshev rows in
 float64.  :func:`abs_q_broadcast` forms |q| from one array of differences,
@@ -686,6 +688,55 @@ def antisymmetric_free_values(period, branch, derived) -> tuple[float, float]:
     a0 = fixed_point(lambda t: solve_a(period, branch, derived, t))
     rho0 = fixed_point(lambda t: solve_rho(period, branch, derived, t))
     return a0, rho0
+
+
+def forward_interior_stress(contours, kappa, tau_inf: complex, mu: float = 1.0,
+                            fractions=(0.2, 0.3, 0.4), rays: int = 16) -> list[np.ndarray]:
+    """The stress kappa_j mu grad u inside each inclusion, by a Nystrom solve of the forward problem.
+
+    Inclusion j, of modulus kappa_j mu, is bounded by ``contours[j]``, a
+    counterclockwise polyline whose last vertex repeats the first and whose
+    other vertices are equispaced in a periodic parameter; the matrix, of
+    modulus mu, is loaded at infinity by grad u = tau_inf / mu, as a complex
+    gradient u_x + i u_y.  With u = u_inf + S sigma, one single-layer density
+    on all contours (S sigma(x) = -1/(2 pi) int ln|x - y| sigma(y) ds_y), the
+    flux condition mu du/dn outside = kappa_j mu du/dn inside reads
+    sigma/2 + lambda_j K' sigma = -lambda_j du_inf/dn, lambda_j =
+    (kappa_j - 1)/(kappa_j + 1), K' the normal derivative of S on the
+    contours.  The trapezoidal rule at the vertices discretizes it, with z'
+    and z'' from the FFT and the diagonal of K' its limit -Im(z''/z')/(4 pi)
+    per unit parameter.  One list entry per contour: the stress at
+    ``fractions`` of the way from its vertex centroid to ``rays`` of its
+    vertices.
+    """
+    x, normal, weight, diag, lam = [], [], [], [], []
+    for points, k in zip(contours, kappa):
+        p = np.asarray(points)[:-1]
+        m = len(p)
+        freq = np.fft.fftfreq(m, 1.0 / m)
+        freq[m // 2] = 0.0  # the Nyquist mode has no derivative of one sign
+        coef = np.fft.fft(p)
+        d1, d2 = np.fft.ifft(1j * freq * coef), np.fft.ifft(-freq**2 * coef)
+        x.append(p)
+        normal.append(-1j * d1 / np.abs(d1))
+        weight.append(np.abs(d1) * (2.0 * np.pi / m))
+        diag.append(-(d2 / d1).imag / (2.0 * m))
+        lam.append(np.full(m, (k - 1.0) / (k + 1.0)))
+    x, normal, weight, diag, lam = map(np.concatenate, (x, normal, weight, diag, lam))
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    kernel = -(diff * normal.conj()[:, None]).real / (2.0 * np.pi * np.abs(diff) ** 2) * weight
+    np.fill_diagonal(kernel, diag)
+    grad = tau_inf / mu
+    sigma = np.linalg.solve(np.eye(len(x)) / 2.0 + lam[:, None] * kernel, -lam * (grad * normal.conj()).real)
+    out = []
+    for points, k in zip(contours, kappa):
+        p = np.asarray(points)[:-1]
+        centre = p.mean()
+        t = (centre + np.multiply.outer(fractions, p[np.arange(rays) * len(p) // rays] - centre)).ravel()
+        inner = grad - (sigma * weight / np.conj(t[:, None] - x)).sum(axis=1) / (2.0 * np.pi)
+        out.append(k * mu * inner)
+    return out
 
 
 # -- the slit sums of every family ------------------------------------------------

@@ -51,6 +51,20 @@ def test_solve_writes_all_outputs(tmp_path, fig1b_path, capsys):
     assert out.read_text().splitlines()[0] == "slit_index,bank,xi,re_z,im_z"
 
 
+def test_solve_prints_the_failed_gates_on_its_verdict_line(tmp_path, capsys):
+    # fig3a at kappa_3 = 1 + 1e-9: the absolute Schwarz omega gate and the
+    # contact gate fail, and the first decides the verdict
+    doc = figures.load_case("fig3a")
+    doc["kappa"] = [0.1, 0.1, 1.0 + 1e-9]
+    path, diag = tmp_path / "fig3a.json", tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--config", str(path), "--diag", str(diag)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verdict: INVALID-UNBOUNDED (failed: schwarz.omega, geometry.contacts)"
+    gates = json.loads(diag.read_text())["diagnostics"]["gates"]
+    assert sorted(name for name, gate in gates.items() if not gate["passed"]) == ["geometry.contacts", "schwarz.omega"]
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path, fig1b_path, solve_figure):
     out = tmp_path / "c.csv"
     assert cli.main(["solve", "--config", str(fig1b_path), "--out", str(out)]) == 0

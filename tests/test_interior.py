@@ -78,6 +78,31 @@ def test_targets_on_a_closed_slit_have_no_route():
     assert not any(len(part) for part in empty)
 
 
+def test_non_finite_targets_take_no_route_and_leave_the_finite_values_alone():
+    # nothing is summed for them and they read NaN; every finite target of a
+    # mixed batch reads what it reads in a batch of finite targets alone
+    bad = np.array([np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(0.0, np.inf), complex(np.nan, 1.0)])
+    doc, z = interior_field_inputs(0)[-1]  # layout0, n = 16: every route of the finite targets
+    sm = pipeline.solve(*cli.parse_config(doc)[:5]).slit_map
+    z = z[::20]
+    mixed = np.concatenate([bad[:3], z[: z.size // 2], bad[3:], z[z.size // 2 :]])
+    finite = np.isfinite(mixed)
+    for fams in (mapper._PHI, mapper._MAP):
+        for series in (True, False):
+            route = sm._off_slit().route(fams, mixed, series)
+            parts = np.concatenate([getattr(route, name) for name in _ROUTES])
+            np.testing.assert_array_equal(np.sort(parts), np.flatnonzero(finite))
+    with np.errstate(all="raise"):
+        values = sm.omega_regular(mixed)
+    np.testing.assert_array_equal(values[finite], sm.omega_regular(z))
+    assert np.isnan(values[~finite]).all()
+    with np.errstate(invalid="ignore"):  # the singular parts divide by the non-finite targets
+        for evaluate in (sm.omega_interior, sm.F_interior):
+            values = evaluate(mixed)
+            np.testing.assert_array_equal(values[finite], evaluate(z))
+            assert np.isnan(values[~finite]).all()
+
+
 def test_a_map_is_freed_with_its_last_reference_after_an_interior_call():
     # the map holds its OffSlit, which refers back to it weakly, so no cycle
     # waits for the garbage collector

@@ -1169,11 +1169,16 @@ def test_far_field_at_huge_and_non_finite_targets():
     fig1b, fig3a = solved_map("fig1b")[0], solved_map("fig3a")[0]
     for small in (fig1b, fig3a):
         assert np.all(small.omega_regular(huge) == _far(small, mapper._MAP)[0])
-    # non-finite targets are never far, and read NaN on every map, also
-    # where a part keeps no density (F's q-term on fig1b)
-    with np.errstate(all="ignore"):
-        for m in (sm, fig1b, fig3a):
-            for evaluate in (m.omega_interior, m.omega_regular, m.F_interior):
+    # non-finite targets take no route, and read NaN on every map, also
+    # where a part keeps no density (F's q-term on fig1b).  The regular part
+    # of the map sums nothing there and raises no floating-point warning; the
+    # singular parts c_-1 / (zeta - zeta_inf) and c / (zeta - zeta_inf) still
+    # divide by a non-finite number, and F's q-term without a density is 0 * z
+    for m in (sm, fig1b, fig3a):
+        with np.errstate(all="raise"):
+            assert np.all(np.isnan(m.omega_regular(_NON_FINITE)))
+        with np.errstate(invalid="ignore"):
+            for evaluate in (m.omega_interior, m.F_interior):
                 assert np.all(np.isnan(evaluate(_NON_FINITE)))
 
 

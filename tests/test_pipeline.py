@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import pkgutil
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 
 import inclusion_forge
-from inclusion_forge import cli, figures, mapper, pipeline
-from inclusion_forge.model import ConfigurationError, FreeParameters
+from inclusion_forge import cli, figures, geometry, interior, mapper, pipeline
+from inclusion_forge.model import ConfigurationError, FreeParameters, MaterialSet
 
 
 def run_figure(name, **kwargs):
@@ -324,3 +325,125 @@ def test_work_counts_the_bank_pass_apart_from_the_diagnostics(solve_figure, name
         assert result.work["bank_terms"] > 0
         assert result.work["bank_nodes"] == (sm._nodes if name == "sixteen" else 0)
     assert "work" not in result.diagnostics.to_dict()
+
+
+# -- the gate record -------------------------------------------------------------
+
+_GATES = {
+    "boundedness.a": "INVALID-UNBOUNDED",
+    "boundedness.rho": "INVALID-UNBOUNDED",
+    "schwarz.imF": "INVALID-UNBOUNDED",
+    "schwarz.omega": "INVALID-UNBOUNDED",
+    "closure": "INVALID-UNBOUNDED",
+    "geometry.contacts": "INVALID-GEOMETRY",
+    "geometry.degenerate": "INVALID-GEOMETRY",
+}
+
+
+def test_every_solve_records_the_seven_gates_and_reads_its_verdict_from_them(solve_figure):
+    for case in figures.FIGURE_CASES:
+        diag = solve_figure(case.name).diagnostics
+        assert list(diag.gates) == list(_GATES), case.name
+        for gate in diag.gates.values():
+            assert set(gate) == {"value", "threshold", "unit", "passed"}
+            assert type(gate["passed"]) is bool and gate["passed"] == (gate["value"] <= gate["threshold"])
+        failed = diag.failed_gates
+        assert diag.verdict == (_GATES[failed[0]] if failed else "VALID"), case.name
+    # a single inclusion solves no moments and traces no boundary pass: its
+    # residual gates read the closed forms' zeros, the others its contour
+    one = solve_figure("fig1a").diagnostics
+    assert [one.gates[name]["value"] for name in list(_GATES)[:5]] == [0.0] * 5
+    assert one.gates["closure"]["threshold"] == one.tol_solve * one.geometry["diameters"][0]
+
+
+def test_the_verdict_is_read_from_the_gate_record_alone():
+    gates = {name: {"value": 0.0, "threshold": 1.0, "unit": "", "passed": True} for name in _GATES}
+    assert pipeline._verdict(gates) == "VALID"
+    for name, verdict in _GATES.items():
+        assert pipeline._verdict({**gates, name: {**gates[name], "passed": False}}) == verdict
+    # a failed unbounded gate decides, also where a geometry gate failed too
+    both = {**gates, **{name: {**gates[name], "passed": False} for name in ("closure", "geometry.contacts")}}
+    assert pipeline._verdict(both) == "INVALID-UNBOUNDED"
+
+
+def _one_gate_failing(gate, monkeypatch):
+    """The solve with ``gate`` alone past its threshold: by an input where one does it, else by patching its one value."""
+    cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig1b")
+    past = 10.0 * numerics.tol_solve
+    if gate.startswith("boundedness."):
+        name = gate.split(".")[1]
+        solved = getattr(pipeline.solve(cfg, loading, materials, free, numerics).constants, name)
+        return run_figure("fig1b", **{f"override_{name}": solved + [0.25, 0.0]})
+    if gate == "geometry.contacts":
+        return run_figure("fig4d")
+    if gate.startswith("schwarz."):
+        report = pipeline._schwarz_boundary_report
+        key = {"schwarz.imF": "imF_max_dev", "schwarz.omega": "omega_max_dev"}[gate]
+        monkeypatch.setattr(pipeline, "_schwarz_boundary_report", lambda *args: {**report(*args), key: past})
+    elif gate == "closure":
+        build = geometry.build_profiles
+
+        def reopened(grid, omega):
+            first, *rest = build(grid, omega)
+            gap = past * max(p.diameter for p in [first, *rest])
+            return [geometry.ContourProfile(0, first.points, first.xi, first.bank, gap), *rest]
+
+        monkeypatch.setattr(geometry, "build_profiles", reopened)
+    else:  # collapsed inputs fail geometry.contacts as well
+        monkeypatch.setattr(geometry.ContourProfile, "degenerate", property(lambda p: p.slit_index == 0))
+    return pipeline.solve(cfg, loading, materials, free, numerics)
+
+
+@pytest.mark.parametrize("gate", list(_GATES))
+def test_each_gate_fails_alone_with_the_verdict_of_its_family(gate, monkeypatch):
+    diag = _one_gate_failing(gate, monkeypatch).diagnostics
+    assert diag.failed_gates == [gate]
+    record = diag.gates[gate]
+    assert record["value"] > record["threshold"] and not record["passed"]
+    assert diag.verdict == _GATES[gate]
+
+
+def _fig3a_near_unit_kappa():
+    cfg, loading, _, free, numerics, _ = load_figure_inputs("fig3a")
+    return cfg, loading, MaterialSet([0.1, 0.1, 1.0 + 1e-9]), free, numerics
+
+
+def test_fig3a_at_kappa_near_one_names_the_gates_that_fail():
+    # both moment conditions hold to rounding; the absolute Schwarz omega
+    # residual, at 1.5e-8, and two contact records decide
+    diag = pipeline.solve(*_fig3a_near_unit_kappa()).diagnostics
+    assert diag.verdict == "INVALID-UNBOUNDED"
+    assert diag.failed_gates == ["schwarz.omega", "geometry.contacts"]
+    omega = diag.gates["schwarz.omega"]
+    assert omega["unit"] == "absolute" and omega["threshold"] == diag.tol_solve
+    assert 1.4e-8 < omega["value"] < 1.6e-8
+    assert diag.gates["geometry.contacts"]["value"] == 2
+    assert max(diag.boundedness["a_relative"], diag.boundedness["rho_relative"]) < 1e-14
+
+
+def test_the_verdict_is_logged_at_info_with_its_failed_gates(caplog):
+    caplog.set_level(logging.INFO, logger="inclusion_forge.pipeline")
+    for case, message in (
+        ("fig4d", "verdict INVALID-GEOMETRY; failed gates: geometry.contacts 3 > 0 (contact records)"),
+        ("fig1a", "verdict VALID; failed gates: none"),
+    ):
+        caplog.clear()
+        run_figure(case)
+        assert [r.getMessage() for r in caplog.records if r.name == "inclusion_forge.pipeline"] == [message]
+        assert all(r.levelno == logging.INFO for r in caplog.records if r.name == "inclusion_forge.pipeline")
+
+
+def test_logging_does_no_work_below_its_level(caplog, monkeypatch):
+    # with INFO off for the package, no log call is made, so none of their
+    # arguments is formed
+    caplog.set_level(logging.WARNING, logger="inclusion_forge")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a log call below the logger's level")
+
+    for module in (pipeline, mapper, interior):
+        for level in ("debug", "info"):
+            monkeypatch.setattr(module.log, level, refuse)
+    sm = pipeline.solve(*sixteen_slit_inputs()).slit_map
+    sm.omega_interior(np.array([0.1 + 2.0j, 0.05 + 0.01j, 40.0 + 1.0j]))
+    run_figure("fig3a").slit_map.F_interior(np.array([0.3 + 0.7j]))
