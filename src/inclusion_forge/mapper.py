@@ -18,7 +18,8 @@ Boundary values are assembled from the principal value plus explicit local
 jump term, never from numerical limits, so both banks are exact at slit
 endpoints (the bank-dependent terms carry |q| or g_1 and vanish there).
 Values off the slits come from :mod:`inclusion_forge.interior`, which a
-solve never loads; this module keeps the single-inclusion closed forms too.
+solve never loads.  This module also keeps the printed single-inclusion
+forms, which a solve checks its traced contour against.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class BoundaryPass(NamedTuple):
 
 
 class SlitMap:
-    """Evaluator for one solved configuration (n >= 2 slits).
+    """Evaluator for one solved configuration of any number of slits.
 
     Builds the Chebyshev density table once: ``_coef[f, j]`` holds the
     coefficients of family ``FAMILIES[f]`` on slit j, over the interval
@@ -180,7 +181,7 @@ class SlitMap:
             log.debug(
                 "block degrees of the boundary pass: mean %.1f, max %d of L = %d, %.1f%% of the full loop;"
                 " kept lengths %s; other-slit interpolants of K = %d nodes, used from T = %s targets per slit",
-                S / (n * (n - 1)), degree.max(), L, 100.0 * S / (n * (n - 1) * L),
+                S / max(1, n * (n - 1)), degree.max(), L, 100.0 * S / max(1, n * (n - 1) * L),
                 ", ".join(f"{f} {k}" for f, k in self.kept_lengths().items()),
                 K, "never" if self._interpolate_from is None else self._interpolate_from,
             )
@@ -220,13 +221,13 @@ class SlitMap:
         family set.  The blocks are sorted by degree once; targets pass
         through in column ranges of at most _BLOCK_VALUES (family, block,
         target) values.  Shape (F,) + x.shape; families that are not live
-        are not summed, and their sums are 0.
+        are not summed, and their sums are 0, as are all sums of one slit.
         """
         live = self._live_rows(fams)
         coef, weights = self._coef[fams][live], self._weights[fams][live]
         k, n = len(rows), self.branch.n
         out = np.zeros((len(FAMILIES[fams]),) + x.shape)
-        if not len(coef):
+        if not len(coef) or n == 1:
             return out
         i, j = np.nonzero(rows[:, None] != self._rows)
         block_weights = weights[:, j].reshape(len(coef), k, n - 1)
@@ -451,6 +452,18 @@ def _n1_proper_shape_ratio(loading: Loading, materials: MaterialSet) -> complex:
     return delta
 
 
+def _n1_frame(loading: Loading, free: FreeParameters) -> tuple[Loading, complex]:
+    """The loading in the frame of c_m1, turned by e^(-i arg c_m1), and the turn back.
+
+    The printed forms hold for a real positive c_m1: turning the map by
+    e^(i theta) turns tau and tau_inf by e^(i theta).  Both profiles are
+    then translated by rho0 / tau_bar; a0 moves nothing.
+    """
+    turn = free.c_m1 / abs(free.c_m1)
+    tau, tau_inf = turn.conjugate() * loading.tau, turn.conjugate() * loading.tau_inf
+    return Loading(tau.real, tau.imag, tau_inf.real, tau_inf.imag, loading.mu), turn
+
+
 def _n1_axis_factors(loading: Loading, materials: MaterialSet) -> tuple[complex, complex]:
     lt = materials.lambda_tilde()[0]
     tau_bar = loading.tau_bar
@@ -462,19 +475,22 @@ def _n1_axis_factors(loading: Loading, materials: MaterialSet) -> tuple[complex,
 
 def n1_slit_profile(xi, bank: int, loading: Loading, materials: MaterialSet,
                     free: FreeParameters):
-    """Boundary point of the single-inclusion slit map at xi in [-1, 1]."""
+    """Boundary point of the single-inclusion slit map at xi in [-1, 1] (see :func:`_n1_frame`)."""
     _n1_proper_shape_ratio(loading, materials)
-    m1, m2 = _n1_axis_factors(loading, materials)
+    framed, turn = _n1_frame(loading, free)
+    m1, m2 = _n1_axis_factors(framed, materials)
     x = np.asarray(xi, dtype=float)
-    out = free.c_m1 * (m1 * x + 1j * bank * m2 * np.sqrt(1.0 - x * x)) + free.gamma
+    ellipse = abs(free.c_m1) * (m1 * x + 1j * bank * m2 * np.sqrt(1.0 - x * x))
+    out = turn * ellipse + free.rho0 / loading.tau_bar + free.gamma
     return like_input(out, xi)
 
 
 def n1_circular_profile(phi, loading: Loading, materials: MaterialSet,
                         free: FreeParameters):
-    """Boundary point of the single-inclusion circular map at angle phi."""
-    delta = _n1_proper_shape_ratio(loading, materials)
-    p = np.asarray(phi, dtype=float)
-    unit = np.exp(1j * p)
-    out = free.c_m1 * (unit + delta / unit) + free.gamma
+    """Boundary point of the single-inclusion circular map at angle phi (see :func:`_n1_frame`)."""
+    _n1_proper_shape_ratio(loading, materials)
+    framed, turn = _n1_frame(loading, free)
+    delta = n1_shape_ratio(framed, materials)
+    unit = np.exp(1j * np.asarray(phi, dtype=float))
+    out = turn * (abs(free.c_m1) * (unit + delta / unit)) + free.rho0 / loading.tau_bar + free.gamma
     return like_input(out, phi)

@@ -20,13 +20,14 @@ the gates that failed.  An invalid verdict is a result, not an error;
 contours are still emitted so violated-condition configurations can be
 compared against solved ones.
 
-A single inclusion is routed to the exact elliptic closed forms.  For two
-and three inclusions the printed closed-form constants are evaluated next
-to the general solver, from the same nodes but in the monomial moments
-rather than the solver's gap basis, and a disagreement beyond the
-cross-check tolerance aborts the run (it would mean the printed algebra and
-the general linear solve diverged).  ``Diagnostics.solvability_cond`` is
-the condition number of the system the general solver solved.
+Every n takes the same stages; one slit, whose constants are the free a_0
+and rho_0, has no moment system and no ``Diagnostics.solvability_cond``.
+The printed closed forms check the general path: the traced contour of one
+slit, and the solved constants of a mirror-symmetric pair and of three
+slits, evaluated from the same nodes but in the monomial moments rather
+than the solver's gap basis.  A disagreement beyond the cross-check
+tolerance aborts the run (it would mean the printed algebra and the general
+construction diverged).
 
 The slit boundary is evaluated once per solve: one ``SlitMap.banks`` pass at
 the (n, P) bank grid gives the contours, and the Schwarz report reads the
@@ -45,7 +46,7 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,16 +144,15 @@ class SolveResult:
     (0.0 for a stage the solve skipped), and ``work`` what the bank pass
     summed (:meth:`~inclusion_forge.mapper.SlitMap.bank_work`: its terms,
     counted over the density families that keep terms, and its
-    interpolation nodes per slit, 0 and 0 for a single inclusion).  Both
-    are kept out of ``diagnostics``, so that those stay a deterministic
-    function of the input.
+    interpolation nodes per slit).  Both are kept out of ``diagnostics``,
+    so that those stay a deterministic function of the input.
     """
 
     constants: SolvabilityConstants
     profiles: tuple[ContourProfile, ...]
     diagnostics: Diagnostics
     derived: DerivedConstants
-    slit_map: mapper.SlitMap | None = field(repr=False, default=None)
+    slit_map: mapper.SlitMap = field(repr=False)
     timings: dict[str, float] = field(repr=False, compare=False, default_factory=dict)
     work: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
@@ -236,72 +236,42 @@ def _graded(
     )
 
 
-def _solve_n1(
-    loading: Loading,
-    materials: MaterialSet,
-    derived: DerivedConstants,
-    free: FreeParameters,
-    numerics: NumericsConfig,
-    timings: dict[str, float],
-) -> SolveResult:
-    with _stage(timings, "tracing"):
-        grid = geometry.bank_parameter_grid(-1.0, 1.0, numerics.P)[None]
-        omega = np.array([
-            mapper.n1_slit_profile(grid, bank, loading, materials, free)
-            for bank in (+1, -1)
-        ])
-        profiles = geometry.build_profiles(grid, omega)
-    with _stage(timings, "geometry"):
-        geo_report = _geometry_report(profiles)
-    geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
-    constants = solvability.build_constants(
-        [free.a0], [free.rho0], derived
-    )
-    # the closed forms solve no moment system and trace no boundary pass:
-    # their boundedness and Schwarz residuals are zero
-    diag = _graded(
-        profiles,
-        geo_report,
-        boundedness={
-            "a_residuals": [], "rho_residuals": [],
-            "a_scales": [], "rho_scales": [],
-            "a_relative": 0.0, "rho_relative": 0.0,
-        },
-        schwarz={"imF_max_dev": 0.0, "omega_max_dev": 0.0},
-        tol=numerics.tol_solve,
-        solvability_cond=None,
-        truncation={"phi": 0.0, "g0_rho": 0.0, "g1_weighted": 0.0},
-        kept_length={"phi": 0, "g0_rho": 0, "g1_weighted": 0},
-        cross_check={"applied": False, "max_mismatch": 0.0},
-    )
-    work = {"bank_terms": 0, "bank_nodes": 0}
-    return SolveResult(constants, tuple(profiles), diag, derived, None, timings, work)
-
-
 def _closed_form_cross_check(
-    period: solvability.PeriodMatrix,
+    period: solvability.PeriodMatrix | None,
     branch: BranchData,
     derived: DerivedConstants,
-    constants: SolvabilityConstants,
+    solved: SolvabilityConstants,
+    grid: np.ndarray,
+    omega: np.ndarray,
+    printed_n1: Callable[[np.ndarray, int], np.ndarray],
 ) -> dict:
-    """Compare the general-path constants with the printed closed forms."""
-    n = branch.n
-    a, rho = constants.a, constants.rho
-    candidates: list[np.ndarray] = []
-    if n == 2 and solvability.is_symmetric_pair(branch):
-        candidates.append(solvability.n2_closed_form_a(period, derived, a[0]) - a)
-        candidates.append(solvability.n2_closed_form_rho(period, derived, rho[0]) - rho)
-    elif n == 3:
-        candidates.append(solvability.n3_closed_form_a(period, derived, a[0]) - a)
-        candidates.append(solvability.n3_closed_form_rho(period, derived, rho[0]) - rho)
-    if not candidates:
-        return {"applied": False, "max_mismatch": 0.0}
+    """Compare the general path with the printed closed forms; raise beyond ``_CROSS_CHECK_TOL``.
+
+    One slit: the traced banks ``omega`` at ``grid`` against the printed
+    profile ``printed_n1(grid, bank)``, relative to its largest |omega|.  A
+    mirror-symmetric pair and three slits: the ``solved`` constants against
+    the printed ones, relative to the largest of 1, |a_j| and |rho_j|.
+    """
+    n, a, rho = branch.n, solved.a, solved.rho
     size = max(1.0, float(np.abs(a).max()), float(np.abs(rho).max()))
+    if n == 1:
+        printed = np.array([printed_n1(grid, bank) for bank in (+1, -1)])
+        candidates, size = [omega - printed], float(np.abs(printed).max())
+    elif n == 2 and solvability.is_symmetric_pair(branch):
+        candidates = [
+            solvability.n2_closed_form_a(period, derived, a[0]) - a,
+            solvability.n2_closed_form_rho(period, derived, rho[0]) - rho,
+        ]
+    elif n == 3:
+        candidates = [
+            solvability.n3_closed_form_a(period, derived, a[0]) - a,
+            solvability.n3_closed_form_rho(period, derived, rho[0]) - rho,
+        ]
+    else:
+        return {"applied": False, "max_mismatch": 0.0}
     mismatch = max(float(np.abs(c).max()) for c in candidates) / size
     if mismatch > _CROSS_CHECK_TOL:
-        raise SolverError(
-            f"closed-form constants disagree with the general path by {mismatch:.3e}"
-        )
+        raise SolverError(f"the printed closed forms disagree with the general path by {mismatch:.3e}")
     return {"applied": True, "max_mismatch": mismatch}
 
 
@@ -339,7 +309,7 @@ def request_violations(
     """What :func:`solve` refuses beyond :func:`~inclusion_forge.model.validate`.
 
     Each override must hold n finite numbers.  A single inclusion takes
-    none: its elliptic closed forms solve no constants to replace.  Nor
+    none: its constants are the free a_0 and rho_0, not solved ones.  Nor
     does it take ``free.antisymmetric``, which needs a second slit to
     mirror.  Returns one message per violated rule, empty when the request
     is runnable; the ``validate`` command reports the same list.
@@ -380,22 +350,24 @@ def solve(
         raise ConfigurationError("; ".join(bad))
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
-    if cfg.n == 1:
-        return _solve_n1(loading, materials, derived, free, numerics, timings)
-
     branch = BranchData(cfg.endpoints)
-    with _stage(timings, "moments"):
-        period = solvability.period_matrix(branch, numerics)
-        cond = float(np.linalg.cond(solvability.system_matrix(period)))
+    period = cond = None
+    if branch.n > 1:  # one slit has no moment system; its map builds its own node table
+        with _stage(timings, "moments"):
+            period = solvability.period_matrix(branch, numerics)
+            cond = float(np.linalg.cond(solvability.system_matrix(period)))
 
     with _stage(timings, "constants"):
-        constants = solvability.solve_constants(period, derived, free)
-        cross = _closed_form_cross_check(period, branch, derived, constants)
+        if period is None:  # a_0 and rho_0 are the constants of one slit
+            solved = solvability.build_constants([free.a0], [free.rho0], derived)
+        else:
+            solved = solvability.solve_constants(period, derived, free)
 
+    constants = solved
     if override_a is not None or override_rho is not None:
         constants = solvability.build_constants(
-            constants.a if override_a is None else override_a,
-            constants.rho if override_rho is None else override_rho,
+            solved.a if override_a is None else override_a,
+            solved.rho if override_rho is None else override_rho,
             derived,
         )
     with _stage(timings, "residuals"):
@@ -408,8 +380,15 @@ def solve(
         grid = geometry.bank_parameter_grid(ends[:, :1], ends[:, 1:], numerics.P)
         boundary = sm.banks(grid)
         profiles = geometry.build_profiles(grid, boundary.omega)
+    with _stage(timings, "constants"):  # after tracing: one slit's printed form is a contour
+        cross = _closed_form_cross_check(
+            period, branch, derived, solved, grid, boundary.omega,
+            lambda xi, bank: mapper.n1_slit_profile(xi, bank, loading, materials, free),
+        )
     with _stage(timings, "geometry"):
         geo_report = _geometry_report(profiles)
+    if branch.n == 1:
+        geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
     with _stage(timings, "schwarz"):
         schwarz = _schwarz_boundary_report(boundary, grid, derived, constants)
 

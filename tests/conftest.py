@@ -129,7 +129,7 @@ def solve_figure():
 
 @pytest.fixture(scope="session")
 def corpus_maps_by_live_families(solve_figure):
-    """The corpus cases of two or more slits, keyed by the families their maps keep terms of.
+    """The corpus cases, keyed by the families their maps keep terms of.
 
     The keys are tuples of family names read from ``kept_lengths()``, so
     ("g0_rho",) holds the maps whose phi density, and with it g_1, vanishes.
@@ -137,9 +137,8 @@ def corpus_maps_by_live_families(solve_figure):
     split: dict[tuple[str, ...], list[str]] = {}
     for case in figures.FIGURE_CASES:
         sm = solve_figure(case.name).slit_map
-        if sm is not None:
-            live = tuple(name for name, kept in sm.kept_lengths().items() if kept > 0)
-            split.setdefault(live, []).append(case.name)
+        live = tuple(name for name, kept in sm.kept_lengths().items() if kept > 0)
+        split.setdefault(live, []).append(case.name)
     return split
 
 

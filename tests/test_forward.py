@@ -7,11 +7,12 @@ interiors are not (ROADMAP item 19).
 """
 
 import numpy as np
+import pytest
 from conftest import slit_layout_inputs
 from oracles import forward_interior_stress
 
 from inclusion_forge import figures, pipeline
-from inclusion_forge.model import Loading, MaterialSet, NumericsConfig
+from inclusion_forge.model import FreeParameters, Loading, MaterialSet, NumericsConfig, SlitConfiguration
 
 _EPS = 2.0**-52
 
@@ -99,3 +100,70 @@ def test_a_univalent_eight_slit_map_is_uniformly_stressed_at_tau():
     spread, offset = _spread_and_offset(stresses, tau)
     bound = max(result.diagnostics.truncation.values()) + sum(len(p.points) - 1 for p in result.profiles) * _EPS
     assert spread <= bound and offset <= bound
+
+
+def _univalent_loading(kappa: float, tau: complex, delta: complex) -> Loading:
+    """The loading of interior stress tau whose single-inclusion shape ratio is delta.
+
+    delta = (2 kappa tau_inf - (kappa + 1) tau) / ((1 - kappa) tau_bar),
+    solved for tau_inf; |delta| < 1 maps the slit's exterior univalently.
+    """
+    tau_inf = (delta * (1.0 - kappa) * tau.conjugate() + (kappa + 1.0) * tau) / (2.0 * kappa)
+    return Loading(tau.real, tau.imag, tau_inf.real, tau_inf.imag)
+
+
+def _forward_offset_and_bound(result, kappa, loading):
+    """The forward field's largest offset from tau, relative to |tau|, and the bound it must keep.
+
+    The bound is the resolution of the densities (their largest truncation
+    indicator) plus the oracle's rounding, one eps per node it sums.
+    """
+    contours = [p.points for p in result.profiles]
+    stresses = forward_interior_stress(contours, kappa, loading.tau_inf, loading.mu)
+    _, offset = _spread_and_offset(stresses, loading.tau)
+    bound = max(result.diagnostics.truncation.values()) + sum(len(c) - 1 for c in contours) * _EPS
+    return offset, bound
+
+
+def test_single_inclusions_of_univalent_loadings_are_stressed_at_tau():
+    # twelve seeded loadings with |delta| <= 1/2, each with a complex c_m1, a
+    # nonzero gamma and rho0, at P = 200: every contour is clockwise as
+    # traced, and the forward field is tau (2e-15 measured; printed forms
+    # that ignore the phase of c_m1 read up to 0.53 |tau| off here)
+    rng = np.random.default_rng(19)
+    cfg = SlitConfiguration([(-1.0, 1.0)])
+    for _ in range(12):
+        kappa = float(np.exp(rng.uniform(-2.0, 2.0)))
+        tau = complex(*rng.normal(size=2))
+        delta = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        loading = _univalent_loading(kappa, tau, delta)
+        free = FreeParameters(
+            rho0=rng.normal(), c_m1=complex(*rng.normal(size=2)), gamma=complex(*rng.normal(size=2))
+        )
+        result = pipeline.solve(cfg, loading, MaterialSet([kappa]), free, NumericsConfig(P=200))
+        assert result.diagnostics.geometry["orientation"] == [-1]
+        offset, bound = _forward_offset_and_bound(result, [kappa], loading)
+        assert offset <= bound, (kappa, tau, delta)
+
+
+@pytest.mark.parametrize("c_m1", [1.0, np.exp(0.7j), 1j], ids=["1", "e^0.7i", "i"])
+@pytest.mark.parametrize("layout", ["mirror pair", "pair", "three"])
+def test_univalent_two_and_three_slit_maps_are_stressed_at_tau(layout, c_m1):
+    # the loading of the n = 1 circle (delta = 0) at kappa = 0.3 on every
+    # slit: a mirror pair with its pole at the origin, the slits of
+    # slit_layout_inputs(2) with the pole mid-gap, and slit_layout_inputs(3);
+    # every contour is clockwise as traced, and the forward field is tau
+    # (6e-15 measured on the mirror pair, 2e-15 on the others)
+    if layout == "mirror pair":
+        cfg = SlitConfiguration([(-1.0, -0.2), (0.2, 1.0)], 0.0)
+    elif layout == "pair":
+        slits = slit_layout_inputs(2)[0].slits
+        cfg = SlitConfiguration(slits, 0.5 * (slits[0][1] + slits[1][0]))
+    else:
+        cfg = slit_layout_inputs(3)[0]
+    kappa = [0.3] * cfg.n
+    loading = _univalent_loading(0.3, 1.0 + 1.0j, 0.0)
+    result = pipeline.solve(cfg, loading, MaterialSet(kappa), FreeParameters(c_m1=c_m1), NumericsConfig(P=32))
+    assert result.diagnostics.geometry["orientation"] == [-1] * cfg.n
+    offset, bound = _forward_offset_and_bound(result, kappa, loading)
+    assert offset <= bound

@@ -67,6 +67,9 @@ from inclusion_forge.solvability import (
 )
 
 
+_EPS = 2.0**-52
+
+
 def solved_map(name, free_override=None):
     cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
     if free_override is not None:
@@ -205,6 +208,19 @@ def test_interior_limit_reaches_boundary_values(name):
         assert d1 < 1e-2 * max(scale, 1.0)
         assert d2 < d1
         assert np.abs(sm.omega_interior(xs - 1e-4j) - bot).max() < 1e-2 * max(scale, 1.0)
+
+
+def test_the_single_inclusion_map_approaches_its_banks_like_eps():
+    # fig1a, 5% to 95% along its slit: omega(x +- i eps) - omega(x, bank +-1)
+    # = +-i eps omega'(x) + O(eps^2), 4.3e-3 at eps = 1e-3 and 4.3e-6 at 1e-6
+    sm = solved_map("fig1a")[0]
+    xs = np.linspace(-0.9, 0.9, 9)
+    banks = sm.banks(xs[None]).omega[:, 0]
+    scale = np.abs(banks).max()
+    for side, bank in zip((1j, -1j), banks):
+        coarse, fine = (np.abs(sm.omega_interior(xs + side * eps) - bank).max() for eps in (1e-3, 1e-6))
+        assert coarse < 1e-2 * scale
+        assert 0.9e-3 * coarse < fine < 1.1e-3 * coarse
 
 
 @pytest.mark.parametrize("case", ["eight", "sixteen", "thirty-two", "edge16"])
@@ -362,6 +378,36 @@ def test_slit_and_circular_maps_trace_the_same_ellipse():
         theta, FIG1A_LOADING, FIG1A_MATERIALS, FreeParameters(c_m1=0.5)
     )
     assert np.abs(slit - circ).max() < 1e-14
+
+
+def test_printed_single_inclusion_forms_hold_at_any_c_m1_gamma_and_rho0():
+    # twenty seeded loadings, each with a complex c_m1, gamma and rho0 and a
+    # nonzero a0 (which moves nothing): the printed slit profile is the
+    # general map's banks, and the circular profile at half the scaling is
+    # the slit profile, to the rounding of the few terms of the profile's
+    # size that each point sums on either side (3.9 and 2.6 eps measured)
+    rng = np.random.default_rng(20)
+    cfg = SlitConfiguration([(-1.0, 1.0)])
+    grid = bank_parameter_grid(-1.0, 1.0, 200)
+    theta = np.linspace(0.0, 2.0 * np.pi, 33, endpoint=False)
+    for _ in range(20):
+        tau, tau_inf = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        loading = Loading(tau.real, tau.imag, tau_inf.real, tau_inf.imag)
+        materials = MaterialSet([float(np.exp(rng.uniform(-2.0, 2.0)))])
+        free = FreeParameters(
+            a0=rng.normal(), rho0=rng.normal(), c_m1=complex(*rng.normal(size=2)), gamma=complex(*rng.normal(size=2))
+        )
+        derived = derive_constants(loading, materials, cfg, free)
+        sm = SlitMap(BranchData(cfg.endpoints), derived, build_constants([free.a0], [free.rho0], derived))
+        banks = sm.banks(grid[None]).omega[:, 0]
+        printed = np.array([n1_slit_profile(grid, bank, loading, materials, free) for bank in (+1, -1)])
+        assert np.abs(banks - printed).max() <= 8 * _EPS * np.abs(printed).max()
+        slit = np.array([
+            n1_slit_profile(x, b, loading, materials, free)
+            for x, b in zip(np.cos(theta), np.where(np.sin(theta) >= 0.0, 1, -1))
+        ])
+        circ = n1_circular_profile(theta, loading, materials, dataclasses.replace(free, c_m1=free.c_m1 / 2))
+        assert np.abs(slit - circ).max() <= 8 * _EPS * np.abs(slit).max()
 
 
 def test_real_loading_profile_is_conjugation_symmetric():
@@ -1221,20 +1267,23 @@ def test_a_part_without_live_densities_forms_no_root(case, fams, live, monkeypat
 def evaluators():
     """name -> [(evaluator, map from fractions in [0, 1] to admissible targets)], and "maps".
 
-    The interior evaluators run on three maps, listed under "maps" with
-    their targets: fig1b (n = 2); fig3a, at 1/2 < |w| < 4/5 of the hull,
-    where its band series serves; and the n = 16 layout, from just above
-    slit 4, beside it, up to where the balanced rows serve, over the plain ones.
+    The interior evaluators run on four maps, listed under "maps" with
+    their targets: fig1a (n = 1), from just above its slit out to the far
+    series; fig1b (n = 2); fig3a, at 1/2 < |w| < 4/5 of the hull, where its
+    band series serves; and the n = 16 layout, from just above slit 4,
+    beside it, up to where the balanced rows serve, over the plain ones.
     """
     sm, derived, _ = solved_map("fig1b")
     branch = sm.branch
     a, b = branch.slit(1)
     on = lambda s: a + (b - a) * s
+    fig1a = solved_map("fig1a")[0]
     fig3a = solved_map("fig3a")[0]
     (centre, half), ring = fig3a._off_slit().hull, lambda s: (0.55 + 0.2 * s) * np.exp(1j * (0.4 + 2.3 * s))
     sixteen = pipeline.solve(*slit_layout_inputs(16)).slit_map
     c4, h4 = sixteen._centre[4], sixteen._half[4]
     maps = [
+        (fig1a, lambda s: 0.05j + 3.0 * s * np.exp(1j * (0.3 + 2.0 * s))),
         (sm, lambda s: 1.5 + s + (0.5 - s) * 1j),
         (fig3a, lambda s: centre + 0.5 * half * (ring(s) + 1.0 / ring(s))),
         (sixteen, lambda s: c4 + 1.8 * h4 * (s - 0.5) + 1j * (1e-4 + 0.8 * s**3)),
@@ -1728,9 +1777,11 @@ def test_bank_work_counts_the_terms_the_kernels_sum(direct, monkeypatch):
 
 
 def test_corpus_maps_split_into_maps_with_and_without_phi(corpus_maps_by_live_families):
+    # every case has a map, the single inclusion of fig1a among them
     split = corpus_maps_by_live_families
     assert set(split) == {mapper.FAMILIES, ("g0_rho",)}
-    assert sum(map(len, split.values())) == len(_CORPUS_MAPS)
+    assert sum(map(len, split.values())) == len(figures.FIGURE_CASES) == len(_CORPUS_MAPS) + 1
+    assert "fig1a" in split[("g0_rho",)]
 
 
 def _family_spies(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import logging
@@ -9,7 +10,9 @@ from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 
 import inclusion_forge
 from inclusion_forge import cli, figures, geometry, interior, mapper, pipeline
-from inclusion_forge.model import ConfigurationError, FreeParameters, MaterialSet
+from inclusion_forge.model import (
+    ConfigurationError, DegenerateEllipseError, FreeParameters, Loading, MaterialSet, SolverError,
+)
 
 
 def run_figure(name, **kwargs):
@@ -130,7 +133,9 @@ def test_single_inclusion_diagnostics_carry_the_keys_of_many(solve_figure):
 
 
 def test_diagnostics_report_the_kept_length_of_each_family(solve_figure):
-    assert solve_figure("fig1a").diagnostics.kept_length == {"phi": 0, "g0_rho": 0, "g1_weighted": 0}
+    # one slit with its pole at infinity: phi = a_0 - c'' xi and g_0 + rho'_0
+    # = c*_0 xi + rho'_0 are linear, two terms at most; fig1a's a_0 and c'' vanish
+    assert solve_figure("fig1a").diagnostics.kept_length == {"phi": 0, "g0_rho": 2, "g1_weighted": 0}
     result = solve_figure("fig3a")
     kept = result.diagnostics.to_dict()["kept_length"]
     assert kept == result.slit_map.kept_lengths()
@@ -179,12 +184,47 @@ def test_positive_scaling_covariance():
 
 
 def test_single_inclusion_route(solve_figure):
+    # one slit takes the stages of every n, less the moment system it does
+    # not have, and its traced contour is held against the printed ellipse
     res = solve_figure("fig1a")
     assert res.verdict == "VALID"
     assert len(res.profiles) == 1
     assert res.diagnostics.geometry["ellipse_fit_residual"] < 1e-10
     assert res.diagnostics.solvability_cond is None  # no system is solved
-    assert res.slit_map is None
+    assert res.slit_map.branch.n == 1
+    assert res.diagnostics.cross_check["applied"]
+    # the printed contour, to the rounding of its size (1.9e-16 of its diameter measured)
+    _, loading, materials, free, numerics, _ = load_figure_inputs("fig1a")
+    grid = geometry.bank_parameter_grid(-1.0, 1.0, numerics.P)[None]
+    printed = geometry.build_profiles(
+        grid, np.array([mapper.n1_slit_profile(grid, bank, loading, materials, free) for bank in (+1, -1)])
+    )[0]
+    points = res.profiles[0].points
+    assert points.shape == printed.points.shape
+    assert np.abs(points - printed.points).max() <= 1e-15 * printed.diameter
+
+
+def test_the_single_inclusion_cross_check_refuses_a_wrong_closed_form(monkeypatch):
+    # a printed form blind to rho0: fig1a at rho0 = 1/2 moves the general
+    # contour by rho0 / tau_bar, and this one not at all
+    free = FreeParameters(rho0=0.5)
+    assert run_figure("fig1a", free=free).diagnostics.cross_check["applied"]
+
+    printed = mapper.n1_slit_profile
+
+    def without_rho0(xi, bank, loading, materials, free):
+        return printed(xi, bank, loading, materials, dataclasses.replace(free, rho0=0.0))
+
+    monkeypatch.setattr(mapper, "n1_slit_profile", without_rho0)
+    with pytest.raises(SolverError, match="^the printed closed forms disagree with the general path"):
+        run_figure("fig1a", free=free)
+
+
+def test_a_collapsed_single_inclusion_is_refused():
+    # equal real stresses: delta = -1, a segment
+    cfg, _, materials, free, numerics, _ = load_figure_inputs("fig1a")
+    with pytest.raises(DegenerateEllipseError):
+        pipeline.solve(cfg, Loading(1.0, 0.0, 1.0, 0.0), materials, free, numerics)
 
 
 def test_validation_failures_raise():
@@ -212,7 +252,7 @@ _BAD_OVERRIDES = {
 @pytest.mark.parametrize("bad", sorted(_BAD_OVERRIDES))
 @pytest.mark.parametrize("case", ["fig1a", "fig3a"])
 def test_overrides_must_be_n_finite_numbers(case, bad, which):
-    # checked before the n = 1 branch, whose closed forms never read them
+    # checked before any stage of the solve
     cfg = load_figure_inputs(case)[0]
     with pytest.raises(ConfigurationError, match=f"^override {which} must hold {cfg.n} finite"):
         run_figure(case, **{f"override_{which}": _BAD_OVERRIDES[bad](cfg.n)})
@@ -224,7 +264,7 @@ def test_overrides_must_be_n_finite_numbers(case, bad, which):
     {"override_a": [5.0], "override_rho": [-3.0]},
 ])
 def test_single_inclusion_rejects_overrides(overrides):
-    # its elliptic closed forms have no solved constants to replace
+    # its constants are the free a_0 and rho_0: there are no solved ones to replace
     with pytest.raises(ConfigurationError, match="^overrides need n >= 2"):
         run_figure("fig1a", **overrides)
 
@@ -309,8 +349,9 @@ def test_stage_timings_cover_every_stage(solve_figure, name):
     result = solve_figure(name)
     assert list(result.timings) == list(pipeline.STAGES)
     assert all(isinstance(t, float) and t >= 0.0 for t in result.timings.values())
-    if result.slit_map is not None:
-        assert all(t > 0.0 for t in result.timings.values())
+    # one slit has no moment system: that stage alone is skipped, and reads 0.0
+    skipped = {"moments"} if result.slit_map.branch.n == 1 else set()
+    assert {stage for stage, t in result.timings.items() if t == 0.0} == skipped
     assert "timings" not in result.diagnostics.to_dict()
 
 
@@ -318,12 +359,9 @@ def test_stage_timings_cover_every_stage(solve_figure, name):
 def test_work_counts_the_bank_pass_apart_from_the_diagnostics(solve_figure, name):
     result = pipeline.solve(*sixteen_slit_inputs()) if name == "sixteen" else solve_figure(name)
     sm = result.slit_map
-    if sm is None:  # a single inclusion: closed forms, no bank pass
-        assert result.work == {"bank_terms": 0, "bank_nodes": 0}
-    else:
-        assert result.work == sm.bank_work(sm.numerics.P)
-        assert result.work["bank_terms"] > 0
-        assert result.work["bank_nodes"] == (sm._nodes if name == "sixteen" else 0)
+    assert result.work == sm.bank_work(sm.numerics.P)
+    assert result.work["bank_terms"] > 0
+    assert result.work["bank_nodes"] == (sm._nodes if name == "sixteen" else 0)
     assert "work" not in result.diagnostics.to_dict()
 
 
@@ -349,10 +387,12 @@ def test_every_solve_records_the_seven_gates_and_reads_its_verdict_from_them(sol
             assert type(gate["passed"]) is bool and gate["passed"] == (gate["value"] <= gate["threshold"])
         failed = diag.failed_gates
         assert diag.verdict == (_GATES[failed[0]] if failed else "VALID"), case.name
-    # a single inclusion solves no moments and traces no boundary pass: its
-    # residual gates read the closed forms' zeros, the others its contour
+    # a single inclusion has no moment condition, so its boundedness gates
+    # read 0 over no residuals; its Schwarz gates read its bank pass
     one = solve_figure("fig1a").diagnostics
-    assert [one.gates[name]["value"] for name in list(_GATES)[:5]] == [0.0] * 5
+    assert one.boundedness["a_residuals"] == one.boundedness["rho_residuals"] == []
+    assert [one.gates[name]["value"] for name in ("boundedness.a", "boundedness.rho")] == [0.0, 0.0]
+    assert one.gates["schwarz.omega"]["value"] == one.schwarz["omega_max_dev"] > 0.0
     assert one.gates["closure"]["threshold"] == one.tol_solve * one.geometry["diameters"][0]
 
 
