@@ -7,7 +7,6 @@ Gauss-Chebyshev rules, Chebyshev expansions of the slit densities, and
 closed-form continuation of the weighted Cauchy kernels.
 """
 
-from .branch import BranchData
 from .geometry import (
     ContourProfile,
     build_profiles,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AT_INFINITY",
-    "BranchData",
     "ConfigurationError",
     "ContourProfile",
     "DegenerateEllipseError",

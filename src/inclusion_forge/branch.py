@@ -1,4 +1,10 @@
-"""The branch points of the square-root branch q of p(zeta) = prod (zeta - k_i), and q on the slits.
+"""The square-root branch q of p(zeta) = prod (zeta - k_i), and q on the slits.
+
+Its branch points are the endpoints of a
+:class:`~inclusion_forge.model.SlitConfiguration`, which every function here
+takes; this module holds what is evaluated from them: |q| on the real axis,
+the checks that place targets on or off the slits, and the node table of
+every slit.
 
 With 2n real branch points k_0 < ... < k_{2n-1} and cuts along the slits
 l_j = [k_{2j}, k_{2j+1}], the branch is fixed by q(zeta) ~ zeta^n at
@@ -22,71 +28,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EvaluationError
+from .model import EvaluationError, SlitConfiguration
 from .quadrature import cheb_nodes, like_input
 
 
-@dataclass(frozen=True)
-class BranchData:
-    """Branch points of one slit configuration."""
-
-    endpoints: tuple[float, ...]
-
-    def __init__(self, endpoints) -> None:
-        object.__setattr__(self, "endpoints", tuple(float(k) for k in endpoints))
-        e = self.endpoints
-        if len(e) % 2 != 0 or len(e) < 2:
-            raise EvaluationError("branch needs an even number of endpoints")
-        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-            raise EvaluationError("branch endpoints must be strictly increasing")
-
-    @property
-    def n(self) -> int:
-        return len(self.endpoints) // 2
-
-    @property
-    def slits(self) -> tuple[tuple[float, float], ...]:
-        e = self.endpoints
-        return tuple((e[2 * j], e[2 * j + 1]) for j in range(self.n))
-
-    def slit(self, j: int) -> tuple[float, float]:
-        return self.endpoints[2 * j], self.endpoints[2 * j + 1]
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """The n - 1 gap midpoints g_k, each halfway between neighbouring slits."""
-        e = np.reshape(self.endpoints, (self.n, 2))
-        return 0.5 * (e[1:, 0] + e[:-1, 1])
-
-    def omega(self, x):
-        """omega(x) = prod_k (x - g_k), multiplied in gap order (1 for one slit)."""
-        out = np.ones_like(x) if self.n == 1 else x - self.gaps[0]
-        for node in self.gaps[1:]:
-            out *= x - node
-        return out
-
-    def lagrange(self, x) -> np.ndarray:
-        """L_k(x) = omega(x) / ((x - g_k) omega'(g_k)), 1 at g_k and 0 at the other g_j.
-
-        The result has shape (n - 1,) + x.shape.
-        """
-        x, g = np.asarray(x, dtype=float), self.gaps
-        diff = g[:, None] - g
-        np.fill_diagonal(diff, 1.0)  # the product of row k is omega'(g_k)
-        shape = (-1,) + (1,) * x.ndim
-        denom = (x - g.reshape(shape)) * diff.prod(axis=1).reshape(shape)
-        # at x = g_k the quotient is 0 / 0, and L_k is 1
-        return np.divide(self.omega(x), denom, out=np.ones_like(denom), where=denom != 0.0)
-
-
-def check_on_slit(branch: BranchData, x: np.ndarray, m: int) -> None:
+def check_on_slit(branch: SlitConfiguration, x: np.ndarray, m: int) -> None:
     """Raise :class:`EvaluationError` if any real parameter lies off closed slit m."""
     a, b = branch.slit(m)
     if np.any((x < a) | (x > b)):
         raise EvaluationError(f"xi outside closed slit {m} = [{a}, {b}]")
 
 
-def reject_on_slits(branch: BranchData, z: np.ndarray) -> None:
+def reject_on_slits(branch: SlitConfiguration, z: np.ndarray) -> None:
     """Raise :class:`EvaluationError` naming the first closed slit that a complex target lies on."""
     on_cut = z.imag == 0.0
     if np.any(on_cut):
@@ -99,7 +52,7 @@ def reject_on_slits(branch: BranchData, z: np.ndarray) -> None:
                 )
 
 
-def abs_q(branch: BranchData, xi):
+def abs_q(branch: SlitConfiguration, xi):
     """|q(xi)| = sqrt(|p(xi)|) for real xi (any position).
 
     p is accumulated one endpoint at a time, in increasing order, so no
@@ -114,7 +67,7 @@ def abs_q(branch: BranchData, xi):
     return like_input(out, xi)
 
 
-def _smooth_factor(branch: BranchData, x: np.ndarray, slit) -> np.ndarray:
+def _smooth_factor(branch: SlitConfiguration, x: np.ndarray, slit) -> np.ndarray:
     """r_j = sqrt(prod |x - k|) over the endpoints k of the other slits; j = ``slit`` broadcasts against x.
 
     On slit j, |q| = r_j sqrt((x - a_j)(b_j - x)): r_j is finite and positive
@@ -161,8 +114,13 @@ class SlitTable:
         return (np.pi / self.N) * np.sum(samples / self.r, axis=-1)
 
 
-def slit_table(branch: BranchData, N: int) -> SlitTable:
-    """Nodes and smooth weight factors of every slit for the N-point rule."""
+def slit_table(branch: SlitConfiguration, N: int) -> SlitTable:
+    """Nodes and smooth weight factors of every slit for the N-point rule.
+
+    Raises :class:`EvaluationError` unless the endpoints strictly increase.
+    """
+    if np.any(np.diff(branch.endpoints) <= 0.0):
+        raise EvaluationError("branch endpoints must be strictly increasing")
     n = branch.n
     ends = np.reshape(branch.endpoints, (n, 2))
     nodes = cheb_nodes(ends[:, :1], ends[:, 1:], N)

@@ -17,27 +17,26 @@ from importlib import resources
 class FigureCase:
     name: str
     expected: str
-    n_contours: int
     overlay_circular: bool = False
 
 
 FIGURE_CASES: tuple[FigureCase, ...] = (
-    FigureCase("fig1a", "VALID", 1, overlay_circular=True),
-    FigureCase("fig1b", "VALID", 2),
-    FigureCase("fig1c", "VALID", 2),
-    FigureCase("fig1d", "VALID", 2),
-    FigureCase("fig2a", "VALID", 2),
-    FigureCase("fig2b", "VALID", 2),
-    FigureCase("fig2c", "VALID", 2),
-    FigureCase("fig2d", "INVALID-UNBOUNDED", 2),
-    FigureCase("fig3a", "VALID", 3),
-    FigureCase("fig3b", "VALID", 3),
-    FigureCase("fig3c", "VALID", 3),
-    FigureCase("fig3d", "VALID", 3),
-    FigureCase("fig4a", "VALID", 3),
-    FigureCase("fig4b", "VALID", 3),
-    FigureCase("fig4c", "VALID", 3),
-    FigureCase("fig4d", "INVALID-GEOMETRY", 3),
+    FigureCase("fig1a", "VALID", overlay_circular=True),
+    FigureCase("fig1b", "VALID"),
+    FigureCase("fig1c", "VALID"),
+    FigureCase("fig1d", "VALID"),
+    FigureCase("fig2a", "VALID"),
+    FigureCase("fig2b", "VALID"),
+    FigureCase("fig2c", "VALID"),
+    FigureCase("fig2d", "INVALID-UNBOUNDED"),
+    FigureCase("fig3a", "VALID"),
+    FigureCase("fig3b", "VALID"),
+    FigureCase("fig3c", "VALID"),
+    FigureCase("fig3d", "VALID"),
+    FigureCase("fig4a", "VALID"),
+    FigureCase("fig4b", "VALID"),
+    FigureCase("fig4c", "VALID"),
+    FigureCase("fig4d", "INVALID-GEOMETRY"),
 )
 
 def load_case(name: str) -> dict:

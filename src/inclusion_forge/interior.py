@@ -37,7 +37,7 @@ import numpy as np
 
 from . import mapper
 from .branch import reject_on_slits
-from .mapper import _BALANCED_FROM, _DIRECT, _INTERPOLANT_BITS, _MAP, _PHI, FAMILIES, SlitMap, _log_bernstein
+from .mapper import _BALANCED_FROM, _DIRECT, _INTERPOLANT_BITS, _MAP, _PHI, FAMILIES, SlitMap
 from .quadrature import (
     block_degrees, cauchy_off_stack, cheb_nodes, coef_from_samples, degree_table, pair_roots, row_lengths,
     slit_roots, standard_chop,
@@ -175,7 +175,7 @@ class OffSlit:
         """
         sm = self.map
         n, live = sm.branch.n, np.flatnonzero(sm._live)
-        K = np.ceil((_INTERPOLANT_BITS + _BESIDE_GROWTH_BITS) * np.log(2) / _log_bernstein(sm._lo, sm._hi)).astype(int)
+        K = np.ceil((_INTERPOLANT_BITS + _BESIDE_GROWTH_BITS) * np.log(2) / sm.branch.log_bernstein).astype(int)
         has = (len(live) + 1) * K < len(live) * (n - 1) * self.table.D
         coef = np.zeros((int(K[has].max(initial=1)), len(FAMILIES) + 1, n))
         slits = np.flatnonzero(has)
@@ -339,7 +339,7 @@ class OffSlit:
         series and the rows.
         """
         sm = self.map
-        weights, live = sm._weights[fams], sm._live_rows(fams)
+        weights, live = sm._weights[fams], sm._live[fams]
         families = np.arange(len(FAMILIES))[fams][live]
         series = self.beside[:, np.append(families, len(FAMILIES))]  # (K, F + 1, n)
         own = sm._coef[families].reshape(-1, sm._coef.shape[-1])  # (F n, L)
@@ -373,7 +373,7 @@ class OffSlit:
         pass in blocks of at most _BLOCK_VALUES (family, slit, target) values.
         """
         sm = self.map
-        weights, live = sm._weights[fams], sm._live_rows(fams)
+        weights, live = sm._weights[fams], sm._live[fams]
         coef = rows[fams][live]
         out = np.zeros((len(weights), t.size), dtype=complex)
         q = np.empty(t.size, dtype=complex)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branch import BranchData, abs_q, check_on_slit
+from .branch import abs_q, check_on_slit
 from .model import (
     DegenerateEllipseError,
     DerivedConstants,
@@ -38,6 +38,7 @@ from .model import (
     Loading,
     MaterialSet,
     NumericsConfig,
+    SlitConfiguration,
     g0,
     pole_density,
     singular_part_F,
@@ -115,14 +116,16 @@ class SlitMap:
     :meth:`F_interior` add their singular parts to the regular parts of an
     :class:`~inclusion_forge.interior.OffSlit`, built on the first of those
     calls.  All evaluation methods are pure and accept scalars or arrays of
-    targets.  ``period`` is ``period_matrix(branch, numerics)``, built here
-    unless the caller has it: its node table samples the densities, and its
-    gap basis tests the moments of the off-slit rows.
+    targets.  ``branch`` is the slit layout, a
+    :class:`~inclusion_forge.model.SlitConfiguration`, and ``period`` is
+    ``period_matrix(branch, numerics)``, built here unless the caller has
+    it: its node table samples the densities, and its gap basis tests the
+    moments of the off-slit rows.
     """
 
     def __init__(
         self,
-        branch: BranchData,
+        branch: SlitConfiguration,
         derived: DerivedConstants,
         constants: SolvabilityConstants,
         numerics: NumericsConfig = NumericsConfig(),
@@ -174,7 +177,7 @@ class SlitMap:
         degree, L = self._block_degree.max(axis=0), self._coef.shape[-1]
         # the bank pass interpolates from T targets per slit on, where it sums
         # fewer terms than the direct pass: K S + n T K < T S
-        S, K = int(degree.sum()), _interpolant_nodes(self._lo, self._hi)
+        S, K = int(degree.sum()), _interpolant_nodes(branch)
         self._block_terms, self._nodes = S, K
         self._interpolate_from = K * S // (S - n * K) + 1 if n >= _BALANCED_FROM and S > n * K else None
         if log.isEnabledFor(logging.DEBUG):
@@ -202,16 +205,6 @@ class SlitMap:
 
     # -- Cauchy sums over the slits ---------------------------------------------
 
-    def _live_rows(self, fams: slice) -> slice:
-        """The live families of a family set, as a slice of the set.
-
-        Any subset of the three families is evenly spaced, so the rows it
-        picks are views of the table, not copies.
-        """
-        f = np.flatnonzero(self._live[fams])
-        step = int(f[1] - f[0]) if len(f) > 1 else 1
-        return slice(int(f[0]), int(f[-1]) + 1, step) if len(f) else slice(0, 0)
-
     def _other_sums(self, fams: slice, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted sums over the other slits at real targets x[i] on slit rows[i].
 
@@ -223,7 +216,7 @@ class SlitMap:
         target) values.  Shape (F,) + x.shape; families that are not live
         are not summed, and their sums are 0, as are all sums of one slit.
         """
-        live = self._live_rows(fams)
+        live = self._live[fams]
         coef, weights = self._coef[fams][live], self._weights[fams][live]
         k, n = len(rows), self.branch.n
         out = np.zeros((len(FAMILIES[fams]),) + x.shape)
@@ -252,7 +245,7 @@ class SlitMap:
         its row (per-row targets of ``singular_on_stack``), live families
         only.
         """
-        live = self._live_rows(fams)
+        live = self._live[fams]
         coef, weights = self._coef[fams][live], self._weights[fams][live]
         out = self._other_sums(fams, x, rows)
         if len(coef):
@@ -297,7 +290,7 @@ class SlitMap:
         K = self._bank_nodes(x.shape[-1])
         if not K:
             return self._slit_sums(_ALL, x, rows)
-        live = self._live_rows(_ALL)
+        live = self._live
         coef, L = self._coef[live][:, rows], self._coef.shape[-1]
         folded = np.zeros(coef.shape[:-1] + (max(L, K + 1),))
         folded[..., : K + 1] = self._interpolant_rows(rows, K)[live]
@@ -404,26 +397,13 @@ class SlitMap:
         return dict(zip(FAMILIES, self._kept.tolist()))
 
 
-def _log_bernstein(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """ln rho_e of each slit: the Bernstein parameter of its nearest other endpoint.
-
-    On slit m of half-length h the nearest singularity of a sum over the
-    other slits is the endpoint one gap g away, at x = 1 + g / h in the
-    mapped variable, so Chebyshev interpolants of it on the slit converge
-    like rho_e^-K in the Bernstein ellipse of rho_e = x + sqrt(x^2 - 1).
-    """
-    gaps = lo[1:] - hi[:-1]
-    u = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf)) / (0.5 * (hi - lo))
-    return np.log1p(u + np.sqrt(u * (2.0 + u)))
-
-
-def _interpolant_nodes(lo: np.ndarray, hi: np.ndarray) -> int:
+def _interpolant_nodes(branch: SlitConfiguration) -> int:
     """Nodes per slit at which Chebyshev interpolants resolve the other-slit sums to 2^-53.
 
     K = ceil(53 ln 2 / ln rho_e) at the slit of the smallest Bernstein
-    parameter rho_e (:func:`_log_bernstein`).
+    parameter rho_e (:attr:`~inclusion_forge.model.SlitConfiguration.log_bernstein`).
     """
-    return int(np.ceil(_INTERPOLANT_BITS * np.log(2.0) / _log_bernstein(lo, hi).min()))
+    return int(np.ceil(_INTERPOLANT_BITS * np.log(2.0) / branch.log_bernstein.min()))
 
 
 # -- single inclusion closed forms -------------------------------------------

@@ -125,9 +125,12 @@ class SlitConfiguration:
     """The n collinear parametric slits and the preimage of infinity.
 
     ``endpoints`` is the increasing sequence k_0 < ... < k_{2n-1}; slit j is
-    the two-sided segment [k_{2j}, k_{2j+1}].  ``zeta_inf`` is the preimage
-    of the physical infinite point: a finite complex number off every closed
-    slit, or :data:`AT_INFINITY`.
+    the two-sided segment [k_{2j}, k_{2j+1}].  The endpoints are the branch
+    points of the square-root branch q (:mod:`inclusion_forge.branch`), and
+    this type also carries what they alone determine: the gap midpoints,
+    their node polynomial and Lagrange basis, and the Bernstein parameter of
+    each slit.  ``zeta_inf`` is the preimage of the physical infinite point:
+    a finite complex number off every closed slit, or :data:`AT_INFINITY`.
     """
 
     endpoints: tuple[float, ...]
@@ -162,6 +165,49 @@ class SlitConfiguration:
     def slits(self) -> tuple[tuple[float, float], ...]:
         e = self.endpoints
         return tuple((e[2 * j], e[2 * j + 1]) for j in range(self.n))
+
+    def slit(self, j: int) -> tuple[float, float]:
+        return self.endpoints[2 * j], self.endpoints[2 * j + 1]
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """The n - 1 gap midpoints g_k, each halfway between neighbouring slits."""
+        e = np.reshape(self.endpoints, (self.n, 2))
+        return 0.5 * (e[1:, 0] + e[:-1, 1])
+
+    def omega(self, x):
+        """omega(x) = prod_k (x - g_k), multiplied in gap order (1 for one slit)."""
+        out = np.ones_like(x) if self.n == 1 else x - self.gaps[0]
+        for node in self.gaps[1:]:
+            out *= x - node
+        return out
+
+    def lagrange(self, x) -> np.ndarray:
+        """L_k(x) = omega(x) / ((x - g_k) omega'(g_k)), 1 at g_k and 0 at the other g_j.
+
+        The result has shape (n - 1,) + x.shape.
+        """
+        x, g = np.asarray(x, dtype=float), self.gaps
+        diff = g[:, None] - g
+        np.fill_diagonal(diff, 1.0)  # the product of row k is omega'(g_k)
+        shape = (-1,) + (1,) * x.ndim
+        denom = (x - g.reshape(shape)) * diff.prod(axis=1).reshape(shape)
+        # at x = g_k the quotient is 0 / 0, and L_k is 1
+        return np.divide(self.omega(x), denom, out=np.ones_like(denom), where=denom != 0.0)
+
+    @property
+    def log_bernstein(self) -> np.ndarray:
+        """ln rho_e of each slit: the Bernstein parameter of its nearest other endpoint.
+
+        On slit m of half-length h the nearest singularity of a sum over the
+        other slits is the endpoint one gap g away, at x = 1 + g / h in the
+        mapped variable, so Chebyshev interpolants of it on the slit converge
+        like rho_e^-K in the Bernstein ellipse of rho_e = x + sqrt(x^2 - 1).
+        """
+        lo, hi = np.reshape(self.endpoints, (self.n, 2)).T
+        widths = lo[1:] - hi[:-1]
+        u = np.minimum(np.append(np.inf, widths), np.append(widths, np.inf)) / (0.5 * (hi - lo))
+        return np.log1p(u + np.sqrt(u * (2.0 + u)))
 
     @property
     def pole_at_infinity(self) -> bool:

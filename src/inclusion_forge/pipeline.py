@@ -51,7 +51,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import geometry, mapper, solvability
-from .branch import BranchData
 from .geometry import ContourProfile
 from .model import (
     ConfigurationError,
@@ -238,26 +237,26 @@ def _graded(
 
 def _closed_form_cross_check(
     period: solvability.PeriodMatrix | None,
-    branch: BranchData,
+    cfg: SlitConfiguration,
     derived: DerivedConstants,
     solved: SolvabilityConstants,
     grid: np.ndarray,
     omega: np.ndarray,
     printed_n1: Callable[[np.ndarray, int], np.ndarray],
 ) -> dict:
-    """Compare the general path with the printed closed forms; raise beyond ``_CROSS_CHECK_TOL``.
+    """Compare the general path with the printed closed forms; raise unless within ``_CROSS_CHECK_TOL``.
 
     One slit: the traced banks ``omega`` at ``grid`` against the printed
     profile ``printed_n1(grid, bank)``, relative to its largest |omega|.  A
     mirror-symmetric pair and three slits: the ``solved`` constants against
     the printed ones, relative to the largest of 1, |a_j| and |rho_j|.
     """
-    n, a, rho = branch.n, solved.a, solved.rho
+    n, a, rho = cfg.n, solved.a, solved.rho
     size = max(1.0, float(np.abs(a).max()), float(np.abs(rho).max()))
     if n == 1:
         printed = np.array([printed_n1(grid, bank) for bank in (+1, -1)])
         candidates, size = [omega - printed], float(np.abs(printed).max())
-    elif n == 2 and solvability.is_symmetric_pair(branch):
+    elif n == 2 and solvability.is_symmetric_pair(cfg):
         candidates = [
             solvability.n2_closed_form_a(period, derived, a[0]) - a,
             solvability.n2_closed_form_rho(period, derived, rho[0]) - rho,
@@ -270,7 +269,7 @@ def _closed_form_cross_check(
     else:
         return {"applied": False, "max_mismatch": 0.0}
     mismatch = max(float(np.abs(c).max()) for c in candidates) / size
-    if mismatch > _CROSS_CHECK_TOL:
+    if not mismatch <= _CROSS_CHECK_TOL:  # as at the gates, a NaN mismatch fails
         raise SolverError(f"the printed closed forms disagree with the general path by {mismatch:.3e}")
     return {"applied": True, "max_mismatch": mismatch}
 
@@ -350,11 +349,10 @@ def solve(
         raise ConfigurationError("; ".join(bad))
     derived = derive_constants(loading, materials, cfg, free)
     timings = dict.fromkeys(STAGES, 0.0)
-    branch = BranchData(cfg.endpoints)
     period = cond = None
-    if branch.n > 1:  # one slit has no moment system; its map builds its own node table
+    if cfg.n > 1:  # one slit has no moment system; its map builds its own node table
         with _stage(timings, "moments"):
-            period = solvability.period_matrix(branch, numerics)
+            period = solvability.period_matrix(cfg, numerics)
             cond = float(np.linalg.cond(solvability.system_matrix(period)))
 
     with _stage(timings, "constants"):
@@ -371,23 +369,23 @@ def solve(
             derived,
         )
     with _stage(timings, "residuals"):
-        bounded = solvability.boundedness_residuals(branch, derived, constants, numerics)
+        bounded = solvability.boundedness_residuals(cfg, derived, constants, numerics)
 
     with _stage(timings, "map_build"):
-        sm = mapper.SlitMap(branch, derived, constants, numerics, period)
+        sm = mapper.SlitMap(cfg, derived, constants, numerics, period)
     with _stage(timings, "tracing"):
-        ends = np.reshape(branch.endpoints, (branch.n, 2))
+        ends = np.reshape(cfg.endpoints, (cfg.n, 2))
         grid = geometry.bank_parameter_grid(ends[:, :1], ends[:, 1:], numerics.P)
         boundary = sm.banks(grid)
         profiles = geometry.build_profiles(grid, boundary.omega)
     with _stage(timings, "constants"):  # after tracing: one slit's printed form is a contour
         cross = _closed_form_cross_check(
-            period, branch, derived, solved, grid, boundary.omega,
+            period, cfg, derived, solved, grid, boundary.omega,
             lambda xi, bank: mapper.n1_slit_profile(xi, bank, loading, materials, free),
         )
     with _stage(timings, "geometry"):
         geo_report = _geometry_report(profiles)
-    if branch.n == 1:
+    if cfg.n == 1:
         geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
     with _stage(timings, "schwarz"):
         schwarz = _schwarz_boundary_report(boundary, grid, derived, constants)

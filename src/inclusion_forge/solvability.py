@@ -29,14 +29,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .branch import BranchData, SlitTable, slit_table
-from .model import DerivedConstants, FreeParameters, NumericsConfig, SolverError, g0, pole_density
+from .branch import SlitTable, slit_table
+from .model import (
+    DerivedConstants, FreeParameters, NumericsConfig, SlitConfiguration, SolverError, g0, pole_density,
+)
 
 _SYMMETRY_TOL = 1e-12  # mirror pair: endpoint sums within this of the largest |endpoint|
 
 
-def gap_basis(branch: BranchData, table: SlitTable) -> np.ndarray:
-    """:meth:`BranchData.lagrange` at the table's nodes: shape (n-1, n, N), read-only.
+def gap_basis(branch: SlitConfiguration, table: SlitTable) -> np.ndarray:
+    """:meth:`~inclusion_forge.model.SlitConfiguration.lagrange` at the table's nodes: shape (n-1, n, N), read-only.
 
     Each L_k is divided by its largest slit moment, so every row of the
     system matrix has largest entry 1 in modulus.
@@ -120,7 +122,7 @@ def _g0_table(table: SlitTable, derived: DerivedConstants) -> np.ndarray:
     return g0(table.nodes, rows, derived)
 
 
-def period_matrix(branch: BranchData, numerics: NumericsConfig = NumericsConfig()) -> PeriodMatrix:
+def period_matrix(branch: SlitConfiguration, numerics: NumericsConfig = NumericsConfig()) -> PeriodMatrix:
     """The N-point table of the branch, its gap basis and the basis moments."""
     table = slit_table(branch, numerics.N)
     basis = gap_basis(branch, table)
@@ -205,7 +207,7 @@ def solve_constants(
 
 
 def boundedness_residuals(
-    branch: BranchData,
+    branch: SlitConfiguration,
     derived: DerivedConstants,
     constants: SolvabilityConstants,
     numerics: NumericsConfig = NumericsConfig(),
@@ -239,7 +241,7 @@ def boundedness_residuals(
 # -- printed closed forms (cross-check targets) --------------------------------
 
 
-def is_symmetric_pair(branch: BranchData) -> bool:
+def is_symmetric_pair(branch: SlitConfiguration) -> bool:
     """True for two slits mirror-symmetric about the origin."""
     if branch.n != 2:
         return False

@@ -42,9 +42,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from inclusion_forge import mapper
-from inclusion_forge.branch import BranchData, slit_table
+from inclusion_forge.branch import slit_table
 from inclusion_forge.geometry import ContourProfile
-from inclusion_forge.model import DerivedConstants, SolverError, g0, pole_density
+from inclusion_forge.model import DerivedConstants, SlitConfiguration, SolverError, g0, pole_density
 from inclusion_forge.quadrature import (
     cauchy_off_blocks,
     cauchy_off_stack,
@@ -840,7 +840,7 @@ def all_family_g1_values(sm, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def gauss_rule(h, a: float, b: float, N: int) -> float:
     """The solve's N-point rule on [a, b]: ``slit_table(...).integrate`` of h at its nodes."""
-    table = slit_table(BranchData((a, b)), N)
+    table = slit_table(SlitConfiguration((a, b)), N)
     return float(table.integrate(h(table.nodes))[0])
 
 

@@ -25,7 +25,6 @@ from oracles import (
 )
 
 from inclusion_forge import cli, figures, geometry, pipeline
-from inclusion_forge.branch import BranchData
 from inclusion_forge.mapper import (
     SlitMap,
     g0,
@@ -150,9 +149,8 @@ def test_criterion_03_closed_forms_match_general_path():
     ):
         cfg, loading, materials, free, numerics, _ = load_figure_inputs(name, N=128)
         derived = derive_constants(loading, materials, cfg, free)
-        branch = BranchData(cfg.endpoints)
         t0 = time.perf_counter()
-        period = period_matrix(branch, numerics)
+        period = period_matrix(cfg, numerics)
         constants = solve_constants(period, derived, free)
         a, rho = constants.a, constants.rho
         if forms == "n2":

@@ -11,14 +11,14 @@ from oracles import (
 )
 
 from inclusion_forge import figures
-from inclusion_forge.branch import BranchData, abs_q, reject_on_slits, slit_table
+from inclusion_forge.branch import abs_q, reject_on_slits, slit_table
 from inclusion_forge.geometry import bank_parameter_grid
-from inclusion_forge.model import EvaluationError
+from inclusion_forge.model import EvaluationError, SlitConfiguration
 from inclusion_forge.quadrature import slit_roots
 
-SINGLE = BranchData((-1.0, 1.0))
-PAIR = BranchData((-1.0, -0.5, 0.5, 1.0))
-TRIPLE = BranchData((-1.0, -0.5, -0.1, 0.1, 0.5, 1.0))
+SINGLE = SlitConfiguration((-1.0, 1.0))
+PAIR = SlitConfiguration((-1.0, -0.5, 0.5, 1.0))
+TRIPLE = SlitConfiguration((-1.0, -0.5, -0.1, 0.1, 0.5, 1.0))
 
 
 def _q(branch, zeta):
@@ -58,7 +58,7 @@ def test_gap_value_matches_continuity_walk():
 )
 def test_branch_matches_continuity_walk(endpoints, target):
     oracle = branch_by_continuity(endpoints, target)
-    assert _q(BranchData(endpoints), target) == pytest.approx(oracle, rel=1e-8)
+    assert _q(SlitConfiguration(endpoints), target) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_two_slit_bank_signs_as_published():
@@ -175,7 +175,7 @@ def test_abs_q_multiplies_in_the_order_of_the_broadcast_product(case, P):
         endpoints = [k for slit in figures.load_case(case)["slits"] for k in slit]
     ends = np.reshape(endpoints, (-1, 2))
     grid = bank_parameter_grid(ends[:, :1], ends[:, 1:], P)
-    np.testing.assert_array_equal(abs_q(BranchData(endpoints), grid), abs_q_broadcast(endpoints, grid))
+    np.testing.assert_array_equal(abs_q(SlitConfiguration(endpoints), grid), abs_q_broadcast(endpoints, grid))
 
 
 @pytest.mark.parametrize("N", [64, 128])
@@ -184,7 +184,7 @@ def test_smooth_factor_multiplies_in_the_order_of_the_broadcast_product(n, N):
     # r is accumulated one endpoint at a time, as abs_q is; bit for bit the
     # np.prod over the other slits' endpoints, so the density tables do not move
     endpoints = SINGLE.endpoints if n == 1 else slit_layout_inputs(n)[0].endpoints
-    branch = BranchData(endpoints)
+    branch = SlitConfiguration(endpoints)
     table = slit_table(branch, N)
     np.testing.assert_array_equal(table.r, slit_table_r_broadcast(endpoints, table.nodes))
 
@@ -194,7 +194,7 @@ def _seeded_branch(rng, n):
     parts = rng.uniform(0.2, 1.8, 2 * n - 1)
     span = 10.0 ** rng.uniform(-1.0, 1.0)
     steps = np.concatenate(([0.0], np.cumsum(parts))) / parts.sum()
-    return BranchData(rng.uniform(-2.0, 2.0) + span * steps)
+    return SlitConfiguration(rng.uniform(-2.0, 2.0) + span * steps)
 
 
 def _branch_targets(branch, rng):
@@ -246,6 +246,15 @@ def test_one_root_per_slit_matches_the_principal_root_product(n):
                 assert _q(branch, target) == pytest.approx(oracle, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "endpoints", [(1.0, -1.0), (-1.0, -0.5, 0.5, -0.7), (-1.0, 0.0, 0.0, 1.0)], ids=["reversed", "crossed", "equal"]
+)
+def test_the_node_table_refuses_endpoints_that_do_not_increase(endpoints):
+    # a layout holds any endpoints; its node table, which every solve and map forms, refuses them
+    with pytest.raises(EvaluationError, match="strictly increasing"):
+        slit_table(SlitConfiguration(endpoints), 16)
+
+
 def test_gap_midpoints_and_omega():
     np.testing.assert_array_equal(TRIPLE.gaps, [-0.3, 0.3])
     x = np.linspace(-2.0, 2.0, 9)
@@ -256,13 +265,13 @@ def test_gap_midpoints_and_omega():
 
 @pytest.mark.parametrize("n", [2, 3, 16, 96])
 def test_lagrange_polynomials_are_one_at_their_own_gap_midpoint_and_zero_at_the_others(n):
-    branch = BranchData(slit_layout_inputs(n, 0)[0].endpoints)
+    branch = slit_layout_inputs(n, 0)[0]
     np.testing.assert_array_equal(branch.lagrange(branch.gaps), np.eye(n - 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_lagrange_polynomials_interpolate_every_polynomial_of_degree_n_minus_2(n):
-    branch = BranchData(slit_layout_inputs(n, 1)[0].endpoints)
+    branch = slit_layout_inputs(n, 1)[0]
     p = np.polynomial.Polynomial(np.random.default_rng(n).standard_normal(n - 1))
     x = np.linspace(-1.0, 1.0, 41)
     np.testing.assert_allclose(p(branch.gaps) @ branch.lagrange(x), p(x), rtol=0, atol=1e-12)

@@ -699,7 +699,7 @@ def test_reproduce_figures_writes_everything(tmp_path):
     for case in figures.FIGURE_CASES:
         assert (outdir / f"{case.name}.svg").exists()
         polylines = read_contours_csv(outdir / f"{case.name}.csv")
-        assert len(polylines) == case.n_contours
+        assert len(polylines) == figures.load_case(case.name)["n"]
     summary = json.loads((outdir / "summary.json").read_text())
     verdicts = {row["case"]: row["verdict"] for row in summary}
     assert verdicts["fig2c"] == "VALID"

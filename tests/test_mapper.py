@@ -33,7 +33,7 @@ from oracles import (
 
 from inclusion_forge import branch as branch_module
 from inclusion_forge import cli, figures, interior, mapper, pipeline, quadrature, solvability
-from inclusion_forge.branch import BranchData, abs_q
+from inclusion_forge.branch import abs_q
 from inclusion_forge.mapper import (
     SlitMap,
     g0,
@@ -75,9 +75,8 @@ def solved_map(name, free_override=None):
     if free_override is not None:
         free = free_override
     derived = derive_constants(loading, materials, cfg, free)
-    branch = BranchData(cfg.endpoints)
-    constants = solve_constants(period_matrix(branch, numerics), derived, free)
-    return SlitMap(branch, derived, constants, numerics), derived, constants
+    constants = solve_constants(period_matrix(cfg, numerics), derived, free)
+    return SlitMap(cfg, derived, constants, numerics), derived, constants
 
 
 # -- g0 -------------------------------------------------------------------
@@ -121,10 +120,9 @@ def _symmetric_complex_scaling_map():
     materials = MaterialSet([0.25, 0.25])
     free = FreeParameters(c_m1=0.8 + 0.6j, antisymmetric=True)
     derived = derive_constants(loading, materials, cfg, free)
-    branch = BranchData(cfg.endpoints)
     numerics = NumericsConfig()
-    constants = solve_constants(period_matrix(branch, numerics), derived, free)
-    return SlitMap(branch, derived, constants, numerics)
+    constants = solve_constants(period_matrix(cfg, numerics), derived, free)
+    return SlitMap(cfg, derived, constants, numerics)
 
 
 def test_g1_is_odd_for_symmetric_configuration():
@@ -322,9 +320,8 @@ def test_equal_stresses_make_F_constant():
     loading = Loading(1.0, 1.0, 1.0, 1.0)
     free = FreeParameters(beta0=0.25)
     derived = derive_constants(loading, materials, cfg, free)
-    branch = BranchData(cfg.endpoints)
-    constants = solve_constants(period_matrix(branch, numerics), derived, free)
-    sm = SlitMap(branch, derived, constants, numerics)
+    constants = solve_constants(period_matrix(cfg, numerics), derived, free)
+    sm = SlitMap(cfg, derived, constants, numerics)
     zs = np.array([0.2 + 0.5j, -2.0 + 0.1j, 3.0 - 1.0j])
     np.testing.assert_allclose(sm.F_interior(zs), 0.25, atol=1e-12)
 
@@ -398,7 +395,7 @@ def test_printed_single_inclusion_forms_hold_at_any_c_m1_gamma_and_rho0():
             a0=rng.normal(), rho0=rng.normal(), c_m1=complex(*rng.normal(size=2)), gamma=complex(*rng.normal(size=2))
         )
         derived = derive_constants(loading, materials, cfg, free)
-        sm = SlitMap(BranchData(cfg.endpoints), derived, build_constants([free.a0], [free.rho0], derived))
+        sm = SlitMap(cfg, derived, build_constants([free.a0], [free.rho0], derived))
         banks = sm.banks(grid[None]).omega[:, 0]
         printed = np.array([n1_slit_profile(grid, bank, loading, materials, free) for bank in (+1, -1)])
         assert np.abs(banks - printed).max() <= 8 * _EPS * np.abs(printed).max()

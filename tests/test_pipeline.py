@@ -227,6 +227,16 @@ def test_a_collapsed_single_inclusion_is_refused():
         pipeline.solve(cfg, Loading(1.0, 0.0, 1.0, 0.0), materials, free, numerics)
 
 
+@pytest.mark.parametrize("name", ["fig1b", "fig3a"])
+def test_a_non_finite_cross_check_mismatch_is_refused(name):
+    # mu = 1e-310 is subnormal: the constants overflow, the printed forms and
+    # the general path read NaN, and a NaN mismatch is no agreement
+    cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
+    loading = dataclasses.replace(loading, mu=1e-310)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="disagree .* by nan"):
+        pipeline.solve(cfg, loading, materials, free, numerics)
+
+
 def test_validation_failures_raise():
     cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig1b")
     from inclusion_forge.model import MaterialSet

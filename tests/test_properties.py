@@ -20,7 +20,7 @@ import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs, spread_layout_inputs
 
 from inclusion_forge import figures, pipeline
-from inclusion_forge.branch import BranchData, SlitTable
+from inclusion_forge.branch import SlitTable
 from inclusion_forge.model import SlitConfiguration, derive_constants
 from inclusion_forge.solvability import period_matrix, solve_constants, system_matrix
 
@@ -70,7 +70,7 @@ def test_a_similar_corpus_map_keeps_the_same_density_families(name, s, beta):
 def _constants(args, N: int):
     cfg, loading, materials, free, numerics = args
     derived = derive_constants(loading, materials, cfg, free)
-    period = period_matrix(BranchData(cfg.endpoints), dataclasses.replace(numerics, N=N))
+    period = period_matrix(cfg, dataclasses.replace(numerics, N=N))
     return solve_constants(period, derived, free)
 
 
@@ -95,7 +95,7 @@ _CONDITIONED = [(slit_layout_inputs, n) for n in (48, 64, 96)] + [
 def test_the_system_solved_stays_well_conditioned(layout, n, seed):
     # Diagnostics.solvability_cond, without the rest of the solve
     cfg, *_, numerics = layout(n, seed)
-    period = period_matrix(BranchData(cfg.endpoints), numerics)
+    period = period_matrix(cfg, numerics)
     assert np.linalg.cond(system_matrix(period)) <= 30.0
 
 

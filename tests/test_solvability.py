@@ -16,7 +16,7 @@ from oracles import (
 
 from inclusion_forge import branch as branch_module
 from inclusion_forge import pipeline
-from inclusion_forge.branch import BranchData, slit_table
+from inclusion_forge.branch import slit_table
 from inclusion_forge.mapper import g0
 from inclusion_forge.model import (
     AT_INFINITY,
@@ -49,31 +49,30 @@ ANTISYMMETRIC = FreeParameters(antisymmetric=True)
 def figure_problem(name):
     cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
     derived = derive_constants(loading, materials, cfg, free)
-    branch = BranchData(cfg.endpoints)
-    return cfg, derived, branch, numerics
+    return cfg, derived, numerics
 
 
 def test_period_entries_against_weighted_quadrature_oracle():
-    _, _, branch, numerics = figure_problem("fig1b")
-    period = period_matrix(branch, numerics)
+    cfg, _, numerics = figure_problem("fig1b")
+    period = period_matrix(cfg, numerics)
     for j in range(2):
-        a, b = branch.slit(j)
+        a, b = cfg.slit(j)
         for m in (1, 2):
             oracle = weighted_integral(
-                lambda x, j=j, m=m: x ** (m - 1) / smooth_weight(branch.endpoints, j, x), a, b
+                lambda x, j=j, m=m: x ** (m - 1) / smooth_weight(cfg.endpoints, j, x), a, b
             )
             assert period.entry(m, j) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_period_symmetric_pair_has_equal_first_moments():
-    _, _, branch, numerics = figure_problem("fig2b")
-    period = period_matrix(branch, numerics)
+    cfg, _, numerics = figure_problem("fig2b")
+    period = period_matrix(cfg, numerics)
     assert period.entry(1, 0) == pytest.approx(period.entry(1, 1), rel=1e-13)
 
 
 def test_period_middle_slit_odd_moment_vanishes():
-    _, _, branch, numerics = figure_problem("fig4a")
-    period = period_matrix(branch, numerics)
+    cfg, _, numerics = figure_problem("fig4a")
+    period = period_matrix(cfg, numerics)
     assert period.entry(2, 1) == pytest.approx(0.0, abs=1e-14)
     assert np.all(period.I[0] > 0)
 
@@ -82,9 +81,9 @@ def test_period_middle_slit_odd_moment_vanishes():
 def test_alternating_row_sums_vanish(name):
     # contour integral of xi^(m-1)/q over a large circle is zero for
     # m <= n-1, which forces sum_j (-1)^j I_mj = 0
-    _, _, branch, numerics = figure_problem(name)
-    period = period_matrix(branch, numerics)
-    n = branch.n
+    cfg, _, numerics = figure_problem(name)
+    period = period_matrix(cfg, numerics)
+    n = cfg.n
     for m in range(1, n):
         alt = sum((-1.0) ** j * period.entry(m, j) for j in range(n))
         assert abs(alt) < 1e-10 * period.entry(m, n - 1 if n > 1 else 0)
@@ -92,15 +91,15 @@ def test_alternating_row_sums_vanish(name):
 
 def test_system_matrix_is_nonsingular_on_figures():
     for name in ("fig1b", "fig3a", "fig4a"):
-        _, _, branch, numerics = figure_problem(name)
-        det = np.linalg.det(system_matrix(period_matrix(branch, numerics)))
+        cfg, _, numerics = figure_problem(name)
+        det = np.linalg.det(system_matrix(period_matrix(cfg, numerics)))
         assert det != 0.0
 
 
 def test_one_slit_has_no_moment_conditions():
     # degree n - 2 = -1: an empty basis and system, and the one monomial moment,
     # the integral of 1/|q| over the slit, which is pi
-    period = period_matrix(BranchData([-1.0, 2.0]), NumericsConfig(N=16, M=16))
+    period = period_matrix(SlitConfiguration([-1.0, 2.0]), NumericsConfig(N=16, M=16))
     assert period.basis.shape == (0, 1, 16)
     assert period.moments.shape == (0, 1)
     assert system_matrix(period).shape == (0, 0)
@@ -108,9 +107,9 @@ def test_one_slit_has_no_moment_conditions():
 
 
 def test_symmetric_real_pole_strength_gives_zero_a():
-    cfg, derived, branch, numerics = figure_problem("fig2b")
+    cfg, derived, numerics = figure_problem("fig2b")
     assert derived.c_double_prime == 0.0
-    period = period_matrix(branch, numerics)
+    period = period_matrix(cfg, numerics)
     a = solve_constants(period, derived, FREE).a
     np.testing.assert_allclose(a, 0.0, atol=1e-15)
 
@@ -123,10 +122,9 @@ def test_imaginary_scaling_reproduces_published_antisymmetric_a():
     materials = MaterialSet([5.0, 5.0])
     derived = derive_constants(loading, materials, cfg, FreeParameters(c_m1=1j))
     assert derived.c == pytest.approx(1j)
-    branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, NUM)
+    period = period_matrix(cfg, NUM)
     expected_a1 = weighted_moment(
-        branch, 1, lambda x: 1.0 / x, 0, NUM.N
+        cfg, 1, lambda x: 1.0 / x, 0, NUM.N
     ) / period.entry(1, 1)
     sym = n2_symmetric_a(period, derived)
     assert sym[1] == pytest.approx(expected_a1, rel=1e-13)
@@ -143,15 +141,14 @@ def test_zero_drive_gives_zero_rho():
     materials = MaterialSet([5.0, 5.0])
     derived = derive_constants(loading, materials, cfg, FreeParameters(c_m1=1j))
     np.testing.assert_allclose(derived.c_star, 0.0, atol=1e-16)
-    branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, NUM)
+    period = period_matrix(cfg, NUM)
     rho = solve_constants(period, derived, FREE).rho
     np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
 
 def test_fig2c_rho_matches_published_closed_form():
-    cfg, derived, branch, numerics = figure_problem("fig2c")
-    period = period_matrix(branch, numerics)
+    cfg, derived, numerics = figure_problem("fig2c")
+    period = period_matrix(cfg, numerics)
     rho = solve_constants(period, derived, ANTISYMMETRIC).rho
     sym = n2_symmetric_rho(period, derived)
     np.testing.assert_allclose(rho, sym, atol=1e-12)
@@ -161,27 +158,27 @@ def test_fig2c_rho_matches_published_closed_form():
         -lam0
         * derived.c_star[0]
         * weighted_integral(
-            lambda x: 1.0 / (x * smooth_weight(branch.endpoints, 1, x)), *branch.slit(1)
+            lambda x: 1.0 / (x * smooth_weight(cfg.endpoints, 1, x)), *cfg.slit(1)
         )
         / weighted_integral(
-            lambda x: 1.0 / smooth_weight(branch.endpoints, 1, x), *branch.slit(1)
+            lambda x: 1.0 / smooth_weight(cfg.endpoints, 1, x), *cfg.slit(1)
         )
     )
     assert rho[1] == pytest.approx(expected, rel=1e-9)
 
 
 def test_fig3a_conditions_hold_under_independent_quadrature():
-    cfg, derived, branch, numerics = figure_problem("fig3a")
-    period = period_matrix(branch, numerics)
+    cfg, derived, numerics = figure_problem("fig3a")
+    period = period_matrix(cfg, numerics)
     a = solve_constants(period, derived, FREE).a
     for m in (1, 2):
         total = 0.0
         for j in range(3):
-            aj, bj = branch.slit(j)
+            aj, bj = cfg.slit(j)
             total += (-1.0) ** j * weighted_integral(
                 lambda x, j=j: (a[j] - pole_density(x, derived))
                 * x ** (m - 1)
-                / smooth_weight(branch.endpoints, j, x),
+                / smooth_weight(cfg.endpoints, j, x),
                 aj,
                 bj,
             )
@@ -189,8 +186,8 @@ def test_fig3a_conditions_hold_under_independent_quadrature():
 
 
 def test_fig4a_antisymmetric_constants():
-    cfg, derived, branch, numerics = figure_problem("fig4a")
-    period = period_matrix(branch, numerics)
+    cfg, derived, numerics = figure_problem("fig4a")
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, ANTISYMMETRIC)
     a, rho = constants.a, constants.rho
     assert a[0] == pytest.approx(-a[2], abs=1e-12)
@@ -200,9 +197,9 @@ def test_fig4a_antisymmetric_constants():
 
 @pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2a"])
 def test_two_slit_closed_forms_match_general_path(name):
-    cfg, derived, branch, numerics = figure_problem(name)
-    assert is_symmetric_pair(branch)
-    period = period_matrix(branch, numerics)
+    cfg, derived, numerics = figure_problem(name)
+    assert is_symmetric_pair(cfg)
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, FREE)
     np.testing.assert_allclose(
         constants.a, n2_closed_form_a(period, derived, 0.0), atol=1e-10
@@ -214,8 +211,8 @@ def test_two_slit_closed_forms_match_general_path(name):
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3c", "fig4a", "fig4c"])
 def test_three_slit_closed_forms_match_general_path(name):
-    cfg, derived, branch, numerics = figure_problem(name)
-    period = period_matrix(branch, numerics)
+    cfg, derived, numerics = figure_problem(name)
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, FreeParameters(a0=0.2, rho0=-0.3))
     np.testing.assert_allclose(
         constants.a, n3_closed_form_a(period, derived, 0.2), atol=1e-10
@@ -226,13 +223,13 @@ def test_three_slit_closed_forms_match_general_path(name):
 
 
 def test_boundedness_residuals_flag_overrides():
-    cfg, derived, branch, numerics = figure_problem("fig2c")
-    period = period_matrix(branch, numerics)
+    cfg, derived, numerics = figure_problem("fig2c")
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, ANTISYMMETRIC)
-    good = boundedness_residuals(branch, derived, constants, numerics)
+    good = boundedness_residuals(cfg, derived, constants, numerics)
     assert max(good["a_relative"], good["rho_relative"]) < 1e-12
     bad = boundedness_residuals(
-        branch, derived, build_constants(constants.a, np.zeros(2), derived), numerics
+        cfg, derived, build_constants(constants.a, np.zeros(2), derived), numerics
     )
     assert bad["rho_relative"] > 1e-2
 
@@ -249,7 +246,7 @@ def mirrored_four_slit_inputs():
 def test_mirrored_configuration_gives_antisymmetric_vectors():
     cfg, loading, materials, free, numerics = mirrored_four_slit_inputs()
     derived = derive_constants(loading, materials, cfg, free)
-    period = period_matrix(BranchData(cfg.endpoints), numerics)
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, free)
     a, rho = constants.a, constants.rho
     np.testing.assert_allclose(a, -a[::-1], atol=1e-10)
@@ -263,9 +260,8 @@ def test_general_path_handles_four_slits():
     loading = Loading(1.0, 1.0, -1.0, 1.0)
     materials = MaterialSet([5.0, 0.5, 2.0, 0.2])
     derived = derive_constants(loading, materials, cfg, FreeParameters())
-    branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, NUM)
-    res = boundedness_residuals(branch, derived, solve_constants(period, derived, FREE), NUM)
+    period = period_matrix(cfg, NUM)
+    res = boundedness_residuals(cfg, derived, solve_constants(period, derived, FREE), NUM)
     assert max(res["a_relative"], res["rho_relative"]) < 1e-12
 
 
@@ -288,18 +284,17 @@ def test_solve_constants_matches_the_per_problem_solves(case):
     # antisymmetric free values from two probe solves each
     cfg, loading, materials, free, numerics = _antisymmetric_inputs(case)
     derived = derive_constants(loading, materials, cfg, free)
-    branch = BranchData(cfg.endpoints)
-    period = period_matrix(branch, numerics)
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, free)
-    a0, rho0 = antisymmetric_free_values(period, branch, derived)
+    a0, rho0 = antisymmetric_free_values(period, cfg, derived)
     # the reference solves the monomial system it forms from period.I; its
     # solve errors, of order eps * cond of that system, are above 1e-12 past
     # n = 12, and at n = 24 it misses its own antisymmetry by ~1e-8
-    n = branch.n
+    n = cfg.n
     monomial = period.I[: n - 1, 1:] * (-1.0) ** np.arange(1, n)
     rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(monomial))
-    for got, want in ((constants.a, solve_a(period, branch, derived, a0)),
-                      (constants.rho, solve_rho(period, branch, derived, rho0))):
+    for got, want in ((constants.a, solve_a(period, cfg, derived, a0)),
+                      (constants.rho, solve_rho(period, cfg, derived, rho0))):
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()
         # the one solve makes the selected pair antisymmetric to rounding
         assert abs(got[-1] + got[0]) <= 1e-15 * np.abs(got).max()
@@ -314,7 +309,7 @@ def test_pole_at_infinity_with_complex_scaling_matches_printed_forms(name, c_m1)
     free = FreeParameters(a0=0.1, rho0=-0.2, c_m1=c_m1)
     derived = derive_constants(loading, materials, cfg, free)
     assert derived.pole_at_infinity and derived.c_double_prime != 0.0
-    period = period_matrix(BranchData(cfg.endpoints), numerics)
+    period = period_matrix(cfg, numerics)
     constants = solve_constants(period, derived, free)
     for got, want in ((constants.a, n3_closed_form_a(period, derived, 0.1)),
                       (constants.rho, n3_closed_form_rho(period, derived, -0.2))):
@@ -326,9 +321,8 @@ def test_pole_at_infinity_with_complex_scaling_matches_printed_forms(name, c_m1)
 def test_slit_table_moments_match_weighted_moment(N):
     cfg, loading, materials, free, _ = sixteen_slit_inputs()
     derived = derive_constants(loading, materials, cfg, free)
-    branch = BranchData(cfg.endpoints)
-    table = slit_table(branch, N)
-    rows = np.arange(branch.n)[:, None]
+    table = slit_table(cfg, N)
+    rows = np.arange(cfg.n)[:, None]
     densities = [  # (f(x, j) for one slit, f at the nodes of every slit)
         (lambda x, j: 1.0, 1.0),
         (lambda x, j: pole_density(x, derived), pole_density(table.nodes, derived)),
@@ -336,9 +330,9 @@ def test_slit_table_moments_match_weighted_moment(N):
     ]
     for f, samples in densities:
         moments = table.integrate(samples * table.powers)
-        for m in range(branch.n):
-            for j in range(branch.n):
-                expected = weighted_moment(branch, j, lambda x: f(x, j), m, N)
+        for m in range(cfg.n):
+            for j in range(cfg.n):
+                expected = weighted_moment(cfg, j, lambda x: f(x, j), m, N)
                 assert moments[m, j] == pytest.approx(expected, rel=1e-14, abs=1e-300)
 
 
@@ -350,9 +344,9 @@ def test_sixteen_slit_solve_makes_no_per_slit_moment_calls(monkeypatch):
     shapes = []
     smooth_factor = branch_module._smooth_factor
 
-    def counted(branch, x, slit):
+    def counted(cfg, x, slit):
         shapes.append(x.shape)
-        return smooth_factor(branch, x, slit)
+        return smooth_factor(cfg, x, slit)
 
     monkeypatch.setattr(branch_module, "_smooth_factor", counted)
     for name, n in (("fig1b", 2), ("fig3a", 3)):

@@ -5,8 +5,9 @@ so some other code of the package reads its name, or is public, so the
 package's ``__all__`` lists it.  So does each method or property: an
 underscore one, or any of a class that is not exported, is read somewhere
 in the package.  So does each module-level constant, a tuning knob above
-all: one that nothing reads changes nothing.  Code that only tests read
-lives in ``tests/oracles.py``.
+all: one that nothing reads changes nothing, and each field of a dataclass
+or NamedTuple the package does not export.  Code that only tests read lives in
+``tests/oracles.py``.
 """
 
 import ast
@@ -70,6 +71,31 @@ def test_every_private_method_and_every_method_of_an_unexported_class_is_used_in
                 if (node.name.startswith("_") or cls.name not in public) and _unread(trees, node, node.name):
                     unused.append(f"{module}.{cls.name}.{node.name}")
     assert not unused, f"methods of src/ that nothing there reads: {unused}"
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: a class whose annotated body names are its fields."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases
+    )
+
+
+def test_every_field_of_an_unexported_record_is_read_in_the_package():
+    # a field that nothing reads is carried for nothing: what only tests read is
+    # computed in the tests from the inputs
+    trees = _trees()
+    public = set(inclusion_forge.__all__)
+    unread = [
+        f"{module}.{cls.name}.{node.target.id}"
+        for module, tree in sorted(trees.items())
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name not in public and _is_record(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and _unread(trees, node, node.target.id)
+    ]
+    assert not unread, f"fields of unexported records in src/ that nothing there reads: {unread}"
 
 
 def _assigned_names(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
