@@ -22,7 +22,6 @@ from .mapper import (
 from .model import (
     AT_INFINITY,
     ConfigurationError,
-    DegenerateEllipseError,
     DerivedConstants,
     EvaluationError,
     FreeParameters,
@@ -50,7 +49,6 @@ __all__ = [
     "AT_INFINITY",
     "ConfigurationError",
     "ContourProfile",
-    "DegenerateEllipseError",
     "DerivedConstants",
     "Diagnostics",
     "EvaluationError",

@@ -8,7 +8,8 @@ reproduce-figures  regenerate the bundled sample configurations
 
 Exit codes: 0 valid result, 1 invalid verdict (or unexpected
 classification for reproduce-figures), 2 unreadable/invalid input or
-unwritable output, 3 internal numerical failure.
+unwritable output, 3 numerical failure (constants that are not finite, or
+printed closed forms that disagree with the general path).
 """
 
 from __future__ import annotations

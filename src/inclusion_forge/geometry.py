@@ -124,7 +124,7 @@ def _closed_profile(m: int, grid: np.ndarray, top: np.ndarray, bot: np.ndarray) 
     (their bank-dependent terms vanish there analytically).
     """
     P = len(grid)
-    closure = max(abs(top[0] - bot[0]), abs(top[-1] - bot[-1]))
+    closure = np.max(np.abs([top[0] - bot[0], top[-1] - bot[-1]]))  # a NaN at either end propagates
     points = np.concatenate([top, bot[-2:0:-1], top[:1]])
     xi = np.concatenate([grid, grid[-2:0:-1], grid[:1]])
     bank = np.concatenate(

@@ -31,7 +31,6 @@ import numpy as np
 
 from .branch import abs_q, check_on_slit
 from .model import (
-    DegenerateEllipseError,
     DerivedConstants,
     EvaluationError,
     FreeParameters,
@@ -410,7 +409,7 @@ def _interpolant_nodes(branch: SlitConfiguration) -> int:
 
 
 def n1_shape_ratio(loading: Loading, materials: MaterialSet) -> complex:
-    """Ellipse shape ratio delta of the circular-map representation."""
+    """Ellipse shape ratio delta of the circular-map representation; |delta| = 1 is a segment."""
     if materials.n != 1:
         raise EvaluationError("shape ratio is defined for a single inclusion")
     k0 = materials.kappa[0]
@@ -420,16 +419,6 @@ def n1_shape_ratio(loading: Loading, materials: MaterialSet) -> complex:
     if tau == 0:
         raise EvaluationError("interior stress must not vanish")
     return (2.0 * k0 * tau_inf - (k0 + 1.0) * tau) / ((1.0 - k0) * loading.tau_bar)
-
-
-def _n1_proper_shape_ratio(loading: Loading, materials: MaterialSet) -> complex:
-    """The shape ratio delta; raises where delta = +-1 collapses the profile."""
-    delta = n1_shape_ratio(loading, materials)
-    if abs(delta - 1.0) < 1e-12 or abs(delta + 1.0) < 1e-12:
-        raise DegenerateEllipseError(
-            f"shape ratio delta = {delta} collapses the profile to a segment"
-        )
-    return delta
 
 
 def _n1_frame(loading: Loading, free: FreeParameters) -> tuple[Loading, complex]:
@@ -456,7 +445,6 @@ def _n1_axis_factors(loading: Loading, materials: MaterialSet) -> tuple[complex,
 def n1_slit_profile(xi, bank: int, loading: Loading, materials: MaterialSet,
                     free: FreeParameters):
     """Boundary point of the single-inclusion slit map at xi in [-1, 1] (see :func:`_n1_frame`)."""
-    _n1_proper_shape_ratio(loading, materials)
     framed, turn = _n1_frame(loading, free)
     m1, m2 = _n1_axis_factors(framed, materials)
     x = np.asarray(xi, dtype=float)
@@ -468,7 +456,6 @@ def n1_slit_profile(xi, bank: int, loading: Loading, materials: MaterialSet,
 def n1_circular_profile(phi, loading: Loading, materials: MaterialSet,
                         free: FreeParameters):
     """Boundary point of the single-inclusion circular map at angle phi (see :func:`_n1_frame`)."""
-    _n1_proper_shape_ratio(loading, materials)
     framed, turn = _n1_frame(loading, free)
     delta = n1_shape_ratio(framed, materials)
     unit = np.exp(1j * np.asarray(phi, dtype=float))

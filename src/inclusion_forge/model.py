@@ -29,10 +29,6 @@ class SolverError(RuntimeError):
     """A numerical stage failed or produced inconsistent results."""
 
 
-class DegenerateEllipseError(SolverError):
-    """Single-inclusion map degenerates to a segment (shape ratio at +-1)."""
-
-
 class _AtInfinity:
     """Marker for a pole preimage at the infinite point."""
 

@@ -2,7 +2,7 @@
 
 ``solve`` derives the loading constants (which validates the input), fixes
 a_j and rho_j (or accepts overrides), traces every contour, and grades the
-result:
+result (constants that are not finite abort the run before any gate):
 
 * ``VALID``             every gate passed: both boundedness conditions hold
                         to tolerance and the contours are simple, pairwise
@@ -11,7 +11,7 @@ result:
                         map exists but grows at infinity, as with overridden
                         constants);
 * ``INVALID-GEOMETRY``  only a geometry gate failed: contours intersect,
-                        touch, nest, or degenerate.
+                        touch, nest, or degenerate (at every n).
 
 Each gate is one record of ``Diagnostics.gates`` (value, threshold, unit,
 passed), filled alike for one inclusion and for many, and the verdict is
@@ -201,13 +201,14 @@ def _graded(
     inconsistency cannot pass.
     """
     relative = "relative to the moment's absolute-integrand scale"
-    diameter = max(max(p.diameter for p in profiles), 1e-300)
+    # np.max, not max: a NaN diameter or closure error propagates to its gate
+    diameter = float(np.maximum(np.max([p.diameter for p in profiles]), 1e-300))
     rows = (
         ("boundedness.a", boundedness["a_relative"], tol, relative),
         ("boundedness.rho", boundedness["rho_relative"], tol, relative),
         ("schwarz.imF", schwarz["imF_max_dev"], tol, "absolute"),
         ("schwarz.omega", schwarz["omega_max_dev"], tol, "absolute"),
-        ("closure", max(p.closure_error for p in profiles), tol * diameter,
+        ("closure", float(np.max([p.closure_error for p in profiles])), tol * diameter,
          "absolute; the threshold is tol_solve times the largest contour diameter"),
         ("geometry.contacts", len(geo_report["contacts"]), 0, "contact records"),
         ("geometry.degenerate", sum(geo_report["degenerate"]), 0, "degenerate contours"),
@@ -252,7 +253,7 @@ def _closed_form_cross_check(
     the printed ones, relative to the largest of 1, |a_j| and |rho_j|.
     """
     n, a, rho = cfg.n, solved.a, solved.rho
-    size = max(1.0, float(np.abs(a).max()), float(np.abs(rho).max()))
+    size = float(np.max([1.0, np.abs(a).max(), np.abs(rho).max()]))  # np.max propagates a NaN; max may not
     if n == 1:
         printed = np.array([printed_n1(grid, bank) for bank in (+1, -1)])
         candidates, size = [omega - printed], float(np.abs(printed).max())
@@ -268,7 +269,7 @@ def _closed_form_cross_check(
         ]
     else:
         return {"applied": False, "max_mismatch": 0.0}
-    mismatch = max(float(np.abs(c).max()) for c in candidates) / size
+    mismatch = float(np.max([np.abs(c).max() for c in candidates])) / size
     if not mismatch <= _CROSS_CHECK_TOL:  # as at the gates, a NaN mismatch fails
         raise SolverError(f"the printed closed forms disagree with the general path by {mismatch:.3e}")
     return {"applied": True, "max_mismatch": mismatch}
@@ -297,6 +298,13 @@ def _schwarz_boundary_report(
     )
     dev_w = float(np.abs(lhs - rhs).max())
     return {"imF_max_dev": dev_f, "omega_max_dev": dev_w}
+
+
+def _refuse_non_finite(**values) -> None:
+    """Raise ``SolverError`` naming each of ``values`` not finite: a verdict on their NaN would mean nothing."""
+    bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if bad:
+        raise SolverError(f"the constants {', '.join(bad)} are not finite")
 
 
 def request_violations(
@@ -342,12 +350,14 @@ def solve(
     (letting deliberately violated configurations be traced); the
     boundedness residuals then report the violation and the verdict turns
     INVALID-UNBOUNDED.  A request that breaks a rule of
-    :func:`request_violations` raises ``ConfigurationError``.
+    :func:`request_violations` raises ``ConfigurationError``, and constants
+    that are not finite (c, e_j, lambda_j, a_j, rho_j, rho'_j) ``SolverError``.
     """
     bad = request_violations(cfg, free, override_a, override_rho)
     if bad:
         raise ConfigurationError("; ".join(bad))
     derived = derive_constants(loading, materials, cfg, free)
+    _refuse_non_finite(c=derived.c, e=derived.e, lam=derived.lam)
     timings = dict.fromkeys(STAGES, 0.0)
     period = cond = None
     if cfg.n > 1:  # one slit has no moment system; its map builds its own node table
@@ -368,6 +378,7 @@ def solve(
             solved.rho if override_rho is None else override_rho,
             derived,
         )
+    _refuse_non_finite(a=constants.a, rho=constants.rho, rho_prime=constants.rho_prime)
     with _stage(timings, "residuals"):
         bounded = solvability.boundedness_residuals(cfg, derived, constants, numerics)
 

@@ -144,12 +144,9 @@ class SolvabilityConstants:
     a: np.ndarray
     rho: np.ndarray
     rho_prime: np.ndarray
-    d_prime: np.ndarray
 
-    def __init__(self, a, rho, rho_prime, d_prime) -> None:
-        for name, value in (
-            ("a", a), ("rho", rho), ("rho_prime", rho_prime), ("d_prime", d_prime)
-        ):
+    def __init__(self, a, rho, rho_prime) -> None:
+        for name, value in (("a", a), ("rho", rho), ("rho_prime", rho_prime)):
             arr = np.array(value, dtype=float)  # owned copy; frozen below
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -160,12 +157,9 @@ class SolvabilityConstants:
 
 
 def build_constants(a, rho, derived: DerivedConstants) -> SolvabilityConstants:
-    """Bundle a, rho with the derived per-slit offsets rho'_j and d'_j."""
-    a = np.asarray(a, dtype=float)
+    """Bundle a, rho with the derived per-slit offsets rho'_j = rho_j / lambda_j."""
     rho = np.asarray(rho, dtype=float)
-    lam = np.asarray(derived.lam)
-    rho_prime = rho / lam
-    return SolvabilityConstants(a, rho, rho_prime, derived.beta0 - rho_prime)
+    return SolvabilityConstants(a, rho, rho / np.asarray(derived.lam))
 
 
 def solve_constants(

@@ -683,10 +683,10 @@ def test_parse_config_rejects_slit_count_mismatch():
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
-    # single inclusion with equal real stresses degenerates to a segment
+    # a subnormal mu overflows the loading constants
     doc = figures.load_case("fig1a")
-    doc["loading"] = {"tau1": 1.0, "tau2": 0.0, "tau1_inf": 1.0, "tau2_inf": 0.0}
-    path = tmp_path / "degenerate.json"
+    doc["loading"]["mu"] = 1e-310
+    path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["solve", "--config", str(path)]) == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -63,6 +63,18 @@ def test_profiles_are_closed_and_counterclockwise(solve_figure):
         assert p.closure_error <= 1e-8 * p.diameter
 
 
+def test_a_nan_at_either_slit_endpoint_is_the_closure_error():
+    # the two banks of one slit meet at both ends; a NaN at the second end is
+    # not dropped behind a closed first end
+    grid = geometry.bank_parameter_grid(-1.0, 1.0, 5)[None]
+    omega = np.array([grid + 1j * np.sqrt(1.0 - grid**2), grid - 1j * np.sqrt(1.0 - grid**2)])
+    assert geometry.build_profiles(grid, omega)[0].closure_error == 0.0
+    for end in (0, -1):
+        opened = omega.copy()
+        opened[0, 0, end] = np.nan
+        assert np.isnan(geometry.build_profiles(grid, opened)[0].closure_error), end
+
+
 def test_extents_are_computed_once_and_stay_out_of_equality(solve_figure):
     for p in solve_figure("fig3a").profiles:
         twin = ContourProfile(p.slit_index, p.points, p.xi, p.bank, p.closure_error)

@@ -42,7 +42,6 @@ from inclusion_forge.mapper import (
     n1_slit_profile,
 )
 from inclusion_forge.model import (
-    DegenerateEllipseError,
     EvaluationError,
     FreeParameters,
     Loading,
@@ -54,7 +53,7 @@ from inclusion_forge.model import (
     singular_part_F,
     singular_part_omega,
 )
-from inclusion_forge.geometry import bank_parameter_grid
+from inclusion_forge.geometry import bank_parameter_grid, build_profiles, contacts
 from inclusion_forge.quadrature import (
     singular_on_stack,
     slit_roots,
@@ -418,14 +417,22 @@ def test_real_loading_profile_is_conjugation_symmetric():
 
 
 def test_degenerate_shape_ratio_is_rejected():
-    # equal real stresses: (2k - (k+1))/(1-k) = -1, a segment
+    # equal real stresses: (2k - (k+1))/(1-k) = -1.  Both printed forms
+    # evaluate there, to the segment [-i, i] (the circular one at c_m1 / 2,
+    # as everywhere), and the geometry predicates of every n reject its
+    # contour: no area, and its banks cross
     loading = Loading(1.0, 0.0, 1.0, 0.0)
     materials = MaterialSet([3.0])
     assert n1_shape_ratio(loading, materials) == pytest.approx(-1.0)
-    with pytest.raises(DegenerateEllipseError):
-        n1_slit_profile(0.3, +1, loading, materials, FreeParameters())
-    with pytest.raises(DegenerateEllipseError):
-        n1_circular_profile(0.3, loading, materials, FreeParameters())
+    grid = bank_parameter_grid(-1.0, 1.0, 65)[None]
+    with np.errstate(all="raise"):
+        banks = np.array([n1_slit_profile(grid, bank, loading, materials, FreeParameters()) for bank in (+1, -1)])
+        circle = n1_circular_profile(np.linspace(0.0, 2.0 * np.pi, 65), loading, materials, FreeParameters(c_m1=0.5))
+    for points in (banks, circle):
+        assert np.abs(points.real).max() <= _EPS and np.abs(points.imag).max() == pytest.approx(1.0)
+    (profile,) = build_profiles(grid, banks)
+    assert profile.degenerate
+    assert [c["contours"] for c in contacts([profile])] == [[0, 0]]
 
 
 def test_gamma_translates_profiles():

@@ -21,12 +21,17 @@ def test_the_traced_ops_and_their_layer_metrics_run_without_error(tmp_path):
     workloads = run.workloads
     bundled = workloads.load_bundled(inclusion_forge)
     runners = []
-    for workload in ("corpus", "interior_field"):
+    # every corpus input; one n = 16 layout (the interpolated bank pass and
+    # the gap-basis moments), one P = 800 case and one interior input
+    picks = {
+        "corpus": slice(None), "many_slits": slice(1), "fine_contours": slice(1), "interior_field": slice(-1, None),
+    }
+    for workload, pick in picks.items():
         inputs = workloads.generate(workload, 0, bundled)
         runner = workloads.Runner(inclusion_forge, inputs, tmp_path / workload)
         (tmp_path / workload).mkdir()
         runner.prepare()  # set-up runs untraced, as in run.set_up
-        runners.append((runner, inputs.keys if workload == "corpus" else inputs.keys[-1:]))
+        runners.append((runner, inputs.keys[pick]))
     tracer = run.Tracer()
     tracer.install()
     try:
@@ -48,7 +53,7 @@ def test_the_traced_ops_and_their_layer_metrics_run_without_error(tmp_path):
             tracemalloc.stop()
     finally:
         tracer.uninstall()
-    assert ops == 17
+    assert ops == 19
     assert not tracer.errors
     assert metrics["pipeline.verdict.VALID"] > 0 and metrics["mapper.omega_interior.self_s"] > 0
     assert all(math.isfinite(v) for v in metrics.values())

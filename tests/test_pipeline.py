@@ -9,9 +9,9 @@ import pytest
 from conftest import load_figure_inputs, sixteen_slit_inputs, slit_layout_inputs
 
 import inclusion_forge
-from inclusion_forge import cli, figures, geometry, interior, mapper, pipeline
+from inclusion_forge import cli, figures, geometry, interior, mapper, pipeline, solvability
 from inclusion_forge.model import (
-    ConfigurationError, DegenerateEllipseError, FreeParameters, Loading, MaterialSet, SolverError,
+    ConfigurationError, FreeParameters, Loading, MaterialSet, SolverError,
 )
 
 
@@ -221,20 +221,93 @@ def test_the_single_inclusion_cross_check_refuses_a_wrong_closed_form(monkeypatc
 
 
 def test_a_collapsed_single_inclusion_is_refused():
-    # equal real stresses: delta = -1, a segment
+    # every |delta| = 1 collapses the inclusion to a segment; at tau = 1 and
+    # kappa = 5, tau_inf = 1, 0.2 and 0.6 - 0.4i give delta = -1, +1 and i.
+    # Each is traced, agrees with its printed form, and is refused by the
+    # geometry gates of every n, with no floating-point fault on the way
     cfg, _, materials, free, numerics, _ = load_figure_inputs("fig1a")
-    with pytest.raises(DegenerateEllipseError):
-        pipeline.solve(cfg, Loading(1.0, 0.0, 1.0, 0.0), materials, free, numerics)
+    for tau_inf, delta in ((1.0, -1.0), (0.2, 1.0), (0.6 - 0.4j, 1j)):
+        loading = Loading(1.0, 0.0, complex(tau_inf).real, complex(tau_inf).imag)
+        assert abs(mapper.n1_shape_ratio(loading, materials) - delta) < 1e-15
+        with np.errstate(all="raise"):
+            diag = pipeline.solve(cfg, loading, materials, free, numerics).diagnostics
+        assert diag.verdict == "INVALID-GEOMETRY", delta
+        assert diag.failed_gates == ["geometry.contacts", "geometry.degenerate"], delta
+        assert diag.cross_check["applied"] and diag.cross_check["max_mismatch"] < 1e-15, delta
+
+
+def _refuse_grading(monkeypatch):
+    """Make the first two stages that read the constants fail the test if they run."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("a stage ran on non-finite constants")
+
+    monkeypatch.setattr(solvability, "boundedness_residuals", unreached)
+    monkeypatch.setattr(mapper, "SlitMap", unreached)
+
+
+def _refused_at_subnormal_mu(name, monkeypatch):
+    """Solve a bundled case or a seed-0 ``layout<n>`` at mu = 1e-310 and expect c and e refused, with no FP fault."""
+    if name.startswith("layout"):
+        cfg, loading, materials, free, numerics = slit_layout_inputs(int(name[6:]), 0)
+    else:
+        cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
+    loading = dataclasses.replace(loading, mu=1e-310)
+    _refuse_grading(monkeypatch)
+    with np.errstate(all="raise"), pytest.raises(SolverError, match="^the constants c, e are not finite$"):
+        pipeline.solve(cfg, loading, materials, free, numerics)
 
 
 @pytest.mark.parametrize("name", ["fig1b", "fig3a"])
-def test_a_non_finite_cross_check_mismatch_is_refused(name):
-    # mu = 1e-310 is subnormal: the constants overflow, the printed forms and
-    # the general path read NaN, and a NaN mismatch is no agreement
-    cfg, loading, materials, free, numerics, _ = load_figure_inputs(name)
-    loading = dataclasses.replace(loading, mu=1e-310)
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match="disagree .* by nan"):
-        pipeline.solve(cfg, loading, materials, free, numerics)
+def test_a_non_finite_cross_check_mismatch_is_refused(name, monkeypatch):
+    # mu = 1e-310 is subnormal: the constants overflow, and the solve stops
+    # at them, before any printed form or general path reads their NaN
+    _refused_at_subnormal_mu(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig4a", "layout4", "layout16"])
+def test_non_finite_constants_are_refused_before_they_are_graded(name, monkeypatch):
+    # fig4a's NaN sat second in a max of its cross-check, and from four slits
+    # on no printed form is compared: every n stops at the constants
+    _refused_at_subnormal_mu(name, monkeypatch)
+
+
+def test_non_finite_solved_constants_are_refused_before_they_are_graded(monkeypatch):
+    # finite loading constants, and a solve that returns a NaN rho
+    solve_constants = solvability.solve_constants
+
+    def nan_rho(period, derived, free):
+        solved = solve_constants(period, derived, free)
+        return solvability.build_constants(solved.a, solved.rho * np.nan, derived)
+
+    monkeypatch.setattr(solvability, "solve_constants", nan_rho)
+    _refuse_grading(monkeypatch)
+    with pytest.raises(SolverError, match="^the constants rho, rho_prime are not finite$"):
+        run_figure("fig1b")
+
+
+def test_a_nan_printed_constant_fails_the_cross_check(monkeypatch):
+    # the solved constants are finite; a NaN in the printed three-slit rho,
+    # second to a finite a mismatch, still fails the check
+    monkeypatch.setattr(solvability, "n3_closed_form_rho", lambda period, derived, rho0: np.full(3, np.nan))
+    with pytest.raises(SolverError, match="disagree with the general path by nan$"):
+        run_figure("fig3a")
+
+
+def test_a_nan_closure_error_fails_the_closure_gate(monkeypatch):
+    build = geometry.build_profiles
+
+    def reopened(grid, omega):
+        first, second = build(grid, omega)
+        return [
+            geometry.ContourProfile(0, first.points, first.xi, first.bank, 0.0),
+            geometry.ContourProfile(1, second.points, second.xi, second.bank, np.nan),
+        ]
+
+    monkeypatch.setattr(geometry, "build_profiles", reopened)
+    diag = run_figure("fig1b").diagnostics
+    assert list(diag.closure_errors[:1]) == [0.0] and np.isnan(diag.closure_errors[1])
+    assert np.isnan(diag.gates["closure"]["value"]) and not diag.gates["closure"]["passed"]
+    assert diag.failed_gates == ["closure"]
 
 
 def test_validation_failures_raise():

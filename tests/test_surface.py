@@ -7,7 +7,8 @@ underscore one, or any of a class that is not exported, is read somewhere
 in the package.  So does each module-level constant, a tuning knob above
 all: one that nothing reads changes nothing, and each field of a dataclass
 or NamedTuple the package does not export.  Code that only tests read lives in
-``tests/oracles.py``.
+``tests/oracles.py``.  A field of an exported record is read by the package,
+its tests or the benchmark, or written whole by the record's ``to_dict``.
 """
 
 import ast
@@ -96,6 +97,41 @@ def test_every_field_of_an_unexported_record_is_read_in_the_package():
         and _unread(trees, node, node.target.id)
     ]
     assert not unread, f"fields of unexported records in src/ that nothing there reads: {unread}"
+
+
+def _serialized(cls: ast.ClassDef) -> bool:
+    """Whether the record's ``to_dict`` hands the whole record to ``asdict``."""
+    return any(
+        isinstance(node, ast.FunctionDef) and node.name == "to_dict"
+        and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "asdict" for c in ast.walk(node))
+        for node in cls.body
+    )
+
+
+def test_every_field_of_an_exported_record_is_read_or_serialized():
+    # a public field is read by name in the package, its tests or the
+    # benchmark, or written out whole by its record's to_dict.  Within its own
+    # class only an attribute read counts, not the parameter of a constructor
+    # that sets it; this file, which reads AST fields, does not count
+    trees = _trees()
+    here = Path(__file__)
+    readers = {**trees, **{
+        f"{path.parent.name}/{path.stem}": ast.parse(path.read_text(), filename=str(path))
+        for folder in (here.parent, here.parents[1] / "perfbench")
+        for path in sorted(folder.glob("*.py")) if path != here
+    }}
+    public = set(inclusion_forge.__all__)
+    unread = [
+        f"{module}.{cls.name}.{node.target.id}"
+        for module, tree in sorted(trees.items())
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in public and _is_record(cls) and not _serialized(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and _unread(readers, cls, node.target.id)
+        and node.target.id not in {a.attr for a in ast.walk(cls) if isinstance(a, ast.Attribute)}
+    ]
+    assert not unread, f"fields of exported records that neither src/, tests/ nor perfbench/ reads: {unread}"
 
 
 def _assigned_names(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
