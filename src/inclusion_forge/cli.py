@@ -225,8 +225,8 @@ def parse_config(doc: dict):
 
 def load_config(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}") from exc
     try:
         return json.loads(text)

@@ -280,8 +280,9 @@ class DerivedConstants:
 
     ``c`` is the pole strength of the auxiliary function, ``e[j]`` the
     complex per-inclusion density constants whose real parts are ``c_star``,
-    ``lam``/``lam_tilde`` the stiffness contrast vectors.  ``zeta_inf`` is
-    ``None`` when the pole preimage sits at infinity.
+    ``lam`` the stiffness contrast vector (``loading.mu`` times
+    :meth:`MaterialSet.lambda_tilde`).  ``zeta_inf`` is ``None`` when the
+    pole preimage sits at infinity.
     """
 
     c: complex
@@ -289,9 +290,7 @@ class DerivedConstants:
     e: tuple[complex, ...]
     c_star: tuple[float, ...]
     lam: tuple[float, ...]
-    lam_tilde: tuple[float, ...]
     tau_bar: complex
-    mu: float
     zeta_inf: complex | None
     c_m1: complex
     gamma: complex
@@ -400,7 +399,6 @@ def derive_constants(
     mu = loading.mu
     tau_bar = loading.tau_bar
     c = (loading.tau_inf_bar - tau_bar) * free.c_m1 / mu
-    lam_tilde = materials.lambda_tilde()
     lam = materials.lam(mu)
     # e_j = c_{-1} (tau_bar_inf / mu - tau_bar / mu_j), with mu_j = kappa_j mu
     e = tuple(
@@ -414,9 +412,7 @@ def derive_constants(
         e=e,
         c_star=c_star,
         lam=lam,
-        lam_tilde=lam_tilde,
         tau_bar=tau_bar,
-        mu=mu,
         zeta_inf=zeta_inf,
         c_m1=free.c_m1,
         gamma=free.gamma,

@@ -30,7 +30,7 @@ tolerance aborts the run (it would mean the printed algebra and the general
 construction diverged).
 
 The slit boundary is evaluated once per solve: one ``SlitMap.banks`` pass at
-the (n, P) bank grid gives the contours, and the Schwarz report reads the
+the (n, P) bank grid gives the contours, and the Schwarz residuals read the
 same values at every traced vertex, slit endpoints included.  From four
 slits on, that pass sums the other slits at K Chebyshev nodes per slit
 rather than at the P targets wherever this sums fewer terms; K =
@@ -63,6 +63,7 @@ from .model import (
     SolverError,
     derive_constants,
     g0,
+    pole_density,
     singular_part_omega,
 )
 from .solvability import SolvabilityConstants
@@ -110,21 +111,20 @@ class Diagnostics:
     ``gates`` maps each gate name of ``_GATE_VERDICTS`` to its record: the
     ``value`` measured, the ``threshold`` it must not exceed, the ``unit``
     both are in, and whether it ``passed``.  The verdict is read from it
-    alone.  ``kept_length`` records work, not an invariant of the layout
-    (see :meth:`~inclusion_forge.mapper.SlitMap.kept_lengths`).
+    alone, and no other key repeats what it holds.  ``kept_length`` records
+    work, not an invariant of the layout (see
+    :meth:`~inclusion_forge.mapper.SlitMap.kept_lengths`).
     """
 
     verdict: str
     gates: dict
     boundedness: dict
-    schwarz: dict
     closure_errors: tuple[float, ...]
     solvability_cond: float | None
     truncation: dict
     kept_length: dict
     geometry: dict
     cross_check: dict
-    tol_solve: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -165,17 +165,13 @@ class SolveResult:
 
 
 def _geometry_report(profiles: Sequence[ContourProfile]) -> dict:
-    contacts = geometry.contacts(profiles)
-    tests = [c["contours"] for c in contacts]
     return {
-        "self_intersections": [[p.slit_index] * 2 in tests for p in profiles],
-        "pairwise_disjoint": all(p == q for p, q in tests),
         "degenerate": [p.degenerate for p in profiles],
         "signed_areas": [p.signed_area for p in profiles],
         "orientation": [geometry.traced_orientation(p) for p in profiles],
         "diameters": [p.diameter for p in profiles],
-        # one record per failed test; empty when all passed
-        "contacts": contacts,
+        # one record per failed test, self-crossings first; empty when all passed
+        "contacts": geometry.contacts(profiles),
     }
 
 
@@ -189,25 +185,27 @@ def _graded(
     profiles: Sequence[ContourProfile],
     geo_report: dict,
     boundedness: dict,
-    schwarz: dict,
+    schwarz: tuple[float, float],
     tol: float,
     **rest,
 ) -> Diagnostics:
     """The diagnostics of a traced solve: its gate record, and the verdict read from it.
 
-    A gate passes where its value does not exceed its threshold; a NaN
-    value fails.  The boundary-route Schwarz residuals are exact by
-    construction; they still gate the verdict so an implementation
-    inconsistency cannot pass.
+    ``schwarz`` holds the residuals of :func:`_schwarz_residuals`, and
+    ``tol``, ``tol_solve``, is the threshold of each tolerance gate.  A gate
+    passes where its value does not exceed its threshold; a NaN value
+    fails.  The Schwarz residuals are exact by construction; they still
+    gate the verdict so an implementation inconsistency cannot pass.
     """
     relative = "relative to the moment's absolute-integrand scale"
+    terms = "relative to the largest modulus of the terms it sums at the traced vertices"
     # np.max, not max: a NaN diameter or closure error propagates to its gate
     diameter = float(np.maximum(np.max([p.diameter for p in profiles]), 1e-300))
     rows = (
         ("boundedness.a", boundedness["a_relative"], tol, relative),
         ("boundedness.rho", boundedness["rho_relative"], tol, relative),
-        ("schwarz.imF", schwarz["imF_max_dev"], tol, "absolute"),
-        ("schwarz.omega", schwarz["omega_max_dev"], tol, "absolute"),
+        ("schwarz.imF", schwarz[0], tol, terms),
+        ("schwarz.omega", schwarz[1], tol, terms),
         ("closure", float(np.max([p.closure_error for p in profiles])), tol * diameter,
          "absolute; the threshold is tol_solve times the largest contour diameter"),
         ("geometry.contacts", len(geo_report["contacts"]), 0, "contact records"),
@@ -228,10 +226,8 @@ def _graded(
         verdict=verdict,
         gates=gates,
         boundedness=boundedness,
-        schwarz=schwarz,
         closure_errors=tuple(p.closure_error for p in profiles),
         geometry=geo_report,
-        tol_solve=tol,
         **rest,
     )
 
@@ -275,29 +271,33 @@ def _closed_form_cross_check(
     return {"applied": True, "max_mismatch": mismatch}
 
 
-def _schwarz_boundary_report(
+def _schwarz_residuals(
     boundary: mapper.BoundaryPass,
     grid: np.ndarray,
     derived: DerivedConstants,
     constants: SolvabilityConstants,
-) -> dict:
-    """Residuals of both boundary conditions at every traced vertex.
+) -> tuple[float, float]:
+    """Residuals of both boundary conditions at every traced vertex, each relative to the terms it sums.
 
     ``boundary`` is the pass the contours were traced from, at the (n, P)
-    bank parameters ``grid``, endpoints included.
+    bank parameters ``grid``, endpoints included.  Im F = a_j sums the pole
+    density and a_j less it; Im(i tau_bar omega_0) = lambda_j (g0 +- g1) +
+    rho_j, omega_0 = omega - singular part - gamma.  Relative to its terms,
+    neither residual moves with a scale of the input such as ``loading.mu``.
     """
     rows = np.arange(len(grid))[:, None]
     sign = np.array([1.0, -1.0])[:, None, None] * (-1.0) ** rows
-    dev_f = float(np.abs(boundary.F.imag - constants.a[rows]).max())
-    om0 = boundary.omega - singular_part_omega(grid, derived) - derived.gamma
-    lhs = (1j * derived.tau_bar * om0).imag
-    rhs = (
-        np.asarray(derived.lam)[rows]
-        * (g0(grid, rows, derived) + sign * boundary.g1)
-        + constants.rho[rows]
+    a, pole = constants.a[rows], pole_density(grid, derived)
+    tau_om0 = derived.tau_bar * (boundary.omega - singular_part_omega(grid, derived) - derived.gamma)
+    lam, g_0, rho = np.asarray(derived.lam)[rows], g0(grid, rows, derived), constants.rho[rows]
+    checks = (  # (the residual, its terms)
+        (boundary.F.imag - a, (pole, a - pole)),
+        ((1j * tau_om0).imag - (lam * (g_0 + sign * boundary.g1) + rho),
+         (tau_om0, lam * g_0, lam * boundary.g1, rho)),
     )
-    dev_w = float(np.abs(lhs - rhs).max())
-    return {"imF_max_dev": dev_f, "omega_max_dev": dev_w}
+    # an exact 0 reads 0 at any scale; np.max, not max, so a NaN term stays NaN
+    devs = [(np.abs(residual).max(), np.max([np.abs(t).max() for t in terms])) for residual, terms in checks]
+    return tuple(0.0 if dev == 0.0 else float(dev / scale) if scale > 0.0 else np.inf for dev, scale in devs)
 
 
 def _refuse_non_finite(**values) -> None:
@@ -344,7 +344,7 @@ def solve(
     override_a: Sequence[float] | None = None,
     override_rho: Sequence[float] | None = None,
 ) -> SolveResult:
-    """Run the full construction and grade the outcome.
+    """Run the full construction and grade the outcome against ``numerics.tol_solve``.
 
     ``override_a``/``override_rho`` replace the solved constant vectors
     (letting deliberately violated configurations be traced); the
@@ -360,7 +360,10 @@ def solve(
     _refuse_non_finite(c=derived.c, e=derived.e, lam=derived.lam)
     timings = dict.fromkeys(STAGES, 0.0)
     period = cond = None
-    if cfg.n > 1:  # one slit has no moment system; its map builds its own node table
+    # one slit has no moment system, and its map builds its own node table.  Its
+    # period matrix would hold an empty system, on which np.linalg.cond raises, and
+    # perfbench/run.py takes the cond of every period matrix its traced run keeps
+    if cfg.n > 1:
         with _stage(timings, "moments"):
             period = solvability.period_matrix(cfg, numerics)
             cond = float(np.linalg.cond(solvability.system_matrix(period)))
@@ -396,10 +399,8 @@ def solve(
         )
     with _stage(timings, "geometry"):
         geo_report = _geometry_report(profiles)
-    if cfg.n == 1:
-        geo_report["ellipse_fit_residual"] = geometry.fit_ellipse(profiles[0].points)
     with _stage(timings, "schwarz"):
-        schwarz = _schwarz_boundary_report(boundary, grid, derived, constants)
+        schwarz = _schwarz_residuals(boundary, grid, derived, constants)
 
     diag = _graded(
         profiles,

@@ -52,17 +52,17 @@ def test_solve_writes_all_outputs(tmp_path, fig1b_path, capsys):
 
 
 def test_solve_prints_the_failed_gates_on_its_verdict_line(tmp_path, capsys):
-    # fig3a at kappa_3 = 1 + 1e-9: the absolute Schwarz omega gate and the
-    # contact gate fail, and the first decides the verdict
+    # fig3a at kappa_3 = 1 + 1e-12: the contact and the degenerate gate fail,
+    # and the relative Schwarz gates pass
     doc = figures.load_case("fig3a")
-    doc["kappa"] = [0.1, 0.1, 1.0 + 1e-9]
+    doc["kappa"] = [0.1, 0.1, 1.0 + 1e-12]
     path, diag = tmp_path / "fig3a.json", tmp_path / "d.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["solve", "--config", str(path), "--diag", str(diag)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "verdict: INVALID-UNBOUNDED (failed: schwarz.omega, geometry.contacts)"
+    assert lines[0] == "verdict: INVALID-GEOMETRY (failed: geometry.contacts, geometry.degenerate)"
     gates = json.loads(diag.read_text())["diagnostics"]["gates"]
-    assert sorted(name for name, gate in gates.items() if not gate["passed"]) == ["geometry.contacts", "schwarz.omega"]
+    assert [name for name, gate in gates.items() if not gate["passed"]] == ["geometry.contacts", "geometry.degenerate"]
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path, fig1b_path, solve_figure):
@@ -243,6 +243,14 @@ def test_malformed_json_exits_two_with_position(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps(figures.load_case("fig1b")).encode())
+    assert cli.main([command, "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_schema_violation_exits_two(tmp_path, capsys):

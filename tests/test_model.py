@@ -37,7 +37,7 @@ def test_contrast_factors_for_kappa_five():
     cfg = SlitConfiguration([(-1.0, 1.0)], AT_INFINITY)
     d = derive_constants(FIG1_LOADING, mats, cfg, FreeParameters())
     assert d.lam[0] == pytest.approx(-1.25, abs=1e-15)
-    assert d.lam_tilde[0] == pytest.approx(-1.25, abs=1e-15)
+    assert mats.lambda_tilde()[0] == pytest.approx(-1.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 7.25])

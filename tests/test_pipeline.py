@@ -41,7 +41,7 @@ def test_fig1b_is_valid_with_two_disjoint_contours(solve_figure):
     res = solve_figure("fig1b")
     assert res.verdict == "VALID"
     assert len(res.profiles) == 2
-    assert res.diagnostics.geometry["pairwise_disjoint"]
+    assert res.diagnostics.geometry["contacts"] == []
     assert np.isfinite(res.diagnostics.solvability_cond)
     assert res.diagnostics.solvability_cond >= 1.0
 
@@ -66,7 +66,7 @@ def test_fig2d_override_is_unbounded_but_still_traced(solve_figure):
     res = solve_figure("fig2d")
     assert res.verdict == "INVALID-UNBOUNDED"
     assert len(res.profiles) == 2
-    assert res.diagnostics.boundedness["rho_relative"] > res.diagnostics.tol_solve
+    assert res.diagnostics.boundedness["rho_relative"] > res.diagnostics.gates["boundedness.rho"]["threshold"]
     # the violated-condition contours differ from the solved ones
     good = solve_figure("fig2c")
     assert (
@@ -78,9 +78,9 @@ def test_fig2d_override_is_unbounded_but_still_traced(solve_figure):
 def test_fig4d_is_invalid_geometry(solve_figure):
     res = solve_figure("fig4d")
     assert res.verdict == "INVALID-GEOMETRY"
-    assert not res.diagnostics.geometry["pairwise_disjoint"]
+    assert any(i != j for i, j in (c["contours"] for c in res.diagnostics.geometry["contacts"]))
     # boundedness itself is fine there
-    assert res.diagnostics.boundedness["rho_relative"] < res.diagnostics.tol_solve
+    assert res.diagnostics.boundedness["rho_relative"] < res.diagnostics.gates["boundedness.rho"]["threshold"]
 
 
 def test_override_with_solved_values_is_identity(solve_figure):
@@ -109,7 +109,7 @@ def test_override_rho_only_breaks_one_condition(solve_figure):
     rho_bad = base.constants.rho.copy()
     rho_bad[0] += 0.25
     res = run_figure("fig1b", override_rho=rho_bad)
-    assert res.diagnostics.schwarz["imF_max_dev"] < 1e-12
+    assert res.diagnostics.gates["schwarz.imF"]["value"] < 1e-12
     assert res.diagnostics.boundedness["a_relative"] < 1e-12
     assert res.diagnostics.boundedness["rho_relative"] > 1e-3
     assert res.verdict == "INVALID-UNBOUNDED"
@@ -128,7 +128,7 @@ def _key_paths(tree, prefix=""):
 def test_single_inclusion_diagnostics_carry_the_keys_of_many(solve_figure):
     one = _key_paths(solve_figure("fig1a").diagnostics.to_dict())
     two = _key_paths(solve_figure("fig1b").diagnostics.to_dict())
-    assert one - {"geometry.ellipse_fit_residual"} == two
+    assert one == two
     assert "boundedness.a_scales" in one and "boundedness.rho_scales" in one
 
 
@@ -144,14 +144,19 @@ def test_diagnostics_report_the_kept_length_of_each_family(solve_figure):
     assert 0 < max(kept.values()) == result.slit_map._coef.shape[-1] < 64
 
 
-def test_determinism_of_diagnostics(solve_figure):
-    r1 = run_figure("fig3c")
-    r2 = run_figure("fig3c")
-    assert json.dumps(r1.diagnostics.to_dict(), sort_keys=True) == json.dumps(
-        r2.diagnostics.to_dict(), sort_keys=True
-    )
-    for p1, p2 in zip(r1.profiles, r2.profiles):
-        np.testing.assert_array_equal(p1.points, p2.points)
+def test_determinism_of_diagnostics(tmp_path):
+    # two solves of every bundled case and of a sixteen-slit layout write the
+    # same diagnostics bytes and trace the same contours
+    for name in [case.name for case in figures.FIGURE_CASES] + ["layout16"]:
+        r1, r2 = (
+            pipeline.solve(*slit_layout_inputs(16, 0)) if name == "layout16" else run_figure(name)
+            for _ in range(2)
+        )
+        cli.write_diagnostics_json(r1, tmp_path / "1.json")
+        cli.write_diagnostics_json(r2, tmp_path / "2.json")
+        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes(), name
+        for p1, p2 in zip(r1.profiles, r2.profiles, strict=True):
+            np.testing.assert_array_equal(p1.points, p2.points)
 
 
 def test_translation_covariance_is_exact():
@@ -189,7 +194,7 @@ def test_single_inclusion_route(solve_figure):
     res = solve_figure("fig1a")
     assert res.verdict == "VALID"
     assert len(res.profiles) == 1
-    assert res.diagnostics.geometry["ellipse_fit_residual"] < 1e-10
+    assert geometry.fit_ellipse(res.profiles[0].points) < 1e-10
     assert res.diagnostics.solvability_cond is None  # no system is solved
     assert res.slit_map.branch.n == 1
     assert res.diagnostics.cross_check["applied"]
@@ -362,7 +367,7 @@ def test_single_inclusion_rejects_antisymmetric_selection():
 
 @pytest.mark.parametrize("case", ["fig3a", "sixteen"])
 def test_solve_makes_one_boundary_pass(monkeypatch, case):
-    # the contours and the Schwarz report read the same traced values
+    # the contours and the Schwarz residuals read the same traced values
     shapes = []
     original = mapper.SlitMap.banks
 
@@ -378,8 +383,8 @@ def test_solve_makes_one_boundary_pass(monkeypatch, case):
 
 def test_schwarz_residuals_at_every_traced_vertex_stay_at_rounding(solve_figure):
     for case in figures.FIGURE_CASES:
-        schwarz = solve_figure(case.name).diagnostics.schwarz
-        assert max(schwarz.values()) <= 1e-14, case.name
+        gates = solve_figure(case.name).diagnostics.gates
+        assert max(gates["schwarz.imF"]["value"], gates["schwarz.omega"]["value"]) <= 1e-14, case.name
 
 
 def test_verdict_shortcuts(solve_figure):
@@ -473,10 +478,13 @@ def test_every_solve_records_the_seven_gates_and_reads_its_verdict_from_them(sol
     # a single inclusion has no moment condition, so its boundedness gates
     # read 0 over no residuals; its Schwarz gates read its bank pass
     one = solve_figure("fig1a").diagnostics
+    tol = load_figure_inputs("fig1a")[4].tol_solve
     assert one.boundedness["a_residuals"] == one.boundedness["rho_residuals"] == []
     assert [one.gates[name]["value"] for name in ("boundedness.a", "boundedness.rho")] == [0.0, 0.0]
-    assert one.gates["schwarz.omega"]["value"] == one.schwarz["omega_max_dev"] > 0.0
-    assert one.gates["closure"]["threshold"] == one.tol_solve * one.geometry["diameters"][0]
+    assert one.gates["schwarz.omega"]["value"] > 0.0
+    tolerance_gates = ("boundedness.a", "boundedness.rho", "schwarz.imF", "schwarz.omega")
+    assert [one.gates[name]["threshold"] for name in tolerance_gates] == [tol] * 4
+    assert one.gates["closure"]["threshold"] == tol * one.geometry["diameters"][0]
 
 
 def test_the_verdict_is_read_from_the_gate_record_alone():
@@ -500,9 +508,12 @@ def _one_gate_failing(gate, monkeypatch):
     if gate == "geometry.contacts":
         return run_figure("fig4d")
     if gate.startswith("schwarz."):
-        report = pipeline._schwarz_boundary_report
-        key = {"schwarz.imF": "imF_max_dev", "schwarz.omega": "omega_max_dev"}[gate]
-        monkeypatch.setattr(pipeline, "_schwarz_boundary_report", lambda *args: {**report(*args), key: past})
+        residuals = pipeline._schwarz_residuals
+        at = ["schwarz.imF", "schwarz.omega"].index(gate)
+        monkeypatch.setattr(
+            pipeline, "_schwarz_residuals",
+            lambda *args: tuple(past if i == at else r for i, r in enumerate(residuals(*args))),
+        )
     elif gate == "closure":
         build = geometry.build_profiles
 
@@ -526,22 +537,54 @@ def test_each_gate_fails_alone_with_the_verdict_of_its_family(gate, monkeypatch)
     assert diag.verdict == _GATES[gate]
 
 
-def _fig3a_near_unit_kappa():
+def _fig3a_near_unit_kappa(kappa=1.0 + 1e-9):
     cfg, loading, _, free, numerics, _ = load_figure_inputs("fig3a")
-    return cfg, loading, MaterialSet([0.1, 0.1, 1.0 + 1e-9]), free, numerics
+    return cfg, loading, MaterialSet([0.1, 0.1, kappa]), free, numerics
 
 
 def test_fig3a_at_kappa_near_one_names_the_gates_that_fail():
-    # both moment conditions hold to rounding; the absolute Schwarz omega
-    # residual, at 1.5e-8, and two contact records decide
-    diag = pipeline.solve(*_fig3a_near_unit_kappa()).diagnostics
-    assert diag.verdict == "INVALID-UNBOUNDED"
-    assert diag.failed_gates == ["schwarz.omega", "geometry.contacts"]
+    # both moment conditions hold to rounding, and so do both Schwarz
+    # conditions relative to the terms they sum; two contact records decide
+    inputs = _fig3a_near_unit_kappa()
+    diag = pipeline.solve(*inputs).diagnostics
+    assert diag.verdict == "INVALID-GEOMETRY"
+    assert diag.failed_gates == ["geometry.contacts"]
     omega = diag.gates["schwarz.omega"]
-    assert omega["unit"] == "absolute" and omega["threshold"] == diag.tol_solve
-    assert 1.4e-8 < omega["value"] < 1.6e-8
+    assert omega["unit"].startswith("relative") and omega["threshold"] == inputs[-1].tol_solve
+    assert omega["value"] < 1e-15
     assert diag.gates["geometry.contacts"]["value"] == 2
     assert max(diag.boundedness["a_relative"], diag.boundedness["rho_relative"]) < 1e-14
+    for kappa in (1.0 - 1e-9, 1.0 + 1e-12):
+        assert pipeline.solve(*_fig3a_near_unit_kappa(kappa)).verdict == "INVALID-GEOMETRY", kappa
+
+
+def test_a_schwarz_residual_reads_an_exact_zero_as_zero_at_any_scale_and_fails_a_nan():
+    # equal stresses and c_m1 = i: a_j and the pole density vanish, so the Im F
+    # residual has no scale; its exact 0 must not read 0/0
+    cfg, _, materials, _, numerics, _ = load_figure_inputs("fig1b")
+    result = pipeline.solve(cfg, Loading(1.0, 0.0, 1.0, 0.0), materials, FreeParameters(c_m1=1j), numerics)
+    assert result.diagnostics.gates["schwarz.imF"]["value"] == 0.0
+    ends = np.reshape(cfg.endpoints, (cfg.n, 2))
+    grid = geometry.bank_parameter_grid(ends[:, :1], ends[:, 1:], numerics.P)
+    boundary = result.slit_map.banks(grid)
+    for at, field in enumerate(("F", "omega")):
+        values = getattr(boundary, field).copy()
+        values[1, 0, 3] = complex(np.nan, np.nan)
+        residuals = pipeline._schwarz_residuals(
+            boundary._replace(**{field: values}), grid, result.derived, result.constants
+        )
+        assert not residuals[at] <= numerics.tol_solve, field
+
+
+def test_fig3a_gets_one_verdict_whatever_the_scale_of_mu():
+    # mu scales c and e_j by 1/mu and lambda_j by mu; each Schwarz residual
+    # scales with the terms it is stated relative to
+    cfg, loading, materials, free, numerics, _ = load_figure_inputs("fig3a")
+    verdicts = {
+        mu: pipeline.solve(cfg, dataclasses.replace(loading, mu=mu), materials, free, numerics).verdict
+        for mu in (1.0, 1e-8, 1e-100, 1e-300)
+    }
+    assert set(verdicts.values()) == {"VALID"}, verdicts
 
 
 def test_the_verdict_is_logged_at_info_with_its_failed_gates(caplog):

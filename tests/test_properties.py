@@ -104,7 +104,7 @@ def test_forty_slits_are_not_graded_unbounded(seed):
     result = pipeline.solve(*slit_layout_inputs(40, seed))
     assert result.verdict != pipeline.VERDICT_UNBOUNDED
     bounded = result.diagnostics.boundedness
-    assert max(bounded["a_relative"], bounded["rho_relative"]) <= result.diagnostics.tol_solve
+    assert max(bounded["a_relative"], bounded["rho_relative"]) <= result.diagnostics.gates["boundedness.a"]["threshold"]
 
 
 def test_a_sixteen_slit_solve_never_forms_the_monomial_table(monkeypatch):
